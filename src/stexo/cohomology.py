@@ -148,16 +148,13 @@ def twisted_boundary_int(pair: CoverPair, k: int) -> list:
     base = pair.base
     if k < 1 or k > base.max_degree:
         raise TruncationError(f"{base.name}: twisted boundary degree {k} out of range")
-    rows = [[0] * base.cells[k] for _ in range(base.cells[k - 1])]
-    sheet = pair.sheet[k - 1]
-    bidx = pair.base_index[k - 1]
-    for b, rep in enumerate(pair.rep_cells[k]):
-        for i, (word, fc) in enumerate(pair.cover.faces[k][rep]):
-            if word:
-                continue
-            sign = (-1) ** i * (1 - 2 * int(sheet[fc]))
-            rows[int(bidx[fc])][b] += sign
-    return rows
+    reps = pair.rep_cells[k]
+    b, i = np.nonzero(pair.cover.face_word[k][reps] == 0)
+    fc = pair.cover.face_cell[k][reps[b], i]
+    sign = (1 - 2 * (i & 1)) * (1 - 2 * pair.sheet[k - 1][fc].astype(np.int64))
+    rows = np.zeros((base.cells[k - 1], base.cells[k]), dtype=np.int64)
+    np.add.at(rows, (pair.base_index[k - 1][fc], b), sign)
+    return rows.tolist()
 
 
 def twisted_homology(

@@ -83,13 +83,13 @@ class F2Matrix:
         return cls(rows, cols, pack_rows(bits))
 
     @classmethod
-    def from_rows(cls, rows: list, cols: int | None = None) -> "F2Matrix":
-        if cols is None:
-            cols = len(rows[0]) if rows else 0
-        dense = np.zeros((len(rows), cols), dtype=np.uint8)
-        for i, r in enumerate(rows):
-            dense[i, : len(r)] = np.asarray(r, dtype=np.uint8) & 1
-        return cls.from_dense(dense) if rows else cls(0, cols)
+    def from_entries(cls, rows: int, cols: int, r, c) -> "F2Matrix":
+        """Matrix whose (i, j) entry is the parity of how often (i, j) is listed."""
+        m = cls(rows, cols)
+        c = np.asarray(c, dtype=np.int64)
+        bits = np.left_shift(np.uint64(1), (c & 63).astype(np.uint64))
+        np.bitwise_xor.at(m.words, (np.asarray(r, dtype=np.int64), c >> 6), bits)
+        return m
 
     # -- access ------------------------------------------------------------
 
@@ -429,11 +429,6 @@ class CosetReducer:
         self._pivots.append(p)
         self._coeffs.append(grown)
         return True
-
-    def in_span(self, v: np.ndarray) -> bool:
-        packed = pack_rows(np.asarray(v, dtype=np.uint8)[None, :])[0].copy()
-        packed, _ = self._reduce(packed, np.zeros(0, dtype=np.uint8))
-        return not packed.any()
 
     def coords(self, v: np.ndarray) -> np.ndarray:
         """Extension coordinates of v mod the base; raises when out of span."""

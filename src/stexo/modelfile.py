@@ -141,10 +141,7 @@ def _target_json(t) -> dict:
 
 
 def _faces_json(model: SimplicialModel) -> list:
-    return [
-        [[_target_json(t) for t in model.faces[n][c]] for c in range(model.cells[n])]
-        for n in range(1, model.max_degree + 1)
-    ]
+    return [[[_target_json(t) for t in row] for row in block] for block in model.faces[1:]]
 
 
 def _model_core_json(model: SimplicialModel) -> dict:
@@ -293,7 +290,7 @@ def _parse_model_core(obj, path: str, default_name: str) -> SimplicialModel:
     name = obj.get("name", default_name)
     _expect(isinstance(name, str), path, "name must be a string")
     model = SimplicialModel(max_degree, cells, faces, name=name)
-    bad = model.validate(deep=True)
+    bad = model.validate()
     if bad:
         _fail(path, f"{len(bad)} simplicial violations; first: {bad[0]}")
     return model
@@ -482,12 +479,6 @@ def parse_bytes(data: bytes, default_name: str = "model") -> ModelFileData:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"not a JSON model file: {exc}") from exc
     return parse_document(doc, default_name)
-
-
-def load_model_file(path: str) -> ModelFileData:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    return parse_bytes(data, default_name=path)
 
 
 def reexport(parsed: ModelFileData) -> dict:

@@ -37,6 +37,7 @@ from .simplicial import (
     cover_from_cocycle,
     cup,
     quotient_free_involution,
+    sheet_changes,
     sq,
 )
 
@@ -73,7 +74,6 @@ class NormalOneType:
 class PipelineConfig:
     lift_cap: int = 1 << 16
     sample_seed: int = 0
-    deep_validate: bool = True
 
 
 @dataclass
@@ -207,13 +207,7 @@ def cover_data_from_parts(
         reps.append(rep_arr)
         sheet.append(sh)
         bidx.append(bi)
-    w1_vals = np.zeros(base.cells[1], dtype=np.uint8)
-    s0 = sheet[0]
-    for b in range(base.cells[1]):
-        rep = int(reps[1][b])
-        (wa, c0), (wb, c1) = cover.faces[1][rep][0], cover.faces[1][rep][1]
-        w1_vals[b] = s0[c0] ^ s0[c1]
-    w1d = Cochain(base, 1, w1_vals)
+    w1d = Cochain(base, 1, sheet_changes(cover, sheet, reps))
     pair = CoverPair(cover, base, projection, involution, w1d, sheet, reps, bidx)
     return cover_data_from_pair(nt, pair)
 
@@ -225,11 +219,10 @@ def validate_normal_type(
     nt: NormalOneType,
     cover: DoubleCoverData | None = None,
     section: SectionDatum | None = None,
-    deep: bool = True,
 ) -> list:
     """All input violations, as human-readable reasons; empty means valid."""
     reasons = []
-    bad = nt.base.validate(deep=deep)
+    bad = nt.base.validate()
     if bad:
         reasons.append(f"base model: {bad[0]} ({len(bad)} violations)")
     if nt.base.max_degree < 4:
@@ -427,8 +420,13 @@ class LiftSolutions:
         return data, complete
 
 
+def _type_key(name: str, nt: NormalOneType) -> tuple:
+    """Cache key on a shared cover for a result that depends on the type."""
+    return (name, nt.w1.values.tobytes(), nt.w2.values.tobytes())
+
+
 def lift_data_solutions(nt: NormalOneType, cover: DoubleCoverData) -> LiftSolutions:
-    key = "lift-solutions"
+    key = _type_key("lift-solutions", nt)
     if key in cover._cache:
         return cover._cache[key]
     pair = cover.pair
@@ -482,7 +480,7 @@ def restricted_image_span(
     Membership of a closed degree-4 cochain in this span is exactly the
     class-level condition [A] in p*(Im).
     """
-    key = "restricted-image-span"
+    key = _type_key("restricted-image-span", nt)
     if key in cover._cache:
         return cover._cache[key]
     pair = cover.pair
@@ -619,17 +617,24 @@ def decide(
     config = config or PipelineConfig()
     caveats = []
 
-    reasons = validate_normal_type(nt, cover, section, deep=config.deep_validate)
+    reasons = validate_normal_type(nt, cover, section)
+    rejected = []
     for datum in extra_lift_data:
         if cover is None:
             reasons.append("lift data supplied without cover data")
             break
         bad = validate_lift_datum(nt, cover, datum.a)
-        reasons.extend(f"lift datum {datum.label or datum.index}: {r}" for r in bad)
+        label = datum.label or datum.index
+        reasons.extend(f"lift datum {label}: {r}" for r in bad)
+        if bad:
+            on_cover = datum.a.model is cover.cover and datum.a.degree == 2
+            support = list(datum.a.support()) if on_cover else None
+            rejected.append({"label": label, "support": support})
     if reasons:
-        return Verdict(
-            "InvalidInput", 1, "input validation failed", {"reasons": reasons}
-        )
+        evidence = {"reasons": reasons}
+        if rejected:
+            evidence["rejected_lift_data"] = rejected
+        return Verdict("InvalidInput", 1, "input validation failed", evidence)
 
     prim = primary_obstruction(nt)
     if solve_affine(nt.base.coboundary_matrix(2), prim.values) is None:
@@ -749,10 +754,25 @@ def replay_evidence(
     cover: DoubleCoverData | None = None,
     section: SectionDatum | None = None,
 ) -> bool:
-    """Re-run the operations cited by a verdict and compare the records."""
+    """Re-run the operations cited by a verdict and compare the records.
+
+    An InvalidInput verdict replays when the inputs are still invalid or a
+    recorded lift datum, rebuilt on the cover from its support, is still
+    rejected.  A datum recorded without a support was not a degree-2 cochain
+    on the cover and cannot be rebuilt; its record stands.
+    """
     ev = verdict.evidence
     if verdict.outcome == "InvalidInput":
-        return bool(validate_normal_type(nt, cover, section))
+        if validate_normal_type(nt, cover, section):
+            return True
+        for entry in ev.get("rejected_lift_data", ()):
+            if entry["support"] is None:
+                return True
+            if cover is not None:
+                a = Cochain.from_support(cover.cover, 2, entry["support"])
+                if validate_lift_datum(nt, cover, a):
+                    return True
+        return False
     if verdict.outcome == "NoExoticaPrimary":
         prim = primary_obstruction(nt)
         if list(prim.support()) != list(ev["primary_support"]):

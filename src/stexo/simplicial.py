@@ -7,14 +7,20 @@ as a set, is exactly the set of repeat positions of the underlying surjection,
 which is what makes products and quotients finite and the cup-i formulas
 evaluable.
 
+Face tables are stored as read-only integer arrays, where a canonical word is
+the bitmask of its letters.  A batch of targets is likewise a pair of arrays
+(word masks, cells), and SimplicialModel.face_batch takes one face of a whole
+batch at once; every face walk of this module goes through it or indexes the
+arrays directly.
+
 Cochains are normalized: a degeneracy-decorated target evaluates to 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from collections import Counter
 
 import numpy as np
 
@@ -51,17 +57,136 @@ def compose_words(outer, inner: tuple, cell: int) -> Target:
     return (word, cell)
 
 
+# -- word masks ----------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _word(mask: int) -> tuple:
+    """The canonical word whose letters are the set bits of mask."""
+    return tuple(a for a in range(mask.bit_length() - 1, -1, -1) if mask >> a & 1)
+
+
+def _mask(word) -> int:
+    return sum(1 << a for a in word)
+
+
+@lru_cache(maxsize=None)
+def _canonical_masks(dim: int) -> dict:
+    """Every canonical word of a dimension-dim target, mapped to its mask."""
+    return {_word(m): m for m in range(1 << dim)}
+
+
+@lru_cache(maxsize=None)
+def _compose_table(outer: int, dim: int) -> np.ndarray:
+    """Mask of compose_words(word(outer), word(m)) for each dimension-dim mask m."""
+    table = np.array(
+        [_mask(compose_words(_word(outer), _word(m), 0)[0]) for m in range(1 << dim)],
+        dtype=np.int64,
+    )
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _face_plan(n: int, mask: int, i: int):
+    """How d_i passes through the word of a dimension-n target.
+
+    Returns (word mask, None, None) when d_i cancels against a letter, so the
+    face is the same cell under that word.  Otherwise returns (k, b, table):
+    the face is d_k of the core b-cell with the surviving letters applied to
+    its word through table.
+    """
+    word = _word(mask)
+    out = []
+    k = i
+    for pos, w in enumerate(word):
+        if k == w or k == w + 1:
+            return _mask(compose_words(out, word[pos + 1 :], 0)[0]), None, None
+        if k < w:
+            out.append(w - 1)
+        else:
+            out.append(w)
+            k -= 1
+    b = n - len(word)
+    return k, b, _compose_table(_mask(out), b - 1)
+
+
+def _groups(keys: np.ndarray) -> list:
+    """(value, selector) for each distinct value of keys, ascending."""
+    values = np.unique(keys).tolist()
+    if len(values) == 1:
+        return [(values[0], slice(None))]
+    return [(v, keys == v) for v in values]
+
+
+def _through(dim: int, words: np.ndarray, cells: np.ndarray, tables) -> np.ndarray:
+    """Cells of dimension-dim targets sent through tables[core degree]."""
+    core = dim - np.bitwise_count(words).astype(np.int64)
+    out = np.empty_like(cells)
+    for d, sel in _groups(core):
+        out[sel] = tables[d][cells[sel]]
+    return out
+
+
+def _decode(words: np.ndarray, cells: np.ndarray) -> list:
+    """Target tuples (word, cell) of a batch."""
+    return [(_word(w), c) for w, c in zip(words.tolist(), cells.tolist())]
+
+
+def _no_faces(count: int) -> np.ndarray:
+    return np.zeros((count, 0), dtype=np.int64)
+
+
 class SimplicialModel:
     """Nondegenerate cells per degree plus decorated face maps.
 
-    faces[n][c][i] is the i-th face of the n-cell c, a (word, cell) target of
-    dimension n-1.  faces[0] is an empty placeholder.
+    face_word[n][c, i] and face_cell[n][c, i] are the i-th face of the n-cell
+    c, a dimension n-1 target: the mask of its canonical word and its cell.
+    Degree 0 has width-0 arrays.  The arrays cannot be written, so whatever
+    the model caches about them stays valid.
     """
 
     def __init__(self, max_degree: int, cells, faces, name: str = "model"):
+        """faces[n][c][i] is the i-th face of the n-cell c as a (word, cell)
+        target; faces[0] is an empty placeholder.  A face that cannot be stored
+        as a mask and a valid cell is stored as (0, 0) and reported by
+        validate()."""
+        self._init(max_degree, cells, name)
+        words, fcells, bad = [_no_faces(self.cells[0])], [_no_faces(self.cells[0])], []
+        for n in range(1, self.max_degree + 1):
+            block = faces[n] if n < len(faces) else ()
+            width = n + 1
+            flat_w = [0] * (self.cells[n] * width)
+            flat_c = [0] * (self.cells[n] * width)
+            if len(block) != self.cells[n]:
+                bad.append(f"degree {n}: face table size mismatch")
+                block = ()
+            for c, row in enumerate(block):
+                if len(row) != width:
+                    bad.append(f"degree {n} cell {c}: expected {width} faces")
+                    continue
+                ws, cs, errs = self._encode(n - 1, row)
+                flat_w[c * width : (c + 1) * width] = ws
+                flat_c[c * width : (c + 1) * width] = cs
+                bad.extend(f"degree {n} cell {c} face {i}: {msg}" for i, msg in errs)
+            shape = (self.cells[n], width)
+            words.append(np.array(flat_w, dtype=np.int64).reshape(shape))
+            fcells.append(np.array(flat_c, dtype=np.int64).reshape(shape))
+        self._store(words, fcells)
+        self._malformed = tuple(bad)
+
+    @classmethod
+    def from_arrays(cls, max_degree: int, cells, face_word, face_cell, name: str = "model"):
+        """A model from per-degree face arrays, as laid out in face_word/face_cell."""
+        model = cls.__new__(cls)
+        model._init(max_degree, cells, name)
+        model._store(face_word, face_cell)
+        model._malformed = ()
+        return model
+
+    def _init(self, max_degree, cells, name) -> None:
         self.max_degree = int(max_degree)
         self.cells = tuple(int(c) for c in cells)
-        self.faces = faces
         self.name = name
         self._cache: dict = {}
         if len(self.cells) != self.max_degree + 1:
@@ -69,8 +194,31 @@ class SimplicialModel:
                 f"{name}: cells list length {len(self.cells)} vs max_degree {max_degree}"
             )
 
+    def _store(self, face_word, face_cell) -> None:
+        def frozen(a):
+            a = np.ascontiguousarray(a, dtype=np.int64)
+            a.setflags(write=False)
+            return a
+
+        self.face_word = tuple(frozen(a) for a in face_word)
+        self.face_cell = tuple(frozen(a) for a in face_cell)
+
     def __repr__(self) -> str:
         return f"SimplicialModel({self.name}, cells={self.cells})"
+
+    @property
+    def faces(self) -> list:
+        """The face tables as (word, cell) lists, faces[0] empty, read off the arrays."""
+        out: list = [[]]
+        for n in range(1, self.max_degree + 1):
+            words = [_word(m) for m in range(1 << (n - 1))]
+            out.append(
+                [
+                    [(words[w], c) for w, c in zip(ws, cs)]
+                    for ws, cs in zip(self.face_word[n].tolist(), self.face_cell[n].tolist())
+                ]
+            )
+        return out
 
     def n_cells(self, n: int) -> int:
         return self.cells[n] if 0 <= n <= self.max_degree else 0
@@ -81,7 +229,10 @@ class SimplicialModel:
     # -- face calculus -------------------------------------------------------
 
     def face(self, n: int, target: Target, i: int) -> Target:
-        """d_i of a dimension-n target, pushing d through the degeneracy word."""
+        """d_i of a dimension-n target, pushing d through the degeneracy word.
+
+        The one-target reference for face_batch.
+        """
         word, cell = target
         out = []
         k = i
@@ -94,30 +245,52 @@ class SimplicialModel:
                 out.append(w)
                 k -= 1
         b = n - len(word)
-        fw, fc = self.faces[b][cell][k]
-        return compose_words(out, fw, fc)
+        fw = int(self.face_word[b][cell, k])
+        return compose_words(out, _word(fw), int(self.face_cell[b][cell, k]))
 
-    def subface(self, n: int, cell: int, keep) -> Target:
-        """Restrict an n-cell to the vertex subset keep (sorted ascending)."""
+    def face_batch(self, n: int, words, cells, i: int):
+        """d_i of a batch of dimension-n targets, as (word masks, cells) arrays.
+
+        Targets are grouped by word; per word the passage of d_i through the
+        letters is worked out once, then the core faces are gathered from the
+        arrays and the surviving letters applied through a mask table.
+        """
+        words = np.asarray(words, dtype=np.int64)
+        cells = np.asarray(cells, dtype=np.int64)
+        out_w = np.empty_like(words)
+        out_c = np.empty_like(cells)
+        for mask, sel in _groups(words):
+            k, b, table = _face_plan(n, mask, i)
+            if table is None:
+                out_w[sel] = k
+                out_c[sel] = cells[sel]
+            else:
+                core = cells[sel]
+                out_w[sel] = table[self.face_word[b][core, k]]
+                out_c[sel] = self.face_cell[b][core, k]
+        return out_w, out_c
+
+    def subfaces(self, n: int, keep, cells=None):
+        """Restrictions of n-cells (all, or those listed) to the vertex subset keep."""
         keep_set = set(keep)
-        target: Target = ((), cell)
+        cs = np.arange(self.cells[n]) if cells is None else np.asarray(cells)
+        ws = np.zeros(len(cs), dtype=np.int64)
         dim = n
         for v in range(n, -1, -1):
             if v not in keep_set:
-                target = self.face(dim, target, v)
+                ws, cs = self.face_batch(dim, ws, cs, v)
                 dim -= 1
-        return target
+        return ws, cs
+
+    def subface(self, n: int, cell: int, keep) -> Target:
+        """Restrict an n-cell to the vertex subset keep (sorted ascending)."""
+        ws, cs = self.subfaces(n, keep, [cell])
+        return _decode(ws, cs)[0]
 
     def targets(self, n: int):
         """All dimension-n targets (word, cell) in a deterministic order."""
-        out = []
-        for m in range(min(n, self.max_degree) + 1):
-            k = n - m
-            for combo in combinations(range(n), k):
-                word = tuple(sorted(combo, reverse=True))
-                for cell in range(self.cells[m]):
-                    out.append((word, cell))
-        return out
+        words, cells, _ = _target_table(self, n)
+        return _decode(words, cells)
 
     # -- validation ----------------------------------------------------------
 
@@ -132,36 +305,55 @@ class SimplicialModel:
             return f"target {target} has no core cell in degree {core}"
         return None
 
+    def _encode(self, dim: int, targets):
+        """Word masks and cells of dimension-dim targets on this model.
+
+        Returns (masks, cells, [(position, message)]); a target that fails
+        _check_target is encoded as (0, 0).
+        """
+        masks = _canonical_masks(dim)
+        ws, cs, bad = [], [], []
+        for pos, t in enumerate(targets):
+            word, cell = t
+            m = masks.get(tuple(word))
+            core = dim - len(word)
+            if m is None or core > self.max_degree or not 0 <= cell < self.cells[core]:
+                bad.append((pos, self._check_target(t, dim)))
+                m, cell = 0, 0
+            ws.append(m)
+            cs.append(int(cell))
+        return ws, cs, bad
+
     def validate(self, deep: bool = True) -> list[str]:
-        """Structural checks, plus the simplicial identities when deep."""
+        """Structural checks, plus the simplicial identities when deep.
+
+        The identities are checked once per model; the result is cached.
+        """
+        if self._malformed or not deep:
+            return list(self._malformed)
+        if "identities" not in self._cache:
+            self._cache["identities"] = tuple(self._identity_violations())
+        return list(self._cache["identities"])
+
+    def _identity_violations(self) -> list[str]:
+        """d_i d_j = d_{j-1} d_i for i < j on every cell, in (degree, cell, j, i) order."""
         bad = []
-        for n in range(1, self.max_degree + 1):
-            if len(self.faces[n]) != self.cells[n]:
-                bad.append(f"degree {n}: face table size mismatch")
-                continue
-            for c in range(self.cells[n]):
-                row = self.faces[n][c]
-                if len(row) != n + 1:
-                    bad.append(f"degree {n} cell {c}: expected {n + 1} faces")
-                    continue
-                for i, t in enumerate(row):
-                    msg = self._check_target(t, n - 1)
-                    if msg:
-                        bad.append(f"degree {n} cell {c} face {i}: {msg}")
-        if bad or not deep:
-            return bad
         for n in range(2, self.max_degree + 1):
-            for c in range(self.cells[n]):
-                for j in range(1, n + 1):
-                    dj = self.faces[n][c][j]
-                    for i in range(j):
-                        lhs = self.face(n - 1, dj, i)
-                        rhs = self.face(n - 1, self.faces[n][c][i], j - 1)
-                        if lhs != rhs:
-                            bad.append(
-                                f"degree {n} cell {c}: d_{i} d_{j} != d_{j-1} d_{i}"
-                                f" ({lhs} vs {rhs})"
-                            )
+            fw, fc = self.face_word[n], self.face_cell[n]
+            found = []
+            for j in range(1, n + 1):
+                for i in range(j):
+                    lw, lc = self.face_batch(n - 1, fw[:, j], fc[:, j], i)
+                    rw, rc = self.face_batch(n - 1, fw[:, i], fc[:, i], j - 1)
+                    for c in np.flatnonzero((lw != rw) | (lc != rc)).tolist():
+                        lhs = (_word(int(lw[c])), int(lc[c]))
+                        rhs = (_word(int(rw[c])), int(rc[c]))
+                        found.append((c, j, i, lhs, rhs))
+            found.sort(key=lambda f: f[:3])
+            bad.extend(
+                f"degree {n} cell {c}: d_{i} d_{j} != d_{j-1} d_{i} ({lhs} vs {rhs})"
+                for c, j, i, lhs, rhs in found
+            )
         return bad
 
     def require_valid(self, deep: bool = True) -> None:
@@ -181,24 +373,20 @@ class SimplicialModel:
             )
         key = ("cob", k)
         if key not in self._cache:
-            m = F2Matrix.zeros(self.cells[k + 1], self.cells[k])
-            for c in range(self.cells[k + 1]):
-                for word, fc in self.faces[k + 1][c]:
-                    if not word:
-                        m.set(c, fc, m.get(c, fc) ^ 1)
-            self._cache[key] = m
+            c, i = np.nonzero(self.face_word[k + 1] == 0)
+            self._cache[key] = F2Matrix.from_entries(
+                self.cells[k + 1], self.cells[k], c, self.face_cell[k + 1][c, i]
+            )
         return self._cache[key]
 
     def boundary_int(self, k: int) -> list[list[int]]:
         """Integral boundary C_k -> C_{k-1} with signs; rows are (k-1)-cells."""
         if k < 1 or k > self.max_degree:
             raise TruncationError(f"{self.name}: boundary degree {k} out of range")
-        rows = [[0] * self.cells[k] for _ in range(self.cells[k - 1])]
-        for c in range(self.cells[k]):
-            for i, (word, fc) in enumerate(self.faces[k][c]):
-                if not word:
-                    rows[fc][c] += (-1) ** i
-        return rows
+        c, i = np.nonzero(self.face_word[k] == 0)
+        rows = np.zeros((self.cells[k - 1], self.cells[k]), dtype=np.int64)
+        np.add.at(rows, (self.face_cell[k][c, i], c), 1 - 2 * (i & 1))
+        return rows.tolist()
 
     def cup_table(self, p: int, q: int, i: int):
         """Index triples (out, u, v) with odd multiplicity for the cup-i sum."""
@@ -214,29 +402,25 @@ def _build_cup_table(model: SimplicialModel, p: int, q: int, i: int):
         raise TruncationError(
             f"{model.name}: cup_{i} of degrees ({p},{q}) needs degree {n}"
         )
-    counts: Counter = Counter()
-    for c in range(model.cells[n]):
-        for cuts in combinations_with_replacement(range(n + 1), i + 1):
-            even: set = set()
-            odd: set = set()
-            prev = 0
-            for k, a in enumerate(cuts + (n,)):
-                (even if k % 2 == 0 else odd).update(range(prev, a + 1))
-                prev = a
-            if len(even) != p + 1 or len(odd) != q + 1:
-                continue
-            wu, cu = model.subface(n, c, sorted(even))
-            if wu:
-                continue
-            wv, cv = model.subface(n, c, sorted(odd))
-            if wv:
-                continue
-            counts[(c, cu, cv)] += 1
-    keep = sorted(t for t, m in counts.items() if m % 2)
-    out = np.array([t[0] for t in keep], dtype=np.int64)
-    uu = np.array([t[1] for t in keep], dtype=np.int64)
-    vv = np.array([t[2] for t in keep], dtype=np.int64)
-    return out, uu, vv
+    # a triple (c, u, v) is counted under the key (c * nu + u) * nv + v
+    nu, nv = model.cells[p], model.cells[q]
+    keys = [np.zeros(0, dtype=np.int64)]
+    for cuts in combinations_with_replacement(range(n + 1), i + 1):
+        even: set = set()
+        odd: set = set()
+        prev = 0
+        for k, a in enumerate(cuts + (n,)):
+            (even if k % 2 == 0 else odd).update(range(prev, a + 1))
+            prev = a
+        if len(even) != p + 1 or len(odd) != q + 1:
+            continue
+        wu, cu = model.subfaces(n, even)
+        wv, cv = model.subfaces(n, odd)
+        c = np.flatnonzero((wu == 0) & (wv == 0))
+        keys.append((c * nu + cu[c]) * nv + cv[c])
+    found, mult = np.unique(np.concatenate(keys), return_counts=True)
+    keep = found[mult % 2 == 1]
+    return keep // (nu * nv), keep // nv % nu, keep % nv
 
 
 @dataclass(frozen=True)
@@ -354,26 +538,33 @@ class SimplicialMap:
     def validate(self) -> list[str]:
         bad = []
         top = self.source.max_degree
+        words, cells = [], []
         for n in range(top + 1):
             if len(self.assignment[n]) != self.source.cells[n]:
                 bad.append(f"degree {n}: assignment size mismatch")
                 return bad
-            for c in range(self.source.cells[n]):
-                msg = self.target._check_target(self.assignment[n][c], n)
-                if msg:
-                    bad.append(f"degree {n} cell {c}: {msg}")
+            ws, cs, errs = self.target._encode(n, self.assignment[n])
+            bad.extend(f"degree {n} cell {c}: {msg}" for c, msg in errs)
+            words.append(np.array(ws, dtype=np.int64))
+            cells.append(np.array(cs, dtype=np.int64))
         if bad:
             return bad
+        src = self.source
         for n in range(1, top + 1):
-            for c in range(self.source.cells[n]):
-                img = self.assignment[n][c]
-                for i in range(n + 1):
-                    lhs = self.target.face(n, img, i)
-                    rhs = self.apply(n - 1, self.source.faces[n][c][i])
-                    if lhs != rhs:
-                        bad.append(
-                            f"degree {n} cell {c}: face {i} does not commute"
-                        )
+            wrong = np.zeros((src.cells[n], n + 1), dtype=bool)
+            for i in range(n + 1):
+                lw, lc = self.target.face_batch(n, words[n], cells[n], i)
+                sw, sc = src.face_word[n][:, i], src.face_cell[n][:, i]
+                rw = np.empty_like(sw)
+                for outer, sel in _groups(sw):
+                    core = n - 1 - outer.bit_count()
+                    rw[sel] = _compose_table(outer, core)[words[core][sc[sel]]]
+                rc = _through(n - 1, sw, sc, cells)
+                wrong[:, i] = (lw != rw) | (lc != rc)
+            bad.extend(
+                f"degree {n} cell {c}: face {i} does not commute"
+                for c, i in np.argwhere(wrong).tolist()
+            )
         return bad
 
     def require_valid(self) -> None:
@@ -389,13 +580,6 @@ class SimplicialMap:
             if not word:
                 vals[c] = u.values[cell]
         return Cochain(self.source, u.degree, vals)
-
-    def pullback_matrix(self, k: int) -> F2Matrix:
-        m = F2Matrix.zeros(self.source.n_cells(k), self.target.n_cells(k))
-        for c, (word, cell) in enumerate(self.assignment[k]):
-            if not word:
-                m.set(c, cell, 1)
-        return m
 
     def compose(self, inner: "SimplicialMap") -> "SimplicialMap":
         """self after inner (inner.source -> self.target)."""
@@ -426,19 +610,6 @@ class Involution:
         self.perms = [np.asarray(p, dtype=np.int64) for p in perms]
         self.name = name
 
-    def act_cell(self, n: int, c: int) -> int:
-        return int(self.perms[n][c])
-
-    def act_target(self, dim: int, t: Target) -> Target:
-        return _target_with_dim(t, dim, self.perms)
-
-    def as_map(self) -> SimplicialMap:
-        assignment = [
-            [((), int(self.perms[n][c])) for c in range(self.model.cells[n])]
-            for n in range(self.model.max_degree + 1)
-        ]
-        return SimplicialMap(self.model, self.model, assignment, self.name)
-
     def pullback(self, u: Cochain) -> Cochain:
         if u.model is not self.model:
             raise ModelMismatchError("involution pullback on the wrong model")
@@ -459,7 +630,16 @@ class Involution:
                 bad.append(f"degree {n}: fixed cell found")
         if bad:
             return bad
-        return self.as_map().validate()
+        # simplicial: face_i(T c) = T(face_i c), T acting on the core cell
+        for n in range(1, self.model.max_degree + 1):
+            fw, fc = self.model.face_word[n], self.model.face_cell[n]
+            perm = self.perms[n]
+            wrong = (fw[perm] != fw) | (fc[perm] != _through(n - 1, fw, fc, self.perms))
+            bad.extend(
+                f"degree {n} cell {c}: face {i} does not commute"
+                for c, i in np.argwhere(wrong).tolist()
+            )
+        return bad
 
     def require_valid(self) -> None:
         bad = self.validate()
@@ -484,6 +664,22 @@ class ProductModel:
     index: list  # per degree, dict (target_a, target_b) -> cell
 
 
+def _target_table(model: SimplicialModel, n: int):
+    """model.targets(n) as arrays (word masks, cells), plus, per mask, the
+    position of its first target (-1 when the word cannot occur)."""
+    first = np.full(1 << n, -1, dtype=np.int64)
+    words, cells = [], []
+    total = 0
+    for m in range(min(n, model.max_degree) + 1):
+        for combo in combinations(range(n), n - m):
+            mask = _mask(combo)
+            first[mask] = total
+            total += model.cells[m]
+            words.append(np.full(model.cells[m], mask, dtype=np.int64))
+            cells.append(np.arange(model.cells[m], dtype=np.int64))
+    return np.concatenate(words), np.concatenate(cells), first
+
+
 def product(a: SimplicialModel, b: SimplicialModel, up_to: int, name=None) -> ProductModel:
     """Categorical product truncated at up_to.
 
@@ -493,39 +689,53 @@ def product(a: SimplicialModel, b: SimplicialModel, up_to: int, name=None) -> Pr
     if up_to > a.max_degree + b.max_degree:
         raise ValidationError("product truncation exceeds summed degrees")
     name = name or f"{a.name}x{b.name}"
+    ta = [_target_table(a, n) for n in range(up_to + 1)]
+    tb = [_target_table(b, n) for n in range(up_to + 1)]
+    # the n-cells, in order, are the pairs (x, y) of target positions whose
+    # words are disjoint; the key x * len(targets_b) + y grows with the cell
+    pairs = [np.nonzero((t[0][:, None] & u[0][None, :]) == 0) for t, u in zip(ta, tb)]
+    keys = [x * u[0].size + y for (x, y), u in zip(pairs, tb)]
+
+    def cell_of(d, aw, ac, bw, bc):
+        key = (ta[d][2][aw] + ac) * tb[d][0].size + tb[d][2][bw] + bc
+        pos = np.minimum(np.searchsorted(keys[d], key), max(keys[d].size - 1, 0))
+        if keys[d].size == 0 or not np.array_equal(keys[d][pos], key):
+            raise ValidationError(f"{name}: a face of a product cell is not a product cell")
+        return pos
+
+    face_word, face_cell = [_no_faces(keys[0].size)], [_no_faces(keys[0].size)]
+    for n in range(1, up_to + 1):
+        x, y = pairs[n]
+        fw = np.empty((x.size, n + 1), dtype=np.int64)
+        fc = np.empty_like(fw)
+        for i in range(n + 1):
+            aw, ac = a.face_batch(n, ta[n][0], ta[n][1], i)
+            bw, bc = b.face_batch(n, tb[n][0], tb[n][1], i)
+            aw, ac, bw, bc = aw[x], ac[x], bw[y], bc[y]
+            # letters both faces carry become the face's own word
+            common = aw & bw
+            fw[:, i] = common
+            for mask, sel in _groups(common):
+                saw, sac, sbw, sbc = aw[sel], ac[sel], bw[sel], bc[sel]
+                d = n - 1
+                for pos in _word(mask):
+                    saw, sac = a.face_batch(d, saw, sac, pos)
+                    sbw, sbc = b.face_batch(d, sbw, sbc, pos)
+                    d -= 1
+                fc[sel, i] = cell_of(d, saw, sac, sbw, sbc)
+        face_word.append(fw)
+        face_cell.append(fc)
+    cells = [k.size for k in keys]
+    model = SimplicialModel.from_arrays(up_to, cells, face_word, face_cell, name=name)
+
     coords = []
     index = []
-    cells = []
     for n in range(up_to + 1):
-        level = []
-        for ta in a.targets(n):
-            wa = set(ta[0])
-            for tb in b.targets(n):
-                if wa.isdisjoint(tb[0]):
-                    level.append((ta, tb))
+        la, lb = _decode(*ta[n][:2]), _decode(*tb[n][:2])
+        x, y = pairs[n]
+        level = [(la[p], lb[q]) for p, q in zip(x.tolist(), y.tolist())]
         coords.append(level)
         index.append({pair: k for k, pair in enumerate(level)})
-        cells.append(len(level))
-
-    faces = [[]]
-    for n in range(1, up_to + 1):
-        rows = []
-        for ta, tb in coords[n]:
-            row = []
-            for i in range(n + 1):
-                fa = a.face(n, ta, i)
-                fb = b.face(n, tb, i)
-                common = sorted(set(fa[0]) & set(fb[0]), reverse=True)
-                d = n - 1
-                for cpos in common:
-                    fa = a.face(d, fa, cpos)
-                    fb = b.face(d, fb, cpos)
-                    d -= 1
-                row.append((tuple(common), index[d][(fa, fb)]))
-            rows.append(row)
-        faces.append(rows)
-
-    model = SimplicialModel(up_to, cells, faces, name=name)
     top = up_to
     left = SimplicialMap(
         model, a, [[pair[0] for pair in coords[n]] for n in range(top + 1)], "left"
@@ -590,6 +800,13 @@ class CoverPair:
         return Cochain(self.base, u.degree, u.values[self.rep_cells[u.degree]])
 
 
+def sheet_changes(cover: SimplicialModel, sheet, rep_cells) -> np.ndarray:
+    """Per base edge, whether its chosen lift joins the two sheets: the
+    values of the characteristic cocycle w1."""
+    ends = cover.face_cell[1][rep_cells[1]]
+    return sheet[0][ends[:, 0]] ^ sheet[0][ends[:, 1]]
+
+
 def quotient_free_involution(
     cover: SimplicialModel, inv: Involution, allow_trivial: bool = False, name=None
 ) -> CoverPair:
@@ -613,34 +830,20 @@ def quotient_free_involution(
         base_index.append(bidx)
         cells.append(int(reps.size))
 
-    faces = [[]]
+    face_word, face_cell = [_no_faces(cells[0])], [_no_faces(cells[0])]
     for n in range(1, cover.max_degree + 1):
-        rows = []
-        for rep in rep_cells[n]:
-            row = []
-            for word, fc in cover.faces[n][rep]:
-                row.append((word, int(base_index[n - 1 - len(word)][fc])))
-            rows.append(row)
-        faces.append(rows)
-    base = SimplicialModel(cover.max_degree, cells, faces, name=name)
+        fw = cover.face_word[n][rep_cells[n]]
+        face_word.append(fw)
+        face_cell.append(_through(n - 1, fw, cover.face_cell[n][rep_cells[n]], base_index))
+    base = SimplicialModel.from_arrays(cover.max_degree, cells, face_word, face_cell, name=name)
 
     projection = SimplicialMap(
         cover,
         base,
-        [
-            [((), int(base_index[n][c])) for c in range(cover.cells[n])]
-            for n in range(cover.max_degree + 1)
-        ],
+        [[((), b) for b in base_index[n].tolist()] for n in range(cover.max_degree + 1)],
         "projection",
     )
-
-    w1_vals = np.zeros(cells[1], dtype=np.uint8)
-    s0 = sheet[0]
-    for b, rep in enumerate(rep_cells[1]):
-        (w0, c0) = cover.faces[1][rep][0]
-        (w1_, c1) = cover.faces[1][rep][1]
-        w1_vals[b] = s0[c0] ^ s0[c1]
-    w1 = Cochain(base, 1, w1_vals)
+    w1 = Cochain(base, 1, sheet_changes(cover, sheet, rep_cells))
 
     if not allow_trivial:
         if solve_affine(base.coboundary_matrix(0), w1.values) is not None:
@@ -654,7 +857,11 @@ def quotient_free_involution(
 def cover_from_cocycle(
     base: SimplicialModel, w: Cochain, allow_trivial: bool = False, name=None
 ) -> CoverPair:
-    """Build the double cover classified by a degree-1 cocycle."""
+    """Build the double cover classified by a degree-1 cocycle.
+
+    Cover cell 2c + e is the lift of base cell c to sheet e; a face keeps the
+    sheet, except d_0, which changes it when w is 1 on the front edge.
+    """
     if w.model is not base or w.degree != 1:
         raise ModelMismatchError("cover_from_cocycle needs a degree-1 cochain on base")
     if not coboundary(w).is_zero():
@@ -665,45 +872,30 @@ def cover_from_cocycle(
     name = name or f"{base.name}^w"
 
     cells = [2 * c for c in base.cells]
-    faces = [[]]
+    face_word, face_cell = [_no_faces(cells[0])], [_no_faces(cells[0])]
     for n in range(1, base.max_degree + 1):
-        rows = []
-        for c in range(base.cells[n]):
-            front = base.subface(n, c, (0, 1))
-            tw = w.eval_target(front)
-            for eps in (0, 1):
-                row = []
-                for i, (word, fc) in enumerate(base.faces[n][c]):
-                    e2 = eps ^ tw if i == 0 else eps
-                    row.append((word, 2 * fc + e2))
-                rows.append(row)
-        faces.append(rows)
-    cover = SimplicialModel(base.max_degree, cells, faces, name=name)
+        front_w, front_c = base.subfaces(n, (0, 1))
+        twist = np.zeros(base.cells[n], dtype=np.int64)
+        edges = front_w == 0
+        twist[edges] = w.values[front_c[edges]]
+        fc = 2 * np.repeat(base.face_cell[n], 2, axis=0)
+        fc += (np.arange(cells[n]) % 2)[:, None]
+        fc[:, 0] ^= np.repeat(twist, 2)
+        face_word.append(np.repeat(base.face_word[n], 2, axis=0))
+        face_cell.append(fc)
+    cover = SimplicialModel.from_arrays(base.max_degree, cells, face_word, face_cell, name=name)
 
-    perms = [
-        np.array([2 * (c // 2) + 1 - (c % 2) for c in range(cells[n])], dtype=np.int64)
-        for n in range(base.max_degree + 1)
-    ]
-    inv = Involution(cover, perms, "deck")
-
+    top = base.max_degree + 1
+    inv = Involution(cover, [np.arange(cells[n]) ^ 1 for n in range(top)], "deck")
     projection = SimplicialMap(
         cover,
         base,
-        [[((), c // 2) for c in range(cells[n])] for n in range(base.max_degree + 1)],
+        [[((), c // 2) for c in range(cells[n])] for n in range(top)],
         "projection",
     )
-    sheet = [
-        np.array([c % 2 for c in range(cells[n])], dtype=np.uint8)
-        for n in range(base.max_degree + 1)
-    ]
-    rep_cells = [
-        np.array([2 * b for b in range(base.cells[n])], dtype=np.int64)
-        for n in range(base.max_degree + 1)
-    ]
-    base_index = [
-        np.array([c // 2 for c in range(cells[n])], dtype=np.int64)
-        for n in range(base.max_degree + 1)
-    ]
+    sheet = [(np.arange(cells[n]) % 2).astype(np.uint8) for n in range(top)]
+    rep_cells = [2 * np.arange(base.cells[n], dtype=np.int64) for n in range(top)]
+    base_index = [np.arange(cells[n], dtype=np.int64) // 2 for n in range(top)]
     return CoverPair(cover, base, projection, inv, w, sheet, rep_cells, base_index)
 
 
@@ -714,16 +906,15 @@ def relabel_model(model: SimplicialModel, rng: np.random.Generator):
     invariant under the arbitrary cell numbering.
     """
     perms = [rng.permutation(model.cells[n]) for n in range(model.max_degree + 1)]
-    inverse = [np.argsort(p) for p in perms]
-    cells = list(model.cells)
-    faces = [[]]
+    face_word, face_cell = [_no_faces(model.cells[0])], [_no_faces(model.cells[0])]
     for n in range(1, model.max_degree + 1):
-        rows: list = [None] * model.cells[n]
-        for c in range(model.cells[n]):
-            row = []
-            for word, fc in model.faces[n][c]:
-                row.append((word, int(perms[n - 1 - len(word)][fc])))
-            rows[int(perms[n][c])] = row
-        faces.append(rows)
-    out = SimplicialModel(model.max_degree, cells, faces, name=f"{model.name}~")
+        fw = np.empty_like(model.face_word[n])
+        fc = np.empty_like(model.face_cell[n])
+        fw[perms[n]] = model.face_word[n]
+        fc[perms[n]] = _through(n - 1, model.face_word[n], model.face_cell[n], perms)
+        face_word.append(fw)
+        face_cell.append(fc)
+    out = SimplicialModel.from_arrays(
+        model.max_degree, model.cells, face_word, face_cell, name=f"{model.name}~"
+    )
     return out, perms

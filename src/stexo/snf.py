@@ -37,10 +37,6 @@ def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def mat_eq(a: list[list[int]], b: list[list[int]]) -> bool:
-    return a == b
-
-
 @dataclass
 class SNFResult:
     """U A V = D with all four transforms unimodular.

@@ -203,6 +203,18 @@ def test_invalid_extra_lift_datum_rejected():
     assert v.outcome == "InvalidInput"
 
 
+def test_open_lift_datum_rejection_replays():
+    fx = rp_kreck()
+    bad = LiftDatum(Cochain.from_support(fx.cover.cover, 2, [0]), 0, "open-cochain")
+    v = decide(fx.nt, fx.cover, fx.section, (bad,))
+    assert v.outcome == "InvalidInput"
+    assert v.evidence["rejected_lift_data"] == [{"label": "open-cochain", "support": [0]}]
+    assert replay_evidence(v, fx.nt, fx.cover, fx.section)
+    # the inputs themselves are valid: without the lift record nothing is rejected
+    del v.evidence["rejected_lift_data"]
+    assert not replay_evidence(v, fx.nt, fx.cover, fx.section)
+
+
 def test_constant_section_rejected():
     fx = rp_kreck()
     base = fx.nt.base
@@ -258,6 +270,16 @@ def test_lift_solutions_match_distinguished_datum():
     coords = sols.basis.coords(a)
     shifted = coords ^ sols.particular
     assert sols.kernel.contains(shifted)
+
+
+def test_shared_cover_caches_follow_the_type():
+    fx = d4_reflection()
+    w2 = cohomology_basis(fx.nt.base, 2).reps[0]
+    probe = NormalOneType(fx.nt.base, fx.nt.w1, w2, name="d4-probe")
+    lift_data_solutions(fx.nt, fx.cover)
+    shared = lift_data_solutions(probe, fx.cover)
+    fresh = lift_data_solutions(probe, DoubleCoverData(fx.cover.pair))
+    assert shared.count == fresh.count
 
 
 def test_unliftable_base_class_gives_empty_solutions():

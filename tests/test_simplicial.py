@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stexo.builders import bar_b, bar_e_z2, circle, point, z2_table, z4_table
+from stexo.builders import (
+    bar_b,
+    bar_e_z2,
+    circle,
+    dihedral8_table,
+    point,
+    z2_table,
+    z4_table,
+)
 from stexo.errors import (
     ModelMismatchError,
     TrivialCoverError,
@@ -18,6 +26,7 @@ from stexo.simplicial import (
     SimplicialMap,
     SimplicialModel,
     coboundary,
+    compose_words,
     cover_from_cocycle,
     cup,
     cup_i,
@@ -31,9 +40,9 @@ from stexo.simplicial import (
 )
 
 
-def triangle():
-    """The 2-simplex as a model: vertices 0,1,2; edges 01,02,12; one 2-cell."""
-    faces = [
+def triangle_faces():
+    """Face lists of the 2-simplex: vertices 0,1,2; edges 01,02,12; one 2-cell."""
+    return [
         [],
         [
             [((), 1), ((), 0)],  # edge 01
@@ -42,7 +51,11 @@ def triangle():
         ],
         [[((), 2), ((), 1), ((), 0)]],  # d0=12, d1=02, d2=01
     ]
-    return SimplicialModel(2, [3, 3, 1], faces, name="triangle")
+
+
+def triangle(faces=None):
+    """The 2-simplex as a model, or a model on other face lists of its shape."""
+    return SimplicialModel(2, [3, 3, 1], faces or triangle_faces(), name="triangle")
 
 
 @pytest.fixture(scope="module")
@@ -75,16 +88,18 @@ def test_triangle_validates_and_subfaces():
 
 
 def test_validate_reports_broken_identity():
-    t = triangle()
+    faces = triangle_faces()
     # swap the ends of edge 12 so d_i d_j identities fail
-    t.faces[1][2] = [((), 1), ((), 2)]
+    faces[1][2] = [((), 1), ((), 2)]
+    t = triangle(faces)
     bad = t.validate()
     assert bad and "d_" in bad[0]
 
 
 def test_validate_reports_malformed_word():
-    t = triangle()
-    t.faces[2][0] = [((0, 1), 0), ((), 2), ((), 0)]
+    faces = triangle_faces()
+    faces[2][0] = [((0, 1), 0), ((), 2), ((), 0)]
+    t = triangle(faces)
     bad = t.validate()
     assert any("decreasing" in msg for msg in bad)
 
@@ -348,3 +363,149 @@ def test_insert_degeneracy_matches_word_set_semantics(a, data):
     got = set(insert_degeneracy(word, a))
     want = {w + 1 for w in word if w >= a} | {a} | {w for w in word if w < a}
     assert got == want
+
+
+# -- the batch face kernel against the scalar reference ------------------------
+
+
+def _catalog_models():
+    from stexo.catalog import REGISTRY, get_fixture
+
+    models = []
+    for name in REGISTRY:
+        fx = get_fixture(name)
+        if fx.nt is not None:
+            models.append(fx.nt.base)
+        if fx.cover is not None:
+            models.append(fx.cover.cover)
+        if fx.stress_model is not None:
+            models.append(fx.stress_model)
+    return models
+
+
+def _masks_of(targets):
+    words = np.array([sum(1 << a for a in w) for w, _ in targets], dtype=np.int64)
+    cells = np.array([c for _, c in targets], dtype=np.int64)
+    return words, cells
+
+
+def test_face_batch_matches_scalar_face_on_catalog_models():
+    rng = np.random.default_rng(13)
+    for model in _catalog_models():
+        for m in (model, relabel_model(model, rng)[0]):
+            for n in range(1, m.max_degree + 1):
+                targets = m.targets(n)
+                words, cells = _masks_of(targets)
+                for i in range(n + 1):
+                    got_w, got_c = m.face_batch(n, words, cells, i)
+                    want_w, want_c = _masks_of([m.face(n, t, i) for t in targets])
+                    assert np.array_equal(got_w, want_w), (m.name, n, i)
+                    assert np.array_equal(got_c, want_c), (m.name, n, i)
+
+
+def _reference_validate(max_degree, cells, faces):
+    """Model validation on (word, cell) face lists through a scalar face walk."""
+
+    def check(target, dim):
+        word, cell = target
+        if any(word[k] <= word[k + 1] for k in range(len(word) - 1)):
+            return f"degeneracy word {word} is not strictly decreasing"
+        if word and (word[0] > dim - 1 or word[-1] < 0):
+            return f"degeneracy word {word} out of range for dimension {dim}"
+        core = dim - len(word)
+        if core < 0 or core > max_degree or not 0 <= cell < cells[core]:
+            return f"target {target} has no core cell in degree {core}"
+        return None
+
+    def face(n, target, i):
+        word, cell = target
+        out = []
+        k = i
+        for pos, w in enumerate(word):
+            if k == w or k == w + 1:
+                return compose_words(out, word[pos + 1 :], cell)
+            if k < w:
+                out.append(w - 1)
+            else:
+                out.append(w)
+                k -= 1
+        fw, fc = faces[n - len(word)][cell][k]
+        return compose_words(out, fw, fc)
+
+    bad = []
+    for n in range(1, max_degree + 1):
+        if len(faces[n]) != cells[n]:
+            bad.append(f"degree {n}: face table size mismatch")
+            continue
+        for c in range(cells[n]):
+            row = faces[n][c]
+            if len(row) != n + 1:
+                bad.append(f"degree {n} cell {c}: expected {n + 1} faces")
+                continue
+            for i, t in enumerate(row):
+                msg = check(t, n - 1)
+                if msg:
+                    bad.append(f"degree {n} cell {c} face {i}: {msg}")
+    if bad:
+        return bad
+    for n in range(2, max_degree + 1):
+        for c in range(cells[n]):
+            for j in range(1, n + 1):
+                dj = faces[n][c][j]
+                for i in range(j):
+                    lhs = face(n - 1, dj, i)
+                    rhs = face(n - 1, faces[n][c][i], j - 1)
+                    if lhs != rhs:
+                        bad.append(
+                            f"degree {n} cell {c}: d_{i} d_{j} != d_{j-1} d_{i}"
+                            f" ({lhs} vs {rhs})"
+                        )
+    return bad
+
+
+def _broken(edit):
+    d8 = bar_b(dihedral8_table(), 5, name="bar-d8")
+    faces = d8.faces
+    edit(faces)
+    return d8.max_degree, d8.cells, faces
+
+
+def _swap_faces(faces):
+    faces[3][5][0], faces[3][5][1] = faces[3][5][1], faces[3][5][0]
+
+
+def _non_decreasing_word(faces):
+    faces[2][0][0] = ((0, 1), 0)
+
+
+def _letter_out_of_range(faces):
+    faces[3][1][2] = ((5,), 0)
+
+
+def _cell_out_of_range(faces):
+    faces[2][3][1] = ((), 999)
+
+
+def _all_malformed(faces):
+    for edit in (_non_decreasing_word, _letter_out_of_range, _cell_out_of_range):
+        edit(faces)
+    faces[4][2] = faces[4][2][:4]  # short row
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _swap_faces,
+        _non_decreasing_word,
+        _letter_out_of_range,
+        _cell_out_of_range,
+        _all_malformed,
+    ],
+)
+def test_validate_matches_scalar_reference_on_broken_models(edit):
+    max_degree, cells, faces = _broken(edit)
+    want = _reference_validate(max_degree, cells, faces)
+    assert want
+    model = SimplicialModel(max_degree, cells, faces, name="broken")
+    assert model.validate() == want
+    assert model.validate() == want  # cached, not recomputed differently
