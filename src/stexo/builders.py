@@ -195,11 +195,9 @@ def _cocycle_masks(m: int) -> np.ndarray:
     trips = _triples(m)
     tindex = {t: k for k, t in enumerate(trips)}
     quads = list(combinations(range(m + 1), 4))
-    delta = F2Matrix.zeros(len(quads), len(trips))
-    for r, q in enumerate(quads):
-        for skip in range(4):
-            face = tuple(q[x] for x in range(4) if x != skip)
-            delta.set(r, tindex[face], delta.get(r, tindex[face]) ^ 1)
+    rows = [r for r in range(len(quads)) for _ in range(4)]
+    cols = [tindex[face] for q in quads for face in combinations(q, 3)]
+    delta = F2Matrix.from_entries(len(quads), len(trips), rows, cols)
     basis = kernel_basis(delta).to_dense()
     masks = np.zeros(1, dtype=np.uint64)
     for row in basis:

@@ -221,14 +221,10 @@ def cmd_cohomology(args) -> int:
         ],
     }
     if args.steenrod:
-        sq1 = cohomology_basis(model, args.deg + 1)
-        sq2 = cohomology_basis(model, args.deg + 2)
-        payload["sq1"] = [
-            [int(b) for b in sq1.coords(sq(rep, 1))] for rep in basis.reps
-        ]
-        payload["sq2"] = [
-            [int(b) for b in sq2.coords(sq(rep, 2))] for rep in basis.reps
-        ]
+        for k in (1, 2):
+            target = cohomology_basis(model, args.deg + k)
+            m = target.coords_matrix([sq(rep, k) for rep in basis.reps])
+            payload[f"sq{k}"] = m.to_dense().T.tolist()
     if args.json:
         _emit(json.dumps(payload, sort_keys=True, indent=2))
         return 0

@@ -44,6 +44,12 @@ class CohomologyBasis:
             raise ValidationError("coords: cochain is not closed")
         return self.reducer.coords(u.values)
 
+    def coords_matrix(self, cochains) -> F2Matrix:
+        """Matrix whose column j holds the coordinates of cochains[j]."""
+        cols = [self.coords(u) for u in cochains]
+        dense = np.array(cols, dtype=np.uint8).reshape(len(cols), self.dim)
+        return F2Matrix.from_dense(dense.T)
+
     def is_coboundary(self, u: Cochain) -> bool:
         return not self.coords(u).any()
 
@@ -107,13 +113,7 @@ def induced_matrix(f: SimplicialMap, degree: int, allow_truncated: bool = False)
     """
     src = cohomology_basis(f.source, degree, allow_truncated)
     tgt = cohomology_basis(f.target, degree, allow_truncated)
-    m = F2Matrix.zeros(src.dim, tgt.dim)
-    for j, rep in enumerate(tgt.reps):
-        c = src.coords(f.pullback(rep))
-        for i, bit in enumerate(c):
-            if bit:
-                m.set(i, j, 1)
-    return m, src, tgt
+    return src.coords_matrix([f.pullback(rep) for rep in tgt.reps]), src, tgt
 
 
 def integral_homology(model: SimplicialModel, p: int, check: bool = True) -> HomologyResult:

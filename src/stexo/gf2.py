@@ -96,9 +96,6 @@ class F2Matrix:
     def to_dense(self) -> np.ndarray:
         return unpack_rows(self.words, self.cols)
 
-    def copy(self) -> "F2Matrix":
-        return F2Matrix(self.rows, self.cols, self.words.copy())
-
     def get(self, i: int, j: int) -> int:
         return int((self.words[i, j >> 6] >> np.uint64(j & 63)) & np.uint64(1))
 
@@ -261,10 +258,6 @@ class Subspace:
     def zero(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim, F2Matrix(0, ambient_dim), ())
 
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls.from_vectors(ambient_dim, np.eye(ambient_dim, dtype=np.uint8))
-
     @property
     def dim(self) -> int:
         return self.matrix.rows
@@ -334,12 +327,9 @@ class AffineSolution:
     kernel: Subspace
 
 
-def solve_affine(m: F2Matrix, rhs: np.ndarray) -> AffineSolution | None:
-    """Solve m x = rhs over GF(2); None when inconsistent.
-
-    Returns one particular solution plus the kernel of m, so the full solution
-    set is particular + kernel.
-    """
+def _augmented_echelon(m: F2Matrix, rhs: np.ndarray) -> EchelonResult:
+    """Echelon form of [m | rhs]; m x = rhs is inconsistent exactly when the
+    last column is a pivot."""
     rhs = np.asarray(rhs, dtype=np.uint8) & 1
     if rhs.shape != (m.rows,):
         raise ModelMismatchError(f"rhs length {rhs.shape} against {m.rows} rows")
@@ -347,7 +337,21 @@ def solve_affine(m: F2Matrix, rhs: np.ndarray) -> AffineSolution | None:
     aug[:, : m.words.shape[1]] = m.words
     c = m.cols
     aug[rhs.astype(bool), c >> 6] |= np.uint64(1) << np.uint64(c & 63)
-    res = rank_and_echelon(F2Matrix(m.rows, m.cols + 1, aug), want_transform=False)
+    return rank_and_echelon(F2Matrix(m.rows, m.cols + 1, aug), want_transform=False)
+
+
+def is_solvable(m: F2Matrix, rhs: np.ndarray) -> bool:
+    """Whether m x = rhs has a solution: one echelon pass, no kernel basis."""
+    return m.cols not in _augmented_echelon(m, rhs).pivots
+
+
+def solve_affine(m: F2Matrix, rhs: np.ndarray) -> AffineSolution | None:
+    """Solve m x = rhs over GF(2); None when inconsistent.
+
+    Returns one particular solution plus the kernel of m, so the full solution
+    set is particular + kernel.
+    """
+    res = _augmented_echelon(m, rhs)
     if m.cols in res.pivots:
         return None
     particular = np.zeros(m.cols, dtype=np.uint8)

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohomology import (
-    CohomologyBasis,
     cohomology_basis,
     twisted_boundary_int,
     twisted_homology,
@@ -43,8 +42,8 @@ from .obstruction import (
     cover_data_from_w1,
     primary_obstruction,
     primary_vanishes,
+    sq2_w_operator,
 )
-from .simplicial import cup, sq
 from .snf import AbelianGroupInvariants, homology_from_boundaries
 
 DEFAULT_INT_SIZE_CAP = 60_000
@@ -176,30 +175,18 @@ def _boundary_load(model, p: int) -> int:
     return model.cells[p] * max(below, above, 1)
 
 
-def _twisted_entry(pair, p: int, cap: int) -> E2Entry:
+def _homology_entry(pair, p: int, coeff: str, cap: int) -> E2Entry:
+    """H_p of the base with coefficients "Z-" or "F2", or a caveat."""
     base = pair.base
     if p > base.max_degree:
         return E2Entry(p, 0, None, f"no degree-{p} chains at this truncation")
     if _boundary_load(base, p) > cap:
+        kind = "coboundary" if coeff == "F2" else "boundary"
         return E2Entry(
-            p, 0, None, f"boundary matrices around degree {p} exceed the size cap"
+            p, 0, None, f"{kind} matrices around degree {p} exceed the size cap"
         )
     try:
-        return E2Entry(p, 0, twisted_homology(pair, p, "Z-"))
-    except TruncationError as exc:
-        return E2Entry(p, 0, None, str(exc))
-
-
-def _mod2_entry(pair, p: int, cap: int) -> E2Entry:
-    base = pair.base
-    if p > base.max_degree:
-        return E2Entry(p, 0, None, f"no degree-{p} chains at this truncation")
-    if _boundary_load(base, p) > cap:
-        return E2Entry(
-            p, 0, None, f"coboundary matrices around degree {p} exceed the size cap"
-        )
-    try:
-        return E2Entry(p, 0, twisted_homology(pair, p, "F2"))
+        return E2Entry(p, 0, twisted_homology(pair, p, coeff))
     except TruncationError as exc:
         return E2Entry(p, 0, None, str(exc))
 
@@ -229,12 +216,11 @@ def e2_page(
             if row.descriptor == "0":
                 e = E2Entry(p, q, AbelianGroupInvariants(0, ()))
             else:
-                key = ("Z-" if row.twisted else "F2", p)
+                coeff = "Z-" if row.twisted else "F2"
+                key = (coeff, p)
                 if key not in memo:
-                    if row.twisted:
-                        memo[key] = _twisted_entry(pair, p, int_size_cap)
-                    else:
-                        memo[key] = _mod2_entry(pair, p, f2_size_cap)
+                    cap = int_size_cap if row.twisted else f2_size_cap
+                    memo[key] = _homology_entry(pair, p, coeff, cap)
                 e = E2Entry(p, q, memo[key].group, memo[key].caveat)
             entries[(p, q)] = e
     gaps = sum(1 for e in entries.values() if e.group is None)
@@ -244,32 +230,6 @@ def e2_page(
 
 
 # -- the d2 differentials ----------------------------------------------------------
-
-
-def graded_sq2w_matrix(nt: NormalOneType, k: int):
-    """Matrix of x -> Sq^2 x + w1 Sq^1 x + w2 x from H^k to H^{k+2}.
-
-    Rows are coordinates over the degree-(k+2) basis, columns run over the
-    degree-k basis.  Both squares vanish below the degrees where they act,
-    so on H^0 this is multiplication by w2.  Returns (matrix, src, tgt).
-    """
-    src = cohomology_basis(nt.base, k)
-    tgt = cohomology_basis(nt.base, k + 2)
-    m = F2Matrix.zeros(tgt.dim, src.dim)
-    for j, x in enumerate(src.reps):
-        img = sq(x, 2) + cup(nt.w1, sq(x, 1)) + cup(nt.w2, x)
-        for i, bit in enumerate(tgt.coords(img)):
-            if bit:
-                m.set(i, j, 1)
-    return m, src, tgt
-
-
-def _pairing_coords(basis: CohomologyBasis, chain: np.ndarray) -> np.ndarray:
-    """Homology coordinates of a cycle in the basis dual to `basis`."""
-    out = np.zeros(basis.dim, dtype=np.uint8)
-    for i, rep in enumerate(basis.reps):
-        out[i] = int(np.dot(rep.values.astype(np.int64), chain.astype(np.int64))) & 1
-    return out
 
 
 def _mod2_cycle_check(model, p: int, chain: np.ndarray) -> None:
@@ -396,8 +356,7 @@ def d2_maps(
             raise TruncationError(
                 f"{base.name}: cohomology around degrees {p - 2},{p} exceeds the size cap"
             )
-        m, _, _ = graded_sq2w_matrix(nt, p - 2)
-        return m.transpose()
+        return sq2_w_operator(nt, p - 2)[3].transpose()
 
     for p in range(2, 5):
         try:
@@ -418,13 +377,13 @@ def d2_maps(
             mt = op_transpose(p)
             gens = _twisted_generator_chains(pair, p, int_size_cap)
             h_p = cohomology_basis(base, p)
-            red = F2Matrix.zeros(h_p.dim, len(gens))
-            for g, chain in enumerate(gens):
-                vec = np.remainder(np.asarray(chain, dtype=np.int64), 2).astype(np.uint8)
-                _mod2_cycle_check(base, p, vec)
-                for i, bit in enumerate(_pairing_coords(h_p, vec)):
-                    if bit:
-                        red.set(i, g, 1)
+            cells = base.cells[p]
+            vecs = np.asarray(gens, dtype=np.int64).reshape(len(gens), cells) & 1
+            for vec in vecs:
+                _mod2_cycle_check(base, p, vec.astype(np.uint8))
+            reps = np.array([rep.values for rep in h_p.reps], dtype=np.int64)
+            # column g pairs the H^p representatives with generator g mod 2
+            red = F2Matrix.from_dense(reps.reshape(h_p.dim, cells) @ vecs.T & 1)
             mat = mt.matmul(red)
             _check_dim(page, (p, 0), mat.cols, f"d2 source ({p},0)")
             _check_dim(page, (p - 2, 1), mat.rows, f"d2 target ({p - 2},1)")

@@ -352,9 +352,7 @@ class MapData:
             m = SimplicialMap(parent, parent, self.assignment, name=self.name)
         else:
             m = SimplicialMap(self.source, parent, self.assignment, name=self.name)
-        bad = m.validate()
-        if bad:
-            raise ValidationError(f"map {self.name}: {bad[0]}")
+        m.require_valid()
         return m
 
     def from_model_to(self, own: SimplicialModel, target: SimplicialModel) -> SimplicialMap:
@@ -363,9 +361,7 @@ class MapData:
                 f"map {self.name} inlines a source and cannot be re-targeted"
             )
         m = SimplicialMap(own, target, self.assignment, name=self.name)
-        bad = m.validate()
-        if bad:
-            raise ValidationError(f"map {self.name}: {bad[0]}")
+        m.require_valid()
         return m
 
 

@@ -26,7 +26,7 @@ from .errors import (
     TruncationError,
     ValidationError,
 )
-from .gf2 import F2Matrix, Subspace, kernel_basis, solve_affine
+from .gf2 import Subspace, kernel_basis, solve_affine
 from .simplicial import (
     Cochain,
     CoverPair,
@@ -36,6 +36,7 @@ from .simplicial import (
     coboundary,
     cover_from_cocycle,
     cup,
+    is_coboundary,
     quotient_free_involution,
     sheet_changes,
     sq,
@@ -156,8 +157,7 @@ def cover_data_from_w1(nt: NormalOneType) -> DoubleCoverData:
 def cover_data_from_pair(nt: NormalOneType, pair: CoverPair) -> DoubleCoverData:
     if pair.base is not nt.base:
         raise ModelMismatchError("cover pair quotient is not the type's base model")
-    diff = pair.w1 + nt.w1
-    if solve_affine(nt.base.coboundary_matrix(0), diff.values) is None:
+    if not is_coboundary(pair.w1 + nt.w1):
         raise ValidationError(
             "cover characteristic cocycle is not cohomologous to the type's w1"
         )
@@ -240,15 +240,13 @@ def validate_normal_type(
         reasons.append("w2 is not closed")
     if reasons:
         return reasons
-    if solve_affine(nt.base.coboundary_matrix(0), nt.w1.values) is not None:
+    if is_coboundary(nt.w1):
         reasons.append("[w1] = 0: the orientable case is out of scope")
     if cover is not None:
         if cover.base is not nt.base:
             reasons.append("cover data quotient is not the base model")
-        else:
-            diff = cover.pair.w1 + nt.w1
-            if solve_affine(nt.base.coboundary_matrix(0), diff.values) is None:
-                reasons.append("cover characteristic class differs from [w1]")
+        elif not is_coboundary(cover.pair.w1 + nt.w1):
+            reasons.append("cover characteristic class differs from [w1]")
     if section is not None:
         reasons.extend(_validate_section(nt, section))
     return reasons
@@ -291,8 +289,7 @@ def primary_obstruction(nt: NormalOneType) -> Cochain:
 
 
 def primary_vanishes(nt: NormalOneType) -> bool:
-    c = primary_obstruction(nt)
-    return solve_affine(nt.base.coboundary_matrix(2), c.values) is not None
+    return is_coboundary(primary_obstruction(nt))
 
 
 def kreck_witness(nt: NormalOneType):
@@ -306,62 +303,27 @@ def kreck_condition(nt: NormalOneType) -> bool:
     return kreck_witness(nt) is not None
 
 
-@dataclass
-class Sq2WOperator:
-    """The map x -> Sq^2 x + w1 Sq^1 x + w2 x on degree-2 classes."""
+def _sq2_w_images(nt: NormalOneType, k: int):
+    """The H^k basis of the base and the cochain images of its representatives
+    under x -> Sq^2 x + w1 Sq^1 x + w2 x.
 
-    nt: NormalOneType
-    h2: CohomologyBasis
-    cochain_images: list
-    caveats: tuple = ()
-    _h4: CohomologyBasis | None = None
-    _matrix: F2Matrix | None = None
-    _image: Subspace | None = None
-
-    def apply_cochain(self, x: Cochain) -> Cochain:
-        return sq(x, 2) + cup(self.nt.w1, sq(x, 1)) + cup(self.nt.w2, x)
-
-    @property
-    def h4(self) -> CohomologyBasis:
-        if self._h4 is None:
-            self._h4 = cohomology_basis(
-                self.nt.base, 4, allow_truncated=bool(self.caveats)
-            )
-        return self._h4
-
-    @property
-    def matrix(self) -> F2Matrix:
-        """Columns are H^4 coordinates of the operator on the H^2 basis."""
-        if self._matrix is None:
-            m = F2Matrix.zeros(self.h4.dim, self.h2.dim)
-            for j, img in enumerate(self.cochain_images):
-                for i, bit in enumerate(self.h4.coords(img)):
-                    if bit:
-                        m.set(i, j, 1)
-            self._matrix = m
-        return self._matrix
-
-    @property
-    def image(self) -> Subspace:
-        if self._image is None:
-            self._image = Subspace.from_vectors(
-                self.h4.dim, self.matrix.transpose().to_dense()
-            )
-        return self._image
+    Both squares vanish below the degrees where they act, so on H^0 this is
+    multiplication by w2.
+    """
+    src = cohomology_basis(nt.base, k)
+    return src, [sq(x, 2) + cup(nt.w1, sq(x, 1)) + cup(nt.w2, x) for x in src.reps]
 
 
-def sq2_w_operator(nt: NormalOneType, allow_truncated: bool = False) -> Sq2WOperator:
-    caveats = ()
-    if nt.base.max_degree < 5:
-        if not allow_truncated:
-            raise TruncationError(
-                f"{nt.base.name}: degree-4 conclusions need max_degree >= 5"
-            )
-        caveats = ("H^4 is uncertified at this truncation; image may be inflated",)
-    h2 = cohomology_basis(nt.base, 2)
-    op = Sq2WOperator(nt, h2, [], caveats)
-    op.cochain_images = [op.apply_cochain(x) for x in h2.reps]
-    return op
+def sq2_w_operator(nt: NormalOneType, k: int):
+    """The operator from H^k to H^{k+2}: (source, target, images, matrix).
+
+    Matrix columns are the target coordinates of the images of the source
+    basis.  The source basis is built first, so a truncation is reported in
+    the lower degree when both are out of reach.
+    """
+    src, images = _sq2_w_images(nt, k)
+    tgt = cohomology_basis(nt.base, k + 2)
+    return src, tgt, images, tgt.coords_matrix(images)
 
 
 # -- lift data -------------------------------------------------------------------
@@ -431,12 +393,7 @@ def lift_data_solutions(nt: NormalOneType, cover: DoubleCoverData) -> LiftSoluti
         return cover._cache[key]
     pair = cover.pair
     h2c = cohomology_basis(pair.cover, 2)
-    m = F2Matrix.zeros(h2c.dim, h2c.dim)
-    for j, rep in enumerate(h2c.reps):
-        img = rep + pair.involution.pullback(rep)
-        for i, bit in enumerate(h2c.coords(img)):
-            if bit:
-                m.set(i, j, 1)
+    m = h2c.coords_matrix([rep + pair.involution.pullback(rep) for rep in h2c.reps])
     rhs = h2c.coords(pair.projection.pullback(nt.w2))
     sol = solve_affine(m, rhs)
     if sol is None:
@@ -472,9 +429,7 @@ def secondary_witness(cover: DoubleCoverData, a: Cochain) -> Cochain:
     return A
 
 
-def restricted_image_span(
-    nt: NormalOneType, cover: DoubleCoverData, op: Sq2WOperator
-) -> Subspace:
+def restricted_image_span(nt: NormalOneType, cover: DoubleCoverData) -> Subspace:
     """Span of p*(Im Sq^2_{w1,w2}) together with coboundaries, on cover cochains.
 
     Membership of a closed degree-4 cochain in this span is exactly the
@@ -485,12 +440,9 @@ def restricted_image_span(
         return cover._cache[key]
     pair = cover.pair
     rows = [pair.cover.coboundary_matrix(3).transpose().to_dense()]
-    if op.cochain_images:
-        rows.append(
-            np.vstack(
-                [pair.projection.pullback(img).values for img in op.cochain_images]
-            )
-        )
+    _, images = _sq2_w_images(nt, 2)
+    if images:
+        rows.append(np.vstack([pair.projection.pullback(img).values for img in images]))
     span = Subspace.from_vectors(pair.cover.n_cells(4), np.vstack(rows))
     cover._cache[key] = span
     return span
@@ -513,14 +465,11 @@ def secondary_test(
     cover: DoubleCoverData,
     datum: LiftDatum,
     section: SectionDatum | None = None,
-    op: Sq2WOperator | None = None,
 ) -> SecondaryOutcome:
     bad = validate_lift_datum(nt, cover, datum.a)
     if bad:
         raise ValidationError(f"lift datum: {bad[0]}")
-    if op is None:
-        op = sq2_w_operator(nt)
-    span = restricted_image_span(nt, cover, op)
+    span = restricted_image_span(nt, cover)
     A = secondary_witness(cover, datum.a)
     if not span.contains(A.values):
         return SecondaryOutcome("nonzero", witness=A)
@@ -555,7 +504,9 @@ def secondary_test(
         )
     omega_coords = sol.particular
     omega = h4_base.class_from_coords(omega_coords)
-    if op.image.contains(omega_coords):
+    m = sq2_w_operator(nt, 2)[3]
+    image = Subspace.from_vectors(h4_base.dim, m.transpose().to_dense())
+    if image.contains(omega_coords):
         return SecondaryOutcome("zero", witness=A, omega=omega, omega_coords=omega_coords)
     return SecondaryOutcome(
         "inconclusive",
@@ -637,7 +588,7 @@ def decide(
         return Verdict("InvalidInput", 1, "input validation failed", evidence)
 
     prim = primary_obstruction(nt)
-    if solve_affine(nt.base.coboundary_matrix(2), prim.values) is None:
+    if not is_coboundary(prim):
         return Verdict(
             "NoExoticaPrimary",
             2,
@@ -667,14 +618,12 @@ def decide(
         )
 
     first_datum = None
-    op = None
     if cover is not None:
         if nt.base.max_degree < 5:
             caveats.append(
                 "cover supplied but max_degree < 5: degree-4 conclusions skipped"
             )
         else:
-            op = sq2_w_operator(nt)
             sols = lift_data_solutions(nt, cover)
             data, complete = sols.enumerate_data(config.lift_cap, config.sample_seed)
             if not complete:
@@ -685,7 +634,7 @@ def decide(
             if sols.empty and not extra_lift_data:
                 caveats.append("no lift data exist over this cover")
             all_data = list(extra_lift_data) + data
-            span = restricted_image_span(nt, cover, op) if all_data else None
+            span = restricted_image_span(nt, cover) if all_data else None
             for datum in all_data:
                 if first_datum is None:
                     first_datum = datum
@@ -707,7 +656,7 @@ def decide(
                     )
 
     if section is not None and cover is not None and first_datum is not None:
-        outcome = secondary_test(nt, cover, first_datum, section, op)
+        outcome = secondary_test(nt, cover, first_datum, section)
         if outcome.kind == "nonzero":
             raise InternalInvariantError(
                 "secondary test disagreed with the enumeration pass"
@@ -777,7 +726,7 @@ def replay_evidence(
         prim = primary_obstruction(nt)
         if list(prim.support()) != list(ev["primary_support"]):
             return False
-        return solve_affine(nt.base.coboundary_matrix(2), prim.values) is None
+        return not is_coboundary(prim)
     if verdict.outcome == "ExoticaExistKreck":
         g = Cochain.from_support(nt.base, 1, ev["kreck_witness_support"])
         diff = nt.w2 + cup(nt.w1, nt.w1)
@@ -793,8 +742,7 @@ def replay_evidence(
         A = secondary_witness(cover, a)
         if list(A.support()) != list(ev["witness_support"]):
             return False
-        op = sq2_w_operator(nt)
-        return not restricted_image_span(nt, cover, op).contains(A.values)
+        return not restricted_image_span(nt, cover).contains(A.values)
     if verdict.outcome == "ExoticaExistSecondary":
         if cover is None or section is None:
             return False

@@ -30,7 +30,7 @@ from .errors import (
     TruncationError,
     ValidationError,
 )
-from .gf2 import F2Matrix, solve_affine
+from .gf2 import F2Matrix, is_solvable
 
 Target = tuple  # (word: tuple[int, ...], cell: int)
 
@@ -324,12 +324,12 @@ class SimplicialModel:
             cs.append(int(cell))
         return ws, cs, bad
 
-    def validate(self, deep: bool = True) -> list[str]:
-        """Structural checks, plus the simplicial identities when deep.
+    def validate(self) -> list[str]:
+        """Structural checks, then the simplicial identities.
 
         The identities are checked once per model; the result is cached.
         """
-        if self._malformed or not deep:
+        if self._malformed:
             return list(self._malformed)
         if "identities" not in self._cache:
             self._cache["identities"] = tuple(self._identity_violations())
@@ -356,8 +356,8 @@ class SimplicialModel:
             )
         return bad
 
-    def require_valid(self, deep: bool = True) -> None:
-        bad = self.validate(deep=deep)
+    def require_valid(self) -> None:
+        bad = self.validate()
         if bad:
             raise ValidationError(
                 f"{self.name}: {len(bad)} violations; first: {bad[0]}"
@@ -471,14 +471,15 @@ class Cochain:
             and bool(np.array_equal(self.values, other.values))
         )
 
-    def eval_target(self, target: Target) -> int:
-        word, cell = target
-        return 0 if word else int(self.values[cell])
-
 
 def coboundary(u: Cochain) -> Cochain:
     m = u.model.coboundary_matrix(u.degree)
     return Cochain(u.model, u.degree + 1, m.mul_vec(u.values))
+
+
+def is_coboundary(u: Cochain) -> bool:
+    """Whether u = delta v for some cochain v one degree lower."""
+    return is_solvable(u.model.coboundary_matrix(u.degree - 1), u.values)
 
 
 def is_closed(u: Cochain) -> bool:
@@ -846,7 +847,7 @@ def quotient_free_involution(
     w1 = Cochain(base, 1, sheet_changes(cover, sheet, rep_cells))
 
     if not allow_trivial:
-        if solve_affine(base.coboundary_matrix(0), w1.values) is not None:
+        if is_coboundary(w1):
             raise TrivialCoverError(
                 f"{name}: characteristic cocycle is null-cohomologous"
                 " (the double cover is trivial)"
@@ -867,7 +868,7 @@ def cover_from_cocycle(
     if not coboundary(w).is_zero():
         raise ValidationError("cover_from_cocycle: the cochain is not a cocycle")
     if not allow_trivial:
-        if solve_affine(base.coboundary_matrix(0), w.values) is not None:
+        if is_coboundary(w):
             raise TrivialCoverError("cocycle is null-cohomologous; cover is trivial")
     name = name or f"{base.name}^w"
 

@@ -274,7 +274,7 @@ def test_criterion_7_property_suites(capsys):
     models = [_base_model(name) for name in REGISTRY]
     for name in ("rp-w2-zero", "z2-secondary", "z4-semidirect", "d4-reflection"):
         models.append(get_fixture(name).cover.cover)
-    builders_ok = all(m.validate(deep=True) == [] for m in models)
+    builders_ok = all(m.validate() == [] for m in models)
 
     square_ok = True
     for m in models:

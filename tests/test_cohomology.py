@@ -181,3 +181,39 @@ def test_torus_integral_homology(torus3):
 def test_bar_z4_mod2_betti():
     b = bar_b(z4_table(), 4)
     assert [mod2_betti(b, k) for k in range(4)] == [1, 1, 1, 1]
+
+
+# -- coordinates of many cochains at once ---------------------------------------
+
+
+def _catalog_bases():
+    from stexo.catalog import REGISTRY, get_fixture
+
+    out = []
+    for name in REGISTRY:
+        fx = get_fixture(name)
+        out.append(fx.nt.base if fx.nt is not None else fx.stress_model)
+    return out
+
+
+def test_coords_matrix_matches_coords_on_catalog_bases():
+    rng = np.random.default_rng(23)
+    shapes = set()
+    for model in _catalog_bases():
+        for k in range(min(4, model.max_degree - 1) + 1):
+            basis = cohomology_basis(model, k)
+            cochains = []
+            for _ in range(3):
+                u = basis.class_from_coords(rng.integers(0, 2, basis.dim))
+                if k > 0:
+                    v = rng.integers(0, 2, model.n_cells(k - 1))
+                    u = u + coboundary(Cochain(model, k - 1, v))
+                cochains.append(u)
+            for batch in (cochains, []):
+                m = basis.coords_matrix(batch)
+                assert (m.rows, m.cols) == (basis.dim, len(batch))
+                dense = m.to_dense()
+                for j, u in enumerate(batch):
+                    assert np.array_equal(dense[:, j], basis.coords(u)), (model.name, k)
+                shapes.add((basis.dim == 0, len(batch) == 0))
+    assert shapes == {(False, False), (False, True), (True, False), (True, True)}

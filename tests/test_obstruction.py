@@ -121,8 +121,7 @@ def test_decide_d4_reflection():
 
 def test_d4_data_agree_on_nonzero():
     fx = d4_reflection()
-    op = sq2_w_operator(fx.nt)
-    span = restricted_image_span(fx.nt, fx.cover, op)
+    span = restricted_image_span(fx.nt, fx.cover)
     sols = lift_data_solutions(fx.nt, fx.cover)
     data, complete = sols.enumerate_data(64)
     assert complete
@@ -307,8 +306,7 @@ def test_primary_zero_implies_liftable():
 
 def test_every_z4_lift_datum_witnesses_nonzero():
     fx = z4_semidirect()
-    op = sq2_w_operator(fx.nt)
-    span = restricted_image_span(fx.nt, fx.cover, op)
+    span = restricted_image_span(fx.nt, fx.cover)
     sols = lift_data_solutions(fx.nt, fx.cover)
     data, complete = sols.enumerate_data(1 << 16)
     assert complete and len(data) == 16
@@ -412,9 +410,7 @@ def test_h5_computation_overrides_wrong_assertion():
 def test_operator_needs_depth_five():
     fx = z2_remark()
     with pytest.raises(TruncationError):
-        sq2_w_operator(fx.nt)
-    op = sq2_w_operator(fx.nt, allow_truncated=True)
-    assert op.caveats
+        sq2_w_operator(fx.nt, 2)
 
 
 def test_decide_skips_secondary_at_depth_four():

@@ -31,6 +31,7 @@ from stexo.simplicial import (
     cup,
     cup_i,
     insert_degeneracy,
+    is_coboundary,
     product,
     product_involution,
     quotient_free_involution,
@@ -509,3 +510,29 @@ def test_validate_matches_scalar_reference_on_broken_models(edit):
     model = SimplicialModel(max_degree, cells, faces, name="broken")
     assert model.validate() == want
     assert model.validate() == want  # cached, not recomputed differently
+
+
+# -- the coboundary test against the affine solver -----------------------------
+
+
+def test_is_coboundary_matches_solve_affine_on_catalog_bases():
+    from stexo.catalog import REGISTRY, get_fixture
+    from stexo.cohomology import cohomology_basis
+
+    rng = np.random.default_rng(29)
+    seen = set()
+    for fx in map(get_fixture, REGISTRY):
+        model = fx.nt.base if fx.nt is not None else fx.stress_model
+        for k in range(1, min(3, model.max_degree - 1) + 1):
+            reps = cohomology_basis(model, k).reps
+            for _ in range(4):
+                v = Cochain(model, k - 1, rng.integers(0, 2, model.n_cells(k - 1)))
+                u = Cochain(model, k, rng.integers(0, 2, model.n_cells(k)))
+                closed = coboundary(v)
+                if reps:
+                    closed = closed + reps[int(rng.integers(len(reps)))]
+                for w in (u, coboundary(v), closed):
+                    want = solve_affine(model.coboundary_matrix(k - 1), w.values) is not None
+                    assert is_coboundary(w) == want, (model.name, k)
+                    seen.add(want)
+    assert seen == {True, False}
