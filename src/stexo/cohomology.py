@@ -15,12 +15,7 @@ import numpy as np
 from .errors import ModelMismatchError, TruncationError, ValidationError
 from .gf2 import CosetReducer, F2Matrix, kernel_basis, rank
 from .simplicial import Cochain, CoverPair, SimplicialMap, SimplicialModel, coboundary
-from .snf import (
-    AbelianGroupInvariants,
-    HomologyResult,
-    homology_from_boundaries,
-    smith_normal_form,
-)
+from .snf import AbelianGroupInvariants, HomologyResult, homology_from_boundaries
 
 
 @dataclass
@@ -105,41 +100,55 @@ def mod2_betti(model: SimplicialModel, degree: int) -> int:
     return cohomology_basis(model, degree).dim
 
 
-def induced_matrix(f: SimplicialMap, degree: int, allow_truncated: bool = False):
+def induced_matrix(f: SimplicialMap, degree: int):
     """Matrix of f^* on degree-k cohomology, columns over the target basis.
 
     Returns (matrix, source_basis, target_basis); matrix columns are the
     source coordinates of the pullbacks of the target representatives.
     """
-    src = cohomology_basis(f.source, degree, allow_truncated)
-    tgt = cohomology_basis(f.target, degree, allow_truncated)
+    src = cohomology_basis(f.source, degree)
+    tgt = cohomology_basis(f.target, degree)
     return src.coords_matrix([f.pullback(rep) for rep in tgt.reps]), src, tgt
 
 
+def _chain_homology(
+    model: SimplicialModel, p: int, boundary, message: str
+) -> HomologyResult:
+    """Homology of the pair boundary(p), boundary(p + 1), within the truncation.
+
+    With no (p+1)-chains stored the answer is certified only when nothing can
+    be divided out, which needs boundary(p) to have full column rank; fewer
+    (p-1)-cells than p-cells rule that out before any matrix is built.
+    """
+    n = model.cells[p]
+    top = p + 1 > model.max_degree
+    if top and p >= 1 and model.cells[p - 1] < n:
+        raise TruncationError(message)
+    bout = boundary(p) if p >= 1 else np.zeros((0, n), dtype=np.int64)
+    bin_ = np.zeros((n, 0), dtype=np.int64) if top else boundary(p + 1)
+    res = homology_from_boundaries(bout, bin_, n)
+    if top and res.invariants.free_rank:
+        raise TruncationError(message)
+    return res
+
+
 def integral_homology(model: SimplicialModel, p: int, check: bool = True) -> HomologyResult:
-    """H_p with integer coefficients, certified within the truncation."""
+    """H_p with integer coefficients, certified within the truncation.
+
+    The boundary composite is always checked; check is accepted and changes
+    nothing.
+    """
     if p < 0 or p > model.max_degree:
         raise TruncationError(f"{model.name}: no chains stored in degree {p}")
-    n = model.cells[p]
-    bout = model.boundary_int(p) if p >= 1 else []
-    if p + 1 <= model.max_degree:
-        bin_ = model.boundary_int(p + 1)
-        return homology_from_boundaries(bout, bin_, n, check=check)
-    # no higher chains stored: certified only when nothing can be divided out,
-    # which needs the boundary to have full column rank
-    if p >= 1 and model.cells[p - 1] < n:
-        raise TruncationError(
-            f"{model.name}: H_{p} needs degree-{p + 1} chains to divide out boundaries"
-        )
-    res = homology_from_boundaries(bout, [[0] * 0 for _ in range(n)], n, check=False)
-    if res.invariants.free_rank == 0:
-        return res
-    raise TruncationError(
-        f"{model.name}: H_{p} needs degree-{p + 1} chains to divide out boundaries"
+    return _chain_homology(
+        model,
+        p,
+        model.boundary_int,
+        f"{model.name}: H_{p} needs degree-{p + 1} chains to divide out boundaries",
     )
 
 
-def twisted_boundary_int(pair: CoverPair, k: int) -> list:
+def twisted_boundary_int(pair: CoverPair, k: int) -> np.ndarray:
     """Boundary on base chains with integer coefficients twisted by w1.
 
     Representative lifts are fixed by the cover pair; a face whose lift lands
@@ -154,13 +163,16 @@ def twisted_boundary_int(pair: CoverPair, k: int) -> list:
     sign = (1 - 2 * (i & 1)) * (1 - 2 * pair.sheet[k - 1][fc].astype(np.int64))
     rows = np.zeros((base.cells[k - 1], base.cells[k]), dtype=np.int64)
     np.add.at(rows, (pair.base_index[k - 1][fc], b), sign)
-    return rows.tolist()
+    return rows
 
 
 def twisted_homology(
     pair: CoverPair, p: int, coeff: str = "Z-", check: bool = True
 ) -> AbelianGroupInvariants:
-    """H_p of the base with coefficients Z- (w1-twisted), Z, or F2."""
+    """H_p of the base with coefficients Z- (w1-twisted), Z, or F2.
+
+    As in integral_homology, check is accepted and changes nothing.
+    """
     base = pair.base
     if coeff == "F2":
         d = base.cells[p]
@@ -174,19 +186,14 @@ def twisted_homology(
             )
         return AbelianGroupInvariants(0, (2,) * d)
     if coeff == "Z":
-        return integral_homology(base, p, check=check).invariants
+        return integral_homology(base, p).invariants
     if coeff != "Z-":
         raise ValidationError(f"unknown coefficient system {coeff!r}")
     if p > base.max_degree:
         raise TruncationError(f"{base.name}: no chains stored in degree {p}")
-    n = base.cells[p]
-    bout = twisted_boundary_int(pair, p) if p >= 1 else []
-    if p + 1 <= base.max_degree:
-        bin_ = twisted_boundary_int(pair, p + 1)
-        return homology_from_boundaries(bout, bin_, n, check=check).invariants
-    res = homology_from_boundaries(bout, [[0] * 0 for _ in range(n)], n, check=False)
-    if res.invariants.free_rank == 0:
-        return res.invariants
-    raise TruncationError(
-        f"{base.name}: twisted H_{p} needs degree-{p + 1} chains"
-    )
+    return _chain_homology(
+        base,
+        p,
+        lambda k: twisted_boundary_int(pair, k),
+        f"{base.name}: twisted H_{p} needs degree-{p + 1} chains",
+    ).invariants

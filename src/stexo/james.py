@@ -320,9 +320,10 @@ def _twisted_generator_chains(pair, p: int, cap: int):
         raise TruncationError(
             f"{base.name}: twisted boundary around degree {p} exceeds the size cap"
         )
-    bout = twisted_boundary_int(pair, p) if p >= 1 else []
+    n = base.cells[p]
+    bout = twisted_boundary_int(pair, p) if p >= 1 else np.zeros((0, n), dtype=np.int64)
     bin_ = twisted_boundary_int(pair, p + 1)
-    return homology_from_boundaries(bout, bin_, base.cells[p]).generator_chains()
+    return homology_from_boundaries(bout, bin_, n).generator_chains()
 
 
 def d2_maps(

@@ -379,14 +379,14 @@ class SimplicialModel:
             )
         return self._cache[key]
 
-    def boundary_int(self, k: int) -> list[list[int]]:
+    def boundary_int(self, k: int) -> np.ndarray:
         """Integral boundary C_k -> C_{k-1} with signs; rows are (k-1)-cells."""
         if k < 1 or k > self.max_degree:
             raise TruncationError(f"{self.name}: boundary degree {k} out of range")
         c, i = np.nonzero(self.face_word[k] == 0)
         rows = np.zeros((self.cells[k - 1], self.cells[k]), dtype=np.int64)
         np.add.at(rows, (self.face_cell[k][c, i], c), 1 - 2 * (i & 1))
-        return rows.tolist()
+        return rows
 
     def cup_table(self, p: int, q: int, i: int):
         """Index triples (out, u, v) with odd multiplicity for the cup-i sum."""

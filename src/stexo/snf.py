@@ -1,20 +1,27 @@
 """Exact integer linear algebra: Smith normal form and homology of a chain pair.
 
-Everything runs over Python ints, so there is no overflow to worry about; the
-matrices that show up here are small compared to the mod 2 side (integral
-homology is only consulted for low-degree group homology and for the odd
-torsion cross-checks).
+Homology invariants come from invariant factors alone.  invariant_factors
+eliminates +-1 pivots on an int64 numpy array, with every update checked to
+stay inside int64, and hands the block that is left to smith_normal_form,
+which runs over Python ints and cannot overflow.  Cycle generators, which
+need the transforms, are computed only when asked for.
 
-A matrix is a list of row lists.  smith_normal_form returns the invariant
-factors together with the full transform data U, V (and their inverses) such
-that U * A * V = D.
+smith_normal_form takes a matrix as a list of row lists and returns the
+invariant factors together with the full transform data U, V (and their
+inverses) such that U * A * V = D.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InternalInvariantError, ModelMismatchError
+
+# An elimination update sets y <- y - f * x.  While |y| + |f| |x| stays at
+# most 2**62, the result and every intermediate fit in int64 with room to spare.
+_INT64_SAFE = 1 << 62
 
 
 def zeros(rows: int, cols: int) -> list[list[int]]:
@@ -184,6 +191,63 @@ def smith_normal_form(a: list[list[int]]) -> SNFResult:
     return SNFResult(diag, U, Ui, V, Vi)
 
 
+def _abs_max(m: np.ndarray) -> int:
+    """Largest absolute entry as a Python int (0 for an empty array)."""
+    return max(int(m.max()), -int(m.min())) if m.size else 0
+
+
+def _eliminate_units(m: np.ndarray) -> int:
+    """Split +-1 pivots off m in place; returns how many were split off.
+
+    A pivot clears its column by row operations, then its row and column are
+    zeroed: the column operations that would clear the row touch nothing
+    else once the column is clear.  Both are unimodular, so each pivot leaves
+    an invariant factor 1 and the Smith form of what remains.  Candidates are
+    taken in Markowitz order (fewest other nonzeros in row times column) from
+    a scan of the whole matrix, skipped when an earlier pivot changed them,
+    and the matrix is scanned again until no unit is left.  Stops early,
+    before the update, when an update could leave int64.
+    """
+    count = 0
+    while True:
+        cand = np.argwhere(np.abs(m) == 1)
+        if not len(cand):
+            return count
+        nz = m != 0
+        cost = (nz.sum(1)[cand[:, 0]] - 1) * (nz.sum(0)[cand[:, 1]] - 1)
+        for i, j in cand[np.argsort(cost, kind="stable")]:
+            pivot = m[i, j]
+            if pivot != 1 and pivot != -1:
+                continue
+            rows = np.flatnonzero(m[:, j])
+            rows = rows[rows != i]
+            if rows.size:
+                f = m[rows, j] * pivot
+                sub = m[rows]
+                if _abs_max(sub) + _abs_max(f) * _abs_max(m[i]) > _INT64_SAFE:
+                    return count
+                sub -= np.outer(f, m[i])
+                m[rows] = sub
+            m[i] = 0
+            m[:, j] = 0
+            count += 1
+
+
+def invariant_factors(a) -> list[int]:
+    """The nonzero invariant factors d_1 | d_2 | ... of an integer matrix.
+
+    Equal to smith_normal_form(a).diag, without the transforms: unit pivots
+    are eliminated on int64 first and the exact Smith form reduces only the
+    nonzero block that is left.
+    """
+    m = np.array(a, dtype=np.int64)
+    if m.size == 0:
+        return []
+    units = _eliminate_units(m)
+    core = m[np.flatnonzero(m.any(axis=1))][:, np.flatnonzero(m.any(axis=0))]
+    return [1] * units + smith_normal_form(core.tolist()).diag
+
+
 @dataclass
 class AbelianGroupInvariants:
     """Isomorphism type of a finitely generated abelian group."""
@@ -203,57 +267,96 @@ class AbelianGroupInvariants:
         return self.free_rank + sum(1 for t in self.torsion if t % 2 == 0)
 
 
-@dataclass
 class HomologyResult:
-    invariants: AbelianGroupInvariants
-    # columns of kernel_basis span ker(boundary_out); generator_coords maps
-    # homology generators (torsion first, then free) to kernel coordinates.
-    kernel_basis: list[list[int]] = field(repr=False, default_factory=list)
-    generator_coords: list[list[int]] = field(repr=False, default_factory=list)
+    """Invariants of ker(boundary_out) / im(boundary_in), generators on demand."""
+
+    def __init__(self, invariants, boundary_out, boundary_in):
+        self.invariants = invariants
+        self._boundaries = (boundary_out, boundary_in)
 
     def generator_chains(self) -> list[list[int]]:
-        """Cycle representatives as chains, one list per generator."""
-        if not self.kernel_basis or not self.generator_coords:
-            return []
-        n = len(self.kernel_basis)
+        """Cycle representatives as chains, one list per generator.
+
+        Torsion generators come first, then free ones.  Runs the exact
+        transform route, which must find the same invariants.
+        """
+        bout, bin_ = self._boundaries
+        n = bout.shape[1]
+        inv, kernel, coords = _transform_route(bout.tolist(), bin_.tolist(), n)
+        if inv != self.invariants:
+            raise InternalInvariantError(
+                f"generator route finds {inv}, invariant factors give {self.invariants}"
+            )
         out = []
-        for coords in self.generator_coords:
+        for gen in coords:
             chain = [0] * n
-            for kcol, c in enumerate(coords):
+            for kcol, c in enumerate(gen):
                 if c:
                     for r in range(n):
-                        chain[r] += c * self.kernel_basis[r][kcol]
+                        chain[r] += c * kernel[r][kcol]
             out.append(chain)
         return out
 
 
+def _matrix(b, empty_shape: tuple) -> np.ndarray:
+    """b as a 2-D int64 array; an empty list takes the given empty shape."""
+    m = np.asarray(b, dtype=np.int64)
+    return m.reshape(empty_shape) if m.ndim != 2 and m.size == 0 else m
+
+
+def _check_composite(boundary_out: np.ndarray, boundary_in: np.ndarray) -> None:
+    """Raise unless boundary_out @ boundary_in = 0, computed exactly.
+
+    An entry of the product is a sum of n terms, each at most
+    max|boundary_out| * max|boundary_in|; below 2**63 that bound keeps the
+    int64 product exact, above it the product runs on Python ints.
+    """
+    n = boundary_out.shape[1]
+    bound = n * _abs_max(boundary_out) * _abs_max(boundary_in)
+    dtype = np.int64 if bound < 1 << 63 else object
+    prod = np.asarray(boundary_out, dtype) @ np.asarray(boundary_in, dtype)
+    if prod.any():
+        raise InternalInvariantError("boundary composite is nonzero")
+
+
 def homology_from_boundaries(
-    boundary_out: list[list[int]],
-    boundary_in: list[list[int]],
-    n_chains: int,
-    check: bool = True,
+    boundary_out, boundary_in, n_chains: int
 ) -> HomologyResult:
-    """Homology ker(boundary_out) / im(boundary_in) with explicit generators.
+    """Homology ker(boundary_out) / im(boundary_in) of a chain pair.
 
     boundary_out maps degree-p chains down, boundary_in maps degree-(p+1)
     chains onto the image being divided out.  Shapes: boundary_out is
-    (cells_{p-1} x n_chains), boundary_in is (n_chains x cells_{p+1});
-    either may be empty (no rows / no columns).
+    (cells_{p-1} x n_chains), boundary_in is (n_chains x cells_{p+1}); an
+    empty list stands for (0 x n_chains), respectively (n_chains x 0).
+
+    Once boundary_out @ boundary_in = 0 is checked, the image lies in the
+    kernel, a direct summand of Z^n, so the free rank is
+    n - rank boundary_out - rank boundary_in and the torsion is the invariant
+    factors of boundary_in above 1.
+    """
+    bout = _matrix(boundary_out, (0, n_chains))
+    bin_ = _matrix(boundary_in, (n_chains, 0))
+    if bout.shape[1] != n_chains:
+        raise ModelMismatchError("boundary_out width disagrees with n_chains")
+    if bin_.shape[0] != n_chains:
+        raise ModelMismatchError("boundary_in height disagrees with n_chains")
+    _check_composite(bout, bin_)
+    rank_out = len(invariant_factors(bout))
+    factors = invariant_factors(bin_)
+    free = n_chains - rank_out - len(factors)
+    return HomologyResult(
+        AbelianGroupInvariants(free, tuple(d for d in factors if d > 1)), bout, bin_
+    )
+
+
+def _transform_route(boundary_out: list, boundary_in: list, n_chains: int):
+    """Invariants, kernel basis and generator coordinates from full transforms.
+
+    Returns (invariants, kernel_cols, gen_coords): the columns of kernel_cols
+    span ker(boundary_out), and gen_coords maps homology generators (torsion
+    first, then free) to kernel coordinates.
     """
     n_p = n_chains
-    if boundary_out and len(boundary_out[0]) != n_p:
-        raise ModelMismatchError("boundary_out width disagrees with n_chains")
-    if boundary_in and len(boundary_in) != n_p:
-        raise ModelMismatchError("boundary_in height disagrees with n_chains")
-
-    if check and boundary_out and boundary_in and boundary_in[0]:
-        rows_out = len(boundary_out)
-        cols_in = len(boundary_in[0])
-        if rows_out * n_p * cols_in <= 5_000_000:
-            prod = mat_mul(boundary_out, boundary_in)
-            if any(any(row) for row in prod):
-                raise InternalInvariantError("boundary composite is nonzero")
-
     # kernel of boundary_out via column operations: columns of V past the rank
     if boundary_out:
         s_out = smith_normal_form(boundary_out)
@@ -265,7 +368,7 @@ def homology_from_boundaries(
         k = n_p
 
     if k == 0:
-        return HomologyResult(AbelianGroupInvariants(0), [], [])
+        return AbelianGroupInvariants(0), [], []
 
     # Express im(boundary_in) in kernel coordinates: solve K X = boundary_in.
     # The SNF kernel basis is saturated, so every cycle has exact integer
@@ -311,6 +414,4 @@ def homology_from_boundaries(
         free = k
         gen_coords = [[1 if r == i else 0 for r in range(k)] for i in range(k)]
 
-    return HomologyResult(
-        AbelianGroupInvariants(free, torsion), kernel_cols, gen_coords
-    )
+    return AbelianGroupInvariants(free, torsion), kernel_cols, gen_coords

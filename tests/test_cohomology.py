@@ -3,16 +3,29 @@
 import numpy as np
 import pytest
 
-from stexo.builders import bar_b, bar_e_z2, circle, k_z2_2, z2_table, z4_table
+import stexo.cohomology as cohomology
+from stexo.builders import (
+    bar_b,
+    bar_e_z2,
+    circle,
+    k_z2_2,
+    klein_table,
+    z2_table,
+    z4_table,
+)
+from stexo.catalog import REGISTRY, get_fixture
 from stexo.cohomology import (
     cohomology_basis,
     induced_matrix,
     integral_homology,
     mod2_betti,
+    twisted_boundary_int,
     twisted_homology,
 )
 from stexo.errors import TruncationError, ValidationError
 from stexo.gf2 import Subspace
+from stexo.james import DEFAULT_INT_SIZE_CAP, _boundary_load
+from stexo.obstruction import cover_data_from_w1
 from stexo.simplicial import (
     Cochain,
     coboundary,
@@ -21,7 +34,7 @@ from stexo.simplicial import (
     product,
     quotient_free_involution,
 )
-from stexo.snf import AbelianGroupInvariants
+from stexo.snf import AbelianGroupInvariants, _transform_route, homology_from_boundaries
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +184,24 @@ def test_integral_truncation_guard():
         integral_homology(t2, 2)
 
 
+def test_top_degree_truncation_builds_no_boundary(monkeypatch):
+    # fewer (p-1)-cells than p-cells: the top-degree answer cannot certify,
+    # and that is known before any boundary matrix is built
+    z4 = bar_b(z4_table(), 3)
+    assert z4.cells[2:] == (9, 27)
+    pair = cover_from_cocycle(z4, Cochain(z4, 1, np.array([1, 0, 1], dtype=np.uint8)))
+
+    def no_boundary(*args):
+        raise AssertionError("boundary built")
+
+    monkeypatch.setattr(type(z4), "boundary_int", no_boundary)
+    monkeypatch.setattr(cohomology, "twisted_boundary_int", no_boundary)
+    with pytest.raises(TruncationError, match="H_3 needs degree-4 chains"):
+        integral_homology(z4, 3)
+    with pytest.raises(TruncationError, match="twisted H_3 needs degree-4 chains"):
+        twisted_homology(pair, 3)
+
+
 def test_torus_integral_homology(torus3):
     m = torus3.model
     assert str(integral_homology(m, 0).invariants) == "Z"
@@ -187,8 +218,6 @@ def test_bar_z4_mod2_betti():
 
 
 def _catalog_bases():
-    from stexo.catalog import REGISTRY, get_fixture
-
     out = []
     for name in REGISTRY:
         fx = get_fixture(name)
@@ -217,3 +246,48 @@ def test_coords_matrix_matches_coords_on_catalog_bases():
                     assert np.array_equal(dense[:, j], basis.coords(u)), (model.name, k)
                 shapes.add((basis.dim == 0, len(batch) == 0))
     assert shapes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_group_homology_closed_forms():
+    z4 = bar_b(z4_table(), 6, name="bar-z4")
+    v4 = bar_b(klein_table(), 6, name="bar-z2xz2")
+    for n in range(1, 6):
+        want = (4,) if n % 2 else ()
+        assert integral_homology(z4, n).invariants == AbelianGroupInvariants(0, want)
+        want = (2,) * ((n + 3) // 2 if n % 2 else n // 2)
+        assert integral_homology(v4, n).invariants == AbelianGroupInvariants(0, want)
+    parity = Cochain(z4, 1, np.array([g % 2 for g in range(1, 4)], dtype=np.uint8))
+    pair = cover_from_cocycle(z4, parity)
+    got = [twisted_homology(pair, n, "Z-") for n in range(6)]
+    assert got == [AbelianGroupInvariants(0, () if n % 2 else (2,)) for n in range(6)]
+
+
+def _route_invariants(bout, bin_, n):
+    return _transform_route(bout.tolist(), bin_.tolist(), n)[0]
+
+
+def test_eager_invariants_match_generator_route():
+    checked = 0
+    for name in REGISTRY:
+        fx = get_fixture(name)
+        if fx.nt is None:
+            continue
+        pair = (fx.cover or cover_data_from_w1(fx.nt)).pair
+        base = pair.base
+        for p in range(base.max_degree):
+            if _boundary_load(base, p) > DEFAULT_INT_SIZE_CAP:
+                continue
+            n = base.cells[p]
+            bout = np.zeros((0, n), dtype=np.int64)
+            if p:
+                bout = twisted_boundary_int(pair, p)
+            bin_ = twisted_boundary_int(pair, p + 1)
+            eager = homology_from_boundaries(bout, bin_, n).invariants
+            assert eager == _route_invariants(bout, bin_, n), (name, p)
+            checked += 1
+    assert checked == 26
+    model = get_fixture("k2-stress").stress_model
+    for p in range(1, 5):
+        bout, bin_ = model.boundary_int(p), model.boundary_int(p + 1)
+        eager = integral_homology(model, p).invariants
+        assert eager == _route_invariants(bout, bin_, model.cells[p]), p

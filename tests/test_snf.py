@@ -3,11 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stexo.snf as snf
+from stexo.builders import bar_b, z4_table
 from stexo.errors import InternalInvariantError
 from stexo.snf import (
     AbelianGroupInvariants,
+    HomologyResult,
     homology_from_boundaries,
     identity,
+    invariant_factors,
     mat_mul,
     smith_normal_form,
 )
@@ -73,6 +77,41 @@ def test_snf_random_matrices(rows, cols, seed):
         assert res.diag == []
 
 
+# entries weighted towards 0 and +-1, the values boundary matrices hold
+_ENTRIES = st.sampled_from([0] * 8 + [1, -1] * 4 + [2, -2, 3, -4, 6, 9])
+
+
+@st.composite
+def _int_matrices(draw):
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    vals = draw(st.lists(_ENTRIES, min_size=rows * cols, max_size=rows * cols))
+    return np.array(vals, dtype=np.int64).reshape(rows, cols)
+
+
+@given(_int_matrices(), st.sampled_from([1, 2, 3]))
+@settings(max_examples=300, deadline=None)
+def test_invariant_factors_match_smith_form(a, scale):
+    # scaled by 2 or 3 no entry is a unit, so the exact Smith form does it all
+    a = a * scale
+    assert invariant_factors(a) == smith_normal_form(a.tolist()).diag
+
+
+def test_invariant_factors_hand_off_before_int64_overflow(monkeypatch):
+    # after the first pivot, clearing column 1 would put -big**2 = -2**80 in
+    # the block; the elimination must stop and pass that block on exactly
+    big = 1 << 40
+    a = np.array([[1, 0, 0], [0, 1, big], [0, big, 0]], dtype=np.int64)
+    cores = []
+
+    def spy(m):
+        cores.append((len(m), len(m[0]) if m else 0))
+        return smith_normal_form(m)
+
+    monkeypatch.setattr(snf, "smith_normal_form", spy)
+    assert invariant_factors(a) == [1, 1, big * big]
+    assert cores == [(2, 2)]
+
+
 def test_abelian_invariants_str_and_ranks():
     g = AbelianGroupInvariants(2, (2, 4))
     assert str(g) == "Z + Z + Z/2 + Z/4"
@@ -124,9 +163,33 @@ def test_homology_generators_are_cycles_mod_image():
 def test_homology_rejects_nonzero_composite():
     with pytest.raises(InternalInvariantError):
         homology_from_boundaries([[1, 0]], [[1], [0]], 2)
+    # 2**32 * 2**32 wraps to 0 in int64; past the entry bound the check is exact
+    with pytest.raises(InternalInvariantError, match="boundary composite is nonzero"):
+        homology_from_boundaries([[1 << 32]], [[1 << 32]], 1)
+
+
+def test_homology_rejects_flipped_sign_in_wide_boundary():
+    # the degree-6 boundary of the bar model of Z/4 is 243 x 729; one flipped
+    # sign leaves a column that is no cycle
+    model = bar_b(z4_table(), 6)
+    d5, d6 = model.boundary_int(5), model.boundary_int(6)
+    assert d6.shape == (243, 729)
+    k, j = np.argwhere(d6)[0]
+    assert d5[:, k].any()
+    d6[k, j] = -d6[k, j]
+    with pytest.raises(InternalInvariantError, match="boundary composite is nonzero"):
+        homology_from_boundaries(d5, d6, 243)
+
+
+def test_generator_route_must_agree_with_invariants():
+    d_in = np.array([[2]], dtype=np.int64)
+    d_out = np.zeros((0, 1), dtype=np.int64)
+    wrong = HomologyResult(AbelianGroupInvariants(1), d_out, d_in)
+    with pytest.raises(InternalInvariantError, match="generator route"):
+        wrong.generator_chains()
 
 
 def test_homology_rejects_noncycle_image():
-    # d_in column outside ker(d_out) with the composite check disabled
+    # d_in column outside ker(d_out)
     with pytest.raises(InternalInvariantError):
-        homology_from_boundaries([[1, 0]], [[1], [0]], 2, check=False)
+        homology_from_boundaries([[1, 0]], [[1], [0]], 2)
