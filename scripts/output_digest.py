@@ -1,0 +1,96 @@
+"""Print one sha256 per output of every catalog fixture, to compare checkouts.
+
+Usage: PYTHONPATH=src python3 scripts/output_digest.py [name ...] > digest.txt
+
+For each fixture (all of them by default) the lines are:
+
+  verdict / replay   the decide verdict JSON on the fixture's own objects
+                     (with its cover, section and lift data) and the
+                     replay_evidence result;
+  report             report_json of the second page, d2 maps and killers;
+  <part>.bytes       canonical_bytes of each exported document;
+  <part>.reexport    canonical_bytes of its re-export after parsing;
+  cli.decide         `stexo decide --json` on the exported files, with
+  cli.report         `stexo report --json`; both with --cover, --section and
+                     --lift where the fixture has them, exit code included.
+
+Running it on two checkouts and comparing the files with diff shows whether a
+change kept every output byte for byte.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from stexo import cli
+from stexo.catalog import REGISTRY, fixture_documents, get_fixture
+from stexo.james import d2_maps, e2_page, killers_report, report_json
+from stexo.modelfile import canonical_bytes, parse_bytes, reexport
+from stexo.obstruction import decide, replay_evidence
+
+
+def _sha(data) -> str:
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run_cli(argv: list) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return f"exit {code}\n{out.getvalue()}"
+
+
+def digest(name: str) -> list:
+    """(item, sha256) pairs for one fixture."""
+    fx = get_fixture(name)
+    rows = []
+    if fx.nt is not None:
+        verdict = decide(fx.nt, fx.cover, fx.section, fx.lift_data)
+        rows.append(("verdict", _sha(json.dumps(verdict.to_json_dict(), sort_keys=True))))
+        replayed = replay_evidence(verdict, fx.nt, fx.cover, fx.section)
+        rows.append(("replay", _sha(repr(replayed))))
+        page = e2_page(fx.nt, fx.cover)
+        diffs = d2_maps(fx.nt, page, fx.cover)
+        killers = killers_report(fx.nt, page, diffs, verdict)
+        rows.append(("report", _sha(report_json(page, diffs, killers))))
+    docs = fixture_documents(name)
+    blobs = {part: canonical_bytes(doc) for part, doc in sorted(docs.items())}
+    for part, blob in blobs.items():
+        rows.append((f"{part}.bytes", _sha(blob)))
+        rows.append((f"{part}.reexport", _sha(canonical_bytes(reexport(parse_bytes(blob))))))
+    if fx.nt is not None:
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {}
+            for part, blob in blobs.items():
+                paths[part] = Path(tmp, f"{part}.json")
+                paths[part].write_bytes(blob)
+            opts = ["--json", str(paths["base"])]
+            if "cover" in paths:
+                opts += ["--cover", str(paths["cover"])]
+            if fx.section is not None:
+                opts += ["--section", "section"]
+            lift = ["--lift", f"lift-{fx.lift_data[0].index}"] if fx.lift_data else []
+            rows.append(("cli.decide", _sha(_run_cli(["decide", *opts, *lift]))))
+            rows.append(("cli.report", _sha(_run_cli(["report", *opts]))))
+    return rows
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("names", nargs="*", help="fixture names (default: all)")
+    args = ap.parse_args()
+    for name in args.names or list(REGISTRY):
+        for item, sha in digest(name):
+            print(f"{name} {item} {sha}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

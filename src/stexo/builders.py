@@ -6,7 +6,7 @@ builder's own coordinates, so indices are reproducible across runs.
 
 from __future__ import annotations
 
-from itertools import combinations, product as iproduct
+from itertools import combinations
 
 import numpy as np
 
@@ -17,14 +17,18 @@ from .simplicial import (
     Involution,
     SimplicialMap,
     SimplicialModel,
-    insert_degeneracy,
 )
+
+
+def _empty_faces(cells) -> tuple:
+    """Face arrays of the given cell counts, every entry zero."""
+    arrays = [np.zeros((c, n + 1 if n else 0), dtype=np.int64) for n, c in enumerate(cells)]
+    return arrays, [a.copy() for a in arrays]
 
 
 def point(up_to: int = 0) -> SimplicialModel:
     cells = [1] + [0] * up_to
-    faces = [[]] + [[] for _ in range(up_to)]
-    return SimplicialModel(up_to, cells, faces, name="point")
+    return SimplicialModel.from_arrays(up_to, cells, *_empty_faces(cells), name="point")
 
 
 def circle(up_to: int = 1) -> SimplicialModel:
@@ -32,8 +36,7 @@ def circle(up_to: int = 1) -> SimplicialModel:
     if up_to < 1:
         raise ValidationError("circle needs max_degree at least 1")
     cells = [1, 1] + [0] * (up_to - 1)
-    faces = [[], [[((), 0), ((), 0)]]] + [[] for _ in range(up_to - 1)]
-    return SimplicialModel(up_to, cells, faces, name="circle")
+    return SimplicialModel.from_arrays(up_to, cells, *_empty_faces(cells), name="circle")
 
 
 def _check_group_table(table) -> int:
@@ -55,6 +58,14 @@ def _check_group_table(table) -> int:
     return g
 
 
+def _bar_digits(order: int, n: int) -> np.ndarray:
+    """Entries minus one of the bar n-cells of a group of the given order,
+    one row per cell in lexicographic order."""
+    base = order - 1
+    k = np.arange(base**n, dtype=np.int64)
+    return k[:, None] // base ** np.arange(n - 1, -1, -1) % base
+
+
 def bar_b(table, up_to: int, name: str = "bar") -> SimplicialModel:
     """Classifying-space bar model of a finite group given as a Cayley table.
 
@@ -62,52 +73,46 @@ def bar_b(table, up_to: int, name: str = "bar") -> SimplicialModel:
     identity entry is recorded as a degeneracy of the shorter tuple.
     """
     g = _check_group_table(table)
-    cells = []
-    index = []
-    tuples = []
-    for n in range(up_to + 1):
-        level = list(iproduct(range(1, g), repeat=n))
-        tuples.append(level)
-        index.append({t: k for k, t in enumerate(level)})
-        cells.append(len(level))
-
-    def to_target(t):
-        word = tuple(p for p in range(len(t) - 1, -1, -1) if t[p] == 0)
-        core = tuple(x for x in t if x != 0)
-        return (word, index[len(core)][core])
-
-    faces = [[]]
+    mul = np.asarray(table, dtype=np.int64)
+    base = g - 1
+    cells = [base**n for n in range(up_to + 1)]
+    face_word, face_cell = _empty_faces(cells)
     for n in range(1, up_to + 1):
-        rows = []
-        for t in tuples[n]:
-            row = [to_target(t[1:])]
-            for i in range(1, n):
-                merged = t[: i - 1] + (table[t[i - 1]][t[i]],) + t[i + 1 :]
-                row.append(to_target(merged))
-            row.append(to_target(t[:-1]))
-            rows.append(row)
-        faces.append(rows)
-    return SimplicialModel(up_to, cells, faces, name=name)
+        k = np.arange(cells[n], dtype=np.int64)
+        digits = _bar_digits(g, n)
+        fc = face_cell[n]
+        fc[:, 0] = k % base ** (n - 1)  # drop the first entry
+        fc[:, n] = k // base  # drop the last entry
+        for i in range(1, n):
+            # d_i merges entries i-1 and i; prefix and suffix keep their digits
+            prefix = k // base ** (n - i + 1)
+            suffix = k % base ** (n - 1 - i)
+            merged = mul[digits[:, i - 1] + 1, digits[:, i] + 1]
+            unit = merged == 0
+            face_word[n][unit, i] = 1 << (i - 1)
+            fc[:, i] = np.where(
+                unit,
+                prefix * base ** (n - 1 - i) + suffix,
+                (prefix * base + merged - 1) * base ** (n - 1 - i) + suffix,
+            )
+    return SimplicialModel.from_arrays(up_to, cells, face_word, face_cell, name=name)
 
 
 def bar_e_z2(up_to: int):
     """Contractible two-sheet model: alternating 0/1 strings with the flip.
 
     Returns (model, involution).  n-cells are the two alternating strings of
-    length n+1, indexed by their first entry.
+    length n+1, indexed by their first entry.  d_0 lands on the other string,
+    d_n on the same one, and d_i in between on the same string degenerated
+    by s_{i-1}.
     """
     cells = [2] * (up_to + 1)
-    faces = [[]]
+    face_word, face_cell = _empty_faces(cells)
     for n in range(1, up_to + 1):
-        rows = []
-        for h0 in (0, 1):
-            row = [((), 1 - h0)]
-            for i in range(1, n):
-                row.append(((i - 1,), h0))
-            row.append(((), h0))
-            rows.append(row)
-        faces.append(rows)
-    model = SimplicialModel(up_to, cells, faces, name="two-sheet")
+        face_word[n][:, 1:n] = 1 << np.arange(n - 1)
+        face_cell[n][:, 1:] = [[0], [1]]
+        face_cell[n][:, 0] = [1, 0]
+    model = SimplicialModel.from_arrays(up_to, cells, face_word, face_cell, name="two-sheet")
     perms = [np.array([1, 0], dtype=np.int64) for _ in range(up_to + 1)]
     return model, Involution(model, perms, "flip")
 
@@ -143,16 +148,15 @@ def bar_hom_map(
     for n in range(src_model.max_degree + 1):
         if src_model.cells[n] != (gs - 1) ** n or dst_model.cells[n] != (gd - 1) ** n:
             raise ValidationError("models are not bar models of these groups")
-    assignment = []
+    image = np.asarray(images, dtype=np.int64) - 1
+    cells = []
     for n in range(src_model.max_degree + 1):
-        level = []
-        for t in iproduct(range(1, gs), repeat=n):
-            idx = 0
-            for x in t:
-                idx = idx * (gd - 1) + (images[x] - 1)
-            level.append(((), idx))
-        assignment.append(level)
-    return SimplicialMap(src_model, dst_model, assignment, name)
+        idx = np.zeros(src_model.cells[n], dtype=np.int64)
+        for digit in _bar_digits(gs, n).T:
+            idx = idx * (gd - 1) + image[digit + 1]
+        cells.append(idx)
+    words = [np.zeros_like(c) for c in cells]
+    return SimplicialMap.from_arrays(src_model, dst_model, words, cells, name)
 
 
 def z2_table():
@@ -255,44 +259,41 @@ def k_z2_2(up_to: int) -> SimplicialModel:
                 m, m - 1, lambda v, j=j: v if v <= j else v - 1
             )
 
-    # canonical targets per degree, built bottom-up; canon[m] maps every
-    # cocycle mask to (degeneracy word, nondegenerate cell index)
-    nondeg_masks: list = []
-    canon: list = [{0: ((), 0)}]
-    nondeg_masks.append(np.zeros(1, dtype=np.uint64))
+    # canonical targets per degree, built bottom-up: the cocycle all_masks[m][k]
+    # is the target (canon_word[m][k], canon_cell[m][k]), its word as a mask
+    nondeg_masks = [np.zeros(1, dtype=np.uint64)]
+    canon_word = [np.zeros(1, dtype=np.int64)]
+    canon_cell = [np.zeros(1, dtype=np.int64)]
     for m in range(1, up_to + 1):
         masks = all_masks[m]
-        dj_masks = []
+        dj_masks = np.empty((m, masks.size), dtype=np.uint64)
         repeat = np.zeros((m, masks.size), dtype=bool)
         for j in range(m):
-            dj = _apply_map(masks, face_cols[(m, j)])
-            dj_masks.append(dj)
-            sj_dj = _apply_map(dj, degen_cols[(m - 1, j)])
-            repeat[j] = sj_dj == masks
+            dj_masks[j] = _apply_map(masks, face_cols[(m, j)])
+            repeat[j] = _apply_map(dj_masks[j], degen_cols[(m - 1, j)]) == masks
         keep = ~repeat.any(axis=0)
         nondeg_masks.append(masks[keep])
-        table = {}
-        cell = 0
-        for k in range(masks.size):
-            if keep[k]:
-                table[int(masks[k])] = ((), cell)
-                cell += 1
-            else:
-                j = int(np.max(np.nonzero(repeat[:, k])[0]))
-                word, core = canon[m - 1][int(dj_masks[j][k])]
-                table[int(masks[k])] = (insert_degeneracy(word, j), core)
-        canon.append(table)
+        # a degenerate cocycle is s_j of d_j of itself, j its last repeat
+        last = m - 1 - np.argmax(repeat[::-1], axis=0)
+        pos = np.searchsorted(all_masks[m - 1], dj_masks[last, np.arange(masks.size)])
+        lower = canon_word[m - 1][pos]
+        # the word of s_j: letters >= j move up by one, then j is added
+        word = (lower >> last << (last + 1)) | (lower & ((1 << last) - 1)) | (1 << last)
+        word[keep] = 0
+        cell = canon_cell[m - 1][pos]
+        cell[keep] = np.arange(np.count_nonzero(keep))
+        canon_word.append(word)
+        canon_cell.append(cell)
 
     cells = [int(nm.size) for nm in nondeg_masks]
-    faces = [[]]
+    face_word, face_cell = _empty_faces(cells)
     for m in range(1, up_to + 1):
-        rows = [[] for _ in range(cells[m])]
         for i in range(m + 1):
-            fm = _apply_map(nondeg_masks[m], face_cols[(m, i)])
-            for c in range(cells[m]):
-                rows[c].append(canon[m - 1][int(fm[c])])
-        faces.append(rows)
-    return SimplicialModel(up_to, cells, faces, name="em-z2-deg2")
+            faces = _apply_map(nondeg_masks[m], face_cols[(m, i)])
+            pos = np.searchsorted(all_masks[m - 1], faces)
+            face_word[m][:, i] = canon_word[m - 1][pos]
+            face_cell[m][:, i] = canon_cell[m - 1][pos]
+    return SimplicialModel.from_arrays(up_to, cells, face_word, face_cell, name="em-z2-deg2")
 
 
 def fundamental_class_cochain(model: SimplicialModel) -> Cochain:

@@ -128,9 +128,10 @@ def z2_secondary() -> Fixture:
     pair = cover_from_cocycle(t2.model, e1)
 
     loop = circle(5)
-    edge_cell = t2.index[1][(((), 0), ((0,), 0))]
-    assignment = [[((), 0)], [((), edge_cell)]] + [[] for _ in range(4)]
-    sec = SimplicialMap(loop, t2.model, assignment, name="first-factor-loop")
+    edge_cell = t2.cell_of(1, 0, 0, 1, 0)  # the circle's edge paired with s_0 of its vertex
+    cells = [[0], [edge_cell]] + [[] for _ in range(4)]
+    words = [[0] * len(c) for c in cells]
+    sec = SimplicialMap.from_arrays(loop, t2.model, words, cells, "first-factor-loop")
     return Fixture(
         "z2-secondary",
         "free abelian rank 2 driven through the lift and section stage",

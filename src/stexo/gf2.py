@@ -287,40 +287,6 @@ class Subspace:
         return f"Subspace(dim {self.dim} of GF(2)^{self.ambient_dim})"
 
 
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    if a.ambient_dim != b.ambient_dim:
-        raise ModelMismatchError("subspaces live in different ambient spaces")
-    rows = list(a.basis_dense()) + list(b.basis_dense())
-    return Subspace.from_vectors(a.ambient_dim, rows)
-
-
-def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
-    """Zassenhaus: echelonize [A|A; B|0], read the intersection off zero-left rows."""
-    if a.ambient_dim != b.ambient_dim:
-        raise ModelMismatchError("subspaces live in different ambient spaces")
-    n = a.ambient_dim
-    da, db = a.basis_dense(), b.basis_dense()
-    block = np.zeros((a.dim + b.dim, 2 * n), dtype=np.uint8)
-    if a.dim:
-        block[: a.dim, :n] = da
-        block[: a.dim, n:] = da
-    if b.dim:
-        block[a.dim :, :n] = db
-    res = rank_and_echelon(F2Matrix.from_dense(block), want_transform=False)
-    dense = res.echelon.to_dense()[: res.rank]
-    inter = [row[n:] for row in dense if not row[:n].any()]
-    return Subspace.from_vectors(n, inter)
-
-
-def quotient_dim(sub: Subspace, sup: Subspace | None = None) -> int:
-    """Dimension of sup/sub (ambient/sub when sup is omitted)."""
-    if sup is None:
-        return sub.ambient_dim - sub.dim
-    if sup.ambient_dim != sub.ambient_dim:
-        raise ModelMismatchError("subspaces live in different ambient spaces")
-    return sup.dim - subspace_intersection(sub, sup).dim
-
-
 @dataclass
 class AffineSolution:
     particular: np.ndarray

@@ -183,31 +183,31 @@ def cover_data_from_parts(
     base = nt.base
     if cover.max_degree != base.max_degree:
         raise ValidationError("cover and base truncations differ")
-    sheet, reps, bidx = [], [], []
+    sheet, reps = [], []
     for n in range(cover.max_degree + 1):
         if cover.cells[n] != 2 * base.cells[n]:
             raise ValidationError(f"degree {n}: cover must have twice the cells")
-        fibers: dict = {}
-        for c, (word, b) in enumerate(projection.assignment[n]):
-            if word:
-                raise ValidationError("projection sends a cell to a degenerate target")
-            fibers.setdefault(b, []).append(c)
-        rep_arr = np.empty(base.cells[n], dtype=np.int64)
+        if projection.image_word[n].any():
+            raise ValidationError("projection sends a cell to a degenerate target")
+        # fibers as runs of the cover cells sorted by base cell, each run ascending
+        b = projection.image_cell[n]
+        order = np.argsort(b, kind="stable")
+        counts = np.bincount(b, minlength=base.cells[n])
+        starts = np.cumsum(counts) - counts
+        pairs = counts == 2
+        first, second = order[starts[pairs]], order[starts[pairs] + 1]
+        split = ~pairs
+        split[pairs] = involution.perms[n][first] != second
+        if split.any():
+            raise ValidationError(
+                f"degree {n}: fiber over cell {int(np.argmax(split))} is not a single free orbit"
+            )
+        reps.append(first)
         sh = np.zeros(cover.cells[n], dtype=np.uint8)
-        bi = np.empty(cover.cells[n], dtype=np.int64)
-        for b in range(base.cells[n]):
-            f = fibers.get(b, [])
-            if len(f) != 2 or int(involution.perms[n][f[0]]) != f[1]:
-                raise ValidationError(
-                    f"degree {n}: fiber over cell {b} is not a single free orbit"
-                )
-            rep_arr[b] = f[0]
-            sh[f[1]] = 1
-            bi[f[0]] = bi[f[1]] = b
-        reps.append(rep_arr)
+        sh[second] = 1
         sheet.append(sh)
-        bidx.append(bi)
     w1d = Cochain(base, 1, sheet_changes(cover, sheet, reps))
+    bidx = list(projection.image_cell)  # the fibers are whole, so this is the base index
     pair = CoverPair(cover, base, projection, involution, w1d, sheet, reps, bidx)
     return cover_data_from_pair(nt, pair)
 

@@ -11,7 +11,10 @@ Face tables are stored as read-only integer arrays, where a canonical word is
 the bitmask of its letters.  A batch of targets is likewise a pair of arrays
 (word masks, cells), and SimplicialModel.face_batch takes one face of a whole
 batch at once; every face walk of this module goes through it or indexes the
-arrays directly.
+arrays directly.  Maps store the target of every source cell in the same form,
+and SimplicialMap.push sends a batch of targets through a map.  (word, cell)
+tuples remain only where outside input is checked, in the list constructors,
+and in the scalar reference SimplicialModel.face.
 
 Cochains are normalized: a degeneracy-decorated target evaluates to 0.
 """
@@ -133,6 +136,12 @@ def _decode(words: np.ndarray, cells: np.ndarray) -> list:
     return [(_word(w), c) for w, c in zip(words.tolist(), cells.tolist())]
 
 
+def _frozen(a) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=np.int64)
+    a.setflags(write=False)
+    return a
+
+
 def _no_faces(count: int) -> np.ndarray:
     return np.zeros((count, 0), dtype=np.int64)
 
@@ -195,13 +204,8 @@ class SimplicialModel:
             )
 
     def _store(self, face_word, face_cell) -> None:
-        def frozen(a):
-            a = np.ascontiguousarray(a, dtype=np.int64)
-            a.setflags(write=False)
-            return a
-
-        self.face_word = tuple(frozen(a) for a in face_word)
-        self.face_cell = tuple(frozen(a) for a in face_cell)
+        self.face_word = tuple(_frozen(a) for a in face_word)
+        self.face_cell = tuple(_frozen(a) for a in face_cell)
 
     def __repr__(self) -> str:
         return f"SimplicialModel({self.name}, cells={self.cells})"
@@ -520,47 +524,79 @@ def sq(u: Cochain, k: int) -> Cochain:
 
 
 class SimplicialMap:
-    """A map of models: each source cell goes to a decorated target cell."""
+    """A map of models: each source n-cell goes to a dimension-n target.
+
+    image_word[n][c] and image_cell[n][c] are the target of the source n-cell
+    c on the target model, as a word mask and a cell, laid out like the face
+    tables of a model and just as read-only.
+    """
 
     def __init__(self, source: SimplicialModel, target: SimplicialModel, assignment, name="map"):
+        """assignment[n][c] is the (word, cell) target of the source n-cell c.
+        A target that cannot be stored as a mask and a valid cell, or a degree
+        whose size is wrong, is stored as zeros and reported by validate()."""
+        words, cells, bad = [], [], []
+        for n in range(source.max_degree + 1):
+            block = assignment[n] if n < len(assignment) else ()
+            if len(block) != source.cells[n]:
+                bad.append(f"degree {n}: assignment size mismatch")
+                break
+            ws, cs, errs = target._encode(n, block)
+            bad.extend(f"degree {n} cell {c}: {msg}" for c, msg in errs)
+            words.append(ws)
+            cells.append(cs)
+        for c in source.cells[len(words) :]:  # the degrees from a size mismatch on
+            words.append([0] * c)
+            cells.append([0] * c)
+        self._init(source, target, words, cells, name)
+        self._malformed = tuple(bad)
+
+    @classmethod
+    def from_arrays(cls, source, target, image_word, image_cell, name="map") -> "SimplicialMap":
+        """A map from per-degree target arrays, as laid out in image_word/image_cell."""
+        m = cls.__new__(cls)
+        m._init(source, target, image_word, image_cell, name)
+        m._malformed = ()
+        return m
+
+    def _init(self, source, target, image_word, image_cell, name) -> None:
         self.source = source
         self.target = target
-        self.assignment = assignment
         self.name = name
+        self.image_word = tuple(_frozen(a) for a in image_word)
+        self.image_cell = tuple(_frozen(a) for a in image_cell)
 
     def __repr__(self):
         return f"SimplicialMap({self.name}: {self.source.name} -> {self.target.name})"
 
-    def apply(self, n: int, t: Target) -> Target:
-        word, cell = t
-        iw, ic = self.assignment[n - len(word)][cell]
-        return compose_words(word, iw, ic)
+    @property
+    def assignment(self) -> list:
+        """The targets as (word, cell) lists, read off the arrays."""
+        return [_decode(w, c) for w, c in zip(self.image_word, self.image_cell)]
+
+    def push(self, dim: int, words, cells):
+        """Images of a batch of dimension-dim source targets, as (word masks, cells)."""
+        words = np.asarray(words, dtype=np.int64)
+        cells = np.asarray(cells, dtype=np.int64)
+        out_w = np.empty_like(words)
+        out_c = np.empty_like(cells)
+        for outer, sel in _groups(words):
+            core = dim - outer.bit_count()
+            out_w[sel] = _compose_table(outer, core)[self.image_word[core][cells[sel]]]
+            out_c[sel] = self.image_cell[core][cells[sel]]
+        return out_w, out_c
 
     def validate(self) -> list[str]:
+        """Malformed targets, else faces that do not commute with the map."""
+        if self._malformed:
+            return list(self._malformed)
         bad = []
-        top = self.source.max_degree
-        words, cells = [], []
-        for n in range(top + 1):
-            if len(self.assignment[n]) != self.source.cells[n]:
-                bad.append(f"degree {n}: assignment size mismatch")
-                return bad
-            ws, cs, errs = self.target._encode(n, self.assignment[n])
-            bad.extend(f"degree {n} cell {c}: {msg}" for c, msg in errs)
-            words.append(np.array(ws, dtype=np.int64))
-            cells.append(np.array(cs, dtype=np.int64))
-        if bad:
-            return bad
         src = self.source
-        for n in range(1, top + 1):
+        for n in range(1, src.max_degree + 1):
             wrong = np.zeros((src.cells[n], n + 1), dtype=bool)
             for i in range(n + 1):
-                lw, lc = self.target.face_batch(n, words[n], cells[n], i)
-                sw, sc = src.face_word[n][:, i], src.face_cell[n][:, i]
-                rw = np.empty_like(sw)
-                for outer, sel in _groups(sw):
-                    core = n - 1 - outer.bit_count()
-                    rw[sel] = _compose_table(outer, core)[words[core][sc[sel]]]
-                rc = _through(n - 1, sw, sc, cells)
+                lw, lc = self.target.face_batch(n, self.image_word[n], self.image_cell[n], i)
+                rw, rc = self.push(n - 1, src.face_word[n][:, i], src.face_cell[n][:, i])
                 wrong[:, i] = (lw != rw) | (lc != rc)
             bad.extend(
                 f"degree {n} cell {c}: face {i} does not commute"
@@ -576,31 +612,26 @@ class SimplicialMap:
     def pullback(self, u: Cochain) -> Cochain:
         if u.model is not self.target:
             raise ModelMismatchError("pullback: cochain not on the map's target")
-        vals = np.zeros(self.source.n_cells(u.degree), dtype=np.uint8)
-        for c, (word, cell) in enumerate(self.assignment[u.degree]):
-            if not word:
-                vals[c] = u.values[cell]
+        words, cells = self.image_word[u.degree], self.image_cell[u.degree]
+        vals = np.zeros(cells.size, dtype=np.uint8)
+        plain = words == 0
+        vals[plain] = u.values[cells[plain]]
         return Cochain(self.source, u.degree, vals)
 
     def compose(self, inner: "SimplicialMap") -> "SimplicialMap":
         """self after inner (inner.source -> self.target)."""
         if inner.target is not self.source:
             raise ModelMismatchError("composition: inner target is not outer source")
-        top = inner.source.max_degree
-        assignment = [
-            [self.apply(n, inner.assignment[n][c]) for c in range(inner.source.cells[n])]
-            for n in range(top + 1)
-        ]
-        return SimplicialMap(
-            inner.source, self.target, assignment, f"{self.name}*{inner.name}"
+        words, cells = zip(
+            *map(self.push, range(len(inner.image_word)), inner.image_word, inner.image_cell)
         )
+        name = f"{self.name}*{inner.name}"
+        return SimplicialMap.from_arrays(inner.source, self.target, words, cells, name)
 
     @classmethod
     def identity(cls, model: SimplicialModel) -> "SimplicialMap":
-        assignment = [
-            [((), c) for c in range(model.cells[n])] for n in range(model.max_degree + 1)
-        ]
-        return cls(model, model, assignment, "id")
+        cells = [np.arange(c, dtype=np.int64) for c in model.cells]
+        return cls.from_arrays(model, model, [np.zeros_like(c) for c in cells], cells, "id")
 
 
 class Involution:
@@ -648,21 +679,7 @@ class Involution:
             raise ValidationError(f"involution {self.name}: {bad[0]}")
 
 
-def _target_with_dim(t: Target, dim: int, perms) -> Target:
-    word, cell = t
-    return (word, int(perms[dim - len(word)][cell]))
-
-
 # -- products ----------------------------------------------------------------
-
-
-@dataclass
-class ProductModel:
-    model: SimplicialModel
-    left: SimplicialMap
-    right: SimplicialMap
-    coords: list  # per degree, list of (target_a, target_b)
-    index: list  # per degree, dict (target_a, target_b) -> cell
 
 
 def _target_table(model: SimplicialModel, n: int):
@@ -681,70 +698,75 @@ def _target_table(model: SimplicialModel, n: int):
     return np.concatenate(words), np.concatenate(cells), first
 
 
-def product(a: SimplicialModel, b: SimplicialModel, up_to: int, name=None) -> ProductModel:
-    """Categorical product truncated at up_to.
+class ProductModel:
+    """Categorical product of models a and b truncated at up_to.
 
     Nondegenerate n-cells are pairs of decorated targets with disjoint
-    degeneracy words (the shuffle description of Eilenberg-Zilber).
+    degeneracy words (the shuffle description of Eilenberg-Zilber).  With
+    targets_a[n], targets_b[n] the tables of _target_table, the n-cell k is
+    the pair at positions (x, y) with keys[n][k] = x * len(targets_b) + y;
+    keys grow with the cell.  left and right are the projections.
     """
-    if up_to > a.max_degree + b.max_degree:
-        raise ValidationError("product truncation exceeds summed degrees")
-    name = name or f"{a.name}x{b.name}"
-    ta = [_target_table(a, n) for n in range(up_to + 1)]
-    tb = [_target_table(b, n) for n in range(up_to + 1)]
-    # the n-cells, in order, are the pairs (x, y) of target positions whose
-    # words are disjoint; the key x * len(targets_b) + y grows with the cell
-    pairs = [np.nonzero((t[0][:, None] & u[0][None, :]) == 0) for t, u in zip(ta, tb)]
-    keys = [x * u[0].size + y for (x, y), u in zip(pairs, tb)]
 
-    def cell_of(d, aw, ac, bw, bc):
-        key = (ta[d][2][aw] + ac) * tb[d][0].size + tb[d][2][bw] + bc
-        pos = np.minimum(np.searchsorted(keys[d], key), max(keys[d].size - 1, 0))
-        if keys[d].size == 0 or not np.array_equal(keys[d][pos], key):
-            raise ValidationError(f"{name}: a face of a product cell is not a product cell")
+    def __init__(self, a: SimplicialModel, b: SimplicialModel, up_to: int, name: str):
+        self.targets_a = [_target_table(a, n) for n in range(up_to + 1)]
+        self.targets_b = [_target_table(b, n) for n in range(up_to + 1)]
+        self.keys = [
+            np.flatnonzero((ta[0][:, None] & tb[0][None, :]) == 0)
+            for ta, tb in zip(self.targets_a, self.targets_b)
+        ]
+        self.name = name
+        face_word, face_cell = [_no_faces(self.keys[0].size)], [_no_faces(self.keys[0].size)]
+        for n in range(1, up_to + 1):
+            ta, tb = self.targets_a[n], self.targets_b[n]
+            x, y = np.divmod(self.keys[n], tb[0].size)
+            fw = np.empty((x.size, n + 1), dtype=np.int64)
+            fc = np.empty_like(fw)
+            for i in range(n + 1):
+                aw, ac = a.face_batch(n, ta[0], ta[1], i)
+                bw, bc = b.face_batch(n, tb[0], tb[1], i)
+                aw, ac, bw, bc = aw[x], ac[x], bw[y], bc[y]
+                # letters both faces carry become the face's own word
+                common = aw & bw
+                fw[:, i] = common
+                for mask, sel in _groups(common):
+                    saw, sac, sbw, sbc = aw[sel], ac[sel], bw[sel], bc[sel]
+                    d = n - 1
+                    for pos in _word(mask):
+                        saw, sac = a.face_batch(d, saw, sac, pos)
+                        sbw, sbc = b.face_batch(d, sbw, sbc, pos)
+                        d -= 1
+                    fc[sel, i] = self.cell_of(d, saw, sac, sbw, sbc)
+            face_word.append(fw)
+            face_cell.append(fc)
+        cells = [k.size for k in self.keys]
+        self.model = SimplicialModel.from_arrays(up_to, cells, face_word, face_cell, name=name)
+        aw, ac, bw, bc = zip(*map(self.coordinates, range(up_to + 1)))
+        self.left = SimplicialMap.from_arrays(self.model, a, aw, ac, "left")
+        self.right = SimplicialMap.from_arrays(self.model, b, bw, bc, "right")
+
+    def coordinates(self, n: int):
+        """The two targets of every n-cell, as arrays (a words, a cells, b words, b cells)."""
+        ta, tb = self.targets_a[n], self.targets_b[n]
+        x, y = np.divmod(self.keys[n], tb[0].size)
+        return ta[0][x], ta[1][x], tb[0][y], tb[1][y]
+
+    def cell_of(self, n: int, aw, ac, bw, bc):
+        """The n-cells with the given coordinates (word masks and cells of
+        dimension-n targets on a and on b); arrays or scalars alike."""
+        ta, tb, keys = self.targets_a[n], self.targets_b[n], self.keys[n]
+        key = (ta[2][aw] + ac) * tb[0].size + tb[2][bw] + bc
+        pos = np.searchsorted(keys, key)
+        if not np.all(pos < keys.size) or np.any(keys[pos] != key):
+            raise ValidationError(f"{self.name}: a face of a product cell is not a product cell")
         return pos
 
-    face_word, face_cell = [_no_faces(keys[0].size)], [_no_faces(keys[0].size)]
-    for n in range(1, up_to + 1):
-        x, y = pairs[n]
-        fw = np.empty((x.size, n + 1), dtype=np.int64)
-        fc = np.empty_like(fw)
-        for i in range(n + 1):
-            aw, ac = a.face_batch(n, ta[n][0], ta[n][1], i)
-            bw, bc = b.face_batch(n, tb[n][0], tb[n][1], i)
-            aw, ac, bw, bc = aw[x], ac[x], bw[y], bc[y]
-            # letters both faces carry become the face's own word
-            common = aw & bw
-            fw[:, i] = common
-            for mask, sel in _groups(common):
-                saw, sac, sbw, sbc = aw[sel], ac[sel], bw[sel], bc[sel]
-                d = n - 1
-                for pos in _word(mask):
-                    saw, sac = a.face_batch(d, saw, sac, pos)
-                    sbw, sbc = b.face_batch(d, sbw, sbc, pos)
-                    d -= 1
-                fc[sel, i] = cell_of(d, saw, sac, sbw, sbc)
-        face_word.append(fw)
-        face_cell.append(fc)
-    cells = [k.size for k in keys]
-    model = SimplicialModel.from_arrays(up_to, cells, face_word, face_cell, name=name)
 
-    coords = []
-    index = []
-    for n in range(up_to + 1):
-        la, lb = _decode(*ta[n][:2]), _decode(*tb[n][:2])
-        x, y = pairs[n]
-        level = [(la[p], lb[q]) for p, q in zip(x.tolist(), y.tolist())]
-        coords.append(level)
-        index.append({pair: k for k, pair in enumerate(level)})
-    top = up_to
-    left = SimplicialMap(
-        model, a, [[pair[0] for pair in coords[n]] for n in range(top + 1)], "left"
-    )
-    right = SimplicialMap(
-        model, b, [[pair[1] for pair in coords[n]] for n in range(top + 1)], "right"
-    )
-    return ProductModel(model, left, right, coords, index)
+def product(a: SimplicialModel, b: SimplicialModel, up_to: int, name=None) -> ProductModel:
+    """Categorical product truncated at up_to; see ProductModel."""
+    if up_to > a.max_degree + b.max_degree:
+        raise ValidationError("product truncation exceeds summed degrees")
+    return ProductModel(a, b, up_to, name or f"{a.name}x{b.name}")
 
 
 def product_involution(
@@ -755,24 +777,22 @@ def product_involution(
 ) -> Involution:
     """The involution acting factorwise on a product (None = identity factor)."""
     perms = []
-    for n, level in enumerate(prod.coords):
-        perm = np.empty(len(level), dtype=np.int64)
-        for k, (ta, tb) in enumerate(level):
-            ia = _target_with_dim(ta, n, inv_a.perms) if inv_a else ta
-            ib = _target_with_dim(tb, n, inv_b.perms) if inv_b else tb
-            perm[k] = prod.index[n][(ia, ib)]
-        perms.append(perm)
+    for n in range(prod.model.max_degree + 1):
+        aw, ac, bw, bc = prod.coordinates(n)
+        if inv_a:
+            ac = _through(n, aw, ac, inv_a.perms)
+        if inv_b:
+            bc = _through(n, bw, bc, inv_b.perms)
+        perms.append(prod.cell_of(n, aw, ac, bw, bc))
     return Involution(prod.model, perms, name)
 
 
 def swap_factors(prod: ProductModel, name="swap") -> Involution:
     """Swap of the two coordinates of a self-product X x X."""
     perms = []
-    for n, level in enumerate(prod.coords):
-        perm = np.empty(len(level), dtype=np.int64)
-        for k, (ta, tb) in enumerate(level):
-            perm[k] = prod.index[n][(tb, ta)]
-        perms.append(perm)
+    for n in range(prod.model.max_degree + 1):
+        aw, ac, bw, bc = prod.coordinates(n)
+        perms.append(prod.cell_of(n, bw, bc, aw, ac))
     return Involution(prod.model, perms, name)
 
 
@@ -808,6 +828,12 @@ def sheet_changes(cover: SimplicialModel, sheet, rep_cells) -> np.ndarray:
     return sheet[0][ends[:, 0]] ^ sheet[0][ends[:, 1]]
 
 
+def _projection(cover: SimplicialModel, base: SimplicialModel, base_index) -> SimplicialMap:
+    """The map sending each cover cell to base cell base_index[n][c]."""
+    words = [np.zeros_like(b) for b in base_index]
+    return SimplicialMap.from_arrays(cover, base, words, base_index, "projection")
+
+
 def quotient_free_involution(
     cover: SimplicialModel, inv: Involution, allow_trivial: bool = False, name=None
 ) -> CoverPair:
@@ -838,12 +864,7 @@ def quotient_free_involution(
         face_cell.append(_through(n - 1, fw, cover.face_cell[n][rep_cells[n]], base_index))
     base = SimplicialModel.from_arrays(cover.max_degree, cells, face_word, face_cell, name=name)
 
-    projection = SimplicialMap(
-        cover,
-        base,
-        [[((), b) for b in base_index[n].tolist()] for n in range(cover.max_degree + 1)],
-        "projection",
-    )
+    projection = _projection(cover, base, base_index)
     w1 = Cochain(base, 1, sheet_changes(cover, sheet, rep_cells))
 
     if not allow_trivial:
@@ -888,15 +909,10 @@ def cover_from_cocycle(
 
     top = base.max_degree + 1
     inv = Involution(cover, [np.arange(cells[n]) ^ 1 for n in range(top)], "deck")
-    projection = SimplicialMap(
-        cover,
-        base,
-        [[((), c // 2) for c in range(cells[n])] for n in range(top)],
-        "projection",
-    )
     sheet = [(np.arange(cells[n]) % 2).astype(np.uint8) for n in range(top)]
     rep_cells = [2 * np.arange(base.cells[n], dtype=np.int64) for n in range(top)]
     base_index = [np.arange(cells[n], dtype=np.int64) // 2 for n in range(top)]
+    projection = _projection(cover, base, base_index)
     return CoverPair(cover, base, projection, inv, w, sheet, rep_cells, base_index)
 
 

@@ -361,43 +361,27 @@ def _transform_route(boundary_out: list, boundary_in: list, n_chains: int):
     if boundary_out:
         s_out = smith_normal_form(boundary_out)
         r = len(s_out.diag)
-        kernel_cols = [[s_out.V[i][j] for j in range(r, n_p)] for i in range(n_p)]
-        k = n_p - r
+        kernel_cols = [row[r:] for row in s_out.V]
     else:
+        r = 0
         kernel_cols = identity(n_p)
-        k = n_p
+    k = n_p - r
 
     if k == 0:
         return AbelianGroupInvariants(0), [], []
 
-    # Express im(boundary_in) in kernel coordinates: solve K X = boundary_in.
-    # The SNF kernel basis is saturated, so every cycle has exact integer
-    # coordinates; any division failure here means boundary_in is not a cycle.
-    if boundary_in and boundary_in[0]:
-        s_k = smith_normal_form(kernel_cols)
-        if len(s_k.diag) != k:
-            raise InternalInvariantError("kernel basis lost rank")
-        # K = U_inv D V_inv  =>  X = V (D^+ (U B))  when divisibility holds
-        ub = mat_mul(s_k.U, boundary_in)
-        n_in = len(boundary_in[0])
-        x_top = zeros(k, n_in)
-        for i in range(k):
-            d = s_k.diag[i]
-            for j in range(n_in):
-                q, rem = divmod(ub[i][j], d)
-                if rem:
-                    raise InternalInvariantError(
-                        "image chain does not lie in the cycle lattice"
-                    )
-                x_top[i][j] = q
-        for i in range(k, len(ub)):
-            if any(ub[i]):
-                raise InternalInvariantError(
-                    "image chain does not lie in the cycle lattice"
-                )
-        presentation = mat_mul(s_k.V, x_top)
-    else:
+    # Kernel coordinates of im(boundary_in): a cycle x = V y has y = V_inv x,
+    # with y[:r] = 0, so they are rows r: of V_inv boundary_in.  Nonzero rows
+    # :r would mean boundary_in is not a cycle.
+    if not (boundary_in and boundary_in[0]):
         presentation = zeros(k, 0)
+    elif not boundary_out:
+        presentation = boundary_in
+    else:
+        coords = mat_mul(s_out.V_inv, boundary_in)
+        if any(any(row) for row in coords[:r]):
+            raise InternalInvariantError("image chain does not lie in the cycle lattice")
+        presentation = coords[r:]
 
     # quotient Z^k / im(presentation)
     if presentation and presentation[0]:

@@ -1,5 +1,6 @@
 """Model builders against independent counting and structure oracles."""
 
+from itertools import product as iproduct
 from math import comb
 
 import numpy as np
@@ -19,7 +20,7 @@ from stexo.builders import (
 )
 from stexo.errors import ValidationError
 from stexo.gf2 import rank, solve_affine
-from stexo.simplicial import Cochain, coboundary, cup, sq
+from stexo.simplicial import Cochain, SimplicialModel, coboundary, cup, sq
 
 
 def test_point_and_circle():
@@ -61,6 +62,39 @@ def test_bar_counts_and_identities(table, order, up_to):
     m = bar_b(table, up_to)
     assert m.cells == tuple((order - 1) ** n for n in range(up_to + 1))
     assert m.validate() == []
+
+
+def _bar_reference(table, up_to):
+    """bar_b through the list constructor: per cell, the (word, cell) tuples
+    of its faces, identity entries read as degeneracies of the shorter tuple."""
+    g = len(table)
+    tuples = [list(iproduct(range(1, g), repeat=n)) for n in range(up_to + 1)]
+    index = [{t: k for k, t in enumerate(level)} for level in tuples]
+
+    def target(t):
+        word = tuple(p for p in range(len(t) - 1, -1, -1) if t[p] == 0)
+        core = tuple(x for x in t if x != 0)
+        return (word, index[len(core)][core])
+
+    def row(t):
+        merged = [t[: i - 1] + (table[t[i - 1]][t[i]],) + t[i + 1 :] for i in range(1, len(t))]
+        return [target(f) for f in [t[1:], *merged, t[:-1]]]
+
+    faces = [[]] + [[row(t) for t in tuples[n]] for n in range(1, up_to + 1)]
+    return SimplicialModel(up_to, [len(level) for level in tuples], faces, name="reference")
+
+
+@pytest.mark.parametrize(
+    "table,up_to",
+    [(z2_table(), 6), (z4_table(), 4), (klein_table(), 4), (dihedral8_table(), 3)],
+)
+def test_bar_arrays_match_tuple_reference(table, up_to):
+    m, ref = bar_b(table, up_to), _bar_reference(table, up_to)
+    assert ref.validate() == []
+    assert m.cells == ref.cells
+    for n in range(up_to + 1):
+        assert np.array_equal(m.face_word[n], ref.face_word[n]), n
+        assert np.array_equal(m.face_cell[n], ref.face_cell[n]), n
 
 
 def test_two_sheet_model_is_acyclic():

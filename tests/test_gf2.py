@@ -10,12 +10,9 @@ from stexo.gf2 import (
     Subspace,
     kernel_basis,
     pack_rows,
-    quotient_dim,
     rank,
     rank_and_echelon,
     solve_affine,
-    subspace_intersection,
-    subspace_sum,
     unpack_rows,
 )
 
@@ -141,27 +138,6 @@ def test_subspace_membership():
     assert s.dim == 2
     assert s.contains(np.array([1, 1, 1, 1], dtype=np.uint8))
     assert not s.contains(np.array([1, 0, 0, 0], dtype=np.uint8))
-
-
-def test_subspace_sum_and_intersection_dim_formula():
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        n = 12
-        a = Subspace.from_vectors(n, rng.integers(0, 2, size=(4, n), dtype=np.uint8))
-        b = Subspace.from_vectors(n, rng.integers(0, 2, size=(5, n), dtype=np.uint8))
-        s = subspace_sum(a, b)
-        i = subspace_intersection(a, b)
-        assert s.dim + i.dim == a.dim + b.dim
-        for row in i.basis_dense():
-            assert a.contains(row) and b.contains(row)
-
-
-def test_quotient_dim():
-    n = 6
-    sub = Subspace.from_vectors(n, [np.eye(n, dtype=np.uint8)[0]])
-    assert quotient_dim(sub) == n - 1
-    sup = Subspace.from_vectors(n, np.eye(n, dtype=np.uint8)[:3])
-    assert quotient_dim(sub, sup) == 2
 
 
 def test_coset_reducer_tracks_coordinates():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stexo.builders import bar_b, klein_table, z2_table, z4_table
+from stexo.builders import bar_b, bar_hom_map, klein_table, z2_table, z4_table
 from stexo.catalog import (
     d4_reflection,
     rp_kreck,
@@ -25,6 +25,7 @@ from stexo.obstruction import (
     LiftDatum,
     NormalOneType,
     SectionDatum,
+    cover_data_from_parts,
     decide,
     h5_check,
     kreck_condition,
@@ -446,6 +447,41 @@ def _relabeled_type(nt, rng):
     )
 
 
+def test_cover_parts_reject_degenerate_projection():
+    fx = rp_w2_zero()
+    pair = fx.cover.pair
+    # the constant map is simplicial, so only the fiber check can catch it
+    assignment = [
+        [(tuple(range(n - 1, -1, -1)), 0)] * pair.cover.cells[n]
+        for n in range(pair.cover.max_degree + 1)
+    ]
+    const = SimplicialMap(pair.cover, fx.nt.base, assignment, "constant")
+    assert const.validate() == []
+    with pytest.raises(ValidationError, match="^projection sends a cell to a degenerate target$"):
+        cover_data_from_parts(fx.nt, pair.cover, pair.involution, const)
+
+
+def test_cover_parts_reject_split_fiber():
+    z4 = z4_table()
+    base = bar_b(z4, 4, name="bar-z4")
+    w1 = Cochain(base, 1, np.array([1, 0, 1], dtype=np.uint8))
+    nt = NormalOneType(base, w1, Cochain.zero(base, 2))
+    trivial = cover_from_cocycle(base, Cochain.zero(base, 1), allow_trivial=True)
+    # sheet 0 maps identically, sheet 1 through the inversion of Z/4: every
+    # fiber has two cells, but (x, sheet 0) and (-x, sheet 1) are no orbit
+    inverse = bar_hom_map(base, z4, base, z4, [0, 3, 2, 1]).assignment
+    assignment = [
+        [((), c // 2) if c % 2 == 0 else level[c // 2] for c in range(2 * len(level))]
+        for level in inverse
+    ]
+    proj = SimplicialMap(trivial.cover, base, assignment, "split")
+    assert proj.validate() == []
+    with pytest.raises(
+        ValidationError, match="^degree 1: fiber over cell 0 is not a single free orbit$"
+    ):
+        cover_data_from_parts(nt, trivial.cover, trivial.involution, proj)
+
+
 def test_verdicts_survive_relabeling():
     rng = np.random.default_rng(7)
     for fx in (rp_w2_zero(), rp_kreck(), z2_remark()):
@@ -468,11 +504,12 @@ def test_z4_verdict_survives_cover_relabeling():
         ],
         "relabeled deck",
     )
+    assignment = pair.projection.assignment
     proj2 = SimplicialMap(
         cov2,
         pair.base,
         [
-            [pair.projection.assignment[n][old] for old in np.argsort(perms[n])]
+            [assignment[n][old] for old in np.argsort(perms[n])]
             for n in range(cov2.max_degree + 1)
         ],
         "relabeled projection",

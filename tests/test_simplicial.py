@@ -1,5 +1,7 @@
 """Core checks for the decorated-face calculus, cup products, and covers."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -264,6 +266,119 @@ def test_swap_involution_has_diagonal_fixed_cells(torus):
     t4 = product(t2.model, t2.model, 4)
     sw = swap_factors(t4)
     assert any("fixed" in msg for msg in sw.validate())
+
+
+# -- maps ----------------------------------------------------------------------
+
+
+def _catalog_maps():
+    from stexo.catalog import REGISTRY, get_fixture
+
+    maps = []
+    for fx in map(get_fixture, REGISTRY):
+        if fx.cover is not None:
+            maps.append(fx.cover.projection)
+        if fx.section is not None:
+            maps.append(fx.section.s)
+    # the products the catalog builds
+    c2, c3 = circle(2), circle(3)
+    t2 = product(c3, c3, 3)
+    t4 = product(t2.model, t2.model, 5)
+    sheets = product(t4.model, bar_e_z2(5)[0], 5)
+    for prod in (product(c2, c2, 4), product(c3, c3, 5), t2, t4, sheets):
+        maps.extend((prod.left, prod.right))
+    return maps
+
+
+def test_list_constructor_matches_arrays_on_catalog_maps():
+    for m in _catalog_maps():
+        again = SimplicialMap(m.source, m.target, m.assignment, m.name)
+        assert again.validate() == [], m.name
+        for n in range(m.source.max_degree + 1):
+            assert np.array_equal(again.image_word[n], m.image_word[n]), (m.name, n)
+            assert np.array_equal(again.image_cell[n], m.image_cell[n]), (m.name, n)
+
+
+def _broken_map(table, up_to, edit):
+    base = bar_b(table, up_to)
+    assignment = SimplicialMap.identity(base).assignment
+    edit(assignment)
+    return SimplicialMap(base, base, assignment, "broken")
+
+
+def _short_degree_after_bad_word(a):
+    a[1][0] = ((0, 1), 0)
+    a[2] = a[2][:-1]
+    a[3][0] = ((), 99)  # not reported: checking stops at the size mismatch
+
+
+def _bad_word(a):
+    a[2][1] = ((0, 1), 0)
+
+
+def _bad_letter(a):
+    a[1][2] = ((1,), 0)
+
+
+def _bad_cell(a):
+    a[2][4] = ((), 99)
+
+
+@pytest.mark.parametrize(
+    "edit,want",
+    [
+        (
+            _short_degree_after_bad_word,
+            [
+                "degree 1 cell 0: degeneracy word (0, 1) is not strictly decreasing",
+                "degree 2: assignment size mismatch",
+            ],
+        ),
+        (_bad_word, ["degree 2 cell 1: degeneracy word (0, 1) is not strictly decreasing"]),
+        (_bad_letter, ["degree 1 cell 2: degeneracy word (1,) out of range for dimension 1"]),
+        (_bad_cell, ["degree 2 cell 4: target ((), 99) has no core cell in degree 2"]),
+        (
+            lambda a: (_bad_cell(a), _bad_letter(a), _bad_word(a)),
+            [
+                "degree 1 cell 2: degeneracy word (1,) out of range for dimension 1",
+                "degree 2 cell 1: degeneracy word (0, 1) is not strictly decreasing",
+                "degree 2 cell 4: target ((), 99) has no core cell in degree 2",
+            ],
+        ),
+    ],
+)
+def test_map_validate_reports_malformed_targets(edit, want):
+    m = _broken_map(z4_table(), 3, edit)
+    assert m.validate() == want
+    with pytest.raises(ValidationError, match="map broken: " + re.escape(want[0])):
+        m.require_valid()
+
+
+def test_map_validate_reports_non_commuting_faces():
+    # the 2-cell [1|1] of the Z/2 bar model sent to s_0 of the edge [1]
+    def edit(a):
+        a[2][0] = ((0,), 0)
+
+    assert _broken_map(z2_table(), 3, edit).validate() == [
+        "degree 2 cell 0: face 1 does not commute",
+        "degree 2 cell 0: face 2 does not commute",
+        "degree 3 cell 0: face 0 does not commute",
+        "degree 3 cell 0: face 3 does not commute",
+    ]
+
+
+def test_compose_and_pullback_follow_the_assignment(torus):
+    c, t2 = torus
+    t4 = product(t2.model, t2.model, 4)
+    comp = t2.left.compose(t4.right)
+    outer, inner = t2.left.assignment, t4.right.assignment
+    for n in range(5):
+        want = [compose_words(w, *outer[n - len(w)][cell]) for w, cell in inner[n]]
+        assert comp.assignment[n] == want
+    e = Cochain(c, 1, np.ones(1, dtype=np.uint8))
+    pulled = comp.pullback(e)
+    want = [int(not w and e.values[cell]) for w, cell in comp.assignment[1]]
+    assert pulled.values.tolist() == want
 
 
 # -- covers and quotients ------------------------------------------------------

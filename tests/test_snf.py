@@ -193,3 +193,6 @@ def test_homology_rejects_noncycle_image():
     # d_in column outside ker(d_out)
     with pytest.raises(InternalInvariantError):
         homology_from_boundaries([[1, 0]], [[1], [0]], 2)
+    # the generator route finds it on its own: nonzero rows above the kernel
+    with pytest.raises(InternalInvariantError, match="cycle lattice"):
+        snf._transform_route([[1, 0]], [[1], [0]], 2)
