@@ -12,7 +12,12 @@ For each fixture (all of them by default) the lines are:
   <part>.reexport    canonical_bytes of its re-export after parsing;
   cli.decide         `stexo decide --json` on the exported files, with
   cli.report         `stexo report --json`; both with --cover, --section and
-                     --lift where the fixture has them, exit code included.
+                     --lift where the fixture has them, exit code and
+                     error text included;
+  <part>.cohomology.<k>
+                     `stexo cohomology --json --steenrod --deg k` on each
+                     exported model, for k = 1..min(3, max_degree - 2): the
+                     basis representatives and their Sq^1/Sq^2 coordinates.
 
 Running it on two checkouts and comparing the files with diff shows whether a
 change kept every output byte for byte.
@@ -42,7 +47,7 @@ def _sha(data) -> str:
 
 def _run_cli(argv: list) -> str:
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
         code = cli.main(argv)
     return f"exit {code}\n{out.getvalue()}"
 
@@ -65,12 +70,12 @@ def digest(name: str) -> list:
     for part, blob in blobs.items():
         rows.append((f"{part}.bytes", _sha(blob)))
         rows.append((f"{part}.reexport", _sha(canonical_bytes(reexport(parse_bytes(blob))))))
-    if fx.nt is not None:
-        with tempfile.TemporaryDirectory() as tmp:
-            paths = {}
-            for part, blob in blobs.items():
-                paths[part] = Path(tmp, f"{part}.json")
-                paths[part].write_bytes(blob)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for part, blob in blobs.items():
+            paths[part] = Path(tmp, f"{part}.json")
+            paths[part].write_bytes(blob)
+        if fx.nt is not None:
             opts = ["--json", str(paths["base"])]
             if "cover" in paths:
                 opts += ["--cover", str(paths["cover"])]
@@ -79,6 +84,11 @@ def digest(name: str) -> list:
             lift = ["--lift", f"lift-{fx.lift_data[0].index}"] if fx.lift_data else []
             rows.append(("cli.decide", _sha(_run_cli(["decide", *opts, *lift]))))
             rows.append(("cli.report", _sha(_run_cli(["report", *opts]))))
+        for part, path in paths.items():
+            top = min(3, docs[part]["max_degree"] - 2)
+            for k in range(1, top + 1):
+                argv = ["cohomology", "--json", "--steenrod", "--deg", str(k), str(path)]
+                rows.append((f"{part}.cohomology.{k}", _sha(_run_cli(argv))))
     return rows
 
 

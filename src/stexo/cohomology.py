@@ -4,6 +4,11 @@ Truncation honesty: a degree-k cohomology basis is only certified when the
 model stores (k+1)-cells, since closedness of k-cochains is otherwise
 unverifiable.  Callers that accept uncertified answers must opt in, and the
 result carries a truncated flag.
+
+The representatives of a basis are the closed cochains (kernel rows of delta_k
+in order) independent of the coboundaries and of the closed cochains before
+them.  Coordinates of a batch of cochains come from one reduction against a
+gf2.Subspace spanned by the coboundaries, then the representatives.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelMismatchError, TruncationError, ValidationError
-from .gf2 import CosetReducer, F2Matrix, kernel_basis, rank
+from .gf2 import F2Matrix, Subspace, kernel_basis, rank, rank_and_echelon, xor_combine
 from .simplicial import Cochain, CoverPair, SimplicialMap, SimplicialModel, coboundary
 from .snf import AbelianGroupInvariants, HomologyResult, homology_from_boundaries
 
@@ -25,35 +30,40 @@ class CohomologyBasis:
     model: SimplicialModel
     degree: int
     reps: list
-    reducer: CosetReducer
+    span: Subspace
     truncated: bool
 
     @property
     def dim(self) -> int:
         return len(self.reps)
 
+    def _coords(self, cochains) -> np.ndarray:
+        """Coordinates of a batch of cochains, one row each: the last dim
+        coefficients over the span of the coboundaries, then the reps."""
+        for u in cochains:
+            if u.model is not self.model or u.degree != self.degree:
+                raise ModelMismatchError("coords: cochain does not match the basis")
+            if not self.truncated and not coboundary(u).is_zero():
+                raise ValidationError("coords: cochain is not closed")
+        values = np.array([u.values for u in cochains], dtype=np.uint8)
+        combo = self.span.combination(values.reshape(len(cochains), self.span.ambient_dim))
+        return combo[:, combo.shape[1] - self.dim :]
+
     def coords(self, u: Cochain) -> np.ndarray:
-        if u.model is not self.model or u.degree != self.degree:
-            raise ModelMismatchError("coords: cochain does not match the basis")
-        if not self.truncated and not coboundary(u).is_zero():
-            raise ValidationError("coords: cochain is not closed")
-        return self.reducer.coords(u.values)
+        return self._coords([u])[0]
 
     def coords_matrix(self, cochains) -> F2Matrix:
         """Matrix whose column j holds the coordinates of cochains[j]."""
-        cols = [self.coords(u) for u in cochains]
-        dense = np.array(cols, dtype=np.uint8).reshape(len(cols), self.dim)
-        return F2Matrix.from_dense(dense.T)
+        return F2Matrix.from_dense(self._coords(cochains).T)
 
     def is_coboundary(self, u: Cochain) -> bool:
         return not self.coords(u).any()
 
     def class_from_coords(self, coords) -> Cochain:
-        acc = Cochain.zero(self.model, self.degree)
-        for i, bit in enumerate(np.asarray(coords, dtype=np.uint8) & 1):
-            if bit:
-                acc = acc + self.reps[i]
-        return acc
+        reps = np.array([r.values for r in self.reps], dtype=np.uint8)
+        reps = reps.reshape(self.dim, self.span.ambient_dim)
+        values = xor_combine(np.asarray(coords, dtype=np.uint8)[None] & 1, reps)[0]
+        return Cochain(self.model, self.degree, values)
 
     def same_class(self, u: Cochain, v: Cochain) -> bool:
         return bool(np.array_equal(self.coords(u), self.coords(v)))
@@ -81,17 +91,18 @@ def cohomology_basis(
         closed = kernel_basis(model.coboundary_matrix(degree)).to_dense()
     else:
         closed = np.eye(n, dtype=np.uint8)
-    reducer = CosetReducer(n)
-    if degree > 0:
-        delta = model.coboundary_matrix(degree - 1).transpose().to_dense()
-        for row in delta:
-            if row.any():
-                reducer.add_base(row)
-    reps = []
-    for row in closed:
-        if reducer.add_extension(row):
-            reps.append(Cochain(model, degree, row))
-    basis = CohomologyBasis(model, degree, reps, reducer, not certified)
+    cob = model.coboundary_matrix(degree - 1) if degree > 0 else F2Matrix(n, 0)
+    # a closed row is kept when its column is a pivot of [delta_{k-1} | closed^T];
+    # closed^T starts at a word boundary, and the zero columns before it never pivot
+    start = cob.words.shape[1] * 64
+    words = np.hstack([cob.words, F2Matrix.from_dense(closed.T).words])
+    stacked = F2Matrix(n, start + len(closed), words)
+    pivots = np.array(rank_and_echelon(stacked, want_transform=False).pivots, dtype=int)
+    reps = closed[pivots[pivots >= start] - start]
+    span = Subspace.from_vectors(n, np.vstack([cob.to_dense().T, reps]))
+    basis = CohomologyBasis(
+        model, degree, [Cochain(model, degree, row) for row in reps], span, not certified
+    )
     model._cache[key] = basis
     return basis
 

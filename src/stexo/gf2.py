@@ -6,6 +6,10 @@ thousands of rows reduce in seconds this way, and every result is exact.
 
 Vectors are plain numpy uint8 arrays of 0/1 entries.  Bit j of word w of a row
 holds column 64*w + j.
+
+Subspace is the one reduced basis: membership, coefficients over spanning
+vectors, cohomology coordinates and coboundary tests all reduce a batch of
+vectors against it with one vectorized XOR (xor_combine).
 """
 
 from __future__ import annotations
@@ -25,15 +29,11 @@ def _nwords(cols: int) -> int:
 
 def pack_rows(bits: np.ndarray) -> np.ndarray:
     """Pack a (rows, cols) 0/1 array into a (rows, nwords) uint64 array."""
-    bits = np.ascontiguousarray(bits, dtype=np.uint8) & 1
+    bits = np.asarray(bits, dtype=np.uint8) & 1
     rows, cols = bits.shape
-    nw = _nwords(cols)
-    if nw == 0:
-        return np.zeros((rows, 0), dtype=np.uint64)
-    padded = np.zeros((rows, nw * _WORD), dtype=np.uint8)
-    padded[:, :cols] = bits
-    packed = np.packbits(padded, axis=1, bitorder="little")
-    return np.ascontiguousarray(packed).view(np.uint64)
+    out = np.zeros((rows, _nwords(cols) * 8), dtype=np.uint8)
+    out[:, : (cols + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
+    return out.view(np.uint64)
 
 
 def unpack_rows(words: np.ndarray, cols: int) -> np.ndarray:
@@ -71,10 +71,8 @@ class F2Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "F2Matrix":
-        m = cls(n, n)
-        for i in range(n):
-            m.words[i, i >> 6] |= np.uint64(1) << np.uint64(i & 63)
-        return m
+        i = np.arange(n)
+        return cls.from_entries(n, n, i, i)
 
     @classmethod
     def from_dense(cls, bits: np.ndarray) -> "F2Matrix":
@@ -215,68 +213,87 @@ def rank(m: F2Matrix) -> int:
 
 
 def kernel_basis(m: F2Matrix) -> F2Matrix:
-    """Basis of the right kernel, one vector per row, deterministic order."""
+    """Basis of the right kernel, one vector per free column in increasing
+    order: e_f plus the pivot columns whose echelon rows have a 1 in column f."""
     res = rank_and_echelon(m, want_transform=False)
-    piv = set(res.pivots)
-    free = [c for c in range(m.cols) if c not in piv]
-    ech = res.echelon
-    out = np.zeros((len(free), m.cols), dtype=np.uint8)
-    for k, f in enumerate(free):
-        out[k, f] = 1
-        colbits = ech.column(f)
-        for i, p in enumerate(res.pivots):
-            if colbits[i]:
-                out[k, p] = 1
-    return F2Matrix.from_dense(out) if free else F2Matrix(0, m.cols)
+    free = np.setdiff1d(np.arange(m.cols), res.pivots)
+    out = np.zeros((free.size, m.cols), dtype=np.uint8)
+    out[np.arange(free.size), free] = 1
+    # the free-column bits of the echelon rows, read byte by byte
+    ech = res.echelon.words[: res.rank].view(np.uint8)[:, free >> 3]
+    out[:, list(res.pivots)] = ((ech >> (free & 7).astype(np.uint8)) & 1).T
+    return F2Matrix.from_dense(out)
 
 
+def xor_combine(coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """coeffs * rows over GF(2): row b XORs the rows that the 0/1 row coeffs[b]
+    picks.  rows may be 0/1 vectors or packed words."""
+    b, j = np.nonzero(coeffs)
+    out = np.zeros((len(coeffs), rows.shape[1]), dtype=rows.dtype)
+    if b.size:
+        starts = np.flatnonzero(np.diff(b, prepend=-1))
+        out[b[starts]] = np.bitwise_xor.reduceat(rows[j], starts, axis=0)
+    return out
+
+
+def _batch(vectors, n: int) -> np.ndarray:
+    rows = np.asarray(vectors, dtype=np.uint8)
+    if rows.ndim != 2 or rows.shape[1] != n:
+        raise ModelMismatchError("vector length does not match ambient dim")
+    return rows
+
+
+@dataclass
 class Subspace:
-    """A subspace of GF(2)^n held as a reduced row echelon basis."""
+    """A subspace of GF(2)^n held as a reduced row echelon basis.
 
-    __slots__ = ("ambient_dim", "matrix", "pivots")
+    Row i of transform says which spanning vectors sum to basis row i.  The
+    basis coefficients of a vector are its bits at the pivots, and it is a
+    member exactly when that combination of basis rows rebuilds it.
+    """
 
-    def __init__(self, ambient_dim: int, matrix: F2Matrix, pivots: tuple[int, ...]):
-        self.ambient_dim = ambient_dim
-        self.matrix = matrix
-        self.pivots = pivots
+    ambient_dim: int
+    matrix: F2Matrix
+    pivots: tuple[int, ...]
+    transform: F2Matrix
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors) -> "Subspace":
-        """Span of the given 0/1 vectors (any iterable of length-n arrays)."""
-        rows = [np.asarray(v, dtype=np.uint8) for v in vectors]
-        for v in rows:
-            if v.shape != (ambient_dim,):
-                raise ModelMismatchError("vector length does not match ambient dim")
-        if not rows:
-            return cls(ambient_dim, F2Matrix(0, ambient_dim), ())
-        m = F2Matrix.from_dense(np.array(rows, dtype=np.uint8))
-        res = rank_and_echelon(m, want_transform=False)
-        keep = res.echelon.words[: res.rank]
-        return cls(ambient_dim, F2Matrix(res.rank, ambient_dim, keep.copy()), res.pivots)
+        """Span of the rows of a 2-D 0/1 array (or of a nonempty list of vectors)."""
+        res = rank_and_echelon(F2Matrix.from_dense(_batch(vectors, ambient_dim)))
+        r = res.rank
+        basis = F2Matrix(r, ambient_dim, res.echelon.words[:r].copy())
+        transform = F2Matrix(r, res.echelon.rows, res.transform.words[:r].copy())
+        return cls(ambient_dim, basis, res.pivots, transform)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, F2Matrix(0, ambient_dim), ())
+        return cls.from_vectors(ambient_dim, np.zeros((0, ambient_dim), dtype=np.uint8))
 
     @property
     def dim(self) -> int:
         return self.matrix.rows
 
-    def basis_dense(self) -> np.ndarray:
-        return self.matrix.to_dense()
+    def _reduce(self, vectors) -> tuple[np.ndarray, np.ndarray]:
+        """(basis coefficients, membership) of each row of a batch."""
+        rows = _batch(np.atleast_2d(vectors), self.ambient_dim) & 1
+        coeffs = rows[:, list(self.pivots)]
+        residual = pack_rows(rows) ^ xor_combine(coeffs, self.matrix.words)
+        return coeffs, ~residual.any(axis=1)
 
-    def contains(self, v: np.ndarray) -> bool:
-        """Membership test; for coset questions translate v first."""
-        v = np.asarray(v, dtype=np.uint8) & 1
-        if v.shape != (self.ambient_dim,):
-            raise ModelMismatchError("vector length does not match ambient dim")
-        if self.ambient_dim == 0:
-            return True
-        rem = pack_rows(v[None, :])[0].copy()
-        for i, p in enumerate(self.pivots):
-            if (rem[p >> 6] >> np.uint64(p & 63)) & np.uint64(1):
-                rem ^= self.matrix.words[i]
-        return not rem.any()
+    def contains(self, vectors):
+        """Membership of one vector, or of each row of a batch."""
+        inside = self._reduce(vectors)[1]
+        return bool(inside[0]) if np.ndim(vectors) == 1 else inside
+
+    def combination(self, vectors) -> np.ndarray:
+        """Coefficients over the spanning vectors that rebuild one vector, or
+        each row of a batch; raises when a vector lies outside the span."""
+        coeffs, inside = self._reduce(vectors)
+        if not inside.all():
+            raise ModelMismatchError("vector is not in the span")
+        out = unpack_rows(xor_combine(coeffs, self.transform.words), self.transform.cols)
+        return out[0] if np.ndim(vectors) == 1 else out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
@@ -293,120 +310,24 @@ class AffineSolution:
     kernel: Subspace
 
 
-def _augmented_echelon(m: F2Matrix, rhs: np.ndarray) -> EchelonResult:
-    """Echelon form of [m | rhs]; m x = rhs is inconsistent exactly when the
-    last column is a pivot."""
-    rhs = np.asarray(rhs, dtype=np.uint8) & 1
-    if rhs.shape != (m.rows,):
-        raise ModelMismatchError(f"rhs length {rhs.shape} against {m.rows} rows")
-    aug = np.zeros((m.rows, _nwords(m.cols + 1)), dtype=np.uint64)
-    aug[:, : m.words.shape[1]] = m.words
-    c = m.cols
-    aug[rhs.astype(bool), c >> 6] |= np.uint64(1) << np.uint64(c & 63)
-    return rank_and_echelon(F2Matrix(m.rows, m.cols + 1, aug), want_transform=False)
-
-
-def is_solvable(m: F2Matrix, rhs: np.ndarray) -> bool:
-    """Whether m x = rhs has a solution: one echelon pass, no kernel basis."""
-    return m.cols not in _augmented_echelon(m, rhs).pivots
-
-
 def solve_affine(m: F2Matrix, rhs: np.ndarray) -> AffineSolution | None:
     """Solve m x = rhs over GF(2); None when inconsistent.
 
-    Returns one particular solution plus the kernel of m, so the full solution
-    set is particular + kernel.
+    In the echelon form of [m | rhs] the system is inconsistent exactly when
+    the last column is a pivot; otherwise each pivot variable of the returned
+    particular solution is its row's last entry.  The full solution set is
+    particular + kernel.
     """
-    res = _augmented_echelon(m, rhs)
-    if m.cols in res.pivots:
+    rhs = np.asarray(rhs, dtype=np.uint8) & 1
+    if rhs.shape != (m.rows,):
+        raise ModelMismatchError(f"rhs length {rhs.shape} against {m.rows} rows")
+    c = m.cols
+    aug = np.zeros((m.rows, _nwords(c + 1)), dtype=np.uint64)
+    aug[:, : m.words.shape[1]] = m.words
+    aug[rhs.astype(bool), c >> 6] |= np.uint64(1) << np.uint64(c & 63)
+    res = rank_and_echelon(F2Matrix(m.rows, c + 1, aug), want_transform=False)
+    if c in res.pivots:
         return None
-    particular = np.zeros(m.cols, dtype=np.uint8)
-    last_col = res.echelon.column(m.cols)
-    for i, p in enumerate(res.pivots):
-        if last_col[i]:
-            particular[p] = 1
-    ker = kernel_basis(m)
-    if ker.rows:
-        kernel = Subspace.from_vectors(m.cols, ker.to_dense())
-    else:
-        kernel = Subspace.zero(m.cols)
-    return AffineSolution(particular, kernel)
-
-
-class CosetReducer:
-    """Reduce vectors against a fixed subspace while tracking extension coords.
-
-    Built from a base subspace B and an ordered list of extension vectors
-    e_1, ..., e_k whose classes are independent mod B.  coords(v) returns the
-    unique c with v = sum c_i e_i (mod B), or raises if v is not in the span.
-    """
-
-    def __init__(self, ambient_dim: int):
-        self.ambient_dim = ambient_dim
-        self.nw = _nwords(ambient_dim)
-        self._rows: list[np.ndarray] = []
-        self._pivots: list[int] = []
-        self._coeffs: list[np.ndarray] = []
-        self.n_ext = 0
-
-    def _reduce(self, packed, coeff):
-        for row, p, cf in zip(self._rows, self._pivots, self._coeffs):
-            if (packed[p >> 6] >> np.uint64(p & 63)) & np.uint64(1):
-                packed ^= row
-                if cf.size:
-                    coeff = coeff ^ cf if coeff.size else cf.copy()
-        return packed, coeff
-
-    def _first_bit(self, packed):
-        for w in range(self.nw):
-            x = int(packed[w])
-            if x:
-                return w * _WORD + (x & -x).bit_length() - 1
-        return None
-
-    def add_base(self, v: np.ndarray) -> bool:
-        """Insert a base vector; returns True if it enlarged the span."""
-        packed = pack_rows(np.asarray(v, dtype=np.uint8)[None, :])[0].copy()
-        coeff = np.zeros(self.n_ext, dtype=np.uint8)
-        packed, coeff = self._reduce(packed, coeff)
-        p = self._first_bit(packed)
-        if p is None:
-            return False
-        self._rows.append(packed)
-        self._pivots.append(p)
-        self._coeffs.append(coeff)
-        return True
-
-    def add_extension(self, v: np.ndarray) -> bool:
-        """Insert an extension vector; returns True if independent mod the span."""
-        packed = pack_rows(np.asarray(v, dtype=np.uint8)[None, :])[0].copy()
-        coeff = np.zeros(self.n_ext, dtype=np.uint8)
-        packed, coeff = self._reduce(packed, coeff)
-        p = self._first_bit(packed)
-        if p is None:
-            return False
-        idx = self.n_ext
-        self.n_ext += 1
-        for i in range(len(self._coeffs)):
-            old = self._coeffs[i]
-            grown = np.zeros(self.n_ext, dtype=np.uint8)
-            grown[: old.size] = old
-            self._coeffs[i] = grown
-        grown = np.zeros(self.n_ext, dtype=np.uint8)
-        grown[: coeff.size] = coeff
-        grown[idx] = 1
-        self._rows.append(packed)
-        self._pivots.append(p)
-        self._coeffs.append(grown)
-        return True
-
-    def coords(self, v: np.ndarray) -> np.ndarray:
-        """Extension coordinates of v mod the base; raises when out of span."""
-        packed = pack_rows(np.asarray(v, dtype=np.uint8)[None, :])[0].copy()
-        coeff = np.zeros(self.n_ext, dtype=np.uint8)
-        packed, coeff = self._reduce(packed, coeff)
-        if packed.any():
-            raise ModelMismatchError("vector is not in the tracked span")
-        out = np.zeros(self.n_ext, dtype=np.uint8)
-        out[: coeff.size] = coeff
-        return out
+    particular = np.zeros(c, dtype=np.uint8)
+    particular[list(res.pivots)] = res.echelon.column(c)[: res.rank]
+    return AffineSolution(particular, Subspace.from_vectors(c, kernel_basis(m).to_dense()))

@@ -26,7 +26,7 @@ from .errors import (
     TruncationError,
     ValidationError,
 )
-from .gf2 import Subspace, kernel_basis, solve_affine
+from .gf2 import Subspace, rank, solve_affine, xor_combine
 from .simplicial import (
     Cochain,
     CoverPair,
@@ -346,12 +346,11 @@ class LiftSolutions:
         return 0 if self.empty else 1 << self.kernel.dim
 
     def class_coords(self, combo_bits: int) -> np.ndarray:
-        coords = self.particular.copy()
-        kb = self.kernel.basis_dense()
-        for i in range(self.kernel.dim):
-            if (combo_bits >> i) & 1:
-                coords ^= kb[i]
-        return coords
+        """The particular solution plus the kernel rows picked by combo_bits."""
+        dim = self.kernel.dim
+        raw = np.frombuffer(combo_bits.to_bytes((dim + 7) // 8, "little"), np.uint8)
+        picks = np.unpackbits(raw, bitorder="little")[None, :dim]
+        return self.particular ^ xor_combine(picks, self.kernel.matrix.to_dense())[0]
 
     def enumerate_data(self, cap: int, seed: int = 0):
         """Yield lift data in a deterministic order; (data, complete)."""
@@ -488,7 +487,7 @@ def secondary_test(
     if h4_base_again is not h4_base:
         raise InternalInvariantError("H^4 base bases diverged")
     stacked = p4.stack(s4)
-    if kernel_basis(stacked).rows:
+    if rank(stacked) < stacked.cols:
         return SecondaryOutcome(
             "inconclusive",
             witness=A,
@@ -732,7 +731,12 @@ def replay_evidence(
         diff = nt.w2 + cup(nt.w1, nt.w1)
         return coboundary(g) == diff
     if verdict.outcome == "ExoticaExistCd3":
-        return nt.cd_at_most_3 is not None and nt.cd_at_most_3.value
+        return (
+            nt.cd_at_most_3 is not None
+            and nt.cd_at_most_3.value
+            and is_coboundary(primary_obstruction(nt))
+            and kreck_witness(nt) is None
+        )
     if verdict.outcome == "NoExoticaSecondary":
         if cover is None:
             return False

@@ -33,7 +33,7 @@ from .errors import (
     TruncationError,
     ValidationError,
 )
-from .gf2 import F2Matrix, is_solvable
+from .gf2 import F2Matrix, Subspace
 
 Target = tuple  # (word: tuple[int, ...], cell: int)
 
@@ -383,6 +383,15 @@ class SimplicialModel:
             )
         return self._cache[key]
 
+    def coboundary_span(self, k: int) -> Subspace:
+        """The k-coboundaries delta(C^{k-1}) as a reduced basis in C^k."""
+        key = ("cob-span", k)
+        if key not in self._cache:
+            self._cache[key] = Subspace.from_vectors(
+                self.n_cells(k), self.coboundary_matrix(k - 1).to_dense().T
+            )
+        return self._cache[key]
+
     def boundary_int(self, k: int) -> np.ndarray:
         """Integral boundary C_k -> C_{k-1} with signs; rows are (k-1)-cells."""
         if k < 1 or k > self.max_degree:
@@ -483,7 +492,7 @@ def coboundary(u: Cochain) -> Cochain:
 
 def is_coboundary(u: Cochain) -> bool:
     """Whether u = delta v for some cochain v one degree lower."""
-    return is_solvable(u.model.coboundary_matrix(u.degree - 1), u.values)
+    return u.model.coboundary_span(u.degree).contains(u.values)
 
 
 def is_closed(u: Cochain) -> bool:

@@ -23,7 +23,7 @@ from stexo.cohomology import (
     twisted_homology,
 )
 from stexo.errors import TruncationError, ValidationError
-from stexo.gf2 import Subspace
+from stexo.gf2 import F2Matrix, Subspace, kernel_basis, rank
 from stexo.james import DEFAULT_INT_SIZE_CAP, _boundary_load
 from stexo.obstruction import cover_data_from_w1
 from stexo.simplicial import (
@@ -225,12 +225,45 @@ def _catalog_bases():
     return out
 
 
+def _greedy_reps(model, k):
+    """The closed rows kept, in order, when each raises the rank of
+    [coboundary rows; rows kept so far].
+
+    That rank is the rank of [coboundary rows; every closed row before], so
+    the kept rows are where this prefix rank grows; bisection finds them with
+    few rank computations.
+    """
+    n = model.n_cells(k)
+    delta = model.coboundary_matrix(k - 1).to_dense().T if k else np.zeros((0, n), np.uint8)
+    closed = kernel_basis(model.coboundary_matrix(k)).to_dense()
+
+    def prefix_rank(i):
+        return rank(F2Matrix.from_dense(np.vstack([delta, closed[:i]])))
+
+    kept = []
+    todo = [(0, prefix_rank(0), len(closed), prefix_rank(len(closed)))]
+    while todo:
+        lo, r_lo, hi, r_hi = todo.pop()
+        if r_lo == r_hi:
+            continue
+        if hi - lo == 1:
+            kept.append(lo)
+            continue
+        mid = (lo + hi) // 2
+        r_mid = prefix_rank(mid)
+        todo += [(lo, r_lo, mid, r_mid), (mid, r_mid, hi, r_hi)]
+    return closed[sorted(kept)]
+
+
 def test_coords_matrix_matches_coords_on_catalog_bases():
     rng = np.random.default_rng(23)
     shapes = set()
     for model in _catalog_bases():
         for k in range(min(4, model.max_degree - 1) + 1):
             basis = cohomology_basis(model, k)
+            reps = np.array([r.values for r in basis.reps], dtype=np.uint8)
+            reps = reps.reshape(basis.dim, model.n_cells(k))
+            assert np.array_equal(reps, _greedy_reps(model, k)), (model.name, k)
             cochains = []
             for _ in range(3):
                 u = basis.class_from_coords(rng.integers(0, 2, basis.dim))

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from stexo.errors import ModelMismatchError
 from stexo.gf2 import (
-    CosetReducer,
     F2Matrix,
     Subspace,
     kernel_basis,
@@ -95,6 +94,15 @@ def test_kernel_is_kernel():
         m = F2Matrix.from_dense(a)
         ker = kernel_basis(m)
         assert ker.rows == 31 - rank(m)
+        # the per-free-column loop over the echelon form is the reference
+        res = rank_and_echelon(m, want_transform=False)
+        free = [c for c in range(31) if c not in res.pivots]
+        want = np.zeros((len(free), 31), dtype=np.uint8)
+        for k, f in enumerate(free):
+            want[k, f] = 1
+            for i, p in enumerate(res.pivots):
+                want[k, p] = res.echelon.get(i, f)
+        assert np.array_equal(ker.to_dense(), want)
         for i in range(ker.rows):
             assert not m.mul_vec(ker.row_dense(i)).any()
         # kernel rows are independent
@@ -128,6 +136,13 @@ def test_solve_affine_roundtrip(rows, cols, seed):
     sol = solve_affine(m, rhs)
     assert sol is not None
     assert np.array_equal(m.mul_vec(sol.particular), rhs)
+    # reference: each pivot variable is its row's last entry in the echelon
+    # form of [m | rhs], every free variable is 0
+    res = rank_and_echelon(F2Matrix.from_dense(np.column_stack([a, rhs])))
+    want = np.zeros(cols, dtype=np.uint8)
+    for i, p in enumerate(res.pivots):
+        want[p] = res.echelon.get(i, cols)
+    assert np.array_equal(sol.particular, want)
     # x differs from the particular solution by a kernel element
     assert sol.kernel.contains(sol.particular ^ x)
 
@@ -140,18 +155,19 @@ def test_subspace_membership():
     assert not s.contains(np.array([1, 0, 0, 0], dtype=np.uint8))
 
 
-def test_coset_reducer_tracks_coordinates():
+def test_subspace_coordinates_modulo_base():
+    # spanned by base vectors then extension vectors independent mod the base:
+    # the extension coefficients of a member are unique
     n = 8
     rng = np.random.default_rng(99)
     base = [rng.integers(0, 2, size=n, dtype=np.uint8) for _ in range(3)]
-    red = CosetReducer(n)
-    for b in base:
-        red.add_base(b)
     exts = []
-    while red.n_ext < 3:
+    while len(exts) < 3:
         v = rng.integers(0, 2, size=n, dtype=np.uint8)
-        if red.add_extension(v):
+        if not Subspace.from_vectors(n, base + exts).contains(v):
             exts.append(v)
+    span = Subspace.from_vectors(n, base + exts)
+    batch, want = [], []
     for _ in range(50):
         c = rng.integers(0, 2, size=3, dtype=np.uint8)
         v = np.zeros(n, dtype=np.uint8)
@@ -161,23 +177,57 @@ def test_coset_reducer_tracks_coordinates():
         for bi, b in zip(rng.integers(0, 2, size=3), base):
             if bi:
                 v ^= b
-        assert np.array_equal(red.coords(v), c)
+        assert np.array_equal(span.combination(v)[3:], c)
+        batch.append(v)
+        want.append(c)
+    assert np.array_equal(span.combination(np.array(batch))[:, 3:], want)
 
 
-def test_coset_reducer_rejects_outside_span():
-    red = CosetReducer(4)
-    red.add_base(np.array([1, 0, 0, 0], dtype=np.uint8))
-    red.add_extension(np.array([0, 1, 0, 0], dtype=np.uint8))
+def test_subspace_combination_rejects_outside_span():
+    span = Subspace.from_vectors(
+        4, [np.array([1, 0, 0, 0], dtype=np.uint8), np.array([0, 1, 0, 0], dtype=np.uint8)]
+    )
+    outside = np.array([0, 0, 1, 0], dtype=np.uint8)
     with pytest.raises(ModelMismatchError):
-        red.coords(np.array([0, 0, 1, 0], dtype=np.uint8))
+        span.combination(outside)
+    with pytest.raises(ModelMismatchError):
+        span.combination(np.array([[1, 1, 0, 0], outside], dtype=np.uint8))
 
 
-def test_coset_reducer_base_after_extension():
-    # inserting base vectors late must not corrupt coordinates
-    red = CosetReducer(4)
+def test_subspace_base_after_extension():
+    # a base vector listed after the extension must not corrupt its coordinate
     e = np.array([1, 1, 0, 0], dtype=np.uint8)
-    red.add_extension(e)
     b = np.array([1, 0, 0, 0], dtype=np.uint8)
-    red.add_base(b)
-    assert np.array_equal(red.coords(e ^ b), [1])
-    assert np.array_equal(red.coords(b), [0])
+    span = Subspace.from_vectors(4, [e, b])
+    assert np.array_equal(span.combination(e ^ b)[:1], [1])
+    assert np.array_equal(span.combination(b)[:1], [0])
+
+
+@given(
+    st.integers(0, 6),
+    st.integers(0, 5),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_subspace_batch_against_enumerated_span(n, k, seed):
+    rng = np.random.default_rng(seed)
+    vectors = rng.integers(0, 2, size=(k, n), dtype=np.uint8)
+    span = Subspace.from_vectors(n, vectors)
+    members = set()
+    for combo in range(1 << k):
+        picks = np.array([(combo >> i) & 1 for i in range(k)], dtype=np.int64)
+        members.add(tuple((picks @ vectors) % 2))
+    everything = np.array(
+        [[(x >> j) & 1 for j in range(n)] for x in range(1 << n)], dtype=np.uint8
+    ).reshape(1 << n, n)
+    inside = span.contains(everything)
+    assert inside.tolist() == [tuple(v) in members for v in everything]
+    assert span.dim == rank(F2Matrix.from_dense(vectors.reshape(k, n)))
+    ins = everything[inside]
+    coeffs = span.combination(ins)
+    assert coeffs.shape == (len(ins), k)
+    assert np.array_equal((coeffs.astype(np.int64) @ vectors) % 2, ins)
+    for v in everything[~inside]:
+        assert not span.contains(v)
+        with pytest.raises(ModelMismatchError):
+            span.combination(v)

@@ -1,5 +1,6 @@
 """End-to-end checks of the decision pipeline on the catalog inputs."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -25,6 +26,7 @@ from stexo.obstruction import (
     LiftDatum,
     NormalOneType,
     SectionDatum,
+    Verdict,
     cover_data_from_parts,
     decide,
     h5_check,
@@ -213,6 +215,19 @@ def test_open_lift_datum_rejection_replays():
     # the inputs themselves are valid: without the lift record nothing is rejected
     del v.evidence["rejected_lift_data"]
     assert not replay_evidence(v, fx.nt, fx.cover, fx.section)
+
+
+def test_forged_cd3_verdict_does_not_replay():
+    # a true cd assertion alone does not make clause 4 fire: the primary class
+    # must vanish and the Kreck clause must not fire first
+    cd = Assertion(True, "asserted for the test")
+    forged = Verdict("ExoticaExistCd3", 4, "forged", {"cd_assertion_provenance": "test"})
+    for fx in (rp_w2_zero(), rp_kreck()):
+        nt = dataclasses.replace(fx.nt, cd_at_most_3=cd)
+        assert decide(nt, fx.cover).outcome != "ExoticaExistCd3"
+        assert not replay_evidence(forged, nt, fx.cover), fx.name
+    fx = z2_remark()
+    assert replay_evidence(decide(fx.nt), fx.nt)
 
 
 def test_constant_section_rejected():
