@@ -11,8 +11,10 @@ For each fixture (all of them by default) the lines are:
   <part>.bytes       canonical_bytes of each exported document;
   <part>.reexport    canonical_bytes of its re-export after parsing;
   cli.decide         `stexo decide --json` on the exported files, with
-  cli.report         `stexo report --json`; both with --cover, --section and
-                     --lift where the fixture has them, exit code and
+  cli.report         `stexo report --json` and
+  cli.report.text    `stexo report` (the plain-text page, every d2 row and
+                     the killers narrative); all with --cover, --section
+                     and --lift where the fixture has them, exit code and
                      error text included;
   <part>.cohomology.<k>
                      `stexo cohomology --json --steenrod --deg k` on each
@@ -76,14 +78,15 @@ def digest(name: str) -> list:
             paths[part] = Path(tmp, f"{part}.json")
             paths[part].write_bytes(blob)
         if fx.nt is not None:
-            opts = ["--json", str(paths["base"])]
+            opts = [str(paths["base"])]
             if "cover" in paths:
                 opts += ["--cover", str(paths["cover"])]
             if fx.section is not None:
                 opts += ["--section", "section"]
             lift = ["--lift", f"lift-{fx.lift_data[0].index}"] if fx.lift_data else []
-            rows.append(("cli.decide", _sha(_run_cli(["decide", *opts, *lift]))))
-            rows.append(("cli.report", _sha(_run_cli(["report", *opts]))))
+            rows.append(("cli.decide", _sha(_run_cli(["decide", "--json", *opts, *lift]))))
+            rows.append(("cli.report", _sha(_run_cli(["report", "--json", *opts]))))
+            rows.append(("cli.report.text", _sha(_run_cli(["report", *opts]))))
         for part, path in paths.items():
             top = min(3, docs[part]["max_degree"] - 2)
             for k in range(1, top + 1):

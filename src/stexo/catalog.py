@@ -21,7 +21,6 @@ from .builders import (
     k_z2_2,
     z2_table,
 )
-from .cohomology import cohomology_basis
 from .errors import InternalInvariantError
 from .obstruction import (
     Assertion,
@@ -39,6 +38,7 @@ from .simplicial import (
     SimplicialModel,
     cover_from_cocycle,
     cup,
+    is_coboundary,
     product,
     product_involution,
     quotient_free_involution,
@@ -197,12 +197,11 @@ def d4_reflection(depth: int = 5) -> Fixture:
     for chi in (lambda g: g & 1, lambda g: g >> 2, lambda g: (g & 1) ^ (g >> 2)):
         vals = np.array([chi(g) for g in range(1, 8)], dtype=np.uint8)
         chars.append(Cochain(base, 1, vals))
-    h2 = cohomology_basis(base, 2)
     pairs = [
         (a, b)
         for a in range(3)
         for b in range(3)
-        if a != b and h2.is_coboundary(cup(chars[a], chars[b]))
+        if a != b and is_coboundary(cup(chars[a], chars[b]))
     ]
     if not pairs:
         raise InternalInvariantError("no vanishing character product found")

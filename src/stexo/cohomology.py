@@ -56,17 +56,11 @@ class CohomologyBasis:
         """Matrix whose column j holds the coordinates of cochains[j]."""
         return F2Matrix.from_dense(self._coords(cochains).T)
 
-    def is_coboundary(self, u: Cochain) -> bool:
-        return not self.coords(u).any()
-
     def class_from_coords(self, coords) -> Cochain:
         reps = np.array([r.values for r in self.reps], dtype=np.uint8)
         reps = reps.reshape(self.dim, self.span.ambient_dim)
         values = xor_combine(np.asarray(coords, dtype=np.uint8)[None] & 1, reps)[0]
         return Cochain(self.model, self.degree, values)
-
-    def same_class(self, u: Cochain, v: Cochain) -> bool:
-        return bool(np.array_equal(self.coords(u), self.coords(v)))
 
 
 def cohomology_basis(
@@ -200,6 +194,14 @@ def twisted_homology(
         return integral_homology(base, p).invariants
     if coeff != "Z-":
         raise ValidationError(f"unknown coefficient system {coeff!r}")
+    return twisted_integral_homology(pair, p).invariants
+
+
+def twisted_integral_homology(pair: CoverPair, p: int) -> HomologyResult:
+    """H_p of the base with integer coefficients twisted by w1, certified
+    within the truncation; cycle generators are built from the result on
+    demand."""
+    base = pair.base
     if p > base.max_degree:
         raise TruncationError(f"{base.name}: no chains stored in degree {p}")
     return _chain_homology(
@@ -207,4 +209,4 @@ def twisted_homology(
         p,
         lambda k: twisted_boundary_int(pair, k),
         f"{base.name}: twisted H_{p} needs degree-{p + 1} chains",
-    ).invariants
+    )

@@ -24,15 +24,11 @@ as unknown with a caveat instead of being guessed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cohomology import (
-    cohomology_basis,
-    twisted_boundary_int,
-    twisted_homology,
-)
+from .cohomology import twisted_homology, twisted_integral_homology
 from .errors import InternalInvariantError, TruncationError, ValidationError
 from .gf2 import F2Matrix, rank
 from .obstruction import (
@@ -44,10 +40,15 @@ from .obstruction import (
     primary_vanishes,
     sq2_w_operator,
 )
-from .snf import AbelianGroupInvariants, homology_from_boundaries
+from .snf import AbelianGroupInvariants, HomologyResult
 
+# Size caps on the matrices an entry or a d2 map reduces, read at call time;
+# the twisted rows run integer Smith reduction, so their cap is much tighter
+# than the bit-packed mod-2 one.
 DEFAULT_INT_SIZE_CAP = 60_000
 DEFAULT_F2_SIZE_CAP = 2_000_000
+# The page shows every entry E2_{p,q} with p + q <= MAX_TOTAL.
+MAX_TOTAL = 5
 
 
 def _count(n: int, noun: str) -> str:
@@ -111,10 +112,14 @@ SPIN_COEFFICIENTS = SpinCoefficientTable(
 
 @dataclass(frozen=True)
 class E2Entry:
+    """One page entry; a twisted entry keeps the homology result it was read
+    from, which the d2 maps take their generators from."""
+
     p: int
     q: int
     group: AbelianGroupInvariants | None
     caveat: str | None = None
+    result: HomologyResult | None = field(default=None, compare=False, repr=False)
 
     @property
     def known(self) -> bool:
@@ -175,34 +180,32 @@ def _boundary_load(model, p: int) -> int:
     return model.cells[p] * max(below, above, 1)
 
 
-def _homology_entry(pair, p: int, coeff: str, cap: int) -> E2Entry:
+def _homology_entry(pair, p: int, coeff: str) -> E2Entry:
     """H_p of the base with coefficients "Z-" or "F2", or a caveat."""
     base = pair.base
     if p > base.max_degree:
         return E2Entry(p, 0, None, f"no degree-{p} chains at this truncation")
+    cap = DEFAULT_F2_SIZE_CAP if coeff == "F2" else DEFAULT_INT_SIZE_CAP
     if _boundary_load(base, p) > cap:
         kind = "coboundary" if coeff == "F2" else "boundary"
         return E2Entry(
             p, 0, None, f"{kind} matrices around degree {p} exceed the size cap"
         )
     try:
-        return E2Entry(p, 0, twisted_homology(pair, p, coeff))
+        if coeff == "F2":
+            return E2Entry(p, 0, twisted_homology(pair, p, coeff))
+        res = twisted_integral_homology(pair, p)
+        return E2Entry(p, 0, res.invariants, result=res)
     except TruncationError as exc:
         return E2Entry(p, 0, None, str(exc))
 
 
-def e2_page(
-    nt: NormalOneType,
-    cover: DoubleCoverData | None = None,
-    int_size_cap: int = DEFAULT_INT_SIZE_CAP,
-    f2_size_cap: int = DEFAULT_F2_SIZE_CAP,
-    max_total: int = 5,
-) -> E2Page:
-    """All page entries E2_{p,q} with p + q <= max_total that certify.
+def e2_page(nt: NormalOneType, cover: DoubleCoverData | None = None) -> E2Page:
+    """All page entries E2_{p,q} with p + q <= MAX_TOTAL that certify.
 
-    Twisted rows (q = 0, 4) run integer Smith reduction, so they get a much
-    tighter size cap than the bit-packed mod-2 rows (q = 1, 2).  An entry
-    that cannot be certified is reported with group None and a caveat.
+    Twisted rows (q = 0, 4) run under DEFAULT_INT_SIZE_CAP, the mod-2 rows
+    (q = 1, 2) under DEFAULT_F2_SIZE_CAP.  An entry that cannot be certified
+    is reported with group None and a caveat.
     """
     if cover is None:
         cover = cover_data_from_w1(nt)
@@ -210,36 +213,25 @@ def e2_page(
     entries = {}
     notes = []
     memo = {}
-    for q in range(0, min(max_total, 4) + 1):
+    for q in range(0, min(MAX_TOTAL, 4) + 1):
         row = SPIN_COEFFICIENTS.row(q)
-        for p in range(0, max_total - q + 1):
+        for p in range(0, MAX_TOTAL - q + 1):
             if row.descriptor == "0":
                 e = E2Entry(p, q, AbelianGroupInvariants(0, ()))
             else:
                 coeff = "Z-" if row.twisted else "F2"
                 key = (coeff, p)
                 if key not in memo:
-                    cap = int_size_cap if row.twisted else f2_size_cap
-                    memo[key] = _homology_entry(pair, p, coeff, cap)
-                e = E2Entry(p, q, memo[key].group, memo[key].caveat)
+                    memo[key] = _homology_entry(pair, p, coeff)
+                e = replace(memo[key], q=q)
             entries[(p, q)] = e
     gaps = sum(1 for e in entries.values() if e.group is None)
     if gaps:
         notes.append(f"{gaps} entries not certified at this truncation or cap")
-    return E2Page(nt.name, max_total, entries, SPIN_COEFFICIENTS, tuple(notes))
+    return E2Page(nt.name, MAX_TOTAL, entries, SPIN_COEFFICIENTS, tuple(notes))
 
 
 # -- the d2 differentials ----------------------------------------------------------
-
-
-def _mod2_cycle_check(model, p: int, chain: np.ndarray) -> None:
-    if p == 0:
-        return
-    bnd = model.coboundary_matrix(p - 1).transpose()
-    if bnd.mul_vec(chain).any():
-        raise InternalInvariantError(
-            "a twisted homology generator failed to reduce to a mod-2 cycle"
-        )
 
 
 @dataclass(frozen=True)
@@ -309,94 +301,88 @@ def _check_dim(page: E2Page, pq: tuple, want: int, what: str) -> None:
         )
 
 
-def _twisted_generator_chains(pair, p: int, cap: int):
-    """Integer cycle representatives generating H_p(base; Z twisted by w1)."""
-    base = pair.base
-    if p + 1 > base.max_degree:
+def _operator_transpose(nt: NormalOneType, p: int):
+    """The H^p basis and the transpose of the operator H^{p-2} -> H^p."""
+    base = nt.base
+    if p > base.max_degree:
+        raise TruncationError(f"{base.name}: no degree-{p} cochains at this truncation")
+    if max(_boundary_load(base, p), _boundary_load(base, p - 2)) > DEFAULT_F2_SIZE_CAP:
         raise TruncationError(
-            f"{base.name}: twisted H_{p} generators need degree-{p + 1} chains"
+            f"{base.name}: cohomology around degrees {p - 2},{p} exceeds the size cap"
         )
-    if _boundary_load(base, p) > cap:
-        raise TruncationError(
-            f"{base.name}: twisted boundary around degree {p} exceeds the size cap"
+    _, h_p, _, matrix = sq2_w_operator(nt, p - 2)
+    return h_p, matrix.transpose()
+
+
+def _mod2_generators(base, p: int, result: HomologyResult) -> np.ndarray:
+    """The twisted H_p generators reduced mod 2, one row each, checked to be
+    mod-2 cycles all at once."""
+    gens = result.generator_chains()
+    vecs = np.asarray(gens, dtype=np.int64).reshape(len(gens), base.cells[p]) & 1
+    if not F2Matrix.from_dense(vecs).matmul(base.coboundary_matrix(p - 1)).is_zero():
+        raise InternalInvariantError(
+            "a twisted homology generator failed to reduce to a mod-2 cycle"
         )
-    n = base.cells[p]
-    bout = twisted_boundary_int(pair, p) if p >= 1 else np.zeros((0, n), dtype=np.int64)
-    bin_ = twisted_boundary_int(pair, p + 1)
-    return homology_from_boundaries(bout, bin_, n).generator_chains()
+    return vecs
 
 
 def d2_maps(
-    nt: NormalOneType,
-    page: E2Page,
-    cover: DoubleCoverData | None = None,
-    int_size_cap: int = DEFAULT_INT_SIZE_CAP,
-    f2_size_cap: int = DEFAULT_F2_SIZE_CAP,
+    nt: NormalOneType, page: E2Page, cover: DoubleCoverData | None = None
 ) -> DifferentialReport:
     """The d2 matrices on the displayed page, duals of the degree-2 operator.
 
     Out of (p,1) the map to (p-2,2) is the transpose of the operator matrix
     H^{p-2} -> H^p.  Out of (p,0) it is that transpose composed with the
-    mod-2 reduction of the twisted integral generators.  Sources that the
+    mod-2 reduction of the twisted integral generators, which come from the
+    homology result the page entry (p,0) holds; cover is accepted for call
+    compatibility, since the page was computed on it.  Sources that the
     truncation or the size caps cannot certify carry a caveat instead of a
     matrix.
     """
-    if cover is None:
-        cover = cover_data_from_w1(nt)
-    pair = cover.pair
     base = nt.base
     from_q1 = {}
     from_q0 = {}
-
-    def op_transpose(p: int) -> F2Matrix:
-        if p > base.max_degree:
-            raise TruncationError(
-                f"{base.name}: no degree-{p} cochains at this truncation"
-            )
-        if max(_boundary_load(base, p), _boundary_load(base, p - 2)) > f2_size_cap:
-            raise TruncationError(
-                f"{base.name}: cohomology around degrees {p - 2},{p} exceeds the size cap"
-            )
-        return sq2_w_operator(nt, p - 2)[3].transpose()
-
-    for p in range(2, 5):
+    for p in range(2, MAX_TOTAL + 1):
+        in_q1 = p + 1 <= MAX_TOTAL
         try:
-            mat = op_transpose(p)
-            _check_dim(page, (p, 1), mat.cols, f"d2 source ({p},1)")
-            _check_dim(page, (p - 2, 2), mat.rows, f"d2 target ({p - 2},2)")
+            h_p, mt = _operator_transpose(nt, p)
+        except TruncationError as exc:
+            if in_q1:
+                from_q1[p] = DifferentialMatrix((p, 1), (p - 2, 2), None, str(exc))
+            from_q0[p] = DifferentialMatrix((p, 0), (p - 2, 1), None, str(exc))
+            continue
+        if in_q1:
+            _check_dim(page, (p, 1), mt.cols, f"d2 source ({p},1)")
+            _check_dim(page, (p - 2, 2), mt.rows, f"d2 target ({p - 2},2)")
             from_q1[p] = DifferentialMatrix(
                 (p, 1),
                 (p - 2, 2),
-                mat,
+                mt,
                 note="transpose of the degree-2 operator in the dual bases",
             )
-        except TruncationError as exc:
-            from_q1[p] = DifferentialMatrix((p, 1), (p - 2, 2), None, str(exc))
-
-    for p in range(2, 6):
-        try:
-            mt = op_transpose(p)
-            gens = _twisted_generator_chains(pair, p, int_size_cap)
-            h_p = cohomology_basis(base, p)
-            cells = base.cells[p]
-            vecs = np.asarray(gens, dtype=np.int64).reshape(len(gens), cells) & 1
-            for vec in vecs:
-                _mod2_cycle_check(base, p, vec.astype(np.uint8))
-            reps = np.array([rep.values for rep in h_p.reps], dtype=np.int64)
-            # column g pairs the H^p representatives with generator g mod 2
-            red = F2Matrix.from_dense(reps.reshape(h_p.dim, cells) @ vecs.T & 1)
-            mat = mt.matmul(red)
-            _check_dim(page, (p, 0), mat.cols, f"d2 source ({p},0)")
-            _check_dim(page, (p - 2, 1), mat.rows, f"d2 target ({p - 2},1)")
+        entry = page.entry(p, 0)
+        if not entry.known:
             from_q0[p] = DifferentialMatrix(
                 (p, 0),
                 (p - 2, 1),
-                mat,
-                note="operator transpose composed with mod-2 reduction of the"
-                " twisted generators, torsion-first order",
+                None,
+                f"{base.name}: twisted boundary around degree {p} exceeds the size cap",
             )
-        except TruncationError as exc:
-            from_q0[p] = DifferentialMatrix((p, 0), (p - 2, 1), None, str(exc))
+            continue
+        vecs = _mod2_generators(base, p, entry.result)
+        reps = np.array([rep.values for rep in h_p.reps], dtype=np.int64)
+        # column g pairs the H^p representatives with generator g mod 2
+        red = F2Matrix.from_dense(reps.reshape(h_p.dim, base.cells[p]) @ vecs.T & 1)
+        mat = mt.matmul(red)
+        _check_dim(page, (p, 0), mat.cols, f"d2 source ({p},0)")
+        _check_dim(page, (p - 2, 1), mat.rows, f"d2 target ({p - 2},1)")
+        from_q0[p] = DifferentialMatrix(
+            (p, 0),
+            (p - 2, 1),
+            mat,
+            note="operator transpose composed with mod-2 reduction of the"
+            " twisted generators, torsion-first order",
+        )
 
     gaps = sum(1 for d in (*from_q1.values(), *from_q0.values()) if d.matrix is None)
     notes = (f"{gaps} differentials not certified",) if gaps else ()

@@ -74,7 +74,6 @@ class NormalOneType:
 @dataclass
 class PipelineConfig:
     lift_cap: int = 1 << 16
-    sample_seed: int = 0
 
 
 @dataclass
@@ -272,7 +271,7 @@ def _validate_section(nt: NormalOneType, section: SectionDatum) -> list:
         reasons.append("section source must have one-dimensional H^1")
     else:
         pulled = s.pullback(nt.w1)
-        if h1.is_coboundary(pulled):
+        if is_coboundary(pulled):
             reasons.append("section pullback of w1 is not a generator")
     return reasons
 
@@ -297,10 +296,6 @@ def kreck_witness(nt: NormalOneType):
     diff = nt.w2 + cup(nt.w1, nt.w1)
     sol = solve_affine(nt.base.coboundary_matrix(1), diff.values)
     return None if sol is None else Cochain(nt.base, 1, sol.particular)
-
-
-def kreck_condition(nt: NormalOneType) -> bool:
-    return kreck_witness(nt) is not None
 
 
 def _sq2_w_images(nt: NormalOneType, k: int):
@@ -412,10 +407,9 @@ def validate_lift_datum(
         return ["lift datum must be a degree-2 cochain on the cover"]
     if not coboundary(a).is_zero():
         return ["lift datum is not closed"]
-    h2c = cohomology_basis(pair.cover, 2)
     lhs = a + pair.involution.pullback(a)
     rhs = pair.projection.pullback(nt.w2)
-    if not h2c.same_class(lhs, rhs):
+    if not is_coboundary(lhs + rhs):
         reasons.append("[a + T*a] differs from [p*w2] on the cover")
     return reasons
 
@@ -624,7 +618,7 @@ def decide(
             )
         else:
             sols = lift_data_solutions(nt, cover)
-            data, complete = sols.enumerate_data(config.lift_cap, config.sample_seed)
+            data, complete = sols.enumerate_data(config.lift_cap)
             if not complete:
                 caveats.append(
                     f"lift enumeration sampled {config.lift_cap} of {sols.count}"
@@ -758,5 +752,10 @@ def replay_evidence(
             return False
         return h5_check(nt)[0] == "zero"
     if verdict.outcome == "Undetermined":
-        return True
+        return (
+            not validate_normal_type(nt, cover, section)
+            and is_coboundary(primary_obstruction(nt))
+            and kreck_witness(nt) is None
+            and not (nt.cd_at_most_3 is not None and nt.cd_at_most_3.value)
+        )
     return False

@@ -121,12 +121,12 @@ def test_criterion_2_cover_image_and_witness(capsys):
 
     h4_cover = cohomology_basis(cov.model, 4)
     witness = cup(cup(ta, tb), cup(tc, td))
-    witness_nonzero = not h4_cover.is_coboundary(witness)
+    witness_nonzero = bool(h4_cover.coords(witness).any())
 
-    operator_dies = all(
-        h4_cover.is_coboundary(
+    operator_dies = not any(
+        h4_cover.coords(
             pair.projection.pullback(sq(r, 2) + cup(nt.w1, sq(r, 1)) + cup(nt.w2, r))
-        )
+        ).any()
         for r in h2_base.reps
     )
     ok = spans_match and witness_nonzero and operator_dies
@@ -173,7 +173,7 @@ def test_criterion_3_steenrod_and_cup_i(capsys):
         values_ok &= bases[k + 1].coords(sq(powers[k], 1))[0] == k % 2
         values_ok &= bases[k + 2].coords(sq(powers[k], 2))[0] == math.comb(k, 2) % 2
     twisted = sq(powers[2], 2) + cup(x, sq(powers[2], 1))
-    values_ok &= bases[4].same_class(twisted, powers[4])
+    values_ok &= np.array_equal(bases[4].coords(twisted), bases[4].coords(powers[4]))
 
     rng = np.random.default_rng(2026)
     trials_ok = True
@@ -214,7 +214,7 @@ def test_criterion_4_k_z2_2_stress(capsys):
     ranks_ok = ranks == [1, 0, 1, 1, 1, 2]
     h4 = integral_homology(model, 4).invariants
     h4_ok = h4 == AbelianGroupInvariants(0, (4,))
-    sq1_ok = not cohomology_basis(model, 3).is_coboundary(sq(fx.stress_cochain, 1))
+    sq1_ok = bool(cohomology_basis(model, 3).coords(sq(fx.stress_cochain, 1)).any())
     elapsed = time.perf_counter() - t0
     ok = ranks_ok and h4_ok and sq1_ok and elapsed < 60.0
     _finish(
@@ -304,8 +304,8 @@ def test_criterion_7_property_suites(capsys):
         for t in range(100):
             u = basis.reps[t % basis.dim]
             u2 = u + coboundary(_rand_cochain(m, degree - 1, rng))
-            sq_ok &= tgt1.same_class(sq(u, 1), sq(u2, 1))
-            sq_ok &= tgt2.same_class(sq(u, 2), sq(u2, 2))
+            sq_ok &= np.array_equal(tgt1.coords(sq(u, 1)), tgt1.coords(sq(u2, 1)))
+            sq_ok &= np.array_equal(tgt2.coords(sq(u, 2)), tgt2.coords(sq(u2, 2)))
 
     relabel_ok = True
     for name in ("rp-w2-zero", "rp-kreck", "z2-remark"):

@@ -99,7 +99,7 @@ def test_basis_coords_round_trip(torus3):
         # perturbing by a coboundary leaves the coordinates alone
         g = Cochain(m, 0, rng.integers(0, 2, m.n_cells(0), dtype=np.uint8))
         assert np.array_equal(basis.coords(u + coboundary(g)), bits)
-        assert basis.same_class(u, u + coboundary(g))
+        assert np.array_equal(basis.coords(u), basis.coords(u + coboundary(g)))
 
 
 def test_coords_rejects_open_cochains(torus3):
@@ -143,9 +143,9 @@ def test_cup_square_class_on_torus(torus3):
     h2 = cohomology_basis(m, 2)
     assert h2.dim == 1
     e1, e2 = h1.reps
-    assert h2.is_coboundary(cup(e1, e1))
-    assert h2.is_coboundary(cup(e2, e2))
-    assert not h2.is_coboundary(cup(e1, e2))
+    assert not h2.coords(cup(e1, e1)).any()
+    assert not h2.coords(cup(e2, e2)).any()
+    assert h2.coords(cup(e1, e2)).any()
 
 
 def test_twisted_homology_of_order_two(rp6):

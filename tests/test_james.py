@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from stexo import james, snf
 from stexo.catalog import get_fixture
 from stexo.cohomology import cohomology_basis
 from stexo.errors import ValidationError
@@ -210,3 +211,37 @@ def test_no_verdict_but_dead_column_still_resolves_d4(reports):
     killers = killers_report(fx.nt, page, diffs)
     assert killers.flag("d4").status == "zero"
     assert "cleared before page 4" in killers.flag("d4").reason
+
+
+def test_integer_cap_caveats_follow_the_module_constant(monkeypatch):
+    fx = get_fixture("rp-w2-zero")
+    monkeypatch.setattr(james, "DEFAULT_INT_SIZE_CAP", 0)
+    page = e2_page(fx.nt, fx.cover)
+    diffs = d2_maps(fx.nt, page, fx.cover)
+    for p in range(2, 6):
+        e = page.entry(p, 0)
+        assert e.group is None
+        assert e.caveat == f"boundary matrices around degree {p} exceed the size cap"
+        d = diffs.from_q0[p]
+        assert d.matrix is None
+        assert d.caveat == f"bar-z2: twisted boundary around degree {p} exceeds the size cap"
+    assert all(d.known for d in diffs.from_q1.values())
+
+
+def test_d2_reads_twisted_generators_off_the_page(monkeypatch, reports):
+    calls = []
+    real = snf._check_composite
+
+    def spy(bout, bin_):
+        calls.append((bout.shape, bin_.shape))
+        real(bout, bin_)
+
+    for name in ("rp-w2-zero", "d4-reflection"):
+        fx, _, _, want, _ = reports[name]
+        page = e2_page(fx.nt, fx.cover)
+        monkeypatch.setattr(snf, "_check_composite", spy)
+        diffs = d2_maps(fx.nt, page, fx.cover)
+        monkeypatch.setattr(snf, "_check_composite", real)
+        assert calls == [], name
+        assert any(d.known for d in diffs.from_q0.values()), name
+        assert diffs.to_json_dict() == want.to_json_dict(), name

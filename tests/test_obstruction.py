@@ -30,7 +30,7 @@ from stexo.obstruction import (
     cover_data_from_parts,
     decide,
     h5_check,
-    kreck_condition,
+    kreck_witness,
     lift_data_solutions,
     primary_obstruction,
     primary_vanishes,
@@ -112,6 +112,7 @@ def test_z2_secondary_needs_the_section():
     fx = z2_secondary()
     v = decide(fx.nt, cover=fx.cover)
     assert v.outcome == "Undetermined"
+    assert replay_evidence(v, fx.nt, fx.cover)
 
 
 def test_decide_d4_reflection():
@@ -151,6 +152,7 @@ def test_decide_undetermined_without_assertions():
     v = decide(nt)
     assert v.outcome == "Undetermined"
     assert v.clause == 7
+    assert replay_evidence(v, nt)
 
 
 def test_decide_is_deterministic():
@@ -194,6 +196,12 @@ def test_open_w2_rejected():
         if not coboundary(w2).is_zero():
             nt = NormalOneType(base, chars, w2)
             assert any("w2" in r for r in validate_normal_type(nt))
+            # a lift datum checked against the open w2 is rejected, not a crash
+            cover = DoubleCoverData(cover_from_cocycle(base, chars))
+            datum = LiftDatum(Cochain.zero(cover.cover, 2), 0, "zero")
+            v = decide(nt, cover, extra_lift_data=(datum,))
+            assert v.outcome == "InvalidInput"
+            assert replay_evidence(v, nt, cover)
             return
     pytest.fail("no open degree-2 cochain found on the probe model")
 
@@ -228,6 +236,15 @@ def test_forged_cd3_verdict_does_not_replay():
         assert not replay_evidence(forged, nt, fx.cover), fx.name
     fx = z2_remark()
     assert replay_evidence(decide(fx.nt), fx.nt)
+
+
+def test_forged_undetermined_verdict_does_not_replay():
+    # clause 7 is reached only when no earlier clause fires: a nonzero
+    # primary class, a Kreck witness or a true cd assertion rule it out
+    forged = Verdict("Undetermined", 7, "forged", {"caveats_reflected": []})
+    for fx in (rp_w2_zero(), rp_kreck(), z2_remark()):
+        assert decide(fx.nt, fx.cover, fx.section).outcome != "Undetermined"
+        assert not replay_evidence(forged, fx.nt, fx.cover, fx.section), fx.name
 
 
 def test_constant_section_rejected():
@@ -268,7 +285,7 @@ def test_kreck_class_forces_primary_zero(char, rho):
     w1 = Cochain(base, 1, np.array(char, dtype=np.uint8))
     shift = coboundary(Cochain(base, 1, np.array(rho, dtype=np.uint8)))
     nt = NormalOneType(base, w1, cup(w1, w1) + shift)
-    assert kreck_condition(nt)
+    assert kreck_witness(nt) is not None
     assert primary_vanishes(nt)
     assert decide(nt).outcome == "ExoticaExistKreck"
 
@@ -433,9 +450,11 @@ def test_decide_skips_secondary_at_depth_four():
     fx = z2_remark()
     nt = NormalOneType(fx.nt.base, fx.nt.w1, fx.nt.w2, name="shallow-cover")
     pair = cover_from_cocycle(nt.base, nt.w1)
-    v = decide(nt, cover=DoubleCoverData(pair))
+    cover = DoubleCoverData(pair)
+    v = decide(nt, cover=cover)
     assert v.outcome == "Undetermined"
     assert any("max_degree < 5" in c for c in v.caveats)
+    assert replay_evidence(v, nt, cover)
 
 
 # -- relabeling invariance --------------------------------------------------------------
