@@ -19,7 +19,11 @@ For each fixture (all of them by default) the lines are:
   <part>.cohomology.<k>
                      `stexo cohomology --json --steenrod --deg k` on each
                      exported model, for k = 1..min(3, max_degree - 2): the
-                     basis representatives and their Sq^1/Sq^2 coordinates.
+                     basis representatives and their Sq^1/Sq^2 coordinates;
+  corrupt.<k>        rp-kreck only: the exit code and error text of
+                     `stexo decide` on its base and cover files with the
+                     k-th edit of CORRUPTIONS applied (each one a file the
+                     parser or the map checks refuse, exit code 2).
 
 Running it on two checkouts and comparing the files with diff shows whether a
 change kept every output byte for byte.
@@ -52,6 +56,74 @@ def _run_cli(argv: list) -> str:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
         code = cli.main(argv)
     return f"exit {code}\n{out.getvalue()}"
+
+
+def _put(*path_and_value):
+    """An edit setting the entry at doc[path...] to value (the last key names it)."""
+    *path, key, value = path_and_value
+
+    def edit(doc):
+        for k in path:
+            doc = doc[k]
+        doc[key] = value
+
+    return edit
+
+
+def _drop(*path):
+    """An edit removing the last entry of the list at doc[path...]."""
+
+    def edit(doc):
+        for k in path:
+            doc = doc[k]
+        doc.pop()
+
+    return edit
+
+
+CORRUPT_FIXTURE = "rp-kreck"
+# (part, edit); the edited documents are decided with their cover and section
+CORRUPTIONS = [
+    ("base", _put("faces", 0, 0, 0, 7)),
+    ("base", _put("faces", 1, 0, 1, {"cell": 5})),
+    ("base", _put("faces", 2, 0, 0, {"cell": 0, "degen": [0, 1]})),
+    ("base", _put("faces", 2, 0, 2, {"cell": 0, "degen": "0"})),
+    ("base", _put("faces", 3, 0, 1, {"cell": 0, "colour": 1})),
+    ("base", _drop("faces", 1, 0)),
+    ("base", _put("cochains", "w1", "support", [0, 0])),
+    ("base", _put("cochains", "w2", "support", [3])),
+    ("base", _put("assertions", "cd_at_most_3", {"value": True, "provenance": ""})),
+    ("base", _put("maps", "section", "assignment", 1, 0, {"cell": 0, "degen": [3]})),
+    ("base", _put("maps", "section", "assignment", 2, 0, {"cell": 2**70})),
+    ("cover", _put("involution", 0, [0, 1])),
+    ("cover", _put("maps", "projection", "assignment", 2, 1, {"cell": 9})),
+    ("cover", _put("maps", "projection", "assignment", 3, 0, {"degen": [0]})),
+    ("cover", _drop("maps", "projection", "assignment", 1)),
+    ("cover", _put("faces", 4, 1, 0, {"cell": -1})),
+    ("cover", _put("faces", 1, 0, 2, {"cell": 1, "degen": [1, 0]})),
+]
+
+
+def corrupt_digest(blobs: dict) -> list:
+    """(item, sha256) pairs for `stexo decide` on each corrupted file pair."""
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, (part, edit) in enumerate(CORRUPTIONS):
+            paths = {}
+            for name, blob in blobs.items():
+                doc = json.loads(blob)
+                if name == part:
+                    edit(doc)
+                paths[name] = Path(tmp, f"{name}.json")
+                paths[name].write_bytes(canonical_bytes(doc))
+            err = io.StringIO()
+            argv = ["decide", str(paths["base"]), "--cover", str(paths["cover"])]
+            argv += ["--section", "section"]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            text = f"exit {code}\n{err.getvalue()}".replace(tmp, "<dir>")
+            rows.append((f"corrupt.{k}", _sha(text)))
+    return rows
 
 
 def digest(name: str) -> list:
@@ -92,6 +164,8 @@ def digest(name: str) -> list:
             for k in range(1, top + 1):
                 argv = ["cohomology", "--json", "--steenrod", "--deg", str(k), str(path)]
                 rows.append((f"{part}.cohomology.{k}", _sha(_run_cli(argv))))
+    if name == CORRUPT_FIXTURE:
+        rows.extend(corrupt_digest(blobs))
     return rows
 
 

@@ -12,9 +12,10 @@ the bitmask of its letters.  A batch of targets is likewise a pair of arrays
 (word masks, cells), and SimplicialModel.face_batch takes one face of a whole
 batch at once; every face walk of this module goes through it or indexes the
 arrays directly.  Maps store the target of every source cell in the same form,
-and SimplicialMap.push sends a batch of targets through a map.  (word, cell)
-tuples remain only where outside input is checked, in the list constructors,
-and in the scalar reference SimplicialModel.face.
+and SimplicialMap.push sends a batch of targets through a map.  Outside input
+is checked in batches too, by encode_targets and check_targets; (word, cell)
+tuples remain only in the list constructors and in the scalar reference
+SimplicialModel.face.
 
 Cochains are normalized: a degeneracy-decorated target evaluates to 0.
 """
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, repeat
 
 import numpy as np
 
@@ -146,6 +147,96 @@ def _no_faces(count: int) -> np.ndarray:
     return np.zeros((count, 0), dtype=np.int64)
 
 
+# -- checked input -------------------------------------------------------------
+
+
+def int64_array(values) -> np.ndarray:
+    """values as an int64 array; a Python int outside int64 reads as -1."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(
+            [v if -(1 << 63) <= v < 1 << 63 else -1 for v in values], dtype=np.int64
+        )
+
+
+def encode_targets(dim: int, words, cells):
+    """Word masks and cells of dimension-dim targets, before a model is chosen.
+
+    words[k] is the degeneracy word of target k as a sequence of letters and
+    cells[k] its cell.  Returns (masks, ids, rejects): int64 arrays, and the
+    targets that are wrong on every model, by position, as (word tuple, cell)
+    as given: a word that is not canonical for dim, or a negative cell.  A
+    reject is stored as (0, -1).  check_targets finishes the check.
+    """
+    words = list(map(tuple, words))
+    masks = np.fromiter(
+        map(_canonical_masks(dim).get, words, repeat(-1)), dtype=np.int64, count=len(words)
+    )
+    ids = int64_array(cells)
+    out = np.flatnonzero((masks < 0) | (ids < 0))
+    rejects = {p: (words[p], cells[p]) for p in out.tolist()}
+    masks[out] = 0
+    ids[out] = -1
+    return masks, ids, rejects
+
+
+def _target_problem(target, dim: int) -> str:
+    """Why a dimension-dim target that check_targets refused has no place."""
+    word, cell = target
+    if any(word[k] <= word[k + 1] for k in range(len(word) - 1)):
+        return f"degeneracy word {word} is not strictly decreasing"
+    if word and (word[0] > dim - 1 or word[-1] < 0):
+        return f"degeneracy word {word} out of range for dimension {dim}"
+    return f"target {target} has no core cell in degree {dim - len(word)}"
+
+
+def check_targets(counts, dim: int, masks, ids, rejects):
+    """encode_targets output checked against a model with the given cell counts.
+
+    Returns (masks, cells, bad): int64 arrays where a target that has no place
+    on the model (a reject, or a cell past the count of its core degree) is
+    stored as (0, 0), and (position, message) for each such target, in order.
+    """
+    core = dim - np.bitwise_count(masks).astype(np.int64)
+    limit = np.zeros(dim + 1, dtype=np.int64)
+    k = min(len(counts), dim + 1)
+    limit[:k] = counts[:k]
+    wrong = (ids < 0) | (ids >= limit[core])
+    bad = [
+        (p, _target_problem(rejects.get(p) or (_word(int(masks[p])), int(ids[p])), dim))
+        for p in np.flatnonzero(wrong).tolist()
+    ]
+    if bad:
+        masks = np.where(wrong, 0, masks)
+        ids = np.where(wrong, 0, ids)
+    return masks, ids, bad
+
+
+def checked_images(source, target, blocks):
+    """Image arrays of a map from source to target, from the encode_targets
+    output of each source degree, in order: (image_word, image_cell, bad).
+
+    bad lists "degree n cell c: message" for each target refused on target.
+    Checking stops at the first degree whose size is wrong; from there on the
+    arrays are zeros.
+    """
+    words, cells, bad = [], [], []
+    for n in range(source.max_degree + 1):
+        masks, ids, rejects = blocks[n] if n < len(blocks) else encode_targets(n, [], [])
+        if ids.size != source.cells[n]:
+            bad.append(f"degree {n}: assignment size mismatch")
+            break
+        ws, cs, errs = check_targets(target.cells, n, masks, ids, rejects)
+        bad.extend(f"degree {n} cell {c}: {msg}" for c, msg in errs)
+        words.append(ws)
+        cells.append(cs)
+    for c in source.cells[len(words) :]:
+        words.append(np.zeros(c, dtype=np.int64))
+        cells.append(np.zeros(c, dtype=np.int64))
+    return words, cells, bad
+
+
 class SimplicialModel:
     """Nondegenerate cells per degree plus decorated face maps.
 
@@ -165,22 +256,32 @@ class SimplicialModel:
         for n in range(1, self.max_degree + 1):
             block = faces[n] if n < len(faces) else ()
             width = n + 1
-            flat_w = [0] * (self.cells[n] * width)
-            flat_c = [0] * (self.cells[n] * width)
             if len(block) != self.cells[n]:
                 bad.append(f"degree {n}: face table size mismatch")
                 block = ()
-            for c, row in enumerate(block):
-                if len(row) != width:
-                    bad.append(f"degree {n} cell {c}: expected {width} faces")
-                    continue
-                ws, cs, errs = self._encode(n - 1, row)
-                flat_w[c * width : (c + 1) * width] = ws
-                flat_c[c * width : (c + 1) * width] = cs
-                bad.extend(f"degree {n} cell {c} face {i}: {msg}" for i, msg in errs)
-            shape = (self.cells[n], width)
-            words.append(np.array(flat_w, dtype=np.int64).reshape(shape))
-            fcells.append(np.array(flat_c, dtype=np.int64).reshape(shape))
+            rows = [c for c, row in enumerate(block) if len(row) == width]
+            targets = [t for c in rows for t in block[c]]
+            ws, cs, errs = check_targets(
+                self.cells,
+                n - 1,
+                *encode_targets(n - 1, [w for w, _ in targets], [c for _, c in targets]),
+            )
+            found = [
+                (c, f"degree {n} cell {c}: expected {width} faces")
+                for c, row in enumerate(block)
+                if len(row) != width
+            ]
+            for p, msg in errs:
+                c = rows[p // width]
+                found.append((c, f"degree {n} cell {c} face {p % width}: {msg}"))
+            found.sort(key=lambda f: f[0])  # stable: a row has one kind of message
+            bad.extend(msg for _, msg in found)
+            fw = np.zeros((self.cells[n], width), dtype=np.int64)
+            fc = np.zeros_like(fw)
+            fw[rows] = ws.reshape(-1, width)
+            fc[rows] = cs.reshape(-1, width)
+            words.append(fw)
+            fcells.append(fc)
         self._store(words, fcells)
         self._malformed = tuple(bad)
 
@@ -297,36 +398,6 @@ class SimplicialModel:
         return _decode(words, cells)
 
     # -- validation ----------------------------------------------------------
-
-    def _check_target(self, target, dim: int) -> str | None:
-        word, cell = target
-        if any(word[k] <= word[k + 1] for k in range(len(word) - 1)):
-            return f"degeneracy word {word} is not strictly decreasing"
-        if word and (word[0] > dim - 1 or word[-1] < 0):
-            return f"degeneracy word {word} out of range for dimension {dim}"
-        core = dim - len(word)
-        if core < 0 or core > self.max_degree or not 0 <= cell < self.cells[core]:
-            return f"target {target} has no core cell in degree {core}"
-        return None
-
-    def _encode(self, dim: int, targets):
-        """Word masks and cells of dimension-dim targets on this model.
-
-        Returns (masks, cells, [(position, message)]); a target that fails
-        _check_target is encoded as (0, 0).
-        """
-        masks = _canonical_masks(dim)
-        ws, cs, bad = [], [], []
-        for pos, t in enumerate(targets):
-            word, cell = t
-            m = masks.get(tuple(word))
-            core = dim - len(word)
-            if m is None or core > self.max_degree or not 0 <= cell < self.cells[core]:
-                bad.append((pos, self._check_target(t, dim)))
-                m, cell = 0, 0
-            ws.append(m)
-            cs.append(int(cell))
-        return ws, cs, bad
 
     def validate(self) -> list[str]:
         """Structural checks, then the simplicial identities.
@@ -544,19 +615,11 @@ class SimplicialMap:
         """assignment[n][c] is the (word, cell) target of the source n-cell c.
         A target that cannot be stored as a mask and a valid cell, or a degree
         whose size is wrong, is stored as zeros and reported by validate()."""
-        words, cells, bad = [], [], []
-        for n in range(source.max_degree + 1):
-            block = assignment[n] if n < len(assignment) else ()
-            if len(block) != source.cells[n]:
-                bad.append(f"degree {n}: assignment size mismatch")
-                break
-            ws, cs, errs = target._encode(n, block)
-            bad.extend(f"degree {n} cell {c}: {msg}" for c, msg in errs)
-            words.append(ws)
-            cells.append(cs)
-        for c in source.cells[len(words) :]:  # the degrees from a size mismatch on
-            words.append([0] * c)
-            cells.append([0] * c)
+        blocks = [
+            encode_targets(n, [w for w, _ in block], [c for _, c in block])
+            for n, block in enumerate(assignment[: source.max_degree + 1])
+        ]
+        words, cells, bad = checked_images(source, target, blocks)
         self._init(source, target, words, cells, name)
         self._malformed = tuple(bad)
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stexo.catalog import REGISTRY, fixture_documents, get_fixture
+from stexo.cli import main
 from stexo.errors import ValidationError
 from stexo.modelfile import (
     MODEL_FILE_SCHEMA,
@@ -39,10 +40,16 @@ def test_registry_documents_validate_against_schema(small_documents):
             jsonschema.validate(doc, MODEL_FILE_SCHEMA)
 
 
+def _reference_bytes(doc) -> bytes:
+    """The definition canonical_bytes must meet, byte for byte."""
+    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+
 def test_small_fixture_round_trips_are_byte_stable(small_documents):
     for name, docs in small_documents.items():
         for part, doc in docs.items():
             blob = canonical_bytes(doc)
+            assert blob == _reference_bytes(doc)
             parsed = parse_bytes(blob, default_name=f"{name}-{part}")
             assert canonical_bytes(reexport(parsed)) == blob
             # a second serialization of the same document is identical
@@ -55,6 +62,7 @@ def test_big_fixture_round_trips_are_byte_stable(name):
     for part, doc in fixture_documents(name).items():
         jsonschema.validate(doc, MODEL_FILE_SCHEMA)
         blob = canonical_bytes(doc)
+        assert blob == _reference_bytes(doc)
         assert canonical_bytes(reexport(parse_bytes(blob))) == blob
 
 
@@ -157,3 +165,402 @@ def test_arbitrary_supports_round_trip(data):
     doc = model_document(model, cochains={"u": Cochain(model, degree, values)})
     parsed = parse_bytes(canonical_bytes(doc))
     assert np.array_equal(parsed.cochains["u"].values, values)
+
+
+# -- canonical_bytes against the json.dumps reference -------------------------------
+
+_TEXT = st.one_of(
+    st.text(max_size=5),
+    st.sampled_from(["a\nb", "[x, y]", "1,2", '"q"', "\\", "\u00e9\u2028", "{}"]),
+)
+_INT = st.one_of(st.integers(-3, 9), st.just(2**70), st.just(-(2**70)))
+_LETTER = st.one_of(st.integers(-1, 5), st.booleans(), st.just(2**70))
+_TARGET = st.one_of(
+    st.builds(lambda c: {"cell": c}, _INT),
+    st.builds(lambda c, w: {"cell": c, "degen": w}, _INT, st.lists(_LETTER, max_size=3)),
+    st.builds(
+        lambda c, extra: {"cell": c, **extra},
+        _INT,
+        st.dictionaries(st.sampled_from(["degen", "colour", "a\nb"]), _INT, min_size=1),
+    ),
+    st.builds(
+        lambda c: {"cell": c},
+        st.one_of(st.booleans(), _TEXT, st.none(), st.floats(allow_nan=False), st.lists(_INT)),
+    ),
+    st.builds(lambda w: {"cell": 0, "degen": w}, st.one_of(_INT, _TEXT, st.none())),
+    st.dictionaries(_TEXT, _INT, max_size=2),
+    _INT,
+    _TEXT,
+    st.lists(st.lists(_INT, max_size=2), max_size=2),
+    st.none(),
+)
+_ROWS = st.lists(st.one_of(st.lists(_TARGET, max_size=3), _TARGET), max_size=4)
+_CORE = {
+    "name": _TEXT,
+    "max_degree": _INT,
+    "cells": st.lists(st.one_of(_INT, st.booleans()), max_size=4),
+    "faces": st.lists(st.one_of(_ROWS, _INT), max_size=3),
+}
+_DOCUMENTS = st.fixed_dictionaries(
+    {
+        "format_version": st.just(1),
+        **_CORE,
+        "cochains": st.dictionaries(
+            _TEXT,
+            st.fixed_dictionaries({"degree": _INT, "support": st.lists(_INT, max_size=4)}),
+            max_size=2,
+        ),
+        "involution": st.one_of(st.none(), st.lists(st.lists(_INT, max_size=3), max_size=3)),
+        "maps": st.dictionaries(
+            _TEXT,
+            st.fixed_dictionaries(
+                {
+                    "source": st.one_of(st.none(), st.fixed_dictionaries(_CORE)),
+                    "assignment": _ROWS,
+                }
+            ),
+            max_size=2,
+        ),
+        "assertions": st.fixed_dictionaries(
+            {
+                "cd_at_most_3": st.one_of(
+                    st.none(),
+                    st.fixed_dictionaries({"value": st.booleans(), "provenance": _TEXT}),
+                )
+            }
+        ),
+    }
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DOCUMENTS)
+def test_canonical_bytes_equal_json_dumps_reference(doc):
+    assert canonical_bytes(doc) == _reference_bytes(doc)
+
+
+def test_canonical_bytes_of_edited_catalog_documents(small_documents):
+    doc = json.loads(canonical_bytes(small_documents["z2-secondary"]["base"]))
+    doc["faces"][0][1][0] = {"cell": True}
+    doc["faces"][0][2] = []
+    doc["faces"][1][0][2] = {"degen": [], "cell": 2**70, "note": "x\ny"}
+    doc["maps"]["section"]["assignment"][1] = [{"cell": 0, "degen": [1, 0]}]
+    doc["name"] = "[a,\nb]"
+    assert canonical_bytes(doc) == _reference_bytes(doc)
+
+
+# -- parse diagnostics, as literal messages of the target-by-target parser -------------
+
+_TARGET_SPOTS = {
+    # fixture, part, path of the list holding the target, index in it
+    "face": ("z2-secondary", "cover", ("faces", 1, 2), 1),
+    "source-face": ("z2-secondary", "base", ("maps", "section", "source", "faces", 0, 0), 1),
+    "section": ("z2-secondary", "base", ("maps", "section", "assignment", 1), 0),
+    "own-section": ("rp-kreck", "base", ("maps", "section", "assignment", 3), 0),
+    "projection": ("z2-secondary", "cover", ("maps", "projection", "assignment", 2), 3),
+}
+
+
+def _set(*path_and_value):
+    """An edit setting doc[path...][key] to value."""
+    *path, key, value = path_and_value
+
+    def edit(doc):
+        for k in path:
+            doc = doc[k]
+        doc[key] = value
+
+    return edit
+
+
+def _replace_target(spot, target):
+    name, part, path, index = _TARGET_SPOTS[spot]
+    return name, part, _set(*path, index, target)
+
+
+def _diagnostic(name, part, edit):
+    """The first complaint of parsing a fixture's documents with one of them
+    edited, then making its section and projection maps as the CLI does."""
+    docs = {p: json.loads(canonical_bytes(d)) for p, d in fixture_documents(name).items()}
+    edit(docs[part])
+    with pytest.raises(ValidationError) as err:
+        base = parse_bytes(canonical_bytes(docs["base"]))
+        base.maps["section"].into_parent(base.model)
+        cover = parse_bytes(canonical_bytes(docs["cover"]))
+        cover.maps["projection"].from_model_to(cover.model, base.model)
+    return str(err.value)
+
+
+def _edit(name, part, *path_and_edit):
+    *path, edit = path_and_edit
+
+    def apply(doc):
+        for key in path:
+            doc = doc[key]
+        edit(doc)
+
+    return name, part, apply
+
+
+_VIOLATION = "document: 1 simplicial violations; first: degree 2 cell 2 face 1: "
+_SOURCE_VIOLATION = (
+    "document.maps.section.source: 1 simplicial violations; first: degree 1 cell 0 face 1: "
+)
+_BIG = 2**70
+
+
+@pytest.mark.parametrize(
+    "case, want",
+    [
+        (_replace_target("face", 7), "document.faces[1][2][1]: target must be an object"),
+        (
+            _replace_target("face", {"cell": 0, "colour": 1}),
+            "document.faces[1][2][1]: unknown target keys ['colour']",
+        ),
+        (
+            _replace_target("face", {"degen": []}),
+            "document.faces[1][2][1]: target needs an integer cell",
+        ),
+        (
+            _replace_target("face", {"cell": "0"}),
+            "document.faces[1][2][1]: target needs an integer cell",
+        ),
+        (
+            _replace_target("face", {"cell": 0, "degen": 0}),
+            "document.faces[1][2][1]: degen must be a list of integers",
+        ),
+        (
+            _replace_target("face", {"cell": 0, "degen": [0, 1]}),
+            _VIOLATION + "degeneracy word (0, 1) is not strictly decreasing",
+        ),
+        (
+            _replace_target("face", {"cell": 0, "degen": [5]}),
+            _VIOLATION + "degeneracy word (5,) out of range for dimension 1",
+        ),
+        (
+            _replace_target("face", {"cell": -1}),
+            _VIOLATION + "target ((), -1) has no core cell in degree 1",
+        ),
+        (
+            _replace_target("face", {"cell": 10**6}),
+            _VIOLATION + "target ((), 1000000) has no core cell in degree 1",
+        ),
+        (
+            _replace_target("face", {"cell": _BIG}),
+            _VIOLATION + "target ((), 1180591620717411303424) has no core cell in degree 1",
+        ),
+        (
+            _replace_target("face", {"cell": _BIG, "degen": [0]}),
+            _VIOLATION + "target ((0,), 1180591620717411303424) has no core cell in degree 0",
+        ),
+        (
+            _edit("z2-secondary", "cover", "faces", 1, 2, lambda row: row.append({"cell": 0})),
+            "document.faces[1][2]: expected 3 targets",
+        ),
+        (
+            _edit("z2-secondary", "cover", "faces", 1, lambda block: block.pop()),
+            "document.faces[1]: expected 4 rows",
+        ),
+        (
+            # a faulty target in an earlier row is reported before a short row
+            _edit(
+                "z2-secondary",
+                "cover",
+                "faces",
+                1,
+                lambda block: (block[3].pop(), block[2].__setitem__(0, {"cell": "x"})),
+            ),
+            "document.faces[1][2][0]: target needs an integer cell",
+        ),
+        (
+            _replace_target("source-face", []),
+            "document.maps.section.source.faces[0][0][1]: target must be an object",
+        ),
+        (
+            _replace_target("source-face", {"cell": 1.0}),
+            "document.maps.section.source.faces[0][0][1]: target needs an integer cell",
+        ),
+        (
+            _replace_target("source-face", {"cell": 0, "degen": ["0"]}),
+            "document.maps.section.source.faces[0][0][1]: degen must be a list of integers",
+        ),
+        (
+            _replace_target("source-face", {"cell": 0, "degen": [0, 1]}),
+            _SOURCE_VIOLATION + "degeneracy word (0, 1) is not strictly decreasing",
+        ),
+        (
+            _replace_target("source-face", {"cell": -1}),
+            _SOURCE_VIOLATION + "target ((), -1) has no core cell in degree 0",
+        ),
+        (
+            _replace_target("source-face", {"cell": _BIG, "degen": [0]}),
+            _SOURCE_VIOLATION + "degeneracy word (0,) out of range for dimension 0",
+        ),
+        (
+            _edit(
+                "z2-secondary",
+                "base",
+                "maps",
+                "section",
+                "source",
+                "faces",
+                0,
+                0,
+                lambda row: row.pop(),
+            ),
+            "document.maps.section.source.faces[0][0]: expected 2 targets",
+        ),
+        (
+            _replace_target("section", {"cell": 0, "colour": 1}),
+            "document.maps.section.assignment[1][0]: unknown target keys ['colour']",
+        ),
+        (
+            _replace_target("section", {"degen": []}),
+            "document.maps.section.assignment[1][0]: target needs an integer cell",
+        ),
+        (
+            _replace_target("section", {"cell": 0, "degen": [0, 1]}),
+            "map section: degree 1 cell 0: degeneracy word (0, 1) is not strictly decreasing",
+        ),
+        (
+            _replace_target("section", {"cell": 0, "degen": [5]}),
+            "map section: degree 1 cell 0: degeneracy word (5,) out of range for dimension 1",
+        ),
+        (
+            _replace_target("section", {"cell": 10**6}),
+            "map section: degree 1 cell 0: target ((), 1000000) has no core cell in degree 1",
+        ),
+        (
+            _replace_target("section", {"cell": _BIG, "degen": [0]}),
+            "map section: degree 1 cell 0: target ((0,), 1180591620717411303424)"
+            " has no core cell in degree 0",
+        ),
+        (
+            _replace_target("own-section", 7),
+            "document.maps.section.assignment[3][0]: target must be an object",
+        ),
+        (
+            _replace_target("own-section", {"cell": -1}),
+            "map section: degree 3 cell 0: target ((), -1) has no core cell in degree 3",
+        ),
+        (
+            _replace_target("own-section", {"cell": 0, "degen": [5]}),
+            "map section: degree 3 cell 0: degeneracy word (5,) out of range for dimension 3",
+        ),
+        (
+            _replace_target("projection", {"cell": 0, "degen": 0}),
+            "document.maps.projection.assignment[2][3]: degen must be a list of integers",
+        ),
+        (
+            _replace_target("projection", {"cell": 0, "degen": [0, 1]}),
+            "map projection: degree 2 cell 3: degeneracy word (0, 1) is not strictly decreasing",
+        ),
+        (
+            _replace_target("projection", {"cell": -1}),
+            "map projection: degree 2 cell 3: target ((), -1) has no core cell in degree 2",
+        ),
+        (
+            _replace_target("projection", {"cell": _BIG}),
+            "map projection: degree 2 cell 3: target ((), 1180591620717411303424)"
+            " has no core cell in degree 2",
+        ),
+        (
+            _edit(
+                "z2-secondary", "cover", "maps", "projection", "assignment", 1, lambda b: b.pop()
+            ),
+            "document.maps.projection.assignment[1]: expected 6 targets",
+        ),
+        (
+            # the first fault in (degree, cell) order wins, whatever its kind
+            _edit(
+                "z2-secondary",
+                "cover",
+                "maps",
+                "projection",
+                "assignment",
+                lambda a: (
+                    a[2].__setitem__(0, {"cell": 0, "degen": [1, 1]}),
+                    a[1].__setitem__(4, {"cell": 99}),
+                ),
+            ),
+            "map projection: degree 1 cell 4: target ((), 99) has no core cell in degree 1",
+        ),
+        (
+            _edit("z2-secondary", "base", "cochains", "w1", lambda c: c.update(support=[2, 1])),
+            "document.cochains.w1.support[1]: support must be strictly increasing",
+        ),
+        (
+            _edit("z2-secondary", "base", "cochains", "w1", lambda c: c.update(support=[1, 1])),
+            "document.cochains.w1.support[1]: support must be strictly increasing",
+        ),
+        (
+            _edit("z2-secondary", "base", "cochains", "w1", lambda c: c.update(support=[0, 3])),
+            "document.cochains.w1.support[1]: cell index out of range 0..2",
+        ),
+        (
+            _edit("z2-secondary", "base", "cochains", "w1", lambda c: c.update(support=[-1])),
+            "document.cochains.w1.support[0]: cell index out of range 0..2",
+        ),
+        (
+            _edit(
+                "z2-secondary", "base", "cochains", "w1", lambda c: c.update(support=[0, _BIG])
+            ),
+            "document.cochains.w1.support[1]: cell index out of range 0..2",
+        ),
+    ],
+)
+def test_parse_diagnostics_are_unchanged(case, want):
+    assert _diagnostic(*case) == want
+
+
+
+@pytest.mark.parametrize(
+    "target",
+    [{"cell": 0, "degen": [0, 1]}, {"cell": 0, "degen": [7]}, {"cell": -1}, {"cell": 2**70}],
+)
+def test_reexport_keeps_map_targets_checked_only_on_use(target):
+    # a map's targets are checked against the codomain the consumer picks
+    doc = json.loads(canonical_bytes(fixture_documents("z2-secondary")["cover"]))
+    doc["maps"]["projection"]["assignment"][2][3] = target
+    blob = canonical_bytes(doc)
+    assert canonical_bytes(reexport(parse_bytes(blob))) == blob
+
+# -- integers, as the schema means them ----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set("faces", 0, 0, 0, "cell", True),
+        _set("faces", 1, 0, 0, "degen", [True]),
+        _set("cells", 0, True),
+        _set("max_degree", True),
+        _set("cochains", "lift-0", {"degree": True, "support": []}),
+        _set("cochains", "lift-0", {"degree": 1, "support": [False]}),
+        _set("involution", 0, [True, False]),
+        _set("maps", "projection", "assignment", 0, 0, "cell", False),
+    ],
+)
+def test_booleans_are_not_integers(edit):
+    doc = json.loads(canonical_bytes(fixture_documents("rp-kreck")["cover"]))
+    edit(doc)
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, MODEL_FILE_SCHEMA)
+    with pytest.raises(ValidationError):
+        data = parse_bytes(canonical_bytes(doc))
+        base = parse_bytes(canonical_bytes(fixture_documents("rp-kreck")["base"]))
+        data.maps["projection"].from_model_to(data.model, base.model)
+
+
+@pytest.mark.parametrize("perm", [[1.3, 0.3], ["1", "0"], ["ab", 0], [2**70, 0], [[1], 0]])
+def test_involution_entries_must_be_integers(perm, tmp_path, capsys):
+    docs = fixture_documents("rp-kreck")
+    doc = json.loads(canonical_bytes(docs["cover"]))
+    doc["involution"][0] = perm
+    with pytest.raises(ValidationError, match=r"^document\.involution: "):
+        parse_bytes(canonical_bytes(doc))
+    base, cover = tmp_path / "base.json", tmp_path / "cover.json"
+    base.write_bytes(canonical_bytes(docs["base"]))
+    cover.write_bytes(canonical_bytes(doc))
+    assert main(["decide", str(base), "--cover", str(cover)]) == 2
+    assert "document.involution" in capsys.readouterr().err
