@@ -23,7 +23,10 @@ For each fixture (all of them by default) the lines are:
   corrupt.<k>        rp-kreck only: the exit code and error text of
                      `stexo decide` on its base and cover files with the
                      k-th edit of CORRUPTIONS applied (each one a file the
-                     parser or the map checks refuse, exit code 2).
+                     parser or the map checks refuse, exit code 2);
+  corrupt.nested     rp-kreck only: the exit code and error text of
+                     `stexo decide` on a base file nested NESTED_DEPTH
+                     deep (or the name of the exception it raised).
 
 Running it on two checkouts and comparing the files with diff shows whether a
 change kept every output byte for byte.
@@ -126,6 +129,24 @@ def corrupt_digest(blobs: dict) -> list:
     return rows
 
 
+NESTED_DEPTH = 100000
+
+
+def nested_digest() -> list:
+    """(item, sha256) for `stexo decide` on a too deeply nested document."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "nested.json")
+        path.write_text("[" * NESTED_DEPTH + "]" * NESTED_DEPTH)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(["decide", str(path)])
+            except Exception as exc:  # an uncaught error is an output too
+                code = f"raised {type(exc).__name__}"
+        text = f"exit {code}\n{err.getvalue()}".replace(tmp, "<dir>")
+    return [("corrupt.nested", _sha(text))]
+
+
 def digest(name: str) -> list:
     """(item, sha256) pairs for one fixture."""
     fx = get_fixture(name)
@@ -166,6 +187,7 @@ def digest(name: str) -> list:
                 rows.append((f"{part}.cohomology.{k}", _sha(_run_cli(argv))))
     if name == CORRUPT_FIXTURE:
         rows.extend(corrupt_digest(blobs))
+        rows.extend(nested_digest())
     return rows
 
 

@@ -9,11 +9,17 @@ The representatives of a basis are the closed cochains (kernel rows of delta_k
 in order) independent of the coboundaries and of the closed cochains before
 them.  Coordinates of a batch of cochains come from one reduction against a
 gf2.Subspace spanned by the coboundaries, then the representatives.
+
+The model's cache holds only that reduction (the representatives' values and
+the span), which refers to no model; each cohomology_basis call returns a new
+CohomologyBasis view of it on the model.  A model and its caches thus form no
+reference cycle, and a dropped model is freed by reference counting alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,19 +29,37 @@ from .simplicial import Cochain, CoverPair, SimplicialMap, SimplicialModel, cobo
 from .snf import AbelianGroupInvariants, HomologyResult, homology_from_boundaries
 
 
-@dataclass
-class CohomologyBasis:
-    """A chosen basis of H^k(model; GF(2)) with a coordinate oracle."""
+@dataclass(frozen=True, eq=False)
+class BasisReduction:
+    """The model-free part of a degree-k basis, as cached on the model: the
+    representatives' values, one read-only row each, and the span of the
+    coboundaries followed by the representatives."""
 
-    model: SimplicialModel
-    degree: int
-    reps: list
+    reps: np.ndarray
     span: Subspace
     truncated: bool
 
+
+@dataclass
+class CohomologyBasis:
+    """A chosen basis of H^k(model; GF(2)) with a coordinate oracle: a view of
+    the model's cached reduction."""
+
+    model: SimplicialModel
+    degree: int
+    reduction: BasisReduction
+
+    @property
+    def truncated(self) -> bool:
+        return self.reduction.truncated
+
     @property
     def dim(self) -> int:
-        return len(self.reps)
+        return len(self.reduction.reps)
+
+    @cached_property
+    def reps(self) -> list:
+        return [Cochain(self.model, self.degree, row) for row in self.reduction.reps]
 
     def _coords(self, cochains) -> np.ndarray:
         """Coordinates of a batch of cochains, one row each: the last dim
@@ -46,7 +70,8 @@ class CohomologyBasis:
             if not self.truncated and not coboundary(u).is_zero():
                 raise ValidationError("coords: cochain is not closed")
         values = np.array([u.values for u in cochains], dtype=np.uint8)
-        combo = self.span.combination(values.reshape(len(cochains), self.span.ambient_dim))
+        span = self.reduction.span
+        combo = span.combination(values.reshape(len(cochains), span.ambient_dim))
         return combo[:, combo.shape[1] - self.dim :]
 
     def coords(self, u: Cochain) -> np.ndarray:
@@ -57,9 +82,8 @@ class CohomologyBasis:
         return F2Matrix.from_dense(self._coords(cochains).T)
 
     def class_from_coords(self, coords) -> Cochain:
-        reps = np.array([r.values for r in self.reps], dtype=np.uint8)
-        reps = reps.reshape(self.dim, self.span.ambient_dim)
-        values = xor_combine(np.asarray(coords, dtype=np.uint8)[None] & 1, reps)[0]
+        coords = np.asarray(coords, dtype=np.uint8)[None] & 1
+        values = xor_combine(coords, self.reduction.reps)[0]
         return Cochain(self.model, self.degree, values)
 
 
@@ -77,9 +101,12 @@ def cohomology_basis(
             f" {degree + 1} to certify closedness"
         )
     key = ("hbasis", degree, certified)
-    if key in model._cache:
-        return model._cache[key]
+    if key not in model._cache:
+        model._cache[key] = _reduction(model, degree, certified)
+    return CohomologyBasis(model, degree, model._cache[key])
 
+
+def _reduction(model: SimplicialModel, degree: int, certified: bool) -> BasisReduction:
     n = model.n_cells(degree)
     if certified:
         closed = kernel_basis(model.coboundary_matrix(degree)).to_dense()
@@ -93,12 +120,9 @@ def cohomology_basis(
     stacked = F2Matrix(n, start + len(closed), words)
     pivots = np.array(rank_and_echelon(stacked, want_transform=False).pivots, dtype=int)
     reps = closed[pivots[pivots >= start] - start]
+    reps.setflags(write=False)
     span = Subspace.from_vectors(n, np.vstack([cob.to_dense().T, reps]))
-    basis = CohomologyBasis(
-        model, degree, [Cochain(model, degree, row) for row in reps], span, not certified
-    )
-    model._cache[key] = basis
-    return basis
+    return BasisReduction(reps, span, not certified)
 
 
 def mod2_betti(model: SimplicialModel, degree: int) -> int:

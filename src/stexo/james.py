@@ -370,9 +370,8 @@ def d2_maps(
             )
             continue
         vecs = _mod2_generators(base, p, entry.result)
-        reps = np.array([rep.values for rep in h_p.reps], dtype=np.int64)
         # column g pairs the H^p representatives with generator g mod 2
-        red = F2Matrix.from_dense(reps.reshape(h_p.dim, base.cells[p]) @ vecs.T & 1)
+        red = F2Matrix.from_dense(h_p.reduction.reps.astype(np.int64) @ vecs.T & 1)
         mat = mt.matmul(red)
         _check_dim(page, (p, 0), mat.cols, f"d2 source ({p},0)")
         _check_dim(page, (p - 2, 1), mat.rows, f"d2 target ({p - 2},1)")

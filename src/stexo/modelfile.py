@@ -15,6 +15,15 @@ image_word/image_cell), and parsing checks each degree's targets in batches
 and stores them as arrays, with the same messages a target-by-target check
 gives.
 
+The three entry points, model_document, canonical_bytes and parse_bytes,
+always run with CPython's cyclic garbage collector paused, and restore its
+previous state on return or exception.  They build or read up to half a
+million small dicts and lists per big document, none of them in a reference
+cycle; with the collector running, its passes over those young containers
+took about a quarter of export and parse time.  The pause frees nothing later
+than reference counting would, because models and their caches hold no
+reference cycles (see cohomology).
+
 Map entries either inline their own source model, in which case they map
 into this file's model, or carry source null, meaning the source is this
 file's model and the consumer picks the codomain (the base model when this
@@ -23,7 +32,9 @@ file describes a cover, the file's own model otherwise).
 
 from __future__ import annotations
 
+import gc
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import contains, is_
@@ -151,6 +162,18 @@ MODEL_FILE_SCHEMA = {
 }
 
 
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector, then restore its previous state."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 # -- document construction -----------------------------------------------------------
 
 
@@ -191,6 +214,7 @@ def _assertion_json(a: Assertion | None):
     return {"value": bool(a.value), "provenance": a.provenance}
 
 
+@_collector_paused()
 def model_document(
     model: SimplicialModel,
     cochains: dict | None = None,
@@ -239,6 +263,7 @@ def model_document(
 _INDENT = "  "
 
 
+@_collector_paused()
 def canonical_bytes(doc: dict) -> bytes:
     """The bytes of json.dumps(doc, sort_keys=True, indent=2) + "\\n".
 
@@ -639,10 +664,11 @@ def parse_document(doc, default_name: str = "model") -> ModelFileData:
     return ModelFileData(model, cochains, involution, maps, cd, h5)
 
 
+@_collector_paused()
 def parse_bytes(data: bytes, default_name: str = "model") -> ModelFileData:
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"not a JSON model file: {exc}") from exc
     return parse_document(doc, default_name)
 

@@ -478,7 +478,7 @@ def secondary_test(
     s = section.s
     p4, h4_cover, h4_base = induced_matrix(cover.projection, 4)
     s4, h4_section, h4_base_again = induced_matrix(s, 4)
-    if h4_base_again is not h4_base:
+    if h4_base_again.reduction is not h4_base.reduction:
         raise InternalInvariantError("H^4 base bases diverged")
     stacked = p4.stack(s4)
     if rank(stacked) < stacked.cols:

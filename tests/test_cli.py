@@ -137,6 +137,13 @@ def test_malformed_json_exits_two(tmp_path, capsys):
     assert "not a JSON model file" in err
 
 
+def test_deeply_nested_json_exits_two(tmp_path, capsys):
+    nested = tmp_path / "nested.json"
+    nested.write_bytes(b"[" * 100000 + b"]" * 100000)
+    assert main(["decide", str(nested)]) == 2
+    assert "not a JSON model file" in capsys.readouterr().err
+
+
 def test_lift_without_cover_exits_two(exported, capsys):
     code = main(["decide", str(exported / "rp-w2-zero-base.json"), "--lift", "x"])
     assert code == 2

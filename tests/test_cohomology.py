@@ -1,5 +1,8 @@
 """Cohomology bases, induced maps, and integral/twisted homology oracles."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from stexo.builders import (
     bar_b,
     bar_e_z2,
     circle,
+    dihedral8_table,
     k_z2_2,
     klein_table,
     z2_table,
@@ -25,12 +29,18 @@ from stexo.cohomology import (
 from stexo.errors import TruncationError, ValidationError
 from stexo.gf2 import F2Matrix, Subspace, kernel_basis, rank
 from stexo.james import DEFAULT_INT_SIZE_CAP, _boundary_load
-from stexo.obstruction import cover_data_from_w1
+from stexo.obstruction import (
+    NormalOneType,
+    cover_data_from_w1,
+    decide,
+    lift_data_solutions,
+)
 from stexo.simplicial import (
     Cochain,
     coboundary,
     cover_from_cocycle,
     cup,
+    is_coboundary,
     product,
     quotient_free_involution,
 )
@@ -100,6 +110,43 @@ def test_basis_coords_round_trip(torus3):
         g = Cochain(m, 0, rng.integers(0, 2, m.n_cells(0), dtype=np.uint8))
         assert np.array_equal(basis.coords(u + coboundary(g)), bits)
         assert np.array_equal(basis.coords(u), basis.coords(u + coboundary(g)))
+
+
+def test_each_call_is_a_view_of_one_cached_reduction(torus3):
+    m = torus3.model
+    first, again = cohomology_basis(m, 1), cohomology_basis(m, 1)
+    assert first is not again
+    assert first.reduction is again.reduction
+    assert first == again
+    assert first.reps == again.reps and first.reps[0].model is m
+    assert not first.reduction.reps.flags.writeable
+
+
+def _d8_pipeline() -> list:
+    """Weak references to a depth-5 D8 bar model and its double cover, after
+    the caches of a decision run are filled."""
+    base = bar_b(dihedral8_table(), 5, name="bar-d8")
+    x = Cochain(base, 1, np.array([g & 1 for g in range(1, 8)], dtype=np.uint8))
+    y = Cochain(base, 1, np.array([g >> 2 for g in range(1, 8)], dtype=np.uint8))
+    nt = NormalOneType(base, x, cup(x, x) + cup(y, y), name="d8")
+    cover = cover_data_from_w1(nt)
+    for k in range(1, 5):
+        cohomology_basis(base, k)
+    assert not is_coboundary(x)
+    assert not lift_data_solutions(nt, cover).empty
+    assert decide(nt, cover=cover).outcome == "NoExoticaPrimary"
+    return [weakref.ref(base), weakref.ref(cover.cover)]
+
+
+def test_dropped_models_free_without_the_collector():
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        refs = _d8_pipeline()
+        assert [r() for r in refs] == [None, None]
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_coords_rejects_open_cochains(torus3):

@@ -1,5 +1,6 @@
 """Model file format: schema conformance, canonical bytes, parser diagnostics."""
 
+import gc
 import json
 
 import jsonschema
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stexo.modelfile as modelfile
 from stexo.catalog import REGISTRY, fixture_documents, get_fixture
 from stexo.cli import main
 from stexo.errors import ValidationError
@@ -564,3 +566,66 @@ def test_involution_entries_must_be_integers(perm, tmp_path, capsys):
     cover.write_bytes(canonical_bytes(doc))
     assert main(["decide", str(base), "--cover", str(cover)]) == 2
     assert "document.involution" in capsys.readouterr().err
+
+
+def test_deeply_nested_document_is_not_a_model_file():
+    with pytest.raises(ValidationError, match=r"^not a JSON model file: "):
+        parse_bytes(b"[" * 100000 + b"]" * 100000)
+
+
+# -- the collector pause ---------------------------------------------------------
+
+
+@pytest.fixture
+def collector_state():
+    """Puts the collector back as it was, whatever the test leaves."""
+    was_enabled = gc.isenabled()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
+def _spy_collector(monkeypatch, name: str, seen: dict) -> None:
+    """Record the collector's state at each call of modelfile.<name>."""
+    real = getattr(modelfile, name)
+
+    def spy(*args, **kwargs):
+        seen.setdefault(name, set()).add(gc.isenabled())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(modelfile, name, spy)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_model_file_calls_pause_and_restore_the_collector(
+    enabled, monkeypatch, collector_state
+):
+    fx = get_fixture("rp-kreck")
+    seen: dict = {}
+    for name in ("_model_core_json", "_write", "parse_document"):
+        _spy_collector(monkeypatch, name, seen)
+    (gc.enable if enabled else gc.disable)()
+
+    doc = model_document(fx.nt.base, cochains={"w1": fx.nt.w1})
+    assert gc.isenabled() is enabled
+    blob = canonical_bytes(doc)
+    assert gc.isenabled() is enabled
+    parsed = parse_bytes(blob)
+    assert gc.isenabled() is enabled
+    assert seen == {"_model_core_json": {False}, "_write": {False}, "parse_document": {False}}
+
+    other = get_fixture("rp-w2-zero").nt.w1
+    with pytest.raises(ValidationError, match="different model"):
+        model_document(fx.nt.base, cochains={"w1": other})
+    assert gc.isenabled() is enabled
+    for corrupt in (b"{oops", blob.replace(b'"format_version": 1', b'"format_version": 2')):
+        with pytest.raises(ValidationError):
+            parse_bytes(corrupt)
+        assert gc.isenabled() is enabled
+
+    # reexport runs model_document inside a caller that paused already
+    with modelfile._collector_paused():
+        again = reexport(parsed)
+        assert not gc.isenabled()
+    assert gc.isenabled() is enabled
+    assert canonical_bytes(again) == blob
+    assert gc.isenabled() is enabled

@@ -17,8 +17,9 @@ from stexo.catalog import (
     z2_secondary,
     z4_semidirect,
 )
+import stexo.obstruction as obstruction
 from stexo.cohomology import cohomology_basis
-from stexo.errors import TruncationError, ValidationError
+from stexo.errors import InternalInvariantError, TruncationError, ValidationError
 from stexo.gf2 import solve_affine
 from stexo.obstruction import (
     Assertion,
@@ -367,6 +368,24 @@ def test_secondary_zero_branch_on_kreck_data():
     out = secondary_test(fx.nt, fx.cover, datum, fx.section)
     assert out.kind == "zero"
     assert out.omega is not None and out.omega.is_zero()
+
+
+def test_secondary_rejects_bases_from_different_reductions(monkeypatch):
+    fx = rp_kreck()
+    datum = LiftDatum(Cochain.zero(fx.cover.cover, 2), 0, "zero lift")
+    induced = obstruction.induced_matrix
+
+    def section_onto_fresh_basis(f, degree):
+        m, src, tgt = induced(f, degree)
+        if f is fx.section.s:
+            tgt = dataclasses.replace(tgt, reduction=dataclasses.replace(tgt.reduction))
+        return m, src, tgt
+
+    monkeypatch.setattr(obstruction, "induced_matrix", section_onto_fresh_basis)
+    with pytest.raises(InternalInvariantError, match="H\\^4 base bases diverged"):
+        secondary_test(fx.nt, fx.cover, datum, fx.section)
+    monkeypatch.undo()
+    assert secondary_test(fx.nt, fx.cover, datum, fx.section).kind == "zero"
 
 
 def test_secondary_inconclusive_without_section():
