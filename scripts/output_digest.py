@@ -8,6 +8,9 @@ For each fixture (all of them by default) the lines are:
                      (with its cover, section and lift data) and the
                      replay_evidence result;
   report             report_json of the second page, d2 maps and killers;
+  generators         generator_chains() of every certified twisted E2 entry
+                     (the integer cycle basis itself, not only its mod-2
+                     pairings), as JSON lists of ints keyed by "p,q";
   <part>.bytes       canonical_bytes of each exported document;
   <part>.reexport    canonical_bytes of its re-export after parsing;
   cli.decide         `stexo decide --json` on the exported files, with
@@ -160,6 +163,12 @@ def digest(name: str) -> list:
         diffs = d2_maps(fx.nt, page, fx.cover)
         killers = killers_report(fx.nt, page, diffs, verdict)
         rows.append(("report", _sha(report_json(page, diffs, killers))))
+        gens = {
+            f"{p},{q}": [[int(x) for x in row] for row in e.result.generator_chains()]
+            for (p, q), e in sorted(page.entries.items())
+            if e.result is not None
+        }
+        rows.append(("generators", _sha(json.dumps(gens))))
     docs = fixture_documents(name)
     blobs = {part: canonical_bytes(doc) for part, doc in sorted(docs.items())}
     for part, blob in blobs.items():

@@ -317,8 +317,7 @@ def _operator_transpose(nt: NormalOneType, p: int):
 def _mod2_generators(base, p: int, result: HomologyResult) -> np.ndarray:
     """The twisted H_p generators reduced mod 2, one row each, checked to be
     mod-2 cycles all at once."""
-    gens = result.generator_chains()
-    vecs = np.asarray(gens, dtype=np.int64).reshape(len(gens), base.cells[p]) & 1
+    vecs = (result.generator_chains() & 1).astype(np.int64)
     if not F2Matrix.from_dense(vecs).matmul(base.coboundary_matrix(p - 1)).is_zero():
         raise InternalInvariantError(
             "a twisted homology generator failed to reduce to a mod-2 cycle"

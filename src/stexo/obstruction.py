@@ -75,6 +75,12 @@ class NormalOneType:
 class PipelineConfig:
     lift_cap: int = 1 << 16
 
+    def __post_init__(self):
+        # enumeration takes at least one datum, so a smaller cap would be
+        # reported as sampled while deciding on one
+        if self.lift_cap < 1:
+            raise ValidationError(f"lift cap must be at least 1, got {self.lift_cap}")
+
 
 @dataclass
 class LiftDatum:

@@ -1,13 +1,15 @@
 """Exact integer linear algebra: Smith normal form and homology of a chain pair.
 
-Homology invariants come from invariant factors alone.  invariant_factors
-eliminates +-1 pivots on an int64 numpy array, with every update checked to
-stay inside int64, and hands the block that is left to smith_normal_form,
-which runs over Python ints and cannot overflow.  Cycle generators, which
-need the transforms, are computed only when asked for.
+Every matrix here is a numpy array: int64 where a bound proves the values
+fit, Python-int object arrays where they need not.  Homology invariants come
+from invariant factors alone.  invariant_factors eliminates +-1 pivots on an
+int64 array, with every update checked to stay inside int64, and hands the
+block that is left to smith_normal_form, which runs on object arrays and
+cannot overflow.  Cycle generators, which need the transforms, are computed
+only when asked for; _product is the one exact matrix product.
 
 smith_normal_form takes a matrix as a list of row lists and returns the
-invariant factors together with the full transform data U, V (and their
+invariant factors together with the full transform arrays U, V (and their
 inverses) such that U * A * V = D.
 """
 
@@ -24,68 +26,19 @@ from .errors import InternalInvariantError, ModelMismatchError
 _INT64_SAFE = 1 << 62
 
 
-def zeros(rows: int, cols: int) -> list[list[int]]:
-    return [[0] * cols for _ in range(rows)]
-
-
-def identity(n: int) -> list[list[int]]:
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = 1
-    return m
-
-
-def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    if a and b and len(a[0]) != len(b):
-        raise ModelMismatchError("integer matrix shape mismatch in product")
-    if not a or not b:
-        return zeros(len(a), len(b[0]) if b else 0)
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
 @dataclass
 class SNFResult:
     """U A V = D with all four transforms unimodular.
 
-    diag lists the nonzero invariant factors d_1 | d_2 | ... only.
+    diag lists the nonzero invariant factors d_1 | d_2 | ... only.  U, U_inv,
+    V and V_inv are square numpy object arrays of Python ints.
     """
 
     diag: list[int]
-    U: list[list[int]]
-    U_inv: list[list[int]]
-    V: list[list[int]]
-    V_inv: list[list[int]]
-
-
-def _swap_rows(m, i, j):
-    m[i], m[j] = m[j], m[i]
-
-
-def _swap_cols(m, i, j):
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-
-
-def _add_row(m, src, dst, k):
-    """row[dst] += k * row[src]"""
-    rs, rd = m[src], m[dst]
-    for c in range(len(rd)):
-        rd[c] += k * rs[c]
-
-
-def _add_col(m, src, dst, k):
-    for row in m:
-        row[dst] += k * row[src]
-
-
-def _negate_row(m, i):
-    m[i] = [-x for x in m[i]]
-
-
-def _negate_col(m, j):
-    for row in m:
-        row[j] = -row[j]
+    U: np.ndarray
+    U_inv: np.ndarray
+    V: np.ndarray
+    V_inv: np.ndarray
 
 
 def smith_normal_form(a: list[list[int]]) -> SNFResult:
@@ -93,98 +46,71 @@ def smith_normal_form(a: list[list[int]]) -> SNFResult:
 
     Row operations applied to A are mirrored on U and inverted on U_inv
     (likewise columns on V / V_inv), so U A_orig V = D holds exactly and
-    U U_inv = I, V V_inv = I.
+    U U_inv = I, V V_inv = I.  Each step updates whole rows and columns of
+    Python-int object arrays.
     """
-    m = [list(row) for row in a]
-    nr = len(m)
-    nc = len(m[0]) if m else 0
-    U, Ui = identity(nr), identity(nr)
-    V, Vi = identity(nc), identity(nc)
-
-    def row_op(src, dst, k):
-        _add_row(m, src, dst, k)
-        _add_row(U, src, dst, k)
-        # (dst += k src) inverts to (dst -= k src); on the inverse we track
-        # the transpose action on columns.
-        _add_col(Ui, dst, src, -k)
-
-    def col_op(src, dst, k):
-        _add_col(m, src, dst, k)
-        _add_col(V, src, dst, k)
-        _add_row(Vi, dst, src, -k)
-
-    def row_swap(i, j):
-        _swap_rows(m, i, j)
-        _swap_rows(U, i, j)
-        _swap_cols(Ui, i, j)
-
-    def col_swap(i, j):
-        _swap_cols(m, i, j)
-        _swap_cols(V, i, j)
-        _swap_rows(Vi, i, j)
-
-    def row_negate(i):
-        _negate_row(m, i)
-        _negate_row(U, i)
-        _negate_col(Ui, i)
+    nr = len(a)
+    nc = len(a[0]) if a else 0
+    m = np.array(a, dtype=object).reshape(nr, nc)
+    U, Ui = np.eye(nr, dtype=object), np.eye(nr, dtype=object)
+    V, Vi = np.eye(nc, dtype=object), np.eye(nc, dtype=object)
 
     t = 0
     limit = min(nr, nc)
     while t < limit:
-        # locate the smallest nonzero entry in the remaining block
-        best = None
-        for i in range(t, nr):
-            row = m[i]
-            for j in range(t, nc):
-                v = row[j]
-                if v and (best is None or abs(v) < best[0]):
-                    best = (abs(v), i, j)
-                    if abs(v) == 1:
-                        break
-            if best and best[0] == 1:
-                break
-        if best is None:
+        # the first entry of least absolute value in the remaining block, in
+        # row-major order (argmin keeps the first of equal values)
+        block = m[t:, t:]
+        nz = np.flatnonzero(block)
+        if not nz.size:
             break
-        _, pi, pj = best
+        i, j = divmod(int(nz[np.argmin(np.abs(block.flat[nz]))]), nc - t)
+        pi, pj = t + i, t + j
+        # a row swap or negation is its own inverse; on U_inv we track the
+        # transpose action on columns (likewise V_inv on rows)
         if pi != t:
-            row_swap(t, pi)
+            m[[t, pi]] = m[[pi, t]]
+            U[[t, pi]] = U[[pi, t]]
+            Ui[:, [t, pi]] = Ui[:, [pi, t]]
         if pj != t:
-            col_swap(t, pj)
-        if m[t][t] < 0:
-            row_negate(t)
+            m[:, [t, pj]] = m[:, [pj, t]]
+            V[:, [t, pj]] = V[:, [pj, t]]
+            Vi[[t, pj]] = Vi[[pj, t]]
+        if m[t, t] < 0:
+            m[t] = -m[t]
+            U[t] = -U[t]
+            Ui[:, t] = -Ui[:, t]
+        p = m[t, t]
 
-        dirty = False
-        for i in range(t + 1, nr):
-            if m[i][t]:
-                q = m[i][t] // m[t][t]
-                row_op(t, i, -q)
-                if m[i][t]:
-                    dirty = True
-        for j in range(t + 1, nc):
-            if m[t][j]:
-                q = m[t][j] // m[t][t]
-                col_op(t, j, -q)
-                if m[t][j]:
-                    dirty = True
-        if dirty:
+        # row i -= q_i row t clears column t below the pivot; it inverts to
+        # column t += q_i column i on U_inv
+        rows = t + 1 + np.flatnonzero(m[t + 1 :, t])
+        q = m[rows, t] // p
+        m[rows] -= np.outer(q, m[t])
+        U[rows] -= np.outer(q, U[t])
+        Ui[:, t] += Ui[:, rows].dot(q)
+        # column j -= q_j column t clears row t; row t += q_j row j on V_inv
+        cols = t + 1 + np.flatnonzero(m[t, t + 1 :])
+        q = m[t, cols] // p
+        m[:, cols] -= np.outer(m[:, t], q)
+        V[:, cols] -= np.outer(V[:, t], q)
+        Vi[t] += q.dot(Vi[cols])
+        if m[t + 1 :, t].any() or m[t, t + 1 :].any():
             continue
 
-        # divisibility sweep: pivot must divide everything below-right
-        offender = None
-        for i in range(t + 1, nr):
-            row = m[i]
-            for j in range(t + 1, nc):
-                if row[j] % m[t][t]:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            row_op(offender, t, 1)
-            continue
+        # divisibility sweep: pivot must divide everything below-right; the
+        # first offending row is added to the pivot row (a unit divides all)
+        if p != 1:
+            offenders = np.flatnonzero((m[t + 1 :, t + 1 :] % p != 0).any(axis=1))
+            if offenders.size:
+                o = t + 1 + int(offenders[0])
+                m[t] += m[o]
+                U[t] += U[o]
+                Ui[:, o] -= Ui[:, t]
+                continue
         t += 1
 
-    diag = [m[i][i] for i in range(limit) if m[i][i]]
+    diag = [int(m[i, i]) for i in range(limit) if m[i, i]]
     for k in range(len(diag) - 1):
         if diag[k + 1] % diag[k]:
             raise InternalInvariantError("invariant factors fail divisibility")
@@ -274,28 +200,19 @@ class HomologyResult:
         self.invariants = invariants
         self._boundaries = (boundary_out, boundary_in)
 
-    def generator_chains(self) -> list[list[int]]:
-        """Cycle representatives as chains, one list per generator.
+    def generator_chains(self) -> np.ndarray:
+        """Cycle representatives as chains, one row per generator.
 
-        Torsion generators come first, then free ones.  Runs the exact
-        transform route, which must find the same invariants.
+        Torsion generators come first, then free ones; with none the shape is
+        (0, cells).  Runs the exact transform route, which must find the same
+        invariants.
         """
-        bout, bin_ = self._boundaries
-        n = bout.shape[1]
-        inv, kernel, coords = _transform_route(bout.tolist(), bin_.tolist(), n)
+        inv, kernel, coords = _transform_route(*self._boundaries)
         if inv != self.invariants:
             raise InternalInvariantError(
                 f"generator route finds {inv}, invariant factors give {self.invariants}"
             )
-        out = []
-        for gen in coords:
-            chain = [0] * n
-            for kcol, c in enumerate(gen):
-                if c:
-                    for r in range(n):
-                        chain[r] += c * kernel[r][kcol]
-            out.append(chain)
-        return out
+        return _product(coords, kernel.T)
 
 
 def _matrix(b, empty_shape: tuple) -> np.ndarray:
@@ -304,18 +221,23 @@ def _matrix(b, empty_shape: tuple) -> np.ndarray:
     return m.reshape(empty_shape) if m.ndim != 2 and m.size == 0 else m
 
 
-def _check_composite(boundary_out: np.ndarray, boundary_in: np.ndarray) -> None:
-    """Raise unless boundary_out @ boundary_in = 0, computed exactly.
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, computed exactly.
 
-    An entry of the product is a sum of n terms, each at most
-    max|boundary_out| * max|boundary_in|; below 2**63 that bound keeps the
-    int64 product exact, above it the product runs on Python ints.
+    An entry of the product is a sum of n terms, each at most max|a| * max|b|;
+    with both maxima taken at least 1 that bound also covers every factor, so
+    below 2**63 the int64 product is exact, and above it the product runs on
+    Python ints.
     """
-    n = boundary_out.shape[1]
-    bound = n * _abs_max(boundary_out) * _abs_max(boundary_in)
+    n = a.shape[1]
+    bound = n * max(_abs_max(a), 1) * max(_abs_max(b), 1)
     dtype = np.int64 if bound < 1 << 63 else object
-    prod = np.asarray(boundary_out, dtype) @ np.asarray(boundary_in, dtype)
-    if prod.any():
+    return np.asarray(a, dtype) @ np.asarray(b, dtype)
+
+
+def _check_composite(boundary_out: np.ndarray, boundary_in: np.ndarray) -> None:
+    """Raise unless boundary_out @ boundary_in = 0, computed exactly."""
+    if _product(boundary_out, boundary_in).any():
         raise InternalInvariantError("boundary composite is nonzero")
 
 
@@ -349,53 +271,35 @@ def homology_from_boundaries(
     )
 
 
-def _transform_route(boundary_out: list, boundary_in: list, n_chains: int):
+def _transform_route(boundary_out: np.ndarray, boundary_in: np.ndarray):
     """Invariants, kernel basis and generator coordinates from full transforms.
 
     Returns (invariants, kernel_cols, gen_coords): the columns of kernel_cols
-    span ker(boundary_out), and gen_coords maps homology generators (torsion
-    first, then free) to kernel coordinates.
+    span ker(boundary_out), and the rows of gen_coords are the homology
+    generators (torsion first, then free) in kernel coordinates.
     """
-    n_p = n_chains
+    n_p = boundary_out.shape[1]
     # kernel of boundary_out via column operations: columns of V past the rank
-    if boundary_out:
-        s_out = smith_normal_form(boundary_out)
+    if len(boundary_out):
+        s_out = smith_normal_form(boundary_out.tolist())
         r = len(s_out.diag)
-        kernel_cols = [row[r:] for row in s_out.V]
+        kernel_cols, v_inv = s_out.V[:, r:], s_out.V_inv
     else:
         r = 0
-        kernel_cols = identity(n_p)
-    k = n_p - r
-
-    if k == 0:
-        return AbelianGroupInvariants(0), [], []
+        kernel_cols = v_inv = np.eye(n_p, dtype=np.int64)
 
     # Kernel coordinates of im(boundary_in): a cycle x = V y has y = V_inv x,
     # with y[:r] = 0, so they are rows r: of V_inv boundary_in.  Nonzero rows
     # :r would mean boundary_in is not a cycle.
-    if not (boundary_in and boundary_in[0]):
-        presentation = zeros(k, 0)
-    elif not boundary_out:
-        presentation = boundary_in
-    else:
-        coords = mat_mul(s_out.V_inv, boundary_in)
-        if any(any(row) for row in coords[:r]):
-            raise InternalInvariantError("image chain does not lie in the cycle lattice")
-        presentation = coords[r:]
+    coords = _product(v_inv, boundary_in)
+    if coords[:r].any():
+        raise InternalInvariantError("image chain does not lie in the cycle lattice")
 
-    # quotient Z^k / im(presentation)
-    if presentation and presentation[0]:
-        s_p = smith_normal_form(presentation)
-        diag = s_p.diag
-        torsion = tuple(d for d in diag if d > 1)
-        free = k - len(diag)
-        # generators: U_inv columns give the basis of Z^k adapted to the
-        # quotient; torsion generators are those with d > 1, free ones after.
-        order = [i for i, d in enumerate(diag) if d > 1] + list(range(len(diag), k))
-        gen_coords = [[s_p.U_inv[r][i] for r in range(k)] for i in order]
-    else:
-        torsion = ()
-        free = k
-        gen_coords = [[1 if r == i else 0 for r in range(k)] for i in range(k)]
-
-    return AbelianGroupInvariants(free, torsion), kernel_cols, gen_coords
+    # quotient Z^k / im(coords[r:]): U_inv columns give the basis of Z^k adapted
+    # to the quotient; torsion generators are those with d > 1, free ones after.
+    s_p = smith_normal_form(coords[r:].tolist())
+    diag = s_p.diag
+    k = n_p - r
+    order = [i for i, d in enumerate(diag) if d > 1] + list(range(len(diag), k))
+    torsion = tuple(d for d in diag if d > 1)
+    return AbelianGroupInvariants(k - len(diag), torsion), kernel_cols, s_p.U_inv[:, order].T

@@ -228,6 +228,22 @@ def test_integer_cap_caveats_follow_the_module_constant(monkeypatch):
     assert all(d.known for d in diffs.from_q1.values())
 
 
+def test_d2_out_of_row_zero_is_pinned(reports):
+    # literal matrices, so a change of the integer generator basis that keeps
+    # the maps self-consistent still shows here
+    want = {
+        ("rp-w2-zero", 2): [[0]],
+        ("rp-w2-zero", 4): [[1]],
+        ("rp-kreck", 2): [[1]],
+        ("rp-kreck", 4): [[0]],
+        ("d4-reflection", 2): [[0, 1]],
+    }
+    for (name, p), matrix in want.items():
+        d = reports[name][3].from_q0[p]
+        assert d.known, (name, p)
+        assert d.matrix.to_dense().tolist() == matrix, (name, p)
+
+
 def test_d2_reads_twisted_generators_off_the_page(monkeypatch, reports):
     calls = []
     real = snf._check_composite

@@ -26,6 +26,7 @@ from stexo.obstruction import (
     DoubleCoverData,
     LiftDatum,
     NormalOneType,
+    PipelineConfig,
     SectionDatum,
     Verdict,
     cover_data_from_parts,
@@ -170,6 +171,17 @@ def test_verdicts_serialize():
 
 
 # -- validation ------------------------------------------------------------------
+
+
+def test_lift_cap_below_one_rejected():
+    # a cap below 1 used to decide on one datum yet report "sampled -3 of 4"
+    for cap in (0, -3):
+        with pytest.raises(ValidationError, match="lift cap must be at least 1"):
+            PipelineConfig(lift_cap=cap)
+    fx = z4_semidirect()
+    v = decide(fx.nt, cover=fx.cover, config=PipelineConfig(lift_cap=1))
+    assert v.outcome == "NoExoticaSecondary"
+    assert any("sampled 1 of 16" in c for c in v.caveats)
 
 
 def test_shallow_model_rejected():

@@ -10,25 +10,30 @@ from stexo.snf import (
     AbelianGroupInvariants,
     HomologyResult,
     homology_from_boundaries,
-    identity,
     invariant_factors,
-    mat_mul,
     smith_normal_form,
 )
+
+
+def _exact(m, rows, cols):
+    """m as an exact (Python-int) object array of the given shape."""
+    return np.array(m, dtype=object).reshape(rows, cols)
 
 
 def check_snf(a):
     res = smith_normal_form(a)
     nr, nc = len(a), len(a[0]) if a else 0
+    U, Ui = _exact(res.U, nr, nr), _exact(res.U_inv, nr, nr)
+    V, Vi = _exact(res.V, nc, nc), _exact(res.V_inv, nc, nc)
     # U A V = D
-    d = mat_mul(mat_mul(res.U, a), res.V)
+    d = (U @ _exact(a, nr, nc) @ V).tolist()
     for i in range(nr):
         for j in range(nc):
             want = res.diag[i] if (i == j and i < len(res.diag)) else 0
             assert d[i][j] == want
     # transforms are mutually inverse, hence unimodular
-    assert mat_mul(res.U, res.U_inv) == identity(nr)
-    assert mat_mul(res.V, res.V_inv) == identity(nc)
+    assert (U @ Ui).tolist() == np.eye(nr, dtype=int).tolist()
+    assert (V @ Vi).tolist() == np.eye(nc, dtype=int).tolist()
     for k in range(len(res.diag) - 1):
         assert res.diag[k + 1] % res.diag[k] == 0
         assert res.diag[k] > 0
@@ -48,6 +53,26 @@ def test_snf_known_small_cases():
     assert check_snf([[4, 6], [6, 9]]).diag == [1]
     assert check_snf([[2, 4], [4, 8]]).diag == [2]
     assert check_snf([[-2]]).diag == [2]
+
+
+def test_snf_transforms_are_pinned():
+    # diag(2, 3) takes the divisibility fix-up; the second one a column swap
+    res = check_snf([[2, 0], [0, 3]])
+    assert res.diag == [1, 6]
+    assert [np.asarray(m).tolist() for m in (res.U, res.U_inv, res.V, res.V_inv)] == [
+        [[1, 1], [3, 2]],
+        [[-2, 1], [3, -1]],
+        [[-1, 3], [1, -2]],
+        [[2, 3], [1, 1]],
+    ]
+    res = check_snf([[4, 6, 2], [6, 9, 3]])
+    assert res.diag == [1]
+    assert [np.asarray(m).tolist() for m in (res.U, res.U_inv, res.V, res.V_inv)] == [
+        [[-1, 1], [3, -2]],
+        [[2, 1], [3, 1]],
+        [[0, 0, 1], [0, 1, 0], [1, -3, -2]],
+        [[2, 3, 1], [0, 1, 0], [1, 0, 0]],
+    ]
 
 
 def test_snf_empty_shapes():
@@ -195,4 +220,4 @@ def test_homology_rejects_noncycle_image():
         homology_from_boundaries([[1, 0]], [[1], [0]], 2)
     # the generator route finds it on its own: nonzero rows above the kernel
     with pytest.raises(InternalInvariantError, match="cycle lattice"):
-        snf._transform_route([[1, 0]], [[1], [0]], 2)
+        snf._transform_route(np.array([[1, 0]]), np.array([[1], [0]]))
