@@ -23,6 +23,13 @@ For each fixture (all of them by default) the lines are:
                      `stexo cohomology --json --steenrod --deg k` on each
                      exported model, for k = 1..min(3, max_degree - 2): the
                      basis representatives and their Sq^1/Sq^2 coordinates;
+  sweep.<w2>.<k>.verdict / .replay
+                     for fixtures with a cover and cells to degree 5 or more:
+                     decide and replay the fixture's type (w2 = "own") and
+                     the type with w2 + w1^2 ("plus-w1sq") on the cover built
+                     from w1 by cover_data_from_w1, twice each (k = 0, 1), so
+                     that the second pass reuses what the first left on the
+                     base model;
   corrupt.<k>        rp-kreck only: the exit code and error text of
                      `stexo decide` on its base and cover files with the
                      k-th edit of CORRUPTIONS applied (each one a file the
@@ -37,6 +44,7 @@ change kept every output byte for byte.
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -48,7 +56,8 @@ from stexo import cli
 from stexo.catalog import REGISTRY, fixture_documents, get_fixture
 from stexo.james import d2_maps, e2_page, killers_report, report_json
 from stexo.modelfile import canonical_bytes, parse_bytes, reexport
-from stexo.obstruction import decide, replay_evidence
+from stexo.obstruction import cover_data_from_w1, decide, replay_evidence
+from stexo.simplicial import cup
 
 
 def _sha(data) -> str:
@@ -150,6 +159,23 @@ def nested_digest() -> list:
     return [("corrupt.nested", _sha(text))]
 
 
+def sweep_digest(fx) -> list:
+    """(item, sha256) pairs for the type and its w2 + w1^2 partner, each
+    decided twice on a cover from w1."""
+    nt = fx.nt
+    rows = []
+    for label, w2 in (("own", nt.w2), ("plus-w1sq", nt.w2 + cup(nt.w1, nt.w1))):
+        swept = dataclasses.replace(nt, w2=w2)
+        for k in range(2):
+            cover = cover_data_from_w1(swept)
+            verdict = decide(swept, cover)
+            replayed = replay_evidence(verdict, swept, cover)
+            text = json.dumps(verdict.to_json_dict(), sort_keys=True)
+            rows.append((f"sweep.{label}.{k}.verdict", _sha(text)))
+            rows.append((f"sweep.{label}.{k}.replay", _sha(repr(replayed))))
+    return rows
+
+
 def digest(name: str) -> list:
     """(item, sha256) pairs for one fixture."""
     fx = get_fixture(name)
@@ -169,6 +195,8 @@ def digest(name: str) -> list:
             if e.result is not None
         }
         rows.append(("generators", _sha(json.dumps(gens))))
+        if fx.cover is not None and fx.nt.base.max_degree >= 5:
+            rows.extend(sweep_digest(fx))
     docs = fixture_documents(name)
     blobs = {part: canonical_bytes(doc) for part, doc in sorted(docs.items())}
     for part, blob in blobs.items():

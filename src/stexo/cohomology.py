@@ -204,15 +204,16 @@ def twisted_homology(
     """
     base = pair.base
     if coeff == "F2":
-        d = base.cells[p]
-        if p >= 1:
-            d -= rank(base.coboundary_matrix(p - 1))
-        if p + 1 <= base.max_degree:
-            d -= rank(base.coboundary_matrix(p))
-        elif base.cells[p]:
+        top = p + 1 > base.max_degree
+        if top and base.cells[p]:
             raise TruncationError(
                 f"{base.name}: mod-2 H_{p} needs degree-{p + 1} cells"
             )
+        d = base.cells[p]
+        if p >= 1:
+            d -= rank(base.coboundary_matrix(p - 1))
+        if not top:
+            d -= rank(base.coboundary_matrix(p))
         return AbelianGroupInvariants(0, (2,) * d)
     if coeff == "Z":
         return integral_homology(base, p).invariants

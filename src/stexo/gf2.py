@@ -7,9 +7,10 @@ thousands of rows reduce in seconds this way, and every result is exact.
 Vectors are plain numpy uint8 arrays of 0/1 entries.  Bit j of word w of a row
 holds column 64*w + j.
 
-Subspace is the one reduced basis: membership, coefficients over spanning
-vectors, cohomology coordinates and coboundary tests all reduce a batch of
-vectors against it with one vectorized XOR (xor_combine).
+Subspace is the one reduced basis: membership, residuals modulo the span,
+coefficients over spanning vectors, cohomology coordinates and coboundary
+tests all reduce a batch of vectors against it with one vectorized XOR
+(xor_combine).
 """
 
 from __future__ import annotations
@@ -275,22 +276,32 @@ class Subspace:
         return self.matrix.rows
 
     def _reduce(self, vectors) -> tuple[np.ndarray, np.ndarray]:
-        """(basis coefficients, membership) of each row of a batch."""
+        """(basis coefficients, packed residual) of each row of a batch.
+
+        The residual is the row plus the basis rows its pivot bits pick: zero
+        at every pivot, zero exactly for members, and linear in the row, so
+        it is the row's representative modulo the subspace.
+        """
         rows = _batch(np.atleast_2d(vectors), self.ambient_dim) & 1
         coeffs = rows[:, list(self.pivots)]
-        residual = pack_rows(rows) ^ xor_combine(coeffs, self.matrix.words)
-        return coeffs, ~residual.any(axis=1)
+        return coeffs, pack_rows(rows) ^ xor_combine(coeffs, self.matrix.words)
 
     def contains(self, vectors):
         """Membership of one vector, or of each row of a batch."""
-        inside = self._reduce(vectors)[1]
+        inside = ~self._reduce(vectors)[1].any(axis=1)
         return bool(inside[0]) if np.ndim(vectors) == 1 else inside
+
+    def residual(self, vectors) -> np.ndarray:
+        """The representative modulo the subspace of one vector, or of each
+        row of a batch, as 0/1 entries."""
+        out = unpack_rows(self._reduce(vectors)[1], self.ambient_dim)
+        return out[0] if np.ndim(vectors) == 1 else out
 
     def combination(self, vectors) -> np.ndarray:
         """Coefficients over the spanning vectors that rebuild one vector, or
         each row of a batch; raises when a vector lies outside the span."""
-        coeffs, inside = self._reduce(vectors)
-        if not inside.all():
+        coeffs, residual = self._reduce(vectors)
+        if residual.any():
             raise ModelMismatchError("vector is not in the span")
         out = unpack_rows(xor_combine(coeffs, self.transform.words), self.transform.cols)
         return out[0] if np.ndim(vectors) == 1 else out

@@ -440,17 +440,23 @@ class SimplicialModel:
 
     # -- chain level ---------------------------------------------------------
 
-    def coboundary_matrix(self, k: int) -> F2Matrix:
-        """delta: C^k -> C^{k+1} over GF(2); rows are (k+1)-cells."""
+    def _cofaces(self, k: int):
+        """The entries of delta_k as a mask of the plain (nondegenerate) faces
+        of the (k+1)-cells and the face-cell array it selects from."""
         if k < 0 or k + 1 > self.max_degree:
             raise TruncationError(
                 f"{self.name}: coboundary degree {k} needs cells in degree {k + 1}"
             )
+        return self.face_word[k + 1] == 0, self.face_cell[k + 1]
+
+    def coboundary_matrix(self, k: int) -> F2Matrix:
+        """delta: C^k -> C^{k+1} over GF(2); rows are (k+1)-cells."""
         key = ("cob", k)
         if key not in self._cache:
-            c, i = np.nonzero(self.face_word[k + 1] == 0)
+            plain, fc = self._cofaces(k)
+            c, i = np.nonzero(plain)
             self._cache[key] = F2Matrix.from_entries(
-                self.cells[k + 1], self.cells[k], c, self.face_cell[k + 1][c, i]
+                self.cells[k + 1], self.cells[k], c, fc[c, i]
             )
         return self._cache[key]
 
@@ -557,8 +563,13 @@ class Cochain:
 
 
 def coboundary(u: Cochain) -> Cochain:
-    m = u.model.coboundary_matrix(u.degree)
-    return Cochain(u.model, u.degree + 1, m.mul_vec(u.values))
+    """delta u, read off the face arrays: each (k+1)-cell sums u over its
+    plain faces.  A degenerate face holds a cell of a lower degree, so it is
+    masked out before u is indexed."""
+    plain, fc = u.model._cofaces(u.degree)
+    bits = np.zeros(fc.shape, dtype=np.uint8)
+    bits[plain] = u.values[fc[plain]]
+    return Cochain(u.model, u.degree + 1, np.bitwise_xor.reduce(bits, axis=1))
 
 
 def is_coboundary(u: Cochain) -> bool:
@@ -955,6 +966,11 @@ def cover_from_cocycle(
 
     Cover cell 2c + e is the lift of base cell c to sheet e; a face keeps the
     sheet, except d_0, which changes it when w is 1 on the front edge.
+
+    The cover model is built once per base, cocycle values and name, and kept
+    in the base's cache; it refers to nothing, so the base and its cache form
+    no reference cycle.  The rest of the pair refers to the base and is built
+    anew on each call, and the checks on w run on each call too.
     """
     if w.model is not base or w.degree != 1:
         raise ModelMismatchError("cover_from_cocycle needs a degree-1 cochain on base")
@@ -964,7 +980,23 @@ def cover_from_cocycle(
         if is_coboundary(w):
             raise TrivialCoverError("cocycle is null-cohomologous; cover is trivial")
     name = name or f"{base.name}^w"
+    key = ("cover", w.values.tobytes(), name)
+    if key not in base._cache:
+        base._cache[key] = _cover_model(base, w, name)
+    cover = base._cache[key]
 
+    cells = cover.cells
+    top = base.max_degree + 1
+    inv = Involution(cover, [np.arange(cells[n]) ^ 1 for n in range(top)], "deck")
+    sheet = [(np.arange(cells[n]) % 2).astype(np.uint8) for n in range(top)]
+    rep_cells = [2 * np.arange(base.cells[n], dtype=np.int64) for n in range(top)]
+    base_index = [np.arange(cells[n], dtype=np.int64) // 2 for n in range(top)]
+    projection = _projection(cover, base, base_index)
+    return CoverPair(cover, base, projection, inv, w, sheet, rep_cells, base_index)
+
+
+def _cover_model(base: SimplicialModel, w: Cochain, name: str) -> SimplicialModel:
+    """The model of cover_from_cocycle, from the face arrays of the base."""
     cells = [2 * c for c in base.cells]
     face_word, face_cell = [_no_faces(cells[0])], [_no_faces(cells[0])]
     for n in range(1, base.max_degree + 1):
@@ -977,15 +1009,7 @@ def cover_from_cocycle(
         fc[:, 0] ^= np.repeat(twist, 2)
         face_word.append(np.repeat(base.face_word[n], 2, axis=0))
         face_cell.append(fc)
-    cover = SimplicialModel.from_arrays(base.max_degree, cells, face_word, face_cell, name=name)
-
-    top = base.max_degree + 1
-    inv = Involution(cover, [np.arange(cells[n]) ^ 1 for n in range(top)], "deck")
-    sheet = [(np.arange(cells[n]) % 2).astype(np.uint8) for n in range(top)]
-    rep_cells = [2 * np.arange(base.cells[n], dtype=np.int64) for n in range(top)]
-    base_index = [np.arange(cells[n], dtype=np.int64) // 2 for n in range(top)]
-    projection = _projection(cover, base, base_index)
-    return CoverPair(cover, base, projection, inv, w, sheet, rep_cells, base_index)
+    return SimplicialModel.from_arrays(base.max_degree, cells, face_word, face_cell, name=name)
 
 
 def relabel_model(model: SimplicialModel, rng: np.random.Generator):

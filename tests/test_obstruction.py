@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stexo.builders import bar_b, bar_hom_map, klein_table, z2_table, z4_table
+from stexo.builders import (
+    bar_b,
+    bar_hom_map,
+    dihedral8_table,
+    klein_table,
+    z2_table,
+    z4_table,
+)
 from stexo.catalog import (
     d4_reflection,
     rp_kreck,
@@ -19,8 +26,13 @@ from stexo.catalog import (
 )
 import stexo.obstruction as obstruction
 from stexo.cohomology import cohomology_basis
-from stexo.errors import InternalInvariantError, TruncationError, ValidationError
-from stexo.gf2 import solve_affine
+from stexo.errors import (
+    InternalInvariantError,
+    ModelMismatchError,
+    TruncationError,
+    ValidationError,
+)
+from stexo.gf2 import Subspace, solve_affine
 from stexo.obstruction import (
     Assertion,
     DoubleCoverData,
@@ -37,7 +49,7 @@ from stexo.obstruction import (
     primary_obstruction,
     primary_vanishes,
     replay_evidence,
-    restricted_image_span,
+    in_restricted_image,
     secondary_test,
     secondary_witness,
     sq2_w_operator,
@@ -53,6 +65,7 @@ from stexo.simplicial import (
     cup,
     product,
     relabel_model,
+    sq,
 )
 
 
@@ -127,12 +140,11 @@ def test_decide_d4_reflection():
 
 def test_d4_data_agree_on_nonzero():
     fx = d4_reflection()
-    span = restricted_image_span(fx.nt, fx.cover)
     sols = lift_data_solutions(fx.nt, fx.cover)
     data, complete = sols.enumerate_data(64)
     assert complete
     for d in data:
-        assert not span.contains(secondary_witness(fx.cover, d.a).values)
+        assert not in_restricted_image(fx.nt, fx.cover, secondary_witness(fx.cover, d.a))
 
 
 def test_kreck_beats_cd_assertion():
@@ -352,13 +364,12 @@ def test_primary_zero_implies_liftable():
 
 def test_every_z4_lift_datum_witnesses_nonzero():
     fx = z4_semidirect()
-    span = restricted_image_span(fx.nt, fx.cover)
     sols = lift_data_solutions(fx.nt, fx.cover)
     data, complete = sols.enumerate_data(1 << 16)
     assert complete and len(data) == 16
     for d in data:
         A = secondary_witness(fx.cover, d.a)
-        assert not span.contains(A.values)
+        assert not in_restricted_image(fx.nt, fx.cover, A)
 
 
 def test_sampling_fallback_flags_incomplete():
@@ -425,6 +436,80 @@ def test_secondary_nonzero_on_z4_datum():
     out = secondary_test(fx.nt, fx.cover, fx.lift_data[0])
     assert out.kind == "nonzero"
     assert out.witness is not None and not out.witness.is_zero()
+
+
+def _stacked_span(nt, cover):
+    """The restricted image reduced in one piece, as it was before residues:
+    the rows of delta_3 transposed and the pulled-back operator images.
+    Returns the span and the pulled-back images."""
+    pair = cover.pair
+    images = [
+        pair.projection.pullback(sq(x, 2) + cup(nt.w1, sq(x, 1)) + cup(nt.w2, x))
+        for x in cohomology_basis(nt.base, 2).reps
+    ]
+    rows = [pair.cover.coboundary_matrix(3).transpose().to_dense()]
+    rows += [img.values[None] for img in images]
+    return Subspace.from_vectors(pair.cover.n_cells(4), np.vstack(rows)), images
+
+
+def _d8_clause5_types():
+    """The two D8 types of the small-types sweep that reach the secondary
+    stage: w1 = x or y and w2 the cup square of the character x + y, the one
+    that vanishes on the rotations of order 4."""
+    table = dihedral8_table()
+    base = d4_reflection().nt.base
+
+    def order(g):
+        k, x = 1, g
+        while x:
+            x, k = table[x][g], k + 1
+        return k
+
+    chars = [
+        Cochain(base, 1, np.array([chi(g) for g in range(1, 8)], dtype=np.uint8))
+        for chi in (lambda g: g & 1, lambda g: g >> 2, lambda g: (g & 1) ^ (g >> 2))
+    ]
+    fours = [g - 1 for g in range(1, 8) if order(g) == 4]
+    xy = next(c for c in chars if not c.values[fours].any())
+    return [
+        NormalOneType(base, w1, cup(xy, xy), name=f"d8-type-{k}")
+        for k, w1 in enumerate(c for c in chars if c is not xy)
+    ]
+
+
+def test_restricted_image_predicate_matches_stacked_span():
+    rng = np.random.default_rng(41)
+    cases = [(fx.nt, fx.cover) for fx in (z2_secondary(), z4_semidirect(), d4_reflection())]
+    for nt in _d8_clause5_types():
+        cover = obstruction.cover_data_from_w1(nt)
+        assert decide(nt, cover).clause >= 5
+        cases.append((nt, cover))
+    seen = set()
+    for nt, cover in cases:
+        span, images = _stacked_span(nt, cover)
+        data, complete = lift_data_solutions(nt, cover).enumerate_data(1 << 16)
+        assert complete and data
+        delta3 = cover.cover.coboundary_matrix(3)
+        for d in data:
+            A = secondary_witness(cover, d.a)
+            # a coboundary plus a random sum of images lies in the restricted image
+            shift = Cochain(cover.cover, 4, delta3.mul_vec(rng.integers(0, 2, delta3.cols)))
+            for img in images:
+                if rng.integers(2):
+                    shift = shift + img
+            assert in_restricted_image(nt, cover, shift)
+            for B in (A, A + shift, shift):
+                got = in_restricted_image(nt, cover, B)
+                assert got == span.contains(B.values), (nt.name, d.index)
+                seen.add(got)
+            assert in_restricted_image(nt, cover, A + shift) == in_restricted_image(nt, cover, A)
+    assert seen == {True, False}
+
+
+def test_restricted_image_rejects_foreign_cochain():
+    fx = d4_reflection()
+    with pytest.raises(ModelMismatchError):
+        in_restricted_image(fx.nt, fx.cover, Cochain.zero(fx.nt.base, 4))
 
 
 # -- the degree-5 gate ---------------------------------------------------------------

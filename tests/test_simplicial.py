@@ -1,6 +1,9 @@
 """Core checks for the decorated-face calculus, cup products, and covers."""
 
+import gc
 import re
+import weakref
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -12,13 +15,16 @@ from stexo.builders import (
     bar_e_z2,
     circle,
     dihedral8_table,
+    k_z2_2,
     point,
     z2_table,
     z4_table,
 )
+from stexo.cohomology import cohomology_basis
 from stexo.errors import (
     ModelMismatchError,
     TrivialCoverError,
+    TruncationError,
     ValidationError,
 )
 from stexo.gf2 import solve_affine
@@ -434,6 +440,64 @@ def test_cover_rejects_non_cocycle(torus):
     raise AssertionError("no non-cocycle found on the torus")
 
 
+def test_cover_model_is_memoized_on_the_base():
+    rp = bar_b(z2_table(), 4, name="rp")
+    w = Cochain.from_support(rp, 1, [0])
+    first = cover_from_cocycle(rp, w)
+    again = cover_from_cocycle(rp, Cochain(rp, 1, w.values.copy()))
+    assert again.cover is first.cover
+    assert again is not first and again.projection is not first.projection
+    assert again.projection.target is rp
+    named = cover_from_cocycle(rp, w, name="other")
+    assert named.cover is not first.cover and named.cover.name == "other"
+    c = circle(3)
+    t2 = product(c, c, 3, name="t2")
+    torus = t2.model
+    e = Cochain(c, 1, np.ones(1, dtype=np.uint8))
+    a, b = t2.left.pullback(e), t2.right.pullback(e)
+    cover_a = cover_from_cocycle(torus, a)
+    assert cover_from_cocycle(torus, b).cover is not cover_a.cover
+    assert cover_from_cocycle(torus, a + b).cover is not cover_a.cover
+    assert cover_from_cocycle(torus, a).cover is cover_a.cover
+
+
+def test_cover_checks_run_on_a_memo_hit():
+    rp = bar_b(z2_table(), 4, name="rp")
+    zero = Cochain.zero(rp, 1)
+    trivial = cover_from_cocycle(rp, zero, allow_trivial=True)
+    assert cover_from_cocycle(rp, zero, allow_trivial=True).cover is trivial.cover
+    with pytest.raises(TrivialCoverError):
+        cover_from_cocycle(rp, zero)
+    # plant a cover under the key of a non-cocycle: the check still refuses it
+    z4 = bar_b(z4_table(), 3, name="z4")
+    w = Cochain(z4, 1, np.array([1, 0, 1], dtype=np.uint8))  # g mod 2
+    pair = cover_from_cocycle(z4, w)
+    assert z4._cache[("cover", w.values.tobytes(), "z4^w")] is pair.cover
+    bad = Cochain.from_support(z4, 1, [0])
+    assert not coboundary(bad).is_zero()
+    z4._cache[("cover", bad.values.tobytes(), "z4^w")] = pair.cover
+    with pytest.raises(ValidationError):
+        cover_from_cocycle(z4, bad)
+
+
+def test_dropped_base_frees_its_cover_without_the_collector():
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        rp = bar_b(z2_table(), 5, name="rp")
+        w = Cochain.from_support(rp, 1, [0])
+        pair = cover_from_cocycle(rp, w)
+        cohomology_basis(pair.cover, 2)
+        pair.cover.coboundary_span(4)
+        assert cover_from_cocycle(rp, w).cover is pair.cover
+        refs = weakref.ref(rp), weakref.ref(pair.cover)
+        del rp, w, pair
+        assert [r() for r in refs] == [None, None]
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def test_descend_invariant_round_trips():
     em, flip = bar_e_z2(4)
     pair = quotient_free_involution(em, flip)
@@ -651,3 +715,39 @@ def test_is_coboundary_matches_solve_affine_on_catalog_bases():
                     assert is_coboundary(w) == want, (model.name, k)
                     seen.add(want)
     assert seen == {True, False}
+
+
+# -- coboundaries from the face arrays against the matrix ------------------------
+
+
+@lru_cache(maxsize=None)
+def _coboundary_models():
+    """Builder models with degenerate faces (bar models, products, K(Z/2,2))
+    and with empty degrees (point, circle, torus, K(Z/2,2) in degree 1)."""
+    c = circle(2)
+    return (
+        bar_b(z2_table(), 4, name="rp4"),
+        bar_b(z4_table(), 3, name="z4"),
+        bar_e_z2(3)[0],
+        point(3),
+        circle(4),
+        product(c, c, 4, name="torus").model,
+        k_z2_2(4),
+    )
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_coboundary_matches_matrix_on_builder_models(seed):
+    """Every degree of every model, so K(Z/2,2) in degree 1 (no edges, a
+    2-cell with only degenerate faces) is always among the cases."""
+    rng = np.random.default_rng(seed)
+    for model in _coboundary_models():
+        for k in range(model.max_degree + 1):
+            u = Cochain(model, k, rng.integers(0, 2, model.n_cells(k)))
+            if k == model.max_degree:
+                with pytest.raises(TruncationError):
+                    coboundary(u)
+                continue
+            want = model.coboundary_matrix(k).mul_vec(u.values)
+            assert np.array_equal(coboundary(u).values, want), (model.name, k)
