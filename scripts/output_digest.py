@@ -30,6 +30,11 @@ For each fixture (all of them by default) the lines are:
                      from w1 by cover_data_from_w1, twice each (k = 0, 1), so
                      that the second pass reuses what the first left on the
                      base model;
+  forged.undetermined
+                     for fixtures with a cover: the replay_evidence result
+                     of an Undetermined verdict with no caveats on the
+                     fixture's type, cover and section, forged whatever
+                     decide returns;
   corrupt.<k>        rp-kreck only: the exit code and error text of
                      `stexo decide` on its base and cover files with the
                      k-th edit of CORRUPTIONS applied (each one a file the
@@ -56,7 +61,7 @@ from stexo import cli
 from stexo.catalog import REGISTRY, fixture_documents, get_fixture
 from stexo.james import d2_maps, e2_page, killers_report, report_json
 from stexo.modelfile import canonical_bytes, parse_bytes, reexport
-from stexo.obstruction import cover_data_from_w1, decide, replay_evidence
+from stexo.obstruction import Verdict, cover_data_from_w1, decide, replay_evidence
 from stexo.simplicial import cup
 
 
@@ -197,6 +202,10 @@ def digest(name: str) -> list:
         rows.append(("generators", _sha(json.dumps(gens))))
         if fx.cover is not None and fx.nt.base.max_degree >= 5:
             rows.extend(sweep_digest(fx))
+        if fx.cover is not None:
+            forged = Verdict("Undetermined", 7, "forged", {"caveats_reflected": []})
+            replayed = replay_evidence(forged, fx.nt, fx.cover, fx.section)
+            rows.append(("forged.undetermined", _sha(repr(replayed))))
     docs = fixture_documents(name)
     blobs = {part: canonical_bytes(doc) for part, doc in sorted(docs.items())}
     for part, blob in blobs.items():

@@ -21,7 +21,6 @@ from .obstruction import (
     OUTCOMES,
     LiftDatum,
     NormalOneType,
-    PipelineConfig,
     SectionDatum,
     cover_data_from_parts,
     decide,
@@ -162,8 +161,7 @@ def cmd_decide(args) -> int:
             raise StexoError(f"no cochain named {args.lift!r} in the cover file (known: {known})")
         extra = (LiftDatum(cdata.cochains[args.lift], 0, args.lift),)
     section = _section_from_file(data, args.section) if args.section else None
-    config = PipelineConfig() if args.cap is None else PipelineConfig(lift_cap=args.cap)
-    verdict = decide(nt, cover, section, extra, config)
+    verdict = decide(nt, cover, section, extra)
     payload = verdict.to_json_dict()
     if args.json:
         _emit(json.dumps(payload, sort_keys=True, indent=2))
@@ -269,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--cover", help="cover model file (involution + projection)")
     d.add_argument("--lift", help="name of a degree-2 cochain in the cover file")
     d.add_argument("--section", help="name of a map in the base file")
-    d.add_argument("--cap", type=int, help="lift enumeration cap")
     d.add_argument("--json", action="store_true")
     d.set_defaults(fn=cmd_decide)
 

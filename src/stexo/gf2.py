@@ -52,6 +52,18 @@ def _column_bits(words: np.ndarray, c: int) -> np.ndarray:
     return ((words[:, c >> 6] >> np.uint64(c & 63)) & np.uint64(1)).astype(np.uint8)
 
 
+def _leftmost_column(words: np.ndarray, c: int) -> int:
+    """The leftmost column with a bit set in some row, for rows that are zero
+    in every column before c; past the last column when there is none."""
+    w = c >> 6
+    acc = np.bitwise_or.reduce(words[:, w:], axis=0)
+    nz = np.flatnonzero(acc)
+    if nz.size == 0:
+        return _WORD * words.shape[1]
+    word = int(acc[nz[0]])
+    return _WORD * (w + int(nz[0])) + (word & -word).bit_length() - 1
+
+
 class F2Matrix:
     """A rows x cols matrix over GF(2) with bit-packed rows."""
 
@@ -183,12 +195,13 @@ def rank_and_echelon(m: F2Matrix, want_transform: bool = True) -> EchelonResult:
     T = F2Matrix.identity(m.rows).words if want_transform else None
     pivots = []
     r = 0
-    for c in range(m.cols):
-        if r == m.rows:
-            break
+    c = 0
+    while c < m.cols and r < m.rows:
         col = _column_bits(R, c)
         nz = np.nonzero(col[r:])[0]
         if nz.size == 0:
+            # rows r: are zero up to column c: skip the empty run in one pass
+            c = _leftmost_column(R[r:], c)
             continue
         p = r + int(nz[0])
         if p != r:
@@ -204,6 +217,7 @@ def rank_and_echelon(m: F2Matrix, want_transform: bool = True) -> EchelonResult:
                 T[mask] ^= T[r]
         pivots.append(c)
         r += 1
+        c += 1
     ech = F2Matrix(m.rows, m.cols, R)
     trans = F2Matrix(m.rows, m.rows, T) if T is not None else None
     return EchelonResult(len(pivots), ech, trans, tuple(pivots))

@@ -6,10 +6,15 @@ assertion of small cohomological dimension, the secondary obstruction through
 double-cover lift data, and the degree-5 integral homology gate for the
 converse direction.  Everything is computed exactly over GF(2) (integral
 homology over Z where needed) on finite simplicial models.
+
+The lift data form an affine space a0 + K and the class of the witness
+a cup T*a is affine on it, so the secondary stage tests d + 1 data for a
+kernel of dimension d (nonzero_witness) and is exact for every kernel size.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,17 +74,6 @@ class NormalOneType:
     name: str = "normal-1-type"
     cd_at_most_3: Assertion | None = None
     h5_zero: Assertion | None = None
-
-
-@dataclass
-class PipelineConfig:
-    lift_cap: int = 1 << 16
-
-    def __post_init__(self):
-        # enumeration takes at least one datum, so a smaller cap would be
-        # reported as sampled while deciding on one
-        if self.lift_cap < 1:
-            raise ValidationError(f"lift cap must be at least 1, got {self.lift_cap}")
 
 
 @dataclass
@@ -353,33 +347,9 @@ class LiftSolutions:
         picks = np.unpackbits(raw, bitorder="little")[None, :dim]
         return self.particular ^ xor_combine(picks, self.kernel.matrix.to_dense())[0]
 
-    def enumerate_data(self, cap: int, seed: int = 0):
-        """Yield lift data in a deterministic order; (data, complete)."""
-        if self.empty:
-            return [], True
-        total = self.count
-        if total <= cap:
-            combos = range(total)
-            complete = True
-        else:
-            rng = np.random.default_rng(seed)
-            seen = {0}
-            picks = [0]
-            while len(picks) < cap:
-                bits = 0
-                for shift in range(0, self.kernel.dim, 32):
-                    width = min(32, self.kernel.dim - shift)
-                    bits |= int(rng.integers(0, 1 << width)) << shift
-                if bits not in seen:
-                    seen.add(bits)
-                    picks.append(bits)
-            combos = picks
-            complete = False
-        data = []
-        for idx, bits in enumerate(combos):
-            coords = self.class_coords(bits)
-            data.append(LiftDatum(self.basis.class_from_coords(coords), idx))
-        return data, complete
+    def datum(self, combo_bits: int) -> LiftDatum:
+        """The solution picked by combo_bits, as a lift datum indexed by them."""
+        return LiftDatum(self.basis.class_from_coords(self.class_coords(combo_bits)), combo_bits)
 
 
 def _type_key(name: str, nt: NormalOneType) -> tuple:
@@ -458,6 +428,28 @@ def in_restricted_image(nt: NormalOneType, cover: DoubleCoverData, A: Cochain) -
         )
     residue = cover.cover.coboundary_span(4).residual(A.values)
     return _restricted_image_residues(nt, cover).contains(residue)
+
+
+def nonzero_witness(nt: NormalOneType, cover: DoubleCoverData, extra_lift_data=()):
+    """The first lift datum whose witness lies outside the restricted image,
+    as (datum, witness); None when no datum has one.
+
+    The extra data are tested first, then the solutions a0 + k at kernel
+    bit masks 0, 1, 2, 4, ..., 2^(d-1), built one at a time.  Kernel classes
+    have [T*k] = [k], [a0 + T*a0] = [p*w2] and cup products commute on
+    classes, so [(a0+k) T*(a0+k)] = [a0 T*a0] + [p*w2 k] + [Sq^2 k]: the
+    witness class is affine in k.  Some solution fails exactly when one of
+    these d + 1 does, and in the order 0, 1, 2, 3, ... the first failing mask
+    is 0 or a power of two (a mask below 2^j combines only k_1..k_j), so the
+    datum found is the one a test of every solution in that order finds.
+    """
+    sols = lift_data_solutions(nt, cover)
+    masks = [] if sols.empty else [0] + [1 << j for j in range(sols.kernel.dim)]
+    for datum in itertools.chain(extra_lift_data, map(sols.datum, masks)):
+        A = secondary_witness(cover, datum.a)
+        if not in_restricted_image(nt, cover, A):
+            return datum, A
+    return None
 
 
 # -- secondary test --------------------------------------------------------------
@@ -574,9 +566,7 @@ def decide(
     cover: DoubleCoverData | None = None,
     section: SectionDatum | None = None,
     extra_lift_data: tuple = (),
-    config: PipelineConfig | None = None,
 ) -> Verdict:
-    config = config or PipelineConfig()
     caveats = []
 
     reasons = validate_normal_type(nt, cover, section)
@@ -636,39 +626,35 @@ def decide(
             )
         else:
             sols = lift_data_solutions(nt, cover)
-            data, complete = sols.enumerate_data(config.lift_cap)
-            if not complete:
-                caveats.append(
-                    f"lift enumeration sampled {config.lift_cap} of {sols.count}"
-                    " classes; absence of a nonzero witness is not certified"
-                )
             if sols.empty and not extra_lift_data:
                 caveats.append("no lift data exist over this cover")
-            for datum in list(extra_lift_data) + data:
-                if first_datum is None:
-                    first_datum = datum
-                A = secondary_witness(cover, datum.a)
-                if not in_restricted_image(nt, cover, A):
-                    return Verdict(
-                        "NoExoticaSecondary",
-                        5,
-                        "a lift datum has witness class outside the restricted"
-                        " operator image: the secondary obstruction is nonzero",
-                        {
-                            "lift_datum_index": datum.index,
-                            "lift_datum_support": list(datum.a.support()),
-                            "witness_support": list(A.support()),
-                            "solution_count": sols.count,
-                            "enumeration_complete": complete,
-                        },
-                        tuple(caveats),
-                    )
+            hit = nonzero_witness(nt, cover, extra_lift_data)
+            if hit is not None:
+                datum, A = hit
+                return Verdict(
+                    "NoExoticaSecondary",
+                    5,
+                    "a lift datum has witness class outside the restricted"
+                    " operator image: the secondary obstruction is nonzero",
+                    {
+                        "lift_datum_index": datum.index,
+                        "lift_datum_support": list(datum.a.support()),
+                        "witness_support": list(A.support()),
+                        "solution_count": sols.count,
+                        "enumeration_complete": True,
+                    },
+                    tuple(caveats),
+                )
+            if extra_lift_data:
+                first_datum = extra_lift_data[0]
+            elif not sols.empty:
+                first_datum = sols.datum(0)
 
     if section is not None and cover is not None and first_datum is not None:
         outcome = secondary_test(nt, cover, first_datum, section)
         if outcome.kind == "nonzero":
             raise InternalInvariantError(
-                "secondary test disagreed with the enumeration pass"
+                "secondary test disagreed with the clause-5 scan"
             )
         if outcome.kind == "zero":
             status, detail = h5_check(nt)
@@ -717,7 +703,8 @@ def replay_evidence(
     An InvalidInput verdict replays when the inputs are still invalid or a
     recorded lift datum, rebuilt on the cover from its support, is still
     rejected.  A datum recorded without a support was not a degree-2 cochain
-    on the cover and cannot be rebuilt; its record stands.
+    on the cover and cannot be rebuilt; its record stands.  An Undetermined
+    verdict replays when no earlier clause fires, the clause-5 scan included.
     """
     ev = verdict.evidence
     if verdict.outcome == "InvalidInput":
@@ -773,5 +760,6 @@ def replay_evidence(
             and is_coboundary(primary_obstruction(nt))
             and kreck_witness(nt) is None
             and not (nt.cd_at_most_3 is not None and nt.cd_at_most_3.value)
+            and (cover is None or nt.base.max_degree < 5 or nonzero_witness(nt, cover) is None)
         )
     return False

@@ -150,15 +150,6 @@ def test_lift_without_cover_exits_two(exported, capsys):
     assert "--cover" in capsys.readouterr().err
 
 
-def test_lift_cap_below_one_exits_two(exported, capsys):
-    base = str(exported / "z2-secondary-base.json")
-    cover = str(exported / "z2-secondary-cover.json")
-    for cap in ("0", "-3"):
-        code = main(["decide", base, "--cover", cover, "--section", "section", "--cap", cap])
-        assert code == 2
-        assert f"lift cap must be at least 1, got {cap}" in capsys.readouterr().err
-
-
 def test_unknown_section_name_exits_two(exported, capsys):
     code = main(["decide", str(exported / "rp-kreck-base.json"), "--section", "nope"])
     assert code == 2

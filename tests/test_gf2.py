@@ -77,6 +77,59 @@ def test_rref_transform_is_consistent():
         assert not dense[res.rank :].any()
 
 
+def _column_by_column_echelon(m):
+    """The echelon loop that visits every column in turn, kept as a
+    reference: (echelon words, transform words, pivots)."""
+    R = m.words.copy()
+    T = F2Matrix.identity(m.rows).words
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        if r == m.rows:
+            break
+        col = unpack_rows(R, m.cols)[:, c]
+        nz = np.nonzero(col[r:])[0]
+        if nz.size == 0:
+            continue
+        p = r + int(nz[0])
+        R[[r, p]] = R[[p, r]]
+        T[[r, p]] = T[[p, r]]
+        col[[r, p]] = col[[p, r]]
+        mask = col.astype(bool)
+        mask[r] = False
+        R[mask] ^= R[r]
+        T[mask] ^= T[r]
+        pivots.append(c)
+        r += 1
+    return R, T, tuple(pivots)
+
+
+@given(
+    st.integers(0, 8),
+    st.integers(0, 400),
+    st.floats(0.0, 0.5),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_echelon_matches_column_by_column_loop(rows, cols, density, empty, seed):
+    # wide few-row matrices with zero rows and long runs of empty columns
+    rng = np.random.default_rng(seed)
+    a = (rng.random((rows, cols)) < density).astype(np.uint8)
+    a[:, rng.random(cols) < empty] = 0
+    a[rng.random(rows) < 0.2] = 0
+    if cols > 10:
+        start = int(rng.integers(0, cols - 10))
+        a[:, start : start + int(rng.integers(10, cols - start + 1))] = 0
+    m = F2Matrix.from_dense(a)
+    echelon, transform, pivots = _column_by_column_echelon(m)
+    res = rank_and_echelon(m)
+    assert res.pivots == pivots
+    assert np.array_equal(res.echelon.words, echelon)
+    assert np.array_equal(res.transform.words, transform)
+    assert rank_and_echelon(m, want_transform=False).echelon == res.echelon
+
+
 def test_rank_against_exhaustive_small():
     # over GF(2) the rank equals log2 of the row span size
     for _ in range(30):

@@ -1,6 +1,7 @@
 """End-to-end checks of the decision pipeline on the catalog inputs."""
 
 import dataclasses
+import functools
 import json
 
 import numpy as np
@@ -38,7 +39,6 @@ from stexo.obstruction import (
     DoubleCoverData,
     LiftDatum,
     NormalOneType,
-    PipelineConfig,
     SectionDatum,
     Verdict,
     cover_data_from_parts,
@@ -46,6 +46,7 @@ from stexo.obstruction import (
     h5_check,
     kreck_witness,
     lift_data_solutions,
+    nonzero_witness,
     primary_obstruction,
     primary_vanishes,
     replay_evidence,
@@ -63,6 +64,7 @@ from stexo.simplicial import (
     coboundary,
     cover_from_cocycle,
     cup,
+    is_coboundary,
     product,
     relabel_model,
     sq,
@@ -141,8 +143,7 @@ def test_decide_d4_reflection():
 def test_d4_data_agree_on_nonzero():
     fx = d4_reflection()
     sols = lift_data_solutions(fx.nt, fx.cover)
-    data, complete = sols.enumerate_data(64)
-    assert complete
+    data = _every_datum(sols)
     for d in data:
         assert not in_restricted_image(fx.nt, fx.cover, secondary_witness(fx.cover, d.a))
 
@@ -183,17 +184,6 @@ def test_verdicts_serialize():
 
 
 # -- validation ------------------------------------------------------------------
-
-
-def test_lift_cap_below_one_rejected():
-    # a cap below 1 used to decide on one datum yet report "sampled -3 of 4"
-    for cap in (0, -3):
-        with pytest.raises(ValidationError, match="lift cap must be at least 1"):
-            PipelineConfig(lift_cap=cap)
-    fx = z4_semidirect()
-    v = decide(fx.nt, cover=fx.cover, config=PipelineConfig(lift_cap=1))
-    assert v.outcome == "NoExoticaSecondary"
-    assert any("sampled 1 of 16" in c for c in v.caveats)
 
 
 def test_shallow_model_rejected():
@@ -265,9 +255,10 @@ def test_forged_cd3_verdict_does_not_replay():
 
 def test_forged_undetermined_verdict_does_not_replay():
     # clause 7 is reached only when no earlier clause fires: a nonzero
-    # primary class, a Kreck witness or a true cd assertion rule it out
+    # primary class, a Kreck witness, a true cd assertion or a lift datum
+    # with a nonzero witness rules it out
     forged = Verdict("Undetermined", 7, "forged", {"caveats_reflected": []})
-    for fx in (rp_w2_zero(), rp_kreck(), z2_remark()):
+    for fx in (rp_w2_zero(), rp_kreck(), z2_remark(), z4_semidirect(), d4_reflection()):
         assert decide(fx.nt, fx.cover, fx.section).outcome != "Undetermined"
         assert not replay_evidence(forged, fx.nt, fx.cover, fx.section), fx.name
 
@@ -318,6 +309,11 @@ def test_kreck_class_forces_primary_zero(char, rho):
 # -- lift data ---------------------------------------------------------------------
 
 
+def _every_datum(sols):
+    """Every lift datum, in kernel bit mask order, built through class_coords."""
+    return [sols.datum(bits) for bits in range(sols.count)]
+
+
 def test_lift_solutions_match_distinguished_datum():
     fx = z4_semidirect()
     sols = lift_data_solutions(fx.nt, fx.cover)
@@ -365,21 +361,116 @@ def test_primary_zero_implies_liftable():
 def test_every_z4_lift_datum_witnesses_nonzero():
     fx = z4_semidirect()
     sols = lift_data_solutions(fx.nt, fx.cover)
-    data, complete = sols.enumerate_data(1 << 16)
-    assert complete and len(data) == 16
+    data = _every_datum(sols)
+    assert len(data) == 16
     for d in data:
         A = secondary_witness(fx.cover, d.a)
         assert not in_restricted_image(fx.nt, fx.cover, A)
 
 
-def test_sampling_fallback_flags_incomplete():
+def _check_scan_against_enumeration(nt, cover):
+    """The clause-5 scan against a test of every lift datum; returns the
+    failing kernel masks in increasing order."""
+    sols = lift_data_solutions(nt, cover)
+    data = _every_datum(sols)
+    witnesses = [secondary_witness(cover, d.a) for d in data]
+    failing = [
+        d.index for d, A in zip(data, witnesses) if not in_restricted_image(nt, cover, A)
+    ]
+    hit = nonzero_witness(nt, cover)
+    assert (hit is None) == (not failing)
+    if hit is not None:
+        assert hit[0].index == failing[0]
+        assert hit[0].a == data[failing[0]].a
+        assert hit[1] == witnesses[failing[0]]
+    # the witness class is affine on the solutions: second differences vanish
+    units = [1 << i for i in range(sols.kernel.dim)]
+    for i, bi in enumerate(units):
+        for bj in units[i + 1 :]:
+            term = witnesses[0] + witnesses[bi] + witnesses[bj] + witnesses[bi | bj]
+            assert is_coboundary(term), (nt.name, bi, bj)
+    return failing
+
+
+_SCAN_GROUPS = (
+    (z2_table, 6),
+    (z4_table, 6),
+    (klein_table, 6),
+    (dihedral8_table, 5),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _scan_base(group):
+    """A bar model, its nonzero degree-1 classes and its H^2 representatives."""
+    table, depth = _SCAN_GROUPS[group]
+    base = bar_b(table(), depth, name=f"scan-{group}")
+    h1 = cohomology_basis(base, 1)
+    w1s = [
+        h1.class_from_coords(np.array([(c >> j) & 1 for j in range(h1.dim)], np.uint8))
+        for c in range(1, 1 << h1.dim)
+    ]
+    return base, w1s, cohomology_basis(base, 2).reps
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    group=st.integers(0, len(_SCAN_GROUPS) - 1),
+    pick=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_clause5_scan_matches_full_enumeration(group, pick, seed):
+    base, w1s, h2 = _scan_base(group)
+    rng = np.random.default_rng(seed)
+    w2 = coboundary(Cochain(base, 1, rng.integers(0, 2, base.n_cells(1), dtype=np.uint8)))
+    for rep in h2:
+        if rng.integers(2):
+            w2 = w2 + rep
+    nt = NormalOneType(base, w1s[pick % len(w1s)], w2, name=f"scan-{group}-{seed}")
+    cover = obstruction.cover_data_from_w1(nt)
+    failing = _check_scan_against_enumeration(nt, cover)
+    v = decide(nt, cover)
+    if v.clause == 5:
+        assert v.evidence["lift_datum_index"] == failing[0]
+    elif v.clause > 5 and not lift_data_solutions(nt, cover).empty:
+        assert not failing
+
+
+def test_clause5_scan_on_z4_kernel_of_dimension_four():
+    fx = z4_semidirect()
+    assert lift_data_solutions(fx.nt, fx.cover).kernel.dim == 4
+    assert _check_scan_against_enumeration(fx.nt, fx.cover) == list(range(16))
+    fx = z2_secondary()
+    assert _check_scan_against_enumeration(fx.nt, fx.cover) == []
+
+
+def test_scan_order_under_an_affine_predicate(monkeypatch):
+    # every real type above fails at mask 0 or nowhere; an affine stand-in
+    # for the restricted image test checks the d + 1 masks and their order
     fx = z4_semidirect()
     sols = lift_data_solutions(fx.nt, fx.cover)
-    data, complete = sols.enumerate_data(4, seed=11)
-    assert not complete
-    assert len(data) == 4
-    repeat, _ = sols.enumerate_data(4, seed=11)
-    assert [d.a.support() for d in repeat] == [d.a.support() for d in data]
+    mask_of = {
+        secondary_witness(fx.cover, d.a).values.tobytes(): d.index for d in _every_datum(sols)
+    }
+    assert len(mask_of) == sols.count == 16
+    for shift in (0, 1):
+        for functional in range(16):
+            def fails(m):
+                return (bin(m & functional).count("1") + shift) % 2 == 1
+
+            monkeypatch.setattr(
+                obstruction,
+                "in_restricted_image",
+                lambda nt, cover, A: not fails(mask_of[A.values.tobytes()]),
+            )
+            first = next((m for m in range(16) if fails(m)), None)
+            hit = nonzero_witness(fx.nt, fx.cover)
+            assert (None if hit is None else hit[0].index) == first, (shift, functional)
+            v = decide(fx.nt, fx.cover)
+            if first is None:
+                assert v.outcome == "Undetermined"
+            else:
+                assert v.evidence["lift_datum_index"] == first
 
 
 # -- secondary test ----------------------------------------------------------------
@@ -487,8 +578,8 @@ def test_restricted_image_predicate_matches_stacked_span():
     seen = set()
     for nt, cover in cases:
         span, images = _stacked_span(nt, cover)
-        data, complete = lift_data_solutions(nt, cover).enumerate_data(1 << 16)
-        assert complete and data
+        data = _every_datum(lift_data_solutions(nt, cover))
+        assert data
         delta3 = cover.cover.coboundary_matrix(3)
         for d in data:
             A = secondary_witness(cover, d.a)
