@@ -28,7 +28,7 @@ def _empty_faces(cells) -> tuple:
 
 def point(up_to: int = 0) -> SimplicialModel:
     cells = [1] + [0] * up_to
-    return SimplicialModel.from_arrays(up_to, cells, *_empty_faces(cells), name="point")
+    return SimplicialModel(up_to, cells, *_empty_faces(cells), name="point")
 
 
 def circle(up_to: int = 1) -> SimplicialModel:
@@ -36,7 +36,7 @@ def circle(up_to: int = 1) -> SimplicialModel:
     if up_to < 1:
         raise ValidationError("circle needs max_degree at least 1")
     cells = [1, 1] + [0] * (up_to - 1)
-    return SimplicialModel.from_arrays(up_to, cells, *_empty_faces(cells), name="circle")
+    return SimplicialModel(up_to, cells, *_empty_faces(cells), name="circle")
 
 
 def _check_group_table(table) -> int:
@@ -95,7 +95,7 @@ def bar_b(table, up_to: int, name: str = "bar") -> SimplicialModel:
                 prefix * base ** (n - 1 - i) + suffix,
                 (prefix * base + merged - 1) * base ** (n - 1 - i) + suffix,
             )
-    return SimplicialModel.from_arrays(up_to, cells, face_word, face_cell, name=name)
+    return SimplicialModel(up_to, cells, face_word, face_cell, name=name)
 
 
 def bar_e_z2(up_to: int):
@@ -112,7 +112,7 @@ def bar_e_z2(up_to: int):
         face_word[n][:, 1:n] = 1 << np.arange(n - 1)
         face_cell[n][:, 1:] = [[0], [1]]
         face_cell[n][:, 0] = [1, 0]
-    model = SimplicialModel.from_arrays(up_to, cells, face_word, face_cell, name="two-sheet")
+    model = SimplicialModel(up_to, cells, face_word, face_cell, name="two-sheet")
     perms = [np.array([1, 0], dtype=np.int64) for _ in range(up_to + 1)]
     return model, Involution(model, perms, "flip")
 
@@ -156,7 +156,7 @@ def bar_hom_map(
             idx = idx * (gd - 1) + image[digit + 1]
         cells.append(idx)
     words = [np.zeros_like(c) for c in cells]
-    return SimplicialMap.from_arrays(src_model, dst_model, words, cells, name)
+    return SimplicialMap(src_model, dst_model, words, cells, name)
 
 
 def z2_table():
@@ -293,7 +293,7 @@ def k_z2_2(up_to: int) -> SimplicialModel:
             pos = np.searchsorted(all_masks[m - 1], faces)
             face_word[m][:, i] = canon_word[m - 1][pos]
             face_cell[m][:, i] = canon_cell[m - 1][pos]
-    return SimplicialModel.from_arrays(up_to, cells, face_word, face_cell, name="em-z2-deg2")
+    return SimplicialModel(up_to, cells, face_word, face_cell, name="em-z2-deg2")
 
 
 def fundamental_class_cochain(model: SimplicialModel) -> Cochain:

@@ -131,7 +131,7 @@ def z2_secondary() -> Fixture:
     edge_cell = t2.cell_of(1, 0, 0, 1, 0)  # the circle's edge paired with s_0 of its vertex
     cells = [[0], [edge_cell]] + [[] for _ in range(4)]
     words = [[0] * len(c) for c in cells]
-    sec = SimplicialMap.from_arrays(loop, t2.model, words, cells, "first-factor-loop")
+    sec = SimplicialMap(loop, t2.model, words, cells, "first-factor-loop")
     return Fixture(
         "z2-secondary",
         "free abelian rank 2 driven through the lift and section stage",

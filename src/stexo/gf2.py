@@ -79,10 +79,6 @@ class F2Matrix:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "F2Matrix":
-        return cls(rows, cols)
-
-    @classmethod
     def identity(cls, n: int) -> "F2Matrix":
         i = np.arange(n)
         return cls.from_entries(n, n, i, i)
@@ -107,21 +103,8 @@ class F2Matrix:
     def to_dense(self) -> np.ndarray:
         return unpack_rows(self.words, self.cols)
 
-    def get(self, i: int, j: int) -> int:
-        return int((self.words[i, j >> 6] >> np.uint64(j & 63)) & np.uint64(1))
-
-    def set(self, i: int, j: int, value: int) -> None:
-        bit = np.uint64(1) << np.uint64(j & 63)
-        if value & 1:
-            self.words[i, j >> 6] |= bit
-        else:
-            self.words[i, j >> 6] &= ~bit
-
     def column(self, c: int) -> np.ndarray:
         return _column_bits(self.words, c)
-
-    def row_dense(self, i: int) -> np.ndarray:
-        return unpack_rows(self.words[i : i + 1], self.cols)[0]
 
     def is_zero(self) -> bool:
         return not self.words.any()

@@ -471,7 +471,7 @@ def _parse_model_core(obj, path: str, default_name: str) -> SimplicialModel:
         )
         face_word.append(ws.reshape(-1, n + 1))
         face_cell.append(cs.reshape(-1, n + 1))
-    model = SimplicialModel.from_arrays(max_degree, cells, face_word, face_cell, name=name)
+    model = SimplicialModel(max_degree, cells, face_word, face_cell, name=name)
     bad = bad or model.validate()
     if bad:
         _fail(path, f"{len(bad)} simplicial violations; first: {bad[0]}")
@@ -551,7 +551,7 @@ class MapData:
         words, cells, bad = checked_images(source, target, self.images)
         if bad:
             raise ValidationError(f"map {self.name}: {bad[0]}")
-        m = SimplicialMap.from_arrays(source, target, words, cells, name=self.name)
+        m = SimplicialMap(source, target, words, cells, name=self.name)
         m.require_valid()
         return m
 

@@ -13,9 +13,9 @@ the bitmask of its letters.  A batch of targets is likewise a pair of arrays
 batch at once; every face walk of this module goes through it or indexes the
 arrays directly.  Maps store the target of every source cell in the same form,
 and SimplicialMap.push sends a batch of targets through a map.  Outside input
-is checked in batches too, by encode_targets and check_targets; (word, cell)
-tuples remain only in the list constructors and in the scalar reference
-SimplicialModel.face.
+is checked in batches too, by encode_targets and check_targets, before a model
+or a map is made from it; the one constructor of each class takes arrays.
+(word, cell) tuples remain only in the scalar reference SimplicialModel.face.
 
 Cochains are normalized: a degeneracy-decorated target evaluates to 0.
 """
@@ -132,11 +132,6 @@ def _through(dim: int, words: np.ndarray, cells: np.ndarray, tables) -> np.ndarr
     return out
 
 
-def _decode(words: np.ndarray, cells: np.ndarray) -> list:
-    """Target tuples (word, cell) of a batch."""
-    return [(_word(w), c) for w, c in zip(words.tolist(), cells.tolist())]
-
-
 def _frozen(a) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.int64)
     a.setflags(write=False)
@@ -246,55 +241,7 @@ class SimplicialModel:
     the model caches about them stays valid.
     """
 
-    def __init__(self, max_degree: int, cells, faces, name: str = "model"):
-        """faces[n][c][i] is the i-th face of the n-cell c as a (word, cell)
-        target; faces[0] is an empty placeholder.  A face that cannot be stored
-        as a mask and a valid cell is stored as (0, 0) and reported by
-        validate()."""
-        self._init(max_degree, cells, name)
-        words, fcells, bad = [_no_faces(self.cells[0])], [_no_faces(self.cells[0])], []
-        for n in range(1, self.max_degree + 1):
-            block = faces[n] if n < len(faces) else ()
-            width = n + 1
-            if len(block) != self.cells[n]:
-                bad.append(f"degree {n}: face table size mismatch")
-                block = ()
-            rows = [c for c, row in enumerate(block) if len(row) == width]
-            targets = [t for c in rows for t in block[c]]
-            ws, cs, errs = check_targets(
-                self.cells,
-                n - 1,
-                *encode_targets(n - 1, [w for w, _ in targets], [c for _, c in targets]),
-            )
-            found = [
-                (c, f"degree {n} cell {c}: expected {width} faces")
-                for c, row in enumerate(block)
-                if len(row) != width
-            ]
-            for p, msg in errs:
-                c = rows[p // width]
-                found.append((c, f"degree {n} cell {c} face {p % width}: {msg}"))
-            found.sort(key=lambda f: f[0])  # stable: a row has one kind of message
-            bad.extend(msg for _, msg in found)
-            fw = np.zeros((self.cells[n], width), dtype=np.int64)
-            fc = np.zeros_like(fw)
-            fw[rows] = ws.reshape(-1, width)
-            fc[rows] = cs.reshape(-1, width)
-            words.append(fw)
-            fcells.append(fc)
-        self._store(words, fcells)
-        self._malformed = tuple(bad)
-
-    @classmethod
-    def from_arrays(cls, max_degree: int, cells, face_word, face_cell, name: str = "model"):
-        """A model from per-degree face arrays, as laid out in face_word/face_cell."""
-        model = cls.__new__(cls)
-        model._init(max_degree, cells, name)
-        model._store(face_word, face_cell)
-        model._malformed = ()
-        return model
-
-    def _init(self, max_degree, cells, name) -> None:
+    def __init__(self, max_degree: int, cells, face_word, face_cell, name: str = "model"):
         self.max_degree = int(max_degree)
         self.cells = tuple(int(c) for c in cells)
         self.name = name
@@ -303,27 +250,11 @@ class SimplicialModel:
             raise ValidationError(
                 f"{name}: cells list length {len(self.cells)} vs max_degree {max_degree}"
             )
-
-    def _store(self, face_word, face_cell) -> None:
         self.face_word = tuple(_frozen(a) for a in face_word)
         self.face_cell = tuple(_frozen(a) for a in face_cell)
 
     def __repr__(self) -> str:
         return f"SimplicialModel({self.name}, cells={self.cells})"
-
-    @property
-    def faces(self) -> list:
-        """The face tables as (word, cell) lists, faces[0] empty, read off the arrays."""
-        out: list = [[]]
-        for n in range(1, self.max_degree + 1):
-            words = [_word(m) for m in range(1 << (n - 1))]
-            out.append(
-                [
-                    [(words[w], c) for w, c in zip(ws, cs)]
-                    for ws, cs in zip(self.face_word[n].tolist(), self.face_cell[n].tolist())
-                ]
-            )
-        return out
 
     def n_cells(self, n: int) -> int:
         return self.cells[n] if 0 <= n <= self.max_degree else 0
@@ -387,25 +318,10 @@ class SimplicialModel:
                 dim -= 1
         return ws, cs
 
-    def subface(self, n: int, cell: int, keep) -> Target:
-        """Restrict an n-cell to the vertex subset keep (sorted ascending)."""
-        ws, cs = self.subfaces(n, keep, [cell])
-        return _decode(ws, cs)[0]
-
-    def targets(self, n: int):
-        """All dimension-n targets (word, cell) in a deterministic order."""
-        words, cells, _ = _target_table(self, n)
-        return _decode(words, cells)
-
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> list[str]:
-        """Structural checks, then the simplicial identities.
-
-        The identities are checked once per model; the result is cached.
-        """
-        if self._malformed:
-            return list(self._malformed)
+        """The simplicial identities, checked once per model; the result is cached."""
         if "identities" not in self._cache:
             self._cache["identities"] = tuple(self._identity_violations())
         return list(self._cache["identities"])
@@ -622,27 +538,9 @@ class SimplicialMap:
     tables of a model and just as read-only.
     """
 
-    def __init__(self, source: SimplicialModel, target: SimplicialModel, assignment, name="map"):
-        """assignment[n][c] is the (word, cell) target of the source n-cell c.
-        A target that cannot be stored as a mask and a valid cell, or a degree
-        whose size is wrong, is stored as zeros and reported by validate()."""
-        blocks = [
-            encode_targets(n, [w for w, _ in block], [c for _, c in block])
-            for n, block in enumerate(assignment[: source.max_degree + 1])
-        ]
-        words, cells, bad = checked_images(source, target, blocks)
-        self._init(source, target, words, cells, name)
-        self._malformed = tuple(bad)
-
-    @classmethod
-    def from_arrays(cls, source, target, image_word, image_cell, name="map") -> "SimplicialMap":
-        """A map from per-degree target arrays, as laid out in image_word/image_cell."""
-        m = cls.__new__(cls)
-        m._init(source, target, image_word, image_cell, name)
-        m._malformed = ()
-        return m
-
-    def _init(self, source, target, image_word, image_cell, name) -> None:
+    def __init__(
+        self, source: SimplicialModel, target: SimplicialModel, image_word, image_cell, name="map"
+    ):
         self.source = source
         self.target = target
         self.name = name
@@ -651,11 +549,6 @@ class SimplicialMap:
 
     def __repr__(self):
         return f"SimplicialMap({self.name}: {self.source.name} -> {self.target.name})"
-
-    @property
-    def assignment(self) -> list:
-        """The targets as (word, cell) lists, read off the arrays."""
-        return [_decode(w, c) for w, c in zip(self.image_word, self.image_cell)]
 
     def push(self, dim: int, words, cells):
         """Images of a batch of dimension-dim source targets, as (word masks, cells)."""
@@ -670,9 +563,7 @@ class SimplicialMap:
         return out_w, out_c
 
     def validate(self) -> list[str]:
-        """Malformed targets, else faces that do not commute with the map."""
-        if self._malformed:
-            return list(self._malformed)
+        """Faces that do not commute with the map."""
         bad = []
         src = self.source
         for n in range(1, src.max_degree + 1):
@@ -709,12 +600,12 @@ class SimplicialMap:
             *map(self.push, range(len(inner.image_word)), inner.image_word, inner.image_cell)
         )
         name = f"{self.name}*{inner.name}"
-        return SimplicialMap.from_arrays(inner.source, self.target, words, cells, name)
+        return SimplicialMap(inner.source, self.target, words, cells, name)
 
     @classmethod
     def identity(cls, model: SimplicialModel) -> "SimplicialMap":
         cells = [np.arange(c, dtype=np.int64) for c in model.cells]
-        return cls.from_arrays(model, model, [np.zeros_like(c) for c in cells], cells, "id")
+        return cls(model, model, [np.zeros_like(c) for c in cells], cells, "id")
 
 
 class Involution:
@@ -731,6 +622,9 @@ class Involution:
         return Cochain(u.model, u.degree, u.values[self.perms[u.degree]])
 
     def validate(self) -> list[str]:
+        count = self.model.max_degree + 1
+        if len(self.perms) != count:
+            return [f"expected {count} permutations, got {len(self.perms)}"]
         bad = []
         for n, perm in enumerate(self.perms):
             if perm.shape != (self.model.cells[n],):
@@ -766,8 +660,9 @@ class Involution:
 
 
 def _target_table(model: SimplicialModel, n: int):
-    """model.targets(n) as arrays (word masks, cells), plus, per mask, the
-    position of its first target (-1 when the word cannot occur)."""
+    """Every dimension-n target of model as arrays (word masks, cells), in a
+    deterministic order, plus, per mask, the position of its first target (-1
+    when the word cannot occur)."""
     first = np.full(1 << n, -1, dtype=np.int64)
     words, cells = [], []
     total = 0
@@ -823,10 +718,10 @@ class ProductModel:
             face_word.append(fw)
             face_cell.append(fc)
         cells = [k.size for k in self.keys]
-        self.model = SimplicialModel.from_arrays(up_to, cells, face_word, face_cell, name=name)
+        self.model = SimplicialModel(up_to, cells, face_word, face_cell, name=name)
         aw, ac, bw, bc = zip(*map(self.coordinates, range(up_to + 1)))
-        self.left = SimplicialMap.from_arrays(self.model, a, aw, ac, "left")
-        self.right = SimplicialMap.from_arrays(self.model, b, bw, bc, "right")
+        self.left = SimplicialMap(self.model, a, aw, ac, "left")
+        self.right = SimplicialMap(self.model, b, bw, bc, "right")
 
     def coordinates(self, n: int):
         """The two targets of every n-cell, as arrays (a words, a cells, b words, b cells)."""
@@ -914,7 +809,7 @@ def sheet_changes(cover: SimplicialModel, sheet, rep_cells) -> np.ndarray:
 def _projection(cover: SimplicialModel, base: SimplicialModel, base_index) -> SimplicialMap:
     """The map sending each cover cell to base cell base_index[n][c]."""
     words = [np.zeros_like(b) for b in base_index]
-    return SimplicialMap.from_arrays(cover, base, words, base_index, "projection")
+    return SimplicialMap(cover, base, words, base_index, "projection")
 
 
 def quotient_free_involution(
@@ -945,7 +840,7 @@ def quotient_free_involution(
         fw = cover.face_word[n][rep_cells[n]]
         face_word.append(fw)
         face_cell.append(_through(n - 1, fw, cover.face_cell[n][rep_cells[n]], base_index))
-    base = SimplicialModel.from_arrays(cover.max_degree, cells, face_word, face_cell, name=name)
+    base = SimplicialModel(cover.max_degree, cells, face_word, face_cell, name=name)
 
     projection = _projection(cover, base, base_index)
     w1 = Cochain(base, 1, sheet_changes(cover, sheet, rep_cells))
@@ -1009,7 +904,7 @@ def _cover_model(base: SimplicialModel, w: Cochain, name: str) -> SimplicialMode
         fc[:, 0] ^= np.repeat(twist, 2)
         face_word.append(np.repeat(base.face_word[n], 2, axis=0))
         face_cell.append(fc)
-    return SimplicialModel.from_arrays(base.max_degree, cells, face_word, face_cell, name=name)
+    return SimplicialModel(base.max_degree, cells, face_word, face_cell, name=name)
 
 
 def relabel_model(model: SimplicialModel, rng: np.random.Generator):
@@ -1027,7 +922,5 @@ def relabel_model(model: SimplicialModel, rng: np.random.Generator):
         fc[perms[n]] = _through(n - 1, model.face_word[n], model.face_cell[n], perms)
         face_word.append(fw)
         face_cell.append(fc)
-    out = SimplicialModel.from_arrays(
-        model.max_degree, model.cells, face_word, face_cell, name=f"{model.name}~"
-    )
-    return out, perms
+    name = f"{model.name}~"
+    return SimplicialModel(model.max_degree, model.cells, face_word, face_cell, name=name), perms

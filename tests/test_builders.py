@@ -65,23 +65,29 @@ def test_bar_counts_and_identities(table, order, up_to):
 
 
 def _bar_reference(table, up_to):
-    """bar_b through the list constructor: per cell, the (word, cell) tuples
-    of its faces, identity entries read as degeneracies of the shorter tuple."""
+    """bar_b from the group tuples: per cell, the (word mask, cell) of each
+    face, identity entries read as degeneracies of the shorter tuple."""
     g = len(table)
     tuples = [list(iproduct(range(1, g), repeat=n)) for n in range(up_to + 1)]
     index = [{t: k for k, t in enumerate(level)} for level in tuples]
 
     def target(t):
-        word = tuple(p for p in range(len(t) - 1, -1, -1) if t[p] == 0)
+        mask = sum(1 << p for p, x in enumerate(t) if x == 0)
         core = tuple(x for x in t if x != 0)
-        return (word, index[len(core)][core])
+        return (mask, index[len(core)][core])
 
     def row(t):
         merged = [t[: i - 1] + (table[t[i - 1]][t[i]],) + t[i + 1 :] for i in range(1, len(t))]
         return [target(f) for f in [t[1:], *merged, t[:-1]]]
 
-    faces = [[]] + [[row(t) for t in tuples[n]] for n in range(1, up_to + 1)]
-    return SimplicialModel(up_to, [len(level) for level in tuples], faces, name="reference")
+    faces = [np.zeros((1, 0, 2), dtype=np.int64)] + [
+        np.array([row(t) for t in tuples[n]], dtype=np.int64).reshape(-1, n + 1, 2)
+        for n in range(1, up_to + 1)
+    ]
+    cells = [len(level) for level in tuples]
+    return SimplicialModel(
+        up_to, cells, [f[..., 0] for f in faces], [f[..., 1] for f in faces], name="reference"
+    )
 
 
 @pytest.mark.parametrize(

@@ -28,14 +28,11 @@ def test_pack_unpack_roundtrip():
         assert np.array_equal(unpack_rows(pack_rows(dense), cols), dense)
 
 
-def test_identity_and_get_set():
-    m = F2Matrix.identity(70)
-    assert m.get(69, 69) == 1
-    assert m.get(69, 68) == 0
-    m.set(3, 67, 1)
-    assert m.get(3, 67) == 1
-    m.set(3, 67, 0)
-    assert m.get(3, 67) == 0
+def test_identity_is_dense_eye():
+    for n in (0, 1, 63, 64, 70):
+        m = F2Matrix.identity(n)
+        assert (m.rows, m.cols) == (n, n)
+        assert np.array_equal(m.to_dense(), np.eye(n, dtype=np.uint8))
 
 
 def test_matmul_against_numpy():
@@ -49,7 +46,7 @@ def test_matmul_against_numpy():
 
 def test_matmul_shape_mismatch():
     with pytest.raises(ModelMismatchError):
-        F2Matrix.zeros(2, 3).matmul(F2Matrix.zeros(4, 2))
+        F2Matrix(2, 3).matmul(F2Matrix(4, 2))
 
 
 def test_mul_vec_against_numpy():
@@ -149,15 +146,16 @@ def test_kernel_is_kernel():
         assert ker.rows == 31 - rank(m)
         # the per-free-column loop over the echelon form is the reference
         res = rank_and_echelon(m, want_transform=False)
+        echelon = res.echelon.to_dense()
         free = [c for c in range(31) if c not in res.pivots]
         want = np.zeros((len(free), 31), dtype=np.uint8)
         for k, f in enumerate(free):
             want[k, f] = 1
             for i, p in enumerate(res.pivots):
-                want[k, p] = res.echelon.get(i, f)
+                want[k, p] = echelon[i, f]
         assert np.array_equal(ker.to_dense(), want)
-        for i in range(ker.rows):
-            assert not m.mul_vec(ker.row_dense(i)).any()
+        for row in ker.to_dense():
+            assert not m.mul_vec(row).any()
         # kernel rows are independent
         assert rank(ker) == ker.rows
 
@@ -192,9 +190,10 @@ def test_solve_affine_roundtrip(rows, cols, seed):
     # reference: each pivot variable is its row's last entry in the echelon
     # form of [m | rhs], every free variable is 0
     res = rank_and_echelon(F2Matrix.from_dense(np.column_stack([a, rhs])))
+    echelon = res.echelon.to_dense()
     want = np.zeros(cols, dtype=np.uint8)
     for i, p in enumerate(res.pivots):
-        want[p] = res.echelon.get(i, cols)
+        want[p] = echelon[i, cols]
     assert np.array_equal(sol.particular, want)
     # x differs from the particular solution by a kernel element
     assert sol.kernel.contains(sol.particular ^ x)

@@ -263,13 +263,17 @@ def test_forged_undetermined_verdict_does_not_replay():
         assert not replay_evidence(forged, fx.nt, fx.cover, fx.section), fx.name
 
 
+def _constant_map(source, target):
+    """Every source n-cell to s_{n-1}...s_0 of the target's vertex 0."""
+    words = [np.full(c, (1 << n) - 1, dtype=np.int64) for n, c in enumerate(source.cells)]
+    cells = [np.zeros(c, dtype=np.int64) for c in source.cells]
+    return SimplicialMap(source, target, words, cells, "constant")
+
+
 def test_constant_section_rejected():
     fx = rp_kreck()
     base = fx.nt.base
-    assignment = [
-        [(tuple(range(n - 1, -1, -1)), 0)] for n in range(base.max_degree + 1)
-    ]
-    const = SimplicialMap(base, base, assignment, "constant")
+    const = _constant_map(base, base)
     assert not const.validate()
     reasons = validate_normal_type(fx.nt, section=SectionDatum(const))
     assert any("generator" in r for r in reasons)
@@ -692,11 +696,7 @@ def test_cover_parts_reject_degenerate_projection():
     fx = rp_w2_zero()
     pair = fx.cover.pair
     # the constant map is simplicial, so only the fiber check can catch it
-    assignment = [
-        [(tuple(range(n - 1, -1, -1)), 0)] * pair.cover.cells[n]
-        for n in range(pair.cover.max_degree + 1)
-    ]
-    const = SimplicialMap(pair.cover, fx.nt.base, assignment, "constant")
+    const = _constant_map(pair.cover, fx.nt.base)
     assert const.validate() == []
     with pytest.raises(ValidationError, match="^projection sends a cell to a degenerate target$"):
         cover_data_from_parts(fx.nt, pair.cover, pair.involution, const)
@@ -710,12 +710,14 @@ def test_cover_parts_reject_split_fiber():
     trivial = cover_from_cocycle(base, Cochain.zero(base, 1), allow_trivial=True)
     # sheet 0 maps identically, sheet 1 through the inversion of Z/4: every
     # fiber has two cells, but (x, sheet 0) and (-x, sheet 1) are no orbit
-    inverse = bar_hom_map(base, z4, base, z4, [0, 3, 2, 1]).assignment
-    assignment = [
-        [((), c // 2) if c % 2 == 0 else level[c // 2] for c in range(2 * len(level))]
-        for level in inverse
-    ]
-    proj = SimplicialMap(trivial.cover, base, assignment, "split")
+    inverse = bar_hom_map(base, z4, base, z4, [0, 3, 2, 1])
+    words, cells = [], []
+    for w, c in zip(inverse.image_word, inverse.image_cell):
+        words.append(np.zeros(2 * w.size, dtype=np.int64))
+        words[-1][1::2] = w
+        cells.append(np.arange(2 * c.size, dtype=np.int64) // 2)
+        cells[-1][1::2] = c
+    proj = SimplicialMap(trivial.cover, base, words, cells, "split")
     assert proj.validate() == []
     with pytest.raises(
         ValidationError, match="^degree 1: fiber over cell 0 is not a single free orbit$"
@@ -737,27 +739,22 @@ def test_z4_verdict_survives_cover_relabeling():
     rng = np.random.default_rng(3)
     pair = fx.cover.pair
     cov2, perms = relabel_model(pair.cover, rng)
+    old = [np.argsort(p) for p in perms]
     inv2 = Involution(
         cov2,
-        [
-            perms[n][pair.involution.perms[n][np.argsort(perms[n])]]
-            for n in range(cov2.max_degree + 1)
-        ],
+        [p[t[o]] for p, t, o in zip(perms, pair.involution.perms, old)],
         "relabeled deck",
     )
-    assignment = pair.projection.assignment
     proj2 = SimplicialMap(
         cov2,
         pair.base,
-        [
-            [assignment[n][old] for old in np.argsort(perms[n])]
-            for n in range(cov2.max_degree + 1)
-        ],
+        [w[o] for w, o in zip(pair.projection.image_word, old)],
+        [c[o] for c, o in zip(pair.projection.image_cell, old)],
         "relabeled projection",
     )
-    sheet2 = [pair.sheet[n][np.argsort(perms[n])] for n in range(cov2.max_degree + 1)]
+    sheet2 = [s[o] for s, o in zip(pair.sheet, old)]
     reps2 = [perms[n][pair.rep_cells[n]] for n in range(cov2.max_degree + 1)]
-    bidx2 = [pair.base_index[n][np.argsort(perms[n])] for n in range(cov2.max_degree + 1)]
+    bidx2 = [b[o] for b, o in zip(pair.base_index, old)]
     pair2 = CoverPair(
         cov2, pair.base, proj2, inv2, pair.w1, sheet2, reps2, bidx2
     )

@@ -4,6 +4,7 @@ import gc
 import re
 import weakref
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -28,16 +29,19 @@ from stexo.errors import (
     ValidationError,
 )
 from stexo.gf2 import solve_affine
+from stexo.modelfile import MapData, model_document, parse_document
 from stexo.simplicial import (
     Cochain,
     Involution,
     SimplicialMap,
     SimplicialModel,
+    checked_images,
     coboundary,
     compose_words,
     cover_from_cocycle,
     cup,
     cup_i,
+    encode_targets,
     insert_degeneracy,
     is_coboundary,
     product,
@@ -49,22 +53,30 @@ from stexo.simplicial import (
 )
 
 
-def triangle_faces():
-    """Face lists of the 2-simplex: vertices 0,1,2; edges 01,02,12; one 2-cell."""
-    return [
-        [],
-        [
-            [((), 1), ((), 0)],  # edge 01
-            [((), 2), ((), 0)],  # edge 02
-            [((), 2), ((), 1)],  # edge 12
-        ],
-        [[((), 2), ((), 1), ((), 0)]],  # d0=12, d1=02, d2=01
+def triangle_arrays():
+    """Face arrays of the 2-simplex: vertices 0,1,2; edges 01,02,12; one 2-cell.
+    Every face is a plain cell, so every word mask is 0."""
+    face_cell = [
+        np.zeros((3, 0), dtype=np.int64),
+        np.array([[1, 0], [2, 0], [2, 1]], dtype=np.int64),  # edges 01, 02, 12
+        np.array([[2, 1, 0]], dtype=np.int64),  # d0=12, d1=02, d2=01
     ]
+    return [np.zeros_like(fc) for fc in face_cell], face_cell
 
 
-def triangle(faces=None):
-    """The 2-simplex as a model, or a model on other face lists of its shape."""
-    return SimplicialModel(2, [3, 3, 1], faces or triangle_faces(), name="triangle")
+def triangle(face_word=None, face_cell=None):
+    """The 2-simplex as a model, or a model on other face arrays of its shape."""
+    if face_cell is None:
+        face_word, face_cell = triangle_arrays()
+    return SimplicialModel(2, [3, 3, 1], face_word, face_cell, name="triangle")
+
+
+def _decode(words, cells):
+    """(word, cell) tuples of a batch of targets given as word masks and cells."""
+    return [
+        (tuple(a for a in range(w.bit_length() - 1, -1, -1) if w >> a & 1), c)
+        for w, c in zip(np.asarray(words).tolist(), np.asarray(cells).tolist())
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -89,28 +101,34 @@ def test_insert_degeneracy_canonical_words():
 def test_triangle_validates_and_subfaces():
     t = triangle()
     assert t.validate() == []
-    assert t.subface(2, 0, (0, 1)) == ((), 0)
-    assert t.subface(2, 0, (0, 2)) == ((), 1)
-    assert t.subface(2, 0, (1, 2)) == ((), 2)
-    assert t.subface(2, 0, (0,)) == ((), 0)
-    assert t.subface(1, 2, (0, 1)) == ((), 2)
+    for n, cell, keep, want in [
+        (2, 0, (0, 1), 0),
+        (2, 0, (0, 2), 1),
+        (2, 0, (1, 2), 2),
+        (2, 0, (0,), 0),
+        (1, 2, (0, 1), 2),
+    ]:
+        assert _decode(*t.subfaces(n, keep, [cell])) == [((), want)]
 
 
 def test_validate_reports_broken_identity():
-    faces = triangle_faces()
+    face_word, face_cell = triangle_arrays()
     # swap the ends of edge 12 so d_i d_j identities fail
-    faces[1][2] = [((), 1), ((), 2)]
-    t = triangle(faces)
-    bad = t.validate()
+    face_cell[1][2] = [1, 2]
+    bad = triangle(face_word, face_cell).validate()
     assert bad and "d_" in bad[0]
 
 
 def test_validate_reports_malformed_word():
-    faces = triangle_faces()
-    faces[2][0] = [((0, 1), 0), ((), 2), ((), 0)]
-    t = triangle(faces)
-    bad = t.validate()
-    assert any("decreasing" in msg for msg in bad)
+    # a model read from outside is checked by the parser before it is built
+    doc = model_document(triangle())
+    doc["faces"][1][0][0] = {"cell": 0, "degen": [0, 1]}
+    want = (
+        "document: 1 simplicial violations; first: degree 2 cell 0 face 0:"
+        " degeneracy word (0, 1) is not strictly decreasing"
+    )
+    with pytest.raises(ValidationError, match=f"^{re.escape(want)}$"):
+        parse_document(doc)
 
 
 def test_faces_of_degenerate_targets(rp6):
@@ -134,8 +152,9 @@ def test_coboundary_squares_to_zero(rp6):
 
 def test_interval_model_coboundary():
     # two vertices, one edge: delta of a point indicator hits the edge once
-    faces = [[], [[((), 1), ((), 0)]]]
-    seg = SimplicialModel(1, [2, 1], faces, name="segment")
+    face_cell = [np.zeros((2, 0), dtype=np.int64), np.array([[1, 0]], dtype=np.int64)]
+    face_word = [np.zeros_like(fc) for fc in face_cell]
+    seg = SimplicialModel(1, [2, 1], face_word, face_cell, name="segment")
     assert seg.validate() == []
     u = Cochain.from_support(seg, 0, [0])
     assert coboundary(u).values.tolist() == [1]
@@ -256,7 +275,8 @@ def test_product_with_point_is_identity(rp6):
     pr = product(rp6, pt, 4)
     assert pr.model.cells == rp6.cells[:5]
     for n in range(1, 5):
-        assert pr.model.faces[n] == rp6.faces[n][: rp6.cells[n]]
+        assert np.array_equal(pr.model.face_word[n], rp6.face_word[n])
+        assert np.array_equal(pr.model.face_cell[n], rp6.face_cell[n])
 
 
 def test_four_torus_counts(torus):
@@ -277,39 +297,22 @@ def test_swap_involution_has_diagonal_fixed_cells(torus):
 # -- maps ----------------------------------------------------------------------
 
 
-def _catalog_maps():
-    from stexo.catalog import REGISTRY, get_fixture
-
-    maps = []
-    for fx in map(get_fixture, REGISTRY):
-        if fx.cover is not None:
-            maps.append(fx.cover.projection)
-        if fx.section is not None:
-            maps.append(fx.section.s)
-    # the products the catalog builds
-    c2, c3 = circle(2), circle(3)
-    t2 = product(c3, c3, 3)
-    t4 = product(t2.model, t2.model, 5)
-    sheets = product(t4.model, bar_e_z2(5)[0], 5)
-    for prod in (product(c2, c2, 4), product(c3, c3, 5), t2, t4, sheets):
-        maps.extend((prod.left, prod.right))
-    return maps
-
-
-def test_list_constructor_matches_arrays_on_catalog_maps():
-    for m in _catalog_maps():
-        again = SimplicialMap(m.source, m.target, m.assignment, m.name)
-        assert again.validate() == [], m.name
-        for n in range(m.source.max_degree + 1):
-            assert np.array_equal(again.image_word[n], m.image_word[n]), (m.name, n)
-            assert np.array_equal(again.image_cell[n], m.image_cell[n]), (m.name, n)
+def _images(m):
+    """The targets of a map as (word, cell) tuples, per source degree."""
+    return [_decode(w, c) for w, c in zip(m.image_word, m.image_cell)]
 
 
 def _broken_map(table, up_to, edit):
+    """The identity of a bar model with edited targets, as the parser holds a
+    map entry before it is checked against its codomain."""
     base = bar_b(table, up_to)
-    assignment = SimplicialMap.identity(base).assignment
+    assignment = _images(SimplicialMap.identity(base))
     edit(assignment)
-    return SimplicialMap(base, base, assignment, "broken")
+    images = [
+        encode_targets(n, [w for w, _ in block], [c for _, c in block])
+        for n, block in enumerate(assignment)
+    ]
+    return base, MapData("broken", None, images)
 
 
 def _short_degree_after_bad_word(a):
@@ -354,18 +357,19 @@ def _bad_cell(a):
     ],
 )
 def test_map_validate_reports_malformed_targets(edit, want):
-    m = _broken_map(z4_table(), 3, edit)
-    assert m.validate() == want
-    with pytest.raises(ValidationError, match="map broken: " + re.escape(want[0])):
-        m.require_valid()
+    base, data = _broken_map(z4_table(), 3, edit)
+    assert checked_images(base, base, data.images)[2] == want
+    with pytest.raises(ValidationError, match="^map broken: " + re.escape(want[0]) + "$"):
+        data.into_parent(base)
 
 
 def test_map_validate_reports_non_commuting_faces():
-    # the 2-cell [1|1] of the Z/2 bar model sent to s_0 of the edge [1]
-    def edit(a):
-        a[2][0] = ((0,), 0)
-
-    assert _broken_map(z2_table(), 3, edit).validate() == [
+    base = bar_b(z2_table(), 3)
+    ident = SimplicialMap.identity(base)
+    words = [w.copy() for w in ident.image_word]
+    words[2][0] = 0b1  # the 2-cell [1|1] sent to s_0 of the edge [1]
+    m = SimplicialMap(base, base, words, ident.image_cell, "broken")
+    assert m.validate() == [
         "degree 2 cell 0: face 1 does not commute",
         "degree 2 cell 0: face 2 does not commute",
         "degree 3 cell 0: face 0 does not commute",
@@ -377,13 +381,13 @@ def test_compose_and_pullback_follow_the_assignment(torus):
     c, t2 = torus
     t4 = product(t2.model, t2.model, 4)
     comp = t2.left.compose(t4.right)
-    outer, inner = t2.left.assignment, t4.right.assignment
+    outer, inner, got = _images(t2.left), _images(t4.right), _images(comp)
     for n in range(5):
         want = [compose_words(w, *outer[n - len(w)][cell]) for w, cell in inner[n]]
-        assert comp.assignment[n] == want
+        assert got[n] == want
     e = Cochain(c, 1, np.ones(1, dtype=np.uint8))
     pulled = comp.pullback(e)
-    want = [int(not w and e.values[cell]) for w, cell in comp.assignment[1]]
+    want = [int(not w and e.values[cell]) for w, cell in got[1]]
     assert pulled.values.tolist() == want
 
 
@@ -397,7 +401,9 @@ def test_two_sheet_quotient_matches_bar():
     pair = quotient_free_involution(em, flip)
     rp = bar_b(z2_table(), 6)
     assert pair.base.cells == rp.cells
-    assert pair.base.faces == rp.faces
+    for n in range(rp.max_degree + 1):
+        assert np.array_equal(pair.base.face_word[n], rp.face_word[n])
+        assert np.array_equal(pair.base.face_cell[n], rp.face_cell[n])
     assert pair.w1.support() == (0,)
     assert pair.projection.validate() == []
 
@@ -414,6 +420,17 @@ def test_cover_from_cocycle_round_trip():
     back = quotient_free_involution(pair.cover, pair.involution)
     assert back.base.cells == rp.cells
     assert back.w1.support() == (0,)
+
+
+@pytest.mark.parametrize("count", [2, 5])
+def test_involution_validate_reports_wrong_permutation_count(count):
+    rp = bar_b(z2_table(), 3)
+    pair = cover_from_cocycle(rp, Cochain.from_support(rp, 1, [0]))
+    perms = (pair.involution.perms * 2)[:count]
+    inv = Involution(pair.cover, perms, "short" if count < 4 else "long")
+    assert inv.validate() == [f"expected 4 permutations, got {count}"]
+    with pytest.raises(ValidationError, match=f"^involution {inv.name}: expected 4"):
+        inv.require_valid()
 
 
 def test_trivial_cover_is_reported():
@@ -563,6 +580,16 @@ def _catalog_models():
     return models
 
 
+def _all_targets(model, n):
+    """Every dimension-n target: each canonical word of n - m letters on each m-cell."""
+    return [
+        (word, c)
+        for m in range(min(n, model.max_degree) + 1)
+        for word in combinations(range(n - 1, -1, -1), n - m)
+        for c in range(model.cells[m])
+    ]
+
+
 def _masks_of(targets):
     words = np.array([sum(1 << a for a in w) for w, _ in targets], dtype=np.int64)
     cells = np.array([c for _, c in targets], dtype=np.int64)
@@ -574,7 +601,7 @@ def test_face_batch_matches_scalar_face_on_catalog_models():
     for model in _catalog_models():
         for m in (model, relabel_model(model, rng)[0]):
             for n in range(1, m.max_degree + 1):
-                targets = m.targets(n)
+                targets = _all_targets(m, n)
                 words, cells = _masks_of(targets)
                 for i in range(n + 1):
                     got_w, got_c = m.face_batch(n, words, cells, i)
@@ -614,15 +641,8 @@ def _reference_validate(max_degree, cells, faces):
 
     bad = []
     for n in range(1, max_degree + 1):
-        if len(faces[n]) != cells[n]:
-            bad.append(f"degree {n}: face table size mismatch")
-            continue
         for c in range(cells[n]):
-            row = faces[n][c]
-            if len(row) != n + 1:
-                bad.append(f"degree {n} cell {c}: expected {n + 1} faces")
-                continue
-            for i, t in enumerate(row):
+            for i, t in enumerate(faces[n][c]):
                 msg = check(t, n - 1)
                 if msg:
                     bad.append(f"degree {n} cell {c} face {i}: {msg}")
@@ -643,11 +663,25 @@ def _reference_validate(max_degree, cells, faces):
     return bad
 
 
+def _face_tuples(model):
+    """The face tables of a model as (word, cell) lists, faces[0] empty."""
+    return [[]] + [
+        [_decode(w, c) for w, c in zip(model.face_word[n], model.face_cell[n])]
+        for n in range(1, model.max_degree + 1)
+    ]
+
+
 def _broken(edit):
+    """The D8 bar model to depth 5 with its face tuples edited, and its model
+    document with the same edits."""
     d8 = bar_b(dihedral8_table(), 5, name="bar-d8")
-    faces = d8.faces
+    faces = _face_tuples(d8)
     edit(faces)
-    return d8.max_degree, d8.cells, faces
+    doc = model_document(d8)
+    doc["faces"] = [
+        [[{"cell": c, "degen": list(w)} for w, c in row] for row in block] for block in faces[1:]
+    ]
+    return d8, faces, doc
 
 
 def _swap_faces(faces):
@@ -667,9 +701,10 @@ def _cell_out_of_range(faces):
 
 
 def _all_malformed(faces):
+    # a short row never reaches a model: the parser stops at it ("expected 5
+    # targets"), which tests/test_modelfile.py pins
     for edit in (_non_decreasing_word, _letter_out_of_range, _cell_out_of_range):
         edit(faces)
-    faces[4][2] = faces[4][2][:4]  # short row
 
 
 @pytest.mark.parametrize(
@@ -683,10 +718,23 @@ def _all_malformed(faces):
     ],
 )
 def test_validate_matches_scalar_reference_on_broken_models(edit):
-    max_degree, cells, faces = _broken(edit)
-    want = _reference_validate(max_degree, cells, faces)
+    d8, faces, doc = _broken(edit)
+    want = _reference_validate(d8.max_degree, d8.cells, faces)
     assert want
-    model = SimplicialModel(max_degree, cells, faces, name="broken")
+    msg = f"document: {len(want)} simplicial violations; first: {want[0]}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(msg)}$"):
+        parse_document(doc)
+
+
+def test_validate_lists_every_identity_violation_of_the_reference():
+    d8 = bar_b(dihedral8_table(), 5, name="bar-d8")
+    face_word = [a.copy() for a in d8.face_word]
+    face_cell = [a.copy() for a in d8.face_cell]
+    for a in (face_word[3], face_cell[3]):
+        a[5, [0, 1]] = a[5, [1, 0]]
+    model = SimplicialModel(d8.max_degree, d8.cells, face_word, face_cell, name="broken")
+    want = _reference_validate(d8.max_degree, d8.cells, _face_tuples(model))
+    assert len(want) > 1
     assert model.validate() == want
     assert model.validate() == want  # cached, not recomputed differently
 
