@@ -6,7 +6,7 @@ lifetime, so repeated lookups share cohomology bases and cup tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -24,7 +24,6 @@ from .builders import (
 from .errors import InternalInvariantError
 from .obstruction import (
     Assertion,
-    DoubleCoverData,
     LiftDatum,
     NormalOneType,
     SectionDatum,
@@ -34,6 +33,7 @@ from .obstruction import (
 )
 from .simplicial import (
     Cochain,
+    CoverPair,
     SimplicialMap,
     SimplicialModel,
     cover_from_cocycle,
@@ -51,7 +51,7 @@ class Fixture:
     name: str
     description: str
     nt: NormalOneType | None = None
-    cover: DoubleCoverData | None = None
+    cover: CoverPair | None = None
     section: SectionDatum | None = None
     lift_data: tuple = ()
     stress_model: SimplicialModel | None = None

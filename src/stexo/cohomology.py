@@ -5,15 +5,17 @@ model stores (k+1)-cells, since closedness of k-cochains is otherwise
 unverifiable.  Callers that accept uncertified answers must opt in, and the
 result carries a truncated flag.
 
-The representatives of a basis are the closed cochains (kernel rows of delta_k
-in order) independent of the coboundaries and of the closed cochains before
-them.  Coordinates of a batch of cochains come from one reduction against a
-gf2.Subspace spanned by the coboundaries, then the representatives.
+Every class question reduces residues modulo the model's coboundary_span(k),
+the one reduction of B^k: residues are linear and zero exactly on
+coboundaries.  A basis keeps the closed cochains (kernel rows of delta_k in
+order) whose residues are independent of the earlier ones', and coordinates
+are coefficients over the class_span of its representatives.
 
 The model's cache holds only that reduction (the representatives' values and
-the span), which refers to no model; each cohomology_basis call returns a new
-CohomologyBasis view of it on the model.  A model and its caches thus form no
-reference cycle, and a dropped model is freed by reference counting alone.
+the span of their residues), which refers to no model; each cohomology_basis
+call returns a new CohomologyBasis view of it on the model.  A model and its
+caches thus form no reference cycle, and a dropped model is freed by
+reference counting alone.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ModelMismatchError, TruncationError, ValidationError
-from .gf2 import F2Matrix, Subspace, kernel_basis, rank, rank_and_echelon, xor_combine
+from .gf2 import F2Matrix, Subspace, kernel_basis, rank_and_echelon, xor_combine
 from .simplicial import Cochain, CoverPair, SimplicialMap, SimplicialModel, coboundary
 from .snf import AbelianGroupInvariants, HomologyResult, homology_from_boundaries
 
@@ -32,8 +34,8 @@ from .snf import AbelianGroupInvariants, HomologyResult, homology_from_boundarie
 @dataclass(frozen=True, eq=False)
 class BasisReduction:
     """The model-free part of a degree-k basis, as cached on the model: the
-    representatives' values, one read-only row each, and the span of the
-    coboundaries followed by the representatives."""
+    representatives' values, one read-only row each, and the class span of
+    the representatives."""
 
     reps: np.ndarray
     span: Subspace
@@ -62,17 +64,15 @@ class CohomologyBasis:
         return [Cochain(self.model, self.degree, row) for row in self.reduction.reps]
 
     def _coords(self, cochains) -> np.ndarray:
-        """Coordinates of a batch of cochains, one row each: the last dim
-        coefficients over the span of the coboundaries, then the reps."""
+        """Coordinates of a batch of cochains, one row each: the coefficients
+        of their residues over the representatives' residues."""
         for u in cochains:
             if u.model is not self.model or u.degree != self.degree:
                 raise ModelMismatchError("coords: cochain does not match the basis")
             if not self.truncated and not coboundary(u).is_zero():
                 raise ValidationError("coords: cochain is not closed")
-        values = np.array([u.values for u in cochains], dtype=np.uint8)
-        span = self.reduction.span
-        combo = span.combination(values.reshape(len(cochains), span.ambient_dim))
-        return combo[:, combo.shape[1] - self.dim :]
+        values = [u.values for u in cochains]
+        return self.reduction.span.combination(_residues(self.model, self.degree, values))
 
     def coords(self, u: Cochain) -> np.ndarray:
         return self._coords([u])[0]
@@ -91,19 +91,23 @@ def cohomology_basis(
     model: SimplicialModel, degree: int, allow_truncated: bool = False
 ) -> CohomologyBasis:
     if degree < 0 or degree > model.max_degree:
-        raise TruncationError(
-            f"{model.name}: no cochains stored in degree {degree}"
-        )
+        raise TruncationError(f"{model.name}: no cochains stored in degree {degree}")
     certified = degree + 1 <= model.max_degree
-    if not certified and not allow_truncated:
-        raise TruncationError(
-            f"{model.name}: degree {degree} cohomology needs cells in degree"
-            f" {degree + 1} to certify closedness"
-        )
+    if not allow_truncated:
+        require_certified(model, degree)
     key = ("hbasis", degree, certified)
     if key not in model._cache:
         model._cache[key] = _reduction(model, degree, certified)
     return CohomologyBasis(model, degree, model._cache[key])
+
+
+def require_certified(model: SimplicialModel, degree: int) -> None:
+    """Raise unless (k+1)-cells certify that degree-k cochains are closed."""
+    if degree + 1 > model.max_degree:
+        raise TruncationError(
+            f"{model.name}: degree {degree} cohomology needs cells in degree"
+            f" {degree + 1} to certify closedness"
+        )
 
 
 def _reduction(model: SimplicialModel, degree: int, certified: bool) -> BasisReduction:
@@ -112,17 +116,29 @@ def _reduction(model: SimplicialModel, degree: int, certified: bool) -> BasisRed
         closed = kernel_basis(model.coboundary_matrix(degree)).to_dense()
     else:
         closed = np.eye(n, dtype=np.uint8)
-    cob = model.coboundary_matrix(degree - 1) if degree > 0 else F2Matrix(n, 0)
-    # a closed row is kept when its column is a pivot of [delta_{k-1} | closed^T];
-    # closed^T starts at a word boundary, and the zero columns before it never pivot
-    start = cob.words.shape[1] * 64
-    words = np.hstack([cob.words, F2Matrix.from_dense(closed.T).words])
-    stacked = F2Matrix(n, start + len(closed), words)
-    pivots = np.array(rank_and_echelon(stacked, want_transform=False).pivots, dtype=int)
-    reps = closed[pivots[pivots >= start] - start]
+    # a closed row is kept when its column is a pivot of the transposed residues
+    residues = _residues(model, degree, closed)
+    pivots = rank_and_echelon(F2Matrix.from_dense(residues.T), want_transform=False).pivots
+    reps = closed[list(pivots)]
     reps.setflags(write=False)
-    span = Subspace.from_vectors(n, np.vstack([cob.to_dense().T, reps]))
-    return BasisReduction(reps, span, not certified)
+    return BasisReduction(reps, class_span(model, degree, reps), not certified)
+
+
+def _residues(model: SimplicialModel, degree: int, rows) -> np.ndarray:
+    """The residues modulo the coboundaries of degree-k cochains, one row of
+    values each."""
+    rows = np.asarray(rows, dtype=np.uint8).reshape(len(rows), model.n_cells(degree))
+    return model.coboundary_span(degree).residual(rows)
+
+
+def class_span(model: SimplicialModel, degree: int, rows) -> Subspace:
+    """The span of the classes of degree-k cochains: that of their residues."""
+    return Subspace.from_vectors(model.n_cells(degree), _residues(model, degree, rows))
+
+
+def in_class_span(span: Subspace, u: Cochain) -> bool:
+    """Whether the class of u lies in a class span of u's model and degree."""
+    return span.contains(u.model.coboundary_span(u.degree).residual(u.values))
 
 
 def mod2_betti(model: SimplicialModel, degree: int) -> int:
@@ -206,14 +222,9 @@ def twisted_homology(
     if coeff == "F2":
         top = p + 1 > base.max_degree
         if top and base.cells[p]:
-            raise TruncationError(
-                f"{base.name}: mod-2 H_{p} needs degree-{p + 1} cells"
-            )
-        d = base.cells[p]
-        if p >= 1:
-            d -= rank(base.coboundary_matrix(p - 1))
-        if not top:
-            d -= rank(base.coboundary_matrix(p))
+            raise TruncationError(f"{base.name}: mod-2 H_{p} needs degree-{p + 1} cells")
+        d = base.cells[p] - base.coboundary_span(p).dim
+        d -= 0 if top else base.coboundary_span(p + 1).dim
         return AbelianGroupInvariants(0, (2,) * d)
     if coeff == "Z":
         return integral_homology(base, p).invariants

@@ -28,18 +28,23 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cohomology import twisted_homology, twisted_integral_homology
+from .cohomology import (
+    cohomology_basis,
+    require_certified,
+    twisted_homology,
+    twisted_integral_homology,
+)
 from .errors import InternalInvariantError, TruncationError, ValidationError
 from .gf2 import F2Matrix, rank
 from .obstruction import (
-    DoubleCoverData,
     NormalOneType,
     Verdict,
     cover_data_from_w1,
     primary_obstruction,
     primary_vanishes,
-    sq2_w_operator,
+    sq2_w_images,
 )
+from .simplicial import CoverPair
 from .snf import AbelianGroupInvariants, HomologyResult
 
 # Size caps on the matrices an entry or a d2 map reduces, read at call time;
@@ -213,7 +218,7 @@ def _homology_entry(pair, p: int, coeff: str) -> E2Entry:
         return E2Entry(p, 0, None, str(exc))
 
 
-def e2_page(nt: NormalOneType, cover: DoubleCoverData | None = None) -> E2Page:
+def e2_page(nt: NormalOneType, cover: CoverPair | None = None) -> E2Page:
     """All page entries E2_{p,q} with p + q <= MAX_TOTAL that certify.
 
     Twisted rows (q = 0, 4) run under DEFAULT_INT_SIZE_CAP, the mod-2 rows
@@ -222,7 +227,6 @@ def e2_page(nt: NormalOneType, cover: DoubleCoverData | None = None) -> E2Page:
     """
     if cover is None:
         cover = cover_data_from_w1(nt)
-    pair = cover.pair
     entries = {}
     notes = []
     memo = {}
@@ -235,7 +239,7 @@ def e2_page(nt: NormalOneType, cover: DoubleCoverData | None = None) -> E2Page:
                 coeff = "Z-" if row.twisted else "F2"
                 key = (coeff, p)
                 if key not in memo:
-                    memo[key] = _homology_entry(pair, p, coeff)
+                    memo[key] = _homology_entry(cover, p, coeff)
                 e = replace(memo[key], q=q)
             entries[(p, q)] = e
     gaps = sum(1 for e in entries.values() if e.group is None)
@@ -319,17 +323,14 @@ def _operator_transpose(nt: NormalOneType, p: int):
     base = nt.base
     if p > base.max_degree:
         raise TruncationError(f"{base.name}: no degree-{p} cochains at this truncation")
-    if p + 1 > base.max_degree:  # the truncation, not the cap, is the reason here
-        raise TruncationError(
-            f"{base.name}: degree {p} cohomology needs cells in degree {p + 1}"
-            " to certify closedness"
-        )
+    require_certified(base, p)  # the truncation, not the cap, is the reason here
     if max(_boundary_load(base, p), _boundary_load(base, p - 2)) > DEFAULT_F2_SIZE_CAP:
         raise TruncationError(
             f"{base.name}: cohomology around degrees {p - 2},{p} exceeds the size cap"
         )
-    _, h_p, _, matrix = sq2_w_operator(nt, p - 2)
-    return h_p, matrix.transpose()
+    _, images = sq2_w_images(nt, p - 2)
+    h_p = cohomology_basis(base, p)
+    return h_p, h_p.coords_matrix(images).transpose()
 
 
 def _mod2_generators(base, p: int, result: HomologyResult) -> np.ndarray:
@@ -344,7 +345,7 @@ def _mod2_generators(base, p: int, result: HomologyResult) -> np.ndarray:
 
 
 def d2_maps(
-    nt: NormalOneType, page: E2Page, cover: DoubleCoverData | None = None
+    nt: NormalOneType, page: E2Page, cover: CoverPair | None = None
 ) -> DifferentialReport:
     """The d2 matrices on the displayed page, duals of the degree-2 operator.
 

@@ -10,20 +10,26 @@ homology over Z where needed) on finite simplicial models.
 The lift data form an affine space a0 + K and the class of the witness
 a cup T*a is affine on it, so the secondary stage tests d + 1 data for a
 kernel of dimension d (nonzero_witness) and is exact for every kernel size.
+The degree-2 operator has one builder, sq2_w_images; both tests against its
+image (in_restricted_image on the cover, in_operator_image on the base) are
+class-span tests, residues modulo the model's cached coboundary span.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cohomology import (
     CohomologyBasis,
+    class_span,
     cohomology_basis,
+    in_class_span,
     induced_matrix,
     integral_homology,
+    require_certified,
 )
 from .errors import (
     InternalInvariantError,
@@ -42,7 +48,6 @@ from .simplicial import (
     cover_from_cocycle,
     cup,
     is_coboundary,
-    quotient_free_involution,
     sheet_changes,
     sq,
 )
@@ -123,44 +128,20 @@ def _json_safe(obj):
 # -- double cover data ---------------------------------------------------------
 
 
-@dataclass
-class DoubleCoverData:
-    """A cover pair tied to a normal 1-type, machine-checked on construction."""
-
-    pair: CoverPair
-    _cache: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def cover(self) -> SimplicialModel:
-        return self.pair.cover
-
-    @property
-    def base(self) -> SimplicialModel:
-        return self.pair.base
-
-    @property
-    def involution(self) -> Involution:
-        return self.pair.involution
-
-    @property
-    def projection(self) -> SimplicialMap:
-        return self.pair.projection
-
-
-def cover_data_from_w1(nt: NormalOneType) -> DoubleCoverData:
+def cover_data_from_w1(nt: NormalOneType) -> CoverPair:
     """Build the double cover classified by the w1 cocycle of the type."""
-    pair = cover_from_cocycle(nt.base, nt.w1)
-    return DoubleCoverData(pair)
+    return cover_from_cocycle(nt.base, nt.w1)
 
 
-def cover_data_from_pair(nt: NormalOneType, pair: CoverPair) -> DoubleCoverData:
+def cover_data_from_pair(nt: NormalOneType, pair: CoverPair) -> CoverPair:
+    """The pair itself, once checked to be a double cover of the type."""
     if pair.base is not nt.base:
         raise ModelMismatchError("cover pair quotient is not the type's base model")
     if not is_coboundary(pair.w1 + nt.w1):
         raise ValidationError(
             "cover characteristic cocycle is not cohomologous to the type's w1"
         )
-    return DoubleCoverData(pair)
+    return pair
 
 
 def cover_data_from_parts(
@@ -168,7 +149,7 @@ def cover_data_from_parts(
     cover: SimplicialModel,
     involution: Involution,
     projection: SimplicialMap,
-) -> DoubleCoverData:
+) -> CoverPair:
     """Assemble and machine-check user-supplied cover data.
 
     Checks: the involution is free and simplicial, the projection is a
@@ -216,7 +197,7 @@ def cover_data_from_parts(
 
 def validate_normal_type(
     nt: NormalOneType,
-    cover: DoubleCoverData | None = None,
+    cover: CoverPair | None = None,
     section: SectionDatum | None = None,
 ) -> list:
     """All input violations, as human-readable reasons; empty means valid."""
@@ -244,7 +225,7 @@ def validate_normal_type(
     if cover is not None:
         if cover.base is not nt.base:
             reasons.append("cover data quotient is not the base model")
-        elif not is_coboundary(cover.pair.w1 + nt.w1):
+        elif not is_coboundary(cover.w1 + nt.w1):
             reasons.append("cover characteristic class differs from [w1]")
     if section is not None:
         reasons.extend(_validate_section(nt, section))
@@ -298,27 +279,24 @@ def kreck_witness(nt: NormalOneType):
     return None if sol is None else Cochain(nt.base, 1, sol.particular)
 
 
-def _sq2_w_images(nt: NormalOneType, k: int):
-    """The H^k basis of the base and the cochain images of its representatives
-    under x -> Sq^2 x + w1 Sq^1 x + w2 x.
+def sq2_w_images(nt: NormalOneType, k: int):
+    """The operator from H^k to H^{k+2}: the H^k basis of the base and the
+    images of its representatives under x -> Sq^2 x + w1 Sq^1 x + w2 x.
 
     Both squares vanish below the degrees where they act, so on H^0 this is
-    multiplication by w2.
+    multiplication by w2.  The images' classes need (k+3)-cells; the source
+    basis is built first, so the lower degree is reported when both lack cells.
     """
     src = cohomology_basis(nt.base, k)
+    require_certified(nt.base, k + 2)
     return src, [sq(x, 2) + cup(nt.w1, sq(x, 1)) + cup(nt.w2, x) for x in src.reps]
 
 
-def sq2_w_operator(nt: NormalOneType, k: int):
-    """The operator from H^k to H^{k+2}: (source, target, images, matrix).
-
-    Matrix columns are the target coordinates of the images of the source
-    basis.  The source basis is built first, so a truncation is reported in
-    the lower degree when both are out of reach.
-    """
-    src, images = _sq2_w_images(nt, k)
-    tgt = cohomology_basis(nt.base, k + 2)
-    return src, tgt, images, tgt.coords_matrix(images)
+def in_operator_image(nt: NormalOneType, u: Cochain) -> bool:
+    """Whether the class of a closed degree-4 cochain on the base lies in the
+    image of the operator from H^2."""
+    images = sq2_w_images(nt, 2)[1]
+    return in_class_span(class_span(nt.base, 4, [x.values for x in images]), u)
 
 
 # -- lift data -------------------------------------------------------------------
@@ -357,14 +335,13 @@ def _type_key(name: str, nt: NormalOneType) -> tuple:
     return (name, nt.w1.values.tobytes(), nt.w2.values.tobytes())
 
 
-def lift_data_solutions(nt: NormalOneType, cover: DoubleCoverData) -> LiftSolutions:
+def lift_data_solutions(nt: NormalOneType, cover: CoverPair) -> LiftSolutions:
     key = _type_key("lift-solutions", nt)
     if key in cover._cache:
         return cover._cache[key]
-    pair = cover.pair
-    h2c = cohomology_basis(pair.cover, 2)
-    m = h2c.coords_matrix([rep + pair.involution.pullback(rep) for rep in h2c.reps])
-    rhs = h2c.coords(pair.projection.pullback(nt.w2))
+    h2c = cohomology_basis(cover.cover, 2)
+    m = h2c.coords_matrix([rep + cover.involution.pullback(rep) for rep in h2c.reps])
+    rhs = h2c.coords(cover.projection.pullback(nt.w2))
     sol = solve_affine(m, rhs)
     if sol is None:
         out = LiftSolutions(h2c, None, Subspace.zero(h2c.dim))
@@ -375,46 +352,40 @@ def lift_data_solutions(nt: NormalOneType, cover: DoubleCoverData) -> LiftSoluti
 
 
 def validate_lift_datum(
-    nt: NormalOneType, cover: DoubleCoverData, a: Cochain
+    nt: NormalOneType, cover: CoverPair, a: Cochain
 ) -> list:
     reasons = []
-    pair = cover.pair
-    if a.model is not pair.cover or a.degree != 2:
+    if a.model is not cover.cover or a.degree != 2:
         return ["lift datum must be a degree-2 cochain on the cover"]
     if not coboundary(a).is_zero():
         return ["lift datum is not closed"]
-    lhs = a + pair.involution.pullback(a)
-    rhs = pair.projection.pullback(nt.w2)
+    lhs = a + cover.involution.pullback(a)
+    rhs = cover.projection.pullback(nt.w2)
     if not is_coboundary(lhs + rhs):
         reasons.append("[a + T*a] differs from [p*w2] on the cover")
     return reasons
 
 
-def secondary_witness(cover: DoubleCoverData, a: Cochain) -> Cochain:
+def secondary_witness(cover: CoverPair, a: Cochain) -> Cochain:
     """The degree-4 witness a cup T*a on the cover."""
-    A = cup(a, cover.pair.involution.pullback(a))
+    A = cup(a, cover.involution.pullback(a))
     if not coboundary(A).is_zero():
         raise InternalInvariantError("secondary witness failed to be closed")
     return A
 
 
-def _restricted_image_residues(nt: NormalOneType, cover: DoubleCoverData) -> Subspace:
-    """Span of the residues of p*(Im Sq^2_{w1,w2}) modulo the cover's
-    degree-4 coboundaries."""
-    key = _type_key("restricted-image-residues", nt)
-    if key in cover._cache:
-        return cover._cache[key]
-    pair = cover.pair
-    n = pair.cover.n_cells(4)
-    _, images = _sq2_w_images(nt, 2)
-    pulled = np.array([pair.projection.pullback(img).values for img in images], np.uint8)
-    residues = pair.cover.coboundary_span(4).residual(pulled.reshape(len(images), n))
-    span = Subspace.from_vectors(n, residues)
-    cover._cache[key] = span
-    return span
+def _restricted_image(nt: NormalOneType, cover: CoverPair) -> Subspace:
+    """The class span of p*(Im Sq^2_{w1,w2}) on the cover, kept in the
+    pair's cache."""
+    key = _type_key("restricted-image", nt)
+    if key not in cover._cache:
+        images = sq2_w_images(nt, 2)[1]
+        pulled = [cover.projection.pullback(img).values for img in images]
+        cover._cache[key] = class_span(cover.cover, 4, pulled)
+    return cover._cache[key]
 
 
-def in_restricted_image(nt: NormalOneType, cover: DoubleCoverData, A: Cochain) -> bool:
+def in_restricted_image(nt: NormalOneType, cover: CoverPair, A: Cochain) -> bool:
     """Whether the class of a closed degree-4 cochain A on the cover lies in
     p*(Im Sq^2_{w1,w2}), that is, whether A lies in B^4 + p*(Im).
 
@@ -426,11 +397,10 @@ def in_restricted_image(nt: NormalOneType, cover: DoubleCoverData, A: Cochain) -
         raise ModelMismatchError(
             "restricted image test: A is not a degree-4 cochain on the cover"
         )
-    residue = cover.cover.coboundary_span(4).residual(A.values)
-    return _restricted_image_residues(nt, cover).contains(residue)
+    return in_class_span(_restricted_image(nt, cover), A)
 
 
-def nonzero_witness(nt: NormalOneType, cover: DoubleCoverData, extra_lift_data=()):
+def nonzero_witness(nt: NormalOneType, cover: CoverPair, extra_lift_data=()):
     """The first lift datum whose witness lies outside the restricted image,
     as (datum, witness); None when no datum has one.
 
@@ -466,7 +436,7 @@ class SecondaryOutcome:
 
 def secondary_test(
     nt: NormalOneType,
-    cover: DoubleCoverData,
+    cover: CoverPair,
     datum: LiftDatum,
     section: SectionDatum | None = None,
 ) -> SecondaryOutcome:
@@ -507,9 +477,7 @@ def secondary_test(
         )
     omega_coords = sol.particular
     omega = h4_base.class_from_coords(omega_coords)
-    m = sq2_w_operator(nt, 2)[3]
-    image = Subspace.from_vectors(h4_base.dim, m.transpose().to_dense())
-    if image.contains(omega_coords):
+    if in_operator_image(nt, omega):
         return SecondaryOutcome("zero", witness=A, omega=omega, omega_coords=omega_coords)
     return SecondaryOutcome(
         "inconclusive",
@@ -526,13 +494,8 @@ def secondary_test(
 def h5_check(nt: NormalOneType):
     """Status of H_5(base; Z): ('zero'|'nonzero'|'unknown', detail)."""
     base = nt.base
-    tail_from = None
-    for k in range(base.max_degree + 1):
-        if base.cells[k] == 0 and all(
-            base.cells[j] == 0 for j in range(k, base.max_degree + 1)
-        ):
-            tail_from = k
-            break
+    # the first degree from which no cells are stored
+    tail_from = next((k for k in range(base.max_degree + 1) if not any(base.cells[k:])), None)
     if tail_from is not None and tail_from <= 5:
         return "zero", {
             "method": "empty-tail",
@@ -563,7 +526,7 @@ def h5_check(nt: NormalOneType):
 
 def decide(
     nt: NormalOneType,
-    cover: DoubleCoverData | None = None,
+    cover: CoverPair | None = None,
     section: SectionDatum | None = None,
     extra_lift_data: tuple = (),
 ) -> Verdict:
@@ -650,7 +613,7 @@ def decide(
             elif not sols.empty:
                 first_datum = sols.datum(0)
 
-    if section is not None and cover is not None and first_datum is not None:
+    if section is not None and first_datum is not None:
         outcome = secondary_test(nt, cover, first_datum, section)
         if outcome.kind == "nonzero":
             raise InternalInvariantError(
@@ -680,11 +643,14 @@ def decide(
         else:
             caveats.append(f"secondary test inconclusive: {outcome.reason}")
 
+    evidence = {"caveats_reflected": list(caveats)}
+    if section is not None and first_datum is not None:
+        evidence["lift_datum_support"] = list(first_datum.a.support())
     return Verdict(
         "Undetermined",
         7,
         "no clause resolved the type at this truncation",
-        {"caveats_reflected": list(caveats)},
+        evidence,
         tuple(caveats),
     )
 
@@ -695,7 +661,7 @@ def decide(
 def replay_evidence(
     verdict: Verdict,
     nt: NormalOneType,
-    cover: DoubleCoverData | None = None,
+    cover: CoverPair | None = None,
     section: SectionDatum | None = None,
 ) -> bool:
     """Re-run the operations cited by a verdict and compare the records.
@@ -704,7 +670,9 @@ def replay_evidence(
     recorded lift datum, rebuilt on the cover from its support, is still
     rejected.  A datum recorded without a support was not a degree-2 cochain
     on the cover and cannot be rebuilt; its record stands.  An Undetermined
-    verdict replays when no earlier clause fires, the clause-5 scan included.
+    verdict replays when no earlier clause fires: not the clause-5 scan, nor
+    clause 6 on the lift datum its evidence records, which decide records
+    whenever it ran the secondary test.
     """
     ev = verdict.evidence
     if verdict.outcome == "InvalidInput":
@@ -755,11 +723,24 @@ def replay_evidence(
             return False
         return h5_check(nt)[0] == "zero"
     if verdict.outcome == "Undetermined":
-        return (
-            not validate_normal_type(nt, cover, section)
-            and is_coboundary(primary_obstruction(nt))
-            and kreck_witness(nt) is None
-            and not (nt.cd_at_most_3 is not None and nt.cd_at_most_3.value)
-            and (cover is None or nt.base.max_degree < 5 or nonzero_witness(nt, cover) is None)
-        )
+        if (
+            validate_normal_type(nt, cover, section)
+            or not is_coboundary(primary_obstruction(nt))
+            or kreck_witness(nt) is not None
+            or (nt.cd_at_most_3 is not None and nt.cd_at_most_3.value)
+        ):
+            return False
+        if cover is None or nt.base.max_degree < 5:
+            return True
+        if nonzero_witness(nt, cover) is not None:
+            return False
+        if section is None:
+            return True
+        if "lift_datum_support" not in ev:  # decide tests any datum that exists
+            return lift_data_solutions(nt, cover).empty
+        a = Cochain.from_support(cover.cover, 2, ev["lift_datum_support"])
+        if validate_lift_datum(nt, cover, a):
+            return False
+        kind = secondary_test(nt, cover, LiftDatum(a), section).kind
+        return kind == "inconclusive" or (kind == "zero" and h5_check(nt)[0] != "zero")
     return False

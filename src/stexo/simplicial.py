@@ -377,12 +377,16 @@ class SimplicialModel:
         return self._cache[key]
 
     def coboundary_span(self, k: int) -> Subspace:
-        """The k-coboundaries delta(C^{k-1}) as a reduced basis in C^k."""
+        """The k-coboundaries delta(C^{k-1}) as a reduced basis in C^k (zero
+        in degree 0): the one reduction of B^k."""
         key = ("cob-span", k)
         if key not in self._cache:
-            self._cache[key] = Subspace.from_vectors(
-                self.n_cells(k), self.coboundary_matrix(k - 1).to_dense().T
-            )
+            n = self.n_cells(k)
+            if k == 0:
+                self._cache[key] = Subspace.zero(n)
+            else:
+                vectors = self.coboundary_matrix(k - 1).to_dense().T
+                self._cache[key] = Subspace.from_vectors(n, vectors)
         return self._cache[key]
 
     def boundary_int(self, k: int) -> np.ndarray:
@@ -779,7 +783,8 @@ def swap_factors(prod: ProductModel, name="swap") -> Involution:
 
 @dataclass
 class CoverPair:
-    """A model, its free involution, and the quotient with projection data."""
+    """A model, its free involution, and the quotient with projection data;
+    the cache keeps results keyed by a type over the pair."""
 
     cover: SimplicialModel
     base: SimplicialModel
@@ -789,6 +794,7 @@ class CoverPair:
     sheet: list  # per degree, 0/1 per cover cell
     rep_cells: list  # per degree, cover index of each base cell's chosen lift
     base_index: list  # per degree, base index per cover cell
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def descend_invariant(self, u: Cochain) -> Cochain:
         """Push an involution-invariant cochain down to the base."""

@@ -230,7 +230,7 @@ def test_criterion_4_k_z2_2_stress(capsys):
 
 
 def test_criterion_5_twisted_homology(capsys):
-    pair = get_fixture("rp-w2-zero").cover.pair
+    pair = get_fixture("rp-w2-zero").cover
     h0 = twisted_homology(pair, 0, "Z-")
     h5 = twisted_homology(pair, 5, "Z-")
     ok = h0 == AbelianGroupInvariants(0, (2,)) and h5.is_zero

@@ -1,10 +1,13 @@
 """Cohomology bases, induced maps, and integral/twisted homology oracles."""
 
+import functools
 import gc
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stexo.cohomology as cohomology
 from stexo.builders import (
@@ -27,13 +30,14 @@ from stexo.cohomology import (
     twisted_homology,
 )
 from stexo.errors import TruncationError, ValidationError
-from stexo.gf2 import F2Matrix, Subspace, kernel_basis, rank
-from stexo.james import DEFAULT_INT_SIZE_CAP, _boundary_load
+from stexo.gf2 import F2Matrix, Subspace, kernel_basis, rank, rank_and_echelon
+from stexo.james import DEFAULT_INT_SIZE_CAP, _boundary_load, d2_maps, e2_page, killers_report
 from stexo.obstruction import (
     NormalOneType,
     cover_data_from_w1,
     decide,
     lift_data_solutions,
+    replay_evidence,
 )
 from stexo.simplicial import (
     Cochain,
@@ -328,6 +332,106 @@ def test_coords_matrix_matches_coords_on_catalog_bases():
     assert shapes == {(False, False), (False, True), (True, False), (True, True)}
 
 
+def _stacked_reduction(model, degree, certified):
+    """The basis as it was built before residues: a closed row is kept when
+    its column is a pivot of [delta_{k-1} | closed^T], and the span is that
+    of the coboundaries followed by the representatives.  Returns the
+    representatives and the span."""
+    n = model.n_cells(degree)
+    if certified:
+        closed = kernel_basis(model.coboundary_matrix(degree)).to_dense()
+    else:
+        closed = np.eye(n, dtype=np.uint8)
+    cob = model.coboundary_matrix(degree - 1) if degree > 0 else F2Matrix(n, 0)
+    start = cob.words.shape[1] * 64
+    words = np.hstack([cob.words, F2Matrix.from_dense(closed.T).words])
+    stacked = F2Matrix(n, start + len(closed), words)
+    pivots = np.array(rank_and_echelon(stacked, want_transform=False).pivots, dtype=int)
+    reps = closed[pivots[pivots >= start] - start]
+    return reps, Subspace.from_vectors(n, np.vstack([cob.to_dense().T, reps]))
+
+
+def _stacked_coords(reps, span, values):
+    """Coordinates on the stacked span: the last coefficients, over the reps."""
+    combo = span.combination(values)
+    return combo[:, combo.shape[1] - len(reps) :]
+
+
+# an identity matrix over the top degree is dense, so the uncertified top
+# degree is checked where it has at most this many cells (all but bar D8 to
+# depth 5, with 16807)
+_TOP_CELLS = 5000
+
+
+@functools.lru_cache(maxsize=None)
+def _reduction_cases():
+    """(model, degree, allow_truncated): bar models of Z/2, Z/4, Klein four
+    and D8 to depth 5 and the catalog bases and covers, at every certified
+    degree and at the top degree."""
+    models = [
+        bar_b(table(), depth, name=f"bar-{table.__name__}-{depth}")
+        for table in (z2_table, z4_table, klein_table, dihedral8_table)
+        for depth in range(1, 6)
+    ]
+    models += _catalog_bases()
+    models += [get_fixture(name).cover.cover for name in REGISTRY if get_fixture(name).cover]
+    cases = []
+    for model in models:
+        cases += [(model, k, False) for k in range(model.max_degree)]
+        if model.cells[model.max_degree] <= _TOP_CELLS:
+            cases.append((model, model.max_degree, True))
+    return cases
+
+
+@functools.lru_cache(maxsize=None)
+def _reference(case_index):
+    model, k, truncated = _reduction_cases()[case_index]
+    return _stacked_reduction(model, k, not truncated)
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_residue_reduction_matches_stacked_pivots(seed):
+    rng = np.random.default_rng(seed)
+    for i, (model, k, truncated) in enumerate(_reduction_cases()):
+        basis = cohomology_basis(model, k, allow_truncated=truncated)
+        reps, span = _reference(i)
+        assert np.array_equal(basis.reduction.reps, reps), (model.name, k)
+        # closed cochains: a random sum of reps plus a random coboundary
+        n = model.n_cells(k)
+        values = (rng.integers(0, 2, (4, len(reps))) @ reps & 1).reshape(4, n)
+        cochains = [Cochain(model, k, v) for v in values]
+        if k > 0:
+            below = rng.integers(0, 2, (4, model.n_cells(k - 1)))
+            cochains = [u + coboundary(Cochain(model, k - 1, v)) for u, v in zip(cochains, below)]
+        want = _stacked_coords(reps, span, np.array([u.values for u in cochains]))
+        assert np.array_equal(basis.coords_matrix(cochains).to_dense().T, want), (model.name, k)
+
+
+def test_cached_bases_hold_only_their_classes():
+    # a basis span of dimension dim holds the representatives' residues and
+    # no copy of the coboundaries, which only coboundary_span reduces
+    checked = 0
+    for name in REGISTRY:
+        fx = get_fixture(name)
+        if fx.nt is None:
+            continue
+        v = decide(fx.nt, fx.cover, fx.section, fx.lift_data)
+        assert replay_evidence(v, fx.nt, fx.cover, fx.section), name
+        page = e2_page(fx.nt, fx.cover)
+        killers_report(fx.nt, page, d2_maps(fx.nt, page, fx.cover), v)
+        base = fx.nt.base
+        models = [base] + [m for key, m in base._cache.items() if key[0] == "cover"]
+        if fx.cover is not None:
+            models.append(fx.cover.cover)
+        for model in models:
+            for key, reduction in model._cache.items():
+                if key[0] == "hbasis":
+                    assert reduction.span.dim == len(reduction.reps), (name, model.name, key)
+                    checked += 1
+    assert checked
+
+
 def test_group_homology_closed_forms():
     z4 = bar_b(z4_table(), 6, name="bar-z4")
     v4 = bar_b(klein_table(), 6, name="bar-z2xz2")
@@ -352,7 +456,7 @@ def test_eager_invariants_match_generator_route():
         fx = get_fixture(name)
         if fx.nt is None:
             continue
-        pair = (fx.cover or cover_data_from_w1(fx.nt)).pair
+        pair = fx.cover or cover_data_from_w1(fx.nt)
         base = pair.base
         for p in range(base.max_degree):
             if _boundary_load(base, p) > DEFAULT_INT_SIZE_CAP:

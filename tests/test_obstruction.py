@@ -36,7 +36,6 @@ from stexo.errors import (
 from stexo.gf2 import Subspace, solve_affine
 from stexo.obstruction import (
     Assertion,
-    DoubleCoverData,
     LiftDatum,
     NormalOneType,
     SectionDatum,
@@ -44,6 +43,7 @@ from stexo.obstruction import (
     cover_data_from_parts,
     decide,
     h5_check,
+    in_operator_image,
     kreck_witness,
     lift_data_solutions,
     nonzero_witness,
@@ -53,7 +53,7 @@ from stexo.obstruction import (
     in_restricted_image,
     secondary_test,
     secondary_witness,
-    sq2_w_operator,
+    sq2_w_images,
     validate_normal_type,
 )
 from stexo.simplicial import (
@@ -212,7 +212,7 @@ def test_open_w2_rejected():
             nt = NormalOneType(base, chars, w2)
             assert any("w2" in r for r in validate_normal_type(nt))
             # a lift datum checked against the open w2 is rejected, not a crash
-            cover = DoubleCoverData(cover_from_cocycle(base, chars))
+            cover = cover_from_cocycle(base, chars)
             datum = LiftDatum(Cochain.zero(cover.cover, 2), 0, "zero")
             v = decide(nt, cover, extra_lift_data=(datum,))
             assert v.outcome == "InvalidInput"
@@ -255,12 +255,32 @@ def test_forged_cd3_verdict_does_not_replay():
 
 def test_forged_undetermined_verdict_does_not_replay():
     # clause 7 is reached only when no earlier clause fires: a nonzero
-    # primary class, a Kreck witness, a true cd assertion or a lift datum
-    # with a nonzero witness rules it out
+    # primary class, a Kreck witness, a true cd assertion, a lift datum
+    # with a nonzero witness, or (z2-secondary) a secondary test that
+    # vanishes on the first datum with H_5 = 0 rules it out
     forged = Verdict("Undetermined", 7, "forged", {"caveats_reflected": []})
-    for fx in (rp_w2_zero(), rp_kreck(), z2_remark(), z4_semidirect(), d4_reflection()):
+    fixtures = (rp_w2_zero(), rp_kreck(), z2_remark(), z4_semidirect(), d4_reflection())
+    for fx in fixtures + (z2_secondary(),):
         assert decide(fx.nt, fx.cover, fx.section).outcome != "Undetermined"
         assert not replay_evidence(forged, fx.nt, fx.cover, fx.section), fx.name
+
+
+def test_undetermined_replay_reruns_the_recorded_secondary_test(monkeypatch):
+    # with the H_5 gate closed, z2-secondary stops at clause 7 after the
+    # secondary test ran on the first lift datum, which the evidence records
+    fx = z2_secondary()
+    monkeypatch.setattr(obstruction, "h5_check", lambda nt: ("nonzero", {}))
+    v = decide(fx.nt, fx.cover, fx.section)
+    assert v.outcome == "Undetermined"
+    support = list(lift_data_solutions(fx.nt, fx.cover).datum(0).a.support())
+    assert v.evidence["lift_datum_support"] == support
+    assert replay_evidence(v, fx.nt, fx.cover, fx.section)
+    # lift data exist, so a record without the tested datum is forged
+    unrecorded = Verdict("Undetermined", 7, "forged", {"caveats_reflected": v.caveats})
+    assert not replay_evidence(unrecorded, fx.nt, fx.cover, fx.section)
+    monkeypatch.undo()
+    # with the gate open the recorded test settles clause 6
+    assert not replay_evidence(v, fx.nt, fx.cover, fx.section)
 
 
 def _constant_map(source, target):
@@ -335,7 +355,7 @@ def test_shared_cover_caches_follow_the_type():
     probe = NormalOneType(fx.nt.base, fx.nt.w1, w2, name="d4-probe")
     lift_data_solutions(fx.nt, fx.cover)
     shared = lift_data_solutions(probe, fx.cover)
-    fresh = lift_data_solutions(probe, DoubleCoverData(fx.cover.pair))
+    fresh = lift_data_solutions(probe, dataclasses.replace(fx.cover))
     assert shared.count == fresh.count
 
 
@@ -345,7 +365,7 @@ def test_unliftable_base_class_gives_empty_solutions():
     empties = []
     for j, g in enumerate(h2b.reps):
         probe = NormalOneType(fx.nt.base, fx.nt.w1, g, name=f"probe-{j}")
-        sols = lift_data_solutions(probe, DoubleCoverData(fx.cover.pair))
+        sols = lift_data_solutions(probe, dataclasses.replace(fx.cover))
         if sols.empty:
             empties.append(j)
             assert not primary_vanishes(probe)
@@ -358,7 +378,7 @@ def test_primary_zero_implies_liftable():
     for j, g in enumerate(h2b.reps):
         probe = NormalOneType(fx.nt.base, fx.nt.w1, g, name=f"probe-{j}")
         if primary_vanishes(probe):
-            sols = lift_data_solutions(probe, DoubleCoverData(fx.cover.pair))
+            sols = lift_data_solutions(probe, dataclasses.replace(fx.cover))
             assert not sols.empty
 
 
@@ -533,18 +553,37 @@ def test_secondary_nonzero_on_z4_datum():
     assert out.witness is not None and not out.witness.is_zero()
 
 
+def test_operator_image_predicate_matches_coordinate_matrix():
+    # the route before class spans: omega's coordinates in the column span of
+    # the matrix of the operator H^2 -> H^4
+    rng = np.random.default_rng(17)
+    seen = set()
+    for fx in (rp_kreck(), z2_secondary(), d4_reflection()):
+        base = fx.nt.base
+        h4 = cohomology_basis(base, 4)
+        matrix = h4.coords_matrix(sq2_w_images(fx.nt, 2)[1])
+        image = Subspace.from_vectors(h4.dim, matrix.transpose().to_dense())
+        for _ in range(8):
+            coords = rng.integers(0, 2, h4.dim, dtype=np.uint8)
+            below = Cochain(base, 3, rng.integers(0, 2, base.n_cells(3)))
+            omega = h4.class_from_coords(coords) + coboundary(below)
+            got = in_operator_image(fx.nt, omega)
+            assert got == image.contains(coords), fx.name
+            seen.add(got)
+    assert seen == {True, False}
+
+
 def _stacked_span(nt, cover):
     """The restricted image reduced in one piece, as it was before residues:
     the rows of delta_3 transposed and the pulled-back operator images.
     Returns the span and the pulled-back images."""
-    pair = cover.pair
     images = [
-        pair.projection.pullback(sq(x, 2) + cup(nt.w1, sq(x, 1)) + cup(nt.w2, x))
+        cover.projection.pullback(sq(x, 2) + cup(nt.w1, sq(x, 1)) + cup(nt.w2, x))
         for x in cohomology_basis(nt.base, 2).reps
     ]
-    rows = [pair.cover.coboundary_matrix(3).transpose().to_dense()]
+    rows = [cover.cover.coboundary_matrix(3).transpose().to_dense()]
     rows += [img.values[None] for img in images]
-    return Subspace.from_vectors(pair.cover.n_cells(4), np.vstack(rows)), images
+    return Subspace.from_vectors(cover.cover.n_cells(4), np.vstack(rows)), images
 
 
 def _d8_clause5_types():
@@ -653,15 +692,15 @@ def test_h5_computation_overrides_wrong_assertion():
 
 def test_operator_needs_depth_five():
     fx = z2_remark()
-    with pytest.raises(TruncationError):
-        sq2_w_operator(fx.nt, 2)
+    # the images' classes live in degree 4, which needs degree-5 cells
+    with pytest.raises(TruncationError, match="degree 4 cohomology needs cells in degree 5"):
+        sq2_w_images(fx.nt, 2)
 
 
 def test_decide_skips_secondary_at_depth_four():
     fx = z2_remark()
     nt = NormalOneType(fx.nt.base, fx.nt.w1, fx.nt.w2, name="shallow-cover")
-    pair = cover_from_cocycle(nt.base, nt.w1)
-    cover = DoubleCoverData(pair)
+    cover = cover_from_cocycle(nt.base, nt.w1)
     v = decide(nt, cover=cover)
     assert v.outcome == "Undetermined"
     assert any("max_degree < 5" in c for c in v.caveats)
@@ -694,7 +733,7 @@ def _relabeled_type(nt, rng):
 
 def test_cover_parts_reject_degenerate_projection():
     fx = rp_w2_zero()
-    pair = fx.cover.pair
+    pair = fx.cover
     # the constant map is simplicial, so only the fiber check can catch it
     const = _constant_map(pair.cover, fx.nt.base)
     assert const.validate() == []
@@ -737,7 +776,7 @@ def test_verdicts_survive_relabeling():
 def test_z4_verdict_survives_cover_relabeling():
     fx = z4_semidirect()
     rng = np.random.default_rng(3)
-    pair = fx.cover.pair
+    pair = fx.cover
     cov2, perms = relabel_model(pair.cover, rng)
     old = [np.argsort(p) for p in perms]
     inv2 = Involution(
@@ -758,7 +797,6 @@ def test_z4_verdict_survives_cover_relabeling():
     pair2 = CoverPair(
         cov2, pair.base, proj2, inv2, pair.w1, sheet2, reps2, bidx2
     )
-    cover2 = DoubleCoverData(pair2)
-    v = decide(fx.nt, cover=cover2)
+    v = decide(fx.nt, cover=pair2)
     assert v.outcome == "NoExoticaSecondary"
     assert v.clause == 5

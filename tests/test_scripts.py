@@ -1,0 +1,36 @@
+"""The scripts under scripts/ run end to end against the package in src/."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run(script: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=ROOT,
+        timeout=300,
+    )
+
+
+def test_run_fixtures_script():
+    out = _run("run_fixtures.py", "rp-kreck", "z2-secondary")
+    assert out.returncode == 0, out.stderr
+    assert "== rp-kreck" in out.stdout and "== z2-secondary" in out.stdout
+
+
+def test_output_digest_script():
+    out = _run("output_digest.py", "rp-kreck")
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines
+    for line in lines:
+        assert re.fullmatch(r"rp-kreck \S+ [0-9a-f]{64}", line), line
