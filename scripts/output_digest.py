@@ -227,7 +227,7 @@ def digest(name: str) -> list:
             rows.append(("cli.report", _sha(_run_cli(["report", "--json", *opts]))))
             rows.append(("cli.report.text", _sha(_run_cli(["report", *opts]))))
         for part, path in paths.items():
-            top = min(3, docs[part]["max_degree"] - 2)
+            top = min(3, docs[part].model.max_degree - 2)
             for k in range(1, top + 1):
                 argv = ["cohomology", "--json", "--steenrod", "--deg", str(k), str(path)]
                 rows.append((f"{part}.cohomology.{k}", _sha(_run_cli(argv))))

@@ -257,10 +257,10 @@ def get_fixture(name: str) -> Fixture:
 
 
 def fixture_documents(name: str) -> dict:
-    """File documents for a fixture: always a base entry, a cover when present.
+    """ModelDocuments for a fixture: always a base entry, a cover when present.
 
     Lift data become cover cochains named lift-<index>; a section becomes a
-    base map named section.  The documents are canonical-serialization ready.
+    base map named section.  canonical_bytes writes each document.
     """
     from .modelfile import model_document
 

@@ -245,23 +245,26 @@ def _batch(vectors, n: int) -> np.ndarray:
 class Subspace:
     """A subspace of GF(2)^n held as a reduced row echelon basis.
 
-    Row i of transform says which spanning vectors sum to basis row i.  The
-    basis coefficients of a vector are its bits at the pivots, and it is a
-    member exactly when that combination of basis rows rebuilds it.
+    Row i of transform, if kept, says which spanning vectors sum to basis row
+    i.  The basis coefficients of a vector are its bits at the pivots, and it
+    is a member exactly when that combination of basis rows rebuilds it.
     """
 
     ambient_dim: int
     matrix: F2Matrix
     pivots: tuple[int, ...]
-    transform: F2Matrix
+    transform: F2Matrix | None
 
     @classmethod
-    def from_vectors(cls, ambient_dim: int, vectors) -> "Subspace":
-        """Span of the rows of a 2-D 0/1 array (or of a nonempty list of vectors)."""
-        res = rank_and_echelon(F2Matrix.from_dense(_batch(vectors, ambient_dim)))
+    def from_vectors(cls, ambient_dim: int, vectors, want_transform: bool = True) -> "Subspace":
+        """Span of the rows of a 2-D 0/1 array (or of a nonempty list of vectors);
+        without want_transform it keeps no transform, and combination raises."""
+        res = rank_and_echelon(F2Matrix.from_dense(_batch(vectors, ambient_dim)), want_transform)
         r = res.rank
         basis = F2Matrix(r, ambient_dim, res.echelon.words[:r].copy())
-        transform = F2Matrix(r, res.echelon.rows, res.transform.words[:r].copy())
+        transform = None
+        if want_transform:
+            transform = F2Matrix(r, res.echelon.rows, res.transform.words[:r].copy())
         return cls(ambient_dim, basis, res.pivots, transform)
 
     @classmethod
@@ -296,7 +299,10 @@ class Subspace:
 
     def combination(self, vectors) -> np.ndarray:
         """Coefficients over the spanning vectors that rebuild one vector, or
-        each row of a batch; raises when a vector lies outside the span."""
+        each row of a batch; raises when a vector lies outside the span or
+        the span kept no transform."""
+        if self.transform is None:
+            raise ModelMismatchError("span was built without a transform")
         coeffs, residual = self._reduce(vectors)
         if residual.any():
             raise ModelMismatchError("vector is not in the span")

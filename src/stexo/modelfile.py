@@ -7,22 +7,23 @@ Canonical serialization sorts keys and supports, so equal data gives equal
 bytes; parse followed by export is the identity on canonical files.
 
 The canonical bytes of a document are by definition those of
-json.dumps(doc, sort_keys=True, indent=2) plus a newline; canonical_bytes
-writes them without the pure-Python indenting encoder, from text made once per
-degeneracy word and nesting level.  Export and parse are array-native: a
-model's document is built from its face_word/face_cell arrays (a map's from
-image_word/image_cell), and parsing checks each degree's targets in batches
-and stores them as arrays, with the same messages a target-by-target check
-gives.
+json.dumps(doc, sort_keys=True, indent=2) plus a newline.  model_document
+checks a model and its decorations and returns them as a ModelDocument, which
+stands for that JSON document without building it: canonical_bytes writes it
+straight from the face_word/face_cell arrays (a map's from image_word/
+image_cell), from text made once per degeneracy word and nesting level, one
+str per cell and one join.  A plain JSON document goes through json.dumps.
+Parsing is array-native too: each degree's targets are checked in batches and
+stored as arrays, with the same messages a target-by-target check gives.
 
-The three entry points, model_document, canonical_bytes and parse_bytes,
-always run with CPython's cyclic garbage collector paused, and restore its
-previous state on return or exception.  They build or read up to half a
+parse_bytes runs with CPython's cyclic garbage collector paused, and restores
+its previous state on return or exception.  json.loads builds up to half a
 million small dicts and lists per big document, none of them in a reference
 cycle; with the collector running, its passes over those young containers
-took about a quarter of export and parse time.  The pause frees nothing later
-than reference counting would, because models and their caches hold no
-reference cycles (see cohomology).
+took about a quarter of parse time.  The pause frees nothing later than
+reference counting would, because models and their caches hold no reference
+cycles (see cohomology).  Export builds only a few containers per document
+and runs with the collector as the caller left it.
 
 Map entries either inline their own source model, in which case they map
 into this file's model, or carry source null, meaning the source is this
@@ -36,8 +37,9 @@ import gc
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, repeat
-from operator import contains, is_
+from operator import contains
 
 import numpy as np
 
@@ -174,47 +176,26 @@ def _collector_paused():
             gc.enable()
 
 
-# -- document construction -----------------------------------------------------------
+# -- documents -----------------------------------------------------------------------
 
 
-def _target_dicts(words: np.ndarray, cells: np.ndarray, rejects=None) -> list:
-    """Target objects of (word mask, cell) arrays, flattened, in one pass.
+@dataclass(frozen=True)
+class ModelDocument:
+    """A model and its decorations, checked by model_document and written by
+    canonical_bytes.
 
-    rejects maps positions to (word, cell) targets as parsed, written instead.
+    maps values are SimplicialMap objects into or out of model (an out-of map
+    is written with source null) or MapData entries as parsed.
     """
-    out = [{"cell": c} for c in cells.ravel().tolist()]
-    flat = words.ravel()
-    for k in np.flatnonzero(flat).tolist():
-        out[k]["degen"] = list(_word(int(flat[k])))
-    for k, (word, cell) in (rejects or {}).items():
-        out[k] = {"degen": list(word), "cell": cell} if word else {"cell": cell}
-    return out
+
+    model: SimplicialModel
+    cochains: dict
+    involution: Involution | None
+    maps: dict
+    cd_at_most_3: Assertion | None
+    h5_zero: Assertion | None
 
 
-def _faces_json(model: SimplicialModel) -> list:
-    blocks = []
-    for n in range(1, model.max_degree + 1):
-        flat = _target_dicts(model.face_word[n], model.face_cell[n])
-        blocks.append([flat[k : k + n + 1] for k in range(0, len(flat), n + 1)])
-    return blocks
-
-
-def _model_core_json(model: SimplicialModel) -> dict:
-    return {
-        "name": model.name,
-        "max_degree": model.max_degree,
-        "cells": list(model.cells),
-        "faces": _faces_json(model),
-    }
-
-
-def _assertion_json(a: Assertion | None):
-    if a is None:
-        return None
-    return {"value": bool(a.value), "provenance": a.provenance}
-
-
-@_collector_paused()
 def model_document(
     model: SimplicialModel,
     cochains: dict | None = None,
@@ -222,40 +203,17 @@ def model_document(
     maps: dict | None = None,
     cd_at_most_3: Assertion | None = None,
     h5_zero: Assertion | None = None,
-) -> dict:
-    """Document dict for a model and its decorations, ready for canonical dump.
-
-    `maps` values are either SimplicialMap objects into or out of `model`
-    (out-of maps are stored with source null) or pre-encoded entry dicts.
-    """
-    doc = {"format_version": FORMAT_VERSION, **_model_core_json(model)}
-    doc["cochains"] = {}
-    for name, u in (cochains or {}).items():
+) -> ModelDocument:
+    """The document of a model and its decorations, ready for canonical_bytes."""
+    cochains = dict(cochains or {})
+    maps = dict(maps or {})
+    for name, u in cochains.items():
         if u.model is not model:
             raise ValidationError(f"cochain {name} lives on a different model")
-        doc["cochains"][name] = {
-            "degree": u.degree,
-            "support": np.flatnonzero(u.values).tolist(),
-        }
-    doc["involution"] = (
-        None if involution is None else [np.asarray(p).tolist() for p in involution.perms]
-    )
-    doc["maps"] = {}
-    for name, m in (maps or {}).items():
-        if isinstance(m, dict):
-            doc["maps"][name] = m
-        elif m.source is model or m.target is model:
-            doc["maps"][name] = {
-                "source": None if m.source is model else _model_core_json(m.source),
-                "assignment": list(map(_target_dicts, m.image_word, m.image_cell)),
-            }
-        else:
+    for name, m in maps.items():
+        if not (isinstance(m, MapData) or m.source is model or m.target is model):
             raise ValidationError(f"map {name} touches neither side of the model")
-    doc["assertions"] = {
-        "cd_at_most_3": _assertion_json(cd_at_most_3),
-        "h5_zero": _assertion_json(h5_zero),
-    }
-    return doc
+    return ModelDocument(model, cochains, involution, maps, cd_at_most_3, h5_zero)
 
 
 # -- canonical serialization ---------------------------------------------------------
@@ -263,98 +221,144 @@ def model_document(
 _INDENT = "  "
 
 
-@_collector_paused()
-def canonical_bytes(doc: dict) -> bytes:
-    """The bytes of json.dumps(doc, sort_keys=True, indent=2) + "\\n".
+def canonical_bytes(doc: ModelDocument | dict) -> bytes:
+    """The bytes of json.dumps(doc, sort_keys=True, indent=2) + "\\n", where a
+    ModelDocument stands for the JSON document it describes.
 
-    Rows of targets (face blocks, map assignments) are written from text made
-    once per degeneracy word and nesting level, lists of integers by one join;
-    any other value, and any target that is not {"cell": int} or
-    {"cell": int, "degen": [int, ...]}, goes through json.dumps and is
-    re-indented, which is exact because a JSON string cannot hold a raw newline.
+    A ModelDocument is written from its arrays: the targets of each face block
+    and map degree from text made once per degeneracy word and nesting level,
+    one str per cell and one join; lists of integers by one join.  Any other
+    document goes through json.dumps itself.
     """
-    return (_write(doc, 0) + "\n").encode("utf-8")
+    if isinstance(doc, ModelDocument):
+        return (_document_text(doc) + "\n").encode("utf-8")
+    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
-def _dumps(value, level: int) -> str:
-    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + _INDENT * level)
-
-
-def _write(value, level: int) -> str:
-    """json.dumps(value, sort_keys=True, indent=2) for a value at nesting level."""
+def _list(texts, level: int, brackets: str = "[]") -> str:
+    """A JSON list at nesting level from the texts of its items."""
     inner = _INDENT * (level + 1)
-    if type(value) is list and value:
-        if all(map(is_, map(type, value), repeat(int))):
-            body = (",\n" + inner).join(map(str, value))
-        elif (
-            all(map(is_, map(type, value), repeat(list)))
-            and all(value)
-            and isinstance(value[0][0], dict)
-        ):
-            body = _rows_text(value, level + 1)
-        else:
-            body = (",\n" + inner).join(_write(v, level + 1) for v in value)
-        return f"[\n{inner}{body}\n{_INDENT * level}]"
-    if type(value) is dict and value and all(type(k) is str for k in value):
-        body = (",\n" + inner).join(
-            f"{json.dumps(k)}: {_write(v, level + 1)}" for k, v in sorted(value.items())
-        )
-        return f"{{\n{inner}{body}\n{_INDENT * level}}}"
-    return _dumps(value, level)
+    body = f",\n{inner}".join(texts)
+    if not body:
+        return brackets
+    return f"{brackets[0]}\n{inner}{body}\n{_INDENT * level}{brackets[1]}"
 
 
-def _word_text(word: tuple, level: int) -> str:
-    """What follows the cell of a target at nesting level whose degen is word."""
-    keys = _INDENT * (level + 1)
-    if not word:
-        letters = "[]"
+def _object(fields: dict, level: int) -> str:
+    """A JSON object at nesting level from the texts of its values, keys sorted."""
+    return _list((f"{json.dumps(k)}: {v}" for k, v in sorted(fields.items())), level, "{}")
+
+
+def _ints(values, level: int) -> str:
+    return _list(map(str, values), level)
+
+
+@lru_cache(maxsize=None)
+def _target_text(word: tuple, level: int) -> tuple:
+    """The text of a target at nesting level whose degen is word: what comes
+    before its cell, and what follows it."""
+    fields = {"cell": "@", "degen": _ints(word, level + 1)} if word else {"cell": "@"}
+    return tuple(_object(fields, level).split("@"))
+
+
+def _targets_text(words: np.ndarray, cells: np.ndarray, level: int, rejects=None) -> str:
+    """The list, brackets at nesting level, of the targets of word mask and
+    cell arrays: a list of rows when they are 2-D, of targets when 1-D.
+
+    rejects maps flat positions to (word, cell) targets as parsed, written
+    in their place.
+    """
+    if not words.size:
+        return "[]"
+    nested = words.ndim == 2
+    at = level + 1 + nested  # the nesting level of a target
+    head = _target_text((), at)[0]
+    row = _INDENT * (at - 1)
+    # after a cell: its tail, then the next target within the row, across a
+    # row break, or the end of the list
+    follow = (
+        f",\n{_INDENT * at}{head}",
+        f"\n{row}],\n{row}[\n{_INDENT * at}{head}",
+        f"\n{row}]" + (f"\n{_INDENT * level}]" if nested else ""),
+    )
+    flat = words.ravel()
+    tails = [_target_text(_word(m), at)[1] for m in range(1 << int(flat.max()).bit_length())]
+    table = [tail + f for tail in tails for f in follow]
+    place = np.zeros_like(words)
+    place[..., -1] = 1  # a row ends here; a flat list has one row, ended below
+    place.flat[-1] = 2
+    posts = list(map(table.__getitem__, (3 * flat + place.ravel()).tolist()))
+    mids = list(map(str, cells.ravel().tolist()))
+    for p, (word, cell) in (rejects or {}).items():
+        mids[p] = str(cell)
+        posts[p] = _target_text(word, at)[1] + follow[place.flat[p]]
+    start = f"[\n{row}[\n" if nested else "[\n"
+    return start + _INDENT * at + head + "".join(chain.from_iterable(zip(mids, posts)))
+
+
+def _model_fields(model: SimplicialModel, level: int) -> dict:
+    """Texts of the model keys of an object at nesting level."""
+    blocks = zip(model.face_word[1:], model.face_cell[1:])
+    return {
+        "name": json.dumps(model.name),
+        "max_degree": str(model.max_degree),
+        "cells": _ints(model.cells, level + 1),
+        "faces": _list((_targets_text(w, c, level + 2) for w, c in blocks), level + 1),
+    }
+
+
+def _map_text(m, model: SimplicialModel, level: int) -> str:
+    """A map entry at nesting level, of a SimplicialMap or a MapData."""
+    if isinstance(m, MapData):
+        source, blocks = m.source, m.images
     else:
-        inner = ",\n".join(f"{keys}{_INDENT}{a}" for a in word)
-        letters = f"[\n{inner}\n{keys}]"
-    return f',\n{keys}"degen": {letters}\n{_INDENT * level}}}'
+        source = None if m.source is model else m.source
+        blocks = [(w, c, None) for w, c in zip(m.image_word, m.image_cell)]
+    inner = level + 1
+    return _object(
+        {
+            "source": "null" if source is None else _object(_model_fields(source, inner), inner),
+            "assignment": _list((_targets_text(w, c, inner + 1, r) for w, c, r in blocks), inner),
+        },
+        level,
+    )
 
 
-def _rows_text(rows: list, level: int) -> str:
-    """json.dumps text of rows (non-empty lists) of targets whose brackets sit
-    at nesting level, joined by commas, without the indent of the first row."""
-    flat = list(chain.from_iterable(rows))
-    count = len(flat)
-    objs = flat
-    if not all(map(isinstance, flat, repeat(dict))):
-        objs = [t if isinstance(t, dict) else {} for t in flat]
-    cells = list(map(dict.get, objs, repeat("cell")))
-    sizes = np.fromiter(map(len, objs), dtype=np.int64, count=count)
-    if not set(map(type, cells)) <= {int}:
-        sizes[~np.fromiter(map(is_, map(type, cells), repeat(int)), dtype=bool, count=count)] = 0
-    # the text of a target: kind 0 {"cell": c}, 1 anything else, 2.. by degen word
-    kind = np.where(sizes == 1, 0, 1)
-    words: dict = {}
-    for p in np.flatnonzero(sizes == 2).tolist():
-        word = objs[p].get("degen")
-        if type(word) is list and all(map(is_, map(type, word), repeat(int))):
-            kind[p] = words.setdefault(tuple(word), len(words) + 2)
-    plain = kind != 1
-    target = _INDENT * (level + 1)
-    head = f'{{\n{target}{_INDENT}"cell": '
-    tails = [f"\n{target}}}", ""] + [_word_text(w, level + 1) for w in words]
-    seps = (f",\n{target}", f"\n{_INDENT * level}],\n{_INDENT * level}[\n{target}")
-    # after each cell: its tail, the separator (within a row or to the next
-    # row), and the head of the next target when that one is plain
-    table = [t + s + h for t in tails for s in seps for h in ("", head)]
-    last = np.zeros(count, dtype=np.int64)
-    last[np.cumsum([len(row) for row in rows]) - 1] = 1
-    follow = np.append(plain[1:], False)
-    posts = list(map(table.__getitem__, (4 * kind + 2 * last + follow).tolist()))
-    posts[-1] = tails[kind[-1]] + f"\n{_INDENT * level}]"
-    if plain.all():
-        mids = map(str, cells)
-    else:
-        mids = [
-            str(c) if p else _dumps(t, level + 1)
-            for p, c, t in zip(plain.tolist(), cells, flat)
-        ]
-    start = f"[\n{target}" + (head if plain[0] else "")
-    return start + "".join(chain.from_iterable(zip(mids, posts)))
+def _assertion_text(a: Assertion | None, level: int) -> str:
+    if a is None:
+        return "null"
+    return _object(
+        {"value": json.dumps(bool(a.value)), "provenance": json.dumps(a.provenance)}, level
+    )
+
+
+def _document_text(doc: ModelDocument) -> str:
+    fields = _model_fields(doc.model, 0)
+    fields["format_version"] = str(FORMAT_VERSION)
+    fields["cochains"] = _object(
+        {
+            name: _object(
+                {"degree": str(u.degree), "support": _ints(np.flatnonzero(u.values).tolist(), 3)},
+                2,
+            )
+            for name, u in doc.cochains.items()
+        },
+        1,
+    )
+    fields["involution"] = (
+        "null"
+        if doc.involution is None
+        else _list((_ints(np.asarray(p).tolist(), 2) for p in doc.involution.perms), 1)
+    )
+    fields["maps"] = _object({k: _map_text(m, doc.model, 2) for k, m in doc.maps.items()}, 1)
+    fields["assertions"] = _object(
+        {
+            "cd_at_most_3": _assertion_text(doc.cd_at_most_3, 2),
+            "h5_zero": _assertion_text(doc.h5_zero, 2),
+        },
+        1,
+    )
+    return _object(fields, 0)
 
 
 # -- parsing -------------------------------------------------------------------------
@@ -673,20 +677,13 @@ def parse_bytes(data: bytes, default_name: str = "model") -> ModelFileData:
     return parse_document(doc, default_name)
 
 
-def reexport(parsed: ModelFileData) -> dict:
+def reexport(parsed: ModelFileData) -> ModelDocument:
     """Document for previously parsed data; used for round-trip checks."""
-    maps = {
-        name: {
-            "source": None if md.source is None else _model_core_json(md.source),
-            "assignment": [_target_dicts(*image) for image in md.images],
-        }
-        for name, md in parsed.maps.items()
-    }
     return model_document(
         parsed.model,
         cochains=parsed.cochains,
         involution=parsed.involution,
-        maps=maps,
+        maps=parsed.maps,
         cd_at_most_3=parsed.cd_at_most_3,
         h5_zero=parsed.h5_zero,
     )

@@ -378,15 +378,16 @@ class SimplicialModel:
 
     def coboundary_span(self, k: int) -> Subspace:
         """The k-coboundaries delta(C^{k-1}) as a reduced basis in C^k (zero
-        in degree 0): the one reduction of B^k."""
+        in degree 0): the one reduction of B^k.  It keeps no transform, so it
+        answers contains and residual but not combination."""
         key = ("cob-span", k)
         if key not in self._cache:
             n = self.n_cells(k)
             if k == 0:
-                self._cache[key] = Subspace.zero(n)
+                vectors = np.zeros((0, n), dtype=np.uint8)
             else:
                 vectors = self.coboundary_matrix(k - 1).to_dense().T
-                self._cache[key] = Subspace.from_vectors(n, vectors)
+            self._cache[key] = Subspace.from_vectors(n, vectors, want_transform=False)
         return self._cache[key]
 
     def boundary_int(self, k: int) -> np.ndarray:

@@ -283,3 +283,9 @@ def test_subspace_batch_against_enumerated_span(n, k, seed):
         assert not span.contains(v)
         with pytest.raises(ModelMismatchError):
             span.combination(v)
+    # without the transform: the same echelon and pivots, and no combination
+    bare = Subspace.from_vectors(n, vectors, want_transform=False)
+    assert bare == span and bare.pivots == span.pivots and bare.transform is None
+    assert np.array_equal(bare.residual(everything), span.residual(everything))
+    with pytest.raises(ModelMismatchError, match="without a transform"):
+        bare.combination(ins)

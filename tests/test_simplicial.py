@@ -1,6 +1,7 @@
 """Core checks for the decorated-face calculus, cup products, and covers."""
 
 import gc
+import json
 import re
 import weakref
 from functools import lru_cache
@@ -29,7 +30,7 @@ from stexo.errors import (
     ValidationError,
 )
 from stexo.gf2 import solve_affine
-from stexo.modelfile import MapData, model_document, parse_document
+from stexo.modelfile import MapData, canonical_bytes, model_document, parse_document
 from stexo.simplicial import (
     Cochain,
     Involution,
@@ -121,7 +122,7 @@ def test_validate_reports_broken_identity():
 
 def test_validate_reports_malformed_word():
     # a model read from outside is checked by the parser before it is built
-    doc = model_document(triangle())
+    doc = json.loads(canonical_bytes(model_document(triangle())))
     doc["faces"][1][0][0] = {"cell": 0, "degen": [0, 1]}
     want = (
         "document: 1 simplicial violations; first: degree 2 cell 0 face 0:"
@@ -677,7 +678,7 @@ def _broken(edit):
     d8 = bar_b(dihedral8_table(), 5, name="bar-d8")
     faces = _face_tuples(d8)
     edit(faces)
-    doc = model_document(d8)
+    doc = json.loads(canonical_bytes(model_document(d8)))
     doc["faces"] = [
         [[{"cell": c, "degen": list(w)} for w, c in row] for row in block] for block in faces[1:]
     ]
