@@ -19,6 +19,9 @@ For each fixture (all of them by default) the lines are:
                      the killers narrative); all with --cover, --section
                      and --lift where the fixture has them, exit code and
                      error text included;
+  <part>.span.<k>    the echelon words and pivots of coboundary_span(k) on
+                     each exported model, for k = 1..min(4, max_degree): the
+                     one reduction of B^k, pinned byte for byte;
   <part>.cohomology.<k>
                      `stexo cohomology --json --steenrod --deg k` on each
                      exported model, for k = 1..min(3, max_degree - 2): the
@@ -211,6 +214,12 @@ def digest(name: str) -> list:
     for part, blob in blobs.items():
         rows.append((f"{part}.bytes", _sha(blob)))
         rows.append((f"{part}.reexport", _sha(canonical_bytes(reexport(parse_bytes(blob))))))
+        model = docs[part].model
+        for k in range(1, min(4, model.max_degree) + 1):
+            span = model.coboundary_span(k)
+            words = span.matrix.words
+            data = repr((words.shape, span.pivots)).encode() + words.tobytes()
+            rows.append((f"{part}.span.{k}", _sha(data)))
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
         for part, blob in blobs.items():

@@ -116,8 +116,10 @@ def _face_plan(n: int, mask: int, i: int):
 
 
 def _groups(keys: np.ndarray) -> list:
-    """(value, selector) for each distinct value of keys, ascending."""
-    values = np.unique(keys).tolist()
+    """(value, selector) for each distinct value of keys, ascending.  The keys
+    are nonnegative and small (word masks, core degrees), so a count per
+    value finds them."""
+    values = np.flatnonzero(np.bincount(keys.ravel())).tolist()
     if len(values) == 1:
         return [(values[0], slice(None))]
     return [(v, keys == v) for v in values]
@@ -378,16 +380,21 @@ class SimplicialModel:
 
     def coboundary_span(self, k: int) -> Subspace:
         """The k-coboundaries delta(C^{k-1}) as a reduced basis in C^k (zero
-        in degree 0): the one reduction of B^k.  It keeps no transform, so it
-        answers contains and residual but not combination."""
+        in degree 0): the one reduction of B^k.  Its spanning rows are the
+        transpose of delta_{k-1}, packed straight from the face arrays: row b
+        of a (k-1)-cell b has a bit at each k-cell with b as a plain face.  It
+        keeps no transform, so it answers contains and residual but not
+        combination."""
         key = ("cob-span", k)
         if key not in self._cache:
             n = self.n_cells(k)
             if k == 0:
-                vectors = np.zeros((0, n), dtype=np.uint8)
+                rows = F2Matrix(0, n)
             else:
-                vectors = self.coboundary_matrix(k - 1).to_dense().T
-            self._cache[key] = Subspace.from_vectors(n, vectors, want_transform=False)
+                plain, fc = self._cofaces(k - 1)
+                c, i = np.nonzero(plain)
+                rows = F2Matrix.from_entries(self.cells[k - 1], n, fc[c, i], c)
+            self._cache[key] = Subspace.from_vectors(n, rows, want_transform=False)
         return self._cache[key]
 
     def boundary_int(self, k: int) -> np.ndarray:
@@ -614,12 +621,17 @@ class SimplicialMap:
 
 
 class Involution:
-    """A free simplicial automorphism of order two, stored as cell permutations."""
+    """A free simplicial automorphism of order two, stored as cell permutations.
+
+    The permutations cannot be written, as the face arrays of the model
+    cannot, so the result of validate is computed once and kept.
+    """
 
     def __init__(self, model: SimplicialModel, perms, name="involution"):
         self.model = model
-        self.perms = [np.asarray(p, dtype=np.int64) for p in perms]
+        self.perms = tuple(_frozen(p) for p in perms)
         self.name = name
+        self._violations = None
 
     def pullback(self, u: Cochain) -> Cochain:
         if u.model is not self.model:
@@ -627,6 +639,13 @@ class Involution:
         return Cochain(u.model, u.degree, u.values[self.perms[u.degree]])
 
     def validate(self) -> list[str]:
+        """Why the permutations are not a free simplicial involution; the
+        result is cached."""
+        if self._violations is None:
+            self._violations = tuple(self._violations_found())
+        return list(self._violations)
+
+    def _violations_found(self) -> list[str]:
         count = self.model.max_degree + 1
         if len(self.perms) != count:
             return [f"expected {count} permutations, got {len(self.perms)}"]

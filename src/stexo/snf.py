@@ -221,23 +221,51 @@ def _matrix(b, empty_shape: tuple) -> np.ndarray:
     return m.reshape(empty_shape) if m.ndim != 2 and m.size == 0 else m
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b, computed exactly.
+def _exact_dtype(a: np.ndarray, b: np.ndarray):
+    """int64 when every entry of a @ b and every partial sum fits, else object.
 
     An entry of the product is a sum of n terms, each at most max|a| * max|b|;
     with both maxima taken at least 1 that bound also covers every factor, so
-    below 2**63 the int64 product is exact, and above it the product runs on
-    Python ints.
+    below 2**63 int64 arithmetic is exact.
     """
-    n = a.shape[1]
-    bound = n * max(_abs_max(a), 1) * max(_abs_max(b), 1)
-    dtype = np.int64 if bound < 1 << 63 else object
+    bound = a.shape[1] * max(_abs_max(a), 1) * max(_abs_max(b), 1)
+    return np.int64 if bound < 1 << 63 else object
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, computed exactly: on int64 or on Python ints (_exact_dtype)."""
+    dtype = _exact_dtype(a, b)
     return np.asarray(a, dtype) @ np.asarray(b, dtype)
+
+
+def _product_entries(a: np.ndarray, b: np.ndarray):
+    """The nonzero entries of a @ b as (rows, cols, values), computed exactly
+    from the products of nonzero pairs only.
+
+    Term r of entry (i, j) is a[i, r] * b[r, j], so each nonzero of column r
+    of a meets each nonzero of row r of b once; the terms are summed per
+    entry on int64 or on Python ints, as in _product.
+    """
+    dtype = _exact_dtype(a, b)
+    ra, i = np.nonzero(a.T)
+    rb, j = np.nonzero(b)
+    # nonzero s of a meets the nonzeros lo[s] .. lo[s] + meets[s] - 1 of b
+    lo = np.searchsorted(rb, ra)
+    meets = np.searchsorted(rb, ra, side="right") - lo
+    src = np.repeat(np.arange(ra.size), meets)
+    dst = np.arange(src.size) + (lo - np.cumsum(meets) + meets)[src]
+    terms = a.T[ra, i].astype(dtype)[src] * b[rb, j].astype(dtype)[dst]
+    key, where = np.unique(i[src] * b.shape[1] + j[dst], return_inverse=True)
+    sums = np.zeros(key.size, dtype=dtype)
+    np.add.at(sums, where, terms)
+    keep = sums != 0
+    rows, cols = np.divmod(key[keep], b.shape[1])
+    return rows, cols, sums[keep]
 
 
 def _check_composite(boundary_out: np.ndarray, boundary_in: np.ndarray) -> None:
     """Raise unless boundary_out @ boundary_in = 0, computed exactly."""
-    if _product(boundary_out, boundary_in).any():
+    if _product_entries(boundary_out, boundary_in)[2].size:
         raise InternalInvariantError("boundary composite is nonzero")
 
 

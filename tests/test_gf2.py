@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from stexo.errors import ModelMismatchError
 from stexo.gf2 import (
     F2Matrix,
+    _column_bits,
+    _leftmost_column,
     Subspace,
     kernel_basis,
     pack_rows,
@@ -125,6 +127,72 @@ def test_echelon_matches_column_by_column_loop(rows, cols, density, empty, seed)
     assert np.array_equal(res.echelon.words, echelon)
     assert np.array_equal(res.transform.words, transform)
     assert rank_and_echelon(m, want_transform=False).echelon == res.echelon
+
+
+def _column_skipping_echelon(m, want_transform):
+    """The per-column echelon loop that rank_and_echelon replaced, kept as a
+    reference: it reads the whole bit column of c at every step, jumps over
+    an empty run with _leftmost_column from column c, and XORs whole rows.
+    Returns (echelon words, transform words or None, pivots)."""
+    R = m.words.copy()
+    T = F2Matrix.identity(m.rows).words if want_transform else None
+    pivots = []
+    r = 0
+    c = 0
+    while c < m.cols and r < m.rows:
+        col = _column_bits(R, c)
+        nz = np.nonzero(col[r:])[0]
+        if nz.size == 0:
+            c = _leftmost_column(R[r:], c)
+            continue
+        p = r + int(nz[0])
+        if p != r:
+            R[[r, p]] = R[[p, r]]
+            col[[r, p]] = col[[p, r]]
+            if T is not None:
+                T[[r, p]] = T[[p, r]]
+        mask = col.astype(bool)
+        mask[r] = False
+        if mask.any():
+            R[mask] ^= R[r]
+            if T is not None:
+                T[mask] ^= T[r]
+        pivots.append(c)
+        r += 1
+        c += 1
+    return R, T, tuple(pivots)
+
+
+@given(
+    st.integers(0, 90),
+    st.integers(0, 330),
+    st.floats(0.0, 0.6),
+    st.lists(st.tuples(st.integers(0, 330), st.integers(1, 200)), max_size=4),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_echelon_matches_column_skipping_loop(rows, cols, density, runs, seed):
+    # empty runs at random offsets cross word boundaries; widths are rarely a
+    # multiple of 64; some rows and columns are zero
+    rng = np.random.default_rng(seed)
+    a = (rng.random((rows, cols)) < density).astype(np.uint8)
+    for start, length in runs:
+        a[:, start : start + length] = 0
+    a[rng.random(rows) < 0.15] = 0
+    a[:, rng.random(cols) < 0.15] = 0
+    if rows > 1 and rng.random() < 0.3:
+        a[rows // 2 :] = a[: rows - rows // 2]  # dependent rows
+    m = F2Matrix.from_dense(a)
+    for want_transform in (True, False):
+        echelon, transform, pivots = _column_skipping_echelon(m, want_transform)
+        res = rank_and_echelon(m, want_transform)
+        assert res.pivots == pivots
+        assert res.rank == len(pivots)
+        assert np.array_equal(res.echelon.words, echelon)
+        if want_transform:
+            assert np.array_equal(res.transform.words, transform)
+        else:
+            assert res.transform is None
 
 
 def test_rank_against_exhaustive_small():
@@ -289,3 +357,18 @@ def test_subspace_batch_against_enumerated_span(n, k, seed):
     assert np.array_equal(bare.residual(everything), span.residual(everything))
     with pytest.raises(ModelMismatchError, match="without a transform"):
         bare.combination(ins)
+
+
+def test_subspace_from_packed_rows_equals_from_dense():
+    for rows, cols in [(0, 0), (0, 5), (3, 0), (7, 64), (9, 130), (70, 65)]:
+        dense = random_dense(rows, cols)
+        packed = F2Matrix.from_dense(dense)
+        for want_transform in (True, False):
+            a = Subspace.from_vectors(cols, packed, want_transform)
+            b = Subspace.from_vectors(cols, dense, want_transform)
+            assert a == b and a.pivots == b.pivots
+            assert (a.transform is None) == (not want_transform)
+            if want_transform:
+                assert a.transform == b.transform
+    with pytest.raises(ModelMismatchError):
+        Subspace.from_vectors(6, F2Matrix(2, 5))

@@ -29,13 +29,14 @@ from stexo.errors import (
     TruncationError,
     ValidationError,
 )
-from stexo.gf2 import solve_affine
+from stexo.gf2 import Subspace, solve_affine
 from stexo.modelfile import MapData, canonical_bytes, model_document, parse_document
 from stexo.simplicial import (
     Cochain,
     Involution,
     SimplicialMap,
     SimplicialModel,
+    _groups,
     checked_images,
     coboundary,
     compose_words,
@@ -434,6 +435,54 @@ def test_involution_validate_reports_wrong_permutation_count(count):
         inv.require_valid()
 
 
+def test_involution_is_frozen_and_validated_once(monkeypatch):
+    rp = bar_b(z2_table(), 3)
+    inv = cover_from_cocycle(rp, Cochain.from_support(rp, 1, [0])).involution
+    for perm in inv.perms:
+        with pytest.raises(ValueError, match="read-only"):
+            perm[0] = perm[-1]
+    calls = []
+    real = Involution._violations_found
+
+    def spy(self):
+        calls.append(self.name)
+        return real(self)
+
+    monkeypatch.setattr(Involution, "_violations_found", spy)
+    fresh = Involution(inv.model, inv.perms, "fresh")
+    assert fresh.validate() == fresh.validate() == []
+    fresh.require_valid()
+    assert calls == ["fresh"]
+
+
+def test_bad_involutions_report_their_messages():
+    z4 = bar_b(z4_table(), 3)
+    pair = cover_from_cocycle(z4, Cochain.from_support(z4, 1, [0, 2]))
+    cells = pair.cover.cells
+    same = Involution(pair.cover, [np.arange(c) for c in cells], "same")
+    want = [f"degree {n}: fixed cell found" for n in range(4)]
+    assert same.validate() == want
+    assert same.validate() == want  # the cached result, not a consumed one
+    with pytest.raises(ValidationError, match="^involution same: degree 0: fixed cell found$"):
+        same.require_valid()
+    # free and of order two in every degree, but two pairs of edges re-paired
+    perms = list(pair.involution.perms)
+    edges = perms[1].copy()
+    a = 0
+    b = next(c for c in range(cells[1]) if c not in (a, edges[a]))
+    pa, pb = edges[a], edges[b]
+    edges[[a, b, pa, pb]] = [b, a, pb, pa]
+    perms[1] = edges
+    assert np.all(edges[edges] == np.arange(cells[1]))
+    assert np.all(edges != np.arange(cells[1]))
+    crossed = Involution(pair.cover, perms, "crossed")
+    bad = crossed.validate()
+    assert bad[0].startswith("degree 1 cell ")
+    assert all(re.fullmatch(r"degree [1-3] cell \d+: face \d does not commute", b) for b in bad)
+    with pytest.raises(ValidationError, match=f"^involution crossed: {re.escape(bad[0])}$"):
+        crossed.require_valid()
+
+
 def test_trivial_cover_is_reported():
     rp = bar_b(z2_table(), 3)
     zero = Cochain.zero(rp, 1)
@@ -800,3 +849,51 @@ def test_coboundary_matches_matrix_on_builder_models(seed):
                 continue
             want = model.coboundary_matrix(k).mul_vec(u.values)
             assert np.array_equal(coboundary(u).values, want), (model.name, k)
+
+
+# -- B^k packed from the face arrays against the dense transpose -------------
+
+
+def _dense_transpose_span(model, k):
+    """coboundary_span(k) by the route it replaced: delta_{k-1} unpacked,
+    transposed and packed again."""
+    n = model.n_cells(k)
+    if k == 0:
+        return Subspace.from_vectors(n, np.zeros((0, n), dtype=np.uint8), want_transform=False)
+    vectors = model.coboundary_matrix(k - 1).to_dense().T
+    return Subspace.from_vectors(n, vectors, want_transform=False)
+
+
+def test_coboundary_span_matches_dense_transpose_route():
+    """Every degree of the builder models, and degrees 0..4 of every catalog
+    base and cover (degree 5 of the big covers would unpack hundreds of MB)."""
+    cases = [(m, m.max_degree) for m in _coboundary_models()]
+    cases += [(m, min(4, m.max_degree)) for m in _catalog_models()]
+    for model, top in cases:
+        for k in range(top + 1):
+            got, want = model.coboundary_span(k), _dense_transpose_span(model, k)
+            assert got.pivots == want.pivots, (model.name, k)
+            assert np.array_equal(got.matrix.words, want.matrix.words), (model.name, k)
+            assert got.transform is None
+
+
+# -- grouping by key --------------------------------------------------------
+
+
+@given(
+    st.sampled_from([(0,), (1,), (17,), (0, 3), (4, 0), (3, 5), (6, 7)]),
+    st.integers(0, 70),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_groups_match_unique_grouping(shape, top, seed):
+    """_groups against the np.unique grouping it replaced, on 1-D and 2-D
+    keys, empty keys included: the same values in the same order, each with
+    the selector of exactly its entries."""
+    keys = np.random.default_rng(seed).integers(0, top + 1, size=shape, dtype=np.int64)
+    groups = _groups(keys)
+    assert [v for v, _ in groups] == np.unique(keys).tolist()
+    for v, sel in groups:
+        picked = np.zeros(keys.shape, dtype=bool)
+        picked[sel] = True
+        assert np.array_equal(picked, keys == v)

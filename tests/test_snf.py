@@ -221,3 +221,53 @@ def test_homology_rejects_noncycle_image():
     # the generator route finds it on its own: nonzero rows above the kernel
     with pytest.raises(InternalInvariantError, match="cycle lattice"):
         snf._transform_route(np.array([[1, 0]]), np.array([[1], [0]]))
+
+
+@given(
+    st.integers(0, 8),
+    st.integers(0, 8),
+    st.integers(0, 8),
+    st.sampled_from([1, 1 << 31, 1 << 40]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_sparse_composite_matches_dense_product(rows, inner, cols, scale, seed):
+    """_product_entries against the dense _product, on int64 and, past the
+    n max|a| max|b| bound (scale 2**40), on Python ints."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-3, 4, (rows, inner)) * scale
+    b = rng.integers(-3, 4, (inner, cols)) * scale
+    a[rng.random(a.shape) < 0.5] = 0
+    b[:, rng.random(cols) < 0.2] = 0
+    want = snf._product(a, b)
+    r, c, v = snf._product_entries(a, b)
+    got = np.zeros((rows, cols), dtype=object)
+    got[r, c] = v
+    assert np.all(v != 0)
+    assert (got == want).all()
+
+
+def test_sparse_composite_is_exact_past_int64():
+    big = 1 << 40
+    # each term is 2**80; they cancel exactly
+    r, c, v = snf._product_entries(np.array([[big, big]]), np.array([[big], [-big]]))
+    assert v.size == 0
+    r, c, v = snf._product_entries(np.array([[big, big]]), np.array([[big], [big]]))
+    assert (r.tolist(), c.tolist(), v.tolist()) == ([0], [0], [1 << 81])
+
+
+def test_perturbed_bar_composite_raises():
+    # the degree-5 and -6 boundaries of the bar model of Z/4 compose to zero;
+    # adding one to entry (i, j) of d5 adds row j of d6 to the composite, and
+    # to entry (i, j) of d6 adds column i of d5
+    model = bar_b(z4_table(), 6)
+    d5, d6 = model.boundary_int(5), model.boundary_int(6)
+    snf._check_composite(d5, d6)
+    rng = np.random.default_rng(5)
+    for m, live in ((d5, d6.any(axis=1)[None, :]), (d6, d5.any(axis=0)[:, None])):
+        spots = np.argwhere(np.broadcast_to(live, m.shape))
+        for i, j in spots[rng.choice(len(spots), 5, replace=False)].tolist():
+            m[i, j] += 1
+            with pytest.raises(InternalInvariantError, match="boundary composite is nonzero"):
+                snf._check_composite(d5, d6)
+            m[i, j] -= 1
