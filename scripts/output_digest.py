@@ -38,6 +38,10 @@ For each fixture (all of them by default) the lines are:
                      of an Undetermined verdict with no caveats on the
                      fixture's type, cover and section, forged whatever
                      decide returns;
+  forged.cd3         the replay_evidence result of the fixture's verdict on
+                     its type with a true cd_at_most_3 assertion (its own,
+                     or one added), with its cover and section: True only
+                     when decide on that type reaches the verdict's clause;
   corrupt.<k>        rp-kreck only: the exit code and error text of
                      `stexo decide` on its base and cover files with the
                      k-th edit of CORRUPTIONS applied (each one a file the
@@ -64,7 +68,13 @@ from stexo import cli
 from stexo.catalog import REGISTRY, fixture_documents, get_fixture
 from stexo.james import d2_maps, e2_page, killers_report, report_json
 from stexo.modelfile import canonical_bytes, parse_bytes, reexport
-from stexo.obstruction import Verdict, cover_data_from_w1, decide, replay_evidence
+from stexo.obstruction import (
+    Assertion,
+    Verdict,
+    cover_data_from_w1,
+    decide,
+    replay_evidence,
+)
 from stexo.simplicial import cup
 
 
@@ -209,6 +219,10 @@ def digest(name: str) -> list:
             forged = Verdict("Undetermined", 7, "forged", {"caveats_reflected": []})
             replayed = replay_evidence(forged, fx.nt, fx.cover, fx.section)
             rows.append(("forged.undetermined", _sha(repr(replayed))))
+        cd = fx.nt.cd_at_most_3 or Assertion(True, "digest")
+        cd3 = dataclasses.replace(fx.nt, cd_at_most_3=cd)
+        replayed = replay_evidence(verdict, cd3, fx.cover, fx.section)
+        rows.append(("forged.cd3", _sha(repr(replayed))))
     docs = fixture_documents(name)
     blobs = {part: canonical_bytes(doc) for part, doc in sorted(docs.items())}
     for part, blob in blobs.items():

@@ -339,19 +339,13 @@ class Subspace:
         return f"Subspace(dim {self.dim} of GF(2)^{self.ambient_dim})"
 
 
-@dataclass
-class AffineSolution:
-    particular: np.ndarray
-    kernel: Subspace
-
-
-def solve_affine(m: F2Matrix, rhs: np.ndarray) -> AffineSolution | None:
-    """Solve m x = rhs over GF(2); None when inconsistent.
+def solve_affine(m: F2Matrix, rhs: np.ndarray) -> np.ndarray | None:
+    """One solution of m x = rhs over GF(2); None when inconsistent.
 
     In the echelon form of [m | rhs] the system is inconsistent exactly when
     the last column is a pivot; otherwise each pivot variable of the returned
-    particular solution is its row's last entry.  The full solution set is
-    particular + kernel.
+    solution is its row's last entry and each free variable is zero.  The
+    full solution set is this solution plus the kernel (kernel_basis).
     """
     rhs = np.asarray(rhs, dtype=np.uint8) & 1
     if rhs.shape != (m.rows,):
@@ -363,6 +357,6 @@ def solve_affine(m: F2Matrix, rhs: np.ndarray) -> AffineSolution | None:
     res = rank_and_echelon(F2Matrix(m.rows, c + 1, aug), want_transform=False)
     if c in res.pivots:
         return None
-    particular = np.zeros(c, dtype=np.uint8)
-    particular[list(res.pivots)] = res.echelon.column(c)[: res.rank]
-    return AffineSolution(particular, Subspace.from_vectors(c, kernel_basis(m)))
+    x = np.zeros(c, dtype=np.uint8)
+    x[list(res.pivots)] = res.echelon.column(c)[: res.rank]
+    return x

@@ -13,6 +13,11 @@ kernel of dimension d (nonzero_witness) and is exact for every kernel size.
 The degree-2 operator has one builder, sq2_w_images; both tests against its
 image (in_restricted_image on the cover, in_operator_image on the base) are
 class-span tests, residues modulo the model's cached coboundary span.
+
+A verdict means that its clause fires and every earlier clause is silent.
+decide is the one statement of that order: replay_evidence rebuilds the lift
+data a verdict cites and decides again, so a replayed verdict rechecks the
+whole prefix of the tower, not only its own clause.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from .errors import (
     TruncationError,
     ValidationError,
 )
-from .gf2 import Subspace, rank, solve_affine, xor_combine
+from .gf2 import Subspace, kernel_basis, rank, solve_affine, xor_combine
 from .simplicial import (
     Cochain,
     CoverPair,
@@ -95,6 +100,9 @@ class SectionDatum:
 
 @dataclass
 class Verdict:
+    """A clause's outcome; the evidence is plain JSON data (dicts, lists,
+    ints, strings), so evidence records compare with ==."""
+
     outcome: str
     clause: int
     explanation: str
@@ -106,23 +114,9 @@ class Verdict:
             "outcome": self.outcome,
             "clause": self.clause,
             "explanation": self.explanation,
-            "evidence": _json_safe(self.evidence),
+            "evidence": self.evidence,
             "caveats": list(self.caveats),
         }
-
-
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [int(x) for x in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
 
 
 # -- double cover data ---------------------------------------------------------
@@ -276,7 +270,12 @@ def kreck_witness(nt: NormalOneType):
     """A 1-cochain g with delta g = w2 + w1^2, or None when classes differ."""
     diff = nt.w2 + cup(nt.w1, nt.w1)
     sol = solve_affine(nt.base.coboundary_matrix(1), diff.values)
-    return None if sol is None else Cochain(nt.base, 1, sol.particular)
+    if sol is None:
+        return None
+    g = Cochain(nt.base, 1, sol)
+    if coboundary(g) != diff:
+        raise InternalInvariantError("Kreck witness fails delta g = w2 + w1^2")
+    return g
 
 
 def sq2_w_images(nt: NormalOneType, k: int):
@@ -346,7 +345,7 @@ def lift_data_solutions(nt: NormalOneType, cover: CoverPair) -> LiftSolutions:
     if sol is None:
         out = LiftSolutions(h2c, None, Subspace.zero(h2c.dim))
     else:
-        out = LiftSolutions(h2c, sol.particular, sol.kernel)
+        out = LiftSolutions(h2c, sol, Subspace.from_vectors(h2c.dim, kernel_basis(m)))
     cover._cache[key] = out
     return out
 
@@ -468,14 +467,13 @@ def secondary_test(
             reason="uniqueness fails: ker(p*) and ker(s*) overlap on H^4",
         )
     rhs = np.concatenate([h4_cover.coords(A), np.zeros(h4_section.dim, dtype=np.uint8)])
-    sol = solve_affine(stacked, rhs)
-    if sol is None:
+    omega_coords = solve_affine(stacked, rhs)
+    if omega_coords is None:
         return SecondaryOutcome(
             "inconclusive",
             witness=A,
             reason="no degree-4 class satisfies both section and cover constraints",
         )
-    omega_coords = sol.particular
     omega = h4_base.class_from_coords(omega_coords)
     if in_operator_image(nt, omega):
         return SecondaryOutcome("zero", witness=A, omega=omega, omega_coords=omega_coords)
@@ -534,12 +532,14 @@ def decide(
 
     reasons = validate_normal_type(nt, cover, section)
     rejected = []
+    if cover is None and extra_lift_data:
+        reasons.append("lift data supplied without cover data")
     for datum in extra_lift_data:
-        if cover is None:
-            reasons.append("lift data supplied without cover data")
-            break
-        bad = validate_lift_datum(nt, cover, datum.a)
         label = datum.label or datum.index
+        if cover is None:
+            rejected.append({"label": label, "support": None})
+            continue
+        bad = validate_lift_datum(nt, cover, datum.a)
         reasons.extend(f"lift datum {label}: {r}" for r in bad)
         if bad:
             on_cover = datum.a.model is cover.cover and datum.a.degree == 2
@@ -630,7 +630,7 @@ def decide(
                     {
                         "lift_datum_index": first_datum.index,
                         "lift_datum_support": list(first_datum.a.support()),
-                        "omega_coords": outcome.omega_coords,
+                        "omega_coords": [int(x) for x in outcome.omega_coords],
                         "omega_support": list(outcome.omega.support()),
                         "h5": detail,
                     },
@@ -664,83 +664,33 @@ def replay_evidence(
     cover: CoverPair | None = None,
     section: SectionDatum | None = None,
 ) -> bool:
-    """Re-run the operations cited by a verdict and compare the records.
+    """Decide again on the lift data the verdict cites; True when the new
+    verdict has the same outcome, clause, caveats and evidence.
 
-    An InvalidInput verdict replays when the inputs are still invalid or a
-    recorded lift datum, rebuilt on the cover from its support, is still
-    rejected.  A datum recorded without a support was not a degree-2 cochain
-    on the cover and cannot be rebuilt; its record stands.  An Undetermined
-    verdict replays when no earlier clause fires: not the clause-5 scan, nor
-    clause 6 on the lift datum its evidence records, which decide records
-    whenever it ran the secondary test.
+    The explanation is a fixed text per clause and is not compared.  The
+    recorded lift datum is rebuilt on the cover with its index: decide tests
+    supplied data first, so clause 5 fires on it or clause 6 tests it.  Each
+    rejected datum is rebuilt with its label, an int label as the index.  One
+    recorded without a support was not a degree-2 cochain on the cover; the
+    zero degree-2 cochain on the base stands in for it and is rejected for
+    the same reason.
     """
     ev = verdict.evidence
-    if verdict.outcome == "InvalidInput":
-        if validate_normal_type(nt, cover, section):
-            return True
-        for entry in ev.get("rejected_lift_data", ()):
-            if entry["support"] is None:
-                return True
-            if cover is not None:
-                a = Cochain.from_support(cover.cover, 2, entry["support"])
-                if validate_lift_datum(nt, cover, a):
-                    return True
-        return False
-    if verdict.outcome == "NoExoticaPrimary":
-        prim = primary_obstruction(nt)
-        if list(prim.support()) != list(ev["primary_support"]):
-            return False
-        return not is_coboundary(prim)
-    if verdict.outcome == "ExoticaExistKreck":
-        g = Cochain.from_support(nt.base, 1, ev["kreck_witness_support"])
-        diff = nt.w2 + cup(nt.w1, nt.w1)
-        return coboundary(g) == diff
-    if verdict.outcome == "ExoticaExistCd3":
-        return (
-            nt.cd_at_most_3 is not None
-            and nt.cd_at_most_3.value
-            and is_coboundary(primary_obstruction(nt))
-            and kreck_witness(nt) is None
-        )
-    if verdict.outcome == "NoExoticaSecondary":
-        if cover is None:
-            return False
+    data = []
+    if "lift_datum_support" in ev and cover is not None:
         a = Cochain.from_support(cover.cover, 2, ev["lift_datum_support"])
-        if validate_lift_datum(nt, cover, a):
-            return False
-        A = secondary_witness(cover, a)
-        if list(A.support()) != list(ev["witness_support"]):
-            return False
-        return not in_restricted_image(nt, cover, A)
-    if verdict.outcome == "ExoticaExistSecondary":
-        if cover is None or section is None:
-            return False
-        a = Cochain.from_support(cover.cover, 2, ev["lift_datum_support"])
-        outcome = secondary_test(nt, cover, LiftDatum(a), section)
-        if outcome.kind != "zero":
-            return False
-        if list(outcome.omega.support()) != list(ev["omega_support"]):
-            return False
-        return h5_check(nt)[0] == "zero"
-    if verdict.outcome == "Undetermined":
-        if (
-            validate_normal_type(nt, cover, section)
-            or not is_coboundary(primary_obstruction(nt))
-            or kreck_witness(nt) is not None
-            or (nt.cd_at_most_3 is not None and nt.cd_at_most_3.value)
-        ):
-            return False
-        if cover is None or nt.base.max_degree < 5:
-            return True
-        if nonzero_witness(nt, cover) is not None:
-            return False
-        if section is None:
-            return True
-        if "lift_datum_support" not in ev:  # decide tests any datum that exists
-            return lift_data_solutions(nt, cover).empty
-        a = Cochain.from_support(cover.cover, 2, ev["lift_datum_support"])
-        if validate_lift_datum(nt, cover, a):
-            return False
-        kind = secondary_test(nt, cover, LiftDatum(a), section).kind
-        return kind == "inconclusive" or (kind == "zero" and h5_check(nt)[0] != "zero")
-    return False
+        data.append(LiftDatum(a, ev.get("lift_datum_index", 0)))
+    for entry in ev.get("rejected_lift_data", ()):
+        if entry["support"] is None or cover is None:
+            a = Cochain.zero(nt.base, 2)
+        else:
+            a = Cochain.from_support(cover.cover, 2, entry["support"])
+        label = entry["label"]
+        data.append(LiftDatum(a, label) if isinstance(label, int) else LiftDatum(a, 0, label))
+    again = decide(nt, cover, section, tuple(data))
+    return (again.outcome, again.clause, tuple(again.caveats), again.evidence) == (
+        verdict.outcome,
+        verdict.clause,
+        tuple(verdict.caveats),
+        verdict.evidence,
+    )

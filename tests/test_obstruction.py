@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stexo.builders import (
@@ -283,6 +283,51 @@ def test_undetermined_replay_reruns_the_recorded_secondary_test(monkeypatch):
     assert not replay_evidence(v, fx.nt, fx.cover, fx.section)
 
 
+def test_replay_fails_where_an_earlier_clause_fires():
+    # replay decides again, so a verdict stops replaying once an earlier
+    # clause fires on the type it is replayed on
+    cd = Assertion(True, "asserted for the test")
+    for fx in (z4_semidirect(), d4_reflection(), z2_secondary()):
+        v = decide(fx.nt, fx.cover, fx.section, fx.lift_data)
+        assert v.clause in (5, 6)
+        assert replay_evidence(v, fx.nt, fx.cover, fx.section), fx.name
+        nt = dataclasses.replace(fx.nt, cd_at_most_3=cd)
+        assert decide(nt, fx.cover, fx.section).outcome == "ExoticaExistCd3"
+        assert not replay_evidence(v, nt, fx.cover, fx.section), fx.name
+    # z2-secondary with w2 = w1^2 is a Kreck type
+    fx = z2_secondary()
+    v = decide(fx.nt, fx.cover, fx.section)
+    nt = dataclasses.replace(fx.nt, w2=cup(fx.nt.w1, fx.nt.w1))
+    assert decide(nt, fx.cover, fx.section).outcome == "ExoticaExistKreck"
+    assert not replay_evidence(v, nt, fx.cover, fx.section)
+    # z2-remark with a cover of another class is invalid input
+    fx = z2_remark()
+    v = decide(fx.nt)
+    trivial = cover_from_cocycle(fx.nt.base, Cochain.zero(fx.nt.base, 1), allow_trivial=True)
+    assert decide(fx.nt, trivial).outcome == "InvalidInput"
+    assert not replay_evidence(v, fx.nt, trivial)
+
+
+def test_lift_data_without_cover_rejection_replays():
+    fx = z2_secondary()
+    data = (
+        LiftDatum(Cochain.zero(fx.cover.cover, 2), 3),
+        LiftDatum(Cochain.zero(fx.nt.base, 1), 0, "on the base"),
+    )
+    v = decide(fx.nt, None, None, data)
+    assert v.outcome == "InvalidInput"
+    assert v.evidence == {
+        "reasons": ["lift data supplied without cover data"],
+        "rejected_lift_data": [
+            {"label": 3, "support": None},
+            {"label": "on the base", "support": None},
+        ],
+    }
+    assert replay_evidence(v, fx.nt)
+    # with the cover the data are checked on it, and the record differs
+    assert not replay_evidence(v, fx.nt, fx.cover)
+
+
 def _constant_map(source, target):
     """Every source n-cell to s_{n-1}...s_0 of the target's vertex 0."""
     words = [np.full(c, (1 << n) - 1, dtype=np.int64) for n, c in enumerate(source.cells)]
@@ -466,6 +511,46 @@ def test_clause5_scan_on_z4_kernel_of_dimension_four():
     assert _check_scan_against_enumeration(fx.nt, fx.cover) == list(range(16))
     fx = z2_secondary()
     assert _check_scan_against_enumeration(fx.nt, fx.cover) == []
+
+
+_PAIRS = [(i, j) for i in range(4) for j in range(i, 4)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    group=st.integers(0, len(_SCAN_GROUPS) - 1),
+    pick=st.integers(0, 6),
+    products=st.sets(st.integers(0, len(_PAIRS) - 1), max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+# w1 = x or y on D8 with w2 = (x+y)^2: the types that reach clause 5
+@example(group=3, pick=0, products={9}, seed=0)
+@example(group=3, pick=1, products={9}, seed=1)
+def test_random_verdicts_replay_only_on_their_clause(group, pick, products, seed):
+    # w2 is a sum of products of characters (the zero one included) plus a
+    # random coboundary; on a bar model the closed 1-cochains are the
+    # characters, and the cover is built from w1
+    base, w1s, _ = _scan_base(group)
+    chars = [Cochain.zero(base, 1)] + w1s
+    rng = np.random.default_rng(seed)
+    w2 = coboundary(Cochain(base, 1, rng.integers(0, 2, base.n_cells(1), dtype=np.uint8)))
+    for k in sorted(products):
+        i, j = _PAIRS[k]
+        if j < len(chars):
+            w2 = w2 + cup(chars[i], chars[j])
+    nt = NormalOneType(base, w1s[pick % len(w1s)], w2, name=f"suite-{group}-{seed}")
+    cover = obstruction.cover_data_from_w1(nt)
+    v = decide(nt, cover)
+    assert replay_evidence(v, nt, cover)
+    # clauses 2 and 3 fire before the assertion and cite nothing it changes
+    cd = dataclasses.replace(nt, cd_at_most_3=Assertion(True, "suite"))
+    assert replay_evidence(v, cd, cover) == (decide(cd, cover).clause == v.clause)
+    # w2 + w1^2 also changes the cited primary and Kreck cochains: the verdict
+    # replays only where decide gives its clause and the same evidence
+    kreck = dataclasses.replace(nt, w2=w2 + cup(nt.w1, nt.w1))
+    again = decide(kreck, cover)
+    same = again.clause == v.clause and again.evidence == v.evidence
+    assert replay_evidence(v, kreck, cover) == same
 
 
 def test_scan_order_under_an_affine_predicate(monkeypatch):
