@@ -22,6 +22,9 @@ For each fixture (all of them by default) the lines are:
   <part>.span.<k>    the echelon words and pivots of coboundary_span(k) on
                      each exported model, for k = 1..min(4, max_degree): the
                      one reduction of B^k, pinned byte for byte;
+  <part>.violations  validate() on each exported model with the faces 0 and
+                     1 of every top-degree cell swapped (see corrupted_top):
+                     the identity-check messages, pinned byte for byte;
   <part>.cohomology.<k>
                      `stexo cohomology --json --steenrod --deg k` on each
                      exported model, for k = 1..min(3, max_degree - 2): the
@@ -75,7 +78,7 @@ from stexo.obstruction import (
     decide,
     replay_evidence,
 )
-from stexo.simplicial import cup
+from stexo.simplicial import SimplicialModel, cup
 
 
 def _sha(data) -> str:
@@ -135,6 +138,18 @@ CORRUPTIONS = [
     ("cover", _put("faces", 4, 1, 0, {"cell": -1})),
     ("cover", _put("faces", 1, 0, 2, {"cell": 1, "degen": [1, 0]})),
 ]
+
+
+def corrupted_top(model: SimplicialModel) -> SimplicialModel:
+    """model with the faces 0 and 1 of every top-degree cell swapped, words
+    and cells alike: each stays a valid target, but the identities fail
+    wherever the two faces differ."""
+    top = model.max_degree
+    swap = [1, 0, *range(2, top + 1)]
+    face_word, face_cell = list(model.face_word), list(model.face_cell)
+    face_word[top] = face_word[top][:, swap]
+    face_cell[top] = face_cell[top][:, swap]
+    return SimplicialModel(top, model.cells, face_word, face_cell, name=model.name)
 
 
 def corrupt_digest(blobs: dict) -> list:
@@ -234,6 +249,7 @@ def digest(name: str) -> list:
             words = span.matrix.words
             data = repr((words.shape, span.pivots)).encode() + words.tobytes()
             rows.append((f"{part}.span.{k}", _sha(data)))
+        rows.append((f"{part}.violations", _sha("\n".join(corrupted_top(model).validate()))))
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
         for part, blob in blobs.items():

@@ -142,19 +142,6 @@ class F2Matrix:
                 out[mask] ^= other.words[j]
         return F2Matrix(self.rows, other.cols, out)
 
-    def mul_vec(self, v: np.ndarray) -> np.ndarray:
-        """Matrix times column vector; v has length cols, result length rows."""
-        v = np.asarray(v, dtype=np.uint8)
-        if v.shape != (self.cols,):
-            raise ModelMismatchError(
-                f"vector of length {v.shape} against {self.rows}x{self.cols}"
-            )
-        if self.rows == 0 or self.cols == 0:
-            return np.zeros(self.rows, dtype=np.uint8)
-        pv = pack_rows(v[None, :])[0]
-        ands = self.words & pv
-        return (np.bitwise_count(ands).sum(axis=1) & 1).astype(np.uint8)
-
     def stack(self, other: "F2Matrix") -> "F2Matrix":
         if self.cols != other.cols:
             raise ModelMismatchError("column mismatch in stack")

@@ -11,10 +11,10 @@ json.dumps(doc, sort_keys=True, indent=2) plus a newline.  model_document
 checks a model and its decorations and returns them as a ModelDocument, which
 stands for that JSON document without building it: canonical_bytes writes it
 straight from the face_word/face_cell arrays (a map's from image_word/
-image_cell), from text made once per degeneracy word and nesting level, one
-str per cell and one join.  A plain JSON document goes through json.dumps.
-Parsing is array-native too: each degree's targets are checked in batches and
-stored as arrays, with the same messages a target-by-target check gives.
+image_cell), from text made once per distinct (cell, tail) pair and one join
+of one str per target.  A plain JSON document goes through json.dumps.
+Parsing is array-native too: _targets reads each degree's targets in one
+batch into arrays, with the same messages a target-by-target check gives.
 
 parse_bytes runs with CPython's cyclic garbage collector paused, and restores
 its previous state on return or exception.  json.loads builds up to half a
@@ -39,7 +39,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
-from operator import contains
+from operator import itemgetter
 
 import numpy as np
 
@@ -50,10 +50,10 @@ from .simplicial import (
     Involution,
     SimplicialMap,
     SimplicialModel,
+    _canonical_masks,
     _word,
     check_targets,
     checked_images,
-    encode_targets,
     int64_array,
 )
 
@@ -226,9 +226,8 @@ def canonical_bytes(doc: ModelDocument | dict) -> bytes:
     ModelDocument stands for the JSON document it describes.
 
     A ModelDocument is written from its arrays: the targets of each face block
-    and map degree from text made once per degeneracy word and nesting level,
-    one str per cell and one join; lists of integers by one join.  Any other
-    document goes through json.dumps itself.
+    and map degree by _targets_text, lists of integers by one join.  Any
+    other document goes through json.dumps itself.
     """
     if isinstance(doc, ModelDocument):
         return (_document_text(doc) + "\n").encode("utf-8")
@@ -287,13 +286,23 @@ def _targets_text(words: np.ndarray, cells: np.ndarray, level: int, rejects=None
     place = np.zeros_like(words)
     place[..., -1] = 1  # a row ends here; a flat list has one row, ended below
     place.flat[-1] = 2
-    posts = list(map(table.__getitem__, (3 * flat + place.ravel()).tolist()))
-    mids = list(map(str, cells.ravel().tolist()))
+    # target p is written as str(cell) + table[code]: one text per distinct
+    # (cell, code) key, which the cell rank replaces when cell * len(table)
+    # could leave int64 (a map's cells are unchecked until use)
+    code = 3 * flat + place.ravel()
+    ids, values = cells.ravel(), None
+    if int(ids.max()) >= (1 << 63) // len(table) - 1:
+        values, ids = np.unique(ids, return_inverse=True)
+    keys, inverse = np.unique(ids * len(table) + code, return_inverse=True)
+    key_cells, key_codes = np.divmod(keys, len(table))
+    if values is not None:
+        key_cells = values[key_cells]
+    texts = [str(c) + table[k] for c, k in zip(key_cells.tolist(), key_codes.tolist())]
+    pieces = np.array(texts, dtype=object)[inverse]
     for p, (word, cell) in (rejects or {}).items():
-        mids[p] = str(cell)
-        posts[p] = _target_text(word, at)[1] + follow[place.flat[p]]
+        pieces[p] = str(cell) + _target_text(word, at)[1] + follow[place.flat[p]]
     start = f"[\n{row}[\n" if nested else "[\n"
-    return start + _INDENT * at + head + "".join(chain.from_iterable(zip(mids, posts)))
+    return start + _INDENT * at + head + "".join(pieces.tolist())
 
 
 def _model_fields(model: SimplicialModel, level: int) -> dict:
@@ -401,23 +410,49 @@ def _target_fault(obj) -> str | None:
     return None
 
 
-def _targets(flat: list, path_of):
-    """Degeneracy words and cells of a list of target objects.
+_cell = itemgetter("cell")
+_degen = itemgetter("degen")
 
-    The whole list is checked at once; when it fails, the first faulty target
-    is found and reported with its path, path_of(position).
+
+def _targets(flat: list, dim: int, path_of):
+    """Word masks, cells and rejects of a list of dimension-dim target objects.
+
+    Returns (masks, ids, rejects): int64 arrays, and the targets that are
+    wrong on every model, by position, as (word tuple, cell) as given: a word
+    that is not canonical for dim, or a negative cell or one past int64.  A
+    reject is stored as (0, -1); check_targets finishes the check on a model.
+
+    The whole list is read at once: its cells, the key count of each target
+    (1 for a plain target, 2 with a degen), and the degen words where there
+    are two keys.  When a check fails, the first faulty target is found and
+    reported with its path, path_of(position).
     """
-    if all(map(isinstance, flat, repeat(dict))):
-        cells = list(map(dict.get, flat, repeat("cell")))
-        words = list(map(dict.get, flat, repeat("degen"), repeat(())))
-        with_word = sum(map(contains, flat, repeat("degen")))
-        if (
-            sum(map(len, flat)) == len(flat) + with_word
-            and set(map(type, cells)) <= {int}
-            and sum(map(isinstance, words, repeat(list))) == with_word
-            and set(map(type, chain.from_iterable(words))) <= {int}
-        ):
-            return words, cells
+    try:
+        cells = list(map(_cell, flat))
+        sizes = np.fromiter(map(len, flat), dtype=np.int64, count=len(flat))
+        given = np.flatnonzero(sizes == 2)
+        words = list(map(_degen, map(flat.__getitem__, given.tolist())))
+    except (KeyError, TypeError):  # a target with no cell, or no object
+        words = None
+    if (
+        words is not None
+        and sizes.max(initial=0) <= 2
+        and set(map(type, cells)) <= {int}
+        and set(map(type, words)) <= {list}
+        and set(map(type, chain.from_iterable(words))) <= {int}
+    ):
+        masks = np.zeros(len(flat), dtype=np.int64)
+        masks[given] = np.fromiter(
+            map(_canonical_masks(dim).get, map(tuple, words), repeat(-1)),
+            dtype=np.int64,
+            count=len(words),
+        )
+        ids = int64_array(cells)
+        out = np.flatnonzero((masks < 0) | (ids < 0))
+        rejects = {p: (tuple(flat[p].get("degen", ())), cells[p]) for p in out.tolist()}
+        masks[out] = 0
+        ids[out] = -1
+        return masks, ids, rejects
     k = next(k for k, obj in enumerate(flat) if _target_fault(obj))
     _fail(path_of(k), _target_fault(flat[k]))
 
@@ -458,12 +493,13 @@ def _parse_model_core(obj, path: str, default_name: str) -> SimplicialModel:
                 for c, row in enumerate(block)
                 if not (isinstance(row, list) and len(row) == width)
             )
-        words, ids = _targets(
+        targets = _targets(
             list(chain.from_iterable(block[:good])),
+            n - 1,
             lambda k: f"{where}[{k // width}][{k % width}]",
         )
         _expect(good == len(block), f"{where}[{good}]", f"expected {width} targets")
-        encoded.append(encode_targets(n - 1, words, ids))
+        encoded.append(targets)
     name = obj.get("name", default_name)
     _expect(isinstance(name, str), path, "name must be a string")
     empty = np.zeros((cells[0], 0), dtype=np.int64)
@@ -533,7 +569,7 @@ def _parse_assertion(obj, path: str) -> Assertion | None:
 class MapData:
     """A named map entry: inline-source maps point into the parent model.
 
-    images[n] holds the degree-n targets as encode_targets returns them; they
+    images[n] holds the degree-n targets as _targets returns them; they
     are checked against the codomain when the map is made.
     """
 
@@ -654,8 +690,7 @@ def parse_document(doc, default_name: str = "model") -> ModelFileData:
                 where,
                 f"expected {counting.cells[n]} targets",
             )
-            words, ids = _targets(block, lambda k: f"{where}[{k}]")
-            images.append(encode_targets(n, words, ids))
+            images.append(_targets(block, n, lambda k: f"{where}[{k}]"))
         maps[name] = MapData(name, src, images)
 
     raw_assert = doc.get("assertions", {})

@@ -673,20 +673,24 @@ def replay_evidence(
     rejected datum is rebuilt with its label, an int label as the index.  One
     recorded without a support was not a degree-2 cochain on the cover; the
     zero degree-2 cochain on the base stands in for it and is rejected for
-    the same reason.
+    the same reason.  A support that names a cell the cover lacks cannot be
+    rebuilt, so the evidence does not replay.
     """
     ev = verdict.evidence
     data = []
-    if "lift_datum_support" in ev and cover is not None:
-        a = Cochain.from_support(cover.cover, 2, ev["lift_datum_support"])
-        data.append(LiftDatum(a, ev.get("lift_datum_index", 0)))
-    for entry in ev.get("rejected_lift_data", ()):
-        if entry["support"] is None or cover is None:
-            a = Cochain.zero(nt.base, 2)
-        else:
-            a = Cochain.from_support(cover.cover, 2, entry["support"])
-        label = entry["label"]
-        data.append(LiftDatum(a, label) if isinstance(label, int) else LiftDatum(a, 0, label))
+    try:
+        if "lift_datum_support" in ev and cover is not None:
+            a = Cochain.from_support(cover.cover, 2, ev["lift_datum_support"])
+            data.append(LiftDatum(a, ev.get("lift_datum_index", 0)))
+        for entry in ev.get("rejected_lift_data", ()):
+            if entry["support"] is None or cover is None:
+                a = Cochain.zero(nt.base, 2)
+            else:
+                a = Cochain.from_support(cover.cover, 2, entry["support"])
+            label = entry["label"]
+            data.append(LiftDatum(a, label) if isinstance(label, int) else LiftDatum(a, 0, label))
+    except ValidationError:
+        return False
     again = decide(nt, cover, section, tuple(data))
     return (again.outcome, again.clause, tuple(again.caveats), again.evidence) == (
         verdict.outcome,

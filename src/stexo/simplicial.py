@@ -13,8 +13,8 @@ the bitmask of its letters.  A batch of targets is likewise a pair of arrays
 batch at once; every face walk of this module goes through it or indexes the
 arrays directly.  Maps store the target of every source cell in the same form,
 and SimplicialMap.push sends a batch of targets through a map.  Outside input
-is checked in batches too, by encode_targets and check_targets, before a model
-or a map is made from it; the one constructor of each class takes arrays.
+is checked in batches too, by check_targets, before a model or a map is made
+from it; the one constructor of each class takes arrays.
 (word, cell) tuples remain only in the scalar reference SimplicialModel.face.
 
 Cochains are normalized: a degeneracy-decorated target evaluates to 0.
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, repeat
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
@@ -157,27 +157,6 @@ def int64_array(values) -> np.ndarray:
         )
 
 
-def encode_targets(dim: int, words, cells):
-    """Word masks and cells of dimension-dim targets, before a model is chosen.
-
-    words[k] is the degeneracy word of target k as a sequence of letters and
-    cells[k] its cell.  Returns (masks, ids, rejects): int64 arrays, and the
-    targets that are wrong on every model, by position, as (word tuple, cell)
-    as given: a word that is not canonical for dim, or a negative cell.  A
-    reject is stored as (0, -1).  check_targets finishes the check.
-    """
-    words = list(map(tuple, words))
-    masks = np.fromiter(
-        map(_canonical_masks(dim).get, words, repeat(-1)), dtype=np.int64, count=len(words)
-    )
-    ids = int64_array(cells)
-    out = np.flatnonzero((masks < 0) | (ids < 0))
-    rejects = {p: (words[p], cells[p]) for p in out.tolist()}
-    masks[out] = 0
-    ids[out] = -1
-    return masks, ids, rejects
-
-
 def _target_problem(target, dim: int) -> str:
     """Why a dimension-dim target that check_targets refused has no place."""
     word, cell = target
@@ -189,7 +168,13 @@ def _target_problem(target, dim: int) -> str:
 
 
 def check_targets(counts, dim: int, masks, ids, rejects):
-    """encode_targets output checked against a model with the given cell counts.
+    """Dimension-dim targets read from outside, checked against a model with
+    the given cell counts.
+
+    masks and ids are int64 arrays of word masks and cells; rejects holds the
+    targets that are wrong on every model, by position, as (word tuple, cell)
+    as given: a word that is not canonical for dim, or a negative cell.  A
+    reject is stored as (0, -1).
 
     Returns (masks, cells, bad): int64 arrays where a target that has no place
     on the model (a reject, or a cell past the count of its core degree) is
@@ -211,16 +196,18 @@ def check_targets(counts, dim: int, masks, ids, rejects):
 
 
 def checked_images(source, target, blocks):
-    """Image arrays of a map from source to target, from the encode_targets
-    output of each source degree, in order: (image_word, image_cell, bad).
+    """Image arrays of a map from source to target, from the (masks, ids,
+    rejects) targets of each source degree, in order, as check_targets takes
+    them: (image_word, image_cell, bad).
 
     bad lists "degree n cell c: message" for each target refused on target.
     Checking stops at the first degree whose size is wrong; from there on the
     arrays are zeros.
     """
     words, cells, bad = [], [], []
+    none = np.zeros(0, dtype=np.int64)
     for n in range(source.max_degree + 1):
-        masks, ids, rejects = blocks[n] if n < len(blocks) else encode_targets(n, [], [])
+        masks, ids, rejects = blocks[n] if n < len(blocks) else (none, none, {})
         if ids.size != source.cells[n]:
             bad.append(f"degree {n}: assignment size mismatch")
             break
@@ -261,9 +248,6 @@ class SimplicialModel:
     def n_cells(self, n: int) -> int:
         return self.cells[n] if 0 <= n <= self.max_degree else 0
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** k * c for k, c in enumerate(self.cells))
-
     # -- face calculus -------------------------------------------------------
 
     def face(self, n: int, target: Target, i: int) -> Target:
@@ -294,10 +278,14 @@ class SimplicialModel:
         arrays and the surviving letters applied through a mask table.
         """
         words = np.asarray(words, dtype=np.int64)
-        cells = np.asarray(cells, dtype=np.int64)
-        out_w = np.empty_like(words)
+        return self._grouped_faces(n, _groups(words), np.asarray(cells, dtype=np.int64), i)
+
+    def _grouped_faces(self, n: int, groups, cells: np.ndarray, i: int):
+        """face_batch of targets given as cells and their (word mask,
+        selector) groups, as _groups returns them."""
+        out_w = np.empty_like(cells)
         out_c = np.empty_like(cells)
-        for mask, sel in _groups(words):
+        for mask, sel in groups:
             k, b, table = _face_plan(n, mask, i)
             if table is None:
                 out_w[sel] = k
@@ -329,15 +317,22 @@ class SimplicialModel:
         return list(self._cache["identities"])
 
     def _identity_violations(self) -> list[str]:
-        """d_i d_j = d_{j-1} d_i for i < j on every cell, in (degree, cell, j, i) order."""
+        """d_i d_j = d_{j-1} d_i for i < j on every cell, in (degree, cell, j, i) order.
+
+        Each face column is grouped by word once per degree, as index arrays,
+        and every face taken of it reuses that grouping."""
         bad = []
         for n in range(2, self.max_degree + 1):
             fw, fc = self.face_word[n], self.face_cell[n]
+            columns = [
+                ([(m, s if isinstance(s, slice) else np.flatnonzero(s)) for m, s in _groups(w)], c)
+                for w, c in zip(fw.T, fc.T)
+            ]
             found = []
             for j in range(1, n + 1):
                 for i in range(j):
-                    lw, lc = self.face_batch(n - 1, fw[:, j], fc[:, j], i)
-                    rw, rc = self.face_batch(n - 1, fw[:, i], fc[:, i], j - 1)
+                    lw, lc = self._grouped_faces(n - 1, *columns[j], i)
+                    rw, rc = self._grouped_faces(n - 1, *columns[i], j - 1)
                     for c in np.flatnonzero((lw != rw) | (lc != rc)).tolist():
                         lhs = (_word(int(lw[c])), int(lc[c]))
                         rhs = (_word(int(rw[c])), int(rc[c]))
@@ -464,10 +459,12 @@ class Cochain:
 
     @classmethod
     def from_support(cls, model, degree: int, support) -> "Cochain":
-        vals = np.zeros(model.n_cells(degree), dtype=np.uint8)
-        for s in support:
-            vals[s] ^= 1
-        return cls(model, degree, vals)
+        """The cochain that is 1 on the cells listed an odd number of times."""
+        n = model.n_cells(degree)
+        cells = int64_array(list(support))
+        if cells.size and not (0 <= cells.min() and cells.max() < n):
+            raise ValidationError(f"support index out of range 0..{n - 1} in degree {degree}")
+        return cls(model, degree, np.bincount(cells, minlength=n) & 1)
 
     def support(self) -> tuple:
         return tuple(int(i) for i in np.nonzero(self.values)[0])
@@ -603,16 +600,6 @@ class SimplicialMap:
         plain = words == 0
         vals[plain] = u.values[cells[plain]]
         return Cochain(self.source, u.degree, vals)
-
-    def compose(self, inner: "SimplicialMap") -> "SimplicialMap":
-        """self after inner (inner.source -> self.target)."""
-        if inner.target is not self.source:
-            raise ModelMismatchError("composition: inner target is not outer source")
-        words, cells = zip(
-            *map(self.push, range(len(inner.image_word)), inner.image_word, inner.image_cell)
-        )
-        name = f"{self.name}*{inner.name}"
-        return SimplicialMap(inner.source, self.target, words, cells, name)
 
     @classmethod
     def identity(cls, model: SimplicialModel) -> "SimplicialMap":

@@ -189,9 +189,6 @@ class AbelianGroupInvariants:
     def is_zero(self) -> bool:
         return self.free_rank == 0 and not self.torsion
 
-    def mod2_rank(self) -> int:
-        return self.free_rank + sum(1 for t in self.torsion if t % 2 == 0)
-
 
 class HomologyResult:
     """Invariants of ker(boundary_out) / im(boundary_in), generators on demand."""

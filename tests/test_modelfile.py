@@ -3,6 +3,8 @@
 import gc
 import json
 from functools import lru_cache
+from itertools import chain, repeat
+from operator import contains
 
 import jsonschema
 import numpy as np
@@ -30,7 +32,9 @@ from stexo.modelfile import (
     reexport,
 )
 from stexo.obstruction import Assertion
-from stexo.simplicial import Cochain, SimplicialMap, coboundary, cover_from_cocycle
+from stexo.simplicial import Cochain, SimplicialMap, _word, coboundary, cover_from_cocycle
+
+from reference import encode_targets
 
 SMALL = ("rp-w2-zero", "rp-kreck", "z2-remark", "z2-secondary")
 BIG = ("z4-semidirect", "d4-reflection", "k2-stress")
@@ -647,6 +651,108 @@ def test_reexport_keeps_map_targets_checked_only_on_use(target):
     doc["maps"]["projection"]["assignment"][2][3] = target
     blob = canonical_bytes(doc)
     assert canonical_bytes(reexport(parse_bytes(blob))) == blob
+
+
+# -- the target reader and writer against their references -----------------------
+
+
+def _reference_targets(flat, dim, path_of):
+    """The target reader as a batch check of the objects, then encode_targets
+    on their words and cells; the first fault is found target by target."""
+    if all(map(isinstance, flat, repeat(dict))):
+        cells = list(map(dict.get, flat, repeat("cell")))
+        words = list(map(dict.get, flat, repeat("degen"), repeat(())))
+        with_word = sum(map(contains, flat, repeat("degen")))
+        if (
+            sum(map(len, flat)) == len(flat) + with_word
+            and set(map(type, cells)) <= {int}
+            and sum(map(isinstance, words, repeat(list))) == with_word
+            and set(map(type, chain.from_iterable(words))) <= {int}
+        ):
+            return encode_targets(dim, words, cells)
+    k = next(k for k, obj in enumerate(flat) if modelfile._target_fault(obj))
+    raise ValidationError(f"{path_of(k)}: {modelfile._target_fault(flat[k])}")
+
+
+def _read(reader, flat, dim):
+    """What a target reader gives: its arrays and rejects, or its message."""
+    try:
+        masks, ids, rejects = reader(flat, dim, lambda k: f"faces[{k // 3}][{k % 3}]")
+    except ValidationError as exc:
+        return str(exc)
+    return masks.dtype, masks.tolist(), ids.dtype, ids.tolist(), rejects
+
+
+_CELL = st.one_of(
+    st.integers(-3, 40),
+    st.integers(2**31, 2**63 - 1),
+    st.sampled_from([2**63, 2**70, -(2**63), -(2**70)]),
+)
+_WORD = st.one_of(
+    st.sets(st.integers(0, 5)).map(lambda s: sorted(s, reverse=True)),  # canonical up to range
+    st.lists(st.integers(-2, 6), max_size=4),
+    st.just([]),
+)
+_READABLE = st.one_of(
+    st.builds(lambda c: {"cell": c}, _CELL),
+    st.builds(lambda c, w: {"cell": c, "degen": w}, _CELL, _WORD),
+    st.builds(lambda w, c: {"degen": w, "cell": c}, _WORD, _CELL),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_target_reader_matches_check_then_encode(data):
+    # readable targets, and now and then a faulty one among them: a boolean
+    # cell or letter, an extra key, no cell, or no object at all
+    dim = data.draw(st.integers(0, 5))
+    flat = data.draw(st.lists(_READABLE, max_size=12))
+    for _ in range(data.draw(st.integers(0, 2))):
+        at = data.draw(st.integers(0, len(flat)))
+        flat.insert(at, data.draw(_TARGET))
+    assert _read(modelfile._targets, flat, dim) == _read(_reference_targets, flat, dim)
+
+
+def _target_dict(word, cell):
+    return {"cell": cell, "degen": list(word)} if word else {"cell": cell}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_targets_text_equals_json_dumps(data):
+    level = data.draw(st.integers(0, 4))
+    dim = data.draw(st.integers(0, 5))
+    shape = data.draw(
+        st.one_of(st.tuples(st.integers(0, 8)), st.tuples(st.integers(0, 4), st.integers(1, 4)))
+    )
+    size = int(np.prod(shape))
+    big = st.integers(2**31, 2**63 - 1)
+    pool = data.draw(st.lists(st.one_of(st.integers(0, 9), big), min_size=1, max_size=3))
+    cell = st.one_of(st.sampled_from(pool), st.integers(0, 99), big)  # repeated and distinct
+    cells = data.draw(st.lists(cell, min_size=size, max_size=size))
+    masks = data.draw(st.lists(st.integers(0, (1 << dim) - 1), min_size=size, max_size=size))
+    # rejects as parsed: any word, a cell that is negative or past int64
+    positions = data.draw(st.sets(st.integers(0, size - 1))) if size else set()
+    if size and data.draw(st.booleans()):
+        positions |= {0, size - 1}
+    rejects = {
+        p: (
+            tuple(data.draw(st.lists(st.integers(-2, 7), max_size=3))),
+            data.draw(st.sampled_from([-1, -(2**40), 2**63, 2**70])),
+        )
+        for p in sorted(positions)
+    }
+    targets = [_target_dict(_word(m), c) for m, c in zip(masks, cells)]
+    for p, (word, cell) in rejects.items():
+        masks[p], cells[p] = 0, -1
+        targets[p] = _target_dict(word, cell)
+    if len(shape) == 2:
+        targets = [targets[r * shape[1] : (r + 1) * shape[1]] for r in range(shape[0])]
+    words_array = np.array(masks, dtype=np.int64).reshape(shape)
+    cells_array = np.array(cells, dtype=np.int64).reshape(shape)
+    want = json.dumps(targets, sort_keys=True, indent=2).replace("\n", "\n" + "  " * level)
+    assert modelfile._targets_text(words_array, cells_array, level, rejects) == want
+
 
 # -- integers, as the schema means them ----------------------------------------------
 

@@ -70,6 +70,8 @@ from stexo.simplicial import (
     sq,
 )
 
+from reference import mul_vec
+
 
 # -- clause-by-clause verdicts ---------------------------------------------------
 
@@ -306,6 +308,27 @@ def test_replay_fails_where_an_earlier_clause_fires():
     trivial = cover_from_cocycle(fx.nt.base, Cochain.zero(fx.nt.base, 1), allow_trivial=True)
     assert decide(fx.nt, trivial).outcome == "InvalidInput"
     assert not replay_evidence(v, fx.nt, trivial)
+
+
+def test_supports_outside_the_cover_do_not_replay():
+    # a clause-5 verdict of z4-semidirect cites degree-2 cells that
+    # z2-secondary's cover lacks
+    fx, other = z4_semidirect(), z2_secondary()
+    v = decide(fx.nt, fx.cover, fx.section, fx.lift_data)
+    assert v.clause == 5
+    assert max(v.evidence["lift_datum_support"]) >= other.cover.cover.cells[2]
+    assert not replay_evidence(v, other.nt, other.cover, other.section)
+    # a negative index names no cell either, cited or rejected
+    fx = rp_kreck()
+    bad = LiftDatum(Cochain.from_support(fx.cover.cover, 2, [0]), 0, "open-cochain")
+    v = decide(fx.nt, fx.cover, fx.section, (bad,))
+    assert replay_evidence(v, fx.nt, fx.cover, fx.section)
+    v.evidence["rejected_lift_data"][0]["support"] = [-1]
+    assert not replay_evidence(v, fx.nt, fx.cover, fx.section)
+    fx = z2_secondary()
+    v = decide(fx.nt, fx.cover, fx.section, fx.lift_data)
+    forged = dataclasses.replace(v, evidence={**v.evidence, "lift_datum_support": [-1]})
+    assert not replay_evidence(forged, fx.nt, fx.cover, fx.section)
 
 
 def test_lift_data_without_cover_rejection_replays():
@@ -712,7 +735,7 @@ def test_restricted_image_predicate_matches_stacked_span():
         for d in data:
             A = secondary_witness(cover, d.a)
             # a coboundary plus a random sum of images lies in the restricted image
-            shift = Cochain(cover.cover, 4, delta3.mul_vec(rng.integers(0, 2, delta3.cols)))
+            shift = Cochain(cover.cover, 4, mul_vec(delta3, rng.integers(0, 2, delta3.cols)))
             for img in images:
                 if rng.integers(2):
                     shift = shift + img

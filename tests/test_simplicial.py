@@ -43,7 +43,6 @@ from stexo.simplicial import (
     cover_from_cocycle,
     cup,
     cup_i,
-    encode_targets,
     insert_degeneracy,
     is_coboundary,
     product,
@@ -53,6 +52,8 @@ from stexo.simplicial import (
     sq,
     swap_factors,
 )
+
+from reference import compose, encode_targets, euler_characteristic, mul_vec
 
 
 def triangle_arrays():
@@ -168,6 +169,16 @@ def test_circle_coboundary_vanishes():
     assert coboundary(u).is_zero()
 
 
+def test_from_support_counts_cells_mod_2_and_refuses_other_indices(rp6):
+    u = Cochain.from_support(rp6, 2, [0, 0, 0])
+    assert u.support() == (0,)
+    assert Cochain.from_support(rp6, 2, [0, 0]).is_zero()
+    assert Cochain.from_support(rp6, 2, ()).is_zero()
+    for support in ([1], [-1], [0, 2**70]):
+        with pytest.raises(ValidationError, match=r"out of range 0\.\.0 in degree 2"):
+            Cochain.from_support(rp6, 2, support)
+
+
 def test_cochain_mismatch_raises(rp6):
     c = circle(1)
     u = Cochain.from_support(c, 1, [0])
@@ -266,7 +277,7 @@ def test_product_torus_counts(torus):
     c, t2 = torus
     m = t2.model
     assert m.cells == (1, 3, 2)
-    assert m.euler_characteristic() == 0
+    assert euler_characteristic(m) == 0
     assert m.validate() == []
     assert t2.left.validate() == []
     assert t2.right.validate() == []
@@ -285,7 +296,7 @@ def test_four_torus_counts(torus):
     c, t2 = torus
     t4 = product(t2.model, t2.model, 4, name="t4")
     assert t4.model.cells == (1, 15, 50, 60, 24)
-    assert t4.model.euler_characteristic() == 0
+    assert euler_characteristic(t4.model) == 0
     assert t4.model.validate() == []
 
 
@@ -382,7 +393,7 @@ def test_map_validate_reports_non_commuting_faces():
 def test_compose_and_pullback_follow_the_assignment(torus):
     c, t2 = torus
     t4 = product(t2.model, t2.model, 4)
-    comp = t2.left.compose(t4.right)
+    comp = compose(t2.left, t4.right)
     outer, inner, got = _images(t2.left), _images(t4.right), _images(comp)
     for n in range(5):
         want = [compose_words(w, *outer[n - len(w)][cell]) for w, cell in inner[n]]
@@ -596,7 +607,7 @@ def test_relabel_preserves_structure(rp6):
     out, perms = relabel_model(t2, rng)
     assert out.cells == t2.cells
     assert out.validate() == []
-    assert out.euler_characteristic() == t2.euler_characteristic()
+    assert euler_characteristic(out) == euler_characteristic(t2)
 
 
 @given(st.integers(min_value=0, max_value=4), st.data())
@@ -847,7 +858,7 @@ def test_coboundary_matches_matrix_on_builder_models(seed):
                 with pytest.raises(TruncationError):
                     coboundary(u)
                 continue
-            want = model.coboundary_matrix(k).mul_vec(u.values)
+            want = mul_vec(model.coboundary_matrix(k), u.values)
             assert np.array_equal(coboundary(u).values, want), (model.name, k)
 
 
