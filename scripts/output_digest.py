@@ -29,6 +29,10 @@ For each fixture (all of them by default) the lines are:
                      `stexo cohomology --json --steenrod --deg k` on each
                      exported model, for k = 1..min(3, max_degree - 2): the
                      basis representatives and their Sq^1/Sq^2 coordinates;
+  kreck.sweep        the kreck_witness supports (or None) on the type with
+                     w2 replaced by w2 + delta f, w2 + w1^2 + delta f and
+                     w1^2 + delta f (solvable on every base), over
+                     KRECK_SEEDS seeded random 1-cochains f on the base;
   sweep.<w2>.<k>.verdict / .replay
                      for fixtures with a cover and cells to degree 5 or more:
                      decide and replay the fixture's type (w2 = "own") and
@@ -67,6 +71,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from stexo import cli
 from stexo.catalog import REGISTRY, fixture_documents, get_fixture
 from stexo.james import d2_maps, e2_page, killers_report, report_json
@@ -76,9 +82,10 @@ from stexo.obstruction import (
     Verdict,
     cover_data_from_w1,
     decide,
+    kreck_witness,
     replay_evidence,
 )
-from stexo.simplicial import SimplicialModel, cup
+from stexo.simplicial import Cochain, SimplicialModel, coboundary, cup
 
 
 def _sha(data) -> str:
@@ -192,6 +199,24 @@ def nested_digest() -> list:
     return [("corrupt.nested", _sha(text))]
 
 
+KRECK_SEEDS = 16
+
+
+def kreck_digest(nt) -> list:
+    """(item, sha256) for kreck_witness on the type's w2, w2 + w1^2 and
+    w1^2, each shifted by the coboundary of seeded random 1-cochains."""
+    supports = []
+    for seed in range(KRECK_SEEDS):
+        rng = np.random.default_rng(seed)
+        f = Cochain(nt.base, 1, rng.integers(0, 2, nt.base.n_cells(1), dtype=np.uint8))
+        shift = coboundary(f)
+        square = cup(nt.w1, nt.w1)
+        for w2 in (nt.w2 + shift, nt.w2 + square + shift, square + shift):
+            g = kreck_witness(dataclasses.replace(nt, w2=w2))
+            supports.append(None if g is None else list(g.support()))
+    return [("kreck.sweep", _sha(json.dumps(supports)))]
+
+
 def sweep_digest(fx) -> list:
     """(item, sha256) pairs for the type and its w2 + w1^2 partner, each
     decided twice on a cover from w1."""
@@ -228,6 +253,7 @@ def digest(name: str) -> list:
             if e.result is not None
         }
         rows.append(("generators", _sha(json.dumps(gens))))
+        rows.extend(kreck_digest(fx.nt))
         if fx.cover is not None and fx.nt.base.max_degree >= 5:
             rows.extend(sweep_digest(fx))
         if fx.cover is not None:

@@ -157,6 +157,25 @@ class EchelonResult:
     transform: "F2Matrix | None"
     pivots: tuple[int, ...]
 
+    def solve(self, rhs: np.ndarray) -> np.ndarray | None:
+        """The solution of m x = rhs that solve_affine returns, read off this
+        reduction of m and its transform T; None when inconsistent.
+
+        T is invertible, so m x = rhs exactly when echelon x = T rhs: the
+        system is inconsistent when T rhs is nonzero below the rank, and
+        otherwise [echelon | T rhs] is the reduced echelon form of [m | rhs],
+        so x is T rhs at the pivots and zero at the free columns.
+        """
+        rhs = np.asarray(rhs, dtype=np.uint8) & 1
+        if self.transform is None or rhs.shape != (self.echelon.rows,):
+            raise ModelMismatchError("solve needs the transform and one entry per row")
+        t = np.bitwise_count(self.transform.words & pack_rows(rhs[None])).sum(axis=1) & 1
+        if t[self.rank :].any():
+            return None
+        x = np.zeros(self.echelon.cols, dtype=np.uint8)
+        x[list(self.pivots)] = t[: self.rank]
+        return x
+
 
 def rank_and_echelon(m: F2Matrix, want_transform: bool = True) -> EchelonResult:
     """Reduced row echelon form with an invertible row transform.

@@ -267,9 +267,14 @@ def primary_vanishes(nt: NormalOneType) -> bool:
 
 
 def kreck_witness(nt: NormalOneType):
-    """A 1-cochain g with delta g = w2 + w1^2, or None when classes differ."""
+    """A 1-cochain g with delta g = w2 + w1^2, or None when classes differ.
+
+    g is the solution solve_affine finds on delta_1, zero at the free
+    columns, read off the base model's cached reduction of delta_1
+    (coboundary_echelon), so types on one base share that reduction.
+    """
     diff = nt.w2 + cup(nt.w1, nt.w1)
-    sol = solve_affine(nt.base.coboundary_matrix(1), diff.values)
+    sol = nt.base.coboundary_echelon(1).solve(diff.values)
     if sol is None:
         return None
     g = Cochain(nt.base, 1, sol)

@@ -34,7 +34,7 @@ from .errors import (
     TruncationError,
     ValidationError,
 )
-from .gf2 import F2Matrix, Subspace
+from .gf2 import EchelonResult, F2Matrix, Subspace, rank_and_echelon
 
 Target = tuple  # (word: tuple[int, ...], cell: int)
 
@@ -125,6 +125,12 @@ def _groups(keys: np.ndarray) -> list:
     return [(v, keys == v) for v in values]
 
 
+def _index_groups(keys: np.ndarray) -> list:
+    """_groups with each selector as an index array, for a grouping that
+    several faces reuse."""
+    return [(v, s if isinstance(s, slice) else np.flatnonzero(s)) for v, s in _groups(keys)]
+
+
 def _through(dim: int, words: np.ndarray, cells: np.ndarray, tables) -> np.ndarray:
     """Cells of dimension-dim targets sent through tables[core degree]."""
     core = dim - np.bitwise_count(words).astype(np.int64)
@@ -134,8 +140,8 @@ def _through(dim: int, words: np.ndarray, cells: np.ndarray, tables) -> np.ndarr
     return out
 
 
-def _frozen(a) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.int64)
+def _frozen(a, dtype=np.int64) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=dtype)
     a.setflags(write=False)
     return a
 
@@ -324,10 +330,7 @@ class SimplicialModel:
         bad = []
         for n in range(2, self.max_degree + 1):
             fw, fc = self.face_word[n], self.face_cell[n]
-            columns = [
-                ([(m, s if isinstance(s, slice) else np.flatnonzero(s)) for m, s in _groups(w)], c)
-                for w, c in zip(fw.T, fc.T)
-            ]
+            columns = [(_index_groups(w), c) for w, c in zip(fw.T, fc.T)]
             found = []
             for j in range(1, n + 1):
                 for i in range(j):
@@ -362,6 +365,17 @@ class SimplicialModel:
             )
         return self.face_word[k + 1] == 0, self.face_cell[k + 1]
 
+    def _coface_index(self, k: int) -> np.ndarray:
+        """Per face and (k+1)-cell, the k-cell of a plain face and the count
+        of k-cells for a degenerate one: the gather of coboundary, into the
+        values of a k-cochain followed by one zero.  One row per face, so
+        the sum over the faces adds whole rows.  Cached."""
+        key = ("cob-gather", k)
+        if key not in self._cache:
+            plain, fc = self._cofaces(k)
+            self._cache[key] = _frozen(np.where(plain, fc, self.cells[k]).T)
+        return self._cache[key]
+
     def coboundary_matrix(self, k: int) -> F2Matrix:
         """delta: C^k -> C^{k+1} over GF(2); rows are (k+1)-cells."""
         key = ("cob", k)
@@ -371,6 +385,14 @@ class SimplicialModel:
             self._cache[key] = F2Matrix.from_entries(
                 self.cells[k + 1], self.cells[k], c, fc[c, i]
             )
+        return self._cache[key]
+
+    def coboundary_echelon(self, k: int) -> EchelonResult:
+        """The reduced echelon of delta_k with its row transform, cached: it
+        solves delta x = y for each y in C^{k+1} (EchelonResult.solve)."""
+        key = ("cob-echelon", k)
+        if key not in self._cache:
+            self._cache[key] = rank_and_echelon(self.coboundary_matrix(k))
         return self._cache[key]
 
     def coboundary_span(self, k: int) -> Subspace:
@@ -467,7 +489,7 @@ class Cochain:
         return cls(model, degree, np.bincount(cells, minlength=n) & 1)
 
     def support(self) -> tuple:
-        return tuple(int(i) for i in np.nonzero(self.values)[0])
+        return tuple(np.flatnonzero(self.values).tolist())
 
     def is_zero(self) -> bool:
         return not self.values.any()
@@ -487,14 +509,15 @@ class Cochain:
         )
 
 
+_ZERO = np.zeros(1, dtype=np.uint8)
+
+
 def coboundary(u: Cochain) -> Cochain:
     """delta u, read off the face arrays: each (k+1)-cell sums u over its
-    plain faces.  A degenerate face holds a cell of a lower degree, so it is
-    masked out before u is indexed."""
-    plain, fc = u.model._cofaces(u.degree)
-    bits = np.zeros(fc.shape, dtype=np.uint8)
-    bits[plain] = u.values[fc[plain]]
-    return Cochain(u.model, u.degree + 1, np.bitwise_xor.reduce(bits, axis=1))
+    plain faces.  A degenerate face holds a cell of a lower degree, so the
+    model's cached gather index sends it to a zero after the values of u."""
+    bits = np.concatenate((u.values, _ZERO))[u.model._coface_index(u.degree)]
+    return Cochain(u.model, u.degree + 1, np.bitwise_xor.reduce(bits, axis=0))
 
 
 def is_coboundary(u: Cochain) -> bool:
@@ -572,13 +595,16 @@ class SimplicialMap:
         return out_w, out_c
 
     def validate(self) -> list[str]:
-        """Faces that do not commute with the map."""
+        """Faces that do not commute with the map.  The images of each degree
+        are grouped by word once, and every face taken of them reuses that
+        grouping."""
         bad = []
         src = self.source
         for n in range(1, src.max_degree + 1):
             wrong = np.zeros((src.cells[n], n + 1), dtype=bool)
+            groups = _index_groups(self.image_word[n])
             for i in range(n + 1):
-                lw, lc = self.target.face_batch(n, self.image_word[n], self.image_cell[n], i)
+                lw, lc = self.target._grouped_faces(n, groups, self.image_cell[n], i)
                 rw, rc = self.push(n - 1, src.face_word[n][:, i], src.face_cell[n][:, i])
                 wrong[:, i] = (lw != rw) | (lc != rc)
             bad.extend(
@@ -819,12 +845,6 @@ def sheet_changes(cover: SimplicialModel, sheet, rep_cells) -> np.ndarray:
     return sheet[0][ends[:, 0]] ^ sheet[0][ends[:, 1]]
 
 
-def _projection(cover: SimplicialModel, base: SimplicialModel, base_index) -> SimplicialMap:
-    """The map sending each cover cell to base cell base_index[n][c]."""
-    words = [np.zeros_like(b) for b in base_index]
-    return SimplicialMap(cover, base, words, base_index, "projection")
-
-
 def quotient_free_involution(
     cover: SimplicialModel, inv: Involution, allow_trivial: bool = False, name=None
 ) -> CoverPair:
@@ -855,7 +875,8 @@ def quotient_free_involution(
         face_cell.append(_through(n - 1, fw, cover.face_cell[n][rep_cells[n]], base_index))
     base = SimplicialModel(cover.max_degree, cells, face_word, face_cell, name=name)
 
-    projection = _projection(cover, base, base_index)
+    words = [np.zeros_like(b) for b in base_index]
+    projection = SimplicialMap(cover, base, words, base_index, "projection")
     w1 = Cochain(base, 1, sheet_changes(cover, sheet, rep_cells))
 
     if not allow_trivial:
@@ -875,10 +896,13 @@ def cover_from_cocycle(
     Cover cell 2c + e is the lift of base cell c to sheet e; a face keeps the
     sheet, except d_0, which changes it when w is 1 on the front edge.
 
-    The cover model is built once per base, cocycle values and name, and kept
-    in the base's cache; it refers to nothing, so the base and its cache form
-    no reference cycle.  The rest of the pair refers to the base and is built
-    anew on each call, and the checks on w run on each call too.
+    The parts of the pair that depend only on the base and the cocycle values
+    (the cover model, the deck involution, sheet, rep_cells, base_index and
+    the projection's word and cell arrays) are built once per base, cocycle
+    values and name, and kept in the base's cache as _CoverParts.  None of
+    them refers to the base, so the base and its cache form no reference
+    cycle.  Each call checks w again and builds a new projection and a new
+    pair, whose cache is its own and whose w1 is this call's w.
     """
     if w.model is not base or w.degree != 1:
         raise ModelMismatchError("cover_from_cocycle needs a degree-1 cochain on base")
@@ -890,21 +914,37 @@ def cover_from_cocycle(
     name = name or f"{base.name}^w"
     key = ("cover", w.values.tobytes(), name)
     if key not in base._cache:
-        base._cache[key] = _cover_model(base, w, name)
-    cover = base._cache[key]
+        base._cache[key] = _cover_parts(base, w, name)
+    parts = base._cache[key]
+    projection = SimplicialMap(parts.cover, base, parts.words, parts.base_index, "projection")
+    return CoverPair(
+        parts.cover,
+        base,
+        projection,
+        parts.involution,
+        w,
+        list(parts.sheet),
+        list(parts.rep_cells),
+        list(parts.base_index),
+    )
 
-    cells = cover.cells
-    top = base.max_degree + 1
-    inv = Involution(cover, [np.arange(cells[n]) ^ 1 for n in range(top)], "deck")
-    sheet = [(np.arange(cells[n]) % 2).astype(np.uint8) for n in range(top)]
-    rep_cells = [2 * np.arange(base.cells[n], dtype=np.int64) for n in range(top)]
-    base_index = [np.arange(cells[n], dtype=np.int64) // 2 for n in range(top)]
-    projection = _projection(cover, base, base_index)
-    return CoverPair(cover, base, projection, inv, w, sheet, rep_cells, base_index)
+
+@dataclass(frozen=True, eq=False)
+class _CoverParts:
+    """What cover_from_cocycle keeps per base, cocycle values and name; the
+    arrays are read-only, as every pair built from them shares them."""
+
+    cover: SimplicialModel
+    involution: Involution
+    sheet: tuple
+    rep_cells: tuple
+    base_index: tuple
+    words: tuple  # the projection's word masks, all zero
 
 
-def _cover_model(base: SimplicialModel, w: Cochain, name: str) -> SimplicialModel:
-    """The model of cover_from_cocycle, from the face arrays of the base."""
+def _cover_parts(base: SimplicialModel, w: Cochain, name: str) -> _CoverParts:
+    """The cover model of cover_from_cocycle, from the face arrays of the
+    base, and the parts of the pair around it."""
     cells = [2 * c for c in base.cells]
     face_word, face_cell = [_no_faces(cells[0])], [_no_faces(cells[0])]
     for n in range(1, base.max_degree + 1):
@@ -917,7 +957,15 @@ def _cover_model(base: SimplicialModel, w: Cochain, name: str) -> SimplicialMode
         fc[:, 0] ^= np.repeat(twist, 2)
         face_word.append(np.repeat(base.face_word[n], 2, axis=0))
         face_cell.append(fc)
-    return SimplicialModel(base.max_degree, cells, face_word, face_cell, name=name)
+    cover = SimplicialModel(base.max_degree, cells, face_word, face_cell, name=name)
+    return _CoverParts(
+        cover,
+        Involution(cover, [np.arange(c) ^ 1 for c in cells], "deck"),
+        tuple(_frozen(np.arange(c) % 2, np.uint8) for c in cells),
+        tuple(_frozen(2 * np.arange(c)) for c in base.cells),
+        tuple(_frozen(np.arange(c) // 2) for c in cells),
+        tuple(_frozen(np.zeros(c, dtype=np.int64)) for c in cells),
+    )
 
 
 def relabel_model(model: SimplicialModel, rng: np.random.Generator):

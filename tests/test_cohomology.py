@@ -423,7 +423,8 @@ def test_cached_bases_hold_only_their_classes():
         page = e2_page(fx.nt, fx.cover)
         killers_report(fx.nt, page, d2_maps(fx.nt, page, fx.cover), v)
         base = fx.nt.base
-        models = [base] + [m for key, m in base._cache.items() if key[0] == "cover"]
+        covers = [parts.cover for key, parts in base._cache.items() if key[0] == "cover"]
+        models = [base] + covers
         if fx.cover is not None:
             models.append(fx.cover.cover)
         for model in models:

@@ -269,6 +269,34 @@ def test_solve_affine_roundtrip(rows, cols, seed):
     assert Subspace.from_vectors(cols, kernel_basis(m)).contains(sol ^ x)
 
 
+@given(
+    st.integers(0, 40),
+    st.integers(0, 140),
+    st.floats(0.0, 1.0),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_echelon_solve_matches_solve_affine(rows, cols, density, consistent, seed):
+    # low-rank and empty shapes included; a consistent rhs is m x for a random x
+    rng = np.random.default_rng(seed)
+    a = (rng.random((rows, cols)) < density).astype(np.uint8)
+    m = F2Matrix.from_dense(a) if rows else F2Matrix(0, cols)
+    if consistent:
+        rhs = mul_vec(m, rng.integers(0, 2, size=cols, dtype=np.uint8))
+    else:
+        rhs = rng.integers(0, 2, size=rows, dtype=np.uint8)
+    want = solve_affine(m, rhs)
+    got = rank_and_echelon(m).solve(rhs)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert np.array_equal(got, want)
+    with pytest.raises(ModelMismatchError):
+        rank_and_echelon(m, want_transform=False).solve(rhs)
+    with pytest.raises(ModelMismatchError):
+        rank_and_echelon(m).solve(np.zeros(rows + 1, dtype=np.uint8))
+
+
 def test_subspace_membership():
     vs = [np.array(v, dtype=np.uint8) for v in ([1, 1, 0, 0], [0, 0, 1, 1])]
     s = Subspace.from_vectors(4, vs)

@@ -505,6 +505,40 @@ def _scan_base(group):
     return base, w1s, cohomology_basis(base, 2).reps
 
 
+_CATALOG_BASES = (rp_w2_zero, rp_kreck, z2_remark, z2_secondary, z4_semidirect, d4_reflection)
+
+
+@functools.lru_cache(maxsize=None)
+def _kreck_base(k):
+    """The bar models of the scan groups, then the catalog bases."""
+    if k < len(_SCAN_GROUPS):
+        return _scan_base(k)[0]
+    return _CATALOG_BASES[k - len(_SCAN_GROUPS)]().nt.base
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    k=st.integers(0, len(_SCAN_GROUPS) + len(_CATALOG_BASES) - 1),
+    consistent=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cached_kreck_solve_matches_solve_affine(k, consistent, seed):
+    # with w1 = 0, kreck_witness solves delta g = w2 for w2 the coboundary
+    # of a random 1-cochain or a random 2-cochain (consistent or not)
+    base = _kreck_base(k)
+    rng = np.random.default_rng(seed)
+    if consistent:
+        rhs = coboundary(Cochain(base, 1, rng.integers(0, 2, base.n_cells(1), dtype=np.uint8)))
+    else:
+        rhs = Cochain(base, 2, rng.integers(0, 2, base.n_cells(2), dtype=np.uint8))
+    want = solve_affine(base.coboundary_matrix(1), rhs.values)
+    g = kreck_witness(NormalOneType(base, Cochain.zero(base, 1), rhs))
+    assert (g is None) == (want is None)
+    if want is not None:
+        assert np.array_equal(g.values, want)
+    assert base.coboundary_echelon(1) is base.coboundary_echelon(1)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     group=st.integers(0, len(_SCAN_GROUPS) - 1),

@@ -550,12 +550,56 @@ def test_cover_checks_run_on_a_memo_hit():
     z4 = bar_b(z4_table(), 3, name="z4")
     w = Cochain(z4, 1, np.array([1, 0, 1], dtype=np.uint8))  # g mod 2
     pair = cover_from_cocycle(z4, w)
-    assert z4._cache[("cover", w.values.tobytes(), "z4^w")] is pair.cover
+    parts = z4._cache[("cover", w.values.tobytes(), "z4^w")]
+    assert parts.cover is pair.cover
     bad = Cochain.from_support(z4, 1, [0])
     assert not coboundary(bad).is_zero()
-    z4._cache[("cover", bad.values.tobytes(), "z4^w")] = pair.cover
+    z4._cache[("cover", bad.values.tobytes(), "z4^w")] = parts
     with pytest.raises(ValidationError):
         cover_from_cocycle(z4, bad)
+    # a second call shares the cached parts but builds its own projection and
+    # pair, with its own cache and this call's w
+    pair._cache["seen"] = True
+    w_again = Cochain(z4, 1, w.values)
+    again = cover_from_cocycle(z4, w_again)
+    assert again.involution is pair.involution and again.cover is pair.cover
+    assert again is not pair and again.projection is not pair.projection
+    assert again.w1 is w_again and again._cache == {}
+    assert again.projection.source is pair.cover and again.projection.target is z4
+    # the cached parts equal a fresh build on an equal base, and the parts
+    # of the quotient by the deck involution
+    z4b = bar_b(z4_table(), 3, name="z4")
+    fresh = cover_from_cocycle(z4b, Cochain(z4b, 1, w.values))
+    quot = quotient_free_involution(pair.cover, pair.involution)
+    for other in (fresh, quot):
+        for a, b in (
+            (other.involution.perms, pair.involution.perms),
+            (other.sheet, pair.sheet),
+            (other.rep_cells, pair.rep_cells),
+            (other.base_index, pair.base_index),
+            (other.projection.image_word, pair.projection.image_word),
+            (other.projection.image_cell, pair.projection.image_cell),
+        ):
+            assert len(a) == len(b) and all(map(np.array_equal, a, b))
+    assert all(map(np.array_equal, fresh.cover.face_word, pair.cover.face_word))
+    assert all(map(np.array_equal, fresh.cover.face_cell, pair.cover.face_cell))
+    assert not any(s.flags.writeable for s in pair.sheet + pair.base_index)
+    # the cache refers to nothing that refers back to the base: a dropped
+    # base frees by reference counting, the shared parts with it
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        base = bar_b(z4_table(), 3, name="z4")
+        cocycle = Cochain(base, 1, w.values)
+        first = cover_from_cocycle(base, cocycle)
+        first.involution.require_valid()
+        assert cover_from_cocycle(base, cocycle).involution is first.involution
+        refs = weakref.ref(base), weakref.ref(first.cover), weakref.ref(first.involution)
+        del base, cocycle, first
+        assert [r() for r in refs] == [None, None, None]
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_dropped_base_frees_its_cover_without_the_collector():
