@@ -11,6 +11,9 @@ For each fixture (all of them by default) the lines are:
   generators         generator_chains() of every certified twisted E2 entry
                      (the integer cycle basis itself, not only its mod-2
                      pairings), as JSON lists of ints keyed by "p,q";
+  smith              diag, U, U_inv, V and V_inv, as JSON lists of ints, of
+                     every Smith form those generator_chains() calls take
+                     (the transform route), in call order;
   <part>.bytes       canonical_bytes of each exported document;
   <part>.reexport    canonical_bytes of its re-export after parsing;
   cli.decide         `stexo decide --json` on the exported files, with
@@ -73,6 +76,7 @@ from pathlib import Path
 
 import numpy as np
 
+import stexo.snf as snf
 from stexo import cli
 from stexo.catalog import REGISTRY, fixture_documents, get_fixture
 from stexo.james import d2_maps, e2_page, killers_report, report_json
@@ -92,6 +96,26 @@ def _sha(data) -> str:
     if isinstance(data, str):
         data = data.encode("utf-8")
     return hashlib.sha256(data).hexdigest()
+
+
+@contextlib.contextmanager
+def recorded_smith_forms():
+    """Inside the block, every result of snf.smith_normal_form is appended to
+    the list it yields, as [diag, U, U_inv, V, V_inv] of int lists."""
+    forms = []
+    inner = snf.smith_normal_form
+
+    def spy(a):
+        res = inner(a)
+        arrays = (res.U, res.U_inv, res.V, res.V_inv)
+        forms.append([res.diag, *([[int(x) for x in row] for row in m.tolist()] for m in arrays)])
+        return res
+
+    snf.smith_normal_form = spy
+    try:
+        yield forms
+    finally:
+        snf.smith_normal_form = inner
 
 
 def _run_cli(argv: list) -> str:
@@ -247,12 +271,14 @@ def digest(name: str) -> list:
         diffs = d2_maps(fx.nt, page, fx.cover)
         killers = killers_report(fx.nt, page, diffs, verdict)
         rows.append(("report", _sha(report_json(page, diffs, killers))))
-        gens = {
-            f"{p},{q}": [[int(x) for x in row] for row in e.result.generator_chains()]
-            for (p, q), e in sorted(page.entries.items())
-            if e.result is not None
-        }
+        with recorded_smith_forms() as forms:
+            gens = {
+                f"{p},{q}": [[int(x) for x in row] for row in e.result.generator_chains()]
+                for (p, q), e in sorted(page.entries.items())
+                if e.result is not None
+            }
         rows.append(("generators", _sha(json.dumps(gens))))
+        rows.append(("smith", _sha(json.dumps(forms))))
         rows.extend(kreck_digest(fx.nt))
         if fx.cover is not None and fx.nt.base.max_degree >= 5:
             rows.extend(sweep_digest(fx))

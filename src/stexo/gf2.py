@@ -275,6 +275,11 @@ class Subspace:
     pivots: tuple[int, ...]
     transform: F2Matrix | None
 
+    def __post_init__(self):
+        # the pivots as a read-only index array, for _reduce
+        self._pivot_index = np.array(self.pivots, dtype=np.intp)
+        self._pivot_index.setflags(write=False)
+
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors, want_transform: bool = True) -> "Subspace":
         """Span of the rows of an F2Matrix, of a 2-D 0/1 array, or of a nonempty
@@ -310,7 +315,7 @@ class Subspace:
         it is the row's representative modulo the subspace.
         """
         rows = _batch(np.atleast_2d(vectors), self.ambient_dim) & 1
-        coeffs = rows[:, list(self.pivots)]
+        coeffs = rows[:, self._pivot_index]
         return coeffs, pack_rows(rows) ^ xor_combine(coeffs, self.matrix.words)
 
     def contains(self, vectors):

@@ -369,11 +369,13 @@ class SimplicialModel:
         """Per face and (k+1)-cell, the k-cell of a plain face and the count
         of k-cells for a degenerate one: the gather of coboundary, into the
         values of a k-cochain followed by one zero.  One row per face, so
-        the sum over the faces adds whole rows.  Cached."""
+        the sum over the faces adds whole rows.  Cached, on int32 while the
+        count of k-cells fits."""
         key = ("cob-gather", k)
         if key not in self._cache:
             plain, fc = self._cofaces(k)
-            self._cache[key] = _frozen(np.where(plain, fc, self.cells[k]).T)
+            dtype = np.int32 if self.cells[k] < 1 << 31 else np.int64
+            self._cache[key] = _frozen(np.where(plain, fc, self.cells[k]).T, dtype)
         return self._cache[key]
 
     def coboundary_matrix(self, k: int) -> F2Matrix:
@@ -510,14 +512,29 @@ class Cochain:
 
 
 _ZERO = np.zeros(1, dtype=np.uint8)
+# the most entries of a coboundary gather index that take copies at once:
+# below it one whole take and a reduce beat a take per face row (2x on the
+# bar models' indices of 100-12000 entries); above it, 48000 entries and
+# more, the row loop is faster and skips the whole index's intp copy
+_WHOLE_GATHER = 1 << 15
 
 
 def coboundary(u: Cochain) -> Cochain:
     """delta u, read off the face arrays: each (k+1)-cell sums u over its
     plain faces.  A degenerate face holds a cell of a lower degree, so the
-    model's cached gather index sends it to a zero after the values of u."""
-    bits = np.concatenate((u.values, _ZERO))[u.model._coface_index(u.degree)]
-    return Cochain(u.model, u.degree + 1, np.bitwise_xor.reduce(bits, axis=0))
+    model's cached gather index sends it to a zero after the values of u.
+    take copies an int32 index to intp before it gathers, so an index of
+    more than _WHOLE_GATHER entries is taken one face row at a time.  Every
+    index is in range, so "wrap", the fastest mode, changes none."""
+    index = u.model._coface_index(u.degree)
+    values = np.concatenate((u.values, _ZERO))
+    if index.size <= _WHOLE_GATHER:
+        acc = np.bitwise_xor.reduce(values.take(index, mode="wrap"), axis=0)
+    else:
+        acc = values.take(index[0], mode="wrap")
+        for row in index[1:]:
+            acc ^= values.take(row, mode="wrap")
+    return Cochain(u.model, u.degree + 1, acc)
 
 
 def is_coboundary(u: Cochain) -> bool:

@@ -1,12 +1,16 @@
 """Exact integer linear algebra: Smith normal form and homology of a chain pair.
 
 Every matrix here is a numpy array: int64 where a bound proves the values
-fit, Python-int object arrays where they need not.  Homology invariants come
-from invariant factors alone.  invariant_factors eliminates +-1 pivots on an
-int64 array, with every update checked to stay inside int64, and hands the
-block that is left to smith_normal_form, which runs on object arrays and
-cannot overflow.  Cycle generators, which need the transforms, are computed
-only when asked for; _product is the one exact matrix product.
+fit, Python-int object arrays where they need not.  The bound is carried as
+a Python int beside each int64 array and advanced by scalar arithmetic at
+every update, so no update has to rescan an array to stay inside int64; it
+is recomputed from the array only when it would run out.  Homology
+invariants come from invariant factors alone.  invariant_factors eliminates
++-1 pivots on an int64 array, stopping before an update that could leave
+int64, and hands the block that is left to smith_normal_form, which runs on
+int64 until a bound runs out and on object arrays from then on, so it cannot
+overflow.  Cycle generators, which need the transforms, are computed only
+when asked for; _product is the one exact matrix product.
 
 smith_normal_form takes a matrix as a list of row lists and returns the
 invariant factors together with the full transform arrays U, V (and their
@@ -31,7 +35,9 @@ class SNFResult:
     """U A V = D with all four transforms unimodular.
 
     diag lists the nonzero invariant factors d_1 | d_2 | ... only.  U, U_inv,
-    V and V_inv are square numpy object arrays of Python ints.
+    V and V_inv are square numpy arrays of one dtype: int64 when the
+    reduction stayed inside its int64 bound, else object arrays of Python
+    ints.
     """
 
     diag: list[int]
@@ -46,14 +52,26 @@ def smith_normal_form(a: list[list[int]]) -> SNFResult:
 
     Row operations applied to A are mirrored on U and inverted on U_inv
     (likewise columns on V / V_inv), so U A_orig V = D holds exactly and
-    U U_inv = I, V V_inv = I.  Each step updates whole rows and columns of
-    Python-int object arrays.
+    U U_inv = I, V V_inv = I.  Each step updates whole rows and columns
+    (of U and V only the entries that change).
+    The five arrays start on int64, each with a bound on |entry| that every
+    update advances by scalar arithmetic; when an update could take a bound
+    past _INT64_SAFE even once recomputed from its array, all five move to
+    Python-int object arrays and the loop goes on there.  An entry of A past
+    the bound starts them on object arrays.
     """
     nr = len(a)
     nc = len(a[0]) if a else 0
-    m = np.array(a, dtype=object).reshape(nr, nc)
-    U, Ui = np.eye(nr, dtype=object), np.eye(nr, dtype=object)
-    V, Vi = np.eye(nc, dtype=object), np.eye(nc, dtype=object)
+    # bounds on |entry| of m, U, U_inv, V and V_inv while they are int64
+    try:
+        m = np.array(a, dtype=np.int64).reshape(nr, nc)
+        bounds = [_abs_max(m), 1, 1, 1, 1]
+    except OverflowError:
+        m, bounds = np.array(a, dtype=object).reshape(nr, nc), None
+    if bounds and bounds[0] > _INT64_SAFE:
+        m, bounds = m.astype(object), None
+    U, Ui = np.eye(nr, dtype=m.dtype), np.eye(nr, dtype=m.dtype)
+    V, Vi = np.eye(nc, dtype=m.dtype), np.eye(nc, dtype=m.dtype)
 
     t = 0
     limit = min(nr, nc)
@@ -82,19 +100,33 @@ def smith_normal_form(a: list[list[int]]) -> SNFResult:
             Ui[:, t] = -Ui[:, t]
         p = m[t, t]
 
-        # row i -= q_i row t clears column t below the pivot; it inverts to
-        # column t += q_i column i on U_inv
+        # row i -= q_i row t clears column t below the pivot, leaving
+        # remainders in [0, p); column j -= q_j column t then clears row t
         rows = t + 1 + np.flatnonzero(m[t + 1 :, t])
-        q = m[rows, t] // p
-        m[rows] -= np.outer(q, m[t])
-        U[rows] -= np.outer(q, U[t])
-        Ui[:, t] += Ui[:, rows].dot(q)
-        # column j -= q_j column t clears row t; row t += q_j row j on V_inv
         cols = t + 1 + np.flatnonzero(m[t, t + 1 :])
-        q = m[t, cols] // p
-        m[:, cols] -= np.outer(m[:, t], q)
-        V[:, cols] -= np.outer(V[:, t], q)
-        Vi[t] += q.dot(Vi[cols])
+        qr, qc = m[rows, t] // p, m[t, cols] // p
+        if bounds and (rows.size or cols.size):
+            ar, ac = _abs_max(qr), _abs_max(qc)
+            growth = (
+                (1, ar * _abs_max(m[t]) + ac * int(p)),
+                (1, ar * _abs_max(U[t])),
+                (1 + rows.size * ar, 0),
+                (1, ac * _abs_max(V[:, t])),
+                (1 + cols.size * ac, 0),
+            )
+            bounds, (m, U, Ui, V, Vi) = _grow(bounds, (m, U, Ui, V, Vi), growth)
+            qr, qc = qr.astype(m.dtype, copy=False), qc.astype(m.dtype, copy=False)
+        # a row clear inverts to column t += q_i column i on U_inv; on U it
+        # changes only the columns where row t is nonzero (likewise on V)
+        m[rows] -= np.outer(qr, m[t])
+        nzu = np.flatnonzero(U[t])
+        U[np.ix_(rows, nzu)] -= np.outer(qr, U[t, nzu])
+        Ui[:, t] += Ui[:, rows].dot(qr)
+        # a column clear inverts to row t += q_j row j on V_inv
+        m[:, cols] -= np.outer(m[:, t], qc)
+        nzv = np.flatnonzero(V[:, t])
+        V[np.ix_(nzv, cols)] -= np.outer(V[nzv, t], qc)
+        Vi[t] += qc.dot(Vi[cols])
         if m[t + 1 :, t].any() or m[t, t + 1 :].any():
             continue
 
@@ -104,6 +136,15 @@ def smith_normal_form(a: list[list[int]]) -> SNFResult:
             offenders = np.flatnonzero((m[t + 1 :, t + 1 :] % p != 0).any(axis=1))
             if offenders.size:
                 o = t + 1 + int(offenders[0])
+                if bounds:
+                    growth = (
+                        (1, _abs_max(m[o])),
+                        (1, _abs_max(U[o])),
+                        (1, _abs_max(Ui[:, t])),
+                        (1, 0),
+                        (1, 0),
+                    )
+                    bounds, (m, U, Ui, V, Vi) = _grow(bounds, (m, U, Ui, V, Vi), growth)
                 m[t] += m[o]
                 U[t] += U[o]
                 Ui[:, o] -= Ui[:, t]
@@ -122,6 +163,26 @@ def _abs_max(m: np.ndarray) -> int:
     return max(int(m.max()), -int(m.min())) if m.size else 0
 
 
+def _room(bound: int, m: np.ndarray, mult: int, add: int) -> int | None:
+    """The bound on |entry| of m after an update that takes a bound b to
+    b * mult + add; past _INT64_SAFE, b is first recomputed from m.  None
+    when the update might still leave int64."""
+    grown = bound * mult + add
+    if grown > _INT64_SAFE:
+        grown = _abs_max(m) * mult + add
+    return grown if grown <= _INT64_SAFE else None
+
+
+def _grow(bounds: list, arrays: tuple, growth: tuple) -> tuple[list | None, tuple]:
+    """_room for each array and its (mult, add): the new bounds and the
+    arrays, or, when one array has no room, None and the arrays as
+    Python-int object arrays."""
+    grown = [_room(b, m, *g) for b, m, g in zip(bounds, arrays, growth)]
+    if None in grown:
+        return None, tuple(x.astype(object) for x in arrays)
+    return grown, arrays
+
+
 def _eliminate_units(m: np.ndarray) -> int:
     """Split +-1 pivots off m in place; returns how many were split off.
 
@@ -131,10 +192,12 @@ def _eliminate_units(m: np.ndarray) -> int:
     an invariant factor 1 and the Smith form of what remains.  Candidates are
     taken in Markowitz order (fewest other nonzeros in row times column) from
     a scan of the whole matrix, skipped when an earlier pivot changed them,
-    and the matrix is scanned again until no unit is left.  Stops early,
-    before the update, when an update could leave int64.
+    and the matrix is scanned again until no unit is left.  A bound on
+    max |m|, advanced by each update, stops the elimination before an update
+    that could leave int64.
     """
     count = 0
+    bound = _abs_max(m)
     while True:
         cand = np.argwhere(np.abs(m) == 1)
         if not len(cand):
@@ -149,11 +212,10 @@ def _eliminate_units(m: np.ndarray) -> int:
             rows = rows[rows != i]
             if rows.size:
                 f = m[rows, j] * pivot
-                sub = m[rows]
-                if _abs_max(sub) + _abs_max(f) * _abs_max(m[i]) > _INT64_SAFE:
+                bound = _room(bound, m, 1, _abs_max(f) * _abs_max(m[i]))
+                if bound is None:
                     return count
-                sub -= np.outer(f, m[i])
-                m[rows] = sub
+                m[rows] -= np.outer(f, m[i])
             m[i] = 0
             m[:, j] = 0
             count += 1

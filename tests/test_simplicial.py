@@ -6,12 +6,14 @@ import re
 import weakref
 from functools import lru_cache
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stexo.simplicial as simplicial
 from stexo.builders import (
     bar_b,
     bar_e_z2,
@@ -893,7 +895,8 @@ def _coboundary_models():
 @settings(max_examples=25, deadline=None)
 def test_coboundary_matches_matrix_on_builder_models(seed):
     """Every degree of every model, so K(Z/2,2) in degree 1 (no edges, a
-    2-cell with only degenerate faces) is always among the cases."""
+    2-cell with only degenerate faces) is always among the cases; each
+    gather once whole and once a face row at a time."""
     rng = np.random.default_rng(seed)
     for model in _coboundary_models():
         for k in range(model.max_degree + 1):
@@ -904,6 +907,10 @@ def test_coboundary_matches_matrix_on_builder_models(seed):
                 continue
             want = mul_vec(model.coboundary_matrix(k), u.values)
             assert np.array_equal(coboundary(u).values, want), (model.name, k)
+            with mock.patch.object(simplicial, "_WHOLE_GATHER", 0):
+                assert np.array_equal(coboundary(u).values, want), (model.name, k)
+            # the cached gather index is int32 while the k-cells fit
+            assert model._coface_index(k).dtype == np.int32
 
 
 # -- B^k packed from the face arrays against the dense transpose -------------

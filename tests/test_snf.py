@@ -14,6 +14,7 @@ from stexo.snf import (
     smith_normal_form,
 )
 
+import reference
 from reference import mod2_rank
 
 
@@ -137,6 +138,70 @@ def test_invariant_factors_hand_off_before_int64_overflow(monkeypatch):
     monkeypatch.setattr(snf, "smith_normal_form", spy)
     assert invariant_factors(a) == [1, 1, big * big]
     assert cores == [(2, 2)]
+
+
+def _as_ints(res) -> list:
+    """diag and the four transforms of a Smith form as Python int lists."""
+    arrays = (res.U, res.U_inv, res.V, res.V_inv)
+    return [res.diag, *([[int(x) for x in row] for row in np.asarray(m).tolist()] for m in arrays)]
+
+
+# small entries and entries near +-2**61, where a few updates leave int64
+_WIDE_ENTRIES = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-4, 4).map(lambda d: (1 << 61) + d),
+    st.integers(-4, 4).map(lambda d: -(1 << 61) + d),
+)
+
+
+@st.composite
+def _wide_matrices(draw):
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    vals = draw(st.lists(_WIDE_ENTRIES, min_size=rows * cols, max_size=rows * cols))
+    return [vals[r * cols : (r + 1) * cols] for r in range(rows)]
+
+
+@given(_wide_matrices())
+@settings(max_examples=60, deadline=None)
+def test_smith_form_equals_object_array_oracle(a):
+    # the int64 loop under carried bounds, switching to Python ints where a
+    # bound runs out, takes the oracle's steps: the same integers come back
+    assert _as_ints(smith_normal_form(a)) == _as_ints(reference.smith_normal_form(a))
+
+
+def test_smith_form_moves_to_python_ints_partway():
+    # every entry fits the int64 bound, so the loop starts on int64; the
+    # divisibility fix-up's Euclid steps take U to 121 bits and d_2 to 122
+    a = [[(1 << 61) + 1, 0], [0, (1 << 61) - 1]]
+    assert snf._abs_max(np.array(a)) <= snf._INT64_SAFE
+    res = smith_normal_form(a)
+    assert res.U.dtype == object
+    assert res.diag == [1, (1 << 122) - 1]
+    assert _as_ints(res) == _as_ints(reference.smith_normal_form(a))
+    check_snf(a)
+    # entries of 41 bits: U and V come back below 2**42, but U_inv reaches
+    # 79 bits; without its bound the int64 loop would wrap
+    a = [[1, 1, 0], [0, 0, 3], [(1 << 40) + 1, 1, 1 << 40], [0, 3, 3]]
+    res = smith_normal_form(a)
+    assert res.U.dtype == object and res.diag == [1, 1, 3]
+    assert snf._abs_max(res.U_inv) >= 1 << 78
+    assert _as_ints(res) == _as_ints(reference.smith_normal_form(a))
+    # past the bound from the start, the loop runs on Python ints throughout
+    big = [[1 << 63, 2], [4, 6]]
+    assert _as_ints(smith_normal_form(big)) == _as_ints(reference.smith_normal_form(big))
+
+
+def test_unit_elimination_bounds_the_whole_matrix():
+    # the first pivot's update touches only row 1, whose entries are small;
+    # the bound also covers row 2's 2**62, so the elimination stops there
+    # and the Smith form, on int64, finds the same invariants
+    a = np.array([[1, 1, 0], [1, 2, 0], [0, 0, 1 << 62]], dtype=np.int64)
+    want = reference.smith_normal_form(a.tolist()).diag
+    assert want == [1, 1, 1 << 62]
+    assert invariant_factors(a) == want
+    m = a.copy()
+    assert snf._eliminate_units(m) == 0
+    assert (m == a).all()
 
 
 def test_abelian_invariants_str_and_ranks():
