@@ -25,6 +25,11 @@ For each fixture (all of them by default) the lines are:
   <part>.span.<k>    the echelon words and pivots of coboundary_span(k) on
                      each exported model, for k = 1..min(4, max_degree): the
                      one reduction of B^k, pinned byte for byte;
+  <part>.cocycles.<k>
+                     the representatives cohomology_basis(model, k) keeps,
+                     as its reduction.reps bytes, on each exported model,
+                     for k = 0..min(4, max_degree - 1): the H^k cocycles,
+                     the H^4 ones of the big fixtures among them;
   <part>.violations  validate() on each exported model with the faces 0 and
                      1 of every top-degree cell swapped (see corrupted_top):
                      the identity-check messages, pinned byte for byte;
@@ -79,6 +84,7 @@ import numpy as np
 import stexo.snf as snf
 from stexo import cli
 from stexo.catalog import REGISTRY, fixture_documents, get_fixture
+from stexo.cohomology import cohomology_basis
 from stexo.james import d2_maps, e2_page, killers_report, report_json
 from stexo.modelfile import canonical_bytes, parse_bytes, reexport
 from stexo.obstruction import (
@@ -301,6 +307,10 @@ def digest(name: str) -> list:
             words = span.matrix.words
             data = repr((words.shape, span.pivots)).encode() + words.tobytes()
             rows.append((f"{part}.span.{k}", _sha(data)))
+        for k in range(min(4, model.max_degree - 1) + 1):
+            reps = cohomology_basis(model, k).reduction.reps
+            data = repr(reps.shape).encode() + reps.tobytes()
+            rows.append((f"{part}.cocycles.{k}", _sha(data)))
         rows.append((f"{part}.violations", _sha("\n".join(corrupted_top(model).validate()))))
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}

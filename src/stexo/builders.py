@@ -11,7 +11,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ValidationError
-from .gf2 import F2Matrix, kernel_basis
+from .gf2 import F2Matrix, Subspace
 from .simplicial import (
     Cochain,
     Involution,
@@ -199,10 +199,10 @@ def _cocycle_masks(m: int) -> np.ndarray:
     trips = _triples(m)
     tindex = {t: k for k, t in enumerate(trips)}
     quads = list(combinations(range(m + 1), 4))
-    rows = [r for r in range(len(quads)) for _ in range(4)]
-    cols = [tindex[face] for q in quads for face in combinations(q, 3)]
-    delta = F2Matrix.from_entries(len(quads), len(trips), rows, cols)
-    basis = kernel_basis(delta).to_dense()
+    rows = [tindex[face] for q in quads for face in combinations(q, 3)]
+    cols = [r for r in range(len(quads)) for _ in range(4)]
+    columns = F2Matrix.from_entries(len(trips), len(quads), rows, cols)
+    basis = Subspace.from_vectors(len(quads), columns).relations.to_dense()
     masks = np.zeros(1, dtype=np.uint64)
     for row in basis:
         bits = np.uint64(0)

@@ -7,9 +7,9 @@ result carries a truncated flag.
 
 Every class question reduces residues modulo the model's coboundary_span(k),
 the one reduction of B^k: residues are linear and zero exactly on
-coboundaries.  A basis keeps the closed cochains (kernel rows of delta_k in
-order) whose residues are independent of the earlier ones', and coordinates
-are coefficients over the class_span of its representatives.
+coboundaries.  A basis keeps the closed cochains (coboundary_span(k+1)'s
+relations) whose residues are independent of the earlier ones', and
+coordinates are coefficients over the class_span of its representatives.
 
 The model's cache holds only that reduction (the representatives' values and
 the span of their residues), which refers to no model; each cohomology_basis
@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ModelMismatchError, TruncationError, ValidationError
-from .gf2 import F2Matrix, Subspace, kernel_basis, rank_and_echelon, xor_combine
+from .gf2 import F2Matrix, Subspace, rank_and_echelon, xor_combine
 from .simplicial import Cochain, CoverPair, SimplicialMap, SimplicialModel, coboundary
 from .snf import AbelianGroupInvariants, HomologyResult, homology_from_boundaries
 
@@ -113,7 +113,7 @@ def require_certified(model: SimplicialModel, degree: int) -> None:
 def _reduction(model: SimplicialModel, degree: int, certified: bool) -> BasisReduction:
     n = model.n_cells(degree)
     if certified:
-        closed = kernel_basis(model.coboundary_matrix(degree)).to_dense()
+        closed = model.coboundary_span(degree + 1).relations.to_dense()
     else:
         closed = np.eye(n, dtype=np.uint8)
     # a closed row is kept when its column is a pivot of the transposed residues
@@ -177,14 +177,18 @@ def _chain_homology(
     return res
 
 
+def _require_chains(model: SimplicialModel, p: int) -> None:
+    if p < 0 or p > model.max_degree:
+        raise TruncationError(f"{model.name}: no chains stored in degree {p}")
+
+
 def integral_homology(model: SimplicialModel, p: int, check: bool = True) -> HomologyResult:
     """H_p with integer coefficients, certified within the truncation.
 
     The boundary composite is always checked; check is accepted and changes
     nothing.
     """
-    if p < 0 or p > model.max_degree:
-        raise TruncationError(f"{model.name}: no chains stored in degree {p}")
+    _require_chains(model, p)
     return _chain_homology(
         model,
         p,
@@ -220,6 +224,7 @@ def twisted_homology(
     """
     base = pair.base
     if coeff == "F2":
+        _require_chains(base, p)
         top = p + 1 > base.max_degree
         if top and base.cells[p]:
             raise TruncationError(f"{base.name}: mod-2 H_{p} needs degree-{p + 1} cells")
@@ -238,8 +243,7 @@ def twisted_integral_homology(pair: CoverPair, p: int) -> HomologyResult:
     within the truncation; cycle generators are built from the result on
     demand."""
     base = pair.base
-    if p > base.max_degree:
-        raise TruncationError(f"{base.name}: no chains stored in degree {p}")
+    _require_chains(base, p)
     return _chain_homology(
         base,
         p,

@@ -13,12 +13,14 @@ holds column 64*w + j.
 Subspace is the one reduced basis: membership, residuals modulo the span,
 coefficients over spanning vectors, cohomology coordinates and coboundary
 tests all reduce a batch of vectors against it with one vectorized XOR
-(xor_combine).
+(xor_combine).  Its transform holds the relations among the spanning vectors,
+so one reduction of a matrix's columns gives its image, kernel and solutions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -142,13 +144,6 @@ class F2Matrix:
                 out[mask] ^= other.words[j]
         return F2Matrix(self.rows, other.cols, out)
 
-    def stack(self, other: "F2Matrix") -> "F2Matrix":
-        if self.cols != other.cols:
-            raise ModelMismatchError("column mismatch in stack")
-        return F2Matrix(
-            self.rows + other.rows, self.cols, np.vstack([self.words, other.words])
-        )
-
 
 @dataclass
 class EchelonResult:
@@ -156,25 +151,6 @@ class EchelonResult:
     echelon: "F2Matrix"
     transform: "F2Matrix | None"
     pivots: tuple[int, ...]
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray | None:
-        """The solution of m x = rhs that solve_affine returns, read off this
-        reduction of m and its transform T; None when inconsistent.
-
-        T is invertible, so m x = rhs exactly when echelon x = T rhs: the
-        system is inconsistent when T rhs is nonzero below the rank, and
-        otherwise [echelon | T rhs] is the reduced echelon form of [m | rhs],
-        so x is T rhs at the pivots and zero at the free columns.
-        """
-        rhs = np.asarray(rhs, dtype=np.uint8) & 1
-        if self.transform is None or rhs.shape != (self.echelon.rows,):
-            raise ModelMismatchError("solve needs the transform and one entry per row")
-        t = np.bitwise_count(self.transform.words & pack_rows(rhs[None])).sum(axis=1) & 1
-        if t[self.rank :].any():
-            return None
-        x = np.zeros(self.echelon.cols, dtype=np.uint8)
-        x[list(self.pivots)] = t[: self.rank]
-        return x
 
 
 def rank_and_echelon(m: F2Matrix, want_transform: bool = True) -> EchelonResult:
@@ -230,19 +206,6 @@ def rank(m: F2Matrix) -> int:
     return rank_and_echelon(m, want_transform=False).rank
 
 
-def kernel_basis(m: F2Matrix) -> F2Matrix:
-    """Basis of the right kernel, one vector per free column in increasing
-    order: e_f plus the pivot columns whose echelon rows have a 1 in column f."""
-    res = rank_and_echelon(m, want_transform=False)
-    free = np.setdiff1d(np.arange(m.cols), res.pivots)
-    out = np.zeros((free.size, m.cols), dtype=np.uint8)
-    out[np.arange(free.size), free] = 1
-    # the free-column bits of the echelon rows, read byte by byte
-    ech = res.echelon.words[: res.rank].view(np.uint8)[:, free >> 3]
-    out[:, list(res.pivots)] = ((ech >> (free & 7).astype(np.uint8)) & 1).T
-    return F2Matrix.from_dense(out)
-
-
 def xor_combine(coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """coeffs * rows over GF(2): row b XORs the rows that the 0/1 row coeffs[b]
     picks.  rows may be 0/1 vectors or packed words."""
@@ -263,17 +226,19 @@ def _batch(vectors, n: int) -> np.ndarray:
 
 @dataclass
 class Subspace:
-    """A subspace of GF(2)^n held as a reduced row echelon basis.
+    """A subspace of GF(2)^n held as a reduced row echelon basis of the
+    vectors that span it, with the row transform T of that reduction.
 
-    Row i of transform, if kept, says which spanning vectors sum to basis row
-    i.  The basis coefficients of a vector are its bits at the pivots, and it
-    is a member exactly when that combination of basis rows rebuilds it.
+    Rows of T up to dim say which spanning vectors sum to each basis row; the
+    rows past dim span the relations among the spanning vectors.  The basis
+    coefficients of a vector are its bits at the pivots, and it is a member
+    exactly when that combination of basis rows rebuilds it.
     """
 
     ambient_dim: int
     matrix: F2Matrix
     pivots: tuple[int, ...]
-    transform: F2Matrix | None
+    transform: F2Matrix
 
     def __post_init__(self):
         # the pivots as a read-only index array, for _reduce
@@ -281,23 +246,19 @@ class Subspace:
         self._pivot_index.setflags(write=False)
 
     @classmethod
-    def from_vectors(cls, ambient_dim: int, vectors, want_transform: bool = True) -> "Subspace":
+    def from_vectors(cls, ambient_dim: int, vectors) -> "Subspace":
         """Span of the rows of an F2Matrix, of a 2-D 0/1 array, or of a nonempty
-        list of vectors; without want_transform it keeps no transform, and
-        combination raises."""
+        list of vectors."""
         if isinstance(vectors, F2Matrix):
             if vectors.cols != ambient_dim:
                 raise ModelMismatchError("vector length does not match ambient dim")
             m = vectors
         else:
             m = F2Matrix.from_dense(_batch(vectors, ambient_dim))
-        res = rank_and_echelon(m, want_transform)
+        res = rank_and_echelon(m)
         r = res.rank
         basis = F2Matrix(r, ambient_dim, res.echelon.words[:r].copy())
-        transform = None
-        if want_transform:
-            transform = F2Matrix(r, res.echelon.rows, res.transform.words[:r].copy())
-        return cls(ambient_dim, basis, res.pivots, transform)
+        return cls(ambient_dim, basis, res.pivots, res.transform)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -329,16 +290,42 @@ class Subspace:
         out = unpack_rows(self._reduce(vectors)[1], self.ambient_dim)
         return out[0] if np.ndim(vectors) == 1 else out
 
+    @cached_property
+    def _relations(self) -> tuple[F2Matrix, np.ndarray]:
+        # the transform rows past dim in reduced echelon form with pivots
+        # taken from the right, and those pivots: the dependent vectors
+        n = self.transform.cols
+        flipped = unpack_rows(self.transform.words[self.dim :], n)[:, ::-1]
+        res = rank_and_echelon(F2Matrix.from_dense(flipped), want_transform=False)
+        rows = F2Matrix.from_dense(res.echelon.to_dense()[::-1, ::-1])
+        return rows, n - 1 - np.array(res.pivots[::-1], dtype=np.intp)
+
+    @property
+    def relations(self) -> F2Matrix:
+        """The relations among the spanning vectors, one row per vector j that
+        depends on vectors 0..j-1, in increasing j: e_j plus its unique
+        expression in the earlier independent vectors.  Spanning vectors
+        taken as the columns of a matrix, these rows are a basis of its
+        kernel that is the identity on its free columns."""
+        return self._relations[0]
+
+    @cached_property
+    def _combiner(self) -> np.ndarray:
+        # the transform rows of the basis, cleared at the dependent vectors
+        rows, dependent = self._relations
+        head = self.transform.words[: self.dim]
+        return head ^ xor_combine(unpack_rows(head, rows.cols)[:, dependent], rows.words)
+
     def combination(self, vectors) -> np.ndarray:
-        """Coefficients over the spanning vectors that rebuild one vector, or
-        each row of a batch; raises when a vector lies outside the span or
-        the span kept no transform."""
-        if self.transform is None:
-            raise ModelMismatchError("span was built without a transform")
+        """The coefficients over the spanning vectors that rebuild one vector,
+        or each row of a batch, zero on every dependent vector: the unique
+        such, and the solution with zero free variables when the spanning
+        vectors are a matrix's columns.  Raises when a vector lies outside
+        the span."""
         coeffs, residual = self._reduce(vectors)
         if residual.any():
             raise ModelMismatchError("vector is not in the span")
-        out = unpack_rows(xor_combine(coeffs, self.transform.words), self.transform.cols)
+        out = unpack_rows(xor_combine(coeffs, self._combiner), self.transform.cols)
         return out[0] if np.ndim(vectors) == 1 else out
 
     def __eq__(self, other) -> bool:
@@ -348,26 +335,3 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of GF(2)^{self.ambient_dim})"
-
-
-def solve_affine(m: F2Matrix, rhs: np.ndarray) -> np.ndarray | None:
-    """One solution of m x = rhs over GF(2); None when inconsistent.
-
-    In the echelon form of [m | rhs] the system is inconsistent exactly when
-    the last column is a pivot; otherwise each pivot variable of the returned
-    solution is its row's last entry and each free variable is zero.  The
-    full solution set is this solution plus the kernel (kernel_basis).
-    """
-    rhs = np.asarray(rhs, dtype=np.uint8) & 1
-    if rhs.shape != (m.rows,):
-        raise ModelMismatchError(f"rhs length {rhs.shape} against {m.rows} rows")
-    c = m.cols
-    aug = np.zeros((m.rows, _nwords(c + 1)), dtype=np.uint64)
-    aug[:, : m.words.shape[1]] = m.words
-    aug[rhs.astype(bool), c >> 6] |= np.uint64(1) << np.uint64(c & 63)
-    res = rank_and_echelon(F2Matrix(m.rows, c + 1, aug), want_transform=False)
-    if c in res.pivots:
-        return None
-    x = np.zeros(c, dtype=np.uint8)
-    x[list(res.pivots)] = res.echelon.column(c)[: res.rank]
-    return x

@@ -42,7 +42,7 @@ from .errors import (
     TruncationError,
     ValidationError,
 )
-from .gf2 import Subspace, kernel_basis, rank, solve_affine, xor_combine
+from .gf2 import Subspace, xor_combine
 from .simplicial import (
     Cochain,
     CoverPair,
@@ -269,15 +269,15 @@ def primary_vanishes(nt: NormalOneType) -> bool:
 def kreck_witness(nt: NormalOneType):
     """A 1-cochain g with delta g = w2 + w1^2, or None when classes differ.
 
-    g is the solution solve_affine finds on delta_1, zero at the free
-    columns, read off the base model's cached reduction of delta_1
-    (coboundary_echelon), so types on one base share that reduction.
+    g is the solution of delta_1 g = w2 + w1^2 that is zero at the free
+    columns of delta_1, read off the base model's one reduction of delta_1
+    (coboundary_span(2)), so types on one base share that reduction.
     """
     diff = nt.w2 + cup(nt.w1, nt.w1)
-    sol = nt.base.coboundary_echelon(1).solve(diff.values)
-    if sol is None:
+    span = nt.base.coboundary_span(2)
+    if not span.contains(diff.values):
         return None
-    g = Cochain(nt.base, 1, sol)
+    g = Cochain(nt.base, 1, span.combination(diff.values))
     if coboundary(g) != diff:
         raise InternalInvariantError("Kreck witness fails delta g = w2 + w1^2")
     return g
@@ -346,11 +346,12 @@ def lift_data_solutions(nt: NormalOneType, cover: CoverPair) -> LiftSolutions:
     h2c = cohomology_basis(cover.cover, 2)
     m = h2c.coords_matrix([rep + cover.involution.pullback(rep) for rep in h2c.reps])
     rhs = h2c.coords(cover.projection.pullback(nt.w2))
-    sol = solve_affine(m, rhs)
-    if sol is None:
-        out = LiftSolutions(h2c, None, Subspace.zero(h2c.dim))
+    images = Subspace.from_vectors(h2c.dim, m.transpose())
+    if images.contains(rhs):
+        kernel = Subspace.from_vectors(h2c.dim, images.relations)
+        out = LiftSolutions(h2c, images.combination(rhs), kernel)
     else:
-        out = LiftSolutions(h2c, sol, Subspace.from_vectors(h2c.dim, kernel_basis(m)))
+        out = LiftSolutions(h2c, None, Subspace.zero(h2c.dim))
     cover._cache[key] = out
     return out
 
@@ -464,21 +465,23 @@ def secondary_test(
     s4, h4_section, h4_base_again = induced_matrix(s, 4)
     if h4_base_again.reduction is not h4_base.reduction:
         raise InternalInvariantError("H^4 base bases diverged")
-    stacked = p4.stack(s4)
-    if rank(stacked) < stacked.cols:
+    # the columns of p* stacked over s*, whose relations are the common kernel
+    columns = np.vstack([p4.to_dense(), s4.to_dense()]).T
+    stacked = Subspace.from_vectors(p4.rows + s4.rows, columns)
+    if stacked.relations.rows:
         return SecondaryOutcome(
             "inconclusive",
             witness=A,
             reason="uniqueness fails: ker(p*) and ker(s*) overlap on H^4",
         )
     rhs = np.concatenate([h4_cover.coords(A), np.zeros(h4_section.dim, dtype=np.uint8)])
-    omega_coords = solve_affine(stacked, rhs)
-    if omega_coords is None:
+    if not stacked.contains(rhs):
         return SecondaryOutcome(
             "inconclusive",
             witness=A,
             reason="no degree-4 class satisfies both section and cover constraints",
         )
+    omega_coords = stacked.combination(rhs)
     omega = h4_base.class_from_coords(omega_coords)
     if in_operator_image(nt, omega):
         return SecondaryOutcome("zero", witness=A, omega=omega, omega_coords=omega_coords)

@@ -34,7 +34,7 @@ from .errors import (
     TruncationError,
     ValidationError,
 )
-from .gf2 import EchelonResult, F2Matrix, Subspace, rank_and_echelon
+from .gf2 import F2Matrix, Subspace
 
 Target = tuple  # (word: tuple[int, ...], cell: int)
 
@@ -389,21 +389,12 @@ class SimplicialModel:
             )
         return self._cache[key]
 
-    def coboundary_echelon(self, k: int) -> EchelonResult:
-        """The reduced echelon of delta_k with its row transform, cached: it
-        solves delta x = y for each y in C^{k+1} (EchelonResult.solve)."""
-        key = ("cob-echelon", k)
-        if key not in self._cache:
-            self._cache[key] = rank_and_echelon(self.coboundary_matrix(k))
-        return self._cache[key]
-
     def coboundary_span(self, k: int) -> Subspace:
         """The k-coboundaries delta(C^{k-1}) as a reduced basis in C^k (zero
-        in degree 0): the one reduction of B^k.  Its spanning rows are the
-        transpose of delta_{k-1}, packed straight from the face arrays: row b
-        of a (k-1)-cell b has a bit at each k-cell with b as a plain face.  It
-        keeps no transform, so it answers contains and residual but not
-        combination."""
+        in degree 0): the one reduction of delta_{k-1}.  Its spanning rows are
+        delta_{k-1} transposed, packed straight from the face arrays: row b of
+        a (k-1)-cell b has a bit at each k-cell with b as a plain face.  So its
+        relations are Z^{k-1}, and its combination of y solves delta x = y."""
         key = ("cob-span", k)
         if key not in self._cache:
             n = self.n_cells(k)
@@ -413,7 +404,7 @@ class SimplicialModel:
                 plain, fc = self._cofaces(k - 1)
                 c, i = np.nonzero(plain)
                 rows = F2Matrix.from_entries(self.cells[k - 1], n, fc[c, i], c)
-            self._cache[key] = Subspace.from_vectors(n, rows, want_transform=False)
+            self._cache[key] = Subspace.from_vectors(n, rows)
         return self._cache[key]
 
     def boundary_int(self, k: int) -> np.ndarray:

@@ -9,7 +9,7 @@ from itertools import repeat
 import numpy as np
 
 from stexo.errors import InternalInvariantError, ModelMismatchError
-from stexo.gf2 import F2Matrix, pack_rows
+from stexo.gf2 import F2Matrix, _nwords, pack_rows, rank_and_echelon
 from stexo.simplicial import SimplicialMap, SimplicialModel, _canonical_masks, int64_array
 from stexo.snf import AbelianGroupInvariants, SNFResult
 
@@ -31,6 +31,42 @@ def compose(outer: SimplicialMap, inner: SimplicialMap) -> SimplicialMap:
 
 def mod2_rank(group: AbelianGroupInvariants) -> int:
     return group.free_rank + sum(1 for t in group.torsion if t % 2 == 0)
+
+
+def kernel_basis(m: F2Matrix) -> F2Matrix:
+    """Basis of the right kernel, one vector per free column in increasing
+    order: e_f plus the pivot columns whose echelon rows have a 1 in column f."""
+    res = rank_and_echelon(m, want_transform=False)
+    free = np.setdiff1d(np.arange(m.cols), res.pivots)
+    out = np.zeros((free.size, m.cols), dtype=np.uint8)
+    out[np.arange(free.size), free] = 1
+    # the free-column bits of the echelon rows, read byte by byte
+    ech = res.echelon.words[: res.rank].view(np.uint8)[:, free >> 3]
+    out[:, list(res.pivots)] = ((ech >> (free & 7).astype(np.uint8)) & 1).T
+    return F2Matrix.from_dense(out)
+
+
+def solve_affine(m: F2Matrix, rhs: np.ndarray) -> np.ndarray | None:
+    """One solution of m x = rhs over GF(2); None when inconsistent.
+
+    In the echelon form of [m | rhs] the system is inconsistent exactly when
+    the last column is a pivot; otherwise each pivot variable of the returned
+    solution is its row's last entry and each free variable is zero.  The
+    full solution set is this solution plus the kernel (kernel_basis).
+    """
+    rhs = np.asarray(rhs, dtype=np.uint8) & 1
+    if rhs.shape != (m.rows,):
+        raise ModelMismatchError(f"rhs length {rhs.shape} against {m.rows} rows")
+    c = m.cols
+    aug = np.zeros((m.rows, _nwords(c + 1)), dtype=np.uint64)
+    aug[:, : m.words.shape[1]] = m.words
+    aug[rhs.astype(bool), c >> 6] |= np.uint64(1) << np.uint64(c & 63)
+    res = rank_and_echelon(F2Matrix(m.rows, c + 1, aug), want_transform=False)
+    if c in res.pivots:
+        return None
+    x = np.zeros(c, dtype=np.uint8)
+    x[list(res.pivots)] = res.echelon.column(c)[: res.rank]
+    return x
 
 
 def mul_vec(m: F2Matrix, v) -> np.ndarray:

@@ -30,7 +30,7 @@ from stexo.cohomology import (
     twisted_homology,
 )
 from stexo.errors import TruncationError, ValidationError
-from stexo.gf2 import F2Matrix, Subspace, kernel_basis, rank, rank_and_echelon
+from stexo.gf2 import F2Matrix, Subspace, rank, rank_and_echelon
 from stexo.james import DEFAULT_INT_SIZE_CAP, _boundary_load, d2_maps, e2_page, killers_report
 from stexo.obstruction import (
     NormalOneType,
@@ -50,7 +50,7 @@ from stexo.simplicial import (
 )
 from stexo.snf import AbelianGroupInvariants, _transform_route, homology_from_boundaries
 
-from reference import compose
+from reference import compose, kernel_basis
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +228,15 @@ def test_disjoint_double_sees_untwisted_coefficients():
     triv = cover_from_cocycle(rp3, Cochain.zero(rp3, 1), allow_trivial=True)
     assert str(twisted_homology(triv, 0)) == "Z"
     assert str(twisted_homology(triv, 1)) == "Z/2"
+
+
+def test_homology_outside_the_stored_degrees():
+    pair = get_fixture("z2-secondary").cover
+    top = pair.base.max_degree
+    for coeff in ("Z-", "Z", "F2"):
+        for p in (-1, top + 1):
+            with pytest.raises(TruncationError, match=f"no chains stored in degree {p}$"):
+                twisted_homology(pair, p, coeff)
 
 
 def test_integral_truncation_guard():

@@ -9,15 +9,13 @@ from stexo.gf2 import (
     _column_bits,
     _leftmost_column,
     Subspace,
-    kernel_basis,
     pack_rows,
     rank,
     rank_and_echelon,
-    solve_affine,
     unpack_rows,
 )
 
-from reference import mul_vec
+from reference import kernel_basis, mul_vec, solve_affine
 
 RNG = np.random.default_rng(20240817)
 
@@ -278,7 +276,9 @@ def test_solve_affine_roundtrip(rows, cols, seed):
 )
 @settings(max_examples=120, deadline=None)
 def test_echelon_solve_matches_solve_affine(rows, cols, density, consistent, seed):
-    # low-rank and empty shapes included; a consistent rhs is m x for a random x
+    # the span of m's columns answers solve_affine and kernel_basis on m: its
+    # canonical combination and its relations.  Low-rank and empty shapes
+    # included, so dependent columns too; a consistent rhs is m x for a random x
     rng = np.random.default_rng(seed)
     a = (rng.random((rows, cols)) < density).astype(np.uint8)
     m = F2Matrix.from_dense(a) if rows else F2Matrix(0, cols)
@@ -286,15 +286,14 @@ def test_echelon_solve_matches_solve_affine(rows, cols, density, consistent, see
         rhs = mul_vec(m, rng.integers(0, 2, size=cols, dtype=np.uint8))
     else:
         rhs = rng.integers(0, 2, size=rows, dtype=np.uint8)
+    span = Subspace.from_vectors(rows, m.transpose())
     want = solve_affine(m, rhs)
-    got = rank_and_echelon(m).solve(rhs)
-    assert (got is None) == (want is None)
+    assert span.contains(rhs) == (want is not None)
     if want is not None:
-        assert np.array_equal(got, want)
+        assert np.array_equal(span.combination(rhs), want)
+    assert span.relations == kernel_basis(m)
     with pytest.raises(ModelMismatchError):
-        rank_and_echelon(m, want_transform=False).solve(rhs)
-    with pytest.raises(ModelMismatchError):
-        rank_and_echelon(m).solve(np.zeros(rows + 1, dtype=np.uint8))
+        span.combination(np.zeros(rows + 1, dtype=np.uint8))
 
 
 def test_subspace_membership():
@@ -381,24 +380,23 @@ def test_subspace_batch_against_enumerated_span(n, k, seed):
         assert not span.contains(v)
         with pytest.raises(ModelMismatchError):
             span.combination(v)
-    # without the transform: the same echelon and pivots, and no combination
-    bare = Subspace.from_vectors(n, vectors, want_transform=False)
-    assert bare == span and bare.pivots == span.pivots and bare.transform is None
-    assert np.array_equal(bare.residual(everything), span.residual(everything))
-    with pytest.raises(ModelMismatchError, match="without a transform"):
-        bare.combination(ins)
+    # the relations: one per vector in the span of the ones before it, each
+    # summing to zero and ending at its own vector, where no combination picks
+    relations = span.relations.to_dense()
+    assert relations.shape == (k - span.dim, k)
+    assert not ((relations.astype(np.int64) @ vectors) % 2).any()
+    prefix_ranks = [rank(F2Matrix.from_dense(vectors[:j])) for j in range(k + 1)]
+    dependent = [k - 1 - int(np.argmax(row[::-1])) for row in relations]
+    assert dependent == [j for j in range(k) if prefix_ranks[j + 1] == prefix_ranks[j]]
+    assert not coeffs[:, dependent].any()
 
 
 def test_subspace_from_packed_rows_equals_from_dense():
     for rows, cols in [(0, 0), (0, 5), (3, 0), (7, 64), (9, 130), (70, 65)]:
         dense = random_dense(rows, cols)
         packed = F2Matrix.from_dense(dense)
-        for want_transform in (True, False):
-            a = Subspace.from_vectors(cols, packed, want_transform)
-            b = Subspace.from_vectors(cols, dense, want_transform)
-            assert a == b and a.pivots == b.pivots
-            assert (a.transform is None) == (not want_transform)
-            if want_transform:
-                assert a.transform == b.transform
+        a = Subspace.from_vectors(cols, packed)
+        b = Subspace.from_vectors(cols, dense)
+        assert a == b and a.pivots == b.pivots and a.transform == b.transform
     with pytest.raises(ModelMismatchError):
         Subspace.from_vectors(6, F2Matrix(2, 5))

@@ -25,6 +25,8 @@ from stexo.catalog import (
     z2_secondary,
     z4_semidirect,
 )
+import stexo.cohomology as cohomology
+import stexo.gf2 as gf2
 import stexo.obstruction as obstruction
 from stexo.cohomology import cohomology_basis
 from stexo.errors import (
@@ -33,7 +35,7 @@ from stexo.errors import (
     TruncationError,
     ValidationError,
 )
-from stexo.gf2 import Subspace, solve_affine
+from stexo.gf2 import Subspace
 from stexo.obstruction import (
     Assertion,
     LiftDatum,
@@ -61,6 +63,7 @@ from stexo.simplicial import (
     CoverPair,
     Involution,
     SimplicialMap,
+    SimplicialModel,
     coboundary,
     cover_from_cocycle,
     cup,
@@ -70,7 +73,7 @@ from stexo.simplicial import (
     sq,
 )
 
-from reference import mul_vec
+from reference import mul_vec, solve_affine
 
 
 # -- clause-by-clause verdicts ---------------------------------------------------
@@ -536,7 +539,32 @@ def test_cached_kreck_solve_matches_solve_affine(k, consistent, seed):
     assert (g is None) == (want is None)
     if want is not None:
         assert np.array_equal(g.values, want)
-    assert base.coboundary_echelon(1) is base.coboundary_echelon(1)
+    assert base.coboundary_span(2) is base.coboundary_span(2)
+
+
+def test_each_coboundary_operator_is_reduced_once(monkeypatch):
+    # H^2, a degree-3 coboundary test and the Kreck solve on a fresh copy of
+    # the z4-semidirect base: delta_1 and delta_2 are each reduced once, as
+    # the spanning rows of B^2 and B^3, and never as the operators themselves
+    nt = z4_semidirect().nt
+    old = nt.base
+    base = SimplicialModel(old.max_degree, old.cells, old.face_word, old.face_cell, old.name)
+    assert base.cells[1:4] == (31, 261, 1171)
+    shapes = []
+    echelon = gf2.rank_and_echelon
+
+    def counted(m, want_transform=True):
+        shapes.append((m.rows, m.cols))
+        return echelon(m, want_transform)
+
+    monkeypatch.setattr(gf2, "rank_and_echelon", counted)
+    monkeypatch.setattr(cohomology, "rank_and_echelon", counted)
+    copy = NormalOneType(base, Cochain(base, 1, nt.w1.values), Cochain(base, 2, nt.w2.values))
+    cohomology_basis(base, 2)
+    assert is_coboundary(primary_obstruction(copy))
+    kreck_witness(copy)
+    assert (1171, 261) not in shapes and (261, 31) not in shapes
+    assert shapes.count((261, 1171)) == 1 and shapes.count((31, 261)) == 1
 
 
 @settings(max_examples=60, deadline=None)

@@ -31,7 +31,7 @@ from stexo.errors import (
     TruncationError,
     ValidationError,
 )
-from stexo.gf2 import Subspace, solve_affine
+from stexo.gf2 import Subspace
 from stexo.modelfile import MapData, canonical_bytes, model_document, parse_document
 from stexo.simplicial import (
     Cochain,
@@ -55,7 +55,14 @@ from stexo.simplicial import (
     swap_factors,
 )
 
-from reference import compose, encode_targets, euler_characteristic, mul_vec
+from reference import (
+    compose,
+    encode_targets,
+    euler_characteristic,
+    kernel_basis,
+    mul_vec,
+    solve_affine,
+)
 
 
 def triangle_arrays():
@@ -921,9 +928,9 @@ def _dense_transpose_span(model, k):
     transposed and packed again."""
     n = model.n_cells(k)
     if k == 0:
-        return Subspace.from_vectors(n, np.zeros((0, n), dtype=np.uint8), want_transform=False)
+        return Subspace.from_vectors(n, np.zeros((0, n), dtype=np.uint8))
     vectors = model.coboundary_matrix(k - 1).to_dense().T
-    return Subspace.from_vectors(n, vectors, want_transform=False)
+    return Subspace.from_vectors(n, vectors)
 
 
 def test_coboundary_span_matches_dense_transpose_route():
@@ -936,7 +943,9 @@ def test_coboundary_span_matches_dense_transpose_route():
             got, want = model.coboundary_span(k), _dense_transpose_span(model, k)
             assert got.pivots == want.pivots, (model.name, k)
             assert np.array_equal(got.matrix.words, want.matrix.words), (model.name, k)
-            assert got.transform is None
+            if k:
+                cocycles = kernel_basis(model.coboundary_matrix(k - 1))
+                assert got.relations == cocycles, (model.name, k)
 
 
 # -- grouping by key --------------------------------------------------------
