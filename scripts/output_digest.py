@@ -16,6 +16,10 @@ For each fixture (all of them by default) the lines are:
                      (the transform route), in call order;
   <part>.bytes       canonical_bytes of each exported document;
   <part>.reexport    canonical_bytes of its re-export after parsing;
+  <part>.parsed      what parsing those bytes gives, whatever the file
+                     format: the model's cells and face arrays, the
+                     cochains, the involution, each map's source and image
+                     arrays, and the assertions (see parsed_digest);
   cli.decide         `stexo decide --json` on the exported files, with
   cli.report         `stexo report --json` and
   cli.report.text    `stexo report` (the plain-text page, every d2 row and
@@ -154,27 +158,74 @@ def _drop(*path):
     return edit
 
 
+def _edits(*edits):
+    """An edit applying each of edits in turn."""
+
+    def edit(doc):
+        for e in edits:
+            e(doc)
+
+    return edit
+
+
+def _target(*path_and_target):
+    """An edit setting target p of the {"cell", "word"} block at doc[path...]
+    to (word mask, cell)."""
+    *path, p, word, cell = path_and_target
+    return _edits(_put(*path, "word", p, word), _put(*path, "cell", p, cell))
+
+
+def _shorten(*path):
+    """An edit removing the last target of the {"cell", "word"} block at doc[path...]."""
+    return _edits(_drop(*path, "cell"), _drop(*path, "word"))
+
+
 CORRUPT_FIXTURE = "rp-kreck"
 # (part, edit); the edited documents are decided with their cover and section
 CORRUPTIONS = [
-    ("base", _put("faces", 0, 0, 0, 7)),
-    ("base", _put("faces", 1, 0, 1, {"cell": 5})),
-    ("base", _put("faces", 2, 0, 0, {"cell": 0, "degen": [0, 1]})),
-    ("base", _put("faces", 2, 0, 2, {"cell": 0, "degen": "0"})),
-    ("base", _put("faces", 3, 0, 1, {"cell": 0, "colour": 1})),
-    ("base", _drop("faces", 1, 0)),
+    ("base", _put("faces", 0, "cell", 0, "7")),
+    ("base", _target("faces", 1, 1, 0, 5)),
+    ("base", _put("faces", 2, "word", 0, 4)),
+    ("base", _put("faces", 2, "word", 2, "0")),
+    ("base", _put("faces", 3, "colour", [1])),
+    ("base", _shorten("faces", 1)),
     ("base", _put("cochains", "w1", "support", [0, 0])),
     ("base", _put("cochains", "w2", "support", [3])),
     ("base", _put("assertions", "cd_at_most_3", {"value": True, "provenance": ""})),
-    ("base", _put("maps", "section", "assignment", 1, 0, {"cell": 0, "degen": [3]})),
-    ("base", _put("maps", "section", "assignment", 2, 0, {"cell": 2**70})),
+    ("base", _put("maps", "section", "assignment", 1, "word", 0, 8)),
+    ("base", _target("maps", "section", "assignment", 2, 0, 0, 2**70)),
     ("cover", _put("involution", 0, [0, 1])),
-    ("cover", _put("maps", "projection", "assignment", 2, 1, {"cell": 9})),
-    ("cover", _put("maps", "projection", "assignment", 3, 0, {"degen": [0]})),
-    ("cover", _drop("maps", "projection", "assignment", 1)),
-    ("cover", _put("faces", 4, 1, 0, {"cell": -1})),
-    ("cover", _put("faces", 1, 0, 2, {"cell": 1, "degen": [1, 0]})),
+    ("cover", _target("maps", "projection", "assignment", 2, 1, 0, 9)),
+    ("cover", _put("maps", "projection", "assignment", 3, "cell", 0, None)),
+    ("cover", _shorten("maps", "projection", "assignment", 1)),
+    ("cover", _target("faces", 4, 6, 0, -1)),
+    ("cover", _target("faces", 1, 2, 3, 1)),
 ]
+
+
+def parsed_digest(data) -> str:
+    """sha256 of what a parsed document holds, whatever its file format: the
+    model's name, cells and face arrays, each cochain, the involution, each
+    map's source model and image arrays (with the targets held back for the
+    map checks), and the assertions."""
+
+    def model_bytes(model) -> list:
+        arrays = (*model.face_word, *model.face_cell)
+        return [repr((model.name, model.cells)).encode(), *(a.tobytes() for a in arrays)]
+
+    parts = model_bytes(data.model)
+    for name, u in sorted(data.cochains.items()):
+        parts += [repr((name, u.degree)).encode(), u.values.tobytes()]
+    if data.involution is not None:
+        parts += [np.asarray(p, dtype=np.int64).tobytes() for p in data.involution.perms]
+    for name, m in sorted(data.maps.items()):
+        parts.append(repr((name, m.source is None)).encode())
+        if m.source is not None:
+            parts += model_bytes(m.source)
+        for masks, ids, rejects in m.images:
+            parts += [masks.tobytes(), ids.tobytes(), repr(sorted(rejects.items())).encode()]
+    parts.append(repr((data.cd_at_most_3, data.h5_zero)).encode())
+    return _sha(b"\0".join(parts))
 
 
 def corrupted_top(model: SimplicialModel) -> SimplicialModel:
@@ -300,7 +351,9 @@ def digest(name: str) -> list:
     blobs = {part: canonical_bytes(doc) for part, doc in sorted(docs.items())}
     for part, blob in blobs.items():
         rows.append((f"{part}.bytes", _sha(blob)))
-        rows.append((f"{part}.reexport", _sha(canonical_bytes(reexport(parse_bytes(blob))))))
+        data = parse_bytes(blob)
+        rows.append((f"{part}.reexport", _sha(canonical_bytes(reexport(data)))))
+        rows.append((f"{part}.parsed", parsed_digest(data)))
         model = docs[part].model
         for k in range(1, min(4, model.max_degree) + 1):
             span = model.coboundary_span(k)

@@ -6,29 +6,33 @@ optional free involution, named maps, and the two auditable assertions.
 Canonical serialization sorts keys and supports, so equal data gives equal
 bytes; parse followed by export is the identity on canonical files.
 
+Format version 2 holds the faces of degree n as {"cell": [...], "word":
+[...]}, two flat integer lists, row-major over (cell, face).  A word is the
+bitmask face_word holds, so every mask in 0 .. 2**(n-1) - 1 is a canonical
+word.  A map's assignment has the same form per degree, one target per
+source cell.  Version 1 held each target as {"cell": c, "degen": [letters]};
+it is still read, to the same models with the same messages, but not written.
+
 The canonical bytes of a document are by definition those of
 json.dumps(doc, sort_keys=True, indent=2) plus a newline.  model_document
 checks a model and its decorations and returns them as a ModelDocument, which
-stands for that JSON document without building it: canonical_bytes writes it
-straight from the face_word/face_cell arrays (a map's from image_word/
-image_cell), from text made once per distinct (cell, tail) pair and one join
-of one str per target.  A plain JSON document goes through json.dumps.
-Parsing is array-native too: _targets reads each degree's targets in one
-batch into arrays, with the same messages a target-by-target check gives.
+canonical_bytes writes straight from the arrays, each integer list as one
+join of texts made once per distinct value.  A plain JSON document goes
+through json.dumps.  A version 2 list is read in one batch, and a fault names
+the path of the first bad entry.
 
 parse_bytes runs with CPython's cyclic garbage collector paused, and restores
-its previous state on return or exception.  json.loads builds up to half a
-million small dicts and lists per big document, none of them in a reference
-cycle; with the collector running, its passes over those young containers
-took about a quarter of parse time.  The pause frees nothing later than
-reference counting would, because models and their caches hold no reference
-cycles (see cohomology).  Export builds only a few containers per document
-and runs with the collector as the caller left it.
+its previous state on return or exception: json.loads of a version 1 file
+builds up to half a million small containers, none in a reference cycle, and
+collector passes over them took about a quarter of parse time.  The pause
+frees nothing later than reference counting would, because models and their
+caches hold no reference cycles (see cohomology).
 
 Map entries either inline their own source model, in which case they map
 into this file's model, or carry source null, meaning the source is this
 file's model and the consumer picks the codomain (the base model when this
-file describes a cover, the file's own model otherwise).
+file describes a cover, the file's own model otherwise).  A map's cells are
+checked against that codomain when the map is made.
 """
 
 from __future__ import annotations
@@ -37,9 +41,7 @@ import gc
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, repeat
-from operator import itemgetter
 
 import numpy as np
 
@@ -51,116 +53,85 @@ from .simplicial import (
     SimplicialMap,
     SimplicialModel,
     _canonical_masks,
-    _word,
+    _target_problem,
     check_targets,
     checked_images,
     int64_array,
 )
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
-_TARGET_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "cell": {"type": "integer", "minimum": 0},
-        "degen": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-    },
-    "required": ["cell"],
-    "additionalProperties": False,
+_INTS = {"type": "array", "items": {"type": "integer", "minimum": 0}}
+
+
+def _closed(properties: dict, *required: str) -> dict:
+    """The schema of an object with these properties and no others."""
+    return {
+        "type": "object",
+        "properties": properties,
+        "required": list(required),
+        "additionalProperties": False,
+    }
+
+
+# version 1 holds an object per target, version 2 two flat lists per block
+_TARGET_LIST = {
+    "type": "array",
+    "items": _closed({"cell": {"type": "integer", "minimum": 0}, "degen": _INTS}, "cell"),
 }
-
-_MODEL_CORE_PROPERTIES = {
-    "name": {"type": "string"},
-    "max_degree": {"type": "integer", "minimum": 0},
-    "cells": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-    "faces": {
-        "type": "array",
-        "items": {"type": "array", "items": {"type": "array", "items": _TARGET_SCHEMA}},
-    },
-}
-
-_ASSERTION_SCHEMA = {
+_TARGETS = _closed({"cell": _INTS, "word": _INTS}, "cell", "word")
+_ASSERTION = {
     "oneOf": [
         {"type": "null"},
-        {
-            "type": "object",
-            "properties": {
-                "value": {"type": "boolean"},
-                "provenance": {"type": "string", "minLength": 1},
-            },
-            "required": ["value", "provenance"],
-            "additionalProperties": False,
-        },
+        _closed(
+            {"value": {"type": "boolean"}, "provenance": {"type": "string", "minLength": 1}},
+            "value",
+            "provenance",
+        ),
     ]
 }
+
+
+def _version_schema(version: int, face_block: dict, map_degree: dict) -> dict:
+    """The schema of a format version, given those of its face blocks and map degrees."""
+    core = {
+        "name": {"type": "string"},
+        "max_degree": {"type": "integer", "minimum": 0},
+        "cells": _INTS,
+        "faces": {"type": "array", "items": face_block},
+    }
+    cochain = _closed(
+        {"degree": {"type": "integer", "minimum": 0}, "support": _INTS}, "degree", "support"
+    )
+    source = {"oneOf": [{"type": "null"}, _closed(core, "max_degree", "cells", "faces")]}
+    entry = _closed(
+        {"source": source, "assignment": {"type": "array", "items": map_degree}},
+        "source",
+        "assignment",
+    )
+    return _closed(
+        {
+            "format_version": {"const": version},
+            **core,
+            "cochains": {"type": "object", "additionalProperties": cochain},
+            "involution": {"oneOf": [{"type": "null"}, {"type": "array", "items": _INTS}]},
+            "maps": {"type": "object", "additionalProperties": entry},
+            "assertions": _closed({"cd_at_most_3": _ASSERTION, "h5_zero": _ASSERTION}),
+        },
+        "format_version",
+        "max_degree",
+        "cells",
+        "faces",
+    )
+
 
 MODEL_FILE_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "title": "stexo model file",
-    "type": "object",
-    "properties": {
-        "format_version": {"const": FORMAT_VERSION},
-        **_MODEL_CORE_PROPERTIES,
-        "cochains": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "object",
-                "properties": {
-                    "degree": {"type": "integer", "minimum": 0},
-                    "support": {
-                        "type": "array",
-                        "items": {"type": "integer", "minimum": 0},
-                    },
-                },
-                "required": ["degree", "support"],
-                "additionalProperties": False,
-            },
-        },
-        "involution": {
-            "oneOf": [
-                {"type": "null"},
-                {
-                    "type": "array",
-                    "items": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-                },
-            ]
-        },
-        "maps": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "object",
-                "properties": {
-                    "source": {
-                        "oneOf": [
-                            {"type": "null"},
-                            {
-                                "type": "object",
-                                "properties": _MODEL_CORE_PROPERTIES,
-                                "required": ["max_degree", "cells", "faces"],
-                                "additionalProperties": False,
-                            },
-                        ]
-                    },
-                    "assignment": {
-                        "type": "array",
-                        "items": {"type": "array", "items": _TARGET_SCHEMA},
-                    },
-                },
-                "required": ["source", "assignment"],
-                "additionalProperties": False,
-            },
-        },
-        "assertions": {
-            "type": "object",
-            "properties": {
-                "cd_at_most_3": _ASSERTION_SCHEMA,
-                "h5_zero": _ASSERTION_SCHEMA,
-            },
-            "additionalProperties": False,
-        },
-    },
-    "required": ["format_version", "max_degree", "cells", "faces"],
-    "additionalProperties": False,
+    "oneOf": [
+        _version_schema(1, {"type": "array", "items": _TARGET_LIST}, _TARGET_LIST),
+        _version_schema(2, _TARGETS, _TARGETS),
+    ],
 }
 
 
@@ -204,14 +175,24 @@ def model_document(
     cd_at_most_3: Assertion | None = None,
     h5_zero: Assertion | None = None,
 ) -> ModelDocument:
-    """The document of a model and its decorations, ready for canonical_bytes."""
+    """The document of a model and its decorations, ready for canonical_bytes.
+
+    A parsed map entry whose targets include one that is wrong on every
+    model (which only version 1 can hold) has no version 2 form: it is
+    refused with the message making the map gives.
+    """
     cochains = dict(cochains or {})
     maps = dict(maps or {})
     for name, u in cochains.items():
         if u.model is not model:
             raise ValidationError(f"cochain {name} lives on a different model")
     for name, m in maps.items():
-        if not (isinstance(m, MapData) or m.source is model or m.target is model):
+        if isinstance(m, MapData):
+            for n, (_, _, rejects) in enumerate(m.images):
+                for p, target in rejects.items():
+                    problem = _target_problem(target, n)
+                    raise ValidationError(f"map {name}: degree {n} cell {p}: {problem}")
+        elif not (m.source is model or m.target is model):
             raise ValidationError(f"map {name} touches neither side of the model")
     return ModelDocument(model, cochains, involution, maps, cd_at_most_3, h5_zero)
 
@@ -225,9 +206,8 @@ def canonical_bytes(doc: ModelDocument | dict) -> bytes:
     """The bytes of json.dumps(doc, sort_keys=True, indent=2) + "\\n", where a
     ModelDocument stands for the JSON document it describes.
 
-    A ModelDocument is written from its arrays: the targets of each face block
-    and map degree by _targets_text, lists of integers by one join.  Any
-    other document goes through json.dumps itself.
+    A ModelDocument is written from its arrays, every list of integers by
+    _ints.  Any other document goes through json.dumps itself.
     """
     if isinstance(doc, ModelDocument):
         return (_document_text(doc) + "\n").encode("utf-8")
@@ -249,60 +229,29 @@ def _object(fields: dict, level: int) -> str:
 
 
 def _ints(values, level: int) -> str:
-    return _list(map(str, values), level)
+    """The JSON list at nesting level of a sequence of integers, as one join.
 
-
-@lru_cache(maxsize=None)
-def _target_text(word: tuple, level: int) -> tuple:
-    """The text of a target at nesting level whose degen is word: what comes
-    before its cell, and what follows it."""
-    fields = {"cell": "@", "degen": _ints(word, level + 1)} if word else {"cell": "@"}
-    return tuple(_object(fields, level).split("@"))
-
-
-def _targets_text(words: np.ndarray, cells: np.ndarray, level: int, rejects=None) -> str:
-    """The list, brackets at nesting level, of the targets of word mask and
-    cell arrays: a list of rows when they are 2-D, of targets when 1-D.
-
-    rejects maps flat positions to (word, cell) targets as parsed, written
-    in their place.
+    Small nonnegative values, as in every face and image list, repeat: a
+    count finds the distinct ones, and the text of each, with the separator
+    that follows it, is made once.  Any other list is written value by value.
     """
-    if not words.size:
+    values = np.asarray(values).ravel()
+    if not values.size:
         return "[]"
-    nested = words.ndim == 2
-    at = level + 1 + nested  # the nesting level of a target
-    head = _target_text((), at)[0]
-    row = _INDENT * (at - 1)
-    # after a cell: its tail, then the next target within the row, across a
-    # row break, or the end of the list
-    follow = (
-        f",\n{_INDENT * at}{head}",
-        f"\n{row}],\n{row}[\n{_INDENT * at}{head}",
-        f"\n{row}]" + (f"\n{_INDENT * level}]" if nested else ""),
-    )
-    flat = words.ravel()
-    tails = [_target_text(_word(m), at)[1] for m in range(1 << int(flat.max()).bit_length())]
-    table = [tail + f for tail in tails for f in follow]
-    place = np.zeros_like(words)
-    place[..., -1] = 1  # a row ends here; a flat list has one row, ended below
-    place.flat[-1] = 2
-    # target p is written as str(cell) + table[code]: one text per distinct
-    # (cell, code) key, which the cell rank replaces when cell * len(table)
-    # could leave int64 (a map's cells are unchecked until use)
-    code = 3 * flat + place.ravel()
-    ids, values = cells.ravel(), None
-    if int(ids.max()) >= (1 << 63) // len(table) - 1:
-        values, ids = np.unique(ids, return_inverse=True)
-    keys, inverse = np.unique(ids * len(table) + code, return_inverse=True)
-    key_cells, key_codes = np.divmod(keys, len(table))
-    if values is not None:
-        key_cells = values[key_cells]
-    texts = [str(c) + table[k] for c, k in zip(key_cells.tolist(), key_codes.tolist())]
-    pieces = np.array(texts, dtype=object)[inverse]
-    for p, (word, cell) in (rejects or {}).items():
-        pieces[p] = str(cell) + _target_text(word, at)[1] + follow[place.flat[p]]
-    start = f"[\n{row}[\n" if nested else "[\n"
-    return start + _INDENT * at + head + "".join(pieces.tolist())
+    inner = "\n" + _INDENT * (level + 1)
+    if values.dtype.kind == "i" and values.min() >= 0 and values.max() < 4 * values.size:
+        distinct = np.flatnonzero(np.bincount(values))
+        texts = np.empty(int(distinct[-1]) + 1, dtype=object)
+        texts[distinct] = [f"{v},{inner}" for v in distinct.tolist()]
+        body = "".join(texts[values].tolist())
+    else:
+        body = "".join(f"{v},{inner}" for v in values.tolist())
+    return f"[{inner}{body[: -len(inner) - 1]}\n{_INDENT * level}]"
+
+
+def _targets_block(words: np.ndarray, cells: np.ndarray, level: int) -> str:
+    """The {"cell": [...], "word": [...]} object at nesting level of target arrays."""
+    return _object({"cell": _ints(cells, level + 1), "word": _ints(words, level + 1)}, level)
 
 
 def _model_fields(model: SimplicialModel, level: int) -> dict:
@@ -312,22 +261,22 @@ def _model_fields(model: SimplicialModel, level: int) -> dict:
         "name": json.dumps(model.name),
         "max_degree": str(model.max_degree),
         "cells": _ints(model.cells, level + 1),
-        "faces": _list((_targets_text(w, c, level + 2) for w, c in blocks), level + 1),
+        "faces": _list((_targets_block(w, c, level + 2) for w, c in blocks), level + 1),
     }
 
 
 def _map_text(m, model: SimplicialModel, level: int) -> str:
     """A map entry at nesting level, of a SimplicialMap or a MapData."""
     if isinstance(m, MapData):
-        source, blocks = m.source, m.images
+        source, blocks = m.source, [(w, c) for w, c, _ in m.images]
     else:
         source = None if m.source is model else m.source
-        blocks = [(w, c, None) for w, c in zip(m.image_word, m.image_cell)]
+        blocks = zip(m.image_word, m.image_cell)
     inner = level + 1
     return _object(
         {
             "source": "null" if source is None else _object(_model_fields(source, inner), inner),
-            "assignment": _list((_targets_text(w, c, inner + 1, r) for w, c, r in blocks), inner),
+            "assignment": _list((_targets_block(w, c, inner + 1) for w, c in blocks), inner),
         },
         level,
     )
@@ -347,8 +296,7 @@ def _document_text(doc: ModelDocument) -> str:
     fields["cochains"] = _object(
         {
             name: _object(
-                {"degree": str(u.degree), "support": _ints(np.flatnonzero(u.values).tolist(), 3)},
-                2,
+                {"degree": str(u.degree), "support": _ints(np.flatnonzero(u.values), 3)}, 2
             )
             for name, u in doc.cochains.items()
         },
@@ -357,7 +305,7 @@ def _document_text(doc: ModelDocument) -> str:
     fields["involution"] = (
         "null"
         if doc.involution is None
-        else _list((_ints(np.asarray(p).tolist(), 2) for p in doc.involution.perms), 1)
+        else _list((_ints(p, 2) for p in doc.involution.perms), 1)
     )
     fields["maps"] = _object({k: _map_text(m, doc.model, 2) for k, m in doc.maps.items()}, 1)
     fields["assertions"] = _object(
@@ -410,10 +358,6 @@ def _target_fault(obj) -> str | None:
     return None
 
 
-_cell = itemgetter("cell")
-_degen = itemgetter("degen")
-
-
 def _targets(flat: list, dim: int, path_of):
     """Word masks, cells and rejects of a list of dimension-dim target objects.
 
@@ -421,43 +365,100 @@ def _targets(flat: list, dim: int, path_of):
     wrong on every model, by position, as (word tuple, cell) as given: a word
     that is not canonical for dim, or a negative cell or one past int64.  A
     reject is stored as (0, -1); check_targets finishes the check on a model.
-
-    The whole list is read at once: its cells, the key count of each target
-    (1 for a plain target, 2 with a degen), and the degen words where there
-    are two keys.  When a check fails, the first faulty target is found and
-    reported with its path, path_of(position).
+    The first faulty target is reported with its path, path_of(position).
     """
-    try:
-        cells = list(map(_cell, flat))
-        sizes = np.fromiter(map(len, flat), dtype=np.int64, count=len(flat))
-        given = np.flatnonzero(sizes == 2)
-        words = list(map(_degen, map(flat.__getitem__, given.tolist())))
-    except (KeyError, TypeError):  # a target with no cell, or no object
-        words = None
-    if (
-        words is not None
-        and sizes.max(initial=0) <= 2
-        and set(map(type, cells)) <= {int}
-        and set(map(type, words)) <= {list}
-        and set(map(type, chain.from_iterable(words))) <= {int}
-    ):
-        masks = np.zeros(len(flat), dtype=np.int64)
-        masks[given] = np.fromiter(
-            map(_canonical_masks(dim).get, map(tuple, words), repeat(-1)),
-            dtype=np.int64,
-            count=len(words),
+    for k, fault in enumerate(map(_target_fault, flat)):
+        if fault:
+            _fail(path_of(k), fault)
+    words = [tuple(obj.get("degen", ())) for obj in flat]
+    cells = [obj["cell"] for obj in flat]
+    masks = np.fromiter(
+        map(_canonical_masks(dim).get, words, repeat(-1)), dtype=np.int64, count=len(words)
+    )
+    ids = int64_array(cells)
+    out = np.flatnonzero((masks < 0) | (ids < 0))
+    rejects = {p: (words[p], cells[p]) for p in out.tolist()}
+    masks[out] = 0
+    ids[out] = -1
+    return masks, ids, rejects
+
+
+def _v1_faces(block, path: str, n: int, count: int):
+    """The targets of a version 1 face block of degree n: count rows of n + 1
+    target objects."""
+    _expect(isinstance(block, list) and len(block) == count, path, f"expected {count} rows")
+    width = n + 1
+    good = len(block)
+    if not (all(map(isinstance, block, repeat(list))) and set(map(len, block)) <= {width}):
+        good = next(
+            c for c, row in enumerate(block) if not (isinstance(row, list) and len(row) == width)
         )
-        ids = int64_array(cells)
-        out = np.flatnonzero((masks < 0) | (ids < 0))
-        rejects = {p: (tuple(flat[p].get("degen", ())), cells[p]) for p in out.tolist()}
-        masks[out] = 0
-        ids[out] = -1
-        return masks, ids, rejects
-    k = next(k for k, obj in enumerate(flat) if _target_fault(obj))
-    _fail(path_of(k), _target_fault(flat[k]))
+    targets = _targets(
+        list(chain.from_iterable(block[:good])),
+        n - 1,
+        lambda k: f"{path}[{k // width}][{k % width}]",
+    )
+    _expect(good == len(block), f"{path}[{good}]", f"expected {width} targets")
+    return targets
 
 
-def _parse_model_core(obj, path: str, default_name: str) -> SimplicialModel:
+def _v1_images(block, path: str, n: int, count: int):
+    """The targets of degree n of a version 1 map: a list of count target objects."""
+    _expect(isinstance(block, list) and len(block) == count, path, f"expected {count} targets")
+    return _targets(block, n, lambda k: f"{path}[{k}]")
+
+
+def _first(wrong: np.ndarray, path: str, msg: str) -> None:
+    """Fail at path[k] for the first k where wrong holds, if any."""
+    if wrong.any():
+        _fail(f"{path}[{int(np.argmax(wrong))}]", msg)
+
+
+def _int_list(values, size: int, path: str) -> np.ndarray:
+    """A list of size JSON integers as int64; one outside int64 reads as -1."""
+    _expect(
+        isinstance(values, list) and len(values) == size,
+        path,
+        f"expected a list of {size} integers",
+    )
+    if not set(map(type, values)) <= {int}:
+        _first(np.array([type(v) is not int for v in values]), path, "expected an integer")
+    return int64_array(values)
+
+
+def _v2_images(block, path: str, dim: int, size: int):
+    """The size dimension-dim targets of a version 2 block, {"cell": [...],
+    "word": [...]}, in the (masks, ids, rejects) form check_targets takes:
+    the targets of degree dim of a map, one per source cell.
+
+    Each list is checked and converted in one batch: JSON integers, cells
+    nonnegative and within int64, masks in 0 .. 2**dim - 1 (each of them a
+    canonical word).  A target that is wrong on every model is a fault here,
+    so there are no rejects; check_targets finishes the check on a model.
+    """
+    _expect(
+        isinstance(block, dict) and set(block) == {"cell", "word"},
+        path,
+        'expected an object of "cell" and "word" lists',
+    )
+    cells = _int_list(block["cell"], size, f"{path}.cell")
+    masks = _int_list(block["word"], size, f"{path}.word")
+    _first(cells < 0, f"{path}.cell", "cell must be a nonnegative 64-bit integer")
+    top = (1 << dim) - 1
+    _first(masks >> min(dim, 63) != 0, f"{path}.word", f"expected a word mask in 0..{top}")
+    return masks, cells, {}
+
+
+def _v2_faces(block, path: str, n: int, count: int):
+    """The targets of a version 2 face block of degree n: count cells of n + 1 faces."""
+    return _v2_images(block, path, n - 1, count * (n + 1))
+
+
+# format version -> the readers of its face blocks and of its map degrees
+_READERS = {1: (_v1_faces, _v1_images), 2: (_v2_faces, _v2_images)}
+
+
+def _parse_model_core(obj, path: str, default_name: str, read_faces) -> SimplicialModel:
     _expect(isinstance(obj, dict), path, "model must be an object")
     max_degree = obj.get("max_degree")
     _expect(
@@ -479,27 +480,10 @@ def _parse_model_core(obj, path: str, default_name: str) -> SimplicialModel:
         path,
         f"faces must have one block per degree 1..{max_degree}",
     )
-    encoded = []
-    for n, block in enumerate(faces_json, 1):
-        where = f"{path}.faces[{n - 1}]"
-        _expect(
-            isinstance(block, list) and len(block) == cells[n], where, f"expected {cells[n]} rows"
-        )
-        width = n + 1
-        good = len(block)
-        if not (all(map(isinstance, block, repeat(list))) and set(map(len, block)) <= {width}):
-            good = next(
-                c
-                for c, row in enumerate(block)
-                if not (isinstance(row, list) and len(row) == width)
-            )
-        targets = _targets(
-            list(chain.from_iterable(block[:good])),
-            n - 1,
-            lambda k: f"{where}[{k // width}][{k % width}]",
-        )
-        _expect(good == len(block), f"{where}[{good}]", f"expected {width} targets")
-        encoded.append(targets)
+    encoded = [
+        read_faces(block, f"{path}.faces[{n - 1}]", n, cells[n])
+        for n, block in enumerate(faces_json, 1)
+    ]
     name = obj.get("name", default_name)
     _expect(isinstance(name, str), path, "name must be a string")
     empty = np.zeros((cells[0], 0), dtype=np.int64)
@@ -569,8 +553,9 @@ def _parse_assertion(obj, path: str) -> Assertion | None:
 class MapData:
     """A named map entry: inline-source maps point into the parent model.
 
-    images[n] holds the degree-n targets as _targets returns them; they
-    are checked against the codomain when the map is made.
+    images[n] holds the degree-n targets in the (masks, ids, rejects) form
+    the readers return; they are checked against the codomain when the map
+    is made.
     """
 
     name: str
@@ -624,12 +609,12 @@ def parse_document(doc, default_name: str = "model") -> ModelFileData:
     }
     extra = set(doc) - known
     _expect(not extra, "document", f"unknown keys {sorted(extra)}")
+    version = doc.get("format_version")
     _expect(
-        doc.get("format_version") == FORMAT_VERSION,
-        "document.format_version",
-        f"expected {FORMAT_VERSION}",
+        _is_int(version) and version in _READERS, "document.format_version", "expected 1 or 2"
     )
-    model = _parse_model_core(doc, "document", default_name)
+    read_faces, read_images = _READERS[version]
+    model = _parse_model_core(doc, "document", default_name, read_faces)
 
     cochains = {}
     raw_cochains = doc.get("cochains", {})
@@ -672,7 +657,7 @@ def parse_document(doc, default_name: str = "model") -> ModelFileData:
         src = (
             None
             if raw_src is None
-            else _parse_model_core(raw_src, f"{path}.source", f"{name}-source")
+            else _parse_model_core(raw_src, f"{path}.source", f"{name}-source", read_faces)
         )
         counting = src if src is not None else model
         raw_assign = entry.get("assignment")
@@ -682,15 +667,10 @@ def parse_document(doc, default_name: str = "model") -> ModelFileData:
             path,
             f"assignment must cover degrees 0..{counting.max_degree}",
         )
-        images = []
-        for n, block in enumerate(raw_assign):
-            where = f"{path}.assignment[{n}]"
-            _expect(
-                isinstance(block, list) and len(block) == counting.cells[n],
-                where,
-                f"expected {counting.cells[n]} targets",
-            )
-            images.append(_targets(block, n, lambda k: f"{where}[{k}]"))
+        images = [
+            read_images(block, f"{path}.assignment[{n}]", n, counting.cells[n])
+            for n, block in enumerate(raw_assign)
+        ]
         maps[name] = MapData(name, src, images)
 
     raw_assert = doc.get("assertions", {})

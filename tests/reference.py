@@ -10,7 +10,13 @@ import numpy as np
 
 from stexo.errors import InternalInvariantError, ModelMismatchError
 from stexo.gf2 import F2Matrix, _nwords, pack_rows, rank_and_echelon
-from stexo.simplicial import SimplicialMap, SimplicialModel, _canonical_masks, int64_array
+from stexo.simplicial import (
+    SimplicialMap,
+    SimplicialModel,
+    _canonical_masks,
+    _word,
+    int64_array,
+)
 from stexo.snf import AbelianGroupInvariants, SNFResult
 
 
@@ -97,6 +103,38 @@ def encode_targets(dim: int, words, cells):
     masks[out] = 0
     ids[out] = -1
     return masks, ids, rejects
+
+
+def v1_document(doc: dict) -> dict:
+    """A version 2 model file, as a JSON dict, in version 1 form: each face
+    block becomes rows of target objects {"cell": c, "degen": [letters]}
+    (no degen for an empty word), each map degree a list of them."""
+
+    def targets(block: dict) -> list:
+        return [
+            {"cell": c, "degen": list(_word(w))} if w else {"cell": c}
+            for c, w in zip(block["cell"], block["word"])
+        ]
+
+    def core(obj: dict) -> dict:
+        out = dict(obj)
+        out["faces"] = []
+        for n, block in enumerate(obj["faces"], 1):
+            flat = targets(block)
+            out["faces"].append([flat[k : k + n + 1] for k in range(0, len(flat), n + 1)])
+        return out
+
+    out = core(doc)
+    out["format_version"] = 1
+    if "maps" in doc:
+        out["maps"] = {
+            name: {
+                "source": None if entry["source"] is None else core(entry["source"]),
+                "assignment": [targets(block) for block in entry["assignment"]],
+            }
+            for name, entry in doc["maps"].items()
+        }
+    return out
 
 
 # The Smith form on Python-int object arrays throughout: stexo.snf's, which

@@ -16,6 +16,8 @@ from stexo.errors import InternalInvariantError
 from stexo.modelfile import canonical_bytes, model_document
 from stexo.simplicial import Cochain
 
+from reference import v1_document
+
 SMALL = ("rp-w2-zero", "rp-kreck", "z2-remark", "z2-secondary")
 
 
@@ -254,6 +256,44 @@ def test_catalog_export_unknown_name_exits_two(capsys):
 def test_catalog_export_missing_part_exits_two(capsys):
     assert main(["catalog", "export", "z2-remark", "--part", "cover"]) == 2
     capsys.readouterr()
+
+
+def _write_both_forms(root, name) -> dict:
+    """The fixture's documents written in version 2 under the directory v2
+    of root and in version 1 under v1, by part: {form: {part: path}}."""
+    paths = {}
+    for form, convert in (("v2", lambda doc: doc), ("v1", v1_document)):
+        (root / form).mkdir()
+        paths[form] = {}
+        for part, doc in fixture_documents(name).items():
+            blob = canonical_bytes(convert(json.loads(canonical_bytes(doc))))
+            paths[form][part] = root / form / f"{part}.json"
+            paths[form][part].write_bytes(blob)
+    return paths
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", list(REGISTRY))
+def test_decide_and_report_agree_on_both_file_versions(name, tmp_path, capsys):
+    fx = get_fixture(name)
+    paths = _write_both_forms(tmp_path, name)
+    outputs = {}
+    for form, files in paths.items():
+        opts = [str(files["base"])]
+        if "cover" in files:
+            opts += ["--cover", str(files["cover"])]
+        if fx.section is not None:
+            opts += ["--section", "section"]
+        lift = ["--lift", f"lift-{fx.lift_data[0].index}"] if fx.lift_data else []
+        runs = []
+        for argv in (["decide", "--json", *opts, *lift], ["report", "--json", *opts]):
+            code = main(argv)
+            out, err = capsys.readouterr()
+            runs.append((code, out, err.replace(str(tmp_path / form), "<dir>")))
+        outputs[form] = runs
+    assert outputs["v1"] == outputs["v2"]
+    # a fixture with no type (k2-stress) is refused alike, exit code 2
+    assert [code for code, _, _ in outputs["v2"]] == ([0, 0] if fx.nt else [2, 2])
 
 
 @pytest.mark.slow

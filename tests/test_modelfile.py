@@ -2,6 +2,7 @@
 
 import gc
 import json
+import re
 from functools import lru_cache
 from itertools import chain, repeat
 from operator import contains
@@ -29,12 +30,13 @@ from stexo.modelfile import (
     canonical_bytes,
     model_document,
     parse_bytes,
+    parse_document,
     reexport,
 )
 from stexo.obstruction import Assertion
-from stexo.simplicial import Cochain, SimplicialMap, _word, coboundary, cover_from_cocycle
+from stexo.simplicial import Cochain, SimplicialMap, coboundary, cover_from_cocycle
 
-from reference import encode_targets
+from reference import encode_targets, v1_document
 
 SMALL = ("rp-w2-zero", "rp-kreck", "z2-remark", "z2-secondary")
 BIG = ("z4-semidirect", "d4-reflection", "k2-stress")
@@ -54,6 +56,7 @@ def test_registry_documents_validate_against_schema(small_documents):
     for name, docs in small_documents.items():
         for part, doc in docs.items():
             jsonschema.validate(json.loads(canonical_bytes(doc)), MODEL_FILE_SCHEMA)
+            jsonschema.validate(v1_document(json.loads(canonical_bytes(doc))), MODEL_FILE_SCHEMA)
 
 
 def _reference_bytes(doc) -> bytes:
@@ -80,6 +83,51 @@ def test_big_fixture_round_trips_are_byte_stable(name):
         blob = canonical_bytes(doc)
         assert blob == _reference_bytes(json.loads(canonical_bytes(doc)))
         assert canonical_bytes(reexport(parse_bytes(blob))) == blob
+
+
+def _models_equal(a, b) -> bool:
+    return (
+        (a.name, a.cells) == (b.name, b.cells)
+        and _arrays_equal(a.face_word, b.face_word)
+        and _arrays_equal(a.face_cell, b.face_cell)
+    )
+
+
+def _same_data(a, b) -> bool:
+    """Whether two parsed documents hold the same model, cochains, involution,
+    maps and assertions, array for array."""
+    maps = a.maps.keys() == b.maps.keys() and all(
+        (a.maps[k].source is None) == (b.maps[k].source is None)
+        and (a.maps[k].source is None or _models_equal(a.maps[k].source, b.maps[k].source))
+        and len(a.maps[k].images) == len(b.maps[k].images)
+        and all(
+            np.array_equal(mx, my) and np.array_equal(ix, iy) and rx == ry
+            for (mx, ix, rx), (my, iy, ry) in zip(a.maps[k].images, b.maps[k].images)
+        )
+        for k in a.maps
+    )
+    return (
+        _models_equal(a.model, b.model)
+        and a.cochains.keys() == b.cochains.keys()
+        and all(
+            a.cochains[k].degree == b.cochains[k].degree
+            and np.array_equal(a.cochains[k].values, b.cochains[k].values)
+            for k in a.cochains
+        )
+        and (a.involution is None) == (b.involution is None)
+        and (a.involution is None or _arrays_equal(a.involution.perms, b.involution.perms))
+        and maps
+        and (a.cd_at_most_3, a.h5_zero) == (b.cd_at_most_3, b.h5_zero)
+    )
+
+
+@pytest.mark.parametrize("name", list(REGISTRY))
+def test_version_1_form_parses_to_the_same_data(name):
+    for part, doc in fixture_documents(name).items():
+        blob = canonical_bytes(doc)
+        old = v1_document(json.loads(blob))
+        jsonschema.validate(old, MODEL_FILE_SCHEMA)
+        assert _same_data(parse_document(old), parse_bytes(blob))
 
 
 def test_canonical_bytes_ignore_key_order(rp_doc):
@@ -120,13 +168,26 @@ def _corrupt(doc, mutate):
     return canonical_bytes(clone)
 
 
+def _version(value):
+    # a version that is not a JSON integer 1 or 2 (true == 1 and 1.0 == 1 in Python)
+    return pytest.param(
+        lambda d: d.update(format_version=value),
+        "document.format_version: expected 1 or 2",
+        id=f"format_version={json.dumps(value)}",
+    )
+
+
 @pytest.mark.parametrize(
     "mutate, fragment",
     [
         (lambda d: d.update(surprise=1), "unknown"),
         (lambda d: d.update(format_version=99), "format_version"),
+        _version(True),
+        _version(1.0),
+        _version(2.0),
+        _version(False),
         (lambda d: d["cells"].append(7), "cells"),
-        (lambda d: d["faces"][0][0].__setitem__(0, {"cell": 10 ** 6}), "violation"),
+        (lambda d: d["faces"][0]["cell"].__setitem__(0, 10**6), "violation"),
         (lambda d: d["cochains"]["w1"].__setitem__("degree", -1), "degree"),
         (
             lambda d: d["cochains"]["w1"].__setitem__("support", [0, 0]),
@@ -212,16 +273,25 @@ _TARGET = st.one_of(
     st.lists(st.lists(_INT, max_size=2), max_size=2),
     st.none(),
 )
-_ROWS = st.lists(st.one_of(st.lists(_TARGET, max_size=3), _TARGET), max_size=4)
+_ENTRY = st.one_of(_INT, st.booleans(), st.floats(allow_nan=False), _TEXT, st.none())
+_BLOCK = st.one_of(
+    st.fixed_dictionaries(
+        {"cell": st.lists(_ENTRY, max_size=6), "word": st.lists(_INT, max_size=6)}
+    ),
+    st.dictionaries(st.sampled_from(["cell", "word", "degen"]), st.lists(_INT, max_size=3)),
+    st.lists(_TARGET, max_size=3),
+    _INT,
+    st.none(),
+)
 _CORE = {
     "name": _TEXT,
     "max_degree": _INT,
     "cells": st.lists(st.one_of(_INT, st.booleans()), max_size=4),
-    "faces": st.lists(st.one_of(_ROWS, _INT), max_size=3),
+    "faces": st.lists(_BLOCK, max_size=3),
 }
 _DOCUMENTS = st.fixed_dictionaries(
     {
-        "format_version": st.just(1),
+        "format_version": st.just(2),
         **_CORE,
         "cochains": st.dictionaries(
             _TEXT,
@@ -234,7 +304,7 @@ _DOCUMENTS = st.fixed_dictionaries(
             st.fixed_dictionaries(
                 {
                     "source": st.one_of(st.none(), st.fixed_dictionaries(_CORE)),
-                    "assignment": _ROWS,
+                    "assignment": st.lists(_BLOCK, max_size=3),
                 }
             ),
             max_size=2,
@@ -259,10 +329,11 @@ def test_canonical_bytes_equal_json_dumps_reference(doc):
 
 def test_canonical_bytes_of_edited_catalog_documents(small_documents):
     doc = json.loads(canonical_bytes(small_documents["z2-secondary"]["base"]))
-    doc["faces"][0][1][0] = {"cell": True}
-    doc["faces"][0][2] = []
-    doc["faces"][1][0][2] = {"degen": [], "cell": 2**70, "note": "x\ny"}
-    doc["maps"]["section"]["assignment"][1] = [{"cell": 0, "degen": [1, 0]}]
+    doc["faces"][0]["cell"][1] = True
+    doc["faces"][0]["word"] = []
+    doc["faces"][1]["cell"][2] = 2**70
+    doc["faces"][1]["note"] = "x\ny"
+    doc["maps"]["section"]["assignment"][1] = {"cell": [-(2**70)], "word": [1.5]}
     doc["name"] = "[a,\nb]"
     assert canonical_bytes(doc) == _reference_bytes(doc)
 
@@ -376,7 +447,7 @@ def test_writer_round_trips_bar_models_with_covers_and_sections(data):
         assert _arrays_equal(got.image_cell, want.image_cell)
 
 
-# -- parse diagnostics, as literal messages of the target-by-target parser -------------
+# -- version 1 parse diagnostics, as literal messages of the target-by-target parser ---
 
 _TARGET_SPOTS = {
     # fixture, part, path of the list holding the target, index in it
@@ -405,10 +476,11 @@ def _replace_target(spot, target):
     return name, part, _set(*path, index, target)
 
 
-def _diagnostic(name, part, edit):
-    """The first complaint of parsing a fixture's documents with one of them
-    edited, then making its section and projection maps as the CLI does."""
-    docs = {p: json.loads(canonical_bytes(d)) for p, d in fixture_documents(name).items()}
+def _diagnostic(name, part, edit, form=v1_document):
+    """The first complaint of parsing a fixture's documents, in the given
+    form, with one of them edited, then making its section and projection
+    maps as the CLI does."""
+    docs = {p: form(json.loads(canonical_bytes(d))) for p, d in fixture_documents(name).items()}
     edit(docs[part])
     with pytest.raises(ValidationError) as err:
         base = parse_bytes(canonical_bytes(docs["base"]))
@@ -640,17 +712,125 @@ def test_parse_diagnostics_are_unchanged(case, want):
     assert _diagnostic(*case) == want
 
 
+# -- version 2 faults ------------------------------------------------------------------
+
+
+def _same(name, part, *path_and_edit):
+    """An edit of a version 2 document, applied to the list or object at path."""
+    return (*_edit(name, part, *path_and_edit), lambda doc: doc)
+
+
+_FACES = ("z2-secondary", "cover", "faces", 1)  # degree 2: 4 cells, 12 targets of dim 1
+_PROJECTION = ("z2-secondary", "cover", "maps", "projection", "assignment")
+_SOURCE_FACES = ("z2-secondary", "base", "maps", "section", "source", "faces", 0)
+
 
 @pytest.mark.parametrize(
-    "target",
-    [{"cell": 0, "degen": [0, 1]}, {"cell": 0, "degen": [7]}, {"cell": -1}, {"cell": 2**70}],
+    "case, want",
+    [
+        (
+            _same(*_FACES, "cell", lambda c: c.__setitem__(4, True)),
+            "document.faces[1].cell[4]: expected an integer",
+        ),
+        (
+            _same(*_FACES, "word", lambda w: w.__setitem__(2, 1.0)),
+            "document.faces[1].word[2]: expected an integer",
+        ),
+        (
+            _same(*_FACES, "cell", lambda c: c.__setitem__(5, -1)),
+            "document.faces[1].cell[5]: cell must be a nonnegative 64-bit integer",
+        ),
+        (
+            _same(*_FACES, "cell", lambda c: c.__setitem__(7, 2**70)),
+            "document.faces[1].cell[7]: cell must be a nonnegative 64-bit integer",
+        ),
+        (
+            _same(*_FACES, "word", lambda w: w.__setitem__(3, 2)),
+            "document.faces[1].word[3]: expected a word mask in 0..1",
+        ),
+        (
+            _same(*_FACES, "word", lambda w: w.__setitem__(3, -1)),
+            "document.faces[1].word[3]: expected a word mask in 0..1",
+        ),
+        (
+            _same(*_FACES, "word", lambda w: w.pop()),
+            "document.faces[1].word: expected a list of 12 integers",
+        ),
+        (
+            _same(*_FACES, lambda b: (b["cell"].pop(), b["word"].pop())),
+            "document.faces[1].cell: expected a list of 12 integers",
+        ),
+        (
+            _same(*_FACES, lambda b: b.update(degen=[])),
+            'document.faces[1]: expected an object of "cell" and "word" lists',
+        ),
+        (
+            # a cell past the model's count is a simplicial violation, as in version 1
+            _same(*_FACES, lambda b: (b["cell"].__setitem__(7, 99), b["word"].__setitem__(7, 0))),
+            _VIOLATION + "target ((), 99) has no core cell in degree 1",
+        ),
+        (
+            _same(*_SOURCE_FACES, "cell", lambda c: c.__setitem__(1, False)),
+            "document.maps.section.source.faces[0].cell[1]: expected an integer",
+        ),
+        (
+            _same(*_PROJECTION, 1, "word", lambda w: w.__setitem__(4, 2)),
+            "document.maps.projection.assignment[1].word[4]: expected a word mask in 0..1",
+        ),
+        (
+            _same(*_PROJECTION, 2, "cell", lambda c: c.__setitem__(3, -1)),
+            "document.maps.projection.assignment[2].cell[3]: "
+            "cell must be a nonnegative 64-bit integer",
+        ),
+        (
+            _same(*_PROJECTION, 1, lambda b: (b["cell"].pop(), b["word"].pop())),
+            "document.maps.projection.assignment[1].cell: expected a list of 6 integers",
+        ),
+        (
+            # a cell past the codomain's count is found when the map is made
+            _same(*_PROJECTION, 2, "cell", lambda c: c.__setitem__(3, 99)),
+            "map projection: degree 2 cell 3: target ((), 99) has no core cell in degree 2",
+        ),
+    ],
 )
+def test_version_2_faults_name_their_path(case, want):
+    assert _diagnostic(*case) == want
+
+
+@pytest.mark.parametrize("target", [(0, 10**6), (1, 7), (0, 2**63 - 1), (1, 2**40)])
 def test_reexport_keeps_map_targets_checked_only_on_use(target):
-    # a map's targets are checked against the codomain the consumer picks
+    # a map's cells are checked against the codomain the consumer picks
     doc = json.loads(canonical_bytes(fixture_documents("z2-secondary")["cover"]))
-    doc["maps"]["projection"]["assignment"][2][3] = target
+    block = doc["maps"]["projection"]["assignment"][2]
+    block["word"][3], block["cell"][3] = target
     blob = canonical_bytes(doc)
-    assert canonical_bytes(reexport(parse_bytes(blob))) == blob
+    data = parse_bytes(blob)
+    assert canonical_bytes(reexport(data)) == blob
+    base = parse_bytes(canonical_bytes(fixture_documents("z2-secondary")["base"]))
+    with pytest.raises(ValidationError, match=r"^map projection: degree 2 cell 3: target "):
+        data.maps["projection"].from_model_to(data.model, base.model)
+
+
+@pytest.mark.parametrize(
+    "target, problem",
+    [
+        ({"cell": 0, "degen": [0, 1]}, "degeneracy word (0, 1) is not strictly decreasing"),
+        ({"cell": 0, "degen": [7]}, "degeneracy word (7,) out of range for dimension 2"),
+        ({"cell": -1}, "target ((), -1) has no core cell in degree 2"),
+        ({"cell": 2**70}, "target ((), 1180591620717411303424) has no core cell in degree 2"),
+    ],
+)
+def test_version_1_targets_wrong_on_every_model_are_not_written(target, problem):
+    # version 1 parses them, and refuses them when the map is made; version 2
+    # cannot hold them, so writing the parsed document refuses them too
+    doc = v1_document(json.loads(canonical_bytes(fixture_documents("z2-secondary")["cover"])))
+    doc["maps"]["projection"]["assignment"][2][3] = target
+    data = parse_bytes(canonical_bytes(doc))
+    want = f"map projection: degree 2 cell 3: {problem}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(want)}$"):
+        data.maps["projection"].into_parent(data.model)
+    with pytest.raises(ValidationError, match=f"^{re.escape(want)}$"):
+        reexport(data)
 
 
 # -- the target reader and writer against their references -----------------------
@@ -713,45 +893,22 @@ def test_target_reader_matches_check_then_encode(data):
     assert _read(modelfile._targets, flat, dim) == _read(_reference_targets, flat, dim)
 
 
-def _target_dict(word, cell):
-    return {"cell": cell, "degen": list(word)} if word else {"cell": cell}
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_targets_text_equals_json_dumps(data):
+def test_ints_text_equals_json_dumps(data):
+    # small nonnegative values take the counting route, any others the plain one
     level = data.draw(st.integers(0, 4))
-    dim = data.draw(st.integers(0, 5))
-    shape = data.draw(
-        st.one_of(st.tuples(st.integers(0, 8)), st.tuples(st.integers(0, 4), st.integers(1, 4)))
-    )
-    size = int(np.prod(shape))
     big = st.integers(2**31, 2**63 - 1)
     pool = data.draw(st.lists(st.one_of(st.integers(0, 9), big), min_size=1, max_size=3))
-    cell = st.one_of(st.sampled_from(pool), st.integers(0, 99), big)  # repeated and distinct
-    cells = data.draw(st.lists(cell, min_size=size, max_size=size))
-    masks = data.draw(st.lists(st.integers(0, (1 << dim) - 1), min_size=size, max_size=size))
-    # rejects as parsed: any word, a cell that is negative or past int64
-    positions = data.draw(st.sets(st.integers(0, size - 1))) if size else set()
-    if size and data.draw(st.booleans()):
-        positions |= {0, size - 1}
-    rejects = {
-        p: (
-            tuple(data.draw(st.lists(st.integers(-2, 7), max_size=3))),
-            data.draw(st.sampled_from([-1, -(2**40), 2**63, 2**70])),
-        )
-        for p in sorted(positions)
-    }
-    targets = [_target_dict(_word(m), c) for m, c in zip(masks, cells)]
-    for p, (word, cell) in rejects.items():
-        masks[p], cells[p] = 0, -1
-        targets[p] = _target_dict(word, cell)
-    if len(shape) == 2:
-        targets = [targets[r * shape[1] : (r + 1) * shape[1]] for r in range(shape[0])]
-    words_array = np.array(masks, dtype=np.int64).reshape(shape)
-    cells_array = np.array(cells, dtype=np.int64).reshape(shape)
-    want = json.dumps(targets, sort_keys=True, indent=2).replace("\n", "\n" + "  " * level)
-    assert modelfile._targets_text(words_array, cells_array, level, rejects) == want
+    value = st.one_of(
+        st.sampled_from(pool), st.integers(0, 99), st.integers(-(2**63), 2**63 - 1)
+    )
+    values = data.draw(st.lists(value, max_size=12))
+    if data.draw(st.booleans()):
+        values = data.draw(st.lists(st.integers(0, 2 * len(values) + 1), max_size=12))
+    want = json.dumps(values, indent=2).replace("\n", "\n" + "  " * level)
+    assert modelfile._ints(np.array(values, dtype=np.int64), level) == want
+    assert modelfile._ints(values, level) == want
 
 
 # -- integers, as the schema means them ----------------------------------------------
@@ -771,7 +928,7 @@ def test_targets_text_equals_json_dumps(data):
     ],
 )
 def test_booleans_are_not_integers(edit):
-    doc = json.loads(canonical_bytes(fixture_documents("rp-kreck")["cover"]))
+    doc = v1_document(json.loads(canonical_bytes(fixture_documents("rp-kreck")["cover"])))
     edit(doc)
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(doc, MODEL_FILE_SCHEMA)
@@ -844,7 +1001,7 @@ def test_model_file_calls_pause_and_restore_the_collector(
     with pytest.raises(ValidationError, match="different model"):
         model_document(fx.nt.base, cochains={"w1": other})
     assert gc.isenabled() is enabled
-    for corrupt in (b"{oops", blob.replace(b'"format_version": 1', b'"format_version": 2')):
+    for corrupt in (b"{oops", blob.replace(b'"format_version": 2', b'"format_version": 1')):
         with pytest.raises(ValidationError):
             parse_bytes(corrupt)
         assert gc.isenabled() is enabled

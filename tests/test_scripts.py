@@ -1,5 +1,6 @@
 """The scripts under scripts/ run end to end against the package in src/."""
 
+import json
 import os
 import re
 import subprocess
@@ -34,3 +35,16 @@ def test_output_digest_script():
     assert lines
     for line in lines:
         assert re.fullmatch(r"rp-kreck \S+ [0-9a-f]{64}", line), line
+
+
+def test_bench_file_script(tmp_path):
+    out = tmp_path / "BENCH_0.json"
+    args = ["0", "--workload", "group-homology", "--seconds", "0.05", "--out", str(out)]
+    proc = _run("bench_file.py", *args)
+    assert proc.returncode == 0, proc.stderr
+    bench = json.loads(out.read_text())
+    assert bench["number"] == 0 and bench["stexo.loc"] > 0
+    assert list(bench["workloads"]) == ["group-homology"]
+    entry = bench["workloads"]["group-homology"]
+    assert entry["correct"] and entry["failed"] == 0 and entry["attempted"] > 0
+    assert set(entry["metrics"]) == {"pass_s", "setup_s", "peak_rss_mb"}

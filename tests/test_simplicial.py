@@ -62,6 +62,7 @@ from reference import (
     kernel_basis,
     mul_vec,
     solve_affine,
+    v1_document,
 )
 
 
@@ -133,7 +134,7 @@ def test_validate_reports_broken_identity():
 
 def test_validate_reports_malformed_word():
     # a model read from outside is checked by the parser before it is built
-    doc = json.loads(canonical_bytes(model_document(triangle())))
+    doc = v1_document(json.loads(canonical_bytes(model_document(triangle()))))
     doc["faces"][1][0][0] = {"cell": 0, "degen": [0, 1]}
     want = (
         "document: 1 simplicial violations; first: degree 2 cell 0 face 0:"
@@ -787,11 +788,11 @@ def _face_tuples(model):
 
 def _broken(edit):
     """The D8 bar model to depth 5 with its face tuples edited, and its model
-    document with the same edits."""
+    document, in version 1 form, with the same edits."""
     d8 = bar_b(dihedral8_table(), 5, name="bar-d8")
     faces = _face_tuples(d8)
     edit(faces)
-    doc = json.loads(canonical_bytes(model_document(d8)))
+    doc = v1_document(json.loads(canonical_bytes(model_document(d8))))
     doc["faces"] = [
         [[{"cell": c, "degen": list(w)} for w, c in row] for row in block] for block in faces[1:]
     ]
