@@ -6,11 +6,14 @@ a Python int beside each int64 array and advanced by scalar arithmetic at
 every update, so no update has to rescan an array to stay inside int64; it
 is recomputed from the array only when it would run out.  Homology
 invariants come from invariant factors alone.  invariant_factors eliminates
-+-1 pivots on an int64 array, stopping before an update that could leave
-int64, and hands the block that is left to smith_normal_form, which runs on
-int64 until a bound runs out and on object arrays from then on, so it cannot
-overflow.  Cycle generators, which need the transforms, are computed only
-when asked for; _product is the one exact matrix product.
++-1 pivots on an int64 array, each pivot updating only the rows of its
+column at the nonzero columns of its row, stopping before an update that
+could leave int64, and hands the block that is left to smith_normal_form,
+which runs on int64 until a bound runs out and on object arrays from then
+on, so it cannot overflow.  Cycle generators, which need the transforms, are
+computed only when asked for; _product is the one exact matrix product, on
+float64 (BLAS) while every partial sum stays below 2**53, else on int64 or
+Python ints.
 
 smith_normal_form takes a matrix as a list of row lists and returns the
 invariant factors together with the full transform arrays U, V (and their
@@ -50,10 +53,12 @@ class SNFResult:
 def smith_normal_form(a: list[list[int]]) -> SNFResult:
     """Smith normal form by repeated pivoting on the smallest nonzero entry.
 
-    Row operations applied to A are mirrored on U and inverted on U_inv
-    (likewise columns on V / V_inv), so U A_orig V = D holds exactly and
-    U U_inv = I, V V_inv = I.  Each step updates whole rows and columns
-    (of U and V only the entries that change).
+    The pivot is the first entry of least absolute value in the remaining
+    block, in row-major order (_first_least).  Row operations applied to A
+    are mirrored on U and inverted on U_inv (likewise columns on V / V_inv),
+    so U A_orig V = D holds exactly and U U_inv = I, V V_inv = I.  Each step
+    updates whole rows and columns (of U and V only the entries that
+    change).
     The five arrays start on int64, each with a bound on |entry| that every
     update advances by scalar arithmetic; when an update could take a bound
     past _INT64_SAFE even once recomputed from its array, all five move to
@@ -76,14 +81,10 @@ def smith_normal_form(a: list[list[int]]) -> SNFResult:
     t = 0
     limit = min(nr, nc)
     while t < limit:
-        # the first entry of least absolute value in the remaining block, in
-        # row-major order (argmin keeps the first of equal values)
-        block = m[t:, t:]
-        nz = np.flatnonzero(block)
-        if not nz.size:
+        found = _first_least(m[t:, t:])
+        if found is None:
             break
-        i, j = divmod(int(nz[np.argmin(np.abs(block.flat[nz]))]), nc - t)
-        pi, pj = t + i, t + j
+        pi, pj = t + found[0], t + found[1]
         # a row swap or negation is its own inverse; on U_inv we track the
         # transpose action on columns (likewise V_inv on rows)
         if pi != t:
@@ -158,6 +159,29 @@ def smith_normal_form(a: list[list[int]]) -> SNFResult:
     return SNFResult(diag, U, Ui, V, Vi)
 
 
+def _first_least(block: np.ndarray) -> tuple[int, int] | None:
+    """(row, column) of the first entry of least absolute value in row-major
+    order, or None when block is zero.
+
+    Rows are read in chunks of 1, 2, 4, ... rows, and the search stops at the
+    first chunk holding a +-1, which no later entry can beat; so a block whose
+    first rows hold a unit is not copied whole.
+    """
+    width = block.shape[1]
+    best = least = None
+    start, size = 0, 1
+    while start < block.shape[0] and least != 1:
+        chunk = block[start : start + size]
+        nz = np.flatnonzero(chunk)
+        if nz.size:
+            values = np.abs(chunk.flat[nz])
+            k = int(np.argmin(values))  # the first of equal values
+            if least is None or values[k] < least:
+                best, least = start * width + int(nz[k]), values[k]
+        start, size = start + size, 2 * size
+    return None if best is None else divmod(best, width)
+
+
 def _abs_max(m: np.ndarray) -> int:
     """Largest absolute entry as a Python int (0 for an empty array)."""
     return max(int(m.max()), -int(m.min())) if m.size else 0
@@ -186,38 +210,41 @@ def _grow(bounds: list, arrays: tuple, growth: tuple) -> tuple[list | None, tupl
 def _eliminate_units(m: np.ndarray) -> int:
     """Split +-1 pivots off m in place; returns how many were split off.
 
-    A pivot clears its column by row operations, then its row and column are
-    zeroed: the column operations that would clear the row touch nothing
-    else once the column is clear.  Both are unimodular, so each pivot leaves
-    an invariant factor 1 and the Smith form of what remains.  Candidates are
-    taken in Markowitz order (fewest other nonzeros in row times column) from
-    a scan of the whole matrix, skipped when an earlier pivot changed them,
-    and the matrix is scanned again until no unit is left.  A bound on
-    max |m|, advanced by each update, stops the elimination before an update
-    that could leave int64.
+    A pivot at (i, j) subtracts f_r times row i from each row r with a
+    nonzero in column j, f_r = m[r, j] * pivot.  That clears column j, and,
+    as f_i = 1, zeroes row i too, which stands for the column operations
+    that would clear the row: they touch nothing else once the column is
+    clear.  Both are unimodular, so each pivot leaves an invariant factor 1
+    and the Smith form of what remains.  The update reads and writes only
+    those rows at row i's nonzero columns, so a pivot costs that block, not
+    the width of m.  Candidates are taken in Markowitz order (fewest other
+    nonzeros in row times column) from a scan of the whole matrix, skipped
+    when an earlier pivot changed them, and the matrix is scanned again
+    until no unit is left.  A bound on max |m|, advanced by each update and
+    recomputed from the whole matrix before it runs out, stops the
+    elimination before an update that could leave int64.
     """
     count = 0
     bound = _abs_max(m)
     while True:
-        cand = np.argwhere(np.abs(m) == 1)
+        cand = np.argwhere((m == 1) | (m == -1))
         if not len(cand):
             return count
         nz = m != 0
         cost = (nz.sum(1)[cand[:, 0]] - 1) * (nz.sum(0)[cand[:, 1]] - 1)
-        for i, j in cand[np.argsort(cost, kind="stable")]:
-            pivot = m[i, j]
+        for i, j in cand[np.argsort(cost, kind="stable")].tolist():
+            pivot = m.item(i, j)
             if pivot != 1 and pivot != -1:
                 continue
-            rows = np.flatnonzero(m[:, j])
-            rows = rows[rows != i]
-            if rows.size:
-                f = m[rows, j] * pivot
-                bound = _room(bound, m, 1, _abs_max(f) * _abs_max(m[i]))
+            cols = np.flatnonzero(m[i])
+            rows = np.flatnonzero(m.T[j])
+            f = m[rows, j] * pivot
+            x = m[i, cols]
+            if rows.size > 1:  # on row i alone the update only zeroes it
+                bound = _room(bound, m, 1, _abs_max(f) * _abs_max(x))
                 if bound is None:
                     return count
-                m[rows] -= np.outer(f, m[i])
-            m[i] = 0
-            m[:, j] = 0
+            m[rows[:, None], cols] -= f[:, None] * x
             count += 1
 
 
@@ -280,19 +307,29 @@ def _matrix(b, empty_shape: tuple) -> np.ndarray:
     return m.reshape(empty_shape) if m.ndim != 2 and m.size == 0 else m
 
 
-def _exact_dtype(a: np.ndarray, b: np.ndarray):
-    """int64 when every entry of a @ b and every partial sum fits, else object.
+def _product_bound(a: np.ndarray, b: np.ndarray) -> int:
+    """A bound on every entry of a @ b, every partial sum and every factor.
 
-    An entry of the product is a sum of n terms, each at most max|a| * max|b|;
-    with both maxima taken at least 1 that bound also covers every factor, so
-    below 2**63 int64 arithmetic is exact.
+    An entry of the product is a sum of n terms, each at most
+    max|a| * max|b|; with both maxima taken at least 1, the bound also
+    covers every factor.
     """
-    bound = a.shape[1] * max(_abs_max(a), 1) * max(_abs_max(b), 1)
-    return np.int64 if bound < 1 << 63 else object
+    return a.shape[1] * max(_abs_max(a), 1) * max(_abs_max(b), 1)
+
+
+def _exact_dtype(a: np.ndarray, b: np.ndarray):
+    """int64 when _product_bound is below 2**63, so int64 arithmetic is
+    exact, else object."""
+    return np.int64 if _product_bound(a, b) < 1 << 63 else object
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b, computed exactly: on int64 or on Python ints (_exact_dtype)."""
+    """a @ b, computed exactly.  Below 2**53 every factor, term and partial
+    sum is an integer float64 holds exactly in any order of summation, so
+    the product runs on float64 (a BLAS product) and comes back as int64;
+    past that, on int64 or on Python ints (_exact_dtype)."""
+    if _product_bound(a, b) < 1 << 53:
+        return (np.asarray(a, np.float64) @ np.asarray(b, np.float64)).astype(np.int64)
     dtype = _exact_dtype(a, b)
     return np.asarray(a, dtype) @ np.asarray(b, dtype)
 

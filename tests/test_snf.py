@@ -140,6 +140,26 @@ def test_invariant_factors_hand_off_before_int64_overflow(monkeypatch):
     assert cores == [(2, 2)]
 
 
+@st.composite
+def _boundary_like(draw):
+    """Up to 40 x 120, each column 2 to 6 entries of +-1 or +-2 (fewer when
+    there are fewer rows), as in a boundary matrix: pivot rows with several
+    nonzero columns, and columns that meet several rows."""
+    rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = np.zeros((rows, cols), dtype=np.int64)
+    for c in range(cols):
+        hit = rng.choice(rows, size=min(rng.integers(2, 7), rows), replace=False)
+        a[hit, c] = rng.choice([1, -1, 2, -2], size=hit.size)
+    return a
+
+
+@given(_boundary_like())
+@settings(max_examples=60, deadline=None)
+def test_invariant_factors_match_smith_form_on_boundary_like_matrices(a):
+    assert invariant_factors(a) == reference.smith_normal_form(a.tolist()).diag
+
+
 def _as_ints(res) -> list:
     """diag and the four transforms of a Smith form as Python int lists."""
     arrays = (res.U, res.U_inv, res.V, res.V_inv)
@@ -312,6 +332,27 @@ def test_sparse_composite_matches_dense_product(rows, inner, cols, scale, seed):
     got[r, c] = v
     assert np.all(v != 0)
     assert (got == want).all()
+
+
+# (a, b, past the edge): n max|a| max|b| just under or just over 2**53.
+# Past it the float64 product of each pair is off, so _product must not
+# take the float64 route there.
+_FLOAT_EDGE = [
+    ([[(1 << 27) - 1]], [[(1 << 26) - 1]], False),
+    ([[(1 << 25) - 1, 1 - (1 << 25), (1 << 25) - 1]], [[1 << 26]] * 3, False),
+    ([[(1 << 27) + 1]], [[(1 << 26) + 1]], True),
+    ([[(1 << 26) + 1, (1 << 26) + 1, 1]], [[(1 << 26) + 1], [(1 << 26) + 1], [-1]], True),
+]
+
+
+@pytest.mark.parametrize("a, b, over", _FLOAT_EDGE)
+def test_product_is_exact_at_the_float64_edge(a, b, over):
+    a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+    assert (snf._product_bound(a, b) >= 1 << 53) == over
+    want = (_exact(a, *a.shape) @ _exact(b, *b.shape)).tolist()
+    got = snf._product(a, b)
+    assert got.dtype == np.int64 and got.tolist() == want
+    assert ((a.astype(np.float64) @ b.astype(np.float64)).tolist() != want) == over
 
 
 def test_sparse_composite_is_exact_past_int64():
