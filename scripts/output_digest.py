@@ -41,6 +41,12 @@ For each fixture (all of them by default) the lines are:
                      `stexo cohomology --json --steenrod --deg k` on each
                      exported model, for k = 1..min(3, max_degree - 2): the
                      basis representatives and their Sq^1/Sq^2 coordinates;
+  cover.lifts        for fixtures with a cover: sheet, rep_cells,
+                     base_index, the w1 values, the projection arrays and
+                     the involution permutations (each array with its dtype
+                     and shape) of the fixture's own cover pair and of the
+                     pair cover_data_from_parts builds from the parsed base
+                     and cover files, as the CLI does;
   kreck.sweep        the kreck_witness supports (or None) on the type with
                      w2 replaced by w2 + delta f, w2 + w1^2 + delta f and
                      w1^2 + delta f (solvable on every base), over
@@ -298,6 +304,29 @@ def kreck_digest(nt) -> list:
     return [("kreck.sweep", _sha(json.dumps(supports)))]
 
 
+def lifts_digest(fx, blobs: dict) -> list:
+    """(item, sha256) for the lift data of the fixture's own cover pair and of
+    the pair built from its parsed base and cover files."""
+    nt = cli._normal_type(parse_bytes(blobs["base"]))
+    parsed = cli._cover_from_file(nt, parse_bytes(blobs["cover"]))
+    parts = []
+    for pair in (fx.cover, parsed):
+        proj = pair.projection
+        for arrays in (
+            pair.sheet,
+            pair.rep_cells,
+            pair.base_index,
+            [pair.w1.values],
+            proj.image_word,
+            proj.image_cell,
+            pair.involution.perms,
+        ):
+            parts.append(repr(len(arrays)).encode())
+            for a in arrays:
+                parts += [repr((a.dtype.str, a.shape)).encode(), a.tobytes()]
+    return [("cover.lifts", _sha(b"\0".join(parts)))]
+
+
 def sweep_digest(fx) -> list:
     """(item, sha256) pairs for the type and its w2 + w1^2 partner, each
     decided twice on a cover from w1."""
@@ -365,6 +394,8 @@ def digest(name: str) -> list:
             data = repr(reps.shape).encode() + reps.tobytes()
             rows.append((f"{part}.cocycles.{k}", _sha(data)))
         rows.append((f"{part}.violations", _sha("\n".join(corrupted_top(model).validate()))))
+    if fx.nt is not None and "cover" in blobs:
+        rows.extend(lifts_digest(fx, blobs))
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
         for part, blob in blobs.items():

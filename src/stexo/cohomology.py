@@ -156,18 +156,32 @@ def induced_matrix(f: SimplicialMap, degree: int):
     return src.coords_matrix([f.pullback(rep) for rep in tgt.reps]), src, tgt
 
 
+def truncated_at_top(model: SimplicialModel, p: int, coeff: str) -> bool:
+    """Whether the cell counts alone show that H_p with coefficients "F2",
+    or integers plain or twisted, cannot be certified: at the top degree
+    nothing divides out cycles, so mod 2 any p-cell stops it, and over Z a
+    boundary with fewer rows than columns.  The homology functions raise for
+    these before they build a matrix."""
+    if p + 1 <= model.max_degree:
+        return False
+    if coeff == "F2":
+        return model.cells[p] > 0
+    return p >= 1 and model.cells[p - 1] < model.cells[p]
+
+
 def _chain_homology(
     model: SimplicialModel, p: int, boundary, message: str
 ) -> HomologyResult:
     """Homology of the pair boundary(p), boundary(p + 1), within the truncation.
 
     With no (p+1)-chains stored the answer is certified only when nothing can
-    be divided out, which needs boundary(p) to have full column rank; fewer
-    (p-1)-cells than p-cells rule that out before any matrix is built.
+    be divided out; truncated_at_top refuses what the cell counts rule out
+    before any matrix is built, and a free part left after the reduction is
+    refused too.
     """
     n = model.cells[p]
     top = p + 1 > model.max_degree
-    if top and p >= 1 and model.cells[p - 1] < n:
+    if truncated_at_top(model, p, "Z"):
         raise TruncationError(message)
     bout = boundary(p) if p >= 1 else np.zeros((0, n), dtype=np.int64)
     bin_ = np.zeros((n, 0), dtype=np.int64) if top else boundary(p + 1)
@@ -225,11 +239,11 @@ def twisted_homology(
     base = pair.base
     if coeff == "F2":
         _require_chains(base, p)
-        top = p + 1 > base.max_degree
-        if top and base.cells[p]:
+        if truncated_at_top(base, p, "F2"):
             raise TruncationError(f"{base.name}: mod-2 H_{p} needs degree-{p + 1} cells")
         d = base.cells[p] - base.coboundary_span(p).dim
-        d -= 0 if top else base.coboundary_span(p + 1).dim
+        if p < base.max_degree:
+            d -= base.coboundary_span(p + 1).dim
         return AbelianGroupInvariants(0, (2,) * d)
     if coeff == "Z":
         return integral_homology(base, p).invariants

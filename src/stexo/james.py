@@ -31,6 +31,7 @@ import numpy as np
 from .cohomology import (
     cohomology_basis,
     require_certified,
+    truncated_at_top,
     twisted_homology,
     twisted_integral_homology,
 )
@@ -185,18 +186,6 @@ def _boundary_load(model, p: int) -> int:
     return model.cells[p] * max(below, above, 1)
 
 
-def _truncated_at_top(base, p: int, coeff: str) -> bool:
-    """Whether the cell counts alone show that H_p cannot be certified: at the
-    top degree nothing divides out cycles, so mod 2 any p-cell stops it, and
-    over Z a boundary with fewer rows than columns.  The homology functions
-    raise for these before they build a matrix."""
-    if p + 1 <= base.max_degree:
-        return False
-    if coeff == "F2":
-        return base.cells[p] > 0
-    return p >= 1 and base.cells[p - 1] < base.cells[p]
-
-
 def _homology_entry(pair, p: int, coeff: str) -> E2Entry:
     """H_p of the base with coefficients "Z-" or "F2", or a caveat.  A
     truncation is reported as such even where the matrices exceed the cap."""
@@ -204,7 +193,7 @@ def _homology_entry(pair, p: int, coeff: str) -> E2Entry:
     if p > base.max_degree:
         return E2Entry(p, 0, None, f"no degree-{p} chains at this truncation")
     cap = DEFAULT_F2_SIZE_CAP if coeff == "F2" else DEFAULT_INT_SIZE_CAP
-    if _boundary_load(base, p) > cap and not _truncated_at_top(base, p, coeff):
+    if _boundary_load(base, p) > cap and not truncated_at_top(base, p, coeff):
         kind = "coboundary" if coeff == "F2" else "boundary"
         return E2Entry(
             p, 0, None, f"{kind} matrices around degree {p} exceed the size cap"

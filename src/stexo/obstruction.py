@@ -49,11 +49,11 @@ from .simplicial import (
     Involution,
     SimplicialMap,
     SimplicialModel,
+    _double_cover,
     coboundary,
     cover_from_cocycle,
     cup,
     is_coboundary,
-    sheet_changes,
     sq,
 )
 
@@ -146,9 +146,11 @@ def cover_data_from_parts(
 ) -> CoverPair:
     """Assemble and machine-check user-supplied cover data.
 
-    Checks: the involution is free and simplicial, the projection is a
-    simplicial map onto the base whose fibers are exactly the orbits, and the
-    descended characteristic cocycle is cohomologous to the type's w1.
+    Checks: the involution is free and simplicial on the cover, the
+    projection is a simplicial map onto the base whose fibers are exactly the
+    orbits, and the descended characteristic cocycle is cohomologous to the
+    type's w1.  The pair's projection is the one _double_cover derives, equal
+    to the given one once these checks pass.
     """
     involution.require_valid()
     if projection.source is not cover or projection.target is not nt.base:
@@ -157,32 +159,12 @@ def cover_data_from_parts(
     base = nt.base
     if cover.max_degree != base.max_degree:
         raise ValidationError("cover and base truncations differ")
-    sheet, reps = [], []
     for n in range(cover.max_degree + 1):
         if cover.cells[n] != 2 * base.cells[n]:
             raise ValidationError(f"degree {n}: cover must have twice the cells")
         if projection.image_word[n].any():
             raise ValidationError("projection sends a cell to a degenerate target")
-        # fibers as runs of the cover cells sorted by base cell, each run ascending
-        b = projection.image_cell[n]
-        order = np.argsort(b, kind="stable")
-        counts = np.bincount(b, minlength=base.cells[n])
-        starts = np.cumsum(counts) - counts
-        pairs = counts == 2
-        first, second = order[starts[pairs]], order[starts[pairs] + 1]
-        split = ~pairs
-        split[pairs] = involution.perms[n][first] != second
-        if split.any():
-            raise ValidationError(
-                f"degree {n}: fiber over cell {int(np.argmax(split))} is not a single free orbit"
-            )
-        reps.append(first)
-        sh = np.zeros(cover.cells[n], dtype=np.uint8)
-        sh[second] = 1
-        sheet.append(sh)
-    w1d = Cochain(base, 1, sheet_changes(cover, sheet, reps))
-    bidx = list(projection.image_cell)  # the fibers are whole, so this is the base index
-    pair = CoverPair(cover, base, projection, involution, w1d, sheet, reps, bidx)
+    pair = _double_cover(cover, base, involution, projection.image_cell)
     return cover_data_from_pair(nt, pair)
 
 

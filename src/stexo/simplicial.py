@@ -15,7 +15,6 @@ arrays directly.  Maps store the target of every source cell in the same form,
 and SimplicialMap.push sends a batch of targets through a map.  Outside input
 is checked in batches too, by check_targets, before a model or a map is made
 from it; the one constructor of each class takes arrays.
-(word, cell) tuples remain only in the scalar reference SimplicialModel.face.
 
 Cochains are normalized: a degeneracy-decorated target evaluates to 0.
 """
@@ -255,26 +254,6 @@ class SimplicialModel:
         return self.cells[n] if 0 <= n <= self.max_degree else 0
 
     # -- face calculus -------------------------------------------------------
-
-    def face(self, n: int, target: Target, i: int) -> Target:
-        """d_i of a dimension-n target, pushing d through the degeneracy word.
-
-        The one-target reference for face_batch.
-        """
-        word, cell = target
-        out = []
-        k = i
-        for pos, w in enumerate(word):
-            if k == w or k == w + 1:
-                return compose_words(out, word[pos + 1 :], cell)
-            if k < w:
-                out.append(w - 1)
-            else:
-                out.append(w)
-                k -= 1
-        b = n - len(word)
-        fw = int(self.face_word[b][cell, k])
-        return compose_words(out, _word(fw), int(self.face_cell[b][cell, k]))
 
     def face_batch(self, n: int, words, cells, i: int):
         """d_i of a batch of dimension-n targets, as (word masks, cells) arrays.
@@ -641,23 +620,25 @@ class SimplicialMap:
         return cls(model, model, [np.zeros_like(c) for c in cells], cells, "id")
 
 
-class Involution:
-    """A free simplicial automorphism of order two, stored as cell permutations.
+class Involution(SimplicialMap):
+    """A free simplicial automorphism of order two: a map from its model to
+    itself whose targets are all plain, so every image word is 0 and
+    image_cell[n], also called perms[n], permutes the n-cells.
 
-    The permutations cannot be written, as the face arrays of the model
-    cannot, so the result of validate is computed once and kept.
+    The arrays cannot be written, as the face arrays of the model cannot, so
+    the result of validate is computed once and kept.  _lifts holds what
+    _double_cover last derived from the permutations (see there).
     """
 
     def __init__(self, model: SimplicialModel, perms, name="involution"):
+        perms = [_frozen(p) for p in perms]
+        # np.zeros, not zeros_like: large zero arrays then stay untouched pages
+        words = [np.zeros(p.shape, dtype=np.int64) for p in perms]
+        super().__init__(model, model, words, perms, name)
         self.model = model
-        self.perms = tuple(_frozen(p) for p in perms)
-        self.name = name
+        self.perms = self.image_cell
         self._violations = None
-
-    def pullback(self, u: Cochain) -> Cochain:
-        if u.model is not self.model:
-            raise ModelMismatchError("involution pullback on the wrong model")
-        return Cochain(u.model, u.degree, u.values[self.perms[u.degree]])
+        self._lifts = None
 
     def validate(self) -> list[str]:
         """Why the permutations are not a free simplicial involution; the
@@ -682,18 +663,7 @@ class Involution:
                 bad.append(f"degree {n}: does not square to the identity")
             if np.any(perm == np.arange(self.model.cells[n])):
                 bad.append(f"degree {n}: fixed cell found")
-        if bad:
-            return bad
-        # simplicial: face_i(T c) = T(face_i c), T acting on the core cell
-        for n in range(1, self.model.max_degree + 1):
-            fw, fc = self.model.face_word[n], self.model.face_cell[n]
-            perm = self.perms[n]
-            wrong = (fw[perm] != fw) | (fc[perm] != _through(n - 1, fw, fc, self.perms))
-            bad.extend(
-                f"degree {n} cell {c}: face {i} does not commute"
-                for c, i in np.argwhere(wrong).tolist()
-            )
-        return bad
+        return bad or super().validate()
 
     def require_valid(self) -> None:
         bad = self.validate()
@@ -825,7 +795,15 @@ def swap_factors(prod: ProductModel, name="swap") -> Involution:
 @dataclass
 class CoverPair:
     """A model, its free involution, and the quotient with projection data;
-    the cache keeps results keyed by a type over the pair."""
+    the cache keeps results keyed by a type over the pair.
+
+    _double_cover derives every field after the first four from the
+    involution and base_index, the base cell under each cover cell: the
+    representative lift of a base cell is the lower-numbered cell of its
+    fiber, the other cell is on sheet 1, the projection sends each cover
+    cell to its base cell under the empty word, and w1 is 1 on the base
+    edges whose lift joins the two sheets.
+    """
 
     cover: SimplicialModel
     base: SimplicialModel
@@ -846,54 +824,87 @@ class CoverPair:
         return Cochain(self.base, u.degree, u.values[self.rep_cells[u.degree]])
 
 
-def sheet_changes(cover: SimplicialModel, sheet, rep_cells) -> np.ndarray:
-    """Per base edge, whether its chosen lift joins the two sheets: the
-    values of the characteristic cocycle w1."""
-    ends = cover.face_cell[1][rep_cells[1]]
-    return sheet[0][ends[:, 0]] ^ sheet[0][ends[:, 1]]
+def _double_cover(
+    cover: SimplicialModel,
+    base: SimplicialModel,
+    involution: Involution,
+    base_index,
+    w1: Cochain | None = None,
+) -> CoverPair:
+    """The pair of a cover and its free involution over base, where the
+    n-cell c of the cover lies over the base cell base_index[n][c]; w1 is
+    derived from the sheets unless given.  See CoverPair for the fields.
+
+    Refuses an involution on any model but the cover, and base_index unless
+    each fiber is one orbit of the involution.  The checks and the sheet and
+    rep_cells arrays depend only on the involution, base_index and the base
+    cell counts, so the involution keeps them with the last base_index
+    sequence and counts it was given: a call with that same sequence object
+    (a cover_from_cocycle memo hit) checks and derives nothing.  The
+    projection shares the involution's zero word arrays.
+    """
+    if involution.model is not cover:
+        raise ModelMismatchError("the involution does not act on the cover model")
+    lifts = involution._lifts
+    if lifts is None or lifts[0] is not base_index or lifts[1] != base.cells:
+        sheet, reps = [], []
+        for n, (perm, bidx) in enumerate(zip(involution.perms, base_index)):
+            split = np.bincount(bidx, minlength=base.cells[n]) != 2
+            split[bidx[bidx[perm] != bidx]] = True
+            if split.any():
+                raise ValidationError(
+                    f"degree {n}: fiber over cell {int(np.argmax(split))}"
+                    " is not a single free orbit"
+                )
+            idx = np.arange(perm.size)
+            lower = np.flatnonzero(idx < perm)
+            rep = np.empty(lower.size, dtype=np.int64)
+            rep[bidx[lower]] = lower
+            sheet.append(_frozen(idx > perm, np.uint8))
+            reps.append(_frozen(rep))
+        involution._lifts = (base_index, base.cells, tuple(sheet), tuple(reps))
+    sheet, reps = involution._lifts[2:]
+    if w1 is None:
+        ends = cover.face_cell[1][reps[1]]
+        w1 = Cochain(base, 1, sheet[0][ends[:, 0]] ^ sheet[0][ends[:, 1]])
+    projection = SimplicialMap(cover, base, involution.image_word, base_index, "projection")
+    return CoverPair(
+        cover, base, projection, involution, w1, list(sheet), list(reps), list(base_index)
+    )
 
 
 def quotient_free_involution(
     cover: SimplicialModel, inv: Involution, allow_trivial: bool = False, name=None
 ) -> CoverPair:
-    """Quotient by a free involution; the base carries the characteristic w1."""
+    """Quotient by a free involution; the base carries the characteristic w1.
+
+    The base n-cells are the orbits, numbered as their lower cells are.  The
+    base is read off the involution's own model, which the pair then
+    requires to be the cover.
+    """
     inv.require_valid()
     name = name or f"{cover.name}/T"
-    sheet = []
-    rep_cells = []
+    model = inv.model
+    lower = [np.flatnonzero(np.arange(p.size) < p) for p in inv.perms]
     base_index = []
-    cells = []
-    for n in range(cover.max_degree + 1):
-        perm = inv.perms[n]
-        idx = np.arange(cover.cells[n])
-        is_rep = idx < perm
-        reps = idx[is_rep]
-        bidx = np.empty(cover.cells[n], dtype=np.int64)
-        bidx[reps] = np.arange(reps.size)
-        bidx[perm[reps]] = np.arange(reps.size)
-        sheet.append((~is_rep).astype(np.uint8))
-        rep_cells.append(reps)
-        base_index.append(bidx)
-        cells.append(int(reps.size))
-
+    for perm, low in zip(inv.perms, lower):
+        bidx = np.empty(perm.size, dtype=np.int64)
+        bidx[low] = bidx[perm[low]] = np.arange(low.size)
+        base_index.append(_frozen(bidx))
+    cells = [low.size for low in lower]
     face_word, face_cell = [_no_faces(cells[0])], [_no_faces(cells[0])]
-    for n in range(1, cover.max_degree + 1):
-        fw = cover.face_word[n][rep_cells[n]]
+    for n in range(1, model.max_degree + 1):
+        fw = model.face_word[n][lower[n]]
         face_word.append(fw)
-        face_cell.append(_through(n - 1, fw, cover.face_cell[n][rep_cells[n]], base_index))
-    base = SimplicialModel(cover.max_degree, cells, face_word, face_cell, name=name)
-
-    words = [np.zeros_like(b) for b in base_index]
-    projection = SimplicialMap(cover, base, words, base_index, "projection")
-    w1 = Cochain(base, 1, sheet_changes(cover, sheet, rep_cells))
-
-    if not allow_trivial:
-        if is_coboundary(w1):
-            raise TrivialCoverError(
-                f"{name}: characteristic cocycle is null-cohomologous"
-                " (the double cover is trivial)"
-            )
-    return CoverPair(cover, base, projection, inv, w1, sheet, rep_cells, base_index)
+        face_cell.append(_through(n - 1, fw, model.face_cell[n][lower[n]], base_index))
+    base = SimplicialModel(model.max_degree, cells, face_word, face_cell, name=name)
+    pair = _double_cover(cover, base, inv, base_index)
+    if not allow_trivial and is_coboundary(pair.w1):
+        raise TrivialCoverError(
+            f"{name}: characteristic cocycle is null-cohomologous"
+            " (the double cover is trivial)"
+        )
+    return pair
 
 
 def cover_from_cocycle(
@@ -904,13 +915,13 @@ def cover_from_cocycle(
     Cover cell 2c + e is the lift of base cell c to sheet e; a face keeps the
     sheet, except d_0, which changes it when w is 1 on the front edge.
 
-    The parts of the pair that depend only on the base and the cocycle values
-    (the cover model, the deck involution, sheet, rep_cells, base_index and
-    the projection's word and cell arrays) are built once per base, cocycle
-    values and name, and kept in the base's cache as _CoverParts.  None of
-    them refers to the base, so the base and its cache form no reference
-    cycle.  Each call checks w again and builds a new projection and a new
-    pair, whose cache is its own and whose w1 is this call's w.
+    The parts that depend only on the base and the cocycle values (the cover
+    model, the deck involution and base_index) are built once per base,
+    cocycle values and name, and kept in the base's cache as _CoverParts;
+    the involution keeps what _double_cover derives from them.  None of them
+    refers to the base, so the base and its cache form no reference cycle.
+    Each call checks w again and builds a new projection and a new pair,
+    whose cache is its own and whose w1 is this call's w.
     """
     if w.model is not base or w.degree != 1:
         raise ModelMismatchError("cover_from_cocycle needs a degree-1 cochain on base")
@@ -924,35 +935,21 @@ def cover_from_cocycle(
     if key not in base._cache:
         base._cache[key] = _cover_parts(base, w, name)
     parts = base._cache[key]
-    projection = SimplicialMap(parts.cover, base, parts.words, parts.base_index, "projection")
-    return CoverPair(
-        parts.cover,
-        base,
-        projection,
-        parts.involution,
-        w,
-        list(parts.sheet),
-        list(parts.rep_cells),
-        list(parts.base_index),
-    )
+    return _double_cover(parts.cover, base, parts.involution, parts.base_index, w)
 
 
 @dataclass(frozen=True, eq=False)
 class _CoverParts:
-    """What cover_from_cocycle keeps per base, cocycle values and name; the
-    arrays are read-only, as every pair built from them shares them."""
+    """What cover_from_cocycle keeps per base, cocycle values and name."""
 
     cover: SimplicialModel
     involution: Involution
-    sheet: tuple
-    rep_cells: tuple
     base_index: tuple
-    words: tuple  # the projection's word masks, all zero
 
 
 def _cover_parts(base: SimplicialModel, w: Cochain, name: str) -> _CoverParts:
     """The cover model of cover_from_cocycle, from the face arrays of the
-    base, and the parts of the pair around it."""
+    base, with its deck involution and base_index."""
     cells = [2 * c for c in base.cells]
     face_word, face_cell = [_no_faces(cells[0])], [_no_faces(cells[0])]
     for n in range(1, base.max_degree + 1):
@@ -969,10 +966,7 @@ def _cover_parts(base: SimplicialModel, w: Cochain, name: str) -> _CoverParts:
     return _CoverParts(
         cover,
         Involution(cover, [np.arange(c) ^ 1 for c in cells], "deck"),
-        tuple(_frozen(np.arange(c) % 2, np.uint8) for c in cells),
-        tuple(_frozen(2 * np.arange(c)) for c in base.cells),
         tuple(_frozen(np.arange(c) // 2) for c in cells),
-        tuple(_frozen(np.zeros(c, dtype=np.int64)) for c in cells),
     )
 
 

@@ -13,8 +13,10 @@ from stexo.gf2 import F2Matrix, _nwords, pack_rows, rank_and_echelon
 from stexo.simplicial import (
     SimplicialMap,
     SimplicialModel,
+    Target,
     _canonical_masks,
     _word,
+    compose_words,
     int64_array,
 )
 from stexo.snf import AbelianGroupInvariants, SNFResult
@@ -22,6 +24,27 @@ from stexo.snf import AbelianGroupInvariants, SNFResult
 
 def euler_characteristic(model: SimplicialModel) -> int:
     return sum((-1) ** k * c for k, c in enumerate(model.cells))
+
+
+def face(model: SimplicialModel, n: int, target: Target, i: int) -> Target:
+    """d_i of a dimension-n target, pushing d through the degeneracy word.
+
+    The one-target reference for SimplicialModel.face_batch.
+    """
+    word, cell = target
+    out = []
+    k = i
+    for pos, w in enumerate(word):
+        if k == w or k == w + 1:
+            return compose_words(out, word[pos + 1 :], cell)
+        if k < w:
+            out.append(w - 1)
+        else:
+            out.append(w)
+            k -= 1
+    b = n - len(word)
+    fw = int(model.face_word[b][cell, k])
+    return compose_words(out, _word(fw), int(model.face_cell[b][cell, k]))
 
 
 def compose(outer: SimplicialMap, inner: SimplicialMap) -> SimplicialMap:

@@ -18,7 +18,10 @@ from stexo.builders import (
     z4_table,
 )
 from stexo.catalog import (
+    REGISTRY,
     d4_reflection,
+    fixture_documents,
+    get_fixture,
     rp_kreck,
     rp_w2_zero,
     z2_remark,
@@ -36,6 +39,7 @@ from stexo.errors import (
     ValidationError,
 )
 from stexo.gf2 import Subspace
+from stexo.modelfile import canonical_bytes, parse_bytes
 from stexo.obstruction import (
     Assertion,
     LiftDatum,
@@ -932,6 +936,58 @@ def test_cover_parts_reject_split_fiber():
         ValidationError, match="^degree 1: fiber over cell 0 is not a single free orbit$"
     ):
         cover_data_from_parts(nt, trivial.cover, trivial.involution, proj)
+
+
+def test_cover_parts_refuse_an_involution_on_another_model():
+    fx = rp_kreck()
+    pair = fx.cover
+    cover = pair.cover
+    twin_model = SimplicialModel(
+        cover.max_degree, cover.cells, cover.face_word, cover.face_cell, cover.name
+    )
+    twin = Involution(twin_model, pair.involution.perms, "deck")
+    assert twin.validate() == []
+    refused = "^the involution does not act on the cover model$"
+    with pytest.raises(ModelMismatchError, match=refused):
+        cover_data_from_parts(fx.nt, cover, twin, pair.projection)
+
+
+def _parsed_cover(name):
+    """The pair cover_data_from_parts builds from a fixture's exported base
+    and cover files, as the CLI reads them."""
+    docs = fixture_documents(name)
+    base = parse_bytes(canonical_bytes(docs["base"]))
+    cdata = parse_bytes(canonical_bytes(docs["cover"]))
+    nt = NormalOneType(base.model, base.cochains["w1"], base.cochains["w2"])
+    proj = cdata.maps["projection"].from_model_to(cdata.model, base.model)
+    return cover_data_from_parts(nt, cdata.model, cdata.involution, proj)
+
+
+def _lift_arrays(pair):
+    return (
+        pair.sheet,
+        pair.rep_cells,
+        pair.base_index,
+        [pair.w1.values],
+        pair.projection.image_word,
+        pair.projection.image_cell,
+        pair.involution.perms,
+    )
+
+
+def test_parsed_cover_files_give_the_fixture_lifts():
+    # z4-semidirect's own pair is a quotient, the other fixtures' a cocycle cover
+    names = [name for name in REGISTRY if get_fixture(name).cover is not None]
+    assert len(names) == 5
+    for name in names:
+        own, parsed = get_fixture(name).cover, _parsed_cover(name)
+        for a, b in zip(_lift_arrays(own), _lift_arrays(parsed)):
+            assert len(a) == len(b)
+            for x, y in zip(a, b):
+                assert x.dtype == y.dtype and np.array_equal(x, y), name
+        for pair in (own, parsed):
+            words = zip(pair.projection.image_word, pair.involution.image_word)
+            assert all(x is y for x, y in words), name
 
 
 def test_verdicts_survive_relabeling():

@@ -1,5 +1,6 @@
 """Core checks for the decorated-face calculus, cup products, and covers."""
 
+import dataclasses
 import gc
 import json
 import re
@@ -59,6 +60,7 @@ from reference import (
     compose,
     encode_targets,
     euler_characteristic,
+    face,
     kernel_basis,
     mul_vec,
     solve_affine,
@@ -150,7 +152,7 @@ def test_faces_of_degenerate_targets(rp6):
         for j in range(n):
             t = (insert_degeneracy((), j), 0)
             for i in range(n + 1):
-                got = rp6.face(n, t, i)
+                got = face(rp6, n, t, i)
                 if i in (j, j + 1):
                     assert got == ((), 0)
 
@@ -504,6 +506,44 @@ def test_bad_involutions_report_their_messages():
         crossed.require_valid()
 
 
+def _twin(model):
+    """An equal copy of model that is not model."""
+    return SimplicialModel(
+        model.max_degree, model.cells, model.face_word, model.face_cell, model.name
+    )
+
+
+def test_covers_refuse_an_involution_on_another_model():
+    rp = bar_b(z2_table(), 4, name="rp")
+    w = Cochain.from_support(rp, 1, [0])
+    pair = cover_from_cocycle(rp, w)
+    twin = Involution(_twin(pair.cover), pair.involution.perms, "deck")
+    assert twin.validate() == []
+    refused = "^the involution does not act on the cover model$"
+    with pytest.raises(ModelMismatchError, match=refused):
+        quotient_free_involution(pair.cover, twin)
+    # a memo whose deck acts on an equal copy of its cover is refused on a hit
+    key = ("cover", w.values.tobytes(), "rp^w")
+    rp._cache[key] = dataclasses.replace(rp._cache[key], involution=twin)
+    with pytest.raises(ModelMismatchError, match=refused):
+        cover_from_cocycle(rp, w)
+
+
+def test_cocycle_memo_hit_shares_the_derived_lifts():
+    rp = bar_b(z2_table(), 4, name="rp")
+    w = Cochain.from_support(rp, 1, [0])
+    first = cover_from_cocycle(rp, w)
+    again = cover_from_cocycle(rp, Cochain(rp, 1, w.values.copy()))
+    for a, b in (
+        (first.sheet, again.sheet),
+        (first.rep_cells, again.rep_cells),
+        (first.base_index, again.base_index),
+        (first.involution.image_word, again.projection.image_word),
+    ):
+        assert len(a) == len(b) == rp.max_degree + 1
+        assert all(x is y for x, y in zip(a, b))
+
+
 def test_trivial_cover_is_reported():
     rp = bar_b(z2_table(), 3)
     zero = Cochain.zero(rp, 1)
@@ -720,7 +760,7 @@ def test_face_batch_matches_scalar_face_on_catalog_models():
                 words, cells = _masks_of(targets)
                 for i in range(n + 1):
                     got_w, got_c = m.face_batch(n, words, cells, i)
-                    want_w, want_c = _masks_of([m.face(n, t, i) for t in targets])
+                    want_w, want_c = _masks_of([face(m, n, t, i) for t in targets])
                     assert np.array_equal(got_w, want_w), (m.name, n, i)
                     assert np.array_equal(got_c, want_c), (m.name, n, i)
 
