@@ -29,6 +29,12 @@ For each fixture (all of them by default) the lines are:
   <part>.span.<k>    the echelon words and pivots of coboundary_span(k) on
                      each exported model, for k = 1..min(4, max_degree): the
                      one reduction of B^k, pinned byte for byte;
+  <part>.membership.<k>
+                     contains and residual of coboundary_span(k) on each
+                     exported model, for k = 1..min(4, max_degree), on a
+                     seeded batch of MEMBERSHIP_ROWS k-cochains, half of them
+                     coboundaries, with entries 0..3 (read mod 2); the batch
+                     must give what each vector gives alone;
   <part>.cocycles.<k>
                      the representatives cohomology_basis(model, k) keeps,
                      as its reduction.reps bytes, on each exported model,
@@ -344,6 +350,33 @@ def sweep_digest(fx) -> list:
     return rows
 
 
+MEMBERSHIP_ROWS = 8
+
+
+def membership_digest(part: str, model: SimplicialModel) -> list:
+    """(item, sha256) pairs for membership in B^k on a seeded batch of
+    coboundaries and random cochains, each plus twice a random cochain."""
+    rows = []
+    for k in range(1, min(4, model.max_degree) + 1):
+        rng = np.random.default_rng(k)
+        n, half = model.n_cells(k), MEMBERSHIP_ROWS // 2
+        lower = rng.integers(0, 2, (half, model.n_cells(k - 1)), dtype=np.uint8)
+        batch = np.concatenate(
+            [[coboundary(Cochain(model, k - 1, f)).values for f in lower],
+             rng.integers(0, 2, (MEMBERSHIP_ROWS - half, n), dtype=np.uint8)]
+        ) + 2 * rng.integers(0, 2, (MEMBERSHIP_ROWS, n), dtype=np.uint8)
+        span = model.coboundary_span(k)
+        inside, residual = span.contains(batch), span.residual(batch)
+        if not inside[:half].all():
+            raise RuntimeError(f"{model.name}: a coboundary is not in B^{k}")
+        for v, ins, res in zip(batch, inside, residual):
+            if span.contains(v) != ins or not np.array_equal(span.residual(v), res):
+                raise RuntimeError(f"{model.name}: B^{k} batch differs from its rows")
+        data = repr(residual.shape).encode() + inside.tobytes() + residual.tobytes()
+        rows.append((f"{part}.membership.{k}", _sha(data)))
+    return rows
+
+
 def digest(name: str) -> list:
     """(item, sha256) pairs for one fixture."""
     fx = get_fixture(name)
@@ -389,6 +422,7 @@ def digest(name: str) -> list:
             words = span.matrix.words
             data = repr((words.shape, span.pivots)).encode() + words.tobytes()
             rows.append((f"{part}.span.{k}", _sha(data)))
+        rows.extend(membership_digest(part, model))
         for k in range(min(4, model.max_degree - 1) + 1):
             reps = cohomology_basis(model, k).reduction.reps
             data = repr(reps.shape).encode() + reps.tobytes()

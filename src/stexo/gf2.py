@@ -12,9 +12,13 @@ holds column 64*w + j.
 
 Subspace is the one reduced basis: membership, residuals modulo the span,
 coefficients over spanning vectors, cohomology coordinates and coboundary
-tests all reduce a batch of vectors against it with one vectorized XOR
-(xor_combine).  Its transform holds the relations among the spanning vectors,
-so one reduction of a matrix's columns gives its image, kernel and solutions.
+tests all reduce vectors against it in one path, the same for one vector as
+for a batch: the batch is converted, checked, read mod 2 and packed once,
+and the basis rows its pivot bits pick are XORed into the packed rows in
+place by one grouped reduction (as in xor_combine).  Against a zero subspace
+the packed rows are the residual and nothing is combined.  Its transform
+holds the relations among the spanning vectors, so one reduction of a
+matrix's columns gives its image, kernel and solutions.
 """
 
 from __future__ import annotations
@@ -33,13 +37,23 @@ def _nwords(cols: int) -> int:
     return (cols + _WORD - 1) // _WORD
 
 
+def _padded(bits: np.ndarray) -> np.ndarray:
+    """The entries mod 2 of a (rows, cols) uint8 array, zero-padded on the
+    right to whole words."""
+    rows, cols = bits.shape
+    out = np.zeros((rows, _nwords(cols) * _WORD), dtype=np.uint8)
+    np.bitwise_and(bits, 1, out=out[:, :cols])
+    return out
+
+
+def _pack_padded(padded: np.ndarray) -> np.ndarray:
+    """Rows of whole words of 0/1 entries as packed little-endian words."""
+    return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
+
+
 def pack_rows(bits: np.ndarray) -> np.ndarray:
     """Pack a (rows, cols) 0/1 array into a (rows, nwords) uint64 array."""
-    bits = np.asarray(bits, dtype=np.uint8) & 1
-    rows, cols = bits.shape
-    out = np.zeros((rows, _nwords(cols) * 8), dtype=np.uint8)
-    out[:, : (cols + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
-    return out.view(np.uint64)
+    return _pack_padded(_padded(np.asarray(bits, dtype=np.uint8)))
 
 
 def unpack_rows(words: np.ndarray, cols: int) -> np.ndarray:
@@ -206,14 +220,23 @@ def rank(m: F2Matrix) -> int:
     return rank_and_echelon(m, want_transform=False).rank
 
 
+def _xor_into(out: np.ndarray, coeffs: np.ndarray, rows: np.ndarray) -> None:
+    # out[b] ^= the rows that coeffs[b] picks, one reduceat over the picks
+    # grouped by b (np.nonzero lists them row by row)
+    b, j = coeffs.nonzero()
+    if b.size:
+        starts = np.empty(b.size, dtype=bool)
+        starts[0] = True
+        np.not_equal(b[1:], b[:-1], out=starts[1:])
+        starts = starts.nonzero()[0]
+        out[b[starts]] ^= np.bitwise_xor.reduceat(rows.take(j, axis=0), starts, axis=0)
+
+
 def xor_combine(coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """coeffs * rows over GF(2): row b XORs the rows that the 0/1 row coeffs[b]
     picks.  rows may be 0/1 vectors or packed words."""
-    b, j = np.nonzero(coeffs)
     out = np.zeros((len(coeffs), rows.shape[1]), dtype=rows.dtype)
-    if b.size:
-        starts = np.flatnonzero(np.diff(b, prepend=-1))
-        out[b[starts]] = np.bitwise_xor.reduceat(rows[j], starts, axis=0)
+    _xor_into(out, np.asarray(coeffs), rows)
     return out
 
 
@@ -273,11 +296,15 @@ class Subspace:
 
         The residual is the row plus the basis rows its pivot bits pick: zero
         at every pivot, zero exactly for members, and linear in the row, so
-        it is the row's representative modulo the subspace.
+        it is the row's representative modulo the subspace.  A zero subspace
+        has no pivots, so the packed rows are their own residual.
         """
-        rows = _batch(np.atleast_2d(vectors), self.ambient_dim) & 1
-        coeffs = rows[:, self._pivot_index]
-        return coeffs, pack_rows(rows) ^ xor_combine(coeffs, self.matrix.words)
+        rows = _padded(_batch(np.atleast_2d(vectors), self.ambient_dim))
+        coeffs = rows.take(self._pivot_index, axis=1)
+        residual = _pack_padded(rows)
+        if self.dim:
+            _xor_into(residual, coeffs, self.matrix.words)
+        return coeffs, residual
 
     def contains(self, vectors):
         """Membership of one vector, or of each row of a batch."""

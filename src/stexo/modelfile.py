@@ -13,6 +13,12 @@ word.  A map's assignment has the same form per degree, one target per
 source cell.  Version 1 held each target as {"cell": c, "degen": [letters]};
 it is still read, to the same models with the same messages, but not written.
 
+MODEL_FILE_SCHEMA describes both versions, but the parser, not the schema,
+is the authority on integers: draft-07 "integer" and "const" compare numbers
+by value, so the schema accepts "format_version": 2.0, "max_degree": 6.0 or
+a cell of 2.0, and parse_document refuses each of them, as it refuses true
+or any other float in an integer field.
+
 The canonical bytes of a document are by definition those of
 json.dumps(doc, sort_keys=True, indent=2) plus a newline.  model_document
 checks a model and its decorations and returns them as a ModelDocument, which

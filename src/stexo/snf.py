@@ -8,9 +8,10 @@ is recomputed from the array only when it would run out.  Homology
 invariants come from invariant factors alone.  invariant_factors eliminates
 +-1 pivots on an int64 array, each pivot updating only the rows of its
 column at the nonzero columns of its row, stopping before an update that
-could leave int64, and hands the block that is left to smith_normal_form,
-which runs on int64 until a bound runs out and on object arrays from then
-on, so it cannot overflow.  Cycle generators, which need the transforms, are
+could leave int64, and hands the block that is left to the loop of
+smith_normal_form with zero-width transforms, so it builds none; that loop
+runs on int64 until a bound runs out and on object arrays from then on, so
+it cannot overflow.  Cycle generators, which need the transforms, are
 computed only when asked for; _product is the one exact matrix product, on
 float64 (BLAS) while every partial sum stays below 2**53, else on int64 or
 Python ints.
@@ -65,8 +66,15 @@ def smith_normal_form(a: list[list[int]]) -> SNFResult:
     Python-int object arrays and the loop goes on there.  An entry of A past
     the bound starts them on object arrays.
     """
+    return _smith(a, transforms=True)
+
+
+def _smith(a, transforms: bool) -> SNFResult:
+    """smith_normal_form of a list of rows or a 2-D int64 array; without
+    transforms, U and V_inv have no columns and U_inv and V no rows, so every
+    transform update in the loop touches nothing and diag is the same."""
     nr = len(a)
-    nc = len(a[0]) if a else 0
+    nc = len(a[0]) if nr else 0
     # bounds on |entry| of m, U, U_inv, V and V_inv while they are int64
     try:
         m = np.array(a, dtype=np.int64).reshape(nr, nc)
@@ -75,8 +83,12 @@ def smith_normal_form(a: list[list[int]]) -> SNFResult:
         m, bounds = np.array(a, dtype=object).reshape(nr, nc), None
     if bounds and bounds[0] > _INT64_SAFE:
         m, bounds = m.astype(object), None
-    U, Ui = np.eye(nr, dtype=m.dtype), np.eye(nr, dtype=m.dtype)
-    V, Vi = np.eye(nc, dtype=m.dtype), np.eye(nc, dtype=m.dtype)
+    if transforms:
+        U, Ui = np.eye(nr, dtype=m.dtype), np.eye(nr, dtype=m.dtype)
+        V, Vi = np.eye(nc, dtype=m.dtype), np.eye(nc, dtype=m.dtype)
+    else:
+        U, Ui = np.zeros((nr, 0), m.dtype), np.zeros((0, nr), m.dtype)
+        V, Vi = np.zeros((0, nc), m.dtype), np.zeros((nc, 0), m.dtype)
 
     t = 0
     limit = min(nr, nc)
@@ -253,14 +265,14 @@ def invariant_factors(a) -> list[int]:
 
     Equal to smith_normal_form(a).diag, without the transforms: unit pivots
     are eliminated on int64 first and the exact Smith form reduces only the
-    nonzero block that is left.
+    nonzero block that is left, building no transform.
     """
     m = np.array(a, dtype=np.int64)
     if m.size == 0:
         return []
     units = _eliminate_units(m)
     core = m[np.flatnonzero(m.any(axis=1))][:, np.flatnonzero(m.any(axis=0))]
-    return [1] * units + smith_normal_form(core.tolist()).diag
+    return [1] * units + _smith(core, transforms=False).diag
 
 
 @dataclass

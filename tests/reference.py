@@ -98,6 +98,49 @@ def solve_affine(m: F2Matrix, rhs: np.ndarray) -> np.ndarray | None:
     return x
 
 
+def dense_rref(rows) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon rows and pivot columns of a 2-D array read mod 2,
+    by elimination on unpacked 0/1 entries, one column at a time."""
+    a = np.array(rows, dtype=np.uint8) & 1
+    pivots = []
+    for c in range(a.shape[1]):
+        r = len(pivots)
+        hit = np.flatnonzero(a[r:, c])
+        if hit.size == 0:
+            continue
+        p = r + int(hit[0])
+        a[[r, p]] = a[[p, r]]
+        others = np.flatnonzero(a[:, c])
+        a[others[others != r]] ^= a[r]
+        pivots.append(c)
+    return a[: len(pivots)], pivots
+
+
+def span_residual(vectors, v) -> np.ndarray:
+    """v read mod 2, modulo the span of the rows of vectors: v plus the
+    reduced echelon rows its pivot entries pick, zero at every pivot and zero
+    exactly when v lies in the span."""
+    basis, pivots = dense_rref(vectors)
+    v = np.asarray(v, dtype=np.uint8) & 1
+    return ((v.astype(np.int64) + v[pivots].astype(np.int64) @ basis) % 2).astype(np.uint8)
+
+
+def span_combination(vectors: np.ndarray, v) -> np.ndarray | None:
+    """The coefficients over the rows of a 2-D array that rebuild v read mod 2,
+    zero on every row in the span of the rows before it; None when v lies
+    outside the span.  In the reduced echelon form of the matrix with those
+    rows as columns and v appended, v is outside exactly when its column is
+    a pivot, and otherwise each pivot coefficient is its row's last entry."""
+    aug = np.concatenate((vectors, np.asarray(v, dtype=np.uint8)[None]), axis=0).T
+    rref, pivots = dense_rref(aug)
+    k = len(vectors)
+    if k in pivots:
+        return None
+    out = np.zeros(k, dtype=np.uint8)
+    out[pivots] = rref[:, k]
+    return out
+
+
 def mul_vec(m: F2Matrix, v) -> np.ndarray:
     """Matrix times column vector; v has length cols, result length rows."""
     v = np.asarray(v, dtype=np.uint8)

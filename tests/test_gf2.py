@@ -13,8 +13,10 @@ from stexo.gf2 import (
     rank,
     rank_and_echelon,
     unpack_rows,
+    xor_combine,
 )
 
+import reference
 from reference import kernel_basis, mul_vec, solve_affine
 
 RNG = np.random.default_rng(20240817)
@@ -400,3 +402,76 @@ def test_subspace_from_packed_rows_equals_from_dense():
         assert a == b and a.pivots == b.pivots and a.transform == b.transform
     with pytest.raises(ModelMismatchError):
         Subspace.from_vectors(6, F2Matrix(2, 5))
+
+
+@st.composite
+def _spans_and_batches(draw):
+    """A span of k vectors in GF(2)^n, some of them sums of earlier ones or
+    zero, and a batch of up to 6 vectors with entries 0..3: sums of spanning
+    vectors and random vectors, each plus twice a random vector."""
+    n = draw(st.sampled_from([0, 1, 5, 63, 64, 65, 130]))
+    k = draw(st.integers(0, 7))
+    b = draw(st.integers(0, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vectors = rng.integers(0, 2, size=(k, n), dtype=np.uint8)
+    for j in range(1, k):
+        if rng.random() < 0.3:
+            vectors[j] = (rng.integers(0, 2, size=j) @ vectors[:j]) % 2
+    members = (rng.integers(0, 2, size=(b, k)) @ vectors) % 2
+    batch = np.where(rng.random((b, 1)) < 0.5, members, rng.integers(0, 2, size=(b, n)))
+    batch = (batch + 2 * rng.integers(0, 2, size=(b, n))).astype(np.uint8)
+    return n, vectors, batch
+
+
+@given(_spans_and_batches())
+@settings(max_examples=150, deadline=None)
+def test_subspace_batch_equals_rows_and_dense_references(case):
+    n, vectors, batch = case
+    span = Subspace.from_vectors(n, vectors)
+    inside = span.contains(batch)
+    residual = span.residual(batch)
+    assert inside.shape == (len(batch),) and residual.shape == batch.shape
+    for v, ins, res in zip(batch, inside, residual):
+        # one row alone, read mod 2 (entries 2 and 3 are 0 and 1)
+        assert span.contains(v) is bool(ins)
+        assert np.array_equal(span.residual(v), res)
+        assert np.array_equal(span.residual(v & 1), res)
+        assert np.array_equal(res, reference.span_residual(vectors, v))
+        assert ins == (reference.span_combination(vectors, v) is not None)
+    members = batch[inside]
+    coeffs = span.combination(members)
+    assert coeffs.shape == (len(members), len(vectors))
+    for v, c in zip(members, coeffs):
+        assert np.array_equal(span.combination(v), c)
+        assert np.array_equal(c, reference.span_combination(vectors, v))
+    if not inside.all():
+        with pytest.raises(ModelMismatchError):
+            span.combination(batch)
+
+
+@given(_spans_and_batches())
+@settings(max_examples=40, deadline=None)
+def test_subspace_rejects_wrong_length(case):
+    n, vectors, _ = case
+    span = Subspace.from_vectors(n, vectors)
+    for bad in (np.zeros(n + 1, np.uint8), np.zeros((2, n + 1), np.uint8)):
+        for call in (span.contains, span.residual, span.combination):
+            with pytest.raises(ModelMismatchError, match="vector length does not match"):
+                call(bad)
+
+
+@given(
+    st.integers(0, 6),
+    st.integers(0, 9),
+    st.sampled_from([0, 1, 63, 64, 65, 200]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_xor_combine_equals_matrix_product(b, d, n, seed):
+    rng = np.random.default_rng(seed)
+    coeffs = rng.integers(0, 2, size=(b, d), dtype=np.uint8)
+    coeffs[rng.random(b) < 0.3] = 0  # all-zero coefficient rows
+    rows = rng.integers(0, 2, size=(d, n), dtype=np.uint8)
+    want = (coeffs.astype(np.int64) @ rows) % 2
+    assert np.array_equal(xor_combine(coeffs, rows), want)
+    assert np.array_equal(xor_combine(coeffs, pack_rows(rows)), pack_rows(want))

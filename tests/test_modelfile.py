@@ -938,6 +938,27 @@ def test_booleans_are_not_integers(edit):
         data.maps["projection"].from_model_to(data.model, base.model)
 
 
+@pytest.mark.parametrize(
+    "edit, where, message",
+    [
+        (_set("format_version", 2.0), "document.format_version", "expected 1 or 2"),
+        (_set("max_degree", 6.0), "document", "max_degree must be a nonnegative integer"),
+        (_set("faces", 1, "cell", 0, 0.0), "document.faces[1].cell[0]", "expected an integer"),
+    ],
+)
+def test_integral_floats_pass_the_schema_and_fail_the_parser(edit, where, message):
+    # draft-07 "integer" and const compare by value, so 2.0 passes for 2; the
+    # parser, the authority on integers, refuses it
+    doc = json.loads(canonical_bytes(fixture_documents("rp-kreck")["base"]))
+    assert doc["format_version"] == 2 and doc["max_degree"] == 6
+    assert doc["faces"][1]["cell"][0] == 0
+    edit(doc)
+    jsonschema.validate(doc, MODEL_FILE_SCHEMA)
+    with pytest.raises(ValidationError) as err:
+        parse_document(doc)
+    assert str(err.value) == f"{where}: {message}"
+
+
 @pytest.mark.parametrize("perm", [[1.3, 0.3], ["1", "0"], ["ab", 0], [2**70, 0], [[1], 0]])
 def test_involution_entries_must_be_integers(perm, tmp_path, capsys):
     docs = fixture_documents("rp-kreck")

@@ -126,18 +126,20 @@ def test_invariant_factors_match_smith_form(a, scale):
 
 def test_invariant_factors_hand_off_before_int64_overflow(monkeypatch):
     # after the first pivot, clearing column 1 would put -big**2 = -2**80 in
-    # the block; the elimination must stop and pass that block on exactly
+    # the block; the elimination must stop and pass that block on exactly,
+    # to a Smith reduction that builds no transform
     big = 1 << 40
     a = np.array([[1, 0, 0], [0, 1, big], [0, big, 0]], dtype=np.int64)
     cores = []
+    smith = snf._smith
 
-    def spy(m):
-        cores.append((len(m), len(m[0]) if m else 0))
-        return smith_normal_form(m)
+    def spy(m, transforms):
+        cores.append((len(m), len(m[0]) if len(m) else 0, transforms))
+        return smith(m, transforms)
 
-    monkeypatch.setattr(snf, "smith_normal_form", spy)
+    monkeypatch.setattr(snf, "_smith", spy)
     assert invariant_factors(a) == [1, 1, big * big]
-    assert cores == [(2, 2)]
+    assert cores == [(2, 2, False)]
 
 
 @st.composite
