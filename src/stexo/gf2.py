@@ -306,15 +306,24 @@ class Subspace:
             _xor_into(residual, coeffs, self.matrix.words)
         return coeffs, residual
 
+    def _rows(self, vectors) -> np.ndarray:
+        """The rows of a batch read mod 2: their residuals when dim is 0."""
+        return _batch(np.atleast_2d(vectors), self.ambient_dim) & 1
+
     def contains(self, vectors):
         """Membership of one vector, or of each row of a batch."""
-        inside = ~self._reduce(vectors)[1].any(axis=1)
-        return bool(inside[0]) if np.ndim(vectors) == 1 else inside
+        residual = self._reduce(vectors)[1] if self.dim else self._rows(vectors)
+        if np.ndim(vectors) == 1:
+            return not residual.any()
+        return ~residual.any(axis=1)
 
     def residual(self, vectors) -> np.ndarray:
         """The representative modulo the subspace of one vector, or of each
         row of a batch, as 0/1 entries."""
-        out = unpack_rows(self._reduce(vectors)[1], self.ambient_dim)
+        if self.dim:
+            out = unpack_rows(self._reduce(vectors)[1], self.ambient_dim)
+        else:
+            out = self._rows(vectors)
         return out[0] if np.ndim(vectors) == 1 else out
 
     @cached_property

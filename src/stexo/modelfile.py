@@ -22,10 +22,16 @@ or any other float in an integer field.
 The canonical bytes of a document are by definition those of
 json.dumps(doc, sort_keys=True, indent=2) plus a newline.  model_document
 checks a model and its decorations and returns them as a ModelDocument, which
-canonical_bytes writes straight from the arrays, each integer list as one
-join of texts made once per distinct value.  A plain JSON document goes
-through json.dumps.  A version 2 list is read in one batch, and a fault names
-the path of the first bad entry.
+canonical_bytes writes straight from the arrays into one io.BytesIO and
+returns its getvalue(), which hands the buffer over without a copy.  Each
+integer list goes out in chunks of 2**15 values, one str.join and one encode
+per chunk, from texts made once per distinct value when the values are small
+and nonnegative.  So the writer's peak is about its output plus one chunk,
+not the three copies that joined strings, a "\n" and an encode would hold.
+A chunk is joined as str, not as bytes: bytes.join takes a buffer view of
+every item, about 80 B each, more than the item itself.  A plain JSON
+document goes through json.dumps.  A version 2 list is read in one batch, and
+a fault names the path of the first bad entry.
 
 parse_bytes runs with CPython's cyclic garbage collector paused, and restores
 its previous state on return or exception: json.loads of a version 1 file
@@ -44,6 +50,7 @@ checked against that codomain when the map is made.
 from __future__ import annotations
 
 import gc
+import io
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -205,123 +212,151 @@ def model_document(
 
 # -- canonical serialization ---------------------------------------------------------
 
-_INDENT = "  "
+_INDENT = b"  "
+# integers per str.join in _ints: the text of one chunk is live at a time
+_CHUNK = 2**15
 
 
 def canonical_bytes(doc: ModelDocument | dict) -> bytes:
     """The bytes of json.dumps(doc, sort_keys=True, indent=2) + "\\n", where a
     ModelDocument stands for the JSON document it describes.
 
-    A ModelDocument is written from its arrays, every list of integers by
-    _ints.  Any other document goes through json.dumps itself.
+    A ModelDocument is written from its arrays into one buffer, every list
+    of integers by _ints, and the buffer's bytes are returned without a
+    copy.  Any other document goes through json.dumps itself.
     """
     if isinstance(doc, ModelDocument):
-        return (_document_text(doc) + "\n").encode("utf-8")
+        out = io.BytesIO()
+        _document(out, doc)
+        out.write(b"\n")
+        return out.getvalue()
     return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
-def _list(texts, level: int, brackets: str = "[]") -> str:
-    """A JSON list at nesting level from the texts of its items."""
-    inner = _INDENT * (level + 1)
-    body = f",\n{inner}".join(texts)
-    if not body:
-        return brackets
-    return f"{brackets[0]}\n{inner}{body}\n{_INDENT * level}{brackets[1]}"
+# A value below is the bytes of its JSON text, or (writer, *args), which
+# writer(out, *args) writes when its turn comes.
 
 
-def _object(fields: dict, level: int) -> str:
-    """A JSON object at nesting level from the texts of its values, keys sorted."""
-    return _list((f"{json.dumps(k)}: {v}" for k, v in sorted(fields.items())), level, "{}")
+def _put(out: io.BytesIO, value) -> None:
+    if isinstance(value, bytes):
+        out.write(value)
+    else:
+        writer, *args = value
+        writer(out, *args)
 
 
-def _ints(values, level: int) -> str:
-    """The JSON list at nesting level of a sequence of integers, as one join.
+def _list(out: io.BytesIO, values, level: int, brackets: bytes = b"[]") -> None:
+    """Write the JSON list at nesting level of its values."""
+    inner = b"\n" + _INDENT * (level + 1)
+    empty = True
+    for value in values:
+        out.write(brackets[:1] + inner if empty else b"," + inner)
+        _put(out, value)
+        empty = False
+    out.write(brackets if empty else b"\n" + _INDENT * level + brackets[1:])
+
+
+def _field(out: io.BytesIO, key: str, value) -> None:
+    out.write(json.dumps(key).encode("ascii") + b": ")
+    _put(out, value)
+
+
+def _object(out: io.BytesIO, fields: dict, level: int) -> None:
+    """Write the JSON object at nesting level of its values, keys sorted."""
+    _list(out, [(_field, k, v) for k, v in sorted(fields.items())], level, b"{}")
+
+
+def _ints(out: io.BytesIO, values, level: int) -> None:
+    """Write the JSON list at nesting level of a sequence of integers.
 
     Small nonnegative values, as in every face and image list, repeat: a
     count finds the distinct ones, and the text of each, with the separator
     that follows it, is made once.  Any other list is written value by value.
+    Either way the list goes out _CHUNK values at a time, one str.join and
+    one encode per chunk, so its whole text is never held apart from out.
     """
     values = np.asarray(values).ravel()
     if not values.size:
-        return "[]"
-    inner = "\n" + _INDENT * (level + 1)
+        out.write(b"[]")
+        return
+    inner = "\n" + "  " * (level + 1)
+    table = None
     if values.dtype.kind == "i" and values.min() >= 0 and values.max() < 4 * values.size:
         distinct = np.flatnonzero(np.bincount(values))
-        texts = np.empty(int(distinct[-1]) + 1, dtype=object)
-        texts[distinct] = [f"{v},{inner}" for v in distinct.tolist()]
-        body = "".join(texts[values].tolist())
-    else:
-        body = "".join(f"{v},{inner}" for v in values.tolist())
-    return f"[{inner}{body[: -len(inner) - 1]}\n{_INDENT * level}]"
+        table = np.empty(int(distinct[-1]) + 1, dtype=object)
+        table[distinct] = [f"{v},{inner}" for v in distinct.tolist()]
+    out.write(b"[" + inner.encode("ascii"))
+    last = values.size - _CHUNK
+    for start in range(0, values.size, _CHUNK):
+        chunk = values[start : start + _CHUNK]
+        if table is None:
+            body = "".join([f"{v},{inner}" for v in chunk.tolist()])
+        else:
+            body = "".join(table[chunk].tolist())
+        if start >= last:
+            body = body[: -len(inner) - 1]
+        out.write(body.encode("ascii"))
+    out.write(b"\n" + _INDENT * level + b"]")
 
 
-def _targets_block(words: np.ndarray, cells: np.ndarray, level: int) -> str:
-    """The {"cell": [...], "word": [...]} object at nesting level of target arrays."""
-    return _object({"cell": _ints(cells, level + 1), "word": _ints(words, level + 1)}, level)
+def _targets_block(out: io.BytesIO, words: np.ndarray, cells: np.ndarray, level: int) -> None:
+    """Write the {"cell": [...], "word": [...]} object at nesting level of target arrays."""
+    _object(out, {"cell": (_ints, cells, level + 1), "word": (_ints, words, level + 1)}, level)
 
 
 def _model_fields(model: SimplicialModel, level: int) -> dict:
-    """Texts of the model keys of an object at nesting level."""
+    """Values of the model keys of an object at nesting level."""
     blocks = zip(model.face_word[1:], model.face_cell[1:])
     return {
-        "name": json.dumps(model.name),
-        "max_degree": str(model.max_degree),
-        "cells": _ints(model.cells, level + 1),
-        "faces": _list((_targets_block(w, c, level + 2) for w, c in blocks), level + 1),
+        "name": json.dumps(model.name).encode("ascii"),
+        "max_degree": b"%d" % model.max_degree,
+        "cells": (_ints, model.cells, level + 1),
+        "faces": (_list, [(_targets_block, w, c, level + 2) for w, c in blocks], level + 1),
     }
 
 
-def _map_text(m, model: SimplicialModel, level: int) -> str:
-    """A map entry at nesting level, of a SimplicialMap or a MapData."""
+def _map(out: io.BytesIO, m, model: SimplicialModel, level: int) -> None:
+    """Write a map entry at nesting level, of a SimplicialMap or a MapData."""
     if isinstance(m, MapData):
         source, blocks = m.source, [(w, c) for w, c, _ in m.images]
     else:
         source = None if m.source is model else m.source
         blocks = zip(m.image_word, m.image_cell)
     inner = level + 1
-    return _object(
-        {
-            "source": "null" if source is None else _object(_model_fields(source, inner), inner),
-            "assignment": _list((_targets_block(w, c, inner + 1) for w, c in blocks), inner),
-        },
-        level,
-    )
+    source = b"null" if source is None else (_object, _model_fields(source, inner), inner)
+    assignment = [(_targets_block, w, c, inner + 1) for w, c in blocks]
+    _object(out, {"source": source, "assignment": (_list, assignment, inner)}, level)
 
 
-def _assertion_text(a: Assertion | None, level: int) -> str:
+def _assertion(out: io.BytesIO, a: Assertion | None, level: int) -> None:
     if a is None:
-        return "null"
-    return _object(
-        {"value": json.dumps(bool(a.value)), "provenance": json.dumps(a.provenance)}, level
-    )
+        out.write(b"null")
+        return
+    value = b"true" if a.value else b"false"
+    _object(out, {"value": value, "provenance": json.dumps(a.provenance).encode("ascii")}, level)
 
 
-def _document_text(doc: ModelDocument) -> str:
+def _document(out: io.BytesIO, doc: ModelDocument) -> None:
     fields = _model_fields(doc.model, 0)
-    fields["format_version"] = str(FORMAT_VERSION)
-    fields["cochains"] = _object(
-        {
-            name: _object(
-                {"degree": str(u.degree), "support": _ints(np.flatnonzero(u.values), 3)}, 2
-            )
-            for name, u in doc.cochains.items()
-        },
-        1,
-    )
+    fields["format_version"] = b"%d" % FORMAT_VERSION
+    cochains = {}
+    for name, u in doc.cochains.items():
+        support = (_ints, np.flatnonzero(u.values), 3)
+        cochains[name] = (_object, {"degree": b"%d" % u.degree, "support": support}, 2)
+    fields["cochains"] = (_object, cochains, 1)
     fields["involution"] = (
-        "null"
+        b"null"
         if doc.involution is None
-        else _list((_ints(p, 2) for p in doc.involution.perms), 1)
+        else (_list, [(_ints, p, 2) for p in doc.involution.perms], 1)
     )
-    fields["maps"] = _object({k: _map_text(m, doc.model, 2) for k, m in doc.maps.items()}, 1)
-    fields["assertions"] = _object(
-        {
-            "cd_at_most_3": _assertion_text(doc.cd_at_most_3, 2),
-            "h5_zero": _assertion_text(doc.h5_zero, 2),
-        },
-        1,
-    )
-    return _object(fields, 0)
+    maps = {k: (_map, m, doc.model, 2) for k, m in doc.maps.items()}
+    fields["maps"] = (_object, maps, 1)
+    assertions = {
+        "cd_at_most_3": (_assertion, doc.cd_at_most_3, 2),
+        "h5_zero": (_assertion, doc.h5_zero, 2),
+    }
+    fields["assertions"] = (_object, assertions, 1)
+    _object(out, fields, 0)
 
 
 # -- parsing -------------------------------------------------------------------------

@@ -460,6 +460,39 @@ def test_subspace_rejects_wrong_length(case):
                 call(bad)
 
 
+@pytest.mark.parametrize("n", [0, 1, 5, 63, 64, 65, 130])
+def test_zero_subspace_reads_rows_mod_2(n):
+    # dim 0 answers from the rows read mod 2, with no packed reduction
+    rng = np.random.default_rng(n)
+    batch = rng.integers(0, 4, size=(5, n), dtype=np.uint8)
+    batch[0] = 0
+    batch[1] = 2 * rng.integers(0, 2, size=n)  # zero mod 2
+    want = batch & 1
+    for span in (Subspace.zero(n), Subspace.from_vectors(n, np.zeros((3, n), np.uint8))):
+        assert span.dim == 0
+        inside = span.contains(batch)
+        residual = span.residual(batch)
+        assert np.array_equal(inside, ~want.any(axis=1))
+        assert residual.dtype == np.uint8 and np.array_equal(residual, want)
+        assert np.array_equal(span.residual(batch[::2]), want[::2])
+        assert span.contains(batch[:0]).shape == (0,) and span.residual(batch[:0]).shape == (0, n)
+        for v, w in zip(batch, want):
+            assert span.contains(v) is (not w.any())
+            assert np.array_equal(span.residual(v), w)
+        assert np.array_equal(span.combination(batch[:2]), np.zeros((2, span.transform.cols)))
+        assert np.array_equal(span.combination(batch[1]), np.zeros(span.transform.cols))
+        if n:
+            with pytest.raises(ModelMismatchError, match="not in the span"):
+                span.combination(batch)
+            for v in batch[~inside]:
+                with pytest.raises(ModelMismatchError, match="not in the span"):
+                    span.combination(v)
+        for bad in (np.zeros(n + 1, np.uint8), np.zeros((2, n + 1), np.uint8)):
+            for call in (span.contains, span.residual, span.combination):
+                with pytest.raises(ModelMismatchError, match="vector length does not match"):
+                    call(bad)
+
+
 @given(
     st.integers(0, 6),
     st.integers(0, 9),

@@ -1,8 +1,10 @@
 """Model file format: schema conformance, canonical bytes, parser diagnostics."""
 
 import gc
+import io
 import json
 import re
+import tracemalloc
 from functools import lru_cache
 from itertools import chain, repeat
 from operator import contains
@@ -907,8 +909,41 @@ def test_ints_text_equals_json_dumps(data):
     if data.draw(st.booleans()):
         values = data.draw(st.lists(st.integers(0, 2 * len(values) + 1), max_size=12))
     want = json.dumps(values, indent=2).replace("\n", "\n" + "  " * level)
-    assert modelfile._ints(np.array(values, dtype=np.int64), level) == want
-    assert modelfile._ints(values, level) == want
+    assert _ints_bytes(np.array(values, dtype=np.int64), level) == want.encode()
+    assert _ints_bytes(values, level) == want.encode()
+
+
+def _ints_bytes(values, level: int) -> bytes:
+    """The fragments _ints writes for a list, joined."""
+    out = io.BytesIO()
+    modelfile._ints(out, values, level)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("size", [2**15 - 1, 2**15, 2**15 + 1, 2 * 2**15 + 7])
+def test_ints_chunks_join_to_json_dumps(size):
+    # lists around one chunk of 2**15 values and over three, on both routes of _ints
+    rng = np.random.default_rng(size)
+    for values in (rng.integers(0, 50, size), rng.integers(-(2**63), 2**63 - 1, size)):
+        for level in (0, 3):
+            want = json.dumps(values.tolist(), indent=2).replace("\n", "\n" + "  " * level)
+            assert _ints_bytes(values, level) == want.encode()
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", BIG)
+def test_writer_peak_memory_is_near_its_output(name):
+    # the writer holds the document once in its buffer, plus one chunk of one
+    # list: tracemalloc's peak stays under 1.6 times the output
+    for part, doc in fixture_documents(name).items():
+        canonical_bytes(doc)
+        tracemalloc.start()
+        try:
+            blob = canonical_bytes(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * len(blob), (part, peak, len(blob))
 
 
 # -- integers, as the schema means them ----------------------------------------------
