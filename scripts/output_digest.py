@@ -8,6 +8,10 @@ For each fixture (all of them by default) the lines are:
                      (with its cover, section and lift data) and the
                      replay_evidence result;
   report             report_json of the second page, d2 maps and killers;
+  transform          the row transform words of every coboundary_span(k)
+                     that the base and the cover hold once decide and the
+                     report have run, by model and increasing k: the
+                     transform of each reduction, pinned byte for byte;
   generators         generator_chains() of every certified twisted E2 entry
                      (the integer cycle basis itself, not only its mod-2
                      pairings), as JSON lists of ints keyed by "p,q";
@@ -377,6 +381,19 @@ def membership_digest(part: str, model: SimplicialModel) -> list:
     return rows
 
 
+def transform_digest(fx) -> str:
+    """sha256 of the transform words of each coboundary span cached on the
+    fixture's base and cover models."""
+    parts = []
+    models = [fx.nt.base] + ([fx.cover.cover] if fx.cover is not None else [])
+    for model in models:
+        degrees = sorted(key[1] for key in model._cache if key[0] == "cob-span")
+        for k in degrees:
+            words = model.coboundary_span(k).transform.words
+            parts += [repr((model.name, k, words.shape)).encode(), words.tobytes()]
+    return _sha(b"\0".join(parts))
+
+
 def digest(name: str) -> list:
     """(item, sha256) pairs for one fixture."""
     fx = get_fixture(name)
@@ -390,6 +407,7 @@ def digest(name: str) -> list:
         diffs = d2_maps(fx.nt, page, fx.cover)
         killers = killers_report(fx.nt, page, diffs, verdict)
         rows.append(("report", _sha(report_json(page, diffs, killers))))
+        rows.append(("transform", transform_digest(fx)))
         with recorded_smith_forms() as forms:
             gens = {
                 f"{p},{q}": [[int(x) for x in row] for row in e.result.generator_chains()]

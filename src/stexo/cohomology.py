@@ -84,7 +84,7 @@ class CohomologyBasis:
     def class_from_coords(self, coords) -> Cochain:
         coords = np.asarray(coords, dtype=np.uint8)[None] & 1
         values = xor_combine(coords, self.reduction.reps)[0]
-        return Cochain(self.model, self.degree, values)
+        return Cochain._computed(self.model, self.degree, values)
 
 
 def cohomology_basis(
@@ -118,7 +118,7 @@ def _reduction(model: SimplicialModel, degree: int, certified: bool) -> BasisRed
         closed = np.eye(n, dtype=np.uint8)
     # a closed row is kept when its column is a pivot of the transposed residues
     residues = _residues(model, degree, closed)
-    pivots = rank_and_echelon(F2Matrix.from_dense(residues.T), want_transform=False).pivots
+    pivots = rank_and_echelon(F2Matrix.from_dense(residues.T)).pivots
     reps = closed[list(pivots)]
     reps.setflags(write=False)
     return BasisReduction(reps, class_span(model, degree, reps), not certified)

@@ -10,20 +10,27 @@ of a second this way, and every result is exact.
 Vectors are plain numpy uint8 arrays of 0/1 entries.  Bit j of word w of a row
 holds column 64*w + j.
 
+The elimination carries no row transform.  Each pivot step logs, as one
+packed bit row, the rows that had the pivot bit, so the log is never larger
+than the transform; an EchelonResult or Subspace builds its transform from
+that log the first time it is read and then drops the log.
+
 Subspace is the one reduced basis: membership, residuals modulo the span,
 coefficients over spanning vectors, cohomology coordinates and coboundary
 tests all reduce vectors against it in one path, the same for one vector as
 for a batch: the batch is converted, checked, read mod 2 and packed once,
 and the basis rows its pivot bits pick are XORed into the packed rows in
 place by one grouped reduction (as in xor_combine).  Against a zero subspace
-the packed rows are the residual and nothing is combined.  Its transform
-holds the relations among the spanning vectors, so one reduction of a
-matrix's columns gives its image, kernel and solutions.
+the packed rows are the residual and nothing is combined.  Membership and
+residuals read the basis alone.  The transform holds the relations among
+the spanning vectors, so one reduction of a matrix's columns gives its
+image, kernel and solutions, and only spans asked for relations or
+combinations pay for it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -159,29 +166,97 @@ class F2Matrix:
         return F2Matrix(self.rows, other.cols, out)
 
 
+# the most log bits _replay unpacks at once
+_REPLAY_BITS = 1 << 22
+
+
+def _replay(n: int, log: np.ndarray) -> F2Matrix:
+    """The row transform of an echelon run on n rows, from its log: the
+    swaps and additions of every pivot step applied to the identity.
+
+    The log rows are unpacked a block at a time, and each row's pivot row
+    (its first bit at or past the step) is found for the whole block at
+    once.  Row i of the transform is kept at T[pos[i]], so a swap exchanges
+    two entries of pos and moves no row; one step is then one gather and
+    one XOR.
+    """
+    T = F2Matrix.identity(n).words
+    pos = np.arange(n)
+    block = max(1, _REPLAY_BITS // max(n, 1))
+    for start in range(0, len(log), block):
+        bits = np.unpackbits(
+            log[start : start + block].view(np.uint8), axis=1, count=n, bitorder="little"
+        )
+        k, j = bits.nonzero()
+        steps = np.arange(len(bits))
+        # every log row holds its pivot row, so no row of the block is empty
+        first = np.searchsorted(k, steps)
+        pivot = np.minimum.reduceat(np.where(j >= k + start, j, n), first)
+        added = j != pivot[k]
+        bounds = np.searchsorted(k[added], np.append(steps, len(bits))).tolist()
+        j = j[added]
+        for step, p in enumerate(pivot.tolist()):
+            r = start + step
+            if p != r:
+                pos[r], pos[p] = pos[p], pos[r]
+            a, b = bounds[step], bounds[step + 1]
+            if b > a:
+                T[pos[j[a:b]]] ^= T[pos[r]]
+    return F2Matrix(n, n, T[pos])
+
+
+class _LoggedTransform:
+    """The row transform of an echelon run, built from the run's log the
+    first time it is read; the log is then dropped.
+
+    _log is (n, log): the n rows reduced, and per pivot step k one packed
+    row of n bits, the rows with the pivot column's bit set just before
+    step k.  The first of them at or past k is the row swapped into place k,
+    and the others are the rows the pivot row is added to.  So the log has
+    at most as many words as the transform, and an echelon pays for its
+    transform only when someone asks for it.
+    """
+
+    @cached_property
+    def transform(self) -> F2Matrix:
+        """T with T * (the reduced rows) = the echelon form; invertible."""
+        t = _replay(*self._log)
+        self._log = None
+        return t
+
+
 @dataclass
-class EchelonResult:
+class EchelonResult(_LoggedTransform):
+    """The reduced row echelon form of a matrix, its rank and pivots, and the
+    row transform of the reduction, built on first read (see
+    _LoggedTransform)."""
+
     rank: int
     echelon: "F2Matrix"
-    transform: "F2Matrix | None"
     pivots: tuple[int, ...]
+    _log: tuple = field(repr=False, compare=False)
 
 
-def rank_and_echelon(m: F2Matrix, want_transform: bool = True) -> EchelonResult:
-    """Reduced row echelon form with an invertible row transform.
+def rank_and_echelon(m: F2Matrix) -> EchelonResult:
+    """Reduced row echelon form, with a log of its row operations from which
+    the invertible row transform is built when first read.
 
     Pivoting is deterministic: leftmost available column, lowest row index.
-    The returned transform T satisfies T * m = echelon and is invertible.
+    The transform T satisfies T * m = echelon.
 
     Rows r: below the pivots found so far are zero left of column c, so one
     step reads only the word column of c: the first row with bit c set is the
     pivot, and it clears that bit from the other rows by XOR on words w: (the
-    pivot row is zero left of its word).  An empty column jumps to the next
-    bit set in rows r: of the same word, or past the word to the leftmost
-    column of any later word.
+    pivot row is zero left of its word).  Those rows, pivot included, are
+    the step's log row.  An empty column jumps to the next bit set in rows
+    r: of the same word, or past the word to the leftmost column of any
+    later word.
     """
     R = m.words.copy()
-    T = F2Matrix.identity(m.rows).words if want_transform else None
+    # one log row per pivot, and there are at most min(rows, cols) pivots
+    log = np.zeros((min(m.rows, m.cols), _nwords(m.rows)), dtype=np.uint64)
+    log_bytes = log.view(np.uint8)
+    nbytes = (m.rows + 7) // 8
     pivots = []
     r = 0
     c = 0
@@ -198,26 +273,22 @@ def rank_and_echelon(m: F2Matrix, want_transform: bool = True) -> EchelonResult:
             else:
                 c = _leftmost_column(R[r:], _WORD * (w + 1))
             continue
+        log_bytes[r, :nbytes] = np.packbits(hits, bitorder="little")
         if p != r:
             R[[r, p]] = R[[p, r]]
-            if T is not None:
-                T[[r, p]] = T[[p, r]]
         hits[p] = False
         rows = np.flatnonzero(hits)
         if rows.size:
             R[rows, w:] ^= R[r, w:]
-            if T is not None:
-                T[rows] ^= T[r]
         pivots.append(c)
         r += 1
         c += 1
     ech = F2Matrix(m.rows, m.cols, R)
-    trans = F2Matrix(m.rows, m.rows, T) if T is not None else None
-    return EchelonResult(len(pivots), ech, trans, tuple(pivots))
+    return EchelonResult(len(pivots), ech, tuple(pivots), (m.rows, log[:r]))
 
 
 def rank(m: F2Matrix) -> int:
-    return rank_and_echelon(m, want_transform=False).rank
+    return rank_and_echelon(m).rank
 
 
 def _xor_into(out: np.ndarray, coeffs: np.ndarray, rows: np.ndarray) -> None:
@@ -248,20 +319,24 @@ def _batch(vectors, n: int) -> np.ndarray:
 
 
 @dataclass
-class Subspace:
+class Subspace(_LoggedTransform):
     """A subspace of GF(2)^n held as a reduced row echelon basis of the
-    vectors that span it, with the row transform T of that reduction.
+    vectors that span it, with the row transform T of that reduction, built
+    from the reduction's log the first time it is read (see
+    _LoggedTransform).
 
     Rows of T up to dim say which spanning vectors sum to each basis row; the
     rows past dim span the relations among the spanning vectors.  The basis
     coefficients of a vector are its bits at the pivots, and it is a member
-    exactly when that combination of basis rows rebuilds it.
+    exactly when that combination of basis rows rebuilds it.  So membership
+    and residuals read the basis alone and never build T; relations and
+    combination build it once.
     """
 
     ambient_dim: int
     matrix: F2Matrix
     pivots: tuple[int, ...]
-    transform: F2Matrix
+    _log: tuple = field(repr=False)
 
     def __post_init__(self):
         # the pivots as a read-only index array, for _reduce
@@ -281,7 +356,7 @@ class Subspace:
         res = rank_and_echelon(m)
         r = res.rank
         basis = F2Matrix(r, ambient_dim, res.echelon.words[:r].copy())
-        return cls(ambient_dim, basis, res.pivots, res.transform)
+        return cls(ambient_dim, basis, res.pivots, res._log)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -332,7 +407,7 @@ class Subspace:
         # taken from the right, and those pivots: the dependent vectors
         n = self.transform.cols
         flipped = unpack_rows(self.transform.words[self.dim :], n)[:, ::-1]
-        res = rank_and_echelon(F2Matrix.from_dense(flipped), want_transform=False)
+        res = rank_and_echelon(F2Matrix.from_dense(flipped))
         rows = F2Matrix.from_dense(res.echelon.to_dense()[::-1, ::-1])
         return rows, n - 1 - np.array(res.pivots[::-1], dtype=np.intp)
 

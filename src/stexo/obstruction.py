@@ -259,7 +259,7 @@ def kreck_witness(nt: NormalOneType):
     span = nt.base.coboundary_span(2)
     if not span.contains(diff.values):
         return None
-    g = Cochain(nt.base, 1, span.combination(diff.values))
+    g = Cochain._computed(nt.base, 1, span.combination(diff.values))
     if coboundary(g) != diff:
         raise InternalInvariantError("Kreck witness fails delta g = w2 + w1^2")
     return g

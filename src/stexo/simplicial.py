@@ -140,9 +140,27 @@ def _through(dim: int, words: np.ndarray, cells: np.ndarray, tables) -> np.ndarr
 
 
 def _frozen(a, dtype=np.int64) -> np.ndarray:
+    """a as a read-only C-contiguous array of dtype; one that already is
+    comes back as it is."""
+    if (
+        isinstance(a, np.ndarray)
+        and a.dtype == dtype
+        and not a.flags.writeable
+        and a.flags.c_contiguous
+    ):
+        return a
     a = np.ascontiguousarray(a, dtype=dtype)
     a.setflags(write=False)
     return a
+
+
+def _checked_once(obj) -> list[str]:
+    """obj._violations_found(), computed on the first call and kept in
+    obj._violations.  Models, maps and involutions hold only read-only
+    arrays and fixed endpoints, so the answer cannot change."""
+    if obj._violations is None:
+        obj._violations = tuple(obj._violations_found())
+    return list(obj._violations)
 
 
 def _no_faces(count: int) -> np.ndarray:
@@ -232,7 +250,7 @@ class SimplicialModel:
     face_word[n][c, i] and face_cell[n][c, i] are the i-th face of the n-cell
     c, a dimension n-1 target: the mask of its canonical word and its cell.
     Degree 0 has width-0 arrays.  The arrays cannot be written, so whatever
-    the model caches about them stays valid.
+    the model caches about them stays valid, the result of validate too.
     """
 
     def __init__(self, max_degree: int, cells, face_word, face_cell, name: str = "model"):
@@ -240,6 +258,7 @@ class SimplicialModel:
         self.cells = tuple(int(c) for c in cells)
         self.name = name
         self._cache: dict = {}
+        self._violations = None
         if len(self.cells) != self.max_degree + 1:
             raise ValidationError(
                 f"{name}: cells list length {len(self.cells)} vs max_degree {max_degree}"
@@ -297,11 +316,9 @@ class SimplicialModel:
 
     def validate(self) -> list[str]:
         """The simplicial identities, checked once per model; the result is cached."""
-        if "identities" not in self._cache:
-            self._cache["identities"] = tuple(self._identity_violations())
-        return list(self._cache["identities"])
+        return _checked_once(self)
 
-    def _identity_violations(self) -> list[str]:
+    def _violations_found(self) -> list[str]:
         """d_i d_j = d_{j-1} d_i for i < j on every cell, in (degree, cell, j, i) order.
 
         Each face column is grouped by word once per degree, as index arrays,
@@ -432,7 +449,12 @@ def _build_cup_table(model: SimplicialModel, p: int, q: int, i: int):
 
 @dataclass(frozen=True)
 class Cochain:
-    """A normalized GF(2) cochain: one bit per nondegenerate cell."""
+    """A normalized GF(2) cochain: one bit per nondegenerate cell.
+
+    The constructor reads its values mod 2 into a new uint8 array and checks
+    their length, for values from outside; what stexo computes itself comes
+    through _computed, which checks and copies nothing.
+    """
 
     model: SimplicialModel
     degree: int
@@ -446,6 +468,14 @@ class Cochain:
                 f" cells in degree {self.degree}"
             )
         object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def _computed(cls, model, degree: int, values: np.ndarray) -> "Cochain":
+        """A cochain on values that are already a new uint8 array of 0/1
+        entries, one per cell of the degree, taken as they are."""
+        u = object.__new__(cls)
+        vars(u).update(model=model, degree=degree, values=values)
+        return u
 
     @classmethod
     def zero(cls, model, degree: int) -> "Cochain":
@@ -469,7 +499,7 @@ class Cochain:
     def __add__(self, other: "Cochain") -> "Cochain":
         if self.model is not other.model or self.degree != other.degree:
             raise ModelMismatchError("cochain addition across models or degrees")
-        return Cochain(self.model, self.degree, self.values ^ other.values)
+        return Cochain._computed(self.model, self.degree, self.values ^ other.values)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cochain):
@@ -504,7 +534,7 @@ def coboundary(u: Cochain) -> Cochain:
         acc = values.take(index[0], mode="wrap")
         for row in index[1:]:
             acc ^= values.take(row, mode="wrap")
-    return Cochain(u.model, u.degree + 1, acc)
+    return Cochain._computed(u.model, u.degree + 1, acc)
 
 
 def is_coboundary(u: Cochain) -> bool:
@@ -528,7 +558,7 @@ def cup_i(u: Cochain, v: Cochain, i: int) -> Cochain:
     acc = np.zeros(model.n_cells(n), dtype=np.uint8)
     if out_idx.size:
         np.bitwise_xor.at(acc, out_idx, u.values[u_idx] & v.values[v_idx])
-    return Cochain(model, n, acc)
+    return Cochain._computed(model, n, acc)
 
 
 def cup(u: Cochain, v: Cochain) -> Cochain:
@@ -554,7 +584,8 @@ class SimplicialMap:
 
     image_word[n][c] and image_cell[n][c] are the target of the source n-cell
     c on the target model, as a word mask and a cell, laid out like the face
-    tables of a model and just as read-only.
+    tables of a model and just as read-only.  Neither they nor the endpoints
+    change, so validate checks the faces once per map and keeps the answer.
     """
 
     def __init__(
@@ -565,6 +596,7 @@ class SimplicialMap:
         self.name = name
         self.image_word = tuple(_frozen(a) for a in image_word)
         self.image_cell = tuple(_frozen(a) for a in image_cell)
+        self._violations = None
 
     def __repr__(self):
         return f"SimplicialMap({self.name}: {self.source.name} -> {self.target.name})"
@@ -582,9 +614,13 @@ class SimplicialMap:
         return out_w, out_c
 
     def validate(self) -> list[str]:
-        """Faces that do not commute with the map.  The images of each degree
-        are grouped by word once, and every face taken of them reuses that
-        grouping."""
+        """Faces that do not commute with the map, checked once per map; the
+        result is cached."""
+        return _checked_once(self)
+
+    def _violations_found(self) -> list[str]:
+        """The images of each degree are grouped by word once, and every face
+        taken of them reuses that grouping."""
         bad = []
         src = self.source
         for n in range(1, src.max_degree + 1):
@@ -612,7 +648,7 @@ class SimplicialMap:
         vals = np.zeros(cells.size, dtype=np.uint8)
         plain = words == 0
         vals[plain] = u.values[cells[plain]]
-        return Cochain(self.source, u.degree, vals)
+        return Cochain._computed(self.source, u.degree, vals)
 
     @classmethod
     def identity(cls, model: SimplicialModel) -> "SimplicialMap":
@@ -625,9 +661,9 @@ class Involution(SimplicialMap):
     itself whose targets are all plain, so every image word is 0 and
     image_cell[n], also called perms[n], permutes the n-cells.
 
-    The arrays cannot be written, as the face arrays of the model cannot, so
-    the result of validate is computed once and kept.  _lifts holds what
-    _double_cover last derived from the permutations (see there).
+    validate checks the permutations, then the faces as for any map, once;
+    the result is cached as for every map.  _lifts holds what _double_cover
+    last derived from the permutations (see there).
     """
 
     def __init__(self, model: SimplicialModel, perms, name="involution"):
@@ -637,15 +673,12 @@ class Involution(SimplicialMap):
         super().__init__(model, model, words, perms, name)
         self.model = model
         self.perms = self.image_cell
-        self._violations = None
         self._lifts = None
 
     def validate(self) -> list[str]:
         """Why the permutations are not a free simplicial involution; the
         result is cached."""
-        if self._violations is None:
-            self._violations = tuple(self._violations_found())
-        return list(self._violations)
+        return _checked_once(self)
 
     def _violations_found(self) -> list[str]:
         count = self.model.max_degree + 1
@@ -663,7 +696,7 @@ class Involution(SimplicialMap):
                 bad.append(f"degree {n}: does not square to the identity")
             if np.any(perm == np.arange(self.model.cells[n])):
                 bad.append(f"degree {n}: fixed cell found")
-        return bad or super().validate()
+        return bad or super()._violations_found()
 
     def require_valid(self) -> None:
         bad = self.validate()
@@ -821,7 +854,7 @@ class CoverPair:
             raise ModelMismatchError("descend: cochain not on the cover")
         if not np.array_equal(u.values[self.involution.perms[u.degree]], u.values):
             raise ValidationError("descend: cochain is not involution-invariant")
-        return Cochain(self.base, u.degree, u.values[self.rep_cells[u.degree]])
+        return Cochain._computed(self.base, u.degree, u.values[self.rep_cells[u.degree]])
 
 
 def _double_cover(

@@ -1,7 +1,8 @@
 """Test-only references: small operations the package itself never calls.
 
 The tests use them as oracles or to build inputs; each works on the public
-arrays of the package objects.
+arrays of the package objects, except transform_built, which tells whether
+an echelon has built its transform yet.
 """
 
 from itertools import repeat
@@ -65,7 +66,7 @@ def mod2_rank(group: AbelianGroupInvariants) -> int:
 def kernel_basis(m: F2Matrix) -> F2Matrix:
     """Basis of the right kernel, one vector per free column in increasing
     order: e_f plus the pivot columns whose echelon rows have a 1 in column f."""
-    res = rank_and_echelon(m, want_transform=False)
+    res = rank_and_echelon(m)
     free = np.setdiff1d(np.arange(m.cols), res.pivots)
     out = np.zeros((free.size, m.cols), dtype=np.uint8)
     out[np.arange(free.size), free] = 1
@@ -90,7 +91,7 @@ def solve_affine(m: F2Matrix, rhs: np.ndarray) -> np.ndarray | None:
     aug = np.zeros((m.rows, _nwords(c + 1)), dtype=np.uint64)
     aug[:, : m.words.shape[1]] = m.words
     aug[rhs.astype(bool), c >> 6] |= np.uint64(1) << np.uint64(c & 63)
-    res = rank_and_echelon(F2Matrix(m.rows, c + 1, aug), want_transform=False)
+    res = rank_and_echelon(F2Matrix(m.rows, c + 1, aug))
     if c in res.pivots:
         return None
     x = np.zeros(c, dtype=np.uint8)
@@ -150,6 +151,12 @@ def mul_vec(m: F2Matrix, v) -> np.ndarray:
         return np.zeros(m.rows, dtype=np.uint8)
     pv = pack_rows(v[None, :])[0]
     return (np.bitwise_count(m.words & pv).sum(axis=1) & 1).astype(np.uint8)
+
+
+def transform_built(obj) -> bool:
+    """Whether an EchelonResult or a Subspace has built its row transform,
+    which it keeps on the object once read."""
+    return "transform" in vars(obj)
 
 
 def encode_targets(dim: int, words, cells):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stexo.cohomology as cohomology
+import stexo.gf2 as gf2
 from stexo.builders import (
     bar_b,
     bar_e_z2,
@@ -50,7 +51,7 @@ from stexo.simplicial import (
 )
 from stexo.snf import AbelianGroupInvariants, _transform_route, homology_from_boundaries
 
-from reference import compose, kernel_basis
+from reference import compose, kernel_basis, transform_built
 
 
 @pytest.fixture(scope="module")
@@ -357,7 +358,7 @@ def _stacked_reduction(model, degree, certified):
     start = cob.words.shape[1] * 64
     words = np.hstack([cob.words, F2Matrix.from_dense(closed.T).words])
     stacked = F2Matrix(n, start + len(closed), words)
-    pivots = np.array(rank_and_echelon(stacked, want_transform=False).pivots, dtype=int)
+    pivots = np.array(rank_and_echelon(stacked).pivots, dtype=int)
     reps = closed[pivots[pivots >= start] - start]
     return reps, Subspace.from_vectors(n, np.vstack([cob.to_dense().T, reps]))
 
@@ -417,6 +418,36 @@ def test_residue_reduction_matches_stacked_pivots(seed):
             cochains = [u + coboundary(Cochain(model, k - 1, v)) for u, v in zip(cochains, below)]
         want = _stacked_coords(reps, span, np.array([u.values for u in cochains]))
         assert np.array_equal(basis.coords_matrix(cochains).to_dense().T, want), (model.name, k)
+
+
+def test_only_relations_and_combination_build_a_span_transform(monkeypatch):
+    # residues, membership and coboundary tests read the reduced basis of
+    # B^k alone; the first relations or combination build the transform of
+    # that one reduction, and later ones reuse it
+    builds = []
+    replay = gf2._replay
+
+    def counted(n, log):
+        builds.append(n)
+        return replay(n, log)
+
+    monkeypatch.setattr(gf2, "_replay", counted)
+    model = bar_b(klein_table(), 4, name="klein")
+    rng = np.random.default_rng(5)
+    for k in (2, 3):
+        rows = rng.integers(0, 2, (4, model.n_cells(k)), dtype=np.uint8)
+        lower = Cochain(model, k - 1, rng.integers(0, 2, model.n_cells(k - 1), dtype=np.uint8))
+        cohomology._residues(model, k, rows)
+        model.coboundary_span(k).contains(rows)
+        assert is_coboundary(coboundary(lower))
+        is_coboundary(Cochain(model, k, rows[0]))
+        assert not transform_built(model.coboundary_span(k))
+    assert builds == []
+    for _ in range(2):
+        assert model.coboundary_span(3).relations.rows > 0
+        target = coboundary(Cochain(model, 1, rng.integers(0, 2, model.n_cells(1), dtype=np.uint8)))
+        model.coboundary_span(2).combination(target.values)
+    assert builds == [model.cells[2], model.cells[1]]
 
 
 def test_cached_bases_hold_only_their_classes():

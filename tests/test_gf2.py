@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stexo.gf2 as gf2
 from stexo.errors import ModelMismatchError
 from stexo.gf2 import (
     F2Matrix,
@@ -17,7 +20,7 @@ from stexo.gf2 import (
 )
 
 import reference
-from reference import kernel_basis, mul_vec, solve_affine
+from reference import kernel_basis, mul_vec, solve_affine, transform_built
 
 RNG = np.random.default_rng(20240817)
 
@@ -128,7 +131,7 @@ def test_echelon_matches_column_by_column_loop(rows, cols, density, empty, seed)
     assert res.pivots == pivots
     assert np.array_equal(res.echelon.words, echelon)
     assert np.array_equal(res.transform.words, transform)
-    assert rank_and_echelon(m, want_transform=False).echelon == res.echelon
+    assert rank_and_echelon(m).echelon == res.echelon
 
 
 def _column_skipping_echelon(m, want_transform):
@@ -165,17 +168,19 @@ def _column_skipping_echelon(m, want_transform):
     return R, T, tuple(pivots)
 
 
-@given(
+_AWKWARD = (
     st.integers(0, 90),
     st.integers(0, 330),
     st.floats(0.0, 0.6),
     st.lists(st.tuples(st.integers(0, 330), st.integers(1, 200)), max_size=4),
     st.integers(0, 2**32 - 1),
 )
-@settings(max_examples=150, deadline=None)
-def test_echelon_matches_column_skipping_loop(rows, cols, density, runs, seed):
-    # empty runs at random offsets cross word boundaries; widths are rarely a
-    # multiple of 64; some rows and columns are zero
+
+
+def _awkward(rows, cols, density, runs, seed) -> F2Matrix:
+    """A random matrix whose empty runs at random offsets cross word
+    boundaries; widths are rarely a multiple of 64; some rows and columns
+    are zero, and some rows repeat earlier ones."""
     rng = np.random.default_rng(seed)
     a = (rng.random((rows, cols)) < density).astype(np.uint8)
     for start, length in runs:
@@ -184,17 +189,46 @@ def test_echelon_matches_column_skipping_loop(rows, cols, density, runs, seed):
     a[:, rng.random(cols) < 0.15] = 0
     if rows > 1 and rng.random() < 0.3:
         a[rows // 2 :] = a[: rows - rows // 2]  # dependent rows
-    m = F2Matrix.from_dense(a)
+    return F2Matrix.from_dense(a)
+
+
+@given(*_AWKWARD)
+@settings(max_examples=150, deadline=None)
+def test_echelon_matches_column_skipping_loop(rows, cols, density, runs, seed):
+    m = _awkward(rows, cols, density, runs, seed)
     for want_transform in (True, False):
         echelon, transform, pivots = _column_skipping_echelon(m, want_transform)
-        res = rank_and_echelon(m, want_transform)
+        res = rank_and_echelon(m)
         assert res.pivots == pivots
         assert res.rank == len(pivots)
         assert np.array_equal(res.echelon.words, echelon)
         if want_transform:
             assert np.array_equal(res.transform.words, transform)
         else:
-            assert res.transform is None
+            assert not transform_built(res)
+
+
+@given(*_AWKWARD)
+@settings(max_examples=120, deadline=None)
+def test_transform_rebuilt_from_the_log_matches_both_loops(rows, cols, density, runs, seed):
+    # the log has one row per pivot, no more words than T; the transform is
+    # built on its first read, bit for bit the T both reference loops carry
+    # (also when the log is unpacked three rows at a time), and the log is
+    # then dropped
+    m = _awkward(rows, cols, density, runs, seed)
+    res = rank_and_echelon(m)
+    n, log = res._log
+    assert n == m.rows and log.shape[0] == res.rank and log.size <= m.rows * log.shape[1]
+    with mock.patch.object(gf2, "_REPLAY_BITS", 3 * max(n, 1)):
+        blocked = gf2._replay(n, log)
+    assert not transform_built(res)
+    transform = res.transform
+    assert transform == blocked
+    assert transform_built(res) and res._log is None and res.transform is transform
+    assert (transform.rows, transform.cols) == (m.rows, m.rows)
+    assert np.array_equal(transform.words, _column_by_column_echelon(m)[1])
+    assert np.array_equal(transform.words, _column_skipping_echelon(m, True)[1])
+    assert transform.matmul(m) == res.echelon
 
 
 def test_rank_against_exhaustive_small():
@@ -215,7 +249,7 @@ def test_kernel_is_kernel():
         ker = kernel_basis(m)
         assert ker.rows == 31 - rank(m)
         # the per-free-column loop over the echelon form is the reference
-        res = rank_and_echelon(m, want_transform=False)
+        res = rank_and_echelon(m)
         echelon = res.echelon.to_dense()
         free = [c for c in range(31) if c not in res.pivots]
         want = np.zeros((len(free), 31), dtype=np.uint8)

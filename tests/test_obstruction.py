@@ -77,7 +77,7 @@ from stexo.simplicial import (
     sq,
 )
 
-from reference import mul_vec, solve_affine
+from reference import mul_vec, solve_affine, transform_built
 
 
 # -- clause-by-clause verdicts ---------------------------------------------------
@@ -549,7 +549,10 @@ def test_cached_kreck_solve_matches_solve_affine(k, consistent, seed):
 def test_each_coboundary_operator_is_reduced_once(monkeypatch):
     # H^2, a degree-3 coboundary test and the Kreck solve on a fresh copy of
     # the z4-semidirect base: delta_1 and delta_2 are each reduced once, as
-    # the spanning rows of B^2 and B^3, and never as the operators themselves
+    # the spanning rows of B^2 and B^3, and never as the operators themselves;
+    # each span builds its transform once, and only when its relations
+    # (B^3, for the H^2 cocycles) or a combination (B^2, for the solve) is
+    # read, never for residues or a coboundary test
     nt = z4_semidirect().nt
     old = nt.base
     base = SimplicialModel(old.max_degree, old.cells, old.face_word, old.face_cell, old.name)
@@ -557,18 +560,36 @@ def test_each_coboundary_operator_is_reduced_once(monkeypatch):
     shapes = []
     echelon = gf2.rank_and_echelon
 
-    def counted(m, want_transform=True):
+    def counted(m):
         shapes.append((m.rows, m.cols))
-        return echelon(m, want_transform)
+        return echelon(m)
+
+    builds = []
+    replay = gf2._replay
+
+    def replayed(n, log):
+        builds.append(n)
+        return replay(n, log)
 
     monkeypatch.setattr(gf2, "rank_and_echelon", counted)
     monkeypatch.setattr(cohomology, "rank_and_echelon", counted)
+    monkeypatch.setattr(gf2, "_replay", replayed)
     copy = NormalOneType(base, Cochain(base, 1, nt.w1.values), Cochain(base, 2, nt.w2.values))
     cohomology_basis(base, 2)
+    assert transform_built(base.coboundary_span(3))
+    assert not transform_built(base.coboundary_span(2))
     assert is_coboundary(primary_obstruction(copy))
-    kreck_witness(copy)
+    assert not transform_built(base.coboundary_span(2))
+    # w2 differs from w1^2 in class here, so the solve stops at membership
+    assert kreck_witness(copy) is None
+    assert not transform_built(base.coboundary_span(2))
+    edge = Cochain.from_support(base, 1, [0])
+    solvable = dataclasses.replace(copy, w2=cup(copy.w1, copy.w1) + coboundary(edge))
+    assert kreck_witness(solvable) is not None and kreck_witness(copy) is None
+    assert transform_built(base.coboundary_span(2))
     assert (1171, 261) not in shapes and (261, 31) not in shapes
     assert shapes.count((261, 1171)) == 1 and shapes.count((31, 261)) == 1
+    assert builds.count(261) == 1 and builds.count(31) == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -988,6 +1009,88 @@ def test_parsed_cover_files_give_the_fixture_lifts():
         for pair in (own, parsed):
             words = zip(pair.projection.image_word, pair.involution.image_word)
             assert all(x is y for x, y in words), name
+
+
+def test_parsed_maps_are_face_checked_once(monkeypatch):
+    # from_model_to checks the projection's faces (one push per face of each
+    # degree); cover_data_from_parts, decide and replay read that answer
+    # again instead, and the section map is checked once across all of them
+    docs = fixture_documents("d4-reflection")
+    base = parse_bytes(canonical_bytes(docs["base"]))
+    cdata = parse_bytes(canonical_bytes(docs["cover"]))
+    nt = NormalOneType(base.model, base.cochains["w1"], base.cochains["w2"])
+    pushed, checked = [], []
+    push, found = SimplicialMap.push, SimplicialMap._violations_found
+
+    def counted_push(self, dim, words, cells):
+        pushed.append(self)
+        return push(self, dim, words, cells)
+
+    def counted_check(self):
+        checked.append(self)
+        return found(self)
+
+    monkeypatch.setattr(SimplicialMap, "push", counted_push)
+    monkeypatch.setattr(SimplicialMap, "_violations_found", counted_check)
+    proj = cdata.maps["projection"].from_model_to(cdata.model, base.model)
+    faces = sum(n + 1 for n in range(1, cdata.model.max_degree + 1))
+    assert sum(m is proj for m in pushed) == faces
+    cover = cover_data_from_parts(nt, cdata.model, cdata.involution, proj)
+    assert sum(m is proj for m in pushed) == faces
+    section = SectionDatum(base.maps["section"].into_parent(base.model))
+    for _ in range(2):
+        verdict = decide(nt, cover, section)
+        assert replay_evidence(verdict, nt, cover, section)
+    assert sum(m is proj for m in pushed) == faces
+    assert [id(m) for m in checked] == list(dict.fromkeys(id(m) for m in checked))
+    assert sum(m is section.s for m in checked) == 1
+
+
+def test_computed_cochains_are_fresh_bit_arrays(monkeypatch):
+    # every cochain the unchecked constructor builds while the catalog types
+    # are decided, and in cups, coboundaries, sums, pullbacks, descents,
+    # class representatives and Kreck solves on each of them, holds a
+    # writeable uint8 array of 0/1 entries, one per cell, that no other
+    # cochain shares
+    built = []
+    computed = Cochain._computed.__func__
+
+    def spy(cls, model, degree, values):
+        u = computed(cls, model, degree, values)
+        built.append(u)
+        return u
+
+    monkeypatch.setattr(Cochain, "_computed", classmethod(spy))
+    kinds = set()
+    for name in REGISTRY:
+        fx = get_fixture(name)
+        if fx.nt is None:
+            continue
+        nt = fx.nt
+        decide(nt, fx.cover, fx.section, fx.lift_data)
+        cover = fx.cover or obstruction.cover_data_from_w1(nt)
+        pulled = cover.projection.pullback(nt.w2)
+        assert cover.descend_invariant(pulled + cover.involution.pullback(pulled)).is_zero()
+        assert cover.descend_invariant(pulled) == nt.w2
+        assert coboundary(cup(nt.w1, nt.w2) + cup(nt.w1, sq(nt.w1, 1))).is_zero()
+        h1 = cohomology_basis(nt.base, 1)
+        every = h1.class_from_coords(np.ones(h1.dim, dtype=np.uint8))
+        assert every == sum(h1.reps[1:], h1.reps[0])
+        edge = Cochain.from_support(nt.base, 1, [0])
+        square = cup(nt.w1, nt.w1) + coboundary(edge)
+        assert kreck_witness(dataclasses.replace(nt, w2=square)) is not None
+        kinds.add(name)
+    assert len(kinds) == 6 and len(built) >= 100
+    roots = set()
+    for u in built:
+        values = u.values
+        assert type(values) is np.ndarray and values.dtype == np.uint8
+        assert values.shape == (u.model.n_cells(u.degree),)
+        assert values.flags.writeable and not (values >> 1).any()
+        while values.base is not None:
+            values = values.base
+        assert id(values) not in roots
+        roots.add(id(values))
 
 
 def test_verdicts_survive_relabeling():

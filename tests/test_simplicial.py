@@ -402,6 +402,39 @@ def test_map_validate_reports_non_commuting_faces():
     ]
 
 
+def test_map_check_runs_once_and_raises_the_same_message(monkeypatch):
+    base = bar_b(z2_table(), 3)
+    ident = SimplicialMap.identity(base)
+    words = [w.copy() for w in ident.image_word]
+    words[2][0] = 0b1
+    calls = []
+    found = SimplicialMap._violations_found
+
+    def spy(self):
+        calls.append(self.name)
+        return found(self)
+
+    monkeypatch.setattr(SimplicialMap, "_violations_found", spy)
+    m = SimplicialMap(base, base, words, ident.image_cell, "broken")
+    m.validate().clear()
+    for _ in range(3):
+        with pytest.raises(ValidationError, match=r"^map broken: degree 2 cell 0: face 1 does not"):
+            m.require_valid()
+        assert len(m.validate()) == 4
+    assert calls == ["broken"]
+
+
+def test_frozen_keeps_a_fitting_array_and_converts_the_rest():
+    a = np.arange(6, dtype=np.int64)
+    assert simplicial._frozen(a) is a and not a.flags.writeable
+    assert simplicial._frozen(a) is a
+    for other in (a[::2], a.astype(np.int32), [0, 1]):
+        out = simplicial._frozen(other)
+        assert out is not other and out.dtype == np.int64 and not out.flags.writeable
+        assert out.flags.c_contiguous
+    assert simplicial._frozen(a, np.uint8).dtype == np.uint8
+
+
 def test_compose_and_pullback_follow_the_assignment(torus):
     c, t2 = torus
     t4 = product(t2.model, t2.model, 4)
