@@ -20,18 +20,18 @@ a cell of 2.0, and parse_document refuses each of them, as it refuses true
 or any other float in an integer field.
 
 The canonical bytes of a document are by definition those of
-json.dumps(doc, sort_keys=True, indent=2) plus a newline.  model_document
-checks a model and its decorations and returns them as a ModelDocument, which
-canonical_bytes writes straight from the arrays into one io.BytesIO and
-returns its getvalue(), which hands the buffer over without a copy.  Each
-integer list goes out in chunks of 2**15 values, one str.join and one encode
-per chunk, from texts made once per distinct value when the values are small
-and nonnegative.  So the writer's peak is about its output plus one chunk,
-not the three copies that joined strings, a "\n" and an encode would hold.
-A chunk is joined as str, not as bytes: bytes.join takes a buffer view of
-every item, about 80 B each, more than the item itself.  A plain JSON
-document goes through json.dumps.  A version 2 list is read in one batch, and
-a fault names the path of the first bad entry.
+json.dumps(doc, sort_keys=True, separators=(",", ":")) plus a newline, with
+no other whitespace (python -m json.tool prints a file indented); the parser
+takes any JSON whitespace.  model_document checks a model and its
+decorations and returns them as a ModelDocument, which canonical_bytes
+writes straight from the arrays into one io.BytesIO and returns its
+getvalue(), which hands the buffer over without a copy.  Each integer list
+goes out in chunks of 2**12 values, one str.join and one encode per chunk,
+so the writer's peak is about its output, one chunk and one value table
+(see _ints).  A chunk is joined as str, not as bytes: bytes.join takes a
+buffer view of every item, about 80 B each, more than the item itself.  A
+plain JSON document goes through json.dumps.  A version 2 list is read in
+one batch, and a fault names the path of the first bad entry.
 
 parse_bytes runs with CPython's cyclic garbage collector paused, and restores
 its previous state on return or exception: json.loads of a version 1 file
@@ -212,14 +212,14 @@ def model_document(
 
 # -- canonical serialization ---------------------------------------------------------
 
-_INDENT = b"  "
-# integers per str.join in _ints: the text of one chunk is live at a time
-_CHUNK = 2**15
+# integers per str.join in _ints: the texts of one chunk, about 100 B per
+# value on the value-by-value route, are live at a time
+_CHUNK = 2**12
 
 
 def canonical_bytes(doc: ModelDocument | dict) -> bytes:
-    """The bytes of json.dumps(doc, sort_keys=True, indent=2) + "\\n", where a
-    ModelDocument stands for the JSON document it describes.
+    """The bytes of json.dumps(doc, sort_keys=True, separators=(",", ":")) +
+    "\\n", where a ModelDocument stands for the JSON document it describes.
 
     A ModelDocument is written from its arrays into one buffer, every list
     of integers by _ints, and the buffer's bytes are returned without a
@@ -230,7 +230,7 @@ def canonical_bytes(doc: ModelDocument | dict) -> bytes:
         _document(out, doc)
         out.write(b"\n")
         return out.getvalue()
-    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
 
 
 # A value below is the bytes of its JSON text, or (writer, *args), which
@@ -245,118 +245,111 @@ def _put(out: io.BytesIO, value) -> None:
         writer(out, *args)
 
 
-def _list(out: io.BytesIO, values, level: int, brackets: bytes = b"[]") -> None:
-    """Write the JSON list at nesting level of its values."""
-    inner = b"\n" + _INDENT * (level + 1)
-    empty = True
-    for value in values:
-        out.write(brackets[:1] + inner if empty else b"," + inner)
+def _list(out: io.BytesIO, values, brackets: bytes = b"[]") -> None:
+    """Write the JSON list of values."""
+    out.write(brackets[:1])
+    for k, value in enumerate(values):
+        if k:
+            out.write(b",")
         _put(out, value)
-        empty = False
-    out.write(brackets if empty else b"\n" + _INDENT * level + brackets[1:])
+    out.write(brackets[1:])
 
 
 def _field(out: io.BytesIO, key: str, value) -> None:
-    out.write(json.dumps(key).encode("ascii") + b": ")
+    out.write(json.dumps(key).encode("ascii") + b":")
     _put(out, value)
 
 
-def _object(out: io.BytesIO, fields: dict, level: int) -> None:
-    """Write the JSON object at nesting level of its values, keys sorted."""
-    _list(out, [(_field, k, v) for k, v in sorted(fields.items())], level, b"{}")
+def _object(out: io.BytesIO, fields: dict) -> None:
+    """Write the JSON object of fields, keys sorted."""
+    _list(out, [(_field, k, v) for k, v in sorted(fields.items())], b"{}")
 
 
-def _ints(out: io.BytesIO, values, level: int) -> None:
-    """Write the JSON list at nesting level of a sequence of integers.
+def _ints(out: io.BytesIO, values) -> None:
+    """Write the JSON list of a sequence of integers.
 
-    Small nonnegative values, as in every face and image list, repeat: a
-    count finds the distinct ones, and the text of each, with the separator
-    that follows it, is made once.  Any other list is written value by value.
-    Either way the list goes out _CHUNK values at a time, one str.join and
-    one encode per chunk, so its whole text is never held apart from out.
+    Small nonnegative values that repeat, as in a bar model's face lists,
+    take their text from a table made once per distinct value; a boolean
+    mask finds those without copying values.  At about 60 B per distinct
+    value, the table is built only when each occurs eight times on average,
+    so a permutation gets none and is written value by value.  Either way
+    the list goes out _CHUNK values at a time, one str.join and one encode
+    per chunk, so its whole text is never held apart from out.
     """
     values = np.asarray(values).ravel()
-    if not values.size:
-        out.write(b"[]")
-        return
-    inner = "\n" + "  " * (level + 1)
-    table = None
-    if values.dtype.kind == "i" and values.min() >= 0 and values.max() < 4 * values.size:
-        distinct = np.flatnonzero(np.bincount(values))
-        table = np.empty(int(distinct[-1]) + 1, dtype=object)
-        table[distinct] = [f"{v},{inner}" for v in distinct.tolist()]
-    out.write(b"[" + inner.encode("ascii"))
-    last = values.size - _CHUNK
-    for start in range(0, values.size, _CHUNK):
+    n, table = values.size, None
+    if n and values.dtype.kind == "i" and 0 <= values.min() <= values.max() < n:
+        seen = np.zeros(int(values.max()) + 1, dtype=bool)
+        seen[values] = True
+        distinct = np.flatnonzero(seen)
+        if 8 * distinct.size <= n:
+            table = np.empty(seen.size, dtype=object)
+            table[distinct] = list(map(str, distinct.tolist()))
+    out.write(b"[")
+    for start in range(0, n, _CHUNK):
         chunk = values[start : start + _CHUNK]
-        if table is None:
-            body = "".join([f"{v},{inner}" for v in chunk.tolist()])
-        else:
-            body = "".join(table[chunk].tolist())
-        if start >= last:
-            body = body[: -len(inner) - 1]
-        out.write(body.encode("ascii"))
-    out.write(b"\n" + _INDENT * level + b"]")
+        if start:
+            out.write(b",")
+        texts = map(str, chunk.tolist()) if table is None else table[chunk].tolist()
+        out.write(",".join(texts).encode("ascii"))
+    out.write(b"]")
 
 
-def _targets_block(out: io.BytesIO, words: np.ndarray, cells: np.ndarray, level: int) -> None:
-    """Write the {"cell": [...], "word": [...]} object at nesting level of target arrays."""
-    _object(out, {"cell": (_ints, cells, level + 1), "word": (_ints, words, level + 1)}, level)
+def _targets_block(out: io.BytesIO, words: np.ndarray, cells: np.ndarray) -> None:
+    """Write the {"cell": [...], "word": [...]} object of target arrays."""
+    _object(out, {"cell": (_ints, cells), "word": (_ints, words)})
 
 
-def _model_fields(model: SimplicialModel, level: int) -> dict:
-    """Values of the model keys of an object at nesting level."""
+def _model_fields(model: SimplicialModel) -> dict:
+    """Values of the model keys of an object."""
     blocks = zip(model.face_word[1:], model.face_cell[1:])
     return {
         "name": json.dumps(model.name).encode("ascii"),
         "max_degree": b"%d" % model.max_degree,
-        "cells": (_ints, model.cells, level + 1),
-        "faces": (_list, [(_targets_block, w, c, level + 2) for w, c in blocks], level + 1),
+        "cells": (_ints, model.cells),
+        "faces": (_list, [(_targets_block, w, c) for w, c in blocks]),
     }
 
 
-def _map(out: io.BytesIO, m, model: SimplicialModel, level: int) -> None:
-    """Write a map entry at nesting level, of a SimplicialMap or a MapData."""
+def _map(out: io.BytesIO, m, model: SimplicialModel) -> None:
+    """Write a map entry, of a SimplicialMap or a MapData."""
     if isinstance(m, MapData):
         source, blocks = m.source, [(w, c) for w, c, _ in m.images]
     else:
         source = None if m.source is model else m.source
         blocks = zip(m.image_word, m.image_cell)
-    inner = level + 1
-    source = b"null" if source is None else (_object, _model_fields(source, inner), inner)
-    assignment = [(_targets_block, w, c, inner + 1) for w, c in blocks]
-    _object(out, {"source": source, "assignment": (_list, assignment, inner)}, level)
+    source = b"null" if source is None else (_object, _model_fields(source))
+    assignment = [(_targets_block, w, c) for w, c in blocks]
+    _object(out, {"source": source, "assignment": (_list, assignment)})
 
 
-def _assertion(out: io.BytesIO, a: Assertion | None, level: int) -> None:
+def _assertion(out: io.BytesIO, a: Assertion | None) -> None:
     if a is None:
         out.write(b"null")
         return
     value = b"true" if a.value else b"false"
-    _object(out, {"value": value, "provenance": json.dumps(a.provenance).encode("ascii")}, level)
+    _object(out, {"value": value, "provenance": json.dumps(a.provenance).encode("ascii")})
 
 
 def _document(out: io.BytesIO, doc: ModelDocument) -> None:
-    fields = _model_fields(doc.model, 0)
+    fields = _model_fields(doc.model)
     fields["format_version"] = b"%d" % FORMAT_VERSION
     cochains = {}
     for name, u in doc.cochains.items():
-        support = (_ints, np.flatnonzero(u.values), 3)
-        cochains[name] = (_object, {"degree": b"%d" % u.degree, "support": support}, 2)
-    fields["cochains"] = (_object, cochains, 1)
+        support = (_ints, np.flatnonzero(u.values))
+        cochains[name] = (_object, {"degree": b"%d" % u.degree, "support": support})
+    fields["cochains"] = (_object, cochains)
     fields["involution"] = (
-        b"null"
-        if doc.involution is None
-        else (_list, [(_ints, p, 2) for p in doc.involution.perms], 1)
+        b"null" if doc.involution is None else (_list, [(_ints, p) for p in doc.involution.perms])
     )
-    maps = {k: (_map, m, doc.model, 2) for k, m in doc.maps.items()}
-    fields["maps"] = (_object, maps, 1)
+    maps = {k: (_map, m, doc.model) for k, m in doc.maps.items()}
+    fields["maps"] = (_object, maps)
     assertions = {
-        "cd_at_most_3": (_assertion, doc.cd_at_most_3, 2),
-        "h5_zero": (_assertion, doc.h5_zero, 2),
+        "cd_at_most_3": (_assertion, doc.cd_at_most_3),
+        "h5_zero": (_assertion, doc.h5_zero),
     }
-    fields["assertions"] = (_object, assertions, 1)
-    _object(out, fields, 0)
+    fields["assertions"] = (_object, assertions)
+    _object(out, fields)
 
 
 # -- parsing -------------------------------------------------------------------------

@@ -229,12 +229,13 @@ def _eliminate_units(m: np.ndarray) -> int:
     clear.  Both are unimodular, so each pivot leaves an invariant factor 1
     and the Smith form of what remains.  The update reads and writes only
     those rows at row i's nonzero columns, so a pivot costs that block, not
-    the width of m.  Candidates are taken in Markowitz order (fewest other
-    nonzeros in row times column) from a scan of the whole matrix, skipped
-    when an earlier pivot changed them, and the matrix is scanned again
-    until no unit is left.  A bound on max |m|, advanced by each update and
-    recomputed from the whole matrix before it runs out, stops the
-    elimination before an update that could leave int64.
+    the width of m; a row that column j meets alone is simply zeroed.
+    Candidates are taken in Markowitz order (fewest other nonzeros in row
+    times column) from a scan of the whole matrix, skipped when an earlier
+    pivot changed them, and the matrix is scanned again until no unit is
+    left.  A bound on max |m|, advanced by each update and recomputed from
+    the whole matrix before it runs out, stops the elimination before an
+    update that could leave int64.
     """
     count = 0
     bound = _abs_max(m)
@@ -248,15 +249,18 @@ def _eliminate_units(m: np.ndarray) -> int:
             pivot = m.item(i, j)
             if pivot != 1 and pivot != -1:
                 continue
-            cols = np.flatnonzero(m[i])
-            rows = np.flatnonzero(m.T[j])
-            f = m[rows, j] * pivot
-            x = m[i, cols]
-            if rows.size > 1:  # on row i alone the update only zeroes it
-                bound = _room(bound, m, 1, _abs_max(f) * _abs_max(x))
+            column = m.T[j]
+            rows = column.nonzero()[0]
+            if rows.size > 1:
+                row = m[i]
+                cols = row.nonzero()[0]
+                f, x = column.take(rows) * pivot, row.take(cols)
+                bound = _room(bound, m, 1, int(abs(f).max()) * int(abs(x).max()))
                 if bound is None:
                     return count
-            m[rows[:, None], cols] -= f[:, None] * x
+                m[rows[:, None], cols] -= f[:, None] * x
+            else:  # on row i alone the update only zeroes it
+                m[i] = 0
             count += 1
 
 

@@ -20,7 +20,7 @@ from stexo.simplicial import (
     compose_words,
     int64_array,
 )
-from stexo.snf import AbelianGroupInvariants, SNFResult
+from stexo.snf import AbelianGroupInvariants, SNFResult, _abs_max, _room
 
 
 def euler_characteristic(model: SimplicialModel) -> int:
@@ -286,3 +286,33 @@ def smith_normal_form(a: list[list[int]]) -> SNFResult:
         if diag[k + 1] % diag[k]:
             raise InternalInvariantError("invariant factors fail divisibility")
     return SNFResult(diag, U, Ui, V, Vi)
+
+
+# Unit elimination by flatnonzero, fancy-index gathers and _abs_max bounds,
+# one update for every pivot: stexo.snf._eliminate_units must take the same
+# pivots in the same order under the same int64 bound, leaving the same
+# count and the same residual matrix.
+def eliminate_units(m: np.ndarray) -> int:
+    """Split +-1 pivots off m in place, in Markowitz order; returns how many."""
+    count = 0
+    bound = _abs_max(m)
+    while True:
+        cand = np.argwhere((m == 1) | (m == -1))
+        if not len(cand):
+            return count
+        nz = m != 0
+        cost = (nz.sum(1)[cand[:, 0]] - 1) * (nz.sum(0)[cand[:, 1]] - 1)
+        for i, j in cand[np.argsort(cost, kind="stable")].tolist():
+            pivot = m.item(i, j)
+            if pivot != 1 and pivot != -1:
+                continue
+            cols = np.flatnonzero(m[i])
+            rows = np.flatnonzero(m.T[j])
+            f = m[rows, j] * pivot
+            x = m[i, cols]
+            if rows.size > 1:  # on row i alone the update only zeroes it
+                bound = _room(bound, m, 1, _abs_max(f) * _abs_max(x))
+                if bound is None:
+                    return count
+            m[rows[:, None], cols] -= f[:, None] * x
+            count += 1

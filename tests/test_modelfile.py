@@ -63,7 +63,7 @@ def test_registry_documents_validate_against_schema(small_documents):
 
 def _reference_bytes(doc) -> bytes:
     """The definition canonical_bytes must meet, byte for byte."""
-    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
 
 
 def test_small_fixture_round_trips_are_byte_stable(small_documents):
@@ -130,6 +130,19 @@ def test_version_1_form_parses_to_the_same_data(name):
         old = v1_document(json.loads(blob))
         jsonschema.validate(old, MODEL_FILE_SCHEMA)
         assert _same_data(parse_document(old), parse_bytes(blob))
+
+
+@pytest.mark.parametrize("name", list(REGISTRY))
+def test_indented_form_parses_to_the_same_data(name):
+    # files written with indent=2, as canonical bytes were defined before,
+    # parse to the same data and re-export to the compact canonical bytes
+    for part, doc in fixture_documents(name).items():
+        blob = canonical_bytes(doc)
+        indented = (json.dumps(json.loads(blob), sort_keys=True, indent=2) + "\n").encode()
+        assert len(indented) > len(blob)
+        parsed = parse_bytes(indented)
+        assert _same_data(parsed, parse_bytes(blob))
+        assert canonical_bytes(reexport(parsed)) == blob
 
 
 def test_canonical_bytes_ignore_key_order(rp_doc):
@@ -898,8 +911,8 @@ def test_target_reader_matches_check_then_encode(data):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_ints_text_equals_json_dumps(data):
-    # small nonnegative values take the counting route, any others the plain one
-    level = data.draw(st.integers(0, 4))
+    # small nonnegative values that repeat eight times on average take the
+    # table route, any others the value-by-value one
     big = st.integers(2**31, 2**63 - 1)
     pool = data.draw(st.lists(st.one_of(st.integers(0, 9), big), min_size=1, max_size=3))
     value = st.one_of(
@@ -908,33 +921,37 @@ def test_ints_text_equals_json_dumps(data):
     values = data.draw(st.lists(value, max_size=12))
     if data.draw(st.booleans()):
         values = data.draw(st.lists(st.integers(0, 2 * len(values) + 1), max_size=12))
-    want = json.dumps(values, indent=2).replace("\n", "\n" + "  " * level)
-    assert _ints_bytes(np.array(values, dtype=np.int64), level) == want.encode()
-    assert _ints_bytes(values, level) == want.encode()
+    if data.draw(st.booleans()):
+        values = data.draw(st.lists(st.integers(0, 4), min_size=40, max_size=60))
+    want = json.dumps(values, separators=(",", ":"))
+    assert _ints_bytes(np.array(values, dtype=np.int64)) == want.encode()
+    assert _ints_bytes(values) == want.encode()
 
 
-def _ints_bytes(values, level: int) -> bytes:
+def _ints_bytes(values) -> bytes:
     """The fragments _ints writes for a list, joined."""
     out = io.BytesIO()
-    modelfile._ints(out, values, level)
+    modelfile._ints(out, values)
     return out.getvalue()
 
 
 @pytest.mark.parametrize("size", [2**15 - 1, 2**15, 2**15 + 1, 2 * 2**15 + 7])
 def test_ints_chunks_join_to_json_dumps(size):
-    # lists around one chunk of 2**15 values and over three, on both routes of _ints
+    # lists that end one value short of a chunk boundary, on it and one past
+    # it, over eight and sixteen chunks, on both routes of _ints
+    assert 2**15 % modelfile._CHUNK == 0
     rng = np.random.default_rng(size)
     for values in (rng.integers(0, 50, size), rng.integers(-(2**63), 2**63 - 1, size)):
-        for level in (0, 3):
-            want = json.dumps(values.tolist(), indent=2).replace("\n", "\n" + "  " * level)
-            assert _ints_bytes(values, level) == want.encode()
+        want = json.dumps(values.tolist(), separators=(",", ":"))
+        assert _ints_bytes(values) == want.encode()
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", BIG)
 def test_writer_peak_memory_is_near_its_output(name):
-    # the writer holds the document once in its buffer, plus one chunk of one
-    # list: tracemalloc's peak stays under 1.6 times the output
+    # the writer holds the document once in its buffer, plus one chunk and
+    # one value table of one list: tracemalloc's peak stays under 1.6 times
+    # the output
     for part, doc in fixture_documents(name).items():
         canonical_bytes(doc)
         tracemalloc.start()
@@ -1057,7 +1074,9 @@ def test_model_file_calls_pause_and_restore_the_collector(
     with pytest.raises(ValidationError, match="different model"):
         model_document(fx.nt.base, cochains={"w1": other})
     assert gc.isenabled() is enabled
-    for corrupt in (b"{oops", blob.replace(b'"format_version": 2', b'"format_version": 1')):
+    wrong_version = blob.replace(b'"format_version":2', b'"format_version":1')
+    assert wrong_version != blob
+    for corrupt in (b"{oops", wrong_version):
         with pytest.raises(ValidationError):
             parse_bytes(corrupt)
         assert gc.isenabled() is enabled

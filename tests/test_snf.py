@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stexo.snf as snf
-from stexo.builders import bar_b, z4_table
+from stexo.builders import bar_b, klein_table, z4_table
 from stexo.errors import InternalInvariantError
 from stexo.snf import (
     AbelianGroupInvariants,
@@ -224,6 +224,37 @@ def test_unit_elimination_bounds_the_whole_matrix():
     m = a.copy()
     assert snf._eliminate_units(m) == 0
     assert (m == a).all()
+
+
+def _same_elimination(a: np.ndarray) -> None:
+    """_eliminate_units and the reference loop leave the same count and matrix."""
+    m, want = a.copy(), a.copy()
+    assert snf._eliminate_units(m) == reference.eliminate_units(want)
+    assert np.array_equal(m, want)
+
+
+@st.composite
+def _small_integer_matrices(draw):
+    """Up to 12 x 12, sparse entries in -3..3, so that rows and columns met
+    by a single unit are common."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keep = rng.random((rows, cols)) < draw(st.floats(0.05, 0.8))
+    return np.where(keep, rng.integers(-3, 4, (rows, cols)), 0)
+
+
+@given(st.one_of(_small_integer_matrices(), _boundary_like(), _wide_matrices().filter(len)))
+@settings(max_examples=150, deadline=None)
+def test_unit_elimination_equals_reference_loop(a):
+    # the same candidates in the same order under the same int64 bound,
+    # also where entries near 2**61 make the bound run out
+    _same_elimination(np.array(a, dtype=np.int64))
+
+
+@pytest.mark.parametrize("degree", [5, 6])
+@pytest.mark.parametrize("table", [z4_table, klein_table], ids=["z4", "z2xz2"])
+def test_unit_elimination_equals_reference_loop_on_bar_boundaries(table, degree):
+    _same_elimination(bar_b(table(), 6).boundary_int(degree))
 
 
 def test_abelian_invariants_str_and_ranks():
