@@ -44,6 +44,15 @@ For each fixture (all of them by default) the lines are:
                      as its reduction.reps bytes, on each exported model,
                      for k = 0..min(4, max_degree - 1): the H^k cocycles,
                      the H^4 ones of the big fixtures among them;
+  <part>.boundary.<k>
+                     the nonzero (row, col, value) triplets of boundary_int(k)
+                     on each exported model, and (as twisted.boundary.<k>)
+                     of the fixture's own cover pair's twisted boundary, for
+                     every k = 1..max_degree whose dense matrix has at most
+                     BOUNDARY_ENTRIES entries; skipped as larger are
+                     z4-semidirect base, cover and twisted k = 4, 5,
+                     d4-reflection base, cover and twisted k = 5 and
+                     k2-stress base k = 6;
   <part>.violations  validate() on each exported model with the faces 0 and
                      1 of every top-degree cell swapped (see corrupted_top):
                      the identity-check messages, pinned byte for byte;
@@ -381,6 +390,23 @@ def membership_digest(part: str, model: SimplicialModel) -> list:
     return rows
 
 
+BOUNDARY_ENTRIES = 1 << 22
+
+
+def boundary_digest(label: str, model: SimplicialModel, boundary) -> list:
+    """(item, sha256) pairs for the nonzero (row, col, value) triplets of
+    boundary(k), for each degree k whose dense matrix is small enough."""
+    rows = []
+    for k in range(1, model.max_degree + 1):
+        if model.cells[k - 1] * model.cells[k] > BOUNDARY_ENTRIES:
+            continue
+        m = boundary(k)
+        r, c = np.nonzero(m)
+        data = repr(m.shape).encode() + np.stack([r, c, m[r, c]]).astype(np.int64).tobytes()
+        rows.append((f"{label}.boundary.{k}", _sha(data)))
+    return rows
+
+
 def transform_digest(fx) -> str:
     """sha256 of the transform words of each coboundary span cached on the
     fixture's base and cover models."""
@@ -445,9 +471,12 @@ def digest(name: str) -> list:
             reps = cohomology_basis(model, k).reduction.reps
             data = repr(reps.shape).encode() + reps.tobytes()
             rows.append((f"{part}.cocycles.{k}", _sha(data)))
+        rows.extend(boundary_digest(part, model, model.boundary_int))
         rows.append((f"{part}.violations", _sha("\n".join(corrupted_top(model).validate()))))
     if fx.nt is not None and "cover" in blobs:
         rows.extend(lifts_digest(fx, blobs))
+    if fx.cover is not None:
+        rows.extend(boundary_digest("twisted", fx.cover.base, fx.cover.twisted_boundary_int))
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
         for part, blob in blobs.items():

@@ -211,24 +211,6 @@ def integral_homology(model: SimplicialModel, p: int, check: bool = True) -> Hom
     )
 
 
-def twisted_boundary_int(pair: CoverPair, k: int) -> np.ndarray:
-    """Boundary on base chains with integer coefficients twisted by w1.
-
-    Representative lifts are fixed by the cover pair; a face whose lift lands
-    on the other sheet picks up a sign.
-    """
-    base = pair.base
-    if k < 1 or k > base.max_degree:
-        raise TruncationError(f"{base.name}: twisted boundary degree {k} out of range")
-    reps = pair.rep_cells[k]
-    b, i = np.nonzero(pair.cover.face_word[k][reps] == 0)
-    fc = pair.cover.face_cell[k][reps[b], i]
-    sign = (1 - 2 * (i & 1)) * (1 - 2 * pair.sheet[k - 1][fc].astype(np.int64))
-    rows = np.zeros((base.cells[k - 1], base.cells[k]), dtype=np.int64)
-    np.add.at(rows, (pair.base_index[k - 1][fc], b), sign)
-    return rows
-
-
 def twisted_homology(
     pair: CoverPair, p: int, coeff: str = "Z-", check: bool = True
 ) -> AbelianGroupInvariants:
@@ -261,6 +243,6 @@ def twisted_integral_homology(pair: CoverPair, p: int) -> HomologyResult:
     return _chain_homology(
         base,
         p,
-        lambda k: twisted_boundary_int(pair, k),
+        pair.twisted_boundary_int,
         f"{base.name}: twisted H_{p} needs degree-{p + 1} chains",
     )

@@ -16,6 +16,10 @@ and SimplicialMap.push sends a batch of targets through a map.  Outside input
 is checked in batches too, by check_targets, before a model or a map is made
 from it; the one constructor of each class takes arrays.
 
+Every chain-level matrix, CoverPair.twisted_boundary_int included, is read
+from one cached table per degree, SimplicialModel.face_index(n): the one
+place where face words become incidence and where the degree is checked.
+
 Cochains are normalized: a degeneracy-decorated target evaluates to 0.
 """
 
@@ -352,43 +356,40 @@ class SimplicialModel:
 
     # -- chain level ---------------------------------------------------------
 
-    def _cofaces(self, k: int):
-        """The entries of delta_k as a mask of the plain (nondegenerate) faces
-        of the (k+1)-cells and the face-cell array it selects from."""
-        if k < 0 or k + 1 > self.max_degree:
-            raise TruncationError(
-                f"{self.name}: coboundary degree {k} needs cells in degree {k + 1}"
-            )
-        return self.face_word[k + 1] == 0, self.face_cell[k + 1]
-
-    def _coface_index(self, k: int) -> np.ndarray:
-        """Per face and (k+1)-cell, the k-cell of a plain face and the count
-        of k-cells for a degenerate one: the gather of coboundary, into the
-        values of a k-cochain followed by one zero.  One row per face, so
-        the sum over the faces adds whole rows.  Cached, on int32 while the
-        count of k-cells fits."""
-        key = ("cob-gather", k)
+    def face_index(self, n: int) -> np.ndarray:
+        """The face table of degree n, from which every chain-level matrix is
+        read: row i holds, per n-cell, the (n-1)-cell of its face d_i, or
+        cells[n-1] where that face is degenerate.  The one check that faces
+        are stored in degree n.  Cached and read-only, on int32 while the
+        count of (n-1)-cells fits."""
+        key = ("faces", n)
         if key not in self._cache:
-            plain, fc = self._cofaces(k)
-            dtype = np.int32 if self.cells[k] < 1 << 31 else np.int64
-            self._cache[key] = _frozen(np.where(plain, fc, self.cells[k]).T, dtype)
+            if not 1 <= n <= self.max_degree:
+                raise TruncationError(f"{self.name}: no faces stored in degree {n}")
+            dtype = np.int32 if self.cells[n - 1] < 1 << 31 else np.int64
+            table = np.where(self.face_word[n] == 0, self.face_cell[n], self.cells[n - 1])
+            self._cache[key] = _frozen(table.T, dtype)
         return self._cache[key]
+
+    def plain_faces(self, n: int):
+        """The plain faces of the n-cells, as arrays (cells, positions,
+        faces): d_i of the n-cell c is the (n-1)-cell f, entry by entry."""
+        table = self.face_index(n)
+        positions, cells = np.nonzero(table != self.cells[n - 1])
+        return cells, positions, table[positions, cells]
 
     def coboundary_matrix(self, k: int) -> F2Matrix:
         """delta: C^k -> C^{k+1} over GF(2); rows are (k+1)-cells."""
         key = ("cob", k)
         if key not in self._cache:
-            plain, fc = self._cofaces(k)
-            c, i = np.nonzero(plain)
-            self._cache[key] = F2Matrix.from_entries(
-                self.cells[k + 1], self.cells[k], c, fc[c, i]
-            )
+            c, _, f = self.plain_faces(k + 1)
+            self._cache[key] = F2Matrix.from_entries(self.cells[k + 1], self.cells[k], c, f)
         return self._cache[key]
 
     def coboundary_span(self, k: int) -> Subspace:
         """The k-coboundaries delta(C^{k-1}) as a reduced basis in C^k (zero
         in degree 0): the one reduction of delta_{k-1}.  Its spanning rows are
-        delta_{k-1} transposed, packed straight from the face arrays: row b of
+        delta_{k-1} transposed, packed straight from the plain faces: row b of
         a (k-1)-cell b has a bit at each k-cell with b as a plain face.  So its
         relations are Z^{k-1}, and its combination of y solves delta x = y."""
         key = ("cob-span", k)
@@ -397,20 +398,14 @@ class SimplicialModel:
             if k == 0:
                 rows = F2Matrix(0, n)
             else:
-                plain, fc = self._cofaces(k - 1)
-                c, i = np.nonzero(plain)
-                rows = F2Matrix.from_entries(self.cells[k - 1], n, fc[c, i], c)
+                c, _, f = self.plain_faces(k)
+                rows = F2Matrix.from_entries(self.cells[k - 1], n, f, c)
             self._cache[key] = Subspace.from_vectors(n, rows)
         return self._cache[key]
 
     def boundary_int(self, k: int) -> np.ndarray:
         """Integral boundary C_k -> C_{k-1} with signs; rows are (k-1)-cells."""
-        if k < 1 or k > self.max_degree:
-            raise TruncationError(f"{self.name}: boundary degree {k} out of range")
-        c, i = np.nonzero(self.face_word[k] == 0)
-        rows = np.zeros((self.cells[k - 1], self.cells[k]), dtype=np.int64)
-        np.add.at(rows, (self.face_cell[k][c, i], c), 1 - 2 * (i & 1))
-        return rows
+        return _signed_boundary(self, k, *self.plain_faces(k))
 
     def cup_table(self, p: int, q: int, i: int):
         """Index triples (out, u, v) with odd multiplicity for the cup-i sum."""
@@ -418,6 +413,15 @@ class SimplicialModel:
         if key not in self._cache:
             self._cache[key] = _build_cup_table(self, p, q, i)
         return self._cache[key]
+
+
+def _signed_boundary(model, k: int, cells, positions, faces, sheets=0) -> np.ndarray:
+    """The dense integer boundary C_k -> C_{k-1} of model on its plain faces,
+    as plain_faces gives them: face d_i of a cell adds (-1)^(i + sheet), where
+    sheets holds one sheet per entry (or 0 for all)."""
+    rows = np.zeros((model.cells[k - 1], model.cells[k]), dtype=np.int64)
+    np.add.at(rows, (faces, cells), 1 - 2 * ((positions ^ sheets) & 1))
+    return rows
 
 
 def _build_cup_table(model: SimplicialModel, p: int, q: int, i: int):
@@ -520,13 +524,14 @@ _WHOLE_GATHER = 1 << 15
 
 
 def coboundary(u: Cochain) -> Cochain:
-    """delta u, read off the face arrays: each (k+1)-cell sums u over its
-    plain faces.  A degenerate face holds a cell of a lower degree, so the
-    model's cached gather index sends it to a zero after the values of u.
-    take copies an int32 index to intp before it gathers, so an index of
-    more than _WHOLE_GATHER entries is taken one face row at a time.  Every
-    index is in range, so "wrap", the fastest mode, changes none."""
-    index = u.model._coface_index(u.degree)
+    """delta u, gathered through the model's face table face_index(k+1):
+    each (k+1)-cell sums u over its plain faces, and a degenerate face,
+    which the table holds as the count of k-cells, reads a zero appended
+    after the values of u.  take copies an int32 index to intp before it
+    gathers, so a table of more than _WHOLE_GATHER entries is taken one face
+    row at a time.  Every index is in range, so "wrap", the fastest mode,
+    changes none."""
+    index = u.model.face_index(u.degree + 1)
     values = np.concatenate((u.values, _ZERO))
     if index.size <= _WHOLE_GATHER:
         acc = np.bitwise_xor.reduce(values.take(index, mode="wrap"), axis=0)
@@ -855,6 +860,14 @@ class CoverPair:
         if not np.array_equal(u.values[self.involution.perms[u.degree]], u.values):
             raise ValidationError("descend: cochain is not involution-invariant")
         return Cochain._computed(self.base, u.degree, u.values[self.rep_cells[u.degree]])
+
+    def twisted_boundary_int(self, k: int) -> np.ndarray:
+        """Boundary on base chains with integer coefficients twisted by w1:
+        the base's plain faces, each with a sign flipped where the face of
+        the cell's representative lift lies on sheet 1."""
+        cells, positions, faces = self.base.plain_faces(k)
+        lifted = self.cover.face_index(k)[positions, self.rep_cells[k][cells]]
+        return _signed_boundary(self.base, k, cells, positions, faces, self.sheet[k - 1][lifted])
 
 
 def _double_cover(

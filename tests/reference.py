@@ -9,9 +9,13 @@ from itertools import repeat
 
 import numpy as np
 
+from stexo.catalog import fixture_documents
 from stexo.errors import InternalInvariantError, ModelMismatchError
 from stexo.gf2 import F2Matrix, _nwords, pack_rows, rank_and_echelon
+from stexo.modelfile import canonical_bytes, parse_bytes
+from stexo.obstruction import NormalOneType, cover_data_from_parts
 from stexo.simplicial import (
+    CoverPair,
     SimplicialMap,
     SimplicialModel,
     Target,
@@ -178,6 +182,17 @@ def encode_targets(dim: int, words, cells):
     return masks, ids, rejects
 
 
+def parsed_cover(name: str) -> CoverPair:
+    """The pair cover_data_from_parts builds from a fixture's exported base
+    and cover files, as the CLI reads them."""
+    docs = fixture_documents(name)
+    base = parse_bytes(canonical_bytes(docs["base"]))
+    cdata = parse_bytes(canonical_bytes(docs["cover"]))
+    nt = NormalOneType(base.model, base.cochains["w1"], base.cochains["w2"])
+    proj = cdata.maps["projection"].from_model_to(cdata.model, base.model)
+    return cover_data_from_parts(nt, cdata.model, cdata.involution, proj)
+
+
 def v1_document(doc: dict) -> dict:
     """A version 2 model file, as a JSON dict, in version 1 form: each face
     block becomes rows of target objects {"cell": c, "degen": [letters]}
@@ -316,3 +331,61 @@ def eliminate_units(m: np.ndarray) -> int:
                     return count
             m[rows[:, None], cols] -= f[:, None] * x
             count += 1
+
+
+# The face readers of stexo.simplicial before its one face table per degree,
+# each reading the face arrays on its own: face_index, coboundary_matrix, the
+# coboundary_span rows, boundary_int and CoverPair.twisted_boundary_int must
+# give the same arrays.  Each takes degrees in range only.
+def cofaces(model: SimplicialModel, k: int):
+    """The entries of delta_k as a mask of the plain (nondegenerate) faces of
+    the (k+1)-cells and the face-cell array it selects from."""
+    return model.face_word[k + 1] == 0, model.face_cell[k + 1]
+
+
+def coface_index(model: SimplicialModel, k: int) -> np.ndarray:
+    """Per face and (k+1)-cell, the k-cell of a plain face and the count of
+    k-cells for a degenerate one, one row per face; int32 while the count
+    of k-cells fits."""
+    plain, fc = cofaces(model, k)
+    dtype = np.int32 if model.cells[k] < 1 << 31 else np.int64
+    return np.ascontiguousarray(np.where(plain, fc, model.cells[k]).T, dtype=dtype)
+
+
+def coboundary_matrix(model: SimplicialModel, k: int) -> F2Matrix:
+    """delta: C^k -> C^{k+1} over GF(2); rows are (k+1)-cells."""
+    plain, fc = cofaces(model, k)
+    c, i = np.nonzero(plain)
+    return F2Matrix.from_entries(model.cells[k + 1], model.cells[k], c, fc[c, i])
+
+
+def coboundary_span_rows(model: SimplicialModel, k: int) -> F2Matrix:
+    """The spanning rows of coboundary_span(k): delta_{k-1} transposed, no
+    rows in degree 0."""
+    n = model.n_cells(k)
+    if k == 0:
+        return F2Matrix(0, n)
+    plain, fc = cofaces(model, k - 1)
+    c, i = np.nonzero(plain)
+    return F2Matrix.from_entries(model.cells[k - 1], n, fc[c, i], c)
+
+
+def boundary_int(model: SimplicialModel, k: int) -> np.ndarray:
+    """Integral boundary C_k -> C_{k-1} with signs; rows are (k-1)-cells."""
+    c, i = np.nonzero(model.face_word[k] == 0)
+    rows = np.zeros((model.cells[k - 1], model.cells[k]), dtype=np.int64)
+    np.add.at(rows, (model.face_cell[k][c, i], c), 1 - 2 * (i & 1))
+    return rows
+
+
+def twisted_boundary_int(pair: CoverPair, k: int) -> np.ndarray:
+    """Boundary on base chains with integer coefficients twisted by w1, read
+    off the cover: the plain faces of each base cell's representative lift,
+    each signed by its position and sheet and sent to its base cell."""
+    reps = pair.rep_cells[k]
+    b, i = np.nonzero(pair.cover.face_word[k][reps] == 0)
+    fc = pair.cover.face_cell[k][reps[b], i]
+    sign = (1 - 2 * (i & 1)) * (1 - 2 * pair.sheet[k - 1][fc].astype(np.int64))
+    rows = np.zeros((pair.base.cells[k - 1], pair.base.cells[k]), dtype=np.int64)
+    np.add.at(rows, (pair.base_index[k - 1][fc], b), sign)
+    return rows

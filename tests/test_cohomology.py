@@ -27,7 +27,6 @@ from stexo.cohomology import (
     induced_matrix,
     integral_homology,
     mod2_betti,
-    twisted_boundary_int,
     twisted_homology,
 )
 from stexo.errors import TruncationError, ValidationError
@@ -42,6 +41,7 @@ from stexo.obstruction import (
 )
 from stexo.simplicial import (
     Cochain,
+    CoverPair,
     coboundary,
     cover_from_cocycle,
     cup,
@@ -258,7 +258,7 @@ def test_top_degree_truncation_builds_no_boundary(monkeypatch):
         raise AssertionError("boundary built")
 
     monkeypatch.setattr(type(z4), "boundary_int", no_boundary)
-    monkeypatch.setattr(cohomology, "twisted_boundary_int", no_boundary)
+    monkeypatch.setattr(CoverPair, "twisted_boundary_int", no_boundary)
     with pytest.raises(TruncationError, match="H_3 needs degree-4 chains"):
         integral_homology(z4, 3)
     with pytest.raises(TruncationError, match="twisted H_3 needs degree-4 chains"):
@@ -507,8 +507,8 @@ def test_eager_invariants_match_generator_route():
             n = base.cells[p]
             bout = np.zeros((0, n), dtype=np.int64)
             if p:
-                bout = twisted_boundary_int(pair, p)
-            bin_ = twisted_boundary_int(pair, p + 1)
+                bout = pair.twisted_boundary_int(p)
+            bin_ = pair.twisted_boundary_int(p + 1)
             eager = homology_from_boundaries(bout, bin_, n).invariants
             assert eager == _route_invariants(bout, bin_), (name, p)
             checked += 1

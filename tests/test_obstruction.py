@@ -77,7 +77,7 @@ from stexo.simplicial import (
     sq,
 )
 
-from reference import mul_vec, solve_affine, transform_built
+from reference import mul_vec, parsed_cover, solve_affine, transform_built
 
 
 # -- clause-by-clause verdicts ---------------------------------------------------
@@ -973,17 +973,6 @@ def test_cover_parts_refuse_an_involution_on_another_model():
         cover_data_from_parts(fx.nt, cover, twin, pair.projection)
 
 
-def _parsed_cover(name):
-    """The pair cover_data_from_parts builds from a fixture's exported base
-    and cover files, as the CLI reads them."""
-    docs = fixture_documents(name)
-    base = parse_bytes(canonical_bytes(docs["base"]))
-    cdata = parse_bytes(canonical_bytes(docs["cover"]))
-    nt = NormalOneType(base.model, base.cochains["w1"], base.cochains["w2"])
-    proj = cdata.maps["projection"].from_model_to(cdata.model, base.model)
-    return cover_data_from_parts(nt, cdata.model, cdata.involution, proj)
-
-
 def _lift_arrays(pair):
     return (
         pair.sheet,
@@ -1001,7 +990,7 @@ def test_parsed_cover_files_give_the_fixture_lifts():
     names = [name for name in REGISTRY if get_fixture(name).cover is not None]
     assert len(names) == 5
     for name in names:
-        own, parsed = get_fixture(name).cover, _parsed_cover(name)
+        own, parsed = get_fixture(name).cover, parsed_cover(name)
         for a, b in zip(_lift_arrays(own), _lift_arrays(parsed)):
             assert len(a) == len(b)
             for x, y in zip(a, b):

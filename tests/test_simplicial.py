@@ -21,6 +21,7 @@ from stexo.builders import (
     circle,
     dihedral8_table,
     k_z2_2,
+    klein_table,
     point,
     z2_table,
     z4_table,
@@ -56,6 +57,7 @@ from stexo.simplicial import (
     swap_factors,
 )
 
+import reference
 from reference import (
     compose,
     encode_targets,
@@ -990,8 +992,8 @@ def test_coboundary_matches_matrix_on_builder_models(seed):
             assert np.array_equal(coboundary(u).values, want), (model.name, k)
             with mock.patch.object(simplicial, "_WHOLE_GATHER", 0):
                 assert np.array_equal(coboundary(u).values, want), (model.name, k)
-            # the cached gather index is int32 while the k-cells fit
-            assert model._coface_index(k).dtype == np.int32
+            # the cached face table is int32 while the k-cells fit
+            assert model.face_index(k + 1).dtype == np.int32
 
 
 # -- B^k packed from the face arrays against the dense transpose -------------
@@ -1020,6 +1022,100 @@ def test_coboundary_span_matches_dense_transpose_route():
             if k:
                 cocycles = kernel_basis(model.coboundary_matrix(k - 1))
                 assert got.relations == cocycles, (model.name, k)
+
+
+# -- the face table against the readers it replaced ----------------------------
+
+# the most entries of a dense boundary the oracle test builds
+_DENSE_ENTRIES = 1 << 22
+
+
+def _face_table_cases():
+    """(models, pairs): the builder models and each catalog base and cover
+    with a relabeling of each; the fixtures' own cover pairs, the quotient
+    of each cover by a copy of its involution, the pairs built from the
+    exported files, and two builder pairs."""
+    from stexo.catalog import REGISTRY, get_fixture
+
+    rng = np.random.default_rng(29)
+    models = list(_coboundary_models())
+    models += [bar_b(klein_table(), 4, name="v4"), bar_b(dihedral8_table(), 3, name="d8")]
+    models += [m for model in _catalog_models() for m in (model, relabel_model(model, rng)[0])]
+    two_sheet, flip = bar_e_z2(4)
+    z4 = bar_b(z4_table(), 4, name="z4")
+    pairs = [
+        quotient_free_involution(two_sheet, flip),
+        cover_from_cocycle(z4, Cochain(z4, 1, np.array([1, 0, 1], dtype=np.uint8))),
+    ]
+    for name in REGISTRY:
+        fx = get_fixture(name)
+        if fx.cover is None:
+            continue
+        cover = fx.cover.cover
+        twin = Involution(cover, fx.cover.involution.perms)
+        pairs += [
+            fx.cover,
+            quotient_free_involution(cover, twin, allow_trivial=True),
+            reference.parsed_cover(name),
+        ]
+    return models, pairs
+
+
+def test_face_table_matches_the_readers_it_replaced():
+    """Every degree 1..max_degree: the face table and delta_{k-1} equal those
+    of the old readers; so do the reduction of B^k (pivots, basis and row
+    transform, which pin its spanning rows) and the integral and twisted
+    boundaries wherever the dense matrix has at most _DENSE_ENTRIES
+    entries."""
+    models, pairs = _face_table_cases()
+    checked = 0
+    for model in models:
+        for k in range(1, model.max_degree + 1):
+            got = model.face_index(k)
+            want = reference.coface_index(model, k - 1)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (model.name, k)
+            assert not got.flags.writeable
+            got = model.coboundary_matrix(k - 1)
+            assert got == reference.coboundary_matrix(model, k - 1), (model.name, k)
+            if model.cells[k - 1] * model.cells[k] > _DENSE_ENTRIES:
+                continue
+            span = model.coboundary_span(k)
+            want = Subspace.from_vectors(model.cells[k], reference.coboundary_span_rows(model, k))
+            assert span.pivots == want.pivots, (model.name, k)
+            assert span.matrix == want.matrix, (model.name, k)
+            assert span.transform == want.transform, (model.name, k)
+            got = model.boundary_int(k)
+            assert np.array_equal(got, reference.boundary_int(model, k)), (model.name, k)
+            checked += 1
+    for pair in pairs:
+        base = pair.base
+        for k in range(1, base.max_degree + 1):
+            if base.cells[k - 1] * base.cells[k] <= _DENSE_ENTRIES:
+                got = pair.twisted_boundary_int(k)
+                want = reference.twisted_boundary_int(pair, k)
+                assert np.array_equal(got, want), (base.name, k)
+                checked += 1
+    assert checked == 226
+
+
+def test_one_truncation_message_for_every_chain_level_matrix():
+    """face_index alone checks the degree, so every reader refuses a degree
+    with no faces in its words."""
+    z4 = bar_b(z4_table(), 3, name="z4")
+    pair = cover_from_cocycle(z4, Cochain(z4, 1, np.array([1, 0, 1], dtype=np.uint8)))
+    top = Cochain(z4, 3, np.ones(z4.cells[3], dtype=np.uint8))
+    for degree, call in (
+        (0, lambda: z4.face_index(0)),
+        (4, lambda: z4.face_index(4)),
+        (4, lambda: coboundary(top)),
+        (0, lambda: z4.boundary_int(0)),
+        (4, lambda: pair.twisted_boundary_int(4)),
+        (-1, lambda: z4.coboundary_matrix(-2)),
+        (4, lambda: z4.coboundary_span(4)),
+    ):
+        want = f"^z4: no faces stored in degree {degree}$"
+        with pytest.raises(TruncationError, match=want):
+            call()
 
 
 # -- grouping by key --------------------------------------------------------
