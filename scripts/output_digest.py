@@ -12,6 +12,10 @@ For each fixture (all of them by default) the lines are:
                      that the base and the cover hold once decide and the
                      report have run, by model and increasing k: the
                      transform of each reduction, pinned byte for byte;
+  induced            for fixtures with a cover or a section: the shape and
+                     words of induced_matrix of the projection and of the
+                     section map, in every degree k <= 4 certified on both
+                     ends (one row per target basis class);
   generators         generator_chains() of every certified twisted E2 entry
                      (the integer cycle basis itself, not only its mod-2
                      pairings), as JSON lists of ints keyed by "p,q";
@@ -113,7 +117,7 @@ import numpy as np
 import stexo.snf as snf
 from stexo import cli
 from stexo.catalog import REGISTRY, fixture_documents, get_fixture
-from stexo.cohomology import cohomology_basis
+from stexo.cohomology import cohomology_basis, induced_matrix
 from stexo.james import d2_maps, e2_page, killers_report, report_json
 from stexo.modelfile import canonical_bytes, parse_bytes, reexport
 from stexo.obstruction import (
@@ -420,6 +424,22 @@ def transform_digest(fx) -> str:
     return _sha(b"\0".join(parts))
 
 
+def induced_digest(fx) -> list:
+    """(item, sha256) for the matrices of the cover projection and of the
+    section map in cohomology."""
+    maps = []
+    if fx.cover is not None:
+        maps.append(fx.cover.projection)
+    if fx.section is not None:
+        maps.append(fx.section.s)
+    parts = []
+    for f in maps:
+        for k in range(min(4, f.source.max_degree - 1, f.target.max_degree - 1) + 1):
+            m = induced_matrix(f, k)[0]
+            parts += [repr((f.name, k, m.rows, m.cols)).encode(), m.words.tobytes()]
+    return [("induced", _sha(b"\0".join(parts)))]
+
+
 def digest(name: str) -> list:
     """(item, sha256) pairs for one fixture."""
     fx = get_fixture(name)
@@ -430,10 +450,12 @@ def digest(name: str) -> list:
         replayed = replay_evidence(verdict, fx.nt, fx.cover, fx.section)
         rows.append(("replay", _sha(repr(replayed))))
         page = e2_page(fx.nt, fx.cover)
-        diffs = d2_maps(fx.nt, page, fx.cover)
+        diffs = d2_maps(fx.nt, page)
         killers = killers_report(fx.nt, page, diffs, verdict)
         rows.append(("report", _sha(report_json(page, diffs, killers))))
         rows.append(("transform", transform_digest(fx)))
+        if fx.cover is not None or fx.section is not None:
+            rows.extend(induced_digest(fx))
         with recorded_smith_forms() as forms:
             gens = {
                 f"{p},{q}": [[int(x) for x in row] for row in e.result.generator_chains()]

@@ -28,7 +28,7 @@ def run_one(name: str, as_json: bool) -> dict:
         fx.nt, cover=fx.cover, section=fx.section, extra_lift_data=fx.lift_data
     )
     page = e2_page(fx.nt, fx.cover)
-    diffs = d2_maps(fx.nt, page, fx.cover)
+    diffs = d2_maps(fx.nt, page)
     killers = killers_report(fx.nt, page, diffs, verdict)
     elapsed = time.perf_counter() - t0
     if as_json:

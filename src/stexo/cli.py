@@ -144,7 +144,9 @@ def _emit(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def cmd_decide(args) -> int:
+def _inputs(args):
+    """The type, cover, extra lift data and section that decide and report
+    read from their files, checked in that order."""
     data = _load(args.path)
     nt = _normal_type(data)
     cover = None
@@ -161,6 +163,11 @@ def cmd_decide(args) -> int:
             raise StexoError(f"no cochain named {args.lift!r} in the cover file (known: {known})")
         extra = (LiftDatum(cdata.cochains[args.lift], 0, args.lift),)
     section = _section_from_file(data, args.section) if args.section else None
+    return nt, cover, extra, section
+
+
+def cmd_decide(args) -> int:
+    nt, cover, extra, section = _inputs(args)
     verdict = decide(nt, cover, section, extra)
     payload = verdict.to_json_dict()
     if args.json:
@@ -175,15 +182,10 @@ def cmd_decide(args) -> int:
 
 
 def cmd_report(args) -> int:
-    data = _load(args.path)
-    nt = _normal_type(data)
-    cover = None
-    if args.cover:
-        cover = _cover_from_file(nt, _load(args.cover))
-    section = _section_from_file(data, args.section) if args.section else None
+    nt, cover, _, section = _inputs(args)
     verdict = decide(nt, cover, section)
     page = e2_page(nt, cover)
-    diffs = d2_maps(nt, page, cover)
+    diffs = d2_maps(nt, page)
     killers = killers_report(nt, page, diffs, verdict)
     if args.json:
         _emit(report_json(page, diffs, killers))
@@ -222,7 +224,7 @@ def cmd_cohomology(args) -> int:
         for k in (1, 2):
             target = cohomology_basis(model, args.deg + k)
             m = target.coords_matrix([sq(rep, k) for rep in basis.reps])
-            payload[f"sq{k}"] = m.to_dense().T.tolist()
+            payload[f"sq{k}"] = m.to_dense().tolist()
     if args.json:
         _emit(json.dumps(payload, sort_keys=True, indent=2))
         return 0
@@ -275,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--cover")
     r.add_argument("--section")
     r.add_argument("--json", action="store_true")
-    r.set_defaults(fn=cmd_report)
+    r.set_defaults(fn=cmd_report, lift=None)
 
     h = sub.add_parser("cohomology", help="print an H^k basis, optionally with squares")
     h.add_argument("path")

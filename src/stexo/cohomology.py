@@ -9,7 +9,14 @@ Every class question reduces residues modulo the model's coboundary_span(k),
 the one reduction of B^k: residues are linear and zero exactly on
 coboundaries.  A basis keeps the closed cochains (coboundary_span(k+1)'s
 relations) whose residues are independent of the earlier ones', and
-coordinates are coefficients over the class_span of its representatives.
+coordinates are coefficients over the span of the representatives' residues.
+
+Coordinate matrices hold one row per cochain: row j of coords_matrix is the
+coordinate vector of cochains[j], and row j of induced_matrix is the source
+coordinate vector of the pullback of target representative j.  So a matrix
+of f^* reads as the images of the target basis, the span of its rows is
+the image of f^*, and the matrix of (g f)^* is that of g^* times that of
+f^* (F2Matrix.matmul).
 
 The model's cache holds only that reduction (the representatives' values and
 the span of their residues), which refers to no model; each cohomology_basis
@@ -78,8 +85,8 @@ class CohomologyBasis:
         return self._coords([u])[0]
 
     def coords_matrix(self, cochains) -> F2Matrix:
-        """Matrix whose column j holds the coordinates of cochains[j]."""
-        return F2Matrix.from_dense(self._coords(cochains).T)
+        """Matrix whose row j holds the coordinates of cochains[j]."""
+        return F2Matrix.from_dense(self._coords(cochains))
 
     def class_from_coords(self, coords) -> Cochain:
         coords = np.asarray(coords, dtype=np.uint8)[None] & 1
@@ -118,10 +125,10 @@ def _reduction(model: SimplicialModel, degree: int, certified: bool) -> BasisRed
         closed = np.eye(n, dtype=np.uint8)
     # a closed row is kept when its column is a pivot of the transposed residues
     residues = _residues(model, degree, closed)
-    pivots = rank_and_echelon(F2Matrix.from_dense(residues.T)).pivots
-    reps = closed[list(pivots)]
+    kept = list(rank_and_echelon(F2Matrix.from_dense(residues.T)).pivots)
+    reps = closed[kept]
     reps.setflags(write=False)
-    return BasisReduction(reps, class_span(model, degree, reps), not certified)
+    return BasisReduction(reps, Subspace.from_vectors(n, residues[kept]), not certified)
 
 
 def _residues(model: SimplicialModel, degree: int, rows) -> np.ndarray:
@@ -146,10 +153,10 @@ def mod2_betti(model: SimplicialModel, degree: int) -> int:
 
 
 def induced_matrix(f: SimplicialMap, degree: int):
-    """Matrix of f^* on degree-k cohomology, columns over the target basis.
+    """Matrix of f^* on degree-k cohomology, one row per target basis class.
 
-    Returns (matrix, source_basis, target_basis); matrix columns are the
-    source coordinates of the pullbacks of the target representatives.
+    Returns (matrix, source_basis, target_basis); row j of matrix holds the
+    source coordinates of the pullback of target representative j.
     """
     src = cohomology_basis(f.source, degree)
     tgt = cohomology_basis(f.target, degree)

@@ -12,8 +12,11 @@ holds column 64*w + j.
 
 The elimination carries no row transform.  Each pivot step logs, as one
 packed bit row, the rows that had the pivot bit, so the log is never larger
-than the transform; an EchelonResult or Subspace builds its transform from
-that log the first time it is read and then drops the log.
+than the transform; a Subspace builds its transform from that log the
+first time it is read and then drops the log.
+
+Every matrix product here is xor_combine: F2Matrix.matmul checks the shapes
+and hands it the left factor's bits and the right factor's packed rows.
 
 Subspace is the one reduced basis: membership, residuals modulo the span,
 coefficients over spanning vectors, cohomology coordinates and coboundary
@@ -74,10 +77,6 @@ def unpack_rows(words: np.ndarray, cols: int) -> np.ndarray:
     return np.ascontiguousarray(raw[:, :cols])
 
 
-def _column_bits(words: np.ndarray, c: int) -> np.ndarray:
-    return ((words[:, c >> 6] >> np.uint64(c & 63)) & np.uint64(1)).astype(np.uint8)
-
-
 def _leftmost_column(words: np.ndarray, c: int) -> int:
     """The leftmost column with a bit set in some row, for rows that are zero
     in every column before c; past the last column when there is none."""
@@ -129,9 +128,6 @@ class F2Matrix:
     def to_dense(self) -> np.ndarray:
         return unpack_rows(self.words, self.cols)
 
-    def column(self, c: int) -> np.ndarray:
-        return _column_bits(self.words, c)
-
     def is_zero(self) -> bool:
         return not self.words.any()
 
@@ -149,21 +145,13 @@ class F2Matrix:
 
     # -- arithmetic --------------------------------------------------------
 
-    def transpose(self) -> "F2Matrix":
-        return F2Matrix.from_dense(self.to_dense().T)
-
     def matmul(self, other: "F2Matrix") -> "F2Matrix":
         """Matrix product over GF(2)."""
         if self.cols != other.rows:
             raise ModelMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        out = np.zeros((self.rows, other.words.shape[1]), dtype=np.uint64)
-        for j in range(self.cols):
-            mask = self.column(j).astype(bool)
-            if mask.any():
-                out[mask] ^= other.words[j]
-        return F2Matrix(self.rows, other.cols, out)
+        return F2Matrix(self.rows, other.cols, xor_combine(self.to_dense(), other.words))
 
 
 # the most log bits _replay unpacks at once
@@ -205,31 +193,11 @@ def _replay(n: int, log: np.ndarray) -> F2Matrix:
     return F2Matrix(n, n, T[pos])
 
 
-class _LoggedTransform:
-    """The row transform of an echelon run, built from the run's log the
-    first time it is read; the log is then dropped.
-
-    _log is (n, log): the n rows reduced, and per pivot step k one packed
-    row of n bits, the rows with the pivot column's bit set just before
-    step k.  The first of them at or past k is the row swapped into place k,
-    and the others are the rows the pivot row is added to.  So the log has
-    at most as many words as the transform, and an echelon pays for its
-    transform only when someone asks for it.
-    """
-
-    @cached_property
-    def transform(self) -> F2Matrix:
-        """T with T * (the reduced rows) = the echelon form; invertible."""
-        t = _replay(*self._log)
-        self._log = None
-        return t
-
-
 @dataclass
-class EchelonResult(_LoggedTransform):
+class EchelonResult:
     """The reduced row echelon form of a matrix, its rank and pivots, and the
-    row transform of the reduction, built on first read (see
-    _LoggedTransform)."""
+    log of the reduction's row operations, from which Subspace builds the
+    row transform."""
 
     rank: int
     echelon: "F2Matrix"
@@ -238,11 +206,11 @@ class EchelonResult(_LoggedTransform):
 
 
 def rank_and_echelon(m: F2Matrix) -> EchelonResult:
-    """Reduced row echelon form, with a log of its row operations from which
-    the invertible row transform is built when first read.
+    """Reduced row echelon form, with a log of its row operations.
 
     Pivoting is deterministic: leftmost available column, lowest row index.
-    The transform T satisfies T * m = echelon.
+    The transform that Subspace replays from the log satisfies
+    T * m = echelon.
 
     Rows r: below the pivots found so far are zero left of column c, so one
     step reads only the word column of c: the first row with bit c set is the
@@ -319,11 +287,17 @@ def _batch(vectors, n: int) -> np.ndarray:
 
 
 @dataclass
-class Subspace(_LoggedTransform):
+class Subspace:
     """A subspace of GF(2)^n held as a reduced row echelon basis of the
     vectors that span it, with the row transform T of that reduction, built
-    from the reduction's log the first time it is read (see
-    _LoggedTransform).
+    from the reduction's log the first time it is read.
+
+    _log is (n, log): the n spanning vectors, and per pivot step k one
+    packed row of n bits, the rows with the pivot column's bit set just
+    before step k.  The first of them at or past k is the row swapped into
+    place k, and the others are the rows the pivot row is added to.  So the
+    log has at most as many words as T, and a span pays for T only when
+    someone asks for it.
 
     Rows of T up to dim say which spanning vectors sum to each basis row; the
     rows past dim span the relations among the spanning vectors.  The basis
@@ -365,6 +339,14 @@ class Subspace(_LoggedTransform):
     @property
     def dim(self) -> int:
         return self.matrix.rows
+
+    @cached_property
+    def transform(self) -> F2Matrix:
+        """T with T * (the spanning vectors) = the echelon form; invertible.
+        The log is dropped once T is built."""
+        t = _replay(*self._log)
+        self._log = None
+        return t
 
     def _reduce(self, vectors) -> tuple[np.ndarray, np.ndarray]:
         """(basis coefficients, packed residual) of each row of a batch.

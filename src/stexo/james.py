@@ -36,7 +36,7 @@ from .cohomology import (
     twisted_integral_homology,
 )
 from .errors import InternalInvariantError, TruncationError, ValidationError
-from .gf2 import F2Matrix, rank
+from .gf2 import F2Matrix, rank, xor_combine
 from .obstruction import (
     NormalOneType,
     Verdict,
@@ -308,7 +308,8 @@ def _check_dim(page: E2Page, pq: tuple, want: int, what: str) -> None:
 
 
 def _operator_transpose(nt: NormalOneType, p: int):
-    """The H^p basis and the transpose of the operator H^{p-2} -> H^p."""
+    """The H^p basis and the transpose of the operator H^{p-2} -> H^p: row j
+    holds the H^p coordinates of the image of H^{p-2} basis class j."""
     base = nt.base
     if p > base.max_degree:
         raise TruncationError(f"{base.name}: no degree-{p} cochains at this truncation")
@@ -319,13 +320,13 @@ def _operator_transpose(nt: NormalOneType, p: int):
         )
     _, images = sq2_w_images(nt, p - 2)
     h_p = cohomology_basis(base, p)
-    return h_p, h_p.coords_matrix(images).transpose()
+    return h_p, h_p.coords_matrix(images)
 
 
 def _mod2_generators(base, p: int, result: HomologyResult) -> np.ndarray:
     """The twisted H_p generators reduced mod 2, one row each, checked to be
     mod-2 cycles all at once."""
-    vecs = (result.generator_chains() & 1).astype(np.int64)
+    vecs = (result.generator_chains() & 1).astype(np.uint8)
     if not F2Matrix.from_dense(vecs).matmul(base.coboundary_matrix(p - 1)).is_zero():
         raise InternalInvariantError(
             "a twisted homology generator failed to reduce to a mod-2 cycle"
@@ -378,7 +379,7 @@ def d2_maps(
             continue
         vecs = _mod2_generators(base, p, entry.result)
         # column g pairs the H^p representatives with generator g mod 2
-        red = F2Matrix.from_dense(h_p.reduction.reps.astype(np.int64) @ vecs.T & 1)
+        red = F2Matrix.from_dense(xor_combine(h_p.reduction.reps, vecs.T))
         mat = mt.matmul(red)
         _check_dim(page, (p, 0), mat.cols, f"d2 source ({p},0)")
         _check_dim(page, (p - 2, 1), mat.rows, f"d2 target ({p - 2},1)")

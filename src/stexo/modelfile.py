@@ -625,7 +625,6 @@ class ModelFileData:
     maps: dict
     cd_at_most_3: Assertion | None = None
     h5_zero: Assertion | None = None
-    warnings: tuple = ()
 
 
 def parse_document(doc, default_name: str = "model") -> ModelFileData:

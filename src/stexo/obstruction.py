@@ -328,7 +328,7 @@ def lift_data_solutions(nt: NormalOneType, cover: CoverPair) -> LiftSolutions:
     h2c = cohomology_basis(cover.cover, 2)
     m = h2c.coords_matrix([rep + cover.involution.pullback(rep) for rep in h2c.reps])
     rhs = h2c.coords(cover.projection.pullback(nt.w2))
-    images = Subspace.from_vectors(h2c.dim, m.transpose())
+    images = Subspace.from_vectors(h2c.dim, m)
     if images.contains(rhs):
         kernel = Subspace.from_vectors(h2c.dim, images.relations)
         out = LiftSolutions(h2c, images.combination(rhs), kernel)
@@ -447,9 +447,9 @@ def secondary_test(
     s4, h4_section, h4_base_again = induced_matrix(s, 4)
     if h4_base_again.reduction is not h4_base.reduction:
         raise InternalInvariantError("H^4 base bases diverged")
-    # the columns of p* stacked over s*, whose relations are the common kernel
-    columns = np.vstack([p4.to_dense(), s4.to_dense()]).T
-    stacked = Subspace.from_vectors(p4.rows + s4.rows, columns)
+    # the rows of p* beside those of s*, whose relations are the common kernel
+    rows = np.hstack([p4.to_dense(), s4.to_dense()])
+    stacked = Subspace.from_vectors(p4.cols + s4.cols, rows)
     if stacked.relations.rows:
         return SecondaryOutcome(
             "inconclusive",

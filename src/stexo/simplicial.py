@@ -548,9 +548,8 @@ def is_coboundary(u: Cochain) -> bool:
 
 
 def is_closed(u: Cochain) -> bool:
-    if u.degree + 1 > u.model.max_degree:
-        return u.model.n_cells(u.degree + 1) == 0 or coboundary(u).is_zero()
-    return coboundary(u).is_zero()
+    """Whether delta u = 0; a top-degree cochain has no coboundary to check."""
+    return u.degree >= u.model.max_degree or coboundary(u).is_zero()
 
 
 def cup_i(u: Cochain, v: Cochain, i: int) -> Cochain:
@@ -679,11 +678,6 @@ class Involution(SimplicialMap):
         self.model = model
         self.perms = self.image_cell
         self._lifts = None
-
-    def validate(self) -> list[str]:
-        """Why the permutations are not a free simplicial involution; the
-        result is cached."""
-        return _checked_once(self)
 
     def _violations_found(self) -> list[str]:
         count = self.model.max_degree + 1

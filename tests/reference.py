@@ -2,7 +2,7 @@
 
 The tests use them as oracles or to build inputs; each works on the public
 arrays of the package objects, except transform_built, which tells whether
-an echelon has built its transform yet.
+a span has built its transform yet.
 """
 
 from itertools import repeat
@@ -99,8 +99,13 @@ def solve_affine(m: F2Matrix, rhs: np.ndarray) -> np.ndarray | None:
     if c in res.pivots:
         return None
     x = np.zeros(c, dtype=np.uint8)
-    x[list(res.pivots)] = res.echelon.column(c)[: res.rank]
+    x[list(res.pivots)] = column_bits(res.echelon.words, c)[: res.rank]
     return x
+
+
+def column_bits(words: np.ndarray, c: int) -> np.ndarray:
+    """Column c of packed rows, as 0/1 entries."""
+    return ((words[:, c >> 6] >> np.uint64(c & 63)) & np.uint64(1)).astype(np.uint8)
 
 
 def dense_rref(rows) -> tuple[np.ndarray, list[int]]:
@@ -158,8 +163,8 @@ def mul_vec(m: F2Matrix, v) -> np.ndarray:
 
 
 def transform_built(obj) -> bool:
-    """Whether an EchelonResult or a Subspace has built its row transform,
-    which it keeps on the object once read."""
+    """Whether a Subspace has built its row transform, which it keeps on the
+    object once read."""
     return "transform" in vars(obj)
 
 

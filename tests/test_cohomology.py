@@ -173,10 +173,8 @@ def test_induced_map_of_projections(torus3):
     t4 = product(torus3.model, torus3.model, 5, name="t4")
     ml, _, _ = induced_matrix(t4.left, 1)
     mr, _, _ = induced_matrix(t4.right, 1)
-    assert ml.rows == 4 and ml.cols == 2
-    span = Subspace.from_vectors(
-        4, np.vstack([ml.transpose().to_dense(), mr.transpose().to_dense()])
-    )
+    assert ml.rows == 2 and ml.cols == 4
+    span = Subspace.from_vectors(4, np.vstack([ml.to_dense(), mr.to_dense()]))
     assert span.dim == 4
 
 
@@ -188,7 +186,7 @@ def test_induced_map_respects_composition(torus3):
     m_direct, _, _ = induced_matrix(comp, 1)
     m_left, _, _ = induced_matrix(t4.left, 1)
     m_t2, _, _ = induced_matrix(torus3.left, 1)
-    assert m_direct == m_left.matmul(m_t2)
+    assert m_direct == m_t2.matmul(m_left)
 
 
 def test_cup_square_class_on_torus(torus3):
@@ -336,12 +334,49 @@ def test_coords_matrix_matches_coords_on_catalog_bases():
                 cochains.append(u)
             for batch in (cochains, []):
                 m = basis.coords_matrix(batch)
-                assert (m.rows, m.cols) == (basis.dim, len(batch))
+                assert (m.rows, m.cols) == (len(batch), basis.dim)
                 dense = m.to_dense()
                 for j, u in enumerate(batch):
-                    assert np.array_equal(dense[:, j], basis.coords(u)), (model.name, k)
+                    assert np.array_equal(dense[j], basis.coords(u)), (model.name, k)
                 shapes.add((basis.dim == 0, len(batch) == 0))
     assert shapes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_coordinate_matrices_are_rows():
+    # row j of coords_matrix is the coordinate vector of cochain j, and row j
+    # of induced_matrix that of the pullback of target representative j; one
+    # more cochain than the dimension keeps the matrices off the square
+    rng = np.random.default_rng(29)
+    checked = set()
+    for name in REGISTRY:
+        fx = get_fixture(name)
+        base = fx.nt.base if fx.nt is not None else fx.stress_model
+        models = [base] + ([fx.cover.cover] if fx.cover is not None else [])
+        maps = [("projection", fx.cover.projection)] if fx.cover is not None else []
+        maps += [("section", fx.section.s)] if fx.section is not None else []
+        for model in models:
+            for k in range(1, min(4, model.max_degree - 1) + 1):
+                basis = cohomology_basis(model, k)
+                cochains = [
+                    basis.class_from_coords(rng.integers(0, 2, basis.dim))
+                    + coboundary(Cochain(model, k - 1, rng.integers(0, 2, model.n_cells(k - 1))))
+                    for _ in range(basis.dim + 1)
+                ]
+                m = basis.coords_matrix(cochains)
+                assert (m.rows, m.cols) == (len(cochains), basis.dim), (model.name, k)
+                dense = m.to_dense()
+                for j, u in enumerate(cochains):
+                    assert np.array_equal(dense[j], basis.coords(u)), (model.name, k, j)
+                checked.add("coords")
+        for label, f in maps:
+            for k in range(1, min(4, f.source.max_degree - 1, f.target.max_degree - 1) + 1):
+                m, src, tgt = induced_matrix(f, k)
+                assert (m.rows, m.cols) == (tgt.dim, src.dim), (name, f.name, k)
+                dense = m.to_dense()
+                for j, rep in enumerate(tgt.reps):
+                    assert np.array_equal(dense[j], src.coords(f.pullback(rep))), (name, k, j)
+                checked.add(label)
+    assert checked == {"coords", "projection", "section"}
 
 
 def _stacked_reduction(model, degree, certified):
@@ -417,7 +452,7 @@ def test_residue_reduction_matches_stacked_pivots(seed):
             below = rng.integers(0, 2, (4, model.n_cells(k - 1)))
             cochains = [u + coboundary(Cochain(model, k - 1, v)) for u, v in zip(cochains, below)]
         want = _stacked_coords(reps, span, np.array([u.values for u in cochains]))
-        assert np.array_equal(basis.coords_matrix(cochains).to_dense().T, want), (model.name, k)
+        assert np.array_equal(basis.coords_matrix(cochains).to_dense(), want), (model.name, k)
 
 
 def test_only_relations_and_combination_build_a_span_transform(monkeypatch):

@@ -9,7 +9,6 @@ import stexo.gf2 as gf2
 from stexo.errors import ModelMismatchError
 from stexo.gf2 import (
     F2Matrix,
-    _column_bits,
     _leftmost_column,
     Subspace,
     pack_rows,
@@ -20,7 +19,7 @@ from stexo.gf2 import (
 )
 
 import reference
-from reference import kernel_basis, mul_vec, solve_affine, transform_built
+from reference import column_bits, kernel_basis, mul_vec, solve_affine, transform_built
 
 RNG = np.random.default_rng(20240817)
 
@@ -71,7 +70,7 @@ def test_rref_transform_is_consistent():
         m = F2Matrix.from_dense(a)
         res = rank_and_echelon(m)
         # transform * original equals the echelon form
-        assert res.transform.matmul(m) == res.echelon
+        assert Subspace.from_vectors(m.cols, m).transform.matmul(m) == res.echelon
         # pivot columns are standard basis vectors in the echelon form
         dense = res.echelon.to_dense()
         for i, p in enumerate(res.pivots):
@@ -130,7 +129,7 @@ def test_echelon_matches_column_by_column_loop(rows, cols, density, empty, seed)
     res = rank_and_echelon(m)
     assert res.pivots == pivots
     assert np.array_equal(res.echelon.words, echelon)
-    assert np.array_equal(res.transform.words, transform)
+    assert np.array_equal(Subspace.from_vectors(m.cols, m).transform.words, transform)
     assert rank_and_echelon(m).echelon == res.echelon
 
 
@@ -145,7 +144,7 @@ def _column_skipping_echelon(m, want_transform):
     r = 0
     c = 0
     while c < m.cols and r < m.rows:
-        col = _column_bits(R, c)
+        col = column_bits(R, c)
         nz = np.nonzero(col[r:])[0]
         if nz.size == 0:
             c = _leftmost_column(R[r:], c)
@@ -199,13 +198,14 @@ def test_echelon_matches_column_skipping_loop(rows, cols, density, runs, seed):
     for want_transform in (True, False):
         echelon, transform, pivots = _column_skipping_echelon(m, want_transform)
         res = rank_and_echelon(m)
+        span = Subspace.from_vectors(m.cols, m)
         assert res.pivots == pivots
         assert res.rank == len(pivots)
         assert np.array_equal(res.echelon.words, echelon)
         if want_transform:
-            assert np.array_equal(res.transform.words, transform)
+            assert np.array_equal(span.transform.words, transform)
         else:
-            assert not transform_built(res)
+            assert not transform_built(span)
 
 
 @given(*_AWKWARD)
@@ -217,14 +217,15 @@ def test_transform_rebuilt_from_the_log_matches_both_loops(rows, cols, density, 
     # then dropped
     m = _awkward(rows, cols, density, runs, seed)
     res = rank_and_echelon(m)
-    n, log = res._log
+    span = Subspace.from_vectors(m.cols, m)
+    n, log = span._log
     assert n == m.rows and log.shape[0] == res.rank and log.size <= m.rows * log.shape[1]
     with mock.patch.object(gf2, "_REPLAY_BITS", 3 * max(n, 1)):
         blocked = gf2._replay(n, log)
-    assert not transform_built(res)
-    transform = res.transform
+    assert not transform_built(span)
+    transform = span.transform
     assert transform == blocked
-    assert transform_built(res) and res._log is None and res.transform is transform
+    assert transform_built(span) and span._log is None and span.transform is transform
     assert (transform.rows, transform.cols) == (m.rows, m.rows)
     assert np.array_equal(transform.words, _column_by_column_echelon(m)[1])
     assert np.array_equal(transform.words, _column_skipping_echelon(m, True)[1])
@@ -322,7 +323,7 @@ def test_echelon_solve_matches_solve_affine(rows, cols, density, consistent, see
         rhs = mul_vec(m, rng.integers(0, 2, size=cols, dtype=np.uint8))
     else:
         rhs = rng.integers(0, 2, size=rows, dtype=np.uint8)
-    span = Subspace.from_vectors(rows, m.transpose())
+    span = Subspace.from_vectors(rows, m.to_dense().T)
     want = solve_affine(m, rhs)
     assert span.contains(rhs) == (want is not None)
     if want is not None:

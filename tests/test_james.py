@@ -110,10 +110,10 @@ def test_d2_out_of_21_is_multiplication_by_w2(reports):
             continue
         h0 = cohomology_basis(fx.nt.base, 0)
         h2 = cohomology_basis(fx.nt.base, 2)
-        want = np.zeros((h2.dim, h0.dim), dtype=np.uint8)
+        want = np.zeros((h0.dim, h2.dim), dtype=np.uint8)
         for j, unit in enumerate(h0.reps):
-            want[:, j] = h2.coords(cup(fx.nt.w2, unit))
-        assert d.matrix == F2Matrix.from_dense(want).transpose(), name
+            want[j] = h2.coords(cup(fx.nt.w2, unit))
+        assert d.matrix == F2Matrix.from_dense(want), name
         checked += 1
     assert checked >= 5
 

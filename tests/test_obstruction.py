@@ -757,7 +757,7 @@ def test_operator_image_predicate_matches_coordinate_matrix():
         base = fx.nt.base
         h4 = cohomology_basis(base, 4)
         matrix = h4.coords_matrix(sq2_w_images(fx.nt, 2)[1])
-        image = Subspace.from_vectors(h4.dim, matrix.transpose().to_dense())
+        image = Subspace.from_vectors(h4.dim, matrix)
         for _ in range(8):
             coords = rng.integers(0, 2, h4.dim, dtype=np.uint8)
             below = Cochain(base, 3, rng.integers(0, 2, base.n_cells(3)))
@@ -776,7 +776,7 @@ def _stacked_span(nt, cover):
         cover.projection.pullback(sq(x, 2) + cup(nt.w1, sq(x, 1)) + cup(nt.w2, x))
         for x in cohomology_basis(nt.base, 2).reps
     ]
-    rows = [cover.cover.coboundary_matrix(3).transpose().to_dense()]
+    rows = [cover.cover.coboundary_matrix(3).to_dense().T]
     rows += [img.values[None] for img in images]
     return Subspace.from_vectors(cover.cover.n_cells(4), np.vstack(rows)), images
 

@@ -37,7 +37,7 @@ def test_output_digest_script():
         assert re.fullmatch(r"rp-kreck \S+ [0-9a-f]{64}", line), line
     items = {line.split()[1] for line in lines}
     membership = {f"{part}.membership.{k}" for part in ("base", "cover") for k in range(1, 5)}
-    assert membership | {"transform"} <= items
+    assert membership | {"transform", "induced"} <= items
 
 
 def test_bench_file_script(tmp_path):
