@@ -2,74 +2,48 @@
 
 Usage: PYTHONPATH=src python3 scripts/output_digest.py [name ...] > digest.txt
 
-For each fixture (all of them by default) the lines are:
+Each line is "<fixture> <kind>.<item> <sha256>".  The kind says what a
+difference between two checkouts means:
 
+  user    what a user reads: verdicts, replays, reports, CLI output and the
+          bytes of files.  A change here changes stexo's behaviour.
+  canon   library values that the mathematics fixes once the cells are
+          numbered: reduced echelon forms, residues, the representatives
+          and relations chosen as the earliest independent vectors,
+          combinations with zero free variables, induced matrices in those
+          bases, boundaries and cover arrays.  Any correct elimination on
+          the same cell order gives these bytes.
+  path    values that depend on the route an elimination takes: row
+          transforms and Smith transforms, and the integer cycle bases read
+          off them.  These may move when an elimination changes; each has
+          canon or user lines beside it for what its readers take.
+
+For each fixture (all of them by default) the lines are, by kind:
+
+user:
   verdict / replay   the decide verdict JSON on the fixture's own objects
                      (with its cover, section and lift data) and the
                      replay_evidence result;
   report             report_json of the second page, d2 maps and killers;
-  transform          the row transform words of every coboundary_span(k)
-                     that the base and the cover hold once decide and the
-                     report have run, by model and increasing k: the
-                     transform of each reduction, pinned byte for byte;
-  induced            for fixtures with a cover or a section: the shape and
-                     words of induced_matrix of the projection and of the
-                     section map, in every degree k <= 4 certified on both
-                     ends (one row per target basis class);
-  generators         generator_chains() of every certified twisted E2 entry
-                     (the integer cycle basis itself, not only its mod-2
-                     pairings), as JSON lists of ints keyed by "p,q";
-  smith              diag, U, U_inv, V and V_inv, as JSON lists of ints, of
-                     every Smith form those generator_chains() calls take
-                     (the transform route), in call order;
   <part>.bytes       canonical_bytes of each exported document;
   <part>.reexport    canonical_bytes of its re-export after parsing;
   <part>.parsed      what parsing those bytes gives, whatever the file
                      format: the model's cells and face arrays, the
                      cochains, the involution, each map's source and image
                      arrays, and the assertions (see parsed_digest);
+  <part>.violations  validate() on each exported model with the faces 0 and
+                     1 of every top-degree cell swapped (see corrupted_top):
+                     the identity-check messages, pinned byte for byte;
   cli.decide         `stexo decide --json` on the exported files, with
   cli.report         `stexo report --json` and
   cli.report.text    `stexo report` (the plain-text page, every d2 row and
                      the killers narrative); all with --cover, --section
                      and --lift where the fixture has them, exit code and
                      error text included;
-  <part>.span.<k>    the echelon words and pivots of coboundary_span(k) on
-                     each exported model, for k = 1..min(4, max_degree): the
-                     one reduction of B^k, pinned byte for byte;
-  <part>.membership.<k>
-                     contains and residual of coboundary_span(k) on each
-                     exported model, for k = 1..min(4, max_degree), on a
-                     seeded batch of MEMBERSHIP_ROWS k-cochains, half of them
-                     coboundaries, with entries 0..3 (read mod 2); the batch
-                     must give what each vector gives alone;
-  <part>.cocycles.<k>
-                     the representatives cohomology_basis(model, k) keeps,
-                     as its reduction.reps bytes, on each exported model,
-                     for k = 0..min(4, max_degree - 1): the H^k cocycles,
-                     the H^4 ones of the big fixtures among them;
-  <part>.boundary.<k>
-                     the nonzero (row, col, value) triplets of boundary_int(k)
-                     on each exported model, and (as twisted.boundary.<k>)
-                     of the fixture's own cover pair's twisted boundary, for
-                     every k = 1..max_degree whose dense matrix has at most
-                     BOUNDARY_ENTRIES entries; skipped as larger are
-                     z4-semidirect base, cover and twisted k = 4, 5,
-                     d4-reflection base, cover and twisted k = 5 and
-                     k2-stress base k = 6;
-  <part>.violations  validate() on each exported model with the faces 0 and
-                     1 of every top-degree cell swapped (see corrupted_top):
-                     the identity-check messages, pinned byte for byte;
   <part>.cohomology.<k>
                      `stexo cohomology --json --steenrod --deg k` on each
                      exported model, for k = 1..min(3, max_degree - 2): the
                      basis representatives and their Sq^1/Sq^2 coordinates;
-  cover.lifts        for fixtures with a cover: sheet, rep_cells,
-                     base_index, the w1 values, the projection arrays and
-                     the involution permutations (each array with its dtype
-                     and shape) of the fixture's own cover pair and of the
-                     pair cover_data_from_parts builds from the parsed base
-                     and cover files, as the CLI does;
   kreck.sweep        the kreck_witness supports (or None) on the type with
                      w2 replaced by w2 + delta f, w2 + w1^2 + delta f and
                      w1^2 + delta f (solvable on every base), over
@@ -98,8 +72,66 @@ For each fixture (all of them by default) the lines are:
                      `stexo decide` on a base file nested NESTED_DEPTH
                      deep (or the name of the exception it raised).
 
+canon:
+  relations          the relations of every coboundary_span(k) that the
+                     base and the cover hold once decide and the report
+                     have run, by model and increasing k (the spans of the
+                     transform line, in its order): each dependent spanning
+                     vector's expression in the earlier independent ones;
+  combination        combination, on those spans in that order, of a
+                     seeded batch of MEMBERSHIP_ROWS members of each: the
+                     coefficients with zero on every dependent vector;
+  induced            for fixtures with a cover or a section: the shape and
+                     words of induced_matrix of the projection and of the
+                     section map, in every degree k <= 4 certified on both
+                     ends (one row per target basis class);
+  <part>.span.<k>    the echelon words and pivots of coboundary_span(k) on
+                     each exported model, for k = 1..min(4, max_degree): the
+                     one reduction of B^k, pinned byte for byte;
+  <part>.membership.<k>
+                     contains and residual of coboundary_span(k) on each
+                     exported model, for k = 1..min(4, max_degree), on a
+                     seeded batch of MEMBERSHIP_ROWS k-cochains, half of them
+                     coboundaries, with entries 0..3 (read mod 2); the batch
+                     must give what each vector gives alone;
+  <part>.cocycles.<k>
+                     the representatives cohomology_basis(model, k) keeps,
+                     as its reduction.reps bytes, on each exported model,
+                     for k = 0..min(4, max_degree - 1): the H^k cocycles,
+                     the H^4 ones of the big fixtures among them;
+  <part>.boundary.<k>
+                     the nonzero (row, col, value) triplets of boundary_int(k)
+                     on each exported model, and (as twisted.boundary.<k>)
+                     of the fixture's own cover pair's twisted boundary, for
+                     every k = 1..max_degree whose dense matrix has at most
+                     BOUNDARY_ENTRIES entries; skipped as larger are
+                     z4-semidirect base, cover and twisted k = 4, 5,
+                     d4-reflection base, cover and twisted k = 5 and
+                     k2-stress base k = 6;
+  cover.lifts        for fixtures with a cover: sheet, rep_cells,
+                     base_index, the w1 values, the projection arrays and
+                     the involution permutations (each array with its dtype
+                     and shape) of the fixture's own cover pair and of the
+                     pair cover_data_from_parts builds from the parsed base
+                     and cover files, as the CLI does;
+
+path:
+  transform          the row transform words of the spans of the relations
+                     line, in its order; its readers take the relations and
+                     combination lines;
+  generators         generator_chains() of every certified twisted E2 entry
+                     (the integer cycle basis itself, not only its mod-2
+                     pairings, which the report holds), as JSON lists of
+                     ints keyed by "p,q";
+  smith              diag, U, U_inv, V and V_inv, as JSON lists of ints, of
+                     every Smith form those generator_chains() calls take
+                     (the transform route), in call order; the report holds
+                     the invariants and pairings its readers take.
+
 Running it on two checkouts and comparing the files with diff shows whether a
-change kept every output byte for byte.
+change kept every output byte for byte; a diff confined to path lines, with
+their canon and user lines equal, shows that only an elimination's route
+moved.
 """
 
 import argparse
@@ -118,6 +150,7 @@ import stexo.snf as snf
 from stexo import cli
 from stexo.catalog import REGISTRY, fixture_documents, get_fixture
 from stexo.cohomology import cohomology_basis, induced_matrix
+from stexo.gf2 import unpack_rows, xor_combine
 from stexo.james import d2_maps, e2_page, killers_report, report_json
 from stexo.modelfile import canonical_bytes, parse_bytes, reexport
 from stexo.obstruction import (
@@ -411,17 +444,27 @@ def boundary_digest(label: str, model: SimplicialModel, boundary) -> list:
     return rows
 
 
-def transform_digest(fx) -> str:
-    """sha256 of the transform words of each coboundary span cached on the
-    fixture's base and cover models."""
-    parts = []
+def span_digest(fx) -> list:
+    """(item, sha256) pairs for the transform, relations and combinations of
+    each coboundary span cached on the fixture's base and cover models."""
+    spans = []
     models = [fx.nt.base] + ([fx.cover.cover] if fx.cover is not None else [])
     for model in models:
         degrees = sorted(key[1] for key in model._cache if key[0] == "cob-span")
-        for k in degrees:
-            words = model.coboundary_span(k).transform.words
-            parts += [repr((model.name, k, words.shape)).encode(), words.tobytes()]
-    return _sha(b"\0".join(parts))
+        spans += [(model.name, k, model.coboundary_span(k)) for k in degrees]
+    parts = {"transform": [], "relations": [], "combination": []}
+    for name, k, span in spans:
+        rng = np.random.default_rng(k)
+        coeffs = rng.integers(0, 2, (MEMBERSHIP_ROWS, span.dim), dtype=np.uint8)
+        members = unpack_rows(xor_combine(coeffs, span.matrix.words), span.ambient_dim)
+        combo = span.combination(members)
+        for item, words in (
+            ("transform", span.transform.words),
+            ("relations", span.relations.words),
+            ("combination", combo),
+        ):
+            parts[item] += [repr((name, k, words.shape)).encode(), words.tobytes()]
+    return [(item, _sha(b"\0".join(data))) for item, data in parts.items()]
 
 
 def induced_digest(fx) -> list:
@@ -453,7 +496,7 @@ def digest(name: str) -> list:
         diffs = d2_maps(fx.nt, page)
         killers = killers_report(fx.nt, page, diffs, verdict)
         rows.append(("report", _sha(report_json(page, diffs, killers))))
-        rows.append(("transform", transform_digest(fx)))
+        rows.extend(span_digest(fx))
         if fx.cover is not None or fx.section is not None:
             rows.extend(induced_digest(fx))
         with recorded_smith_forms() as forms:
@@ -525,13 +568,27 @@ def digest(name: str) -> list:
     return rows
 
 
+# the words of an item name that make it a path or a canon line; every
+# other line is a user line
+PATH_WORDS = {"transform", "generators", "smith"}
+CANON_WORDS = {
+    "relations", "combination", "induced", "span", "membership", "cocycles", "boundary", "lifts"
+}
+
+
+def kind(item: str) -> str:
+    """The kind of a digest line: "path", "canon" or "user" (see above)."""
+    words = set(item.split("."))
+    return "path" if words & PATH_WORDS else "canon" if words & CANON_WORDS else "user"
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("names", nargs="*", help="fixture names (default: all)")
     args = ap.parse_args()
     for name in args.names or list(REGISTRY):
         for item, sha in digest(name):
-            print(f"{name} {item} {sha}", flush=True)
+            print(f"{name} {kind(item)}.{item} {sha}", flush=True)
     return 0
 
 

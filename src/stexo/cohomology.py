@@ -3,13 +3,14 @@
 Truncation honesty: a degree-k cohomology basis is only certified when the
 model stores (k+1)-cells, since closedness of k-cochains is otherwise
 unverifiable.  Callers that accept uncertified answers must opt in, and the
-result carries a truncated flag.
+result reads truncated off its degree.
 
 Every class question reduces residues modulo the model's coboundary_span(k),
 the one reduction of B^k: residues are linear and zero exactly on
-coboundaries.  A basis keeps the closed cochains (coboundary_span(k+1)'s
-relations) whose residues are independent of the earlier ones', and
-coordinates are coefficients over the span of the representatives' residues.
+coboundaries.  A basis reduces the residues of all closed cochains
+(coboundary_span(k+1)'s relations) once and keeps its pivot vectors, the
+closed cochains whose residues are independent of the earlier ones'.
+Coordinates are coefficients over the span of the representatives' residues.
 
 Coordinate matrices hold one row per cochain: row j of coords_matrix is the
 coordinate vector of cochains[j], and row j of induced_matrix is the source
@@ -33,8 +34,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ModelMismatchError, TruncationError, ValidationError
-from .gf2 import F2Matrix, Subspace, rank_and_echelon, xor_combine
-from .simplicial import Cochain, CoverPair, SimplicialMap, SimplicialModel, coboundary
+from .gf2 import F2Matrix, Subspace, xor_combine
+from .simplicial import Cochain, CoverPair, SimplicialMap, SimplicialModel, coboundary_values
 from .snf import AbelianGroupInvariants, HomologyResult, homology_from_boundaries
 
 
@@ -46,7 +47,6 @@ class BasisReduction:
 
     reps: np.ndarray
     span: Subspace
-    truncated: bool
 
 
 @dataclass
@@ -60,7 +60,7 @@ class CohomologyBasis:
 
     @property
     def truncated(self) -> bool:
-        return self.reduction.truncated
+        return self.degree >= self.model.max_degree
 
     @property
     def dim(self) -> int:
@@ -72,13 +72,15 @@ class CohomologyBasis:
 
     def _coords(self, cochains) -> np.ndarray:
         """Coordinates of a batch of cochains, one row each: the coefficients
-        of their residues over the representatives' residues."""
+        of their residues over the representatives' residues.  Below the top
+        degree, one batched coboundary checks that every cochain is closed."""
         for u in cochains:
             if u.model is not self.model or u.degree != self.degree:
                 raise ModelMismatchError("coords: cochain does not match the basis")
-            if not self.truncated and not coboundary(u).is_zero():
-                raise ValidationError("coords: cochain is not closed")
-        values = [u.values for u in cochains]
+        values = np.array([u.values for u in cochains], dtype=np.uint8)
+        values = values.reshape(len(cochains), self.model.n_cells(self.degree))
+        if not self.truncated and coboundary_values(self.model, self.degree, values.T).any():
+            raise ValidationError("coords: cochain is not closed")
         return self.reduction.span.combination(_residues(self.model, self.degree, values))
 
     def coords(self, u: Cochain) -> np.ndarray:
@@ -99,12 +101,11 @@ def cohomology_basis(
 ) -> CohomologyBasis:
     if degree < 0 or degree > model.max_degree:
         raise TruncationError(f"{model.name}: no cochains stored in degree {degree}")
-    certified = degree + 1 <= model.max_degree
     if not allow_truncated:
         require_certified(model, degree)
-    key = ("hbasis", degree, certified)
+    key = ("hbasis", degree)
     if key not in model._cache:
-        model._cache[key] = _reduction(model, degree, certified)
+        model._cache[key] = _reduction(model, degree)
     return CohomologyBasis(model, degree, model._cache[key])
 
 
@@ -117,18 +118,18 @@ def require_certified(model: SimplicialModel, degree: int) -> None:
         )
 
 
-def _reduction(model: SimplicialModel, degree: int, certified: bool) -> BasisReduction:
+def _reduction(model: SimplicialModel, degree: int) -> BasisReduction:
     n = model.n_cells(degree)
-    if certified:
+    if degree < model.max_degree:
         closed = model.coboundary_span(degree + 1).relations.to_dense()
     else:
         closed = np.eye(n, dtype=np.uint8)
-    # a closed row is kept when its column is a pivot of the transposed residues
+    # a closed row is kept when its residue is a pivot vector of all of them
     residues = _residues(model, degree, closed)
-    kept = list(rank_and_echelon(F2Matrix.from_dense(residues.T)).pivots)
+    kept = sorted(Subspace.from_vectors(n, residues).pivot_rows)
     reps = closed[kept]
     reps.setflags(write=False)
-    return BasisReduction(reps, Subspace.from_vectors(n, residues[kept]), not certified)
+    return BasisReduction(reps, Subspace.from_vectors(n, residues[kept]))
 
 
 def _residues(model: SimplicialModel, degree: int, rows) -> np.ndarray:

@@ -10,13 +10,20 @@ of a second this way, and every result is exact.
 Vectors are plain numpy uint8 arrays of 0/1 entries.  Bit j of word w of a row
 holds column 64*w + j.
 
-The elimination carries no row transform.  Each pivot step logs, as one
-packed bit row, the rows that had the pivot bit, so the log is never larger
-than the transform; a Subspace builds its transform from that log the
-first time it is read and then drops the log.
+The elimination carries no row transform.  It pivots on the leftmost
+available column and, in it, on the lowest-numbered vector that is not yet a
+pivot, and logs each step as that vector and one packed bit row of the
+vectors it is added to.  A Subspace replays the log into its transform T the
+first time T is read.  T keeps one row per spanning vector, and under that
+pivot rule every row is canonical: a dependent vector's row is its relation,
+e_j plus its unique expression in the earlier independent vectors, and a
+pivot vector's row is its basis row's unique combination of independent
+vectors.  So one reduction of a matrix's columns gives its image, and its
+kernel and solutions as gathers of T's rows, with no second elimination.
 
-Every matrix product here is xor_combine: F2Matrix.matmul checks the shapes
-and hands it the left factor's bits and the right factor's packed rows.
+Every matrix product here is xor_combine's grouped reduction: F2Matrix.matmul
+checks the shapes and runs it on the left factor's bits, a block of rows at
+a time, against the right factor's packed rows.
 
 Subspace is the one reduced basis: membership, residuals modulo the span,
 coefficients over spanning vectors, cohomology coordinates and coboundary
@@ -25,10 +32,8 @@ for a batch: the batch is converted, checked, read mod 2 and packed once,
 and the basis rows its pivot bits pick are XORed into the packed rows in
 place by one grouped reduction (as in xor_combine).  Against a zero subspace
 the packed rows are the residual and nothing is combined.  Membership and
-residuals read the basis alone.  The transform holds the relations among
-the spanning vectors, so one reduction of a matrix's columns gives its
-image, kernel and solutions, and only spans asked for relations or
-combinations pay for it.
+residuals read the basis alone; only spans asked for relations or
+combinations pay for T.
 """
 
 from __future__ import annotations
@@ -41,6 +46,8 @@ import numpy as np
 from .errors import ModelMismatchError
 
 _WORD = 64
+# the most bits _replay and F2Matrix.matmul unpack at once
+_UNPACK_BITS = 1 << 22
 
 
 def _nwords(cols: int) -> int:
@@ -77,11 +84,12 @@ def unpack_rows(words: np.ndarray, cols: int) -> np.ndarray:
     return np.ascontiguousarray(raw[:, :cols])
 
 
-def _leftmost_column(words: np.ndarray, c: int) -> int:
-    """The leftmost column with a bit set in some row, for rows that are zero
-    in every column before c; past the last column when there is none."""
+def _leftmost_column(words: np.ndarray, c: int, rows: np.ndarray) -> int:
+    """The leftmost column with a bit set in some row that the mask rows
+    picks, for such rows zero in every column before c; past the last column
+    when there is none.  The mask is read in place: no row is copied."""
     w = c >> 6
-    acc = np.bitwise_or.reduce(words[:, w:], axis=0)
+    acc = np.bitwise_or.reduce(words[:, w:], axis=0, where=rows[:, None], initial=0)
     nz = np.flatnonzero(acc)
     if nz.size == 0:
         return _WORD * words.shape[1]
@@ -146,113 +154,113 @@ class F2Matrix:
     # -- arithmetic --------------------------------------------------------
 
     def matmul(self, other: "F2Matrix") -> "F2Matrix":
-        """Matrix product over GF(2)."""
+        """Matrix product over GF(2).  The left factor is unpacked
+        _UNPACK_BITS at a time, so the product holds a block of its bits,
+        not all of them."""
         if self.cols != other.rows:
             raise ModelMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        return F2Matrix(self.rows, other.cols, xor_combine(self.to_dense(), other.words))
+        out = F2Matrix(self.rows, other.cols)
+        block = max(1, _UNPACK_BITS // max(self.cols, 1))
+        for start in range(0, self.rows, block):
+            bits = unpack_rows(self.words[start : start + block], self.cols)
+            _xor_into(out.words[start : start + block], bits, other.words)
+        return out
 
 
-# the most log bits _replay unpacks at once
-_REPLAY_BITS = 1 << 22
-
-
-def _replay(n: int, log: np.ndarray) -> F2Matrix:
-    """The row transform of an echelon run on n rows, from its log: the
-    swaps and additions of every pivot step applied to the identity.
-
-    The log rows are unpacked a block at a time, and each row's pivot row
-    (its first bit at or past the step) is found for the whole block at
-    once.  Row i of the transform is kept at T[pos[i]], so a swap exchanges
-    two entries of pos and moves no row; one step is then one gather and
-    one XOR.
-    """
+def _replay(n: int, log: np.ndarray, pivot_rows) -> F2Matrix:
+    """The row transform of an echelon run on n rows, from its log: from the
+    identity, step k adds row pivot_rows[k], as it then stands, to the rows
+    that log row k holds.  No row moves, so one step is one gather and one
+    XOR; the log rows are unpacked a block at a time."""
     T = F2Matrix.identity(n).words
-    pos = np.arange(n)
-    block = max(1, _REPLAY_BITS // max(n, 1))
+    block = max(1, _UNPACK_BITS // max(n, 1))
     for start in range(0, len(log), block):
         bits = np.unpackbits(
             log[start : start + block].view(np.uint8), axis=1, count=n, bitorder="little"
         )
         k, j = bits.nonzero()
-        steps = np.arange(len(bits))
-        # every log row holds its pivot row, so no row of the block is empty
-        first = np.searchsorted(k, steps)
-        pivot = np.minimum.reduceat(np.where(j >= k + start, j, n), first)
-        added = j != pivot[k]
-        bounds = np.searchsorted(k[added], np.append(steps, len(bits))).tolist()
-        j = j[added]
-        for step, p in enumerate(pivot.tolist()):
-            r = start + step
-            if p != r:
-                pos[r], pos[p] = pos[p], pos[r]
+        bounds = np.searchsorted(k, np.arange(len(bits) + 1)).tolist()
+        for step, p in enumerate(pivot_rows[start : start + len(bits)]):
             a, b = bounds[step], bounds[step + 1]
             if b > a:
-                T[pos[j[a:b]]] ^= T[pos[r]]
-    return F2Matrix(n, n, T[pos])
+                T[j[a:b]] ^= T[p]
+    return F2Matrix(n, n, T)
 
 
 @dataclass
 class EchelonResult:
-    """The reduced row echelon form of a matrix, its rank and pivots, and the
-    log of the reduction's row operations, from which Subspace builds the
-    row transform."""
+    """A matrix's rows as the reduction left them, its rank and pivots, the
+    row that each echelon row was reduced from, and the log of the row
+    operations, from which Subspace builds the row transform."""
 
     rank: int
-    echelon: "F2Matrix"
+    reduced: "F2Matrix"
     pivots: tuple[int, ...]
+    pivot_rows: tuple[int, ...]
     _log: tuple = field(repr=False, compare=False)
+
+    @property
+    def echelon(self) -> F2Matrix:
+        """The reduced row echelon form: pivot rows in step order, then zeros."""
+        words = np.zeros_like(self.reduced.words)
+        words[: self.rank] = self.reduced.words[list(self.pivot_rows)]
+        return F2Matrix(self.reduced.rows, self.reduced.cols, words)
 
 
 def rank_and_echelon(m: F2Matrix) -> EchelonResult:
     """Reduced row echelon form, with a log of its row operations.
 
-    Pivoting is deterministic: leftmost available column, lowest row index.
-    The transform that Subspace replays from the log satisfies
-    T * m = echelon.
+    Pivoting is deterministic: the leftmost available column, and in it the
+    lowest-numbered row that is not yet a pivot row.  No row moves, so a
+    free row only ever receives pivot rows of lower number: a row left zero
+    is dependent, its additions expressing it in the earlier independent
+    rows, and the pivot rows (pivot_rows[k] for echelon row k) are exactly
+    the rows outside the span of the earlier ones.  At the end a pivot row
+    holds its echelon row and every free row is zero.
 
-    Rows r: below the pivots found so far are zero left of column c, so one
-    step reads only the word column of c: the first row with bit c set is the
-    pivot, and it clears that bit from the other rows by XOR on words w: (the
-    pivot row is zero left of its word).  Those rows, pivot included, are
-    the step's log row.  An empty column jumps to the next bit set in rows
-    r: of the same word, or past the word to the leftmost column of any
-    later word.
+    Free rows are zero left of column c, so one step reads only the word
+    column of c.  The pivot row clears bit c from the other rows by XOR on
+    words w: (it is zero left of its word), and the step's log row holds
+    those rows.  An empty column jumps to the next bit set in the free rows
+    in the same word, or past the word to the leftmost column of any later
+    word.
     """
     R = m.words.copy()
+    free = np.ones(m.rows, dtype=bool)
     # one log row per pivot, and there are at most min(rows, cols) pivots
     log = np.zeros((min(m.rows, m.cols), _nwords(m.rows)), dtype=np.uint64)
     log_bytes = log.view(np.uint8)
     nbytes = (m.rows + 7) // 8
-    pivots = []
-    r = 0
+    pivots, pivot_rows = [], []
     c = 0
-    while c < m.cols and r < m.rows:
+    while c < m.cols and len(pivots) < m.rows:
         w = c >> 6
         strip = R[:, w]
         hits = (strip & (np.uint64(1) << np.uint64(c & 63))) != 0
-        p = r + int(np.argmax(hits[r:]))
-        if not hits[p]:
-            # rows r: are zero up to column c: skip the empty run in one pass
-            rest = int(np.bitwise_or.reduce(strip[r:]))
+        candidates = hits & free
+        p = int(np.argmax(candidates))
+        if not candidates[p]:
+            # free rows are zero up to column c: skip the empty run in one pass
+            rest = int(np.bitwise_or.reduce(strip[free]))
             if rest:
                 c = _WORD * w + (rest & -rest).bit_length() - 1
             else:
-                c = _leftmost_column(R[r:], _WORD * (w + 1))
+                c = _leftmost_column(R, _WORD * (w + 1), free)
             continue
-        log_bytes[r, :nbytes] = np.packbits(hits, bitorder="little")
-        if p != r:
-            R[[r, p]] = R[[p, r]]
         hits[p] = False
         rows = np.flatnonzero(hits)
         if rows.size:
-            R[rows, w:] ^= R[r, w:]
+            R[rows, w:] ^= R[p, w:]
+            log_bytes[len(pivots), :nbytes] = np.packbits(hits, bitorder="little")
+        free[p] = False
         pivots.append(c)
-        r += 1
+        pivot_rows.append(p)
         c += 1
-    ech = F2Matrix(m.rows, m.cols, R)
-    return EchelonResult(len(pivots), ech, tuple(pivots), (m.rows, log[:r]))
+    r = len(pivots)
+    reduced = F2Matrix(m.rows, m.cols, R)
+    return EchelonResult(r, reduced, tuple(pivots), tuple(pivot_rows), (m.rows, log[:r]))
 
 
 def rank(m: F2Matrix) -> int:
@@ -292,24 +300,24 @@ class Subspace:
     vectors that span it, with the row transform T of that reduction, built
     from the reduction's log the first time it is read.
 
+    Basis row k was reduced from spanning vector pivot_rows[k]; these are
+    the independent vectors, those outside the span of the earlier ones.
     _log is (n, log): the n spanning vectors, and per pivot step k one
-    packed row of n bits, the rows with the pivot column's bit set just
-    before step k.  The first of them at or past k is the row swapped into
-    place k, and the others are the rows the pivot row is added to.  So the
-    log has at most as many words as T, and a span pays for T only when
-    someone asks for it.
+    packed row of n bits, the vectors that pivot_rows[k] is added to, so
+    the log has at most as many words as T.
 
-    Rows of T up to dim say which spanning vectors sum to each basis row; the
-    rows past dim span the relations among the spanning vectors.  The basis
-    coefficients of a vector are its bits at the pivots, and it is a member
-    exactly when that combination of basis rows rebuilds it.  So membership
-    and residuals read the basis alone and never build T; relations and
-    combination build it once.
+    Row i of T says which spanning vectors sum to what vector i was reduced
+    to: a dependent vector's relation, or for pivot_rows[k] basis row k's
+    unique combination of independent vectors.  The basis coefficients of a
+    vector are its bits at the pivots, and it is a member exactly when that
+    combination of basis rows rebuilds it.  So membership and residuals read
+    the basis alone; relations and combination gather rows of T.
     """
 
     ambient_dim: int
     matrix: F2Matrix
     pivots: tuple[int, ...]
+    pivot_rows: tuple[int, ...]
     _log: tuple = field(repr=False)
 
     def __post_init__(self):
@@ -328,9 +336,8 @@ class Subspace:
         else:
             m = F2Matrix.from_dense(_batch(vectors, ambient_dim))
         res = rank_and_echelon(m)
-        r = res.rank
-        basis = F2Matrix(r, ambient_dim, res.echelon.words[:r].copy())
-        return cls(ambient_dim, basis, res.pivots, res._log)
+        basis = F2Matrix(res.rank, ambient_dim, res.reduced.words[list(res.pivot_rows)])
+        return cls(ambient_dim, basis, res.pivots, res.pivot_rows, res._log)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -342,9 +349,10 @@ class Subspace:
 
     @cached_property
     def transform(self) -> F2Matrix:
-        """T with T * (the spanning vectors) = the echelon form; invertible.
-        The log is dropped once T is built."""
-        t = _replay(*self._log)
+        """T, one row per spanning vector and invertible: by the pivot rule,
+        row pivot_rows[k] combines independent vectors into basis row k and
+        a dependent vector's row is its relation.  The log is then dropped."""
+        t = _replay(*self._log, self.pivot_rows)
         self._log = None
         return t
 
@@ -384,30 +392,15 @@ class Subspace:
         return out[0] if np.ndim(vectors) == 1 else out
 
     @cached_property
-    def _relations(self) -> tuple[F2Matrix, np.ndarray]:
-        # the transform rows past dim in reduced echelon form with pivots
-        # taken from the right, and those pivots: the dependent vectors
-        n = self.transform.cols
-        flipped = unpack_rows(self.transform.words[self.dim :], n)[:, ::-1]
-        res = rank_and_echelon(F2Matrix.from_dense(flipped))
-        rows = F2Matrix.from_dense(res.echelon.to_dense()[::-1, ::-1])
-        return rows, n - 1 - np.array(res.pivots[::-1], dtype=np.intp)
-
-    @property
     def relations(self) -> F2Matrix:
         """The relations among the spanning vectors, one row per vector j that
         depends on vectors 0..j-1, in increasing j: e_j plus its unique
-        expression in the earlier independent vectors.  Spanning vectors
-        taken as the columns of a matrix, these rows are a basis of its
-        kernel that is the identity on its free columns."""
-        return self._relations[0]
-
-    @cached_property
-    def _combiner(self) -> np.ndarray:
-        # the transform rows of the basis, cleared at the dependent vectors
-        rows, dependent = self._relations
-        head = self.transform.words[: self.dim]
-        return head ^ xor_combine(unpack_rows(head, rows.cols)[:, dependent], rows.words)
+        expression in the earlier independent vectors, T's row of j.
+        Spanning vectors taken as the columns of a matrix, these rows are a
+        basis of its kernel that is the identity on its free columns."""
+        n = self.transform.rows
+        dependent = np.delete(np.arange(n), self.pivot_rows)
+        return F2Matrix(len(dependent), n, self.transform.words[dependent])
 
     def combination(self, vectors) -> np.ndarray:
         """The coefficients over the spanning vectors that rebuild one vector,
@@ -418,7 +411,8 @@ class Subspace:
         coeffs, residual = self._reduce(vectors)
         if residual.any():
             raise ModelMismatchError("vector is not in the span")
-        out = unpack_rows(xor_combine(coeffs, self._combiner), self.transform.cols)
+        combiner = self.transform.words[list(self.pivot_rows)]
+        out = unpack_rows(xor_combine(coeffs, combiner), self.transform.cols)
         return out[0] if np.ndim(vectors) == 1 else out
 
     def __eq__(self, other) -> bool:

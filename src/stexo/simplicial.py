@@ -515,7 +515,6 @@ class Cochain:
         )
 
 
-_ZERO = np.zeros(1, dtype=np.uint8)
 # the most entries of a coboundary gather index that take copies at once:
 # below it one whole take and a reduce beat a take per face row (2x on the
 # bar models' indices of 100-12000 entries); above it, 48000 entries and
@@ -523,23 +522,27 @@ _ZERO = np.zeros(1, dtype=np.uint8)
 _WHOLE_GATHER = 1 << 15
 
 
-def coboundary(u: Cochain) -> Cochain:
-    """delta u, gathered through the model's face table face_index(k+1):
-    each (k+1)-cell sums u over its plain faces, and a degenerate face,
-    which the table holds as the count of k-cells, reads a zero appended
-    after the values of u.  take copies an int32 index to intp before it
-    gathers, so a table of more than _WHOLE_GATHER entries is taken one face
-    row at a time.  Every index is in range, so "wrap", the fastest mode,
-    changes none."""
-    index = u.model.face_index(u.degree + 1)
-    values = np.concatenate((u.values, _ZERO))
+def coboundary_values(model: SimplicialModel, degree: int, values: np.ndarray) -> np.ndarray:
+    """delta of one k-cochain's (n,) values, or of each column of (n, batch)
+    values, gathered through face_index(k+1): each (k+1)-cell sums the
+    values over its plain faces, and a degenerate face (the count of
+    k-cells in the table) reads a zero appended after them.  take copies an
+    int32 index to intp, so a table of more than _WHOLE_GATHER entries is
+    taken one face row at a time; "wrap", the fastest mode, changes none."""
+    index = model.face_index(degree + 1)
+    padded = np.zeros((len(values) + 1, *values.shape[1:]), dtype=np.uint8)
+    padded[:-1] = values
     if index.size <= _WHOLE_GATHER:
-        acc = np.bitwise_xor.reduce(values.take(index, mode="wrap"), axis=0)
-    else:
-        acc = values.take(index[0], mode="wrap")
-        for row in index[1:]:
-            acc ^= values.take(row, mode="wrap")
-    return Cochain._computed(u.model, u.degree + 1, acc)
+        return np.bitwise_xor.reduce(padded.take(index, axis=0, mode="wrap"), axis=0)
+    acc = padded.take(index[0], axis=0, mode="wrap")
+    for row in index[1:]:
+        acc ^= padded.take(row, axis=0, mode="wrap")
+    return acc
+
+
+def coboundary(u: Cochain) -> Cochain:
+    """delta u (see coboundary_values)."""
+    return Cochain._computed(u.model, u.degree + 1, coboundary_values(u.model, u.degree, u.values))
 
 
 def is_coboundary(u: Cochain) -> bool:

@@ -162,6 +162,17 @@ def mul_vec(m: F2Matrix, v) -> np.ndarray:
     return (np.bitwise_count(m.words & pv).sum(axis=1) & 1).astype(np.uint8)
 
 
+def transform_rows_canonical(span) -> bool:
+    """Whether T's row of each dependent spanning vector of a Subspace is its
+    relations row, and T's row of each pivot vector is zero at every
+    dependent vector."""
+    T = span.transform.to_dense()
+    dependent = np.setdiff1d(np.arange(T.shape[0]), span.pivot_rows)
+    pivot_rows = T[np.array(span.pivot_rows, dtype=np.intp)]
+    relations = span.relations.to_dense()
+    return np.array_equal(T[dependent], relations) and not pivot_rows[:, dependent].any()
+
+
 def transform_built(obj) -> bool:
     """Whether a Subspace has built its row transform, which it keeps on the
     object once read."""

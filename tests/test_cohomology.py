@@ -51,7 +51,7 @@ from stexo.simplicial import (
 )
 from stexo.snf import AbelianGroupInvariants, _transform_route, homology_from_boundaries
 
-from reference import compose, kernel_basis, transform_built
+from reference import compose, kernel_basis, transform_built, transform_rows_canonical
 
 
 @pytest.fixture(scope="module")
@@ -455,6 +455,42 @@ def test_residue_reduction_matches_stacked_pivots(seed):
         assert np.array_equal(basis.coords_matrix(cochains).to_dense(), want), (model.name, k)
 
 
+def test_catalog_span_transform_rows_are_relations_without_an_echelon(monkeypatch):
+    # on every coboundary span of the catalog models, reading relations and
+    # combinations runs no elimination: T's rows are already canonical
+    calls = []
+    echelon = gf2.rank_and_echelon
+    monkeypatch.setattr(gf2, "rank_and_echelon", lambda m: calls.append(m) or echelon(m))
+    for name in REGISTRY:
+        fx = get_fixture(name)
+        models = [fx.nt.base if fx.nt is not None else fx.stress_model]
+        models += [fx.cover.cover] if fx.cover is not None else []
+        for model in models:
+            for k in range(1, model.max_degree + 1):
+                span = model.coboundary_span(k)
+                calls.clear()
+                assert transform_rows_canonical(span), (name, model.name, k)
+                assert calls == [], (name, model.name, k)
+
+
+def test_representatives_are_the_pivot_vectors_of_one_residue_reduction():
+    # the basis reduces the residues of every closed cochain once; its
+    # representatives are the pivot vectors of that reduction, in order
+    for model, k, truncated in _reduction_cases():
+        if model.cells[k] > 3000:
+            continue
+        reduction = cohomology_basis(model, k, allow_truncated=truncated).reduction
+        n = model.n_cells(k)
+        if truncated:
+            closed = np.eye(n, dtype=np.uint8)
+        else:
+            closed = kernel_basis(model.coboundary_matrix(k)).to_dense()
+        residues = cohomology._residues(model, k, closed)
+        kept = sorted(Subspace.from_vectors(n, residues).pivot_rows)
+        assert np.array_equal(reduction.reps, closed[kept]), (model.name, k)
+        assert reduction.span == Subspace.from_vectors(n, residues[kept]), (model.name, k)
+
+
 def test_only_relations_and_combination_build_a_span_transform(monkeypatch):
     # residues, membership and coboundary tests read the reduced basis of
     # B^k alone; the first relations or combination build the transform of
@@ -462,9 +498,9 @@ def test_only_relations_and_combination_build_a_span_transform(monkeypatch):
     builds = []
     replay = gf2._replay
 
-    def counted(n, log):
+    def counted(n, log, pivot_rows):
         builds.append(n)
-        return replay(n, log)
+        return replay(n, log, pivot_rows)
 
     monkeypatch.setattr(gf2, "_replay", counted)
     model = bar_b(klein_table(), 4, name="klein")

@@ -19,7 +19,14 @@ from stexo.gf2 import (
 )
 
 import reference
-from reference import column_bits, kernel_basis, mul_vec, solve_affine, transform_built
+from reference import (
+    column_bits,
+    kernel_basis,
+    mul_vec,
+    solve_affine,
+    transform_built,
+    transform_rows_canonical,
+)
 
 RNG = np.random.default_rng(20240817)
 
@@ -64,13 +71,24 @@ def test_mul_vec_against_numpy():
         assert np.array_equal(got, want.astype(np.uint8))
 
 
+def _reduced_rows(span, m):
+    """T * m with the rows of span.pivot_rows first, in step order, and the
+    rest after them, in increasing order: the echelon form of m when T is
+    the transform of span's reduction."""
+    words = span.transform.matmul(m).words
+    dependent = np.setdiff1d(np.arange(m.rows), span.pivot_rows)
+    order = np.concatenate([np.array(span.pivot_rows, dtype=np.intp), dependent])
+    return F2Matrix(m.rows, m.cols, words[order])
+
+
 def test_rref_transform_is_consistent():
     for _ in range(20):
         a = random_dense(17, 23)
         m = F2Matrix.from_dense(a)
         res = rank_and_echelon(m)
-        # transform * original equals the echelon form
-        assert Subspace.from_vectors(m.cols, m).transform.matmul(m) == res.echelon
+        # transform * original holds each echelon row at its pivot row and
+        # zero at the others
+        assert _reduced_rows(Subspace.from_vectors(m.cols, m), m) == res.echelon
         # pivot columns are standard basis vectors in the echelon form
         dense = res.echelon.to_dense()
         for i, p in enumerate(res.pivots):
@@ -82,29 +100,27 @@ def test_rref_transform_is_consistent():
 
 def _column_by_column_echelon(m):
     """The echelon loop that visits every column in turn, kept as a
-    reference: (echelon words, transform words, pivots)."""
+    reference.  No row moves: the pivot of column c is the lowest-numbered
+    row that is not yet a pivot row and has bit c, and T keeps one row per
+    row of m.  Returns (echelon words: the pivot rows in step order, then
+    the others; transform words; pivots)."""
     R = m.words.copy()
     T = F2Matrix.identity(m.rows).words
-    pivots = []
-    r = 0
+    free = np.ones(m.rows, dtype=bool)
+    pivots, order = [], []
     for c in range(m.cols):
-        if r == m.rows:
-            break
-        col = unpack_rows(R, m.cols)[:, c]
-        nz = np.nonzero(col[r:])[0]
+        col = unpack_rows(R, m.cols)[:, c].astype(bool)
+        nz = np.nonzero(col & free)[0]
         if nz.size == 0:
             continue
-        p = r + int(nz[0])
-        R[[r, p]] = R[[p, r]]
-        T[[r, p]] = T[[p, r]]
-        col[[r, p]] = col[[p, r]]
-        mask = col.astype(bool)
-        mask[r] = False
-        R[mask] ^= R[r]
-        T[mask] ^= T[r]
+        p = int(nz[0])
+        col[p] = False
+        R[col] ^= R[p]
+        T[col] ^= T[p]
+        free[p] = False
         pivots.append(c)
-        r += 1
-    return R, T, tuple(pivots)
+        order.append(p)
+    return np.concatenate([R[order], R[free]]), T, tuple(pivots)
 
 
 @given(
@@ -137,34 +153,31 @@ def _column_skipping_echelon(m, want_transform):
     """The per-column echelon loop that rank_and_echelon replaced, kept as a
     reference: it reads the whole bit column of c at every step, jumps over
     an empty run with _leftmost_column from column c, and XORs whole rows.
-    Returns (echelon words, transform words or None, pivots)."""
+    No row moves, and the pivot of column c is the lowest-numbered row that
+    is not yet a pivot row and has bit c.  Returns (echelon words: the pivot
+    rows in step order, then the others; transform words or None; pivots)."""
     R = m.words.copy()
     T = F2Matrix.identity(m.rows).words if want_transform else None
-    pivots = []
-    r = 0
+    free = np.ones(m.rows, dtype=bool)
+    pivots, order = [], []
     c = 0
-    while c < m.cols and r < m.rows:
-        col = column_bits(R, c)
-        nz = np.nonzero(col[r:])[0]
+    while c < m.cols and len(order) < m.rows:
+        col = column_bits(R, c).astype(bool)
+        nz = np.nonzero(col & free)[0]
         if nz.size == 0:
-            c = _leftmost_column(R[r:], c)
+            c = _leftmost_column(R, c, free)
             continue
-        p = r + int(nz[0])
-        if p != r:
-            R[[r, p]] = R[[p, r]]
-            col[[r, p]] = col[[p, r]]
+        p = int(nz[0])
+        col[p] = False
+        if col.any():
+            R[col] ^= R[p]
             if T is not None:
-                T[[r, p]] = T[[p, r]]
-        mask = col.astype(bool)
-        mask[r] = False
-        if mask.any():
-            R[mask] ^= R[r]
-            if T is not None:
-                T[mask] ^= T[r]
+                T[col] ^= T[p]
+        free[p] = False
         pivots.append(c)
-        r += 1
+        order.append(p)
         c += 1
-    return R, T, tuple(pivots)
+    return np.concatenate([R[order], R[free]]), T, tuple(pivots)
 
 
 _AWKWARD = (
@@ -220,8 +233,8 @@ def test_transform_rebuilt_from_the_log_matches_both_loops(rows, cols, density, 
     span = Subspace.from_vectors(m.cols, m)
     n, log = span._log
     assert n == m.rows and log.shape[0] == res.rank and log.size <= m.rows * log.shape[1]
-    with mock.patch.object(gf2, "_REPLAY_BITS", 3 * max(n, 1)):
-        blocked = gf2._replay(n, log)
+    with mock.patch.object(gf2, "_UNPACK_BITS", 3 * max(n, 1)):
+        blocked = gf2._replay(n, log, span.pivot_rows)
     assert not transform_built(span)
     transform = span.transform
     assert transform == blocked
@@ -229,7 +242,32 @@ def test_transform_rebuilt_from_the_log_matches_both_loops(rows, cols, density, 
     assert (transform.rows, transform.cols) == (m.rows, m.rows)
     assert np.array_equal(transform.words, _column_by_column_echelon(m)[1])
     assert np.array_equal(transform.words, _column_skipping_echelon(m, True)[1])
-    assert transform.matmul(m) == res.echelon
+    assert _reduced_rows(span, m) == res.echelon
+
+
+@given(*_AWKWARD)
+@settings(max_examples=120, deadline=None)
+def test_transform_rows_are_the_relations_and_the_combiner(rows, cols, density, runs, seed):
+    # with repeated and zero rows: the pivot vectors are those outside the
+    # span of the earlier ones, and T's rows need no second elimination
+    m = _awkward(rows, cols, density, runs, seed)
+    span = Subspace.from_vectors(m.cols, m)
+    dense = m.to_dense()
+    ranks = [rank(F2Matrix.from_dense(dense[:j])) for j in range(m.rows + 1)]
+    assert sorted(span.pivot_rows) == [j for j in range(m.rows) if ranks[j + 1] > ranks[j]]
+    assert transform_rows_canonical(span)
+
+
+def test_relations_run_no_echelon():
+    a = random_dense(40, 30)
+    a[20:] = a[:20]
+    span = Subspace.from_vectors(30, a)
+    calls = []
+    echelon = gf2.rank_and_echelon
+    with mock.patch.object(gf2, "rank_and_echelon", lambda m: calls.append(m) or echelon(m)):
+        relations = span.relations
+        span.combination(a[:3])
+    assert calls == [] and relations.rows == 40 - span.dim >= 20
 
 
 def test_rank_against_exhaustive_small():
@@ -543,3 +581,16 @@ def test_xor_combine_equals_matrix_product(b, d, n, seed):
     want = (coeffs.astype(np.int64) @ rows) % 2
     assert np.array_equal(xor_combine(coeffs, rows), want)
     assert np.array_equal(xor_combine(coeffs, pack_rows(rows)), pack_rows(want))
+
+
+@pytest.mark.parametrize("rows, cols, inner", [(7, 5, 9), (20, 64, 130), (33, 1, 70), (0, 4, 3)])
+def test_blocked_matmul_equals_one_shot(rows, cols, inner):
+    # blocks of 2 or 3 rows, so the products cross block edges, and a ragged last block
+    rng = np.random.default_rng(rows * 1000 + inner)
+    a, b = random_dense(rows, inner, rng), random_dense(inner, cols, rng)
+    one_shot = F2Matrix.from_dense(a).matmul(F2Matrix.from_dense(b))
+    for bits in (2 * inner, 3 * inner):
+        with mock.patch.object(gf2, "_UNPACK_BITS", bits):
+            assert F2Matrix.from_dense(a).matmul(F2Matrix.from_dense(b)) == one_shot
+    want = (a.astype(np.int64) @ b) % 2
+    assert np.array_equal(one_shot.to_dense(), want.astype(np.uint8))

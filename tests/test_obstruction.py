@@ -28,7 +28,6 @@ from stexo.catalog import (
     z2_secondary,
     z4_semidirect,
 )
-import stexo.cohomology as cohomology
 import stexo.gf2 as gf2
 import stexo.obstruction as obstruction
 from stexo.cohomology import cohomology_basis
@@ -567,12 +566,11 @@ def test_each_coboundary_operator_is_reduced_once(monkeypatch):
     builds = []
     replay = gf2._replay
 
-    def replayed(n, log):
+    def replayed(n, log, pivot_rows):
         builds.append(n)
-        return replay(n, log)
+        return replay(n, log, pivot_rows)
 
     monkeypatch.setattr(gf2, "rank_and_echelon", counted)
-    monkeypatch.setattr(cohomology, "rank_and_echelon", counted)
     monkeypatch.setattr(gf2, "_replay", replayed)
     copy = NormalOneType(base, Cochain(base, 1, nt.w1.values), Cochain(base, 2, nt.w2.values))
     cohomology_basis(base, 2)
@@ -588,6 +586,8 @@ def test_each_coboundary_operator_is_reduced_once(monkeypatch):
     assert kreck_witness(solvable) is not None and kreck_witness(copy) is None
     assert transform_built(base.coboundary_span(2))
     assert (1171, 261) not in shapes and (261, 31) not in shapes
+    # and every echelon is of cochain rows: none of a transposed matrix
+    assert {cols for _, cols in shapes} <= {261, 1171}
     assert shapes.count((261, 1171)) == 1 and shapes.count((31, 261)) == 1
     assert builds.count(261) == 1 and builds.count(31) == 1
 

@@ -36,8 +36,10 @@ def test_output_digest_script():
     for line in lines:
         assert re.fullmatch(r"rp-kreck \S+ [0-9a-f]{64}", line), line
     items = {line.split()[1] for line in lines}
-    membership = {f"{part}.membership.{k}" for part in ("base", "cover") for k in range(1, 5)}
-    assert membership | {"transform", "induced"} <= items
+    assert {item.split(".")[0] for item in items} == {"user", "canon", "path"}
+    membership = {f"canon.{part}.membership.{k}" for part in ("base", "cover") for k in range(1, 5)}
+    spans = {"path.transform", "canon.relations", "canon.combination", "canon.induced"}
+    assert membership | spans <= items
 
 
 def test_bench_file_script(tmp_path):
