@@ -31,6 +31,11 @@ user:
                      format: the model's cells and face arrays, the
                      cochains, the involution, each map's source and image
                      arrays, and the assertions (see parsed_digest);
+  <part>.parsed.spaced
+                     parsed_digest of the same document re-serialized by
+                     json.dumps(..., indent=1), whose lists json.loads
+                     reads: whitespace between tokens must not change what
+                     a file parses to, so this line equals <part>.parsed;
   <part>.violations  validate() on each exported model with the faces 0 and
                      1 of every top-degree cell swapped (see corrupted_top):
                      the identity-check messages, pinned byte for byte;
@@ -525,6 +530,8 @@ def digest(name: str) -> list:
         data = parse_bytes(blob)
         rows.append((f"{part}.reexport", _sha(canonical_bytes(reexport(data)))))
         rows.append((f"{part}.parsed", parsed_digest(data)))
+        spaced = json.dumps(json.loads(blob), indent=1).encode("utf-8")
+        rows.append((f"{part}.parsed.spaced", parsed_digest(parse_bytes(spaced))))
         model = docs[part].model
         for k in range(1, min(4, model.max_degree) + 1):
             span = model.coboundary_span(k)

@@ -259,8 +259,13 @@ def rank_and_echelon(m: F2Matrix) -> EchelonResult:
         pivot_rows.append(p)
         c += 1
     r = len(pivots)
+    # shrink the log to its r rows in place: a slice would keep the whole
+    # buffer alive for as long as a Subspace holds the log, and a copy would
+    # hold both at once.  log_bytes was the only view of the buffer.
+    del log_bytes
+    log.resize((r, log.shape[1]), refcheck=False)
     reduced = F2Matrix(m.rows, m.cols, R)
-    return EchelonResult(r, reduced, tuple(pivots), tuple(pivot_rows), (m.rows, log[:r]))
+    return EchelonResult(r, reduced, tuple(pivots), tuple(pivot_rows), (m.rows, log))
 
 
 def rank(m: F2Matrix) -> int:

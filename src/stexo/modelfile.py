@@ -33,11 +33,31 @@ buffer view of every item, about 80 B each, more than the item itself.  A
 plain JSON document goes through json.dumps.  A version 2 list is read in
 one batch, and a fault names the path of the first bad entry.
 
+parse_bytes reads the "cell" and "word" lists of a file straight from its
+bytes into int64 arrays, and json.loads reads only the skeleton left around
+them (_scanned_document): structure first, integers in bulk, as in
+Langdale and Lemire, "Parsing Gigabytes of JSON per Second" (VLDB J.
+2019).  One regular expression walks the bytes, alternating JSON string
+tokens with a "cell" or "word" key whose value is digits and commas, so the
+text of a string is never read as a list.  Each list found is checked and
+converted at once (_scanned_ints) and replaced by the placeholder string
+"\\u0000<k>", which an object hook of json.loads swaps back for its array;
+a file that holds \\u0000 anywhere is not scanned, so no placeholder can
+meet a string of the file.  A list with anything but digits and commas
+inside, whitespace included, stays in the skeleton for json.loads.  Any
+other irregularity (a list that is not canonical JSON integers, a skeleton
+that is not strict UTF-8 JSON) and any file where no list is found, every
+version 1 file among them, send the whole text to json.loads, the one
+source of the messages for text that is not a JSON document.  Either way
+parse_document gets the same data and runs every check.
+
 parse_bytes runs with CPython's cyclic garbage collector paused, and restores
 its previous state on return or exception: json.loads of a version 1 file
 builds up to half a million small containers, none in a reference cycle, and
-collector passes over them took about a quarter of parse time.  The pause
-frees nothing later than reference counting would, because models and their
+collector passes over them took about a sixth of parse time.  On the scan
+route json.loads builds a few containers per block, and the pause neither
+gains nor costs there; it is one pause for both routes.  The pause frees
+nothing later than reference counting would, because models and their
 caches hold no reference cycles (see cohomology).
 
 Map entries either inline their own source model, in which case they map
@@ -52,6 +72,7 @@ from __future__ import annotations
 import gc
 import io
 import json
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -449,12 +470,18 @@ def _first(wrong: np.ndarray, path: str, msg: str) -> None:
 
 
 def _int_list(values, size: int, path: str) -> np.ndarray:
-    """A list of size JSON integers as int64; one outside int64 reads as -1."""
+    """A list of size JSON integers as int64; one outside int64 reads as -1.
+
+    An int64 array is a list the skeleton scan has read and checked already
+    (see _scanned_document): only its size is checked here.
+    """
     _expect(
-        isinstance(values, list) and len(values) == size,
+        isinstance(values, (list, np.ndarray)) and len(values) == size,
         path,
         f"expected a list of {size} integers",
     )
+    if isinstance(values, np.ndarray):
+        return values
     if not set(map(type, values)) <= {int}:
         _first(np.array([type(v) is not int for v in values]), path, "expected an integer")
     return int64_array(values)
@@ -716,12 +743,101 @@ def parse_document(doc, default_name: str = "model") -> ModelFileData:
     return ModelFileData(model, cochains, involution, maps, cd, h5)
 
 
+# The key "cell" or "word" with a list of digits and commas as its value
+# (group 1 is that list's text).  _SCAN alternates it with a JSON string:
+# every quote outside a string begins one, so finditer, which resumes after
+# each match, never reads the inside of a string as structure.  _ANY_LIST
+# finds whether a file has such a list at all: a version 1 file has none,
+# and its million string tokens are then never walked one by one.
+_KEYED_LIST = rb'"(?:cell|word)"[ \t\n\r]*:[ \t\n\r]*\[([0-9,]*)\]'
+_ANY_LIST = re.compile(_KEYED_LIST)
+_SCAN = re.compile(_KEYED_LIST + rb'|"[^"\\]*(?:\\.[^"\\]*)*"', re.DOTALL)
+_INT64_MAX = np.iinfo(np.int64).max
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def _scanned_ints(body: bytes) -> np.ndarray | None:
+    """The JSON integer list of text body, digits and commas only, as int64;
+    None unless each entry is a nonempty run of digits without a leading zero
+    and below 2**63 - 1.
+
+    np.fromstring stops with a DeprecationWarning at an empty entry before
+    the last, so those are ruled out before it reads body; it takes a
+    trailing comma, so there must be one value more than commas.  The digit
+    counts of the values plus the commas must be len(body), which a leading
+    zero breaks, and a value of 2**63 - 1 may be one fromstring saturated at.
+    """
+    if not body:
+        return np.zeros(0, dtype=np.int64)
+    if body[:1] == b"," or b",," in body:
+        return None
+    values = np.fromstring(body, dtype=np.int64, sep=",")
+    commas = body.count(b",")
+    top = int(values.max())
+    digits = values.size + sum(
+        int(np.count_nonzero(values >= p)) for p in _POWERS_OF_TEN[_POWERS_OF_TEN <= top]
+    )
+    if values.size != commas + 1 or digits + commas != len(body) or top == _INT64_MAX:
+        return None
+    return values
+
+
+def _scanned_document(data: bytes):
+    """The JSON document of data with its "cell" and "word" lists as int64
+    arrays, or None if the whole text must go to json.loads (see the module
+    docstring).  A key is matched only as a whole string token, so every
+    placeholder is the value of a "cell" or "word" key, where the object
+    hook finds it; the readers of those keys take an array as the list it
+    was (_int_list as checked integers, a version 1 target as no integer).
+    """
+    if b"\\u0000" in data or not _ANY_LIST.search(data):
+        return None
+    pieces, lists, start = [], [], 0
+    for match in _SCAN.finditer(data):
+        body = match.group(1)
+        if body is None:
+            continue
+        values = _scanned_ints(body)
+        if values is None:
+            return None
+        pieces += [data[start : match.start(1) - 1], b'"\\u0000%d"' % len(lists)]
+        lists.append(values)
+        start = match.end()
+    if not lists:
+        return None
+    pieces.append(data[start:])
+
+    def restore(obj: dict) -> dict:
+        for key in ("cell", "word"):
+            value = obj.get(key)
+            if type(value) is str and value[:1] == "\0":
+                obj[key] = lists[int(value[1:])]
+        return obj
+
+    try:
+        return json.loads(b"".join(pieces).decode("utf-8"), object_hook=restore)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):
+        return None
+
+
 @_collector_paused()
 def parse_bytes(data: bytes, default_name: str = "model") -> ModelFileData:
-    try:
-        doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise ValidationError(f"not a JSON model file: {exc}") from exc
+    """The document data holds, parsed and checked by parse_document.
+
+    A version 2 file takes the skeleton scan (_scanned_document): its
+    "cell" and "word" lists of digits and commas go straight from the bytes
+    into int64 arrays, and json.loads reads only the rest.  A file the scan
+    gives up, a version 1 file or one with a fault in its text among them,
+    goes to json.loads of the whole text, the one source of the messages
+    for text that is not a JSON document.  Both routes give parse_document
+    the same data, so every check and message after it is the same.
+    """
+    doc = _scanned_document(data)
+    if doc is None:
+        try:
+            doc = json.loads(data.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            raise ValidationError(f"not a JSON model file: {exc}") from exc
     return parse_document(doc, default_name)
 
 

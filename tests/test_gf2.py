@@ -149,6 +149,24 @@ def test_echelon_matches_column_by_column_loop(rows, cols, density, empty, seed)
     assert rank_and_echelon(m).echelon == res.echelon
 
 
+@pytest.mark.parametrize(
+    "rows, cols, rank_", [(70, 200, 30), (200, 70, 40), (130, 130, 130), (40, 90, 0)]
+)
+def test_echelon_log_owns_only_its_rank_rows(rows, cols, rank_):
+    # the log holds rank rows in a buffer of its own, so a cached Subspace
+    # keeps no slots for pivot steps that never happened
+    rng = np.random.default_rng(rows + cols)
+    left = np.triu(rng.integers(0, 2, (rows, rows)), 1) + np.eye(rows, dtype=np.int64)
+    right = np.triu(rng.integers(0, 2, (cols, cols)), 1) + np.eye(cols, dtype=np.int64)
+    a = (left[:, :rank_] @ right[:rank_]) % 2
+    res = rank_and_echelon(F2Matrix.from_dense(a.astype(np.uint8)))
+    n, log = res._log
+    assert (n, res.rank) == (rows, rank_)
+    assert log.shape == (rank_, (rows + 63) // 64)
+    assert log.nbytes == rank_ * ((rows + 63) // 64) * 8
+    assert log.base is None and log.flags.owndata
+
+
 def _column_skipping_echelon(m, want_transform):
     """The per-column echelon loop that rank_and_echelon replaced, kept as a
     reference: it reads the whole bit column of c at every step, jumps over

@@ -5,6 +5,7 @@ import io
 import json
 import re
 import tracemalloc
+import warnings
 from functools import lru_cache
 from itertools import chain, repeat
 from operator import contains
@@ -1028,6 +1029,254 @@ def test_involution_entries_must_be_integers(perm, tmp_path, capsys):
 def test_deeply_nested_document_is_not_a_model_file():
     with pytest.raises(ValidationError, match=r"^not a JSON model file: "):
         parse_bytes(b"[" * 100000 + b"]" * 100000)
+
+
+# -- the skeleton scan --------------------------------------------------------------
+
+
+def _json_route(blob: bytes):
+    """The JSON route alone: json.loads of the whole text, then
+    parse_document."""
+    try:
+        doc = json.loads(blob.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ValidationError(f"not a JSON model file: {exc}") from exc
+    return parse_document(doc)
+
+
+def _outcome(parse, blob: bytes):
+    """("parsed", re-export bytes) of a parse, or the message that refused it."""
+    try:
+        data = parse(blob)
+        return "parsed", canonical_bytes(reexport(data))
+    except ValidationError as exc:
+        return "refused", str(exc)
+
+
+# a "cell" or "word" list as canonical bytes write it
+_LIST = re.compile(rb'"(?:cell|word)":\[([0-9,]*)\]')
+
+# entries a list may be given instead of one of its own: too long for int64
+# or just inside it, signed, fractional, exponent, leading zeros, non-numbers
+_ENTRIES = [
+    b"1" + b"0" * 18,
+    b"9" * 19,
+    b"1" + b"0" * 19,
+    b"%d" % (2**63 - 1),
+    b"%d" % 2**63,
+    b"%d" % 2**64,
+    b"-1",
+    b"-0",
+    b"1.0",
+    b"1e3",
+    b"0",
+    b"00",
+    b"007",
+    b"+1",
+    b"0x1",
+    b"true",
+    b'"1"',
+    b" 1",
+    b"1\n",
+]
+
+# names and cochain keys that hold list text, quotes, escapes or U+0000
+_NAMES = [
+    '"cell":[1,2]',
+    'a"cell',
+    '""cell',
+    '\\"cell',
+    '"word":[]',
+    "x\u0000y",
+    "\\",
+    "cell",
+    "word",
+    'é"cell":[3]',
+]
+
+
+def _as_lists(doc):
+    """doc with every array the skeleton scan read turned back into a list."""
+    if isinstance(doc, dict):
+        return {k: _as_lists(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return list(map(_as_lists, doc))
+    return doc.tolist() if isinstance(doc, np.ndarray) else doc
+
+
+def _edit_entries(entries: list, data) -> list:
+    kind = data.draw(st.sampled_from(["lead zero", "empty", "replace", "drop", "clear"]))
+    if kind == "clear" or not entries:
+        return []
+    k = data.draw(st.integers(0, len(entries)))
+    if kind == "empty":  # ",," inside, or a leading or trailing comma
+        return [*entries[:k], b"", *entries[k:]]
+    k = min(k, len(entries) - 1)
+    if kind == "lead zero":
+        return [*entries[:k], b"0" + entries[k], *entries[k + 1 :]]
+    if kind == "drop":
+        return entries[:k] + entries[k + 1 :]
+    return [*entries[:k], data.draw(st.sampled_from(_ENTRIES)), *entries[k + 1 :]]
+
+
+def _edit_list(blob: bytes, data) -> bytes:
+    """blob with one of its compact "cell"/"word" lists edited."""
+    spots = list(_LIST.finditer(blob))
+    if not spots:
+        return blob
+    spot = data.draw(st.sampled_from(spots))
+    body = spot.group(1)
+    kind = data.draw(st.sampled_from(["entries", "spaced", "spaced key", "placeholder"]))
+    if kind == "entries":
+        text = b"[" + b",".join(_edit_entries(body.split(b",") if body else [], data)) + b"]"
+        return blob[: spot.start(1) - 1] + text + blob[spot.end() :]
+    if kind == "spaced":
+        gap = data.draw(st.sampled_from([b", ", b",\n  ", b" ,"]))
+        text = b"[ " + body.replace(b",", gap) + b"\n]"
+        return blob[: spot.start(1) - 1] + text + blob[spot.end() :]
+    if kind == "placeholder":  # the text the scan puts in place of a list
+        text = b'"\\u0000%d"' % data.draw(st.integers(0, 2))
+        return blob[: spot.start(1) - 1] + text + blob[spot.end() :]
+    key = blob[spot.start() : spot.start(1) - 2]
+    return blob[: spot.start()] + key + b" :\n\t[" + blob[spot.start(1) :]
+
+
+def _edit_document(doc: dict, data) -> None:
+    """Give doc a tricky name, an extra cochain under a tricky key, or a map
+    named "cell" or "word"."""
+    kind = data.draw(st.sampled_from(["name", "cochain", "listed cochain", "map", "block map"]))
+    name = data.draw(st.sampled_from(_NAMES))
+    if kind == "name":
+        doc["name"] = name
+    elif kind == "cochain":
+        doc.setdefault("cochains", {})[name] = {"degree": 0, "support": [0]}
+    elif kind == "listed cochain":
+        doc.setdefault("cochains", {})[name] = [1, 2]
+    else:
+        maps = doc.setdefault("maps", {})
+        key = data.draw(st.sampled_from(["cell", "word"]))
+        if kind == "map" and maps:
+            maps[key] = json.loads(json.dumps(next(iter(maps.values()))))
+        else:
+            maps[key] = {"cell": [0], "word": [0]}
+
+
+@lru_cache(maxsize=None)
+def _small_blob(name: str, part: str) -> bytes:
+    return canonical_bytes(fixture_documents(name)[part])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_skeleton_scan_agrees_with_the_json_route(data):
+    # whatever text a list, a name or a key holds, parse_bytes gives the data
+    # or the message of json.loads and parse_document on the whole text
+    name = data.draw(st.sampled_from(SMALL))
+    part = data.draw(st.sampled_from(sorted(fixture_documents(name))))
+    doc = json.loads(_small_blob(name, part))
+    for _ in range(data.draw(st.integers(0, 2))):
+        _edit_document(doc, data)
+    indent = data.draw(st.sampled_from([None, None, None, 0, 1]))
+    separators = (",", ":") if indent is None else None
+    ascii_only = data.draw(st.booleans())
+    text = json.dumps(
+        doc, sort_keys=True, indent=indent, separators=separators, ensure_ascii=ascii_only
+    )
+    blob = text.encode("utf-8")
+    for _ in range(data.draw(st.integers(0, 3))):
+        blob = _edit_list(blob, data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _outcome(parse_bytes, blob) == _outcome(_json_route, blob), blob
+        scanned = modelfile._scanned_document(blob)
+    # where the scan takes a document, it reads what json.loads reads
+    assert scanned is None or _as_lists(scanned) == json.loads(blob), blob
+
+
+# texts a two-entry list may be given: one entry replaced, commas misplaced,
+# an entry more or less, whitespace, the placeholder
+_LIST_TEXTS = [
+    *(b"[%s,0]" % entry for entry in _ENTRIES),
+    b"[0,0,]",
+    b"[,0,0]",
+    b"[0,,0]",
+    b"[,]",
+    b"[]",
+    b"[0]",
+    b"[0,0,0]",
+    b"[ 0,0]",
+    b"[0,0\n]",
+    b'"\\u00000"',
+]
+
+
+@pytest.mark.parametrize("text", _LIST_TEXTS)
+@pytest.mark.parametrize("key", ["cell", "word"])
+def test_scan_reads_each_list_text_as_the_json_route_does(key, text):
+    blob = _small_blob("rp-kreck", "base")
+    spot = blob.index(b'"%s":[0,0]' % key.encode()) + len(key) + 3
+    edited = blob[:spot] + text + blob[spot + 5 :]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _outcome(parse_bytes, edited) == _outcome(_json_route, edited)
+
+
+def test_only_utf8_text_is_scanned():
+    # json.loads(bytes) would read UTF-16 and UTF-32; model files are UTF-8.
+    # The name's UTF-16 units spell "x"cell":[1,2] in bytes, so a scan of the
+    # bytes finds a list there, and the skeleton stays UTF-16 JSON.
+    doc = json.loads(_small_blob("rp-kreck", "base"))
+    doc["name"] = b'"x"cell":[1,2]'.decode("utf-16-le")
+    text = json.dumps(doc, ensure_ascii=False)
+    for blob in (text.encode("utf-16-le"), text.encode("utf-16"), text.encode("utf-32")):
+        outcome = _outcome(parse_bytes, blob)
+        assert outcome == _outcome(_json_route, blob)
+        assert outcome[0] == "refused" and "not a JSON model file" in outcome[1]
+
+
+def test_version_1_files_are_not_walked_token_by_token(monkeypatch):
+    # a version 1 file has no list for the scan, so its string tokens, one
+    # or two per target, are not matched one at a time
+    class Unused:
+        def finditer(self, data):
+            raise AssertionError("a version 1 file was scanned")
+
+    monkeypatch.setattr(modelfile, "_SCAN", Unused())
+    blob = _small_blob("rp-kreck", "cover")
+    old = canonical_bytes(v1_document(json.loads(blob)))
+    assert _same_data(parse_bytes(old), _json_route(blob))
+
+
+def _v2_blocks(doc) -> int:
+    """The number of {"cell": [...], "word": [...]} blocks in a JSON document."""
+    if isinstance(doc, list):
+        return sum(map(_v2_blocks, doc))
+    if not isinstance(doc, dict):
+        return 0
+    inner = sum(map(_v2_blocks, doc.values()))
+    return inner + (doc.keys() == {"cell", "word"} and isinstance(doc["cell"], list))
+
+
+@pytest.mark.parametrize("name", list(REGISTRY))
+def test_catalog_lists_reach_the_reader_as_int64_arrays(name, monkeypatch):
+    # every cell and word list of a catalog document skips json.loads, and
+    # no warning fires on the way (np.fromstring warns where it stops early)
+    seen = []
+    real = modelfile._int_list
+
+    def spy(values, size, path):
+        seen.append((path, type(values), getattr(values, "dtype", None)))
+        return real(values, size, path)
+
+    monkeypatch.setattr(modelfile, "_int_list", spy)
+    for part, doc in fixture_documents(name).items():
+        blob = canonical_bytes(doc)
+        seen.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            parse_bytes(blob)
+        assert len(seen) == 2 * _v2_blocks(json.loads(blob)) > 0
+        assert all(kind is np.ndarray and dtype == np.int64 for _, kind, dtype in seen), part
 
 
 # -- the collector pause ---------------------------------------------------------

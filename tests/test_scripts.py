@@ -40,6 +40,10 @@ def test_output_digest_script():
     membership = {f"canon.{part}.membership.{k}" for part in ("base", "cover") for k in range(1, 5)}
     spans = {"path.transform", "canon.relations", "canon.combination", "canon.induced"}
     assert membership | spans <= items
+    # whitespace between tokens does not change what a file parses to
+    hashes = dict(line.split()[1:] for line in lines)
+    for part in ("base", "cover"):
+        assert hashes[f"user.{part}.parsed.spaced"] == hashes[f"user.{part}.parsed"]
 
 
 def test_bench_file_script(tmp_path):
