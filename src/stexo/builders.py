@@ -229,10 +229,21 @@ def _vertex_map_bits(m_from: int, m_to: int, vmap) -> tuple:
 
 
 def _apply_map(masks: np.ndarray, cols) -> np.ndarray:
-    out = np.zeros_like(masks)
-    for t, src in enumerate(cols):
-        if src >= 0:
-            out |= ((masks >> np.uint64(src)) & np.uint64(1)) << np.uint64(t)
+    """Bit t of each output mask is bit cols[t] of the input mask, and 0 where
+    cols[t] is -1.  Each input byte that some cols[t] reads is looked up in a
+    256-entry table of the output bits it sets, and the lookups are ORed."""
+    src = np.array(cols, dtype=np.int64)
+    out_bits = np.flatnonzero(src >= 0).astype(np.uint64)
+    src = src[src >= 0]
+    byte, shift = src >> 3, (src & 7).astype(np.uint64)
+    data = masks.astype("<u8").view(np.uint8).reshape(masks.size, 8)
+    values = np.arange(256, dtype=np.uint64)[:, None]
+    out = np.zeros(masks.size, dtype=np.uint64)
+    # a set, not np.unique, which imports numpy.ma (about 1 MB) on first use
+    for b in set(byte.tolist()):
+        pick = byte == b
+        bits = ((values >> shift[pick]) & np.uint64(1)) << out_bits[pick]
+        out |= np.bitwise_or.reduce(bits, axis=1)[data[:, b]]
     return out
 
 

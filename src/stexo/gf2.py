@@ -2,10 +2,14 @@
 
 Rows are stored little-endian in uint64 words, so one elimination step is a
 vectorized XOR over a whole block of rows.  rank_and_echelon does one Python
-step per pivot: it reads the pivot column's word of every row as one strip,
-and XORs only the words from the pivot's own word on, since the pivot row is
-zero left of it.  Coboundary matrices with thousands of rows reduce in a fraction
-of a second this way, and every result is exact.
+step per pivot.  It copies the word column of the current word once, as one
+contiguous strip of a word per row, and keeps that strip in step with the
+rows, so a step reads its pivot column from the strip.  It XORs only the
+words from the pivot's own word on, since the pivot row is zero left of it.
+It crosses columns that no free row has by one OR over the strip, and past
+the strip's word by ORs over windows of words that double in width.
+Coboundary matrices with thousands of rows reduce in a fraction of a second
+this way, and every result is exact.
 
 Vectors are plain numpy uint8 arrays of 0/1 entries.  Bit j of word w of a row
 holds column 64*w + j.
@@ -46,6 +50,12 @@ import numpy as np
 from .errors import ModelMismatchError
 
 _WORD = 64
+# bit j of a word, for j < _WORD
+_BIT = tuple(np.uint64(1) << np.uint64(j) for j in range(_WORD))
+# the pivot steps whose hits rank_and_echelon packs into its log at once
+_LOG_BLOCK = 64
+# the words in the first window of _next_column, over all rows
+_SCAN_WORDS = 1024
 # the most bits _replay and F2Matrix.matmul unpack at once
 _UNPACK_BITS = 1 << 22
 
@@ -84,17 +94,30 @@ def unpack_rows(words: np.ndarray, cols: int) -> np.ndarray:
     return np.ascontiguousarray(raw[:, :cols])
 
 
-def _leftmost_column(words: np.ndarray, c: int, rows: np.ndarray) -> int:
-    """The leftmost column with a bit set in some row that the mask rows
-    picks, for such rows zero in every column before c; past the last column
-    when there is none.  The mask is read in place: no row is copied."""
-    w = c >> 6
-    acc = np.bitwise_or.reduce(words[:, w:], axis=0, where=rows[:, None], initial=0)
-    nz = np.flatnonzero(acc)
-    if nz.size == 0:
-        return _WORD * words.shape[1]
-    word = int(acc[nz[0]])
-    return _WORD * (w + int(nz[0])) + (word & -word).bit_length() - 1
+def _lowest_bit(word: int) -> int:
+    return (word & -word).bit_length() - 1
+
+
+def _next_column(words: np.ndarray, w: int, rows: np.ndarray) -> int:
+    """The leftmost column from word w on with a bit set in some row that the
+    mask rows picks, for such rows zero in every word before w; past the last
+    column when there is none.  The words are ORed over the rows in windows
+    that double in width; the first is _SCAN_WORDS words in all, and at least
+    one word wide.  So a run of k empty words costs about log2(k) ORs and
+    reads under twice its words or the first window: a tall matrix crosses a
+    short run one word at a time, and a few rows cross a wide matrix in one
+    OR."""
+    width = max(1, _SCAN_WORDS // len(rows))
+    while w < words.shape[1]:
+        acc = np.bitwise_or.reduce(
+            words[:, w : w + width], axis=0, where=rows[:, None], initial=0
+        )
+        nz = np.flatnonzero(acc)
+        if nz.size:
+            return _WORD * (w + int(nz[0])) + _lowest_bit(int(acc[nz[0]]))
+        w += width
+        width *= 2
+    return _WORD * words.shape[1]
 
 
 class F2Matrix:
@@ -221,11 +244,18 @@ def rank_and_echelon(m: F2Matrix) -> EchelonResult:
     holds its echelon row and every free row is zero.
 
     Free rows are zero left of column c, so one step reads only the word
-    column of c.  The pivot row clears bit c from the other rows by XOR on
-    words w: (it is zero left of its word), and the step's log row holds
-    those rows.  An empty column jumps to the next bit set in the free rows
-    in the same word, or past the word to the leftmost column of any later
-    word.
+    column w of c.  That column is copied once per word into a contiguous
+    strip, and each step XORs the strip as it XORs the rows, so the strip
+    stays equal to the column.  The pivot row clears bit c from the other
+    rows by XOR on words w: (it is zero left of its word), and the step's log
+    row holds those rows.  An empty column is crossed by one OR of the strip
+    over the free rows: it jumps to the lowest bit set there.  When the free
+    rows are zero in the rest of the word, _next_column finds the leftmost
+    bit set in them in the later words, in windows of words that double in
+    width: a tall matrix crosses a short run one word at a time, and a run
+    of k words costs about log2(k) ORs.  The step's arrays are buffers
+    allocated once per call, and the log rows of _LOG_BLOCK steps are
+    packed at once.
     """
     R = m.words.copy()
     free = np.ones(m.rows, dtype=bool)
@@ -233,32 +263,45 @@ def rank_and_echelon(m: F2Matrix) -> EchelonResult:
     log = np.zeros((min(m.rows, m.cols), _nwords(m.rows)), dtype=np.uint64)
     log_bytes = log.view(np.uint8)
     nbytes = (m.rows + 7) // 8
+    # the word column of c, copied once per word and kept in step with R,
+    # and the step's buffers; the hits of step k are row k % _LOG_BLOCK of
+    # block, and a full block of steps is packed into the log at once
+    strip = np.empty(m.rows, dtype=np.uint64)
+    masked = np.empty(m.rows, dtype=np.uint64)
+    block = np.empty((_LOG_BLOCK, m.rows), dtype=bool)
+    candidates = np.empty(m.rows, dtype=bool)
     pivots, pivot_rows = [], []
-    c = 0
+    c, w = 0, -1
     while c < m.cols and len(pivots) < m.rows:
-        w = c >> 6
-        strip = R[:, w]
-        hits = (strip & (np.uint64(1) << np.uint64(c & 63))) != 0
-        candidates = hits & free
+        if c >> 6 != w:
+            w = c >> 6
+            np.copyto(strip, R[:, w])
+        hits = block[len(pivots) % _LOG_BLOCK]
+        np.bitwise_and(strip, _BIT[c & 63], out=masked)
+        np.not_equal(masked, 0, out=hits)
+        np.logical_and(hits, free, out=candidates)
         p = int(np.argmax(candidates))
         if not candidates[p]:
-            # free rows are zero up to column c: skip the empty run in one pass
-            rest = int(np.bitwise_or.reduce(strip[free]))
-            if rest:
-                c = _WORD * w + (rest & -rest).bit_length() - 1
-            else:
-                c = _leftmost_column(R, _WORD * (w + 1), free)
+            # free rows are zero up to column c: the next bit set in them in
+            # this word, or in the words after it
+            rest = int(np.bitwise_or.reduce(strip, where=free, initial=0))
+            c = _WORD * w + _lowest_bit(rest) if rest else _next_column(R, w + 1, free)
             continue
         hits[p] = False
         rows = np.flatnonzero(hits)
         if rows.size:
             R[rows, w:] ^= R[p, w:]
-            log_bytes[len(pivots), :nbytes] = np.packbits(hits, bitorder="little")
+            strip[rows] ^= strip[p]
         free[p] = False
         pivots.append(c)
         pivot_rows.append(p)
         c += 1
+        r = len(pivots)
+        if r % _LOG_BLOCK == 0:
+            log_bytes[r - _LOG_BLOCK : r, :nbytes] = np.packbits(block, axis=1, bitorder="little")
     r = len(pivots)
+    done = r - r % _LOG_BLOCK
+    log_bytes[done:r, :nbytes] = np.packbits(block[: r - done], axis=1, bitorder="little")
     # shrink the log to its r rows in place: a slice would keep the whole
     # buffer alive for as long as a Subspace holds the log, and a copy would
     # hold both at once.  log_bytes was the only view of the buffer.

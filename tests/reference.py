@@ -108,6 +108,19 @@ def column_bits(words: np.ndarray, c: int) -> np.ndarray:
     return ((words[:, c >> 6] >> np.uint64(c & 63)) & np.uint64(1)).astype(np.uint8)
 
 
+def _leftmost_column(words: np.ndarray, c: int, rows: np.ndarray) -> int:
+    """The leftmost column with a bit set in some row that the mask rows
+    picks, for such rows zero in every column before c; past the last column
+    when there is none.  The mask is read in place: no row is copied."""
+    w = c >> 6
+    acc = np.bitwise_or.reduce(words[:, w:], axis=0, where=rows[:, None], initial=0)
+    nz = np.flatnonzero(acc)
+    if nz.size == 0:
+        return 64 * words.shape[1]
+    word = int(acc[nz[0]])
+    return 64 * (w + int(nz[0])) + (word & -word).bit_length() - 1
+
+
 def dense_rref(rows) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon rows and pivot columns of a 2-D array read mod 2,
     by elimination on unpacked 0/1 entries, one column at a time."""
@@ -238,6 +251,18 @@ def v1_document(doc: dict) -> dict:
             }
             for name, entry in doc["maps"].items()
         }
+    return out
+
+
+# The bit-by-bit vertex map of stexo.builders before its byte tables:
+# _apply_map must give the same masks.
+def apply_map(masks: np.ndarray, cols) -> np.ndarray:
+    """Bit t of each output mask is bit cols[t] of the input mask, and 0 where
+    cols[t] is -1, moved one output bit at a time."""
+    out = np.zeros_like(masks)
+    for t, src in enumerate(cols):
+        if src >= 0:
+            out |= ((masks >> np.uint64(src)) & np.uint64(1)) << np.uint64(t)
     return out
 
 

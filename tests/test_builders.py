@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from stexo.builders import (
+    _apply_map,
+    _cocycle_masks,
+    _vertex_map_bits,
     bar_b,
     bar_e_z2,
     circle,
@@ -22,7 +25,7 @@ from stexo.errors import ValidationError
 from stexo.gf2 import rank
 from stexo.simplicial import Cochain, SimplicialModel, coboundary, cup, sq
 
-from reference import solve_affine
+from reference import apply_map, solve_affine
 
 
 def test_point_and_circle():
@@ -133,6 +136,29 @@ def test_em_model_identities_hold():
 @pytest.mark.slow
 def test_em_model_identities_hold_degree_six():
     assert k_z2_2(6).validate() == []
+
+
+def test_vertex_maps_by_byte_tables_match_the_bit_loop():
+    # every face and degeneracy vertex map of k_z2_2(6), on all cocycle
+    # masks of its source degree and on random 64-bit masks
+    rng = np.random.default_rng(33)
+    maps = []
+    for m in range(1, 7):
+        for i in range(m + 1):
+            maps.append((m, _vertex_map_bits(m - 1, m, lambda v, i=i: v if v < i else v + 1)))
+        for j in range(m):
+            maps.append((m - 1, _vertex_map_bits(m, m - 1, lambda v, j=j: v if v <= j else v - 1)))
+    assert len(maps) == 48
+    for degree, cols in maps:
+        masks = np.concatenate(
+            [_cocycle_masks(degree), rng.integers(0, 2**64, 300, dtype=np.uint64, endpoint=False)]
+        )
+        assert np.array_equal(_apply_map(masks, cols), apply_map(masks, cols))
+    masks = rng.integers(0, 2**64, 500, dtype=np.uint64, endpoint=False)
+    for _ in range(20):
+        cols = tuple(rng.integers(-1, 64, rng.integers(0, 65)).tolist())
+        assert np.array_equal(_apply_map(masks, cols), apply_map(masks, cols))
+    assert _apply_map(masks[:0], maps[0][1]).shape == (0,)
 
 
 def test_fundamental_class_is_closed_and_essential():

@@ -9,7 +9,6 @@ import stexo.gf2 as gf2
 from stexo.errors import ModelMismatchError
 from stexo.gf2 import (
     F2Matrix,
-    _leftmost_column,
     Subspace,
     pack_rows,
     rank,
@@ -20,6 +19,7 @@ from stexo.gf2 import (
 
 import reference
 from reference import (
+    _leftmost_column,
     column_bits,
     kernel_basis,
     mul_vec,
@@ -237,6 +237,83 @@ def test_echelon_matches_column_skipping_loop(rows, cols, density, runs, seed):
             assert np.array_equal(span.transform.words, transform)
         else:
             assert not transform_built(span)
+
+
+def _word_walk_cases():
+    """Matrices whose empty runs the echelon crosses one word at a time."""
+    rng = np.random.default_rng(33)
+    for cols in (63, 64, 65, 128, 129, 193):
+        yield f"width-{cols}", rng.integers(0, 2, (40, cols))
+        sparse = (rng.random((40, cols)) < 0.05).astype(np.int64)
+        sparse[:, cols // 3 : cols // 3 + 40] = 0
+        yield f"sparse-width-{cols}", sparse
+    # empty runs over whole words 2-3, over 5-8 and from mid-word 9 to mid-word 13
+    a = rng.integers(0, 2, (50, 900))
+    a[:, 100:256] = 0
+    a[:, 320:576] = 0
+    a[:, 600:850] = 0
+    yield "runs-of-whole-words", a
+    # so many rows that the next nonzero word is searched in windows of
+    # 1, 2, 4, ... words: empty runs of 1, 3, 6, 13 and 39 words
+    a = np.zeros((1100, 64 * 70), dtype=np.int64)
+    for word in (0, 2, 6, 7, 14, 28, 29, 69):
+        a[rng.integers(0, 1100, 30), 64 * word + rng.integers(0, 64, 30)] = 1
+    yield "tall-runs-of-whole-words", a
+    # one pivot row per word: its bit opens the word, the rest of the word
+    # and the words after it are empty in every free row
+    a = np.zeros((6, 700), dtype=np.int64)
+    a[np.arange(6), [0, 64, 300, 301, 640, 699]] = 1
+    a[5, 3] = 1
+    yield "one-pivot-per-run", a
+    for cols in (260, 256):
+        # free rows whose only bits lie in the last word, some of them
+        # dependent, beside rows with bits in the early words too
+        a = np.zeros((30, cols), dtype=np.int64)
+        a[:10, :20] = rng.integers(0, 2, (10, 20))
+        a[10:, 192:] = rng.integers(0, 2, (20, cols - 192))
+        a[:5, cols - 3 :] = 1
+        yield f"last-word-only-{cols}", a
+    # free rows zero after word 1: only the first rows run on to word 6
+    a = np.zeros((40, 400), dtype=np.int64)
+    a[:, :100] = rng.integers(0, 2, (40, 100))
+    a[:8, 100:] = rng.integers(0, 2, (8, 300))
+    yield "free-rows-zero-after-word-1", a
+    # every row in the span of the first three, so all free rows end zero
+    basis = rng.integers(0, 2, (3, 200))
+    yield "free-rows-all-zero", (rng.integers(0, 2, (12, 3)) @ basis) % 2
+    yield "all-zero", np.zeros((7, 300), dtype=np.int64)
+    # the log is packed 64 steps at a time: ranks 64, 128 and 129
+    for rank_ in (64, 128, 129):
+        left, right = rng.integers(0, 2, (150, rank_)), rng.integers(0, 2, (rank_, 200))
+        yield f"rank-{rank_}", (left @ right) % 2
+    for shape in ((0, 0), (0, 1), (0, 130), (1, 0), (9, 0)):
+        yield f"empty-{shape[0]}x{shape[1]}", np.zeros(shape, dtype=np.int64)
+
+
+def test_next_column_matches_leftmost_column():
+    # a few rows read the tail at once, many rows in doubling windows
+    rng = np.random.default_rng(34)
+    for rows, nwords in ((3, 76), (50, 20), (1100, 40)):
+        words = np.zeros((rows, nwords), dtype=np.uint64)
+        for word in rng.choice(nwords, nwords // 5, replace=False):
+            hit = rng.random(rows) < 0.02
+            words[hit, word] = np.uint64(1) << rng.integers(0, 64, hit.sum(), dtype=np.uint64)
+        for w in range(nwords + 1):
+            picked = rng.random(rows) < 0.7
+            tail = words.copy()
+            tail[:, :w] = 0
+            assert gf2._next_column(tail, w, picked) == _leftmost_column(tail, 64 * w, picked)
+
+
+@pytest.mark.parametrize("name, dense", list(_word_walk_cases()))
+def test_word_walk_matches_column_skipping_loop(name, dense):
+    m = F2Matrix.from_dense(dense.astype(np.uint8))
+    echelon, transform, pivots = _column_skipping_echelon(m, True)
+    res = rank_and_echelon(m)
+    assert res.pivots == pivots and res.rank == len(pivots)
+    assert np.array_equal(res.echelon.words, echelon)
+    span = Subspace.from_vectors(m.cols, m)
+    assert np.array_equal(span.transform.words, transform)
 
 
 @given(*_AWKWARD)
