@@ -2,6 +2,8 @@
 
 Usage: PYTHONPATH=src python3 scripts/output_digest.py [name ...] > digest.txt
 
+The names are catalog fixtures, or bar-models for the homology lines below.
+
 Each line is "<fixture> <kind>.<item> <sha256>".  The kind says what a
 difference between two checkouts means:
 
@@ -76,6 +78,14 @@ user:
   corrupt.nested     rp-kreck only: the exit code and error text of
                      `stexo decide` on a base file nested NESTED_DEPTH
                      deep (or the name of the exception it raised).
+  homology.<model>.<n>
+                     under the name bar-models, after the fixtures: the
+                     free rank and torsion of the integral H_n, n = 1..5, of
+                     the depth-6 bar models of Z/4 (model z4) and Z/2xZ/2
+                     (z2xz2), and of the twisted H_n, n = 0..5, of Z/4 by
+                     its nontrivial character (z4-twisted): the integer
+                     layer's answers on the models perfbench's
+                     group-homology workload reads.
 
 canon:
   relations          the relations of every coboundary_span(k) that the
@@ -153,8 +163,14 @@ import numpy as np
 
 import stexo.snf as snf
 from stexo import cli
+from stexo.builders import bar_b, klein_table, z4_table
 from stexo.catalog import REGISTRY, fixture_documents, get_fixture
-from stexo.cohomology import cohomology_basis, induced_matrix
+from stexo.cohomology import (
+    cohomology_basis,
+    induced_matrix,
+    integral_homology,
+    twisted_homology,
+)
 from stexo.gf2 import unpack_rows, xor_combine
 from stexo.james import d2_maps, e2_page, killers_report, report_json
 from stexo.modelfile import canonical_bytes, parse_bytes, reexport
@@ -166,7 +182,7 @@ from stexo.obstruction import (
     kreck_witness,
     replay_evidence,
 )
-from stexo.simplicial import Cochain, SimplicialModel, coboundary, cup
+from stexo.simplicial import Cochain, SimplicialModel, coboundary, cover_from_cocycle, cup
 
 
 def _sha(data) -> str:
@@ -575,6 +591,27 @@ def digest(name: str) -> list:
     return rows
 
 
+BAR_MODELS = "bar-models"
+
+
+def homology_digest() -> list:
+    """(item, sha256) pairs for the integral homology of the depth-6 bar
+    models of Z/4 and Z/2xZ/2 and the twisted homology of Z/4."""
+    z4 = bar_b(z4_table(), 6, name="bar-z4")
+    rows = []
+
+    def put(model: str, n: int, inv) -> None:
+        rows.append((f"homology.{model}.{n}", _sha(json.dumps([inv.free_rank, list(inv.torsion)]))))
+
+    for model_name, model in (("z4", z4), ("z2xz2", bar_b(klein_table(), 6, name="bar-z2xz2"))):
+        for n in range(1, 6):
+            put(model_name, n, integral_homology(model, n).invariants)
+    pair = cover_from_cocycle(z4, Cochain(z4, 1, np.array([1, 0, 1], dtype=np.uint8)))
+    for n in range(6):
+        put("z4-twisted", n, twisted_homology(pair, n, "Z-"))
+    return rows
+
+
 # the words of an item name that make it a path or a canon line; every
 # other line is a user line
 PATH_WORDS = {"transform", "generators", "smith"}
@@ -593,8 +630,8 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("names", nargs="*", help="fixture names (default: all)")
     args = ap.parse_args()
-    for name in args.names or list(REGISTRY):
-        for item, sha in digest(name):
+    for name in args.names or [*REGISTRY, BAR_MODELS]:
+        for item, sha in homology_digest() if name == BAR_MODELS else digest(name):
             print(f"{name} {kind(item)}.{item} {sha}", flush=True)
     return 0
 

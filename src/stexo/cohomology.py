@@ -24,6 +24,14 @@ the span of their residues), which refers to no model; each cohomology_basis
 call returns a new CohomologyBasis view of it on the model.  A model and its
 caches thus form no reference cycle, and a dropped model is freed by
 reference counting alone.
+
+Integral homology, plain or twisted by w1, reads the signed face tables of
+the model (SimplicialModel.signed_faces) or of the cover pair
+(CoverPair.twisted_faces): snf checks each composite boundary_p @
+boundary_{p+1} = 0 on the two tables, and each boundary is reduced once
+per call, also for a run of degrees (twisted_integral_homologies).  No
+dense boundary is kept; a result densifies its tables only to build
+generators.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ import numpy as np
 from .errors import ModelMismatchError, TruncationError, ValidationError
 from .gf2 import F2Matrix, Subspace, xor_combine
 from .simplicial import Cochain, CoverPair, SimplicialMap, SimplicialModel, coboundary_values
-from .snf import AbelianGroupInvariants, HomologyResult, homology_from_boundaries
+from .snf import AbelianGroupInvariants, FaceTable, HomologyResult, homology_from_factors
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,25 +185,60 @@ def truncated_at_top(model: SimplicialModel, p: int, coeff: str) -> bool:
     return p >= 1 and model.cells[p - 1] < model.cells[p]
 
 
-def _chain_homology(
-    model: SimplicialModel, p: int, boundary, message: str
-) -> HomologyResult:
-    """Homology of the pair boundary(p), boundary(p + 1), within the truncation.
+def _chain_homologies(model: SimplicialModel, degrees, faces, message: str) -> dict:
+    """Homology of the pairs faces(p), faces(p + 1) for each p of degrees,
+    within the truncation: p -> HomologyResult, or the TruncationError that
+    degree raises.  faces(k) is the face table of boundary k.  Each table is
+    built and reduced at most once in the call, so a run of degrees reduces
+    each boundary once; nothing is kept past it.  message is the text of a
+    truncation, formatted with the model's name, p and q = p + 1.
 
     With no (p+1)-chains stored the answer is certified only when nothing can
     be divided out; truncated_at_top refuses what the cell counts rule out
-    before any matrix is built, and a free part left after the reduction is
+    before any table is built, and a free part left after the reduction is
     refused too.
     """
-    n = model.cells[p]
-    top = p + 1 > model.max_degree
-    if truncated_at_top(model, p, "Z"):
-        raise TruncationError(message)
-    bout = boundary(p) if p >= 1 else np.zeros((0, n), dtype=np.int64)
-    bin_ = np.zeros((n, 0), dtype=np.int64) if top else boundary(p + 1)
-    res = homology_from_boundaries(bout, bin_, n)
-    if top and res.invariants.free_rank:
-        raise TruncationError(message)
+    top = model.max_degree
+    reduced = {}
+
+    def boundary(k: int):
+        """The table of boundary k (zero at k = 0 and past the top) and its
+        invariant factors."""
+        if k not in reduced:
+            if k == 0:
+                table = FaceTable.zero(0, model.cells[0])
+            elif k > top:
+                table = FaceTable.zero(model.cells[top], 0)
+            else:
+                table = faces(k)
+            reduced[k] = table, table.invariant_factors()
+        return reduced[k]
+
+    results = {}
+    for p in degrees:
+        text = message.format(name=model.name, p=p, q=p + 1)
+        try:
+            _require_chains(model, p)
+            if truncated_at_top(model, p, "Z"):
+                raise TruncationError(text)
+            (bout, factors_out), (bin_, factors_in) = boundary(p), boundary(p + 1)
+            res = homology_from_factors(bout, bin_, factors_out, factors_in)
+            if p == top and res.invariants.free_rank:
+                raise TruncationError(text)
+            results[p] = res
+        except TruncationError as exc:
+            # kept without its traceback, whose frame holds results: a
+            # reference cycle would keep the boundaries and models alive
+            # until the cyclic garbage collector ran
+            results[p] = exc.with_traceback(None)
+    return results
+
+
+def _one(results: dict, p: int) -> HomologyResult:
+    """The result for degree p of _chain_homologies, raising its error."""
+    res = results[p]
+    if isinstance(res, TruncationError):
+        raise res
     return res
 
 
@@ -210,13 +253,8 @@ def integral_homology(model: SimplicialModel, p: int, check: bool = True) -> Hom
     The boundary composite is always checked; check is accepted and changes
     nothing.
     """
-    _require_chains(model, p)
-    return _chain_homology(
-        model,
-        p,
-        model.boundary_int,
-        f"{model.name}: H_{p} needs degree-{p + 1} chains to divide out boundaries",
-    )
+    message = "{name}: H_{p} needs degree-{q} chains to divide out boundaries"
+    return _one(_chain_homologies(model, [p], model.signed_faces, message), p)
 
 
 def twisted_homology(
@@ -242,15 +280,15 @@ def twisted_homology(
     return twisted_integral_homology(pair, p).invariants
 
 
+def twisted_integral_homologies(pair: CoverPair, degrees) -> dict:
+    """H_p of the base with integer coefficients twisted by w1, for each p of
+    degrees, certified within the truncation: p -> HomologyResult, or the
+    TruncationError that degree raises.  Each twisted boundary is reduced
+    once in the call; cycle generators are built from a result on demand."""
+    message = "{name}: twisted H_{p} needs degree-{q} chains"
+    return _chain_homologies(pair.base, degrees, pair.twisted_faces, message)
+
+
 def twisted_integral_homology(pair: CoverPair, p: int) -> HomologyResult:
-    """H_p of the base with integer coefficients twisted by w1, certified
-    within the truncation; cycle generators are built from the result on
-    demand."""
-    base = pair.base
-    _require_chains(base, p)
-    return _chain_homology(
-        base,
-        p,
-        pair.twisted_boundary_int,
-        f"{base.name}: twisted H_{p} needs degree-{p + 1} chains",
-    )
+    """twisted_integral_homologies for the one degree p, raising its error."""
+    return _one(twisted_integral_homologies(pair, [p]), p)

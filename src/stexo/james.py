@@ -33,7 +33,7 @@ from .cohomology import (
     require_certified,
     truncated_at_top,
     twisted_homology,
-    twisted_integral_homology,
+    twisted_integral_homologies,
 )
 from .errors import InternalInvariantError, TruncationError, ValidationError
 from .gf2 import F2Matrix, rank, xor_combine
@@ -186,25 +186,35 @@ def _boundary_load(model, p: int) -> int:
     return model.cells[p] * max(below, above, 1)
 
 
-def _homology_entry(pair, p: int, coeff: str) -> E2Entry:
-    """H_p of the base with coefficients "Z-" or "F2", or a caveat.  A
-    truncation is reported as such even where the matrices exceed the cap."""
+def _homology_entries(pair, degrees, coeff: str) -> dict:
+    """p -> E2Entry(p, 0, ...) for each p of degrees: H_p of the base with
+    coefficients "Z-" or "F2", or a caveat.  A truncation is reported as
+    such even where the matrices exceed the cap.  The twisted degrees that
+    run are computed by one call, which reduces each boundary once."""
     base = pair.base
-    if p > base.max_degree:
-        return E2Entry(p, 0, None, f"no degree-{p} chains at this truncation")
     cap = DEFAULT_F2_SIZE_CAP if coeff == "F2" else DEFAULT_INT_SIZE_CAP
-    if _boundary_load(base, p) > cap and not truncated_at_top(base, p, coeff):
-        kind = "coboundary" if coeff == "F2" else "boundary"
-        return E2Entry(
-            p, 0, None, f"{kind} matrices around degree {p} exceed the size cap"
-        )
-    try:
-        if coeff == "F2":
-            return E2Entry(p, 0, twisted_homology(pair, p, coeff))
-        res = twisted_integral_homology(pair, p)
-        return E2Entry(p, 0, res.invariants, result=res)
-    except TruncationError as exc:
-        return E2Entry(p, 0, None, str(exc))
+    entries, run = {}, []
+    for p in degrees:
+        if p > base.max_degree:
+            entries[p] = E2Entry(p, 0, None, f"no degree-{p} chains at this truncation")
+        elif _boundary_load(base, p) > cap and not truncated_at_top(base, p, coeff):
+            kind = "coboundary" if coeff == "F2" else "boundary"
+            entries[p] = E2Entry(
+                p, 0, None, f"{kind} matrices around degree {p} exceed the size cap"
+            )
+        elif coeff == "F2":
+            try:
+                entries[p] = E2Entry(p, 0, twisted_homology(pair, p, coeff))
+            except TruncationError as exc:
+                entries[p] = E2Entry(p, 0, None, str(exc))
+        else:
+            run.append(p)
+    for p, res in twisted_integral_homologies(pair, run).items():
+        if isinstance(res, TruncationError):
+            entries[p] = E2Entry(p, 0, None, str(res))
+        else:
+            entries[p] = E2Entry(p, 0, res.invariants, result=res)
+    return entries
 
 
 def e2_page(nt: NormalOneType, cover: CoverPair | None = None) -> E2Page:
@@ -212,29 +222,33 @@ def e2_page(nt: NormalOneType, cover: CoverPair | None = None) -> E2Page:
 
     Twisted rows (q = 0, 4) run under DEFAULT_INT_SIZE_CAP, the mod-2 rows
     (q = 1, 2) under DEFAULT_F2_SIZE_CAP.  An entry that cannot be certified
-    is reported with group None and a caveat.
+    is reported with group None and a caveat.  Each coefficient system's
+    entries are computed once, for every degree a row needs.
     """
     if cover is None:
         cover = cover_data_from_w1(nt)
+    rows = {q: SPIN_COEFFICIENTS.row(q) for q in range(0, min(MAX_TOTAL, 4) + 1)}
+    degrees = {}  # coefficient system -> the degrees p its rows need
+    for q, row in rows.items():
+        if row.descriptor != "0":
+            degrees.setdefault(_coefficients(row), set()).update(range(MAX_TOTAL - q + 1))
+    memo = {coeff: _homology_entries(cover, sorted(ps), coeff) for coeff, ps in degrees.items()}
     entries = {}
-    notes = []
-    memo = {}
-    for q in range(0, min(MAX_TOTAL, 4) + 1):
-        row = SPIN_COEFFICIENTS.row(q)
+    for q, row in rows.items():
         for p in range(0, MAX_TOTAL - q + 1):
             if row.descriptor == "0":
-                e = E2Entry(p, q, AbelianGroupInvariants(0, ()))
+                entries[(p, q)] = E2Entry(p, q, AbelianGroupInvariants(0, ()))
             else:
-                coeff = "Z-" if row.twisted else "F2"
-                key = (coeff, p)
-                if key not in memo:
-                    memo[key] = _homology_entry(cover, p, coeff)
-                e = replace(memo[key], q=q)
-            entries[(p, q)] = e
+                entries[(p, q)] = replace(memo[_coefficients(row)][p], q=q)
+    notes = []
     gaps = sum(1 for e in entries.values() if e.group is None)
     if gaps:
         notes.append(f"{gaps} entries not certified at this truncation or cap")
     return E2Page(nt.name, MAX_TOTAL, entries, SPIN_COEFFICIENTS, tuple(notes))
+
+
+def _coefficients(row: CoefficientRow) -> str:
+    return "Z-" if row.twisted else "F2"
 
 
 # -- the d2 differentials ----------------------------------------------------------

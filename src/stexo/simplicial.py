@@ -19,6 +19,9 @@ from it; the one constructor of each class takes arrays.
 Every chain-level matrix, CoverPair.twisted_boundary_int included, is read
 from one cached table per degree, SimplicialModel.face_index(n): the one
 place where face words become incidence and where the degree is checked.
+The integer boundaries are that table with a sign table beside it
+(signed_faces, CoverPair.twisted_faces), the one input of snf's homology
+route; boundary_int and twisted_boundary_int are one scatter of it.
 
 Cochains are normalized: a degeneracy-decorated target evaluates to 0.
 """
@@ -38,6 +41,7 @@ from .errors import (
     ValidationError,
 )
 from .gf2 import F2Matrix, Subspace
+from .snf import FaceTable
 
 Target = tuple  # (word: tuple[int, ...], cell: int)
 
@@ -403,9 +407,17 @@ class SimplicialModel:
             self._cache[key] = Subspace.from_vectors(n, rows)
         return self._cache[key]
 
+    def signed_faces(self, k: int) -> FaceTable:
+        """The integral boundary C_k -> C_{k-1} as a signed face table:
+        face_index(k), with sign (-1)^i on a plain face d_i and 0 on a
+        degenerate one."""
+        table = self.face_index(k)
+        signs = np.where(table < self.cells[k - 1], 1 - 2 * (np.arange(k + 1)[:, None] & 1), 0)
+        return FaceTable(table, signs, self.cells[k - 1])
+
     def boundary_int(self, k: int) -> np.ndarray:
         """Integral boundary C_k -> C_{k-1} with signs; rows are (k-1)-cells."""
-        return _signed_boundary(self, k, *self.plain_faces(k))
+        return self.signed_faces(k).dense()
 
     def cup_table(self, p: int, q: int, i: int):
         """Index triples (out, u, v) with odd multiplicity for the cup-i sum."""
@@ -413,15 +425,6 @@ class SimplicialModel:
         if key not in self._cache:
             self._cache[key] = _build_cup_table(self, p, q, i)
         return self._cache[key]
-
-
-def _signed_boundary(model, k: int, cells, positions, faces, sheets=0) -> np.ndarray:
-    """The dense integer boundary C_k -> C_{k-1} of model on its plain faces,
-    as plain_faces gives them: face d_i of a cell adds (-1)^(i + sheet), where
-    sheets holds one sheet per entry (or 0 for all)."""
-    rows = np.zeros((model.cells[k - 1], model.cells[k]), dtype=np.int64)
-    np.add.at(rows, (faces, cells), 1 - 2 * ((positions ^ sheets) & 1))
-    return rows
 
 
 def _build_cup_table(model: SimplicialModel, p: int, q: int, i: int):
@@ -858,13 +861,20 @@ class CoverPair:
             raise ValidationError("descend: cochain is not involution-invariant")
         return Cochain._computed(self.base, u.degree, u.values[self.rep_cells[u.degree]])
 
+    def twisted_faces(self, k: int) -> FaceTable:
+        """The boundary on base chains with integer coefficients twisted by
+        w1, as a signed face table: the base's, with a sign flipped where
+        the face of the cell's representative lift lies on sheet 1.  A
+        degenerate face, whose lift is degenerate too, keeps its sign 0
+        whatever sheet the clipped take reads for it."""
+        plain = self.base.signed_faces(k)
+        lifted = self.cover.face_index(k)[:, self.rep_cells[k]]
+        flip = self.sheet[k - 1].take(lifted, mode="clip")
+        return FaceTable(plain.faces, np.where(flip, -plain.signs, plain.signs), plain.rows)
+
     def twisted_boundary_int(self, k: int) -> np.ndarray:
-        """Boundary on base chains with integer coefficients twisted by w1:
-        the base's plain faces, each with a sign flipped where the face of
-        the cell's representative lift lies on sheet 1."""
-        cells, positions, faces = self.base.plain_faces(k)
-        lifted = self.cover.face_index(k)[positions, self.rep_cells[k][cells]]
-        return _signed_boundary(self.base, k, cells, positions, faces, self.sheet[k - 1][lifted])
+        """Boundary on base chains with integer coefficients twisted by w1."""
+        return self.twisted_faces(k).dense()
 
 
 def _double_cover(

@@ -4,17 +4,25 @@ Every matrix here is a numpy array: int64 where a bound proves the values
 fit, Python-int object arrays where they need not.  The bound is carried as
 a Python int beside each int64 array and advanced by scalar arithmetic at
 every update, so no update has to rescan an array to stay inside int64; it
-is recomputed from the array only when it would run out.  Homology
-invariants come from invariant factors alone.  invariant_factors eliminates
-+-1 pivots on an int64 array, each pivot updating only the rows of its
-column at the nonzero columns of its row, stopping before an update that
-could leave int64, and hands the block that is left to the loop of
-smith_normal_form with zero-width transforms, so it builds none; that loop
-runs on int64 until a bound runs out and on object arrays from then on, so
-it cannot overflow.  Cycle generators, which need the transforms, are
-computed only when asked for; _product is the one exact matrix product, on
-float64 (BLAS) while every partial sum stays below 2**53, else on int64 or
-Python ints.
+is recomputed from the array only when it would run out.
+
+A boundary comes to the homology route as a FaceTable, the signed face
+table it is read off (a dense matrix is converted to one once).  The check
+boundary_out @ boundary_in = 0 reads the two tables alone: each face of a
+face is gathered from the lower table and the signed terms are summed per
+entry, exactly (_composite_entries).  Homology invariants come from
+invariant factors alone.  Each boundary is scattered into one dense int64
+array, which the elimination of invariant_factors reduces in place: +-1
+pivots, each updating only the rows of its column at the nonzero columns
+of its row, on a live block that drops the zero rows and columns once
+that halves it, stopping before an update that could leave int64; the
+block that is left goes to the loop of smith_normal_form with zero-width transforms, so
+it builds none; that loop runs on int64 until a bound runs out and on
+object arrays from then on, so it cannot overflow.  Cycle generators,
+which need the transforms, are computed only when asked for, on the dense
+boundaries; _product is the one exact dense matrix product, on float64
+(BLAS) while every partial sum stays below 2**53, else on int64 or Python
+ints.
 
 smith_normal_form takes a matrix as a list of row lists and returns the
 invariant factors together with the full transform arrays U, V (and their
@@ -219,8 +227,10 @@ def _grow(bounds: list, arrays: tuple, growth: tuple) -> tuple[list | None, tupl
     return grown, arrays
 
 
-def _eliminate_units(m: np.ndarray) -> int:
-    """Split +-1 pivots off m in place; returns how many were split off.
+def _unit_pivots(m: np.ndarray):
+    """Split +-1 pivots off m; returns (count, block, rows, cols): how many
+    were split off, and the residual as its live block, which it equals at
+    np.ix_(rows, cols) and is zero elsewhere.  m is overwritten.
 
     A pivot at (i, j) subtracts f_r times row i from each row r with a
     nonzero in column j, f_r = m[r, j] * pivot.  That clears column j, and,
@@ -229,39 +239,74 @@ def _eliminate_units(m: np.ndarray) -> int:
     clear.  Both are unimodular, so each pivot leaves an invariant factor 1
     and the Smith form of what remains.  The update reads and writes only
     those rows at row i's nonzero columns, so a pivot costs that block, not
-    the width of m; a row that column j meets alone is simply zeroed.
-    Candidates are taken in Markowitz order (fewest other nonzeros in row
-    times column) from a scan of the whole matrix, skipped when an earlier
-    pivot changed them, and the matrix is scanned again until no unit is
-    left.  A bound on max |m|, advanced by each update and recomputed from
-    the whole matrix before it runs out, stops the elimination before an
+    the width of m; a row that column j meets alone is simply zeroed, and
+    a zero row or column is never written again.  So a scan first drops the
+    zero rows and columns, copying the live block, once that halves the
+    block at least; a copy of more would hold twice the memory to save
+    little.  Candidates are taken in Markowitz order (fewest other nonzeros
+    in row times column) from a scan of that block, skipped when an earlier
+    pivot of the scan used their row or column (read from two lists) or
+    otherwise changed them, and the block is scanned again until no unit is
+    left.  A bound on max |m|,
+    advanced by each update and recomputed from the block (which holds
+    every nonzero) before it runs out, stops the elimination before an
     update that could leave int64.
     """
+    rows, cols = np.arange(m.shape[0]), np.arange(m.shape[1])
     count = 0
     bound = _abs_max(m)
     while True:
+        nz = m != 0
+        per_row, per_col = nz.sum(1), nz.sum(0)
+        live_rows, live_cols = np.flatnonzero(per_row), np.flatnonzero(per_col)
+        if 2 * live_rows.size * live_cols.size <= m.size:
+            m = m[np.ix_(live_rows, live_cols)]
+            rows, cols = rows[live_rows], cols[live_cols]
+            per_row, per_col = per_row[live_rows], per_col[live_cols]
         cand = np.argwhere((m == 1) | (m == -1))
         if not len(cand):
-            return count
-        nz = m != 0
-        cost = (nz.sum(1)[cand[:, 0]] - 1) * (nz.sum(0)[cand[:, 1]] - 1)
+            return count, m, rows, cols
+        cost = (per_row[cand[:, 0]] - 1) * (per_col[cand[:, 1]] - 1)
+        row_used, col_used = [False] * m.shape[0], [False] * m.shape[1]
         for i, j in cand[np.argsort(cost, kind="stable")].tolist():
+            if row_used[i] or col_used[j]:
+                continue
             pivot = m.item(i, j)
             if pivot != 1 and pivot != -1:
                 continue
             column = m.T[j]
-            rows = column.nonzero()[0]
-            if rows.size > 1:
+            rows_j = column.nonzero()[0]
+            if rows_j.size > 1:
                 row = m[i]
-                cols = row.nonzero()[0]
-                f, x = column.take(rows) * pivot, row.take(cols)
+                cols_i = row.nonzero()[0]
+                f, x = column.take(rows_j) * pivot, row.take(cols_i)
                 bound = _room(bound, m, 1, int(abs(f).max()) * int(abs(x).max()))
                 if bound is None:
-                    return count
-                m[rows[:, None], cols] -= f[:, None] * x
+                    return count, m, rows, cols
+                m[rows_j[:, None], cols_i] -= f[:, None] * x
             else:  # on row i alone the update only zeroes it
                 m[i] = 0
+            row_used[i] = col_used[j] = True
             count += 1
+
+
+def _eliminate_units(m: np.ndarray) -> int:
+    """_unit_pivots in place: m is left as the whole residual matrix, and
+    the count is returned."""
+    count, block, rows, cols = _unit_pivots(m)
+    if block is not m:
+        m[...] = 0
+        m[np.ix_(rows, cols)] = block
+    return count
+
+
+def _factors(m: np.ndarray) -> list[int]:
+    """invariant_factors of an int64 matrix that the call may overwrite."""
+    if m.size == 0:
+        return []
+    units, block, _, _ = _unit_pivots(m)
+    core = block[np.ix_(block.any(axis=1), block.any(axis=0))]  # the nonzero block
+    return [1] * units + _smith(core, transforms=False).diag
 
 
 def invariant_factors(a) -> list[int]:
@@ -269,14 +314,12 @@ def invariant_factors(a) -> list[int]:
 
     Equal to smith_normal_form(a).diag, without the transforms: unit pivots
     are eliminated on int64 first and the exact Smith form reduces only the
-    nonzero block that is left, building no transform.
+    nonzero block that is left, building no transform.  a is copied, and
+    the copy reduced; the homology route reduces the dense boundary it has
+    just scattered from a face table in place instead (FaceTable.
+    invariant_factors), so it holds one dense matrix, not two.
     """
-    m = np.array(a, dtype=np.int64)
-    if m.size == 0:
-        return []
-    units = _eliminate_units(m)
-    core = m[np.flatnonzero(m.any(axis=1))][:, np.flatnonzero(m.any(axis=0))]
-    return [1] * units + _smith(core, transforms=False).diag
+    return _factors(np.array(a, dtype=np.int64))
 
 
 @dataclass
@@ -295,10 +338,65 @@ class AbelianGroupInvariants:
         return self.free_rank == 0 and not self.torsion
 
 
-class HomologyResult:
-    """Invariants of ker(boundary_out) / im(boundary_in), generators on demand."""
+@dataclass(frozen=True, eq=False)
+class FaceTable:
+    """An integer matrix stored by columns the way a boundary C_k -> C_{k-1}
+    is read off a face table: column c of faces holds the rows of column
+    c's entries and the same column of signs their values.  A slot with no
+    entry holds the row count, rows, and sign 0; two slots of a column may
+    hold the same row, and their values then add up.
 
-    def __init__(self, invariants, boundary_out, boundary_in):
+    SimplicialModel.signed_faces(k) is face_index(k) with sign (-1)^i on a
+    plain face d_i and 0 on a degenerate one, and CoverPair.twisted_faces(k)
+    flips those signs by the sheets; a dense matrix is converted by
+    from_dense.  dense() scatters the table into a new int64 array.
+    """
+
+    faces: np.ndarray  # (slots, columns): a row index, or rows on an empty slot
+    signs: np.ndarray  # (slots, columns), int64: the entry, or 0 on an empty slot
+    rows: int
+
+    @property
+    def shape(self) -> tuple:
+        return (self.rows, self.faces.shape[1])
+
+    @classmethod
+    def zero(cls, rows: int, cols: int) -> FaceTable:
+        """The zero rows x cols matrix: no slots."""
+        empty = np.zeros((0, cols), dtype=np.int64)
+        return cls(empty, empty, rows)
+
+    @classmethod
+    def from_dense(cls, m: np.ndarray) -> FaceTable:
+        """The table of a 2-D int64 array: as many slots as the fullest column
+        has nonzeros, filled from the top in row order."""
+        rows, cols = m.shape
+        c, r = np.nonzero(m.T)  # by column, then row
+        counts = np.bincount(c, minlength=cols)
+        slot = np.arange(c.size) - (np.cumsum(counts) - counts)[c]
+        height = int(counts.max()) if cols else 0
+        faces = np.full((height, cols), rows, dtype=np.int64)
+        signs = np.zeros((height, cols), dtype=np.int64)
+        faces[slot, c], signs[slot, c] = r, m[r, c]
+        return cls(faces, signs, rows)
+
+    def dense(self) -> np.ndarray:
+        """The matrix as a new int64 array, by one scatter of the table; the
+        empty slots land on a row past the last, which is cut off."""
+        out = np.zeros((self.rows + 1, self.faces.shape[1]), dtype=np.int64)
+        np.add.at(out, (self.faces, np.arange(self.faces.shape[1])), self.signs)
+        return out[: self.rows]
+
+    def invariant_factors(self) -> list[int]:
+        """invariant_factors of the matrix, reducing its dense array in place."""
+        return _factors(self.dense())
+
+
+class HomologyResult:
+    """Invariants of ker(boundary_out) / im(boundary_in), generators on demand;
+    the boundaries are kept as face tables."""
+
+    def __init__(self, invariants, boundary_out: FaceTable, boundary_in: FaceTable):
         self.invariants = invariants
         self._boundaries = (boundary_out, boundary_in)
 
@@ -306,10 +404,10 @@ class HomologyResult:
         """Cycle representatives as chains, one row per generator.
 
         Torsion generators come first, then free ones; with none the shape is
-        (0, cells).  Runs the exact transform route, which must find the same
-        invariants.
+        (0, cells).  Runs the exact transform route on the dense boundaries,
+        which must find the same invariants.
         """
-        inv, kernel, coords = _transform_route(*self._boundaries)
+        inv, kernel, coords = _transform_route(*(b.dense() for b in self._boundaries))
         if inv != self.invariants:
             raise InternalInvariantError(
                 f"generator route finds {inv}, invariant factors give {self.invariants}"
@@ -333,10 +431,10 @@ def _product_bound(a: np.ndarray, b: np.ndarray) -> int:
     return a.shape[1] * max(_abs_max(a), 1) * max(_abs_max(b), 1)
 
 
-def _exact_dtype(a: np.ndarray, b: np.ndarray):
-    """int64 when _product_bound is below 2**63, so int64 arithmetic is
-    exact, else object."""
-    return np.int64 if _product_bound(a, b) < 1 << 63 else object
+def _exact_dtype(bound: int):
+    """int64 for a product bound below 2**63, so int64 arithmetic is exact,
+    else object."""
+    return np.int64 if bound < 1 << 63 else object
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -344,41 +442,68 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     sum is an integer float64 holds exactly in any order of summation, so
     the product runs on float64 (a BLAS product) and comes back as int64;
     past that, on int64 or on Python ints (_exact_dtype)."""
-    if _product_bound(a, b) < 1 << 53:
+    bound = _product_bound(a, b)
+    if bound < 1 << 53:
         return (np.asarray(a, np.float64) @ np.asarray(b, np.float64)).astype(np.int64)
-    dtype = _exact_dtype(a, b)
+    dtype = _exact_dtype(bound)
     return np.asarray(a, dtype) @ np.asarray(b, dtype)
 
 
-def _product_entries(a: np.ndarray, b: np.ndarray):
-    """The nonzero entries of a @ b as (rows, cols, values), computed exactly
-    from the products of nonzero pairs only.
+# _composite_entries sums over blocks of columns with at most this many
+# (row, column) bins and terms per column slot pair: 2**14 float64 values
+# stay below the size at which each allocation maps fresh pages, which
+# cost the 243 x 729 check of the Z/4 bar model half its time.
+_COMPOSITE_BLOCK = 1 << 14
 
-    Term r of entry (i, j) is a[i, r] * b[r, j], so each nonzero of column r
-    of a meets each nonzero of row r of b once; the terms are summed per
-    entry on int64 or on Python ints, as in _product.
+
+def _composite_entries(lower: FaceTable, upper: FaceTable):
+    """The nonzero entries of lower @ upper as (rows, cols, values), exact.
+
+    Entry (r, c) sums, over each slot of column c of upper and each slot of
+    lower's column at that slot's face, the product of the two signs: the
+    faces of the faces, gathered from lower's table by upper's.  Each entry
+    is a sum of at most slots(lower) * slots(upper) terms, so that count
+    times the largest |sign| of each table bounds every partial sum, as
+    _product_bound does for a dense product.  Below 2**53 the terms are
+    summed per entry by bincount on float64; past it by np.add.at on int64
+    or on Python ints (_exact_dtype); a block of columns at a time.  An
+    upper slot with no entry gathers the last column of lower (take clips),
+    and its sign 0 zeroes those terms; lower's empty slots sum into a row
+    past the last, with sign 0 too.
     """
-    dtype = _exact_dtype(a, b)
-    ra, i = np.nonzero(a.T)
-    rb, j = np.nonzero(b)
-    # nonzero s of a meets the nonzeros lo[s] .. lo[s] + meets[s] - 1 of b
-    lo = np.searchsorted(rb, ra)
-    meets = np.searchsorted(rb, ra, side="right") - lo
-    src = np.repeat(np.arange(ra.size), meets)
-    dst = np.arange(src.size) + (lo - np.cumsum(meets) + meets)[src]
-    terms = a.T[ra, i].astype(dtype)[src] * b[rb, j].astype(dtype)[dst]
-    key, where = np.unique(i[src] * b.shape[1] + j[dst], return_inverse=True)
-    sums = np.zeros(key.size, dtype=dtype)
-    np.add.at(sums, where, terms)
-    keep = sums != 0
-    rows, cols = np.divmod(key[keep], b.shape[1])
-    return rows, cols, sums[keep]
+    (s_lo, inner), (s_hi, n_cols) = lower.faces.shape, upper.faces.shape
+    height = lower.rows + 1
+    bound = s_lo * s_hi * max(_abs_max(lower.signs), 1) * max(_abs_max(upper.signs), 1)
+    dtype = np.float64 if bound < 1 << 53 else _exact_dtype(bound)
+    lo_signs = lower.signs.astype(dtype)
+    step = max(1, _COMPOSITE_BLOCK // max(height, s_lo * s_hi))
+    keys, values = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for a in range(0, n_cols if inner else 0, step):  # no chains between: no terms
+        faces = upper.faces[:, a : a + step]
+        width = faces.shape[1]
+        key = (np.arange(width) * height + lower.faces.take(faces, 1, mode="clip")).ravel()
+        terms = lo_signs.take(faces, 1, mode="clip") * upper.signs[:, a : a + step].astype(dtype)
+        if dtype is np.float64:
+            sums = np.bincount(key, terms.ravel(), width * height).astype(np.int64)
+        else:
+            sums = np.zeros(width * height, dtype=dtype)
+            np.add.at(sums, key, terms.ravel())
+        hit = np.flatnonzero(sums)
+        keys.append(hit + a * height)
+        values.append(sums[hit])
+    cols, rows = np.divmod(np.concatenate(keys), height)
+    return rows, cols, np.concatenate(values)
 
 
-def _check_composite(boundary_out: np.ndarray, boundary_in: np.ndarray) -> None:
-    """Raise unless boundary_out @ boundary_in = 0, computed exactly."""
-    if _product_entries(boundary_out, boundary_in)[2].size:
+def _check_faces_of_faces(lower: FaceTable, upper: FaceTable) -> None:
+    """Raise unless lower @ upper = 0, computed exactly from the tables."""
+    if _composite_entries(lower, upper)[2].size:
         raise InternalInvariantError("boundary composite is nonzero")
+
+
+def _table(b, empty_shape: tuple) -> FaceTable:
+    """b as a face table: a table as it is, a matrix converted once."""
+    return b if isinstance(b, FaceTable) else FaceTable.from_dense(_matrix(b, empty_shape))
 
 
 def homology_from_boundaries(
@@ -387,28 +512,36 @@ def homology_from_boundaries(
     """Homology ker(boundary_out) / im(boundary_in) of a chain pair.
 
     boundary_out maps degree-p chains down, boundary_in maps degree-(p+1)
-    chains onto the image being divided out.  Shapes: boundary_out is
+    chains onto the image being divided out.  Each is a FaceTable or a
+    matrix, which is converted to one.  Shapes: boundary_out is
     (cells_{p-1} x n_chains), boundary_in is (n_chains x cells_{p+1}); an
     empty list stands for (0 x n_chains), respectively (n_chains x 0).
-
-    Once boundary_out @ boundary_in = 0 is checked, the image lies in the
-    kernel, a direct summand of Z^n, so the free rank is
-    n - rank boundary_out - rank boundary_in and the torsion is the invariant
-    factors of boundary_in above 1.
     """
-    bout = _matrix(boundary_out, (0, n_chains))
-    bin_ = _matrix(boundary_in, (n_chains, 0))
+    bout = _table(boundary_out, (0, n_chains))
+    bin_ = _table(boundary_in, (n_chains, 0))
     if bout.shape[1] != n_chains:
         raise ModelMismatchError("boundary_out width disagrees with n_chains")
     if bin_.shape[0] != n_chains:
         raise ModelMismatchError("boundary_in height disagrees with n_chains")
-    _check_composite(bout, bin_)
-    rank_out = len(invariant_factors(bout))
-    factors = invariant_factors(bin_)
-    free = n_chains - rank_out - len(factors)
-    return HomologyResult(
-        AbelianGroupInvariants(free, tuple(d for d in factors if d > 1)), bout, bin_
-    )
+    return homology_from_factors(bout, bin_, bout.invariant_factors(), bin_.invariant_factors())
+
+
+def homology_from_factors(
+    boundary_out: FaceTable, boundary_in: FaceTable, factors_out: list, factors_in: list
+) -> HomologyResult:
+    """The homology of a chain pair of face tables, given the invariant
+    factors of both boundaries, so that a run of degrees reduces each
+    boundary once.
+
+    Once boundary_out @ boundary_in = 0 is checked, the image lies in the
+    kernel, a direct summand of Z^n, so the free rank is
+    n - rank boundary_out - rank boundary_in and the torsion is the
+    invariant factors of boundary_in above 1.
+    """
+    _check_faces_of_faces(boundary_out, boundary_in)
+    free = boundary_out.shape[1] - len(factors_out) - len(factors_in)
+    torsion = tuple(d for d in factors_in if d > 1)
+    return HomologyResult(AbelianGroupInvariants(free, torsion), boundary_out, boundary_in)
 
 
 def _transform_route(boundary_out: np.ndarray, boundary_in: np.ndarray):

@@ -345,9 +345,9 @@ def smith_normal_form(a: list[list[int]]) -> SNFResult:
 
 
 # Unit elimination by flatnonzero, fancy-index gathers and _abs_max bounds,
-# one update for every pivot: stexo.snf._eliminate_units must take the same
+# one update for every pivot: stexo.snf._unit_pivots must take the same
 # pivots in the same order under the same int64 bound, leaving the same
-# count and the same residual matrix.
+# count and the same residual matrix (its live block, zero elsewhere).
 def eliminate_units(m: np.ndarray) -> int:
     """Split +-1 pivots off m in place, in Markowitz order; returns how many."""
     count = 0

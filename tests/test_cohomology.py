@@ -131,7 +131,8 @@ def test_each_call_is_a_view_of_one_cached_reduction(torus3):
 
 def _d8_pipeline() -> list:
     """Weak references to a depth-5 D8 bar model and its double cover, after
-    the caches of a decision run are filled."""
+    the caches of a decision run and of the second page are filled; the
+    page's twisted H_5 is refused at the top degree."""
     base = bar_b(dihedral8_table(), 5, name="bar-d8")
     x = Cochain(base, 1, np.array([g & 1 for g in range(1, 8)], dtype=np.uint8))
     y = Cochain(base, 1, np.array([g >> 2 for g in range(1, 8)], dtype=np.uint8))
@@ -142,6 +143,7 @@ def _d8_pipeline() -> list:
     assert not is_coboundary(x)
     assert not lift_data_solutions(nt, cover).empty
     assert decide(nt, cover=cover).outcome == "NoExoticaPrimary"
+    assert e2_page(nt, cover).entry(5, 0).group is None
     return [weakref.ref(base), weakref.ref(cover.cover)]
 
 
@@ -255,8 +257,8 @@ def test_top_degree_truncation_builds_no_boundary(monkeypatch):
     def no_boundary(*args):
         raise AssertionError("boundary built")
 
-    monkeypatch.setattr(type(z4), "boundary_int", no_boundary)
-    monkeypatch.setattr(CoverPair, "twisted_boundary_int", no_boundary)
+    monkeypatch.setattr(type(z4), "signed_faces", no_boundary)
+    monkeypatch.setattr(CoverPair, "twisted_faces", no_boundary)
     with pytest.raises(TruncationError, match="H_3 needs degree-4 chains"):
         integral_homology(z4, 3)
     with pytest.raises(TruncationError, match="twisted H_3 needs degree-4 chains"):

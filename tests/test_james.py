@@ -245,7 +245,7 @@ def test_d2_out_of_row_zero_is_pinned(reports):
 
 def test_d2_reads_twisted_generators_off_the_page(monkeypatch, reports):
     calls = []
-    real = snf._check_composite
+    real = snf._check_faces_of_faces
 
     def spy(bout, bin_):
         calls.append((bout.shape, bin_.shape))
@@ -254,9 +254,9 @@ def test_d2_reads_twisted_generators_off_the_page(monkeypatch, reports):
     for name in ("rp-w2-zero", "d4-reflection"):
         fx, _, _, want, _ = reports[name]
         page = e2_page(fx.nt, fx.cover)
-        monkeypatch.setattr(snf, "_check_composite", spy)
+        monkeypatch.setattr(snf, "_check_faces_of_faces", spy)
         diffs = d2_maps(fx.nt, page, fx.cover)
-        monkeypatch.setattr(snf, "_check_composite", real)
+        monkeypatch.setattr(snf, "_check_faces_of_faces", real)
         assert calls == [], name
         assert any(d.known for d in diffs.from_q0.values()), name
         assert diffs.to_json_dict() == want.to_json_dict(), name

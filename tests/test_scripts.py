@@ -46,6 +46,20 @@ def test_output_digest_script():
         assert hashes[f"user.{part}.parsed.spaced"] == hashes[f"user.{part}.parsed"]
 
 
+def test_output_digest_homology_lines():
+    out = _run("output_digest.py", "bar-models")
+    assert out.returncode == 0, out.stderr
+    hashes = dict(line.split()[1:] for line in out.stdout.splitlines())
+    want = [f"z4.{n}" for n in range(1, 6)] + [f"z2xz2.{n}" for n in range(1, 6)]
+    want += [f"z4-twisted.{n}" for n in range(6)]
+    assert list(hashes) == [f"user.homology.{item}" for item in want]
+    # H_n(Z/4; Z) is Z/4 in every odd degree and H_n(Z/4; Z-) Z/2 in every
+    # even one, as twisted H_0 equals H_2(Z/2xZ/2; Z) = Z/2
+    assert hashes["user.homology.z4.1"] == hashes["user.homology.z4.5"]
+    assert hashes["user.homology.z4-twisted.0"] == hashes["user.homology.z2xz2.2"]
+    assert hashes["user.homology.z4-twisted.1"] == hashes["user.homology.z4.2"]
+
+
 def test_bench_file_script(tmp_path):
     out = tmp_path / "BENCH_0.json"
     args = ["0", "--workload", "group-homology", "--seconds", "0.05", "--out", str(out)]

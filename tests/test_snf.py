@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 import stexo.snf as snf
 from stexo.builders import bar_b, klein_table, z4_table
 from stexo.errors import InternalInvariantError
+from stexo.simplicial import Cochain, cover_from_cocycle
 from stexo.snf import (
     AbelianGroupInvariants,
+    FaceTable,
     HomologyResult,
     homology_from_boundaries,
     invariant_factors,
@@ -227,9 +229,17 @@ def test_unit_elimination_bounds_the_whole_matrix():
 
 
 def _same_elimination(a: np.ndarray) -> None:
-    """_eliminate_units and the reference loop leave the same count and matrix."""
-    m, want = a.copy(), a.copy()
-    assert snf._eliminate_units(m) == reference.eliminate_units(want)
+    """_unit_pivots and the reference loop leave the same count and matrix:
+    the live block at its row and column indices, zero elsewhere; and so
+    does _eliminate_units in place."""
+    want = a.copy()
+    count, block, rows, cols = snf._unit_pivots(a.copy())
+    assert count == reference.eliminate_units(want)
+    m = np.zeros_like(a)
+    m[np.ix_(rows, cols)] = block
+    assert np.array_equal(m, want)
+    m = a.copy()
+    assert snf._eliminate_units(m) == count
     assert np.array_equal(m, want)
 
 
@@ -329,7 +339,9 @@ def test_homology_rejects_flipped_sign_in_wide_boundary():
 def test_generator_route_must_agree_with_invariants():
     d_in = np.array([[2]], dtype=np.int64)
     d_out = np.zeros((0, 1), dtype=np.int64)
-    wrong = HomologyResult(AbelianGroupInvariants(1), d_out, d_in)
+    wrong = HomologyResult(
+        AbelianGroupInvariants(1), FaceTable.from_dense(d_out), FaceTable.from_dense(d_in)
+    )
     with pytest.raises(InternalInvariantError, match="generator route"):
         wrong.generator_chains()
 
@@ -352,15 +364,15 @@ def test_homology_rejects_noncycle_image():
 )
 @settings(max_examples=150, deadline=None)
 def test_sparse_composite_matches_dense_product(rows, inner, cols, scale, seed):
-    """_product_entries against the dense _product, on int64 and, past the
-    n max|a| max|b| bound (scale 2**40), on Python ints."""
+    """_composite_entries of the tables against the dense _product, on
+    float64 and, past the bound (scales 2**31 and 2**40), on Python ints."""
     rng = np.random.default_rng(seed)
     a = rng.integers(-3, 4, (rows, inner)) * scale
     b = rng.integers(-3, 4, (inner, cols)) * scale
     a[rng.random(a.shape) < 0.5] = 0
     b[:, rng.random(cols) < 0.2] = 0
     want = snf._product(a, b)
-    r, c, v = snf._product_entries(a, b)
+    r, c, v = snf._composite_entries(FaceTable.from_dense(a), FaceTable.from_dense(b))
     got = np.zeros((rows, cols), dtype=object)
     got[r, c] = v
     assert np.all(v != 0)
@@ -388,12 +400,17 @@ def test_product_is_exact_at_the_float64_edge(a, b, over):
     assert ((a.astype(np.float64) @ b.astype(np.float64)).tolist() != want) == over
 
 
+def _composite(a, b):
+    lower, upper = FaceTable.from_dense(np.array(a)), FaceTable.from_dense(np.array(b))
+    return snf._composite_entries(lower, upper)
+
+
 def test_sparse_composite_is_exact_past_int64():
     big = 1 << 40
     # each term is 2**80; they cancel exactly
-    r, c, v = snf._product_entries(np.array([[big, big]]), np.array([[big], [-big]]))
+    r, c, v = _composite([[big, big]], [[big], [-big]])
     assert v.size == 0
-    r, c, v = snf._product_entries(np.array([[big, big]]), np.array([[big], [big]]))
+    r, c, v = _composite([[big, big]], [[big], [big]])
     assert (r.tolist(), c.tolist(), v.tolist()) == ([0], [0], [1 << 81])
 
 
@@ -403,12 +420,68 @@ def test_perturbed_bar_composite_raises():
     # to entry (i, j) of d6 adds column i of d5
     model = bar_b(z4_table(), 6)
     d5, d6 = model.boundary_int(5), model.boundary_int(6)
-    snf._check_composite(d5, d6)
+
+    def check():
+        snf._check_faces_of_faces(FaceTable.from_dense(d5), FaceTable.from_dense(d6))
+
+    check()
     rng = np.random.default_rng(5)
     for m, live in ((d5, d6.any(axis=1)[None, :]), (d6, d5.any(axis=0)[:, None])):
         spots = np.argwhere(np.broadcast_to(live, m.shape))
         for i, j in spots[rng.choice(len(spots), 5, replace=False)].tolist():
             m[i, j] += 1
             with pytest.raises(InternalInvariantError, match="boundary composite is nonzero"):
-                snf._check_composite(d5, d6)
+                check()
             m[i, j] -= 1
+
+
+def _flip_one(table: FaceTable, lower: FaceTable) -> FaceTable:
+    """table with the sign of its first plain slot whose face is no zero
+    column of lower negated."""
+    live = np.r_[(lower.signs != 0).any(axis=0), False]
+    i, j = np.argwhere((table.signs != 0) & live[table.faces])[0]
+    signs = table.signs.copy()
+    signs[i, j] = -signs[i, j]
+    return FaceTable(table.faces, signs, table.rows)
+
+
+def test_table_composite_catches_a_flipped_sign_or_a_moved_face():
+    # the degree-5 and -6 face tables of the bar model of Z/4, as the
+    # homology route reads them: one flipped sign, or one face moved to
+    # another 5-cell, leaves a column of d6 that is no cycle
+    model = bar_b(z4_table(), 6)
+    t5, t6 = model.signed_faces(5), model.signed_faces(6)
+    assert homology_from_boundaries(t5, t6, 243).invariants == AbelianGroupInvariants(0, (4,))
+    with pytest.raises(InternalInvariantError, match="boundary composite is nonzero"):
+        homology_from_boundaries(t5, _flip_one(t6, t5), 243)
+    faces = t6.faces.copy()
+    faces[0, 0] = (faces[0, 0] + 1) % 243
+    with pytest.raises(InternalInvariantError, match="boundary composite is nonzero"):
+        homology_from_boundaries(t5, FaceTable(faces, t6.signs, 243), 243)
+
+
+@pytest.mark.parametrize("degree", [2, 4, 6])
+def test_twisted_composite_catches_a_flipped_sheet_sign(degree):
+    # the twisted boundaries of the Z/4 bar model's parity cover compose to
+    # zero only with their sheet signs; one sheet sign flipped back is caught
+    z4 = bar_b(z4_table(), 6)
+    pair = cover_from_cocycle(z4, Cochain(z4, 1, np.array([1, 0, 1], dtype=np.uint8)))
+    lower, upper = pair.twisted_faces(degree - 1), pair.twisted_faces(degree)
+    n = z4.cells[degree - 1]
+    homology_from_boundaries(lower, upper, n)
+    plain = z4.signed_faces(degree)
+    sheets = np.argwhere(upper.signs != plain.signs)
+    i, j = sheets[len(sheets) // 2]
+    signs = upper.signs.copy()
+    signs[i, j] = plain.signs[i, j]
+    with pytest.raises(InternalInvariantError, match="boundary composite is nonzero"):
+        homology_from_boundaries(lower, FaceTable(upper.faces, signs, n), n)
+
+
+def test_face_table_round_trips_a_dense_matrix():
+    rng = np.random.default_rng(3)
+    for rows, cols in ((0, 0), (0, 4), (5, 0), (6, 9), (30, 7)):
+        a = rng.integers(-3, 4, (rows, cols)) * (rng.random((rows, cols)) < 0.4)
+        t = FaceTable.from_dense(a)
+        assert t.shape == a.shape and np.array_equal(t.dense(), a)
+        assert t.faces.shape[0] == (max((a != 0).sum(axis=0)) if cols else 0)
