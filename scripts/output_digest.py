@@ -39,8 +39,13 @@ user:
                      reads: whitespace between tokens must not change what
                      a file parses to, so this line equals <part>.parsed;
   <part>.violations  validate() on each exported model with the faces 0 and
-                     1 of every top-degree cell swapped (see corrupted_top):
+                     1 of every top-degree cell swapped (see swapped_faces):
                      the identity-check messages, pinned byte for byte;
+  <part>.violations.mid
+                     the same with the faces 0 and 1 of every cell of degree
+                     max_degree - 1 swapped, on models with max_degree >= 2:
+                     the top cells' identities then read faces of those
+                     faces, whose targets carry nonempty words;
   cli.decide         `stexo decide --json` on the exported files, with
   cli.report         `stexo report --json` and
   cli.report.text    `stexo report` (the plain-text page, every d2 row and
@@ -311,16 +316,15 @@ def parsed_digest(data) -> str:
     return _sha(b"\0".join(parts))
 
 
-def corrupted_top(model: SimplicialModel) -> SimplicialModel:
-    """model with the faces 0 and 1 of every top-degree cell swapped, words
+def swapped_faces(model: SimplicialModel, n: int) -> SimplicialModel:
+    """model with the faces 0 and 1 of every degree-n cell swapped, words
     and cells alike: each stays a valid target, but the identities fail
     wherever the two faces differ."""
-    top = model.max_degree
-    swap = [1, 0, *range(2, top + 1)]
+    swap = [1, 0, *range(2, n + 1)]
     face_word, face_cell = list(model.face_word), list(model.face_cell)
-    face_word[top] = face_word[top][:, swap]
-    face_cell[top] = face_cell[top][:, swap]
-    return SimplicialModel(top, model.cells, face_word, face_cell, name=model.name)
+    face_word[n] = face_word[n][:, swap]
+    face_cell[n] = face_cell[n][:, swap]
+    return SimplicialModel(model.max_degree, model.cells, face_word, face_cell, name=model.name)
 
 
 def corrupt_digest(blobs: dict) -> list:
@@ -560,7 +564,11 @@ def digest(name: str) -> list:
             data = repr(reps.shape).encode() + reps.tobytes()
             rows.append((f"{part}.cocycles.{k}", _sha(data)))
         rows.extend(boundary_digest(part, model, model.boundary_int))
-        rows.append((f"{part}.violations", _sha("\n".join(corrupted_top(model).validate()))))
+        top = model.max_degree
+        rows.append((f"{part}.violations", _sha("\n".join(swapped_faces(model, top).validate()))))
+        if top >= 2:
+            mid = swapped_faces(model, top - 1).validate()
+            rows.append((f"{part}.violations.mid", _sha("\n".join(mid))))
     if fx.nt is not None and "cover" in blobs:
         rows.extend(lifts_digest(fx, blobs))
     if fx.cover is not None:

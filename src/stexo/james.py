@@ -223,7 +223,8 @@ def e2_page(nt: NormalOneType, cover: CoverPair | None = None) -> E2Page:
     Twisted rows (q = 0, 4) run under DEFAULT_INT_SIZE_CAP, the mod-2 rows
     (q = 1, 2) under DEFAULT_F2_SIZE_CAP.  An entry that cannot be certified
     is reported with group None and a caveat.  Each coefficient system's
-    entries are computed once, for every degree a row needs.
+    entries are computed once, for every degree a row needs.  The page is
+    checked against universal coefficients (_check_universal_coefficients).
     """
     if cover is None:
         cover = cover_data_from_w1(nt)
@@ -240,11 +241,40 @@ def e2_page(nt: NormalOneType, cover: CoverPair | None = None) -> E2Page:
                 entries[(p, q)] = E2Entry(p, q, AbelianGroupInvariants(0, ()))
             else:
                 entries[(p, q)] = replace(memo[_coefficients(row)][p], q=q)
+    _check_universal_coefficients(entries)
     notes = []
     gaps = sum(1 for e in entries.values() if e.group is None)
     if gaps:
         notes.append(f"{gaps} entries not certified at this truncation or cap")
     return E2Page(nt.name, MAX_TOTAL, entries, SPIN_COEFFICIENTS, tuple(notes))
+
+
+def _even_factors(group: AbelianGroupInvariants) -> int:
+    return sum(1 for t in group.torsion if t % 2 == 0)
+
+
+def _check_universal_coefficients(entries: dict) -> int:
+    """Raise InternalInvariantError unless dim E2[p,1] = r_p + t_p + t_(p-1)
+    wherever E2[p,1], E2[p,0] and E2[p-1,0] are certified; returns how many
+    degrees p it checked.  Here r_p is the free rank of the twisted H_p and
+    t_p the count of its even invariant factors: H_p(base; Z/2) is
+    H_p(base; Z^w1) (x) Z/2 plus Tor(H_(p-1)(base; Z^w1), Z/2), and
+    H_(-1) is zero."""
+    checked = 0
+    for p in range(MAX_TOTAL):
+        mod2, here = entries[(p, 1)].group, entries[(p, 0)].group
+        below = entries[(p - 1, 0)].group if p else AbelianGroupInvariants(0, ())
+        if mod2 is None or here is None or below is None:
+            continue
+        want = here.free_rank + _even_factors(here) + _even_factors(below)
+        have = mod2.free_rank + len(mod2.torsion)
+        if have != want:
+            raise InternalInvariantError(
+                f"universal coefficients: E2[{p},1] has dimension {have},"
+                f" but E2[{p},0] and E2[{p - 1},0] give {want}"
+            )
+        checked += 1
+    return checked
 
 
 def _coefficients(row: CoefficientRow) -> str:

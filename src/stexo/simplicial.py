@@ -16,6 +16,11 @@ and SimplicialMap.push sends a batch of targets through a map.  Outside input
 is checked in batches too, by check_targets, before a model or a map is made
 from it; the one constructor of each class takes arrays.
 
+SimplicialModel.validate checks the identities d_i d_j = d_{j-1} d_i on
+target codes: a dimension-n target is coded by its place in
+_target_table(n), and per degree one table gives the code of each face of
+every face target that occurs, so each identity is two gathers from it.
+
 Every chain-level matrix, CoverPair.twisted_boundary_int included, is read
 from one cached table per degree, SimplicialModel.face_index(n): the one
 place where face words become incidence and where the degree is checked.
@@ -327,29 +332,82 @@ class SimplicialModel:
         return _checked_once(self)
 
     def _violations_found(self) -> list[str]:
-        """d_i d_j = d_{j-1} d_i for i < j on every cell, in (degree, cell, j, i) order.
+        """Faces that have no place on the model, in (degree, cell, face)
+        order; if there are none, d_i d_j = d_{j-1} d_i for i < j on every
+        cell, in (degree, cell, j, i) order.
 
-        Each face column is grouped by word once per degree, as index arrays,
-        and every face taken of it reuses that grouping."""
-        bad = []
+        A dimension-n target is coded by its position in _target_table(n).
+        A face cell past the count of its core degree would take the code of
+        another target, so every face is checked against the counts first."""
+        runs = [_target_runs(self.cells, dim) for dim in range(self.max_degree)]
+        bad = [
+            msg for n in range(1, self.max_degree + 1) for msg in self._stray_faces(n, *runs[n - 1])
+        ]
+        if bad:
+            return bad
         for n in range(2, self.max_degree + 1):
-            fw, fc = self.face_word[n], self.face_cell[n]
-            columns = [(_index_groups(w), c) for w, c in zip(fw.T, fc.T)]
-            found = []
-            for j in range(1, n + 1):
-                for i in range(j):
-                    lw, lc = self._grouped_faces(n - 1, *columns[j], i)
-                    rw, rc = self._grouped_faces(n - 1, *columns[i], j - 1)
-                    for c in np.flatnonzero((lw != rw) | (lc != rc)).tolist():
-                        lhs = (_word(int(lw[c])), int(lc[c]))
-                        rhs = (_word(int(rw[c])), int(rc[c]))
-                        found.append((c, j, i, lhs, rhs))
-            found.sort(key=lambda f: f[:3])
-            bad.extend(
-                f"degree {n} cell {c}: d_{i} d_{j} != d_{j-1} d_{i} ({lhs} vs {rhs})"
-                for c, j, i, lhs, rhs in found
-            )
+            bad.extend(self._identity_violations(n, *runs[n - 1], runs[n - 2][0]))
         return bad
+
+    def _stray_faces(self, n: int, first, count) -> list[str]:
+        """The faces of the n-cells whose word is not canonical or whose cell
+        is past the count of its core degree, given the runs of
+        _target_runs(cells, n - 1).  Read as unsigned, a negative mask or
+        cell is past every bound."""
+        fw, fc = self.face_word[n], self.face_cell[n]
+        wide = fw.view(np.uint64) >= first.size
+        limit = count.view(np.uint64)[np.where(wide, 0, fw) if wide.any() else fw]
+        wrong = fc.view(np.uint64) >= limit
+        wrong |= wide
+        return [
+            f"degree {n} cell {c} face {i}: "
+            + _target_problem((_word(int(fw[c, i])), int(fc[c, i])), n - 1)
+            for c, i in np.argwhere(wrong).tolist()
+        ]
+
+    def _identity_violations(self, n: int, first, count, below) -> list[str]:
+        """The identities on the n-cells, whose faces are dimension-(n-1)
+        targets with the runs first, count of _target_runs; below is the
+        first array of dimension n-2.
+
+        Row i of a code table holds the code of d_i of every dimension-(n-1)
+        target whose word occurs among the faces: one face plan and one
+        gather of core faces per (word, i).  Each identity is then two
+        gathers from it at the codes of the n-cells' faces, one row of
+        codes per face; every code is in range, so "wrap" changes none."""
+        total = int(count.sum())
+        dtype = np.int32 if total < 1 << 31 else np.int64
+        fw = self.face_word[n]
+        codes = first.astype(dtype)[fw]
+        np.add(codes, self.face_cell[n], out=codes, casting="unsafe")
+        codes = np.ascontiguousarray(codes.T)
+        seen = np.zeros(first.size, dtype=bool)
+        seen[fw] = True
+        table = np.empty((n, total), dtype=dtype)
+        for mask in np.flatnonzero(seen).tolist():
+            run = table[:, first[mask] : first[mask] + count[mask]]
+            for i in range(n):
+                k, b, compose = _face_plan(n - 1, mask, i)
+                if compose is None:
+                    run[i] = np.arange(below[k], below[k] + run.shape[1])
+                else:
+                    run[i] = below[compose][self.face_word[b][:, k]] + self.face_cell[b][:, k]
+        found = []
+        for j in range(1, n + 1):
+            for i in range(j):
+                lhs = table[i].take(codes[j], mode="wrap")
+                rhs = table[j - 1].take(codes[i], mode="wrap")
+                found.extend((c, j, i, lhs[c], rhs[c]) for c in (lhs != rhs).nonzero()[0].tolist())
+        if not found:
+            return []
+        words, cells, _ = _target_table(self, n - 2)
+        found.sort(key=lambda f: f[:3])
+        return [
+            f"degree {n} cell {c}: d_{i} d_{j} != d_{j-1} d_{i}"
+            f" ({(_word(int(words[lhs])), int(cells[lhs]))}"
+            f" vs {(_word(int(words[rhs])), int(cells[rhs]))})"
+            for c, j, i, lhs, rhs in found
+        ]
 
     def require_valid(self) -> None:
         bad = self.validate()
@@ -712,21 +770,41 @@ class Involution(SimplicialMap):
 # -- products ----------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _run_order(n: int) -> tuple:
+    """(core degree, word mask) of every dimension-n word, in the order of
+    the runs of _target_table: by core degree, then by letters."""
+    return tuple(
+        (m, _mask(combo)) for m in range(n + 1) for combo in combinations(range(n), n - m)
+    )
+
+
+def _target_runs(cells, n: int):
+    """Where the targets of each word lie among the dimension-n targets of a
+    model with the given cell counts, in _target_table's order: per word
+    mask, the position of its first target (-1 when the word cannot occur)
+    and the count of its targets, the cells of its core degree."""
+    first = np.full(1 << n, -1, dtype=np.int64)
+    count = np.zeros(1 << n, dtype=np.int64)
+    total = 0
+    for m, mask in _run_order(n):
+        if m >= len(cells):
+            break
+        first[mask] = total
+        count[mask] = cells[m]
+        total += cells[m]
+    return first, count
+
+
 def _target_table(model: SimplicialModel, n: int):
     """Every dimension-n target of model as arrays (word masks, cells), in a
     deterministic order, plus, per mask, the position of its first target (-1
     when the word cannot occur)."""
-    first = np.full(1 << n, -1, dtype=np.int64)
-    words, cells = [], []
-    total = 0
-    for m in range(min(n, model.max_degree) + 1):
-        for combo in combinations(range(n), n - m):
-            mask = _mask(combo)
-            first[mask] = total
-            total += model.cells[m]
-            words.append(np.full(model.cells[m], mask, dtype=np.int64))
-            cells.append(np.arange(model.cells[m], dtype=np.int64))
-    return np.concatenate(words), np.concatenate(cells), first
+    first, count = _target_runs(model.cells, n)
+    masks = np.flatnonzero(count)
+    masks = masks[np.argsort(first[masks])]
+    words = np.repeat(masks, count[masks])
+    return words, np.arange(words.size) - np.repeat(first[masks], count[masks]), first
 
 
 class ProductModel:

@@ -20,6 +20,7 @@ from stexo.simplicial import (
     SimplicialModel,
     Target,
     _canonical_masks,
+    _index_groups,
     _word,
     compose_words,
     int64_array,
@@ -50,6 +51,34 @@ def face(model: SimplicialModel, n: int, target: Target, i: int) -> Target:
     b = n - len(word)
     fw = int(model.face_word[b][cell, k])
     return compose_words(out, _word(fw), int(model.face_cell[b][cell, k]))
+
+
+def simplicial_violations(model: SimplicialModel) -> list[str]:
+    """d_i d_j = d_{j-1} d_i for i < j on every cell, in (degree, cell, j, i)
+    order, as SimplicialModel.validate words it.
+
+    The reference for the coded check: each face column is grouped by word
+    once per degree, and both sides of every identity are face walks of it.
+    It assumes every face has a place on the model."""
+    bad = []
+    for n in range(2, model.max_degree + 1):
+        fw, fc = model.face_word[n], model.face_cell[n]
+        columns = [(_index_groups(w), c) for w, c in zip(fw.T, fc.T)]
+        found = []
+        for j in range(1, n + 1):
+            for i in range(j):
+                lw, lc = model._grouped_faces(n - 1, *columns[j], i)
+                rw, rc = model._grouped_faces(n - 1, *columns[i], j - 1)
+                for c in np.flatnonzero((lw != rw) | (lc != rc)).tolist():
+                    lhs = (_word(int(lw[c])), int(lc[c]))
+                    rhs = (_word(int(rw[c])), int(rc[c]))
+                    found.append((c, j, i, lhs, rhs))
+        found.sort(key=lambda f: f[:3])
+        bad.extend(
+            f"degree {n} cell {c}: d_{i} d_{j} != d_{j-1} d_{i} ({lhs} vs {rhs})"
+            for c, j, i, lhs, rhs in found
+        )
+    return bad
 
 
 def compose(outer: SimplicialMap, inner: SimplicialMap) -> SimplicialMap:

@@ -1,6 +1,7 @@
 """Page, differential, and killer-flag reports across the catalog."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from stexo import james, snf
 from stexo.catalog import get_fixture
 from stexo.cohomology import cohomology_basis
-from stexo.errors import ValidationError
+from stexo.errors import InternalInvariantError, ValidationError
 from stexo.gf2 import F2Matrix
 from stexo.james import (
     SPIN_COEFFICIENTS,
@@ -19,6 +20,7 @@ from stexo.james import (
 )
 from stexo.obstruction import decide, primary_vanishes
 from stexo.simplicial import cup
+from stexo.snf import AbelianGroupInvariants
 
 NT_FIXTURES = (
     "rp-w2-zero",
@@ -260,3 +262,26 @@ def test_d2_reads_twisted_generators_off_the_page(monkeypatch, reports):
         assert calls == [], name
         assert any(d.known for d in diffs.from_q0.values()), name
         assert diffs.to_json_dict() == want.to_json_dict(), name
+
+
+def test_every_certified_page_column_obeys_universal_coefficients(reports):
+    # dim E2[p,1] = r_p + t_p + t_(p-1), checked wherever the three entries
+    # certify: 25 columns over the catalog
+    checked = [james._check_universal_coefficients(reports[n][2].entries) for n in NT_FIXTURES]
+    assert sum(checked) == 25
+
+
+def test_a_page_that_breaks_universal_coefficients_is_refused(monkeypatch, reports):
+    fx = reports["rp-w2-zero"][0]
+    real = james.twisted_homology
+
+    def one_class_too_many(pair, p, coeff):
+        group = real(pair, p, coeff)
+        if p != 2:
+            return group
+        return AbelianGroupInvariants(group.free_rank, group.torsion + (2,))
+
+    monkeypatch.setattr(james, "twisted_homology", one_class_too_many)
+    want = "universal coefficients: E2[2,1] has dimension 2, but E2[2,0] and E2[1,0] give 1"
+    with pytest.raises(InternalInvariantError, match=f"^{re.escape(want)}$"):
+        e2_page(fx.nt, fx.cover)

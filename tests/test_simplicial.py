@@ -65,6 +65,7 @@ from reference import (
     face,
     kernel_basis,
     mul_vec,
+    simplicial_violations,
     solve_affine,
     v1_document,
 )
@@ -927,6 +928,109 @@ def test_validate_lists_every_identity_violation_of_the_reference():
     assert len(want) > 1
     assert model.validate() == want
     assert model.validate() == want  # cached, not recomputed differently
+
+
+def _oracle_models():
+    """The catalog models, their relabelings (seed 29), the depth-5 bar
+    models of Z/4 and D8 and k_z2_2(5)."""
+    rng = np.random.default_rng(29)
+    models = _catalog_models()
+    models += [relabel_model(m, rng)[0] for m in models]
+    return models + [bar_b(z4_table(), 5), bar_b(dihedral8_table(), 5), k_z2_2(5)]
+
+
+def _edited(model, n, edit):
+    """model with edit(face_word[n], face_cell[n]) applied to copies."""
+    face_word, face_cell = list(model.face_word), list(model.face_cell)
+    face_word[n], face_cell[n] = face_word[n].copy(), face_cell[n].copy()
+    edit(face_word[n], face_cell[n])
+    return SimplicialModel(model.max_degree, model.cells, face_word, face_cell, model.name)
+
+
+def _corruptions(model, rng):
+    """Models that each break one face of one cell in one degree >= 1 with a
+    target that has a place on the model: two faces swapped, a plain face
+    made a degenerate target, a face moved to another cell of its core
+    degree."""
+    for n in range(1, model.max_degree + 1):
+        count = model.cells[n]
+        if count == 0:
+            continue
+        c = int(rng.integers(count))
+        a, b = rng.choice(n + 1, 2, replace=False)
+
+        def swap(fw, fc, c=c, a=a, b=b):
+            fw[c, [a, b]] = fw[c, [b, a]]
+            fc[c, [a, b]] = fc[c, [b, a]]
+
+        yield _edited(model, n, swap)
+        plain = np.argwhere(model.face_word[n] == 0)
+        cores = [m for m in range(n - 1) if model.cells[m]]
+        if plain.size and cores:
+            pc, pi = plain[rng.integers(len(plain))]
+            m = int(rng.choice(cores))
+            letters = rng.choice(n - 1, n - 1 - m, replace=False)
+            mask = int(sum(1 << int(x) for x in letters))
+            cell = int(rng.integers(model.cells[m]))
+
+            def degenerate(fw, fc, pc=pc, pi=pi, mask=mask, cell=cell):
+                fw[pc, pi], fc[pc, pi] = mask, cell
+
+            yield _edited(model, n, degenerate)
+        core = n - 1 - np.bitwise_count(model.face_word[n])
+        counts = np.array(model.cells)[core]
+        movable = np.argwhere(counts > 1)
+        if movable.size:
+            mc, mi = movable[rng.integers(len(movable))]
+            shift = int(rng.integers(1, counts[mc, mi]))
+
+            def move(fw, fc, mc=mc, mi=mi, shift=shift, size=int(counts[mc, mi])):
+                fc[mc, mi] = (fc[mc, mi] + shift) % size
+
+            yield _edited(model, n, move)
+
+
+def test_validate_equals_the_grouped_oracle_on_valid_and_corrupted_models():
+    rng = np.random.default_rng(11)
+    broken = 0
+    for model in _oracle_models():
+        assert model.validate() == simplicial_violations(model) == [], model.name
+        for bad in _corruptions(model, rng):
+            want = simplicial_violations(bad)
+            assert bad.validate() == want, bad.name
+            broken += bool(want)
+    assert broken > 100
+
+
+@pytest.mark.parametrize("n", [2, 5])
+@pytest.mark.parametrize("past", [0, 7, -1])
+def test_validate_refuses_a_face_cell_past_its_core_count(n, past):
+    # cells[n - 1] would be the code of the first target of the next word's
+    # run; the faces are checked against the counts before any code is made
+    d8 = bar_b(dihedral8_table(), 5, name="bar-d8")
+    c, i = map(int, np.argwhere(d8.face_word[n] == 0)[0])
+    cell = d8.cells[n - 1] + past if past >= 0 else past
+
+    def stray(fw, fc):
+        fc[c, i] = cell
+
+    model = _edited(d8, n, stray)
+    want = [f"degree {n} cell {c} face {i}: target ((), {cell}) has no core cell in degree {n - 1}"]
+    assert model.validate() == want
+    assert _reference_validate(d8.max_degree, d8.cells, _face_tuples(model)) == want
+    refused = f"^bar-d8: 1 violations; first: {re.escape(want[0])}$"
+    with pytest.raises(ValidationError, match=refused):
+        model.require_valid()
+
+
+def test_validate_refuses_a_word_that_is_not_canonical():
+    d8 = bar_b(dihedral8_table(), 5, name="bar-d8")
+
+    def wide(fw, fc):
+        fw[0, 1] = 1 << 4
+
+    want = ["degree 5 cell 0 face 1: degeneracy word (4,) out of range for dimension 4"]
+    assert _edited(d8, 5, wide).validate() == want
 
 
 # -- the coboundary test against the affine solver -----------------------------
