@@ -120,10 +120,11 @@ canon:
                      for k = 0..min(4, max_degree - 1): the H^k cocycles,
                      the H^4 ones of the big fixtures among them;
   <part>.boundary.<k>
-                     the nonzero (row, col, value) triplets of boundary_int(k)
-                     on each exported model, and (as twisted.boundary.<k>)
-                     of the fixture's own cover pair's twisted boundary, for
-                     every k = 1..max_degree whose dense matrix has at most
+                     the nonzero (row, col, value) triplets of
+                     signed_faces(k).dense() on each exported model, and
+                     (as twisted.boundary.<k>) of twisted_faces(k).dense()
+                     of the fixture's own cover pair, for every
+                     k = 1..max_degree whose dense matrix has at most
                      BOUNDARY_ENTRIES entries; skipped as larger are
                      z4-semidirect base, cover and twisted k = 4, 5,
                      d4-reflection base, cover and twisted k = 5 and
@@ -563,7 +564,7 @@ def digest(name: str) -> list:
             reps = cohomology_basis(model, k).reduction.reps
             data = repr(reps.shape).encode() + reps.tobytes()
             rows.append((f"{part}.cocycles.{k}", _sha(data)))
-        rows.extend(boundary_digest(part, model, model.boundary_int))
+        rows.extend(boundary_digest(part, model, lambda k: model.signed_faces(k).dense()))
         top = model.max_degree
         rows.append((f"{part}.violations", _sha("\n".join(swapped_faces(model, top).validate()))))
         if top >= 2:
@@ -572,7 +573,8 @@ def digest(name: str) -> list:
     if fx.nt is not None and "cover" in blobs:
         rows.extend(lifts_digest(fx, blobs))
     if fx.cover is not None:
-        rows.extend(boundary_digest("twisted", fx.cover.base, fx.cover.twisted_boundary_int))
+        cover = fx.cover
+        rows.extend(boundary_digest("twisted", cover.base, lambda k: cover.twisted_faces(k).dense()))
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
         for part, blob in blobs.items():

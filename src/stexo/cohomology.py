@@ -29,9 +29,9 @@ Integral homology, plain or twisted by w1, reads the signed face tables of
 the model (SimplicialModel.signed_faces) or of the cover pair
 (CoverPair.twisted_faces): snf checks each composite boundary_p @
 boundary_{p+1} = 0 on the two tables, and each boundary is reduced once
-per call, also for a run of degrees (twisted_integral_homologies).  No
-dense boundary is kept; a result densifies its tables only to build
-generators.
+per call (_chain_homologies).  integral_homology and twisted_homology ask
+for one degree, twisted_integral_homologies for a run of them.  No dense
+boundary is kept; a result densifies its tables only to build generators.
 """
 
 from __future__ import annotations
@@ -277,7 +277,7 @@ def twisted_homology(
         return integral_homology(base, p).invariants
     if coeff != "Z-":
         raise ValidationError(f"unknown coefficient system {coeff!r}")
-    return twisted_integral_homology(pair, p).invariants
+    return _one(twisted_integral_homologies(pair, [p]), p).invariants
 
 
 def twisted_integral_homologies(pair: CoverPair, degrees) -> dict:
@@ -287,8 +287,3 @@ def twisted_integral_homologies(pair: CoverPair, degrees) -> dict:
     once in the call; cycle generators are built from a result on demand."""
     message = "{name}: twisted H_{p} needs degree-{q} chains"
     return _chain_homologies(pair.base, degrees, pair.twisted_faces, message)
-
-
-def twisted_integral_homology(pair: CoverPair, p: int) -> HomologyResult:
-    """twisted_integral_homologies for the one degree p, raising its error."""
-    return _one(twisted_integral_homologies(pair, [p]), p)

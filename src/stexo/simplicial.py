@@ -21,12 +21,12 @@ target codes: a dimension-n target is coded by its place in
 _target_table(n), and per degree one table gives the code of each face of
 every face target that occurs, so each identity is two gathers from it.
 
-Every chain-level matrix, CoverPair.twisted_boundary_int included, is read
-from one cached table per degree, SimplicialModel.face_index(n): the one
-place where face words become incidence and where the degree is checked.
-The integer boundaries are that table with a sign table beside it
-(signed_faces, CoverPair.twisted_faces), the one input of snf's homology
-route; boundary_int and twisted_boundary_int are one scatter of it.
+Every chain-level matrix, CoverPair.twisted_faces included, is read from
+one cached table per degree, SimplicialModel.face_index(n): the one place
+where face words become incidence and where the degree is checked.  The
+integer boundaries are that table with a sign table beside it
+(signed_faces, CoverPair.twisted_faces), the one input of snf's integer
+layer.
 
 Cochains are normalized: a degeneracy-decorated target evaluates to 0.
 """
@@ -472,10 +472,6 @@ class SimplicialModel:
         table = self.face_index(k)
         signs = np.where(table < self.cells[k - 1], 1 - 2 * (np.arange(k + 1)[:, None] & 1), 0)
         return FaceTable(table, signs, self.cells[k - 1])
-
-    def boundary_int(self, k: int) -> np.ndarray:
-        """Integral boundary C_k -> C_{k-1} with signs; rows are (k-1)-cells."""
-        return self.signed_faces(k).dense()
 
     def cup_table(self, p: int, q: int, i: int):
         """Index triples (out, u, v) with odd multiplicity for the cup-i sum."""
@@ -949,10 +945,6 @@ class CoverPair:
         lifted = self.cover.face_index(k)[:, self.rep_cells[k]]
         flip = self.sheet[k - 1].take(lifted, mode="clip")
         return FaceTable(plain.faces, np.where(flip, -plain.signs, plain.signs), plain.rows)
-
-    def twisted_boundary_int(self, k: int) -> np.ndarray:
-        """Boundary on base chains with integer coefficients twisted by w1."""
-        return self.twisted_faces(k).dense()
 
 
 def _double_cover(

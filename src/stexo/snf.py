@@ -6,23 +6,23 @@ a Python int beside each int64 array and advanced by scalar arithmetic at
 every update, so no update has to rescan an array to stay inside int64; it
 is recomputed from the array only when it would run out.
 
-A boundary comes to the homology route as a FaceTable, the signed face
-table it is read off (a dense matrix is converted to one once).  The check
-boundary_out @ boundary_in = 0 reads the two tables alone: each face of a
-face is gathered from the lower table and the signed terms are summed per
-entry, exactly (_composite_entries).  Homology invariants come from
-invariant factors alone.  Each boundary is scattered into one dense int64
-array, which the elimination of invariant_factors reduces in place: +-1
-pivots, each updating only the rows of its column at the nonzero columns
-of its row, on a live block that drops the zero rows and columns once
-that halves it, stopping before an update that could leave int64; the
-block that is left goes to the loop of smith_normal_form with zero-width transforms, so
-it builds none; that loop runs on int64 until a bound runs out and on
-object arrays from then on, so it cannot overflow.  Cycle generators,
-which need the transforms, are computed only when asked for, on the dense
-boundaries; _product is the one exact dense matrix product, on float64
-(BLAS) while every partial sum stays below 2**53, else on int64 or Python
-ints.
+A boundary comes to the integer layer only as a FaceTable, the signed face
+table it is read off; FaceTable.from_dense turns a hand-written matrix into
+one.  The check boundary_out @ boundary_in = 0 reads the two tables alone:
+each face of a face is gathered from the lower table and the signed terms
+are summed per entry, exactly (_composite_entries).  Homology invariants
+come from invariant factors alone, and FaceTable.invariant_factors is where
+they are computed: the table is scattered into one dense int64 array, which
+the elimination reduces in place: +-1 pivots, each updating only the rows
+of its column at the nonzero columns of its row, on a live block that drops
+the zero rows and columns once that halves it, stopping before an update
+that could leave int64; the block that is left goes to the loop of
+smith_normal_form with zero-width transforms, so it builds none; that loop
+runs on int64 until a bound runs out and on object arrays from then on, so
+it cannot overflow.  Cycle generators, which need the transforms, are
+computed only when asked for, on the dense boundaries; _product is the one
+exact dense matrix product, on float64 (BLAS) while every partial sum stays
+below 2**53, else on int64 or Python ints.
 
 smith_normal_form takes a matrix as a list of row lists and returns the
 invariant factors together with the full transform arrays U, V (and their
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalInvariantError, ModelMismatchError
+from .errors import InternalInvariantError
 
 # An elimination update sets y <- y - f * x.  While |y| + |f| |x| stays at
 # most 2**62, the result and every intermediate fit in int64 with room to spare.
@@ -50,6 +50,10 @@ class SNFResult:
     V and V_inv are square numpy arrays of one dtype: int64 when the
     reduction stayed inside its int64 bound, else object arrays of Python
     ints.
+
+    The homology route reads V, V_inv and U_inv only, yet U stays: it
+    completes the tested U A V = D contract, the output digest's smith lines
+    record it, and a zero-width U on the generator route saved no time.
     """
 
     diag: list[int]
@@ -290,38 +294,6 @@ def _unit_pivots(m: np.ndarray):
             count += 1
 
 
-def _eliminate_units(m: np.ndarray) -> int:
-    """_unit_pivots in place: m is left as the whole residual matrix, and
-    the count is returned."""
-    count, block, rows, cols = _unit_pivots(m)
-    if block is not m:
-        m[...] = 0
-        m[np.ix_(rows, cols)] = block
-    return count
-
-
-def _factors(m: np.ndarray) -> list[int]:
-    """invariant_factors of an int64 matrix that the call may overwrite."""
-    if m.size == 0:
-        return []
-    units, block, _, _ = _unit_pivots(m)
-    core = block[np.ix_(block.any(axis=1), block.any(axis=0))]  # the nonzero block
-    return [1] * units + _smith(core, transforms=False).diag
-
-
-def invariant_factors(a) -> list[int]:
-    """The nonzero invariant factors d_1 | d_2 | ... of an integer matrix.
-
-    Equal to smith_normal_form(a).diag, without the transforms: unit pivots
-    are eliminated on int64 first and the exact Smith form reduces only the
-    nonzero block that is left, building no transform.  a is copied, and
-    the copy reduced; the homology route reduces the dense boundary it has
-    just scattered from a face table in place instead (FaceTable.
-    invariant_factors), so it holds one dense matrix, not two.
-    """
-    return _factors(np.array(a, dtype=np.int64))
-
-
 @dataclass
 class AbelianGroupInvariants:
     """Isomorphism type of a finitely generated abelian group."""
@@ -348,7 +320,7 @@ class FaceTable:
 
     SimplicialModel.signed_faces(k) is face_index(k) with sign (-1)^i on a
     plain face d_i and 0 on a degenerate one, and CoverPair.twisted_faces(k)
-    flips those signs by the sheets; a dense matrix is converted by
+    flips those signs by the sheets; a hand-written matrix is converted by
     from_dense.  dense() scatters the table into a new int64 array.
     """
 
@@ -388,8 +360,19 @@ class FaceTable:
         return out[: self.rows]
 
     def invariant_factors(self) -> list[int]:
-        """invariant_factors of the matrix, reducing its dense array in place."""
-        return _factors(self.dense())
+        """The nonzero invariant factors d_1 | d_2 | ... of the matrix.
+
+        Equal to smith_normal_form's diag, without the transforms: unit
+        pivots are eliminated on the dense array in place first, and the
+        exact Smith form reduces only the nonzero block that is left,
+        building no transform.
+        """
+        m = self.dense()
+        if m.size == 0:
+            return []
+        units, block, _, _ = _unit_pivots(m)
+        core = block[np.ix_(block.any(axis=1), block.any(axis=0))]  # the nonzero block
+        return [1] * units + _smith(core, transforms=False).diag
 
 
 class HomologyResult:
@@ -413,12 +396,6 @@ class HomologyResult:
                 f"generator route finds {inv}, invariant factors give {self.invariants}"
             )
         return _product(coords, kernel.T)
-
-
-def _matrix(b, empty_shape: tuple) -> np.ndarray:
-    """b as a 2-D int64 array; an empty list takes the given empty shape."""
-    m = np.asarray(b, dtype=np.int64)
-    return m.reshape(empty_shape) if m.ndim != 2 and m.size == 0 else m
 
 
 def _product_bound(a: np.ndarray, b: np.ndarray) -> int:
@@ -499,31 +476,6 @@ def _check_faces_of_faces(lower: FaceTable, upper: FaceTable) -> None:
     """Raise unless lower @ upper = 0, computed exactly from the tables."""
     if _composite_entries(lower, upper)[2].size:
         raise InternalInvariantError("boundary composite is nonzero")
-
-
-def _table(b, empty_shape: tuple) -> FaceTable:
-    """b as a face table: a table as it is, a matrix converted once."""
-    return b if isinstance(b, FaceTable) else FaceTable.from_dense(_matrix(b, empty_shape))
-
-
-def homology_from_boundaries(
-    boundary_out, boundary_in, n_chains: int
-) -> HomologyResult:
-    """Homology ker(boundary_out) / im(boundary_in) of a chain pair.
-
-    boundary_out maps degree-p chains down, boundary_in maps degree-(p+1)
-    chains onto the image being divided out.  Each is a FaceTable or a
-    matrix, which is converted to one.  Shapes: boundary_out is
-    (cells_{p-1} x n_chains), boundary_in is (n_chains x cells_{p+1}); an
-    empty list stands for (0 x n_chains), respectively (n_chains x 0).
-    """
-    bout = _table(boundary_out, (0, n_chains))
-    bin_ = _table(boundary_in, (n_chains, 0))
-    if bout.shape[1] != n_chains:
-        raise ModelMismatchError("boundary_out width disagrees with n_chains")
-    if bin_.shape[0] != n_chains:
-        raise ModelMismatchError("boundary_in height disagrees with n_chains")
-    return homology_from_factors(bout, bin_, bout.invariant_factors(), bin_.invariant_factors())
 
 
 def homology_from_factors(

@@ -405,8 +405,8 @@ def eliminate_units(m: np.ndarray) -> int:
 
 # The face readers of stexo.simplicial before its one face table per degree,
 # each reading the face arrays on its own: face_index, coboundary_matrix, the
-# coboundary_span rows, boundary_int and CoverPair.twisted_boundary_int must
-# give the same arrays.  Each takes degrees in range only.
+# coboundary_span rows, and signed_faces and CoverPair.twisted_faces scattered
+# dense must give the same arrays.  Each takes degrees in range only.
 def cofaces(model: SimplicialModel, k: int):
     """The entries of delta_k as a mask of the plain (nondegenerate) faces of
     the (k+1)-cells and the face-cell array it selects from."""

@@ -49,7 +49,7 @@ from stexo.simplicial import (
     product,
     quotient_free_involution,
 )
-from stexo.snf import AbelianGroupInvariants, _transform_route, homology_from_boundaries
+from stexo.snf import AbelianGroupInvariants, FaceTable, _transform_route, homology_from_factors
 
 from reference import compose, kernel_basis, transform_built, transform_rows_canonical
 
@@ -578,16 +578,15 @@ def test_eager_invariants_match_generator_route():
             if _boundary_load(base, p) > DEFAULT_INT_SIZE_CAP:
                 continue
             n = base.cells[p]
-            bout = np.zeros((0, n), dtype=np.int64)
-            if p:
-                bout = pair.twisted_boundary_int(p)
-            bin_ = pair.twisted_boundary_int(p + 1)
-            eager = homology_from_boundaries(bout, bin_, n).invariants
-            assert eager == _route_invariants(bout, bin_), (name, p)
+            t_out = pair.twisted_faces(p) if p else FaceTable.zero(0, n)
+            t_in = pair.twisted_faces(p + 1)
+            factors = t_out.invariant_factors(), t_in.invariant_factors()
+            eager = homology_from_factors(t_out, t_in, *factors).invariants
+            assert eager == _route_invariants(t_out.dense(), t_in.dense()), (name, p)
             checked += 1
     assert checked == 26
     model = get_fixture("k2-stress").stress_model
     for p in range(1, 5):
-        bout, bin_ = model.boundary_int(p), model.boundary_int(p + 1)
+        bout, bin_ = model.signed_faces(p).dense(), model.signed_faces(p + 1).dense()
         eager = integral_homology(model, p).invariants
         assert eager == _route_invariants(bout, bin_), p

@@ -1188,14 +1188,14 @@ def test_face_table_matches_the_readers_it_replaced():
             assert span.pivots == want.pivots, (model.name, k)
             assert span.matrix == want.matrix, (model.name, k)
             assert span.transform == want.transform, (model.name, k)
-            got = model.boundary_int(k)
+            got = model.signed_faces(k).dense()
             assert np.array_equal(got, reference.boundary_int(model, k)), (model.name, k)
             checked += 1
     for pair in pairs:
         base = pair.base
         for k in range(1, base.max_degree + 1):
             if base.cells[k - 1] * base.cells[k] <= _DENSE_ENTRIES:
-                got = pair.twisted_boundary_int(k)
+                got = pair.twisted_faces(k).dense()
                 want = reference.twisted_boundary_int(pair, k)
                 assert np.array_equal(got, want), (base.name, k)
                 checked += 1
@@ -1212,8 +1212,8 @@ def test_one_truncation_message_for_every_chain_level_matrix():
         (0, lambda: z4.face_index(0)),
         (4, lambda: z4.face_index(4)),
         (4, lambda: coboundary(top)),
-        (0, lambda: z4.boundary_int(0)),
-        (4, lambda: pair.twisted_boundary_int(4)),
+        (0, lambda: z4.signed_faces(0).dense()),
+        (4, lambda: pair.twisted_faces(4).dense()),
         (-1, lambda: z4.coboundary_matrix(-2)),
         (4, lambda: z4.coboundary_span(4)),
     ):

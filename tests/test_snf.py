@@ -11,8 +11,7 @@ from stexo.snf import (
     AbelianGroupInvariants,
     FaceTable,
     HomologyResult,
-    homology_from_boundaries,
-    invariant_factors,
+    homology_from_factors,
     smith_normal_form,
 )
 
@@ -23,6 +22,16 @@ from reference import mod2_rank
 def _exact(m, rows, cols):
     """m as an exact (Python-int) object array of the given shape."""
     return np.array(m, dtype=object).reshape(rows, cols)
+
+
+def _homology(d_out, d_in, n: int) -> HomologyResult:
+    """The homology of two boundaries, each a face table or a matrix ([] for
+    none: 0 x n, respectively n x 0), from their tables' invariant factors."""
+    out, in_ = (
+        b if isinstance(b, FaceTable) else FaceTable.from_dense(np.reshape(np.array(b, np.int64), s))
+        for b, s in ((d_out, (-1, n)), (d_in, (n, -1)))
+    )
+    return homology_from_factors(out, in_, out.invariant_factors(), in_.invariant_factors())
 
 
 def check_snf(a):
@@ -123,7 +132,7 @@ def _int_matrices(draw):
 def test_invariant_factors_match_smith_form(a, scale):
     # scaled by 2 or 3 no entry is a unit, so the exact Smith form does it all
     a = a * scale
-    assert invariant_factors(a) == smith_normal_form(a.tolist()).diag
+    assert FaceTable.from_dense(a).invariant_factors() == smith_normal_form(a.tolist()).diag
 
 
 def test_invariant_factors_hand_off_before_int64_overflow(monkeypatch):
@@ -140,7 +149,7 @@ def test_invariant_factors_hand_off_before_int64_overflow(monkeypatch):
         return smith(m, transforms)
 
     monkeypatch.setattr(snf, "_smith", spy)
-    assert invariant_factors(a) == [1, 1, big * big]
+    assert FaceTable.from_dense(a).invariant_factors() == [1, 1, big * big]
     assert cores == [(2, 2, False)]
 
 
@@ -161,7 +170,8 @@ def _boundary_like(draw):
 @given(_boundary_like())
 @settings(max_examples=60, deadline=None)
 def test_invariant_factors_match_smith_form_on_boundary_like_matrices(a):
-    assert invariant_factors(a) == reference.smith_normal_form(a.tolist()).diag
+    want = reference.smith_normal_form(a.tolist()).diag
+    assert FaceTable.from_dense(a).invariant_factors() == want
 
 
 def _as_ints(res) -> list:
@@ -222,24 +232,22 @@ def test_unit_elimination_bounds_the_whole_matrix():
     a = np.array([[1, 1, 0], [1, 2, 0], [0, 0, 1 << 62]], dtype=np.int64)
     want = reference.smith_normal_form(a.tolist()).diag
     assert want == [1, 1, 1 << 62]
-    assert invariant_factors(a) == want
-    m = a.copy()
-    assert snf._eliminate_units(m) == 0
+    assert FaceTable.from_dense(a).invariant_factors() == want
+    count, block, rows, cols = snf._unit_pivots(a.copy())
+    assert count == 0
+    m = np.zeros_like(a)
+    m[np.ix_(rows, cols)] = block
     assert (m == a).all()
 
 
 def _same_elimination(a: np.ndarray) -> None:
     """_unit_pivots and the reference loop leave the same count and matrix:
-    the live block at its row and column indices, zero elsewhere; and so
-    does _eliminate_units in place."""
+    the live block at its row and column indices, zero elsewhere."""
     want = a.copy()
     count, block, rows, cols = snf._unit_pivots(a.copy())
     assert count == reference.eliminate_units(want)
     m = np.zeros_like(a)
     m[np.ix_(rows, cols)] = block
-    assert np.array_equal(m, want)
-    m = a.copy()
-    assert snf._eliminate_units(m) == count
     assert np.array_equal(m, want)
 
 
@@ -264,7 +272,7 @@ def test_unit_elimination_equals_reference_loop(a):
 @pytest.mark.parametrize("degree", [5, 6])
 @pytest.mark.parametrize("table", [z4_table, klein_table], ids=["z4", "z2xz2"])
 def test_unit_elimination_equals_reference_loop_on_bar_boundaries(table, degree):
-    _same_elimination(bar_b(table(), 6).boundary_int(degree))
+    _same_elimination(bar_b(table(), 6).signed_faces(degree).dense())
 
 
 def test_abelian_invariants_str_and_ranks():
@@ -278,15 +286,15 @@ def test_abelian_invariants_str_and_ranks():
 
 def test_homology_circle_like():
     # one 0-cell, one 1-cell, boundary zero: H_0 = Z, H_1 = Z
-    h0 = homology_from_boundaries([], [[0]], 1)
+    h0 = _homology([], [[0]], 1)
     assert h0.invariants == AbelianGroupInvariants(1)
-    h1 = homology_from_boundaries([[0]], [], 1)
+    h1 = _homology([[0]], [], 1)
     assert h1.invariants == AbelianGroupInvariants(1)
 
 
 def test_homology_torsion():
     # Z --2--> Z presents Z/2
-    h = homology_from_boundaries([], [[2]], 1)
+    h = _homology([], [[2]], 1)
     assert h.invariants == AbelianGroupInvariants(0, (2,))
     gens = h.generator_chains()
     assert len(gens) == 1 and abs(gens[0][0]) == 1
@@ -295,9 +303,9 @@ def test_homology_torsion():
 def test_homology_rp2_cellular():
     # cellular chain complex of the real projective plane:
     # C2 = Z --(1+a)--> C1 = Z --0--> C0 = Z, with d2 = 2, d1 = 0
-    h0 = homology_from_boundaries([], [[0]], 1)
-    h1 = homology_from_boundaries([[0]], [[2]], 1)
-    h2 = homology_from_boundaries([[2]], [], 1)
+    h0 = _homology([], [[0]], 1)
+    h1 = _homology([[0]], [[2]], 1)
+    h2 = _homology([[2]], [], 1)
     assert h0.invariants == AbelianGroupInvariants(1)
     assert h1.invariants == AbelianGroupInvariants(0, (2,))
     assert h2.invariants == AbelianGroupInvariants(0)
@@ -307,7 +315,7 @@ def test_homology_generators_are_cycles_mod_image():
     d_out = [[1, -1, 0, 0], [0, 1, -1, 0]]
     # columns must lie in ker(d_out) = {(a,a,a,b)}
     d_in = [[3, 0], [3, 0], [3, 0], [0, 5]]
-    h = homology_from_boundaries(d_out, d_in, 4)
+    h = _homology(d_out, d_in, 4)
     # Z/3 + Z/5 normalizes to the single invariant factor 15
     assert h.invariants == AbelianGroupInvariants(0, (15,))
     for chain in h.generator_chains():
@@ -317,23 +325,23 @@ def test_homology_generators_are_cycles_mod_image():
 
 def test_homology_rejects_nonzero_composite():
     with pytest.raises(InternalInvariantError):
-        homology_from_boundaries([[1, 0]], [[1], [0]], 2)
+        _homology([[1, 0]], [[1], [0]], 2)
     # 2**32 * 2**32 wraps to 0 in int64; past the entry bound the check is exact
     with pytest.raises(InternalInvariantError, match="boundary composite is nonzero"):
-        homology_from_boundaries([[1 << 32]], [[1 << 32]], 1)
+        _homology([[1 << 32]], [[1 << 32]], 1)
 
 
 def test_homology_rejects_flipped_sign_in_wide_boundary():
     # the degree-6 boundary of the bar model of Z/4 is 243 x 729; one flipped
     # sign leaves a column that is no cycle
     model = bar_b(z4_table(), 6)
-    d5, d6 = model.boundary_int(5), model.boundary_int(6)
+    d5, d6 = model.signed_faces(5).dense(), model.signed_faces(6).dense()
     assert d6.shape == (243, 729)
     k, j = np.argwhere(d6)[0]
     assert d5[:, k].any()
     d6[k, j] = -d6[k, j]
     with pytest.raises(InternalInvariantError, match="boundary composite is nonzero"):
-        homology_from_boundaries(d5, d6, 243)
+        _homology(d5, d6, 243)
 
 
 def test_generator_route_must_agree_with_invariants():
@@ -349,7 +357,7 @@ def test_generator_route_must_agree_with_invariants():
 def test_homology_rejects_noncycle_image():
     # d_in column outside ker(d_out)
     with pytest.raises(InternalInvariantError):
-        homology_from_boundaries([[1, 0]], [[1], [0]], 2)
+        _homology([[1, 0]], [[1], [0]], 2)
     # the generator route finds it on its own: nonzero rows above the kernel
     with pytest.raises(InternalInvariantError, match="cycle lattice"):
         snf._transform_route(np.array([[1, 0]]), np.array([[1], [0]]))
@@ -419,7 +427,7 @@ def test_perturbed_bar_composite_raises():
     # adding one to entry (i, j) of d5 adds row j of d6 to the composite, and
     # to entry (i, j) of d6 adds column i of d5
     model = bar_b(z4_table(), 6)
-    d5, d6 = model.boundary_int(5), model.boundary_int(6)
+    d5, d6 = model.signed_faces(5).dense(), model.signed_faces(6).dense()
 
     def check():
         snf._check_faces_of_faces(FaceTable.from_dense(d5), FaceTable.from_dense(d6))
@@ -451,13 +459,13 @@ def test_table_composite_catches_a_flipped_sign_or_a_moved_face():
     # another 5-cell, leaves a column of d6 that is no cycle
     model = bar_b(z4_table(), 6)
     t5, t6 = model.signed_faces(5), model.signed_faces(6)
-    assert homology_from_boundaries(t5, t6, 243).invariants == AbelianGroupInvariants(0, (4,))
+    assert _homology(t5, t6, 243).invariants == AbelianGroupInvariants(0, (4,))
     with pytest.raises(InternalInvariantError, match="boundary composite is nonzero"):
-        homology_from_boundaries(t5, _flip_one(t6, t5), 243)
+        _homology(t5, _flip_one(t6, t5), 243)
     faces = t6.faces.copy()
     faces[0, 0] = (faces[0, 0] + 1) % 243
     with pytest.raises(InternalInvariantError, match="boundary composite is nonzero"):
-        homology_from_boundaries(t5, FaceTable(faces, t6.signs, 243), 243)
+        _homology(t5, FaceTable(faces, t6.signs, 243), 243)
 
 
 @pytest.mark.parametrize("degree", [2, 4, 6])
@@ -468,14 +476,14 @@ def test_twisted_composite_catches_a_flipped_sheet_sign(degree):
     pair = cover_from_cocycle(z4, Cochain(z4, 1, np.array([1, 0, 1], dtype=np.uint8)))
     lower, upper = pair.twisted_faces(degree - 1), pair.twisted_faces(degree)
     n = z4.cells[degree - 1]
-    homology_from_boundaries(lower, upper, n)
+    _homology(lower, upper, n)
     plain = z4.signed_faces(degree)
     sheets = np.argwhere(upper.signs != plain.signs)
     i, j = sheets[len(sheets) // 2]
     signs = upper.signs.copy()
     signs[i, j] = plain.signs[i, j]
     with pytest.raises(InternalInvariantError, match="boundary composite is nonzero"):
-        homology_from_boundaries(lower, FaceTable(upper.faces, signs, n), n)
+        _homology(lower, FaceTable(upper.faces, signs, n), n)
 
 
 def test_face_table_round_trips_a_dense_matrix():
