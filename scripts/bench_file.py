@@ -10,9 +10,11 @@ interpreter, and records:
   metrics            the end-to-end metrics of the run's last output line
                      (pass_s, setup_s, peak_rss_mb), with its correct,
                      attempted and failed counts;
-  james.certified    the report entries and d2 maps the pass certified, and
+  james.certified    the report entries and d2 maps the pass certified,
   uncertified        the E2 entries and d2 maps it left open, per fixture,
-                     where the workload prints them (catalog-roundtrip);
+                     where the workload prints them (catalog-roundtrip), and
+  stages             the median seconds per pass of each stage, keyed as
+                     run.py prints them ("export_s", "parse_s", ...);
 
 and, once, stexo.loc (the lines of src/stexo/*.py) and the interpreter,
 numpy, platform and CPU count it ran on.  The file is written to
@@ -42,6 +44,7 @@ from run import WORKLOADS  # noqa: E402
 
 CERTIFIED = re.compile(r"^\s+report_certified\s+(\d+)$")
 UNCERTIFIED = re.compile(r"^\s+uncertified\[(\S+)\]\s+(\d+) E2, (\d+) d2$")
+STAGE = re.compile(r"^\s+(\w+_s)\s+([0-9.]+) s per pass$")
 
 
 def stexo_loc() -> int:
@@ -60,12 +63,14 @@ def run_workload(name: str, seed: int, seconds: float) -> dict:
         raise SystemExit(f"{name}: run.py exited {proc.returncode}\n{proc.stderr}")
     lines = proc.stdout.splitlines()
     entry = json.loads(lines[-1])
-    uncertified = {}
+    uncertified, entry["stages"] = {}, {}
     for line in lines:
         if m := CERTIFIED.match(line):
             entry["james.certified"] = int(m[1])
         elif m := UNCERTIFIED.match(line):
             uncertified[m[1]] = {"e2": int(m[2]), "d2": int(m[3])}
+        elif m := STAGE.match(line):
+            entry["stages"][m[1]] = float(m[2])
     if uncertified:
         entry["uncertified"] = uncertified
     return entry

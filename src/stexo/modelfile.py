@@ -25,13 +25,12 @@ no other whitespace (python -m json.tool prints a file indented); the parser
 takes any JSON whitespace.  model_document checks a model and its
 decorations and returns them as a ModelDocument, which canonical_bytes
 writes straight from the arrays into one io.BytesIO and returns its
-getvalue(), which hands the buffer over without a copy.  Each integer list
-goes out in chunks of 2**12 values, one str.join and one encode per chunk,
-so the writer's peak is about its output, one chunk and one value table
-(see _ints).  A chunk is joined as str, not as bytes: bytes.join takes a
-buffer view of every item, about 80 B each, more than the item itself.  A
-plain JSON document goes through json.dumps.  A version 2 list is read in
-one batch, and a fault names the path of the first bad entry.
+getvalue(), which hands the buffer over without a copy.  An integer list
+goes out in chunks of 2**12 values, and a chunk of small nonnegative values
+is one gather from a decimal text table, with no Python object per value
+(see _ints), so the writer's peak is about its output.  A plain JSON
+document goes through json.dumps.  A version 2 list is read in one batch,
+and a fault names the path of the first bad entry.
 
 parse_bytes reads the "cell" and "word" lists of a file straight from its
 bytes into int64 arrays, and json.loads reads only the skeleton left around
@@ -233,9 +232,11 @@ def model_document(
 
 # -- canonical serialization ---------------------------------------------------------
 
-# integers per str.join in _ints: the texts of one chunk, about 100 B per
-# value on the value-by-value route, are live at a time
+# integers per chunk in _ints: a chunk's text, up to 24 B per value on the
+# table route and about 100 B of str on the value-by-value one, is live at a time
 _CHUNK = 2**12
+# the most entries of a decimal text table; digit count -> its table
+_TABLE_CAP, _TABLES = 2**17, {}
 
 
 def canonical_bytes(doc: ModelDocument | dict) -> bytes:
@@ -286,33 +287,47 @@ def _object(out: io.BytesIO, fields: dict) -> None:
     _list(out, [(_field, k, v) for k, v in sorted(fields.items())], b"{}")
 
 
+def _decimal_table(top: int) -> np.ndarray:
+    """The text table of top's digit count d, with at least entries 0 .. top:
+    entry k is an unsigned integer of 2, 4 or 8 bytes, NULs, the text of k
+    and a comma.  It grows by powers of two to at most 10**d or _TABLE_CAP."""
+    d = len(str(top))
+    table = _TABLES.get(d)
+    if table is None or table.size <= top:
+        size, width = min(10**d, _TABLE_CAP, 1 << top.bit_length()), 2 ** d.bit_length()
+        k = np.arange(size, dtype=np.uint32)
+        text = np.zeros((size, width), dtype=np.uint8)
+        text[:, -1] = ord(",")
+        for p in range(d):  # place p > 0 of k < 10**p is a leading zero: a NUL
+            text[:, -2 - p] = k // 10**p % 10 + ord("0")
+            text[: 10**p if p else 0, -2 - p] = 0
+        table = _TABLES[d] = text.view(f"u{width}")[:, 0]
+    return table
+
+
 def _ints(out: io.BytesIO, values) -> None:
     """Write the JSON list of a sequence of integers.
 
-    Small nonnegative values that repeat, as in a bar model's face lists,
-    take their text from a table made once per distinct value; a boolean
-    mask finds those without copying values.  At about 60 B per distinct
-    value, the table is built only when each occurs eight times on average,
-    so a permutation gets none and is written value by value.  Either way
-    the list goes out _CHUNK values at a time, one str.join and one encode
-    per chunk, so its whole text is never held apart from out.
+    Nonnegative integers below the list's length or _CHUNK take their text
+    from a decimal text table: a chunk is one gather, one tobytes and one NUL
+    deletion, with no Python object per value.  Other lists go value by
+    value, one str.join per chunk.  Every chunk ends in a comma: the last
+    one becomes the "]".
     """
     values = np.asarray(values).ravel()
     n, table = values.size, None
-    if n and values.dtype.kind == "i" and 0 <= values.min() <= values.max() < n:
-        seen = np.zeros(int(values.max()) + 1, dtype=bool)
-        seen[values] = True
-        distinct = np.flatnonzero(seen)
-        if 8 * distinct.size <= n:
-            table = np.empty(seen.size, dtype=object)
-            table[distinct] = list(map(str, distinct.tolist()))
+    if n and values.dtype.kind in "iu" and values.min() >= 0:
+        if (top := int(values.max())) < min(_TABLE_CAP, max(n, _CHUNK)):
+            table = _decimal_table(top)
     out.write(b"[")
     for start in range(0, n, _CHUNK):
         chunk = values[start : start + _CHUNK]
-        if start:
-            out.write(b",")
-        texts = map(str, chunk.tolist()) if table is None else table[chunk].tolist()
-        out.write(",".join(texts).encode("ascii"))
+        if table is None:
+            out.write(",".join(map(str, chunk.tolist())).encode("ascii") + b",")
+        else:
+            out.write(table[chunk].tobytes().translate(None, b"\0"))
+    if n:
+        out.seek(-1, io.SEEK_CUR)
     out.write(b"]")
 
 
@@ -762,22 +777,22 @@ def _scanned_ints(body: bytes) -> np.ndarray | None:
     and below 2**63 - 1.
 
     np.fromstring stops with a DeprecationWarning at an empty entry before
-    the last, so those are ruled out before it reads body; it takes a
-    trailing comma, so there must be one value more than commas.  The digit
-    counts of the values plus the commas must be len(body), which a leading
-    zero breaks, and a value of 2**63 - 1 may be one fromstring saturated at.
+    the last, so those are ruled out before it reads body.  The digit counts
+    of the values plus values.size - 1 commas must then be len(body): a
+    trailing comma, which fromstring takes, leaves that one short, and so
+    does a leading zero.  A value of 2**63 - 1 may be one fromstring
+    saturated at.
     """
     if not body:
         return np.zeros(0, dtype=np.int64)
     if body[:1] == b"," or b",," in body:
         return None
     values = np.fromstring(body, dtype=np.int64, sep=",")
-    commas = body.count(b",")
     top = int(values.max())
     digits = values.size + sum(
         int(np.count_nonzero(values >= p)) for p in _POWERS_OF_TEN[_POWERS_OF_TEN <= top]
     )
-    if values.size != commas + 1 or digits + commas != len(body) or top == _INT64_MAX:
+    if digits + values.size - 1 != len(body) or top == _INT64_MAX:
         return None
     return values
 

@@ -912,8 +912,8 @@ def test_target_reader_matches_check_then_encode(data):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_ints_text_equals_json_dumps(data):
-    # small nonnegative values that repeat eight times on average take the
-    # table route, any others the value-by-value one
+    # nonnegative values below the list's length or _CHUNK take the table
+    # route, any others the value-by-value one
     big = st.integers(2**31, 2**63 - 1)
     pool = data.draw(st.lists(st.one_of(st.integers(0, 9), big), min_size=1, max_size=3))
     value = st.one_of(
@@ -927,6 +927,49 @@ def test_ints_text_equals_json_dumps(data):
     want = json.dumps(values, separators=(",", ":"))
     assert _ints_bytes(np.array(values, dtype=np.int64)) == want.encode()
     assert _ints_bytes(values) == want.encode()
+
+
+_CHUNK, _CAP = modelfile._CHUNK, modelfile._TABLE_CAP
+_LONG = 2 * _CHUNK + 1
+
+
+def _topped(n: int, top: int) -> np.ndarray:
+    """A list of n values whose largest is top."""
+    return np.append(np.arange(n - 1) % 7, top)
+
+
+# (values, whether they take the table route): digit-width boundaries, the
+# route's cutoff from either side, empty and one-value lists, permutations
+# and other dtypes
+_INTS_CASES = [
+    *(([10**k - 1, 10**k], 10**k < _CHUNK) for k in range(1, 19)),
+    ([2**63 - 1], False),
+    (list(range(10**5 + 1)), True),
+    *((_topped(3, top), top < _CHUNK) for top in (_CHUNK - 1, _CHUNK, _CHUNK + 1)),
+    *((_topped(_LONG, top), top < _LONG) for top in (_LONG - 1, _LONG, _LONG + 1)),
+    *((_topped(_CAP + 2, top), top < _CAP) for top in (_CAP - 1, _CAP, _CAP + 1)),
+    ([], False),
+    ([7], True),
+    *((np.random.default_rng(n).permutation(n), True) for n in (1, 10, 1000, 3 * _CHUNK + 5)),
+    (np.arange(256, dtype=np.uint8), True),
+    (np.array([0, 9, 2**31 - 1], dtype=np.int32), False),
+    (np.array([0, 9, 99, 100], dtype=np.int32), True),
+    (list(range(50)), True),
+]
+
+
+@pytest.mark.parametrize("values, table", _INTS_CASES)
+def test_ints_routes_equal_json_dumps(values, table, monkeypatch):
+    # the route _ints takes writes json.dumps's text, and so does the
+    # value-by-value route, forced by a table cap of 0
+    want = json.dumps(np.asarray(values).tolist(), separators=(",", ":")).encode()
+    tops = []
+    real = modelfile._decimal_table
+    monkeypatch.setattr(modelfile, "_decimal_table", lambda top: tops.append(top) or real(top))
+    assert _ints_bytes(values) == want
+    assert bool(tops) == table
+    monkeypatch.setattr(modelfile, "_TABLE_CAP", 0)
+    assert _ints_bytes(values) == want
 
 
 def _ints_bytes(values) -> bytes:
@@ -1219,6 +1262,34 @@ def test_scan_reads_each_list_text_as_the_json_route_does(key, text):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _outcome(parse_bytes, edited) == _outcome(_json_route, edited)
+
+
+@pytest.mark.parametrize(
+    "body, want",
+    [
+        (b"1,2,", None),
+        (b"007", None),
+        (b"00", None),
+        (b"10,01", None),
+        (b"9223372036854775807", None),
+        (b"9223372036854775808", None),
+        (b"99999999999999999999", None),
+        (b"1,99999999999999999999,3", None),
+        (b"0", [0]),
+        (b"5", [5]),
+        (b"1,0,2", [1, 0, 2]),
+    ],
+)
+def test_scanned_ints_digit_identity(body, want):
+    # a trailing comma, a leading zero and a value fromstring saturates at
+    # each break the identity of digits plus commas and the text's length
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = modelfile._scanned_ints(body)
+    if want is None:
+        assert values is None
+    else:
+        assert values.dtype == np.int64 and values.tolist() == want
 
 
 def test_only_utf8_text_is_scanned():

@@ -71,3 +71,6 @@ def test_bench_file_script(tmp_path):
     entry = bench["workloads"]["group-homology"]
     assert entry["correct"] and entry["failed"] == 0 and entry["attempted"] > 0
     assert set(entry["metrics"]) == {"pass_s", "setup_s", "peak_rss_mb"}
+    # the median stage seconds run.py prints; group-homology has one stage
+    assert list(entry["stages"]) == ["homology_s"]
+    assert entry["stages"]["homology_s"] > 0
