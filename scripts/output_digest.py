@@ -144,10 +144,13 @@ path:
                      (the integer cycle basis itself, not only its mod-2
                      pairings, which the report holds), as JSON lists of
                      ints keyed by "p,q";
-  smith              diag, U, U_inv, V and V_inv, as JSON lists of ints, of
-                     every Smith form those generator_chains() calls take
-                     (the transform route), in call order; the report holds
-                     the invariants and pairings its readers take.
+  smith              diag and the four arrays the Smith loop returns
+                     (snf._smith: U, U_inv, V and V_inv, each as carried on
+                     that side, zero-width where nothing is), as JSON lists
+                     of ints, of every Smith form those generator_chains()
+                     calls take (the transform route), in call order; the
+                     report holds the invariants and pairings its readers
+                     take.
 
 Running it on two checkouts and comparing the files with diff shows whether a
 change kept every output byte for byte; a diff confined to path lines, with
@@ -199,22 +202,23 @@ def _sha(data) -> str:
 
 @contextlib.contextmanager
 def recorded_smith_forms():
-    """Inside the block, every result of snf.smith_normal_form is appended to
-    the list it yields, as [diag, U, U_inv, V, V_inv] of int lists."""
+    """Inside the block, every result of the Smith loop snf._smith is
+    appended to the list it yields, as [diag, U, U_inv, V, V_inv] of int
+    lists: the four arrays its caller handed it, as the loop returns them."""
     forms = []
-    inner = snf.smith_normal_form
+    inner = snf._smith
 
-    def spy(a):
-        res = inner(a)
+    def spy(*arrays):
+        res = inner(*arrays)
         arrays = (res.U, res.U_inv, res.V, res.V_inv)
         forms.append([res.diag, *([[int(x) for x in row] for row in m.tolist()] for m in arrays)])
         return res
 
-    snf.smith_normal_form = spy
+    snf._smith = spy
     try:
         yield forms
     finally:
-        snf.smith_normal_form = inner
+        snf._smith = inner
 
 
 def _run_cli(argv: list) -> str:

@@ -16,17 +16,14 @@ they are computed: the table is scattered into one dense int64 array, which
 the elimination reduces in place: +-1 pivots, each updating only the rows
 of its column at the nonzero columns of its row, on a live block that drops
 the zero rows and columns once that halves it, stopping before an update
-that could leave int64; the block that is left goes to the loop of
-smith_normal_form with zero-width transforms, so it builds none; that loop
-runs on int64 until a bound runs out and on object arrays from then on, so
-it cannot overflow.  Cycle generators, which need the transforms, are
-computed only when asked for, on the dense boundaries; _product is the one
-exact dense matrix product, on float64 (BLAS) while every partial sum stays
-below 2**53, else on int64 or Python ints.
-
-smith_normal_form takes a matrix as a list of row lists and returns the
-invariant factors together with the full transform arrays U, V (and their
-inverses) such that U * A * V = D.
+that could leave int64; the block that is left goes to the Smith loop
+(_smith), which runs on int64 until a bound runs out and on object arrays
+from then on, so it cannot overflow.  That loop applies its operations to
+four arrays its caller hands it and builds no transform of its own:
+identities from smith_normal_form, which returns U, V (and their
+inverses) with U * A * V = D; zero-width arrays from invariant_factors;
+and on the generator route (_transform_route), which runs only when cycle
+generators are asked for, just the products that route reads.
 """
 
 from __future__ import annotations
@@ -47,13 +44,10 @@ class SNFResult:
     """U A V = D with all four transforms unimodular.
 
     diag lists the nonzero invariant factors d_1 | d_2 | ... only.  U, U_inv,
-    V and V_inv are square numpy arrays of one dtype: int64 when the
-    reduction stayed inside its int64 bound, else object arrays of Python
-    ints.
-
-    The homology route reads V, V_inv and U_inv only, yet U stays: it
-    completes the tested U A V = D contract, the output digest's smith lines
-    record it, and a zero-width U on the generator route saved no time.
+    V and V_inv are of one dtype: int64 when the reduction stayed inside its
+    int64 bound, else object arrays of Python ints.  From smith_normal_form
+    they are the square transforms; from _smith, the arrays its caller
+    handed it, transformed, so the generator route builds no U.
     """
 
     diag: list[int]
@@ -69,41 +63,43 @@ def smith_normal_form(a: list[list[int]]) -> SNFResult:
     The pivot is the first entry of least absolute value in the remaining
     block, in row-major order (_first_least).  Row operations applied to A
     are mirrored on U and inverted on U_inv (likewise columns on V / V_inv),
-    so U A_orig V = D holds exactly and U U_inv = I, V V_inv = I.  Each step
-    updates whole rows and columns (of U and V only the entries that
-    change).
-    The five arrays start on int64, each with a bound on |entry| that every
-    update advances by scalar arithmetic; when an update could take a bound
-    past _INT64_SAFE even once recomputed from its array, all five move to
-    Python-int object arrays and the loop goes on there.  An entry of A past
-    the bound starts them on object arrays.
+    so U A_orig V = D holds exactly and U U_inv = I, V V_inv = I: the loop
+    of _smith, handed four identities.
     """
-    return _smith(a, transforms=True)
-
-
-def _smith(a, transforms: bool) -> SNFResult:
-    """smith_normal_form of a list of rows or a 2-D int64 array; without
-    transforms, U and V_inv have no columns and U_inv and V no rows, so every
-    transform update in the loop touches nothing and diag is the same."""
     nr = len(a)
     nc = len(a[0]) if nr else 0
-    # bounds on |entry| of m, U, U_inv, V and V_inv while they are int64
     try:
         m = np.array(a, dtype=np.int64).reshape(nr, nc)
-        bounds = [_abs_max(m), 1, 1, 1, 1]
     except OverflowError:
-        m, bounds = np.array(a, dtype=object).reshape(nr, nc), None
-    if bounds and bounds[0] > _INT64_SAFE:
-        m, bounds = m.astype(object), None
-    if transforms:
-        U, Ui = np.eye(nr, dtype=m.dtype), np.eye(nr, dtype=m.dtype)
-        V, Vi = np.eye(nc, dtype=m.dtype), np.eye(nc, dtype=m.dtype)
-    else:
-        U, Ui = np.zeros((nr, 0), m.dtype), np.zeros((0, nr), m.dtype)
-        V, Vi = np.zeros((0, nc), m.dtype), np.zeros((nc, 0), m.dtype)
+        m = np.array(a, dtype=object).reshape(nr, nc)
+    U, V = np.eye(nr, dtype=np.int64), np.eye(nc, dtype=np.int64)
+    return _smith(m, U, U.copy(), V, V.copy())
+
+
+def _smith(m, U, Ui, V, Vi) -> SNFResult:
+    """The Smith form of the 2-D array m, each operation also applied to the
+    four arrays handed in: a row operation to the rows of U and inverted on
+    the columns of Ui, a column operation to the columns of V and inverted
+    on the rows of Vi.  With T_U, T_V the transforms of smith_normal_form
+    the result holds T_U U, Ui T_U^-1, V T_V and T_V^-1 Vi; an array with no
+    columns (U, Vi) or rows (Ui, V) costs nothing, and diag is the same.
+
+    Each step updates whole rows and columns of m, and of U and V only the
+    entries that change.  The five arrays start on int64 when every entry
+    fits under _INT64_SAFE, else on Python-int object arrays; an array
+    already of that dtype is reduced in place.  On int64 each has a bound on
+    |entry| that every update advances by scalar arithmetic; when an update
+    could take a bound past _INT64_SAFE even once recomputed from its
+    array, all five move to object arrays and the loop goes on there.
+    """
+    # bounds on |entry| of m, U, U_inv, V and V_inv while they are int64
+    bounds = [_abs_max(x) for x in (m, U, Ui, V, Vi)]
+    dtype = np.int64 if max(bounds) <= _INT64_SAFE else object
+    m, U, Ui, V, Vi = (x.astype(dtype, copy=False) for x in (m, U, Ui, V, Vi))
+    bounds = bounds if dtype is np.int64 else None
 
     t = 0
-    limit = min(nr, nc)
+    limit = min(m.shape)
     while t < limit:
         found = _first_least(m[t:, t:])
         if found is None:
@@ -364,15 +360,16 @@ class FaceTable:
 
         Equal to smith_normal_form's diag, without the transforms: unit
         pivots are eliminated on the dense array in place first, and the
-        exact Smith form reduces only the nonzero block that is left,
-        building no transform.
+        exact Smith form reduces only the nonzero block that is left, handed
+        four zero-width arrays, so it carries no transform.
         """
         m = self.dense()
         if m.size == 0:
             return []
         units, block, _, _ = _unit_pivots(m)
         core = block[np.ix_(block.any(axis=1), block.any(axis=0))]  # the nonzero block
-        return [1] * units + _smith(core, transforms=False).diag
+        no_u, no_v = np.zeros((core.shape[0], 0), np.int64), np.zeros((0, core.shape[1]), np.int64)
+        return [1] * units + _smith(core, no_u, no_u.T, no_v, no_v.T).diag
 
 
 class HomologyResult:
@@ -387,43 +384,22 @@ class HomologyResult:
         """Cycle representatives as chains, one row per generator.
 
         Torsion generators come first, then free ones; with none the shape is
-        (0, cells).  Runs the exact transform route on the dense boundaries,
-        which must find the same invariants.
+        (0, cells).  Runs the transform route (_transform_route) on the dense
+        boundaries, which must find the same invariants.  The chains are
+        int64, or Python ints where the route left int64.
         """
-        inv, kernel, coords = _transform_route(*(b.dense() for b in self._boundaries))
+        inv, chains = _transform_route(*(b.dense() for b in self._boundaries))
         if inv != self.invariants:
             raise InternalInvariantError(
                 f"generator route finds {inv}, invariant factors give {self.invariants}"
             )
-        return _product(coords, kernel.T)
-
-
-def _product_bound(a: np.ndarray, b: np.ndarray) -> int:
-    """A bound on every entry of a @ b, every partial sum and every factor.
-
-    An entry of the product is a sum of n terms, each at most
-    max|a| * max|b|; with both maxima taken at least 1, the bound also
-    covers every factor.
-    """
-    return a.shape[1] * max(_abs_max(a), 1) * max(_abs_max(b), 1)
+        return chains
 
 
 def _exact_dtype(bound: int):
-    """int64 for a product bound below 2**63, so int64 arithmetic is exact,
-    else object."""
+    """int64 for a bound below 2**63 on every partial sum, so int64
+    arithmetic is exact, else object."""
     return np.int64 if bound < 1 << 63 else object
-
-
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b, computed exactly.  Below 2**53 every factor, term and partial
-    sum is an integer float64 holds exactly in any order of summation, so
-    the product runs on float64 (a BLAS product) and comes back as int64;
-    past that, on int64 or on Python ints (_exact_dtype)."""
-    bound = _product_bound(a, b)
-    if bound < 1 << 53:
-        return (np.asarray(a, np.float64) @ np.asarray(b, np.float64)).astype(np.int64)
-    dtype = _exact_dtype(bound)
-    return np.asarray(a, dtype) @ np.asarray(b, dtype)
 
 
 # _composite_entries sums over blocks of columns with at most this many
@@ -440,8 +416,8 @@ def _composite_entries(lower: FaceTable, upper: FaceTable):
     lower's column at that slot's face, the product of the two signs: the
     faces of the faces, gathered from lower's table by upper's.  Each entry
     is a sum of at most slots(lower) * slots(upper) terms, so that count
-    times the largest |sign| of each table bounds every partial sum, as
-    _product_bound does for a dense product.  Below 2**53 the terms are
+    times the largest |sign| of each table (at least 1) bounds every
+    factor, term and partial sum.  Below 2**53 the terms are
     summed per entry by bincount on float64; past it by np.add.at on int64
     or on Python ints (_exact_dtype); a block of columns at a time.  An
     upper slot with no entry gathers the last column of lower (take clips),
@@ -497,34 +473,34 @@ def homology_from_factors(
 
 
 def _transform_route(boundary_out: np.ndarray, boundary_in: np.ndarray):
-    """Invariants, kernel basis and generator coordinates from full transforms.
+    """Invariants and generator chains from two Smith forms, each carrying
+    only the products that are read; both arrays are overwritten.
 
-    Returns (invariants, kernel_cols, gen_coords): the columns of kernel_cols
-    span ker(boundary_out), and the rows of gen_coords are the homology
-    generators (torsion first, then free) in kernel coordinates.
+    Returns (invariants, chains): the rows of chains are cycles of
+    boundary_out whose classes generate the homology, torsion first, then
+    free.
     """
     n_p = boundary_out.shape[1]
-    # kernel of boundary_out via column operations: columns of V past the rank
-    if len(boundary_out):
-        s_out = smith_normal_form(boundary_out.tolist())
-        r = len(s_out.diag)
-        kernel_cols, v_inv = s_out.V[:, r:], s_out.V_inv
-    else:
-        r = 0
-        kernel_cols = v_inv = np.eye(n_p, dtype=np.int64)
-
-    # Kernel coordinates of im(boundary_in): a cycle x = V y has y = V_inv x,
-    # with y[:r] = 0, so they are rows r: of V_inv boundary_in.  Nonzero rows
-    # :r would mean boundary_in is not a cycle.
-    coords = _product(v_inv, boundary_in)
+    # Column operations reduce boundary_out; the columns of V past the rank
+    # span its kernel.  A cycle x = V y has y = V_inv x, so V_inv boundary_in,
+    # which comes out of the loop on the V_inv side, holds the image in
+    # kernel coordinates in its rows r:.  Nonzero rows :r would mean
+    # boundary_in is not a cycle.
+    no_u = np.zeros((len(boundary_out), 0), np.int64)
+    first = _smith(boundary_out, no_u, no_u.T, np.eye(n_p, dtype=np.int64), boundary_in)
+    r = len(first.diag)
+    coords = first.V_inv
     if coords[:r].any():
         raise InternalInvariantError("image chain does not lie in the cycle lattice")
 
-    # quotient Z^k / im(coords[r:]): U_inv columns give the basis of Z^k adapted
-    # to the quotient; torsion generators are those with d > 1, free ones after.
-    s_p = smith_normal_form(coords[r:].tolist())
-    diag = s_p.diag
+    # quotient Z^k / im(coords[r:]): the columns of U_inv are the basis of Z^k
+    # adapted to the quotient, so the kernel columns, carried on the U_inv
+    # side, come out as the generator cycles; torsion ones are those with
+    # d > 1, free ones after.
     k = n_p - r
+    no_v = np.zeros((0, boundary_in.shape[1]), np.int64)
+    second = _smith(coords[r:], np.zeros((k, 0), np.int64), first.V[:, r:], no_v, no_v.T)
+    diag = second.diag
     order = [i for i, d in enumerate(diag) if d > 1] + list(range(len(diag), k))
     torsion = tuple(d for d in diag if d > 1)
-    return AbelianGroupInvariants(k - len(diag), torsion), kernel_cols, s_p.U_inv[:, order].T
+    return AbelianGroupInvariants(k - len(diag), torsion), second.U_inv[:, order].T

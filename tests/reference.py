@@ -373,6 +373,35 @@ def smith_normal_form(a: list[list[int]]) -> SNFResult:
     return SNFResult(diag, U, Ui, V, Vi)
 
 
+# The generator route with full transforms: two Smith forms of the oracle
+# above and exact products on object arrays.  stexo.snf._transform_route,
+# whose Smith loop carries only the products it reads, must give the same
+# invariants and the same chains.
+def transform_route(boundary_out: np.ndarray, boundary_in: np.ndarray):
+    """(invariants, chains): the rows of chains are cycles of boundary_out
+    generating ker(boundary_out) / im(boundary_in), torsion first, then free."""
+    n_p = boundary_out.shape[1]
+    # the kernel: columns of V past the rank
+    if len(boundary_out):
+        s_out = smith_normal_form(boundary_out.tolist())
+        r = len(s_out.diag)
+        kernel, v_inv = s_out.V[:, r:], s_out.V_inv
+    else:
+        r, kernel = 0, np.eye(n_p, dtype=object)
+        v_inv = kernel
+    # the image in kernel coordinates: rows r: of V_inv boundary_in
+    coords = v_inv @ np.asarray(boundary_in, dtype=object)
+    if coords[:r].any():
+        raise InternalInvariantError("image chain does not lie in the cycle lattice")
+    # the columns of U_inv are the basis of Z^k adapted to the quotient
+    s_p = smith_normal_form(coords[r:].tolist())
+    k = n_p - r
+    order = [i for i, d in enumerate(s_p.diag) if d > 1] + list(range(len(s_p.diag), k))
+    torsion = tuple(d for d in s_p.diag if d > 1)
+    chains = s_p.U_inv[:, order].T @ kernel.T
+    return AbelianGroupInvariants(k - len(s_p.diag), torsion), chains
+
+
 # Unit elimination by flatnonzero, fancy-index gathers and _abs_max bounds,
 # one update for every pivot: stexo.snf._unit_pivots must take the same
 # pivots in the same order under the same int64 bound, leaving the same

@@ -4,8 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stexo.snf as snf
-from stexo.builders import bar_b, klein_table, z4_table
+from stexo.builders import bar_b, klein_table, z2_table, z4_table
+from stexo.catalog import get_fixture
+from stexo.cohomology import twisted_integral_homologies
 from stexo.errors import InternalInvariantError
+from stexo.obstruction import cover_data_from_w1
 from stexo.simplicial import Cochain, cover_from_cocycle
 from stexo.snf import (
     AbelianGroupInvariants,
@@ -138,19 +141,19 @@ def test_invariant_factors_match_smith_form(a, scale):
 def test_invariant_factors_hand_off_before_int64_overflow(monkeypatch):
     # after the first pivot, clearing column 1 would put -big**2 = -2**80 in
     # the block; the elimination must stop and pass that block on exactly,
-    # to a Smith reduction that builds no transform
+    # to a Smith reduction handed zero-width arrays, which carries no transform
     big = 1 << 40
     a = np.array([[1, 0, 0], [0, 1, big], [0, big, 0]], dtype=np.int64)
     cores = []
     smith = snf._smith
 
-    def spy(m, transforms):
-        cores.append((len(m), len(m[0]) if len(m) else 0, transforms))
-        return smith(m, transforms)
+    def spy(m, *carried):
+        cores.append((m.shape, [x.shape for x in carried]))
+        return smith(m, *carried)
 
     monkeypatch.setattr(snf, "_smith", spy)
     assert FaceTable.from_dense(a).invariant_factors() == [1, 1, big * big]
-    assert cores == [(2, 2, False)]
+    assert cores == [((2, 2), [(2, 0), (0, 2), (0, 2), (2, 0)])]
 
 
 @st.composite
@@ -363,6 +366,93 @@ def test_homology_rejects_noncycle_image():
         snf._transform_route(np.array([[1, 0]]), np.array([[1], [0]]))
 
 
+def _chain_pairs(model, faces):
+    """(p, boundary p, boundary p + 1) as face tables, for each p below the
+    top degree of model; faces(k) is the table of boundary k."""
+    for p in range(model.max_degree):
+        yield p, faces(p) if p else FaceTable.zero(0, model.cells[0]), faces(p + 1)
+
+
+def _route_cases():
+    """(id, boundary out, boundary in, how the kernel columns start the
+    second Smith form): the plain and twisted chain pairs of two catalog
+    fixtures and the plain ones of three bar models up to degree 4 (None),
+    and two hand-made pairs with an entry of boundary_out past the int64
+    bound, so that the first Smith form runs on Python ints and hands its
+    kernel columns on as an object array: in the first they fit the bound
+    (True), in the second they do not (False)."""
+    for name in ("rp-w2-zero", "z2-secondary"):
+        fx = get_fixture(name)
+        pair = fx.cover or cover_data_from_w1(fx.nt)
+        for kind, faces in (("plain", pair.base.signed_faces), ("twisted", pair.twisted_faces)):
+            for p, t_out, t_in in _chain_pairs(pair.base, faces):
+                yield f"{name}-{kind}-{p}", t_out, t_in, None
+    for name, table in (("z2", z2_table), ("z4", z4_table), ("z2xz2", klein_table)):
+        model = bar_b(table(), 5)
+        for p, t_out, t_in in _chain_pairs(model, model.signed_faces):
+            yield f"bar-{name}-{p}", t_out, t_in, None
+    a = (1 << 62) + 1
+    hand = (
+        ([[a, 0, 0], [0, (1 << 61) - 1, 0]], [[0], [0], [2]], True),
+        ([[a, a + 2, 0]], [[a + 2, 0], [-a, 0], [0, 2]], False),
+    )
+    for k, (d_out, d_in, fits) in enumerate(hand):
+        t_out, t_in = (FaceTable.from_dense(np.array(d, dtype=np.int64)) for d in (d_out, d_in))
+        yield f"hand-{k}", t_out, t_in, fits
+
+
+_ROUTE_CASES = list(_route_cases())
+
+
+@pytest.mark.parametrize(
+    "t_out, t_in, fits", [c[1:] for c in _ROUTE_CASES], ids=[c[0] for c in _ROUTE_CASES]
+)
+def test_generator_route_equals_full_transform_oracle(t_out, t_in, fits, monkeypatch):
+    # the Smith loop carries only the products the route reads; the full
+    # transforms and exact products of the oracle give the same integers
+    handed = []
+    smith = snf._smith
+
+    def spy(*arrays):
+        handed.append(arrays[2])  # the U_inv side
+        return smith(*arrays)
+
+    res = homology_from_factors(t_out, t_in, t_out.invariant_factors(), t_in.invariant_factors())
+    monkeypatch.setattr(snf, "_smith", spy)
+    chains = res.generator_chains()
+    inv, want = reference.transform_route(t_out.dense(), t_in.dense())
+    assert res.invariants == inv
+    assert chains.shape == want.shape and chains.tolist() == want.tolist()
+    if fits is not None:
+        kernel = handed[1]
+        assert kernel.dtype == object and (snf._abs_max(kernel) <= snf._INT64_SAFE) == fits
+
+
+def test_generator_route_carries_no_square_array_in_the_upper_cells(monkeypatch):
+    # d4-reflection, twisted H_3: the first Smith form reduces boundary 3 and
+    # carries V and boundary 4; the second reduces the image coordinates and
+    # carries the kernel columns; neither is handed a transform of the
+    # 4-cells or a U it would not read
+    fx = get_fixture("d4-reflection")
+    pair = fx.cover or cover_data_from_w1(fx.nt)
+    res = twisted_integral_homologies(pair, [3])[3]
+    n_hi = pair.base.cells[4]
+    shapes = []
+    smith = snf._smith
+
+    def spy(m, *carried):
+        shapes.append([x.shape for x in (m, *carried)])
+        return smith(m, *carried)
+
+    monkeypatch.setattr(snf, "_smith", spy)
+    res.generator_chains()
+    assert len(shapes) == 2
+    (_, u, ui, _, _), (_, u2, _, v2, vi2) = shapes
+    assert u[1] == ui[0] == 0
+    assert u2[1] == v2[0] == vi2[1] == 0
+    assert all(shape != (n_hi, n_hi) for call in shapes for shape in call)
+
+
 @given(
     st.integers(0, 8),
     st.integers(0, 8),
@@ -372,14 +462,14 @@ def test_homology_rejects_noncycle_image():
 )
 @settings(max_examples=150, deadline=None)
 def test_sparse_composite_matches_dense_product(rows, inner, cols, scale, seed):
-    """_composite_entries of the tables against the dense _product, on
+    """_composite_entries of the tables against the exact dense product, on
     float64 and, past the bound (scales 2**31 and 2**40), on Python ints."""
     rng = np.random.default_rng(seed)
     a = rng.integers(-3, 4, (rows, inner)) * scale
     b = rng.integers(-3, 4, (inner, cols)) * scale
     a[rng.random(a.shape) < 0.5] = 0
     b[:, rng.random(cols) < 0.2] = 0
-    want = snf._product(a, b)
+    want = _exact(a, rows, inner) @ _exact(b, inner, cols)
     r, c, v = snf._composite_entries(FaceTable.from_dense(a), FaceTable.from_dense(b))
     got = np.zeros((rows, cols), dtype=object)
     got[r, c] = v
@@ -387,9 +477,10 @@ def test_sparse_composite_matches_dense_product(rows, inner, cols, scale, seed):
     assert (got == want).all()
 
 
-# (a, b, past the edge): n max|a| max|b| just under or just over 2**53.
-# Past it the float64 product of each pair is off, so _product must not
-# take the float64 route there.
+# (a, b, past the edge): the composite's bound slots_lo slots_hi max|a|
+# max|b| just under or just over 2**53 (a has one slot, b as many as its
+# column has entries).  Past it the float64 terms are off, so
+# _composite_entries must not take the float64 route there.
 _FLOAT_EDGE = [
     ([[(1 << 27) - 1]], [[(1 << 26) - 1]], False),
     ([[(1 << 25) - 1, 1 - (1 << 25), (1 << 25) - 1]], [[1 << 26]] * 3, False),
@@ -401,10 +492,14 @@ _FLOAT_EDGE = [
 @pytest.mark.parametrize("a, b, over", _FLOAT_EDGE)
 def test_product_is_exact_at_the_float64_edge(a, b, over):
     a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
-    assert (snf._product_bound(a, b) >= 1 << 53) == over
+    lower, upper = FaceTable.from_dense(a), FaceTable.from_dense(b)
+    slots = lower.faces.shape[0] * upper.faces.shape[0]
+    assert (slots * snf._abs_max(a) * snf._abs_max(b) >= 1 << 53) == over
     want = (_exact(a, *a.shape) @ _exact(b, *b.shape)).tolist()
-    got = snf._product(a, b)
-    assert got.dtype == np.int64 and got.tolist() == want
+    r, c, v = snf._composite_entries(lower, upper)
+    got = np.zeros((a.shape[0], b.shape[1]), dtype=object)
+    got[r, c] = v
+    assert v.dtype == np.int64 and got.tolist() == want
     assert ((a.astype(np.float64) @ b.astype(np.float64)).tolist() != want) == over
 
 
