@@ -144,8 +144,8 @@ path:
                      (the integer cycle basis itself, not only its mod-2
                      pairings, which the report holds), as JSON lists of
                      ints keyed by "p,q";
-  smith              diag and the four arrays the Smith loop returns
-                     (snf._smith: U, U_inv, V and V_inv, each as carried on
+  smith              diag and the three arrays the Smith loop returns
+                     (snf._smith: U_inv, V and V_inv, each as carried on
                      that side, zero-width where nothing is), as JSON lists
                      of ints, of every Smith form those generator_chains()
                      calls take (the transform route), in call order; the
@@ -203,14 +203,14 @@ def _sha(data) -> str:
 @contextlib.contextmanager
 def recorded_smith_forms():
     """Inside the block, every result of the Smith loop snf._smith is
-    appended to the list it yields, as [diag, U, U_inv, V, V_inv] of int
-    lists: the four arrays its caller handed it, as the loop returns them."""
+    appended to the list it yields, as [diag, U_inv, V, V_inv] of int
+    lists: the three arrays its caller handed it, as the loop returns them."""
     forms = []
     inner = snf._smith
 
     def spy(*arrays):
         res = inner(*arrays)
-        arrays = (res.U, res.U_inv, res.V, res.V_inv)
+        arrays = (res.U_inv, res.V, res.V_inv)
         forms.append([res.diag, *([[int(x) for x in row] for row in m.tolist()] for m in arrays)])
         return res
 

@@ -260,7 +260,7 @@ def integral_homology(model: SimplicialModel, p: int, check: bool = True) -> Hom
 def twisted_homology(
     pair: CoverPair, p: int, coeff: str = "Z-", check: bool = True
 ) -> AbelianGroupInvariants:
-    """H_p of the base with coefficients Z- (w1-twisted), Z, or F2.
+    """H_p of the base with coefficients Z- (w1-twisted) or F2.
 
     As in integral_homology, check is accepted and changes nothing.
     """
@@ -273,8 +273,6 @@ def twisted_homology(
         if p < base.max_degree:
             d -= base.coboundary_span(p + 1).dim
         return AbelianGroupInvariants(0, (2,) * d)
-    if coeff == "Z":
-        return integral_homology(base, p).invariants
     if coeff != "Z-":
         raise ValidationError(f"unknown coefficient system {coeff!r}")
     return _one(twisted_integral_homologies(pair, [p]), p).invariants

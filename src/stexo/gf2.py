@@ -17,7 +17,8 @@ holds column 64*w + j.
 The elimination carries no row transform.  It pivots on the leftmost
 available column and, in it, on the lowest-numbered vector that is not yet a
 pivot, and logs each step as that vector and one packed bit row of the
-vectors it is added to.  A Subspace replays the log into its transform T the
+vectors it is added to.  It returns the span as a Subspace, the pivot rows
+in step order its basis, which replays the log into its transform T the
 first time T is read.  T keeps one row per spanning vector, and under that
 pivot rule every row is canonical: a dependent vector's row is its relation,
 e_j plus its unique expression in the earlier independent vectors, and a
@@ -212,28 +213,9 @@ def _replay(n: int, log: np.ndarray, pivot_rows) -> F2Matrix:
     return F2Matrix(n, n, T)
 
 
-@dataclass
-class EchelonResult:
-    """A matrix's rows as the reduction left them, its rank and pivots, the
-    row that each echelon row was reduced from, and the log of the row
-    operations, from which Subspace builds the row transform."""
-
-    rank: int
-    reduced: "F2Matrix"
-    pivots: tuple[int, ...]
-    pivot_rows: tuple[int, ...]
-    _log: tuple = field(repr=False, compare=False)
-
-    @property
-    def echelon(self) -> F2Matrix:
-        """The reduced row echelon form: pivot rows in step order, then zeros."""
-        words = np.zeros_like(self.reduced.words)
-        words[: self.rank] = self.reduced.words[list(self.pivot_rows)]
-        return F2Matrix(self.reduced.rows, self.reduced.cols, words)
-
-
-def rank_and_echelon(m: F2Matrix) -> EchelonResult:
-    """Reduced row echelon form, with a log of its row operations.
+def rank_and_echelon(m: F2Matrix) -> Subspace:
+    """The span of the rows of m, reduced to row echelon form, with a log of
+    its row operations: the basis is the pivot rows in step order.
 
     Pivoting is deterministic: the leftmost available column, and in it the
     lowest-numbered row that is not yet a pivot row.  No row moves, so a
@@ -307,12 +289,12 @@ def rank_and_echelon(m: F2Matrix) -> EchelonResult:
     # hold both at once.  log_bytes was the only view of the buffer.
     del log_bytes
     log.resize((r, log.shape[1]), refcheck=False)
-    reduced = F2Matrix(m.rows, m.cols, R)
-    return EchelonResult(r, reduced, tuple(pivots), tuple(pivot_rows), (m.rows, log))
+    basis = F2Matrix(r, m.cols, R[pivot_rows])
+    return Subspace(m.cols, basis, tuple(pivots), tuple(pivot_rows), (m.rows, log))
 
 
 def rank(m: F2Matrix) -> int:
-    return rank_and_echelon(m).rank
+    return rank_and_echelon(m).dim
 
 
 def _xor_into(out: np.ndarray, coeffs: np.ndarray, rows: np.ndarray) -> None:
@@ -383,9 +365,7 @@ class Subspace:
             m = vectors
         else:
             m = F2Matrix.from_dense(_batch(vectors, ambient_dim))
-        res = rank_and_echelon(m)
-        basis = F2Matrix(res.rank, ambient_dim, res.reduced.words[list(res.pivot_rows)])
-        return cls(ambient_dim, basis, res.pivots, res.pivot_rows, res._log)
+        return rank_and_echelon(m)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":

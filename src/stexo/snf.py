@@ -18,12 +18,12 @@ of its column at the nonzero columns of its row, on a live block that drops
 the zero rows and columns once that halves it, stopping before an update
 that could leave int64; the block that is left goes to the Smith loop
 (_smith), which runs on int64 until a bound runs out and on object arrays
-from then on, so it cannot overflow.  That loop applies its operations to
-four arrays its caller hands it and builds no transform of its own:
-identities from smith_normal_form, which returns U, V (and their
-inverses) with U * A * V = D; zero-width arrays from invariant_factors;
-and on the generator route (_transform_route), which runs only when cycle
-generators are asked for, just the products that route reads.
+from then on, so it cannot overflow.  That loop builds no transform of its
+own and carries no U: it applies its operations to the three arrays its
+caller hands it on the U_inv, V and V_inv sides, zero-width from
+invariant_factors, and on the generator route (_transform_route), which
+runs only when cycle generators are asked for, just the products that route
+reads.
 """
 
 from __future__ import annotations
@@ -41,61 +41,43 @@ _INT64_SAFE = 1 << 62
 
 @dataclass
 class SNFResult:
-    """U A V = D with all four transforms unimodular.
+    """The invariant factors of a matrix and the three arrays _smith was
+    handed, transformed.
 
-    diag lists the nonzero invariant factors d_1 | d_2 | ... only.  U, U_inv,
-    V and V_inv are of one dtype: int64 when the reduction stayed inside its
-    int64 bound, else object arrays of Python ints.  From smith_normal_form
-    they are the square transforms; from _smith, the arrays its caller
-    handed it, transformed, so the generator route builds no U.
+    diag lists the nonzero invariant factors d_1 | d_2 | ... only.  U_inv, V
+    and V_inv are of one dtype: int64 when the reduction stayed inside its
+    int64 bound, else object arrays of Python ints.  Handed identities they
+    are the transforms with A = U_inv D V_inv and V V_inv = I.
     """
 
     diag: list[int]
-    U: np.ndarray
     U_inv: np.ndarray
     V: np.ndarray
     V_inv: np.ndarray
 
 
-def smith_normal_form(a: list[list[int]]) -> SNFResult:
-    """Smith normal form by repeated pivoting on the smallest nonzero entry.
+def _smith(m, Ui, V, Vi) -> SNFResult:
+    """The Smith form of the 2-D array m by repeated pivoting on the first
+    entry of least absolute value in the remaining block, in row-major order
+    (_first_least), each operation also applied to the three arrays handed
+    in: a row operation inverted on the columns of Ui, a column operation to
+    the columns of V and inverted on the rows of Vi.  With T_U m T_V = D for
+    the loop's row and column operations, the result holds Ui T_U^-1, V T_V
+    and T_V^-1 Vi; an array with no rows (Ui, V) or columns (Vi) costs
+    nothing, and diag is the same.
 
-    The pivot is the first entry of least absolute value in the remaining
-    block, in row-major order (_first_least).  Row operations applied to A
-    are mirrored on U and inverted on U_inv (likewise columns on V / V_inv),
-    so U A_orig V = D holds exactly and U U_inv = I, V V_inv = I: the loop
-    of _smith, handed four identities.
+    Each step updates whole rows and columns of m, and of V only the entries
+    that change.  The four arrays start on int64 when every entry fits under
+    _INT64_SAFE, else on Python-int object arrays; an array already of that
+    dtype is reduced in place.  On int64 each has a bound on |entry| that
+    every update advances by scalar arithmetic; when an update could take a
+    bound past _INT64_SAFE even once recomputed from its array, all four
+    move to object arrays and the loop goes on there.
     """
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
-    try:
-        m = np.array(a, dtype=np.int64).reshape(nr, nc)
-    except OverflowError:
-        m = np.array(a, dtype=object).reshape(nr, nc)
-    U, V = np.eye(nr, dtype=np.int64), np.eye(nc, dtype=np.int64)
-    return _smith(m, U, U.copy(), V, V.copy())
-
-
-def _smith(m, U, Ui, V, Vi) -> SNFResult:
-    """The Smith form of the 2-D array m, each operation also applied to the
-    four arrays handed in: a row operation to the rows of U and inverted on
-    the columns of Ui, a column operation to the columns of V and inverted
-    on the rows of Vi.  With T_U, T_V the transforms of smith_normal_form
-    the result holds T_U U, Ui T_U^-1, V T_V and T_V^-1 Vi; an array with no
-    columns (U, Vi) or rows (Ui, V) costs nothing, and diag is the same.
-
-    Each step updates whole rows and columns of m, and of U and V only the
-    entries that change.  The five arrays start on int64 when every entry
-    fits under _INT64_SAFE, else on Python-int object arrays; an array
-    already of that dtype is reduced in place.  On int64 each has a bound on
-    |entry| that every update advances by scalar arithmetic; when an update
-    could take a bound past _INT64_SAFE even once recomputed from its
-    array, all five move to object arrays and the loop goes on there.
-    """
-    # bounds on |entry| of m, U, U_inv, V and V_inv while they are int64
-    bounds = [_abs_max(x) for x in (m, U, Ui, V, Vi)]
+    # bounds on |entry| of m, U_inv, V and V_inv while they are int64
+    bounds = [_abs_max(x) for x in (m, Ui, V, Vi)]
     dtype = np.int64 if max(bounds) <= _INT64_SAFE else object
-    m, U, Ui, V, Vi = (x.astype(dtype, copy=False) for x in (m, U, Ui, V, Vi))
+    m, Ui, V, Vi = (x.astype(dtype, copy=False) for x in (m, Ui, V, Vi))
     bounds = bounds if dtype is np.int64 else None
 
     t = 0
@@ -109,7 +91,6 @@ def _smith(m, U, Ui, V, Vi) -> SNFResult:
         # transpose action on columns (likewise V_inv on rows)
         if pi != t:
             m[[t, pi]] = m[[pi, t]]
-            U[[t, pi]] = U[[pi, t]]
             Ui[:, [t, pi]] = Ui[:, [pi, t]]
         if pj != t:
             m[:, [t, pj]] = m[:, [pj, t]]
@@ -117,7 +98,6 @@ def _smith(m, U, Ui, V, Vi) -> SNFResult:
             Vi[[t, pj]] = Vi[[pj, t]]
         if m[t, t] < 0:
             m[t] = -m[t]
-            U[t] = -U[t]
             Ui[:, t] = -Ui[:, t]
         p = m[t, t]
 
@@ -130,20 +110,17 @@ def _smith(m, U, Ui, V, Vi) -> SNFResult:
             ar, ac = _abs_max(qr), _abs_max(qc)
             growth = (
                 (1, ar * _abs_max(m[t]) + ac * int(p)),
-                (1, ar * _abs_max(U[t])),
                 (1 + rows.size * ar, 0),
                 (1, ac * _abs_max(V[:, t])),
                 (1 + cols.size * ac, 0),
             )
-            bounds, (m, U, Ui, V, Vi) = _grow(bounds, (m, U, Ui, V, Vi), growth)
+            bounds, (m, Ui, V, Vi) = _grow(bounds, (m, Ui, V, Vi), growth)
             qr, qc = qr.astype(m.dtype, copy=False), qc.astype(m.dtype, copy=False)
-        # a row clear inverts to column t += q_i column i on U_inv; on U it
-        # changes only the columns where row t is nonzero (likewise on V)
+        # a row clear inverts to column t += q_i column i on U_inv
         m[rows] -= np.outer(qr, m[t])
-        nzu = np.flatnonzero(U[t])
-        U[np.ix_(rows, nzu)] -= np.outer(qr, U[t, nzu])
         Ui[:, t] += Ui[:, rows].dot(qr)
-        # a column clear inverts to row t += q_j row j on V_inv
+        # a column clear changes V only in the rows where column t is
+        # nonzero, and inverts to row t += q_j row j on V_inv
         m[:, cols] -= np.outer(m[:, t], qc)
         nzv = np.flatnonzero(V[:, t])
         V[np.ix_(nzv, cols)] -= np.outer(V[nzv, t], qc)
@@ -158,16 +135,9 @@ def _smith(m, U, Ui, V, Vi) -> SNFResult:
             if offenders.size:
                 o = t + 1 + int(offenders[0])
                 if bounds:
-                    growth = (
-                        (1, _abs_max(m[o])),
-                        (1, _abs_max(U[o])),
-                        (1, _abs_max(Ui[:, t])),
-                        (1, 0),
-                        (1, 0),
-                    )
-                    bounds, (m, U, Ui, V, Vi) = _grow(bounds, (m, U, Ui, V, Vi), growth)
+                    growth = ((1, _abs_max(m[o])), (1, _abs_max(Ui[:, t])), (1, 0), (1, 0))
+                    bounds, (m, Ui, V, Vi) = _grow(bounds, (m, Ui, V, Vi), growth)
                 m[t] += m[o]
-                U[t] += U[o]
                 Ui[:, o] -= Ui[:, t]
                 continue
         t += 1
@@ -176,7 +146,7 @@ def _smith(m, U, Ui, V, Vi) -> SNFResult:
     for k in range(len(diag) - 1):
         if diag[k + 1] % diag[k]:
             raise InternalInvariantError("invariant factors fail divisibility")
-    return SNFResult(diag, U, Ui, V, Vi)
+    return SNFResult(diag, Ui, V, Vi)
 
 
 def _first_least(block: np.ndarray) -> tuple[int, int] | None:
@@ -358,18 +328,17 @@ class FaceTable:
     def invariant_factors(self) -> list[int]:
         """The nonzero invariant factors d_1 | d_2 | ... of the matrix.
 
-        Equal to smith_normal_form's diag, without the transforms: unit
-        pivots are eliminated on the dense array in place first, and the
-        exact Smith form reduces only the nonzero block that is left, handed
-        four zero-width arrays, so it carries no transform.
+        Unit pivots are eliminated on the dense array in place first, and
+        the exact Smith form reduces only the nonzero block that is left,
+        handed three zero-width arrays, so it carries no transform.
         """
         m = self.dense()
         if m.size == 0:
             return []
         units, block, _, _ = _unit_pivots(m)
         core = block[np.ix_(block.any(axis=1), block.any(axis=0))]  # the nonzero block
-        no_u, no_v = np.zeros((core.shape[0], 0), np.int64), np.zeros((0, core.shape[1]), np.int64)
-        return [1] * units + _smith(core, no_u, no_u.T, no_v, no_v.T).diag
+        no_u, no_v = (np.zeros((0, n), np.int64) for n in core.shape)
+        return [1] * units + _smith(core, no_u, no_v, no_v.T).diag
 
 
 class HomologyResult:
@@ -486,8 +455,8 @@ def _transform_route(boundary_out: np.ndarray, boundary_in: np.ndarray):
     # which comes out of the loop on the V_inv side, holds the image in
     # kernel coordinates in its rows r:.  Nonzero rows :r would mean
     # boundary_in is not a cycle.
-    no_u = np.zeros((len(boundary_out), 0), np.int64)
-    first = _smith(boundary_out, no_u, no_u.T, np.eye(n_p, dtype=np.int64), boundary_in)
+    no_u = np.zeros((0, len(boundary_out)), np.int64)
+    first = _smith(boundary_out, no_u, np.eye(n_p, dtype=np.int64), boundary_in)
     r = len(first.diag)
     coords = first.V_inv
     if coords[:r].any():
@@ -499,7 +468,7 @@ def _transform_route(boundary_out: np.ndarray, boundary_in: np.ndarray):
     # d > 1, free ones after.
     k = n_p - r
     no_v = np.zeros((0, boundary_in.shape[1]), np.int64)
-    second = _smith(coords[r:], np.zeros((k, 0), np.int64), first.V[:, r:], no_v, no_v.T)
+    second = _smith(coords[r:], first.V[:, r:], no_v, no_v.T)
     diag = second.diag
     order = [i for i, d in enumerate(diag) if d > 1] + list(range(len(diag), k))
     torsion = tuple(d for d in diag if d > 1)

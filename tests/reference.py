@@ -5,6 +5,7 @@ arrays of the package objects, except transform_built, which tells whether
 a span has built its transform yet.
 """
 
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -25,7 +26,7 @@ from stexo.simplicial import (
     compose_words,
     int64_array,
 )
-from stexo.snf import AbelianGroupInvariants, SNFResult, _abs_max, _room
+from stexo.snf import AbelianGroupInvariants, _abs_max, _room
 
 
 def euler_characteristic(model: SimplicialModel) -> int:
@@ -104,7 +105,7 @@ def kernel_basis(m: F2Matrix) -> F2Matrix:
     out = np.zeros((free.size, m.cols), dtype=np.uint8)
     out[np.arange(free.size), free] = 1
     # the free-column bits of the echelon rows, read byte by byte
-    ech = res.echelon.words[: res.rank].view(np.uint8)[:, free >> 3]
+    ech = res.matrix.words.view(np.uint8)[:, free >> 3]
     out[:, list(res.pivots)] = ((ech >> (free & 7).astype(np.uint8)) & 1).T
     return F2Matrix.from_dense(out)
 
@@ -128,7 +129,7 @@ def solve_affine(m: F2Matrix, rhs: np.ndarray) -> np.ndarray | None:
     if c in res.pivots:
         return None
     x = np.zeros(c, dtype=np.uint8)
-    x[list(res.pivots)] = column_bits(res.echelon.words, c)[: res.rank]
+    x[list(res.pivots)] = column_bits(res.matrix.words, c)
     return x
 
 
@@ -295,9 +296,21 @@ def apply_map(masks: np.ndarray, cols) -> np.ndarray:
     return out
 
 
+@dataclass
+class SmithForm:
+    """U A V = D with all four transforms unimodular; diag lists the nonzero
+    invariant factors d_1 | d_2 | ... only."""
+
+    diag: list[int]
+    U: np.ndarray
+    U_inv: np.ndarray
+    V: np.ndarray
+    V_inv: np.ndarray
+
+
 # The Smith form on Python-int object arrays throughout: stexo.snf's, which
 # runs on int64 under a carried bound, must return the same integers.
-def smith_normal_form(a: list[list[int]]) -> SNFResult:
+def smith_normal_form(a: list[list[int]]) -> SmithForm:
     """Smith normal form by repeated pivoting on the smallest nonzero entry.
 
     Row operations applied to A are mirrored on U and inverted on U_inv
@@ -370,7 +383,7 @@ def smith_normal_form(a: list[list[int]]) -> SNFResult:
     for k in range(len(diag) - 1):
         if diag[k + 1] % diag[k]:
             raise InternalInvariantError("invariant factors fail divisibility")
-    return SNFResult(diag, U, Ui, V, Vi)
+    return SmithForm(diag, U, Ui, V, Vi)
 
 
 # The generator route with full transforms: two Smith forms of the oracle

@@ -81,6 +81,12 @@ def _reduced_rows(span, m):
     return F2Matrix(m.rows, m.cols, words[order])
 
 
+def _is_echelon(span, words) -> bool:
+    """Whether span's basis is the first span.dim rows of an echelon word
+    array, the pivot rows in step order, and its other rows are zero."""
+    return np.array_equal(span.matrix.words, words[: span.dim]) and not words[span.dim :].any()
+
+
 def test_rref_transform_is_consistent():
     for _ in range(20):
         a = random_dense(17, 23)
@@ -88,14 +94,13 @@ def test_rref_transform_is_consistent():
         res = rank_and_echelon(m)
         # transform * original holds each echelon row at its pivot row and
         # zero at the others
-        assert _reduced_rows(Subspace.from_vectors(m.cols, m), m) == res.echelon
+        assert _is_echelon(res, _reduced_rows(Subspace.from_vectors(m.cols, m), m).words)
         # pivot columns are standard basis vectors in the echelon form
-        dense = res.echelon.to_dense()
+        dense = res.matrix.to_dense()
         for i, p in enumerate(res.pivots):
             col = dense[:, p]
             assert col[i] == 1 and col.sum() == 1
-        # rows past the rank vanish
-        assert not dense[res.rank :].any()
+        assert dense.shape == (len(res.pivots), m.cols)
 
 
 def _column_by_column_echelon(m):
@@ -144,9 +149,9 @@ def test_echelon_matches_column_by_column_loop(rows, cols, density, empty, seed)
     echelon, transform, pivots = _column_by_column_echelon(m)
     res = rank_and_echelon(m)
     assert res.pivots == pivots
-    assert np.array_equal(res.echelon.words, echelon)
+    assert _is_echelon(res, echelon)
     assert np.array_equal(Subspace.from_vectors(m.cols, m).transform.words, transform)
-    assert rank_and_echelon(m).echelon == res.echelon
+    assert rank_and_echelon(m) == res
 
 
 @pytest.mark.parametrize(
@@ -161,7 +166,7 @@ def test_echelon_log_owns_only_its_rank_rows(rows, cols, rank_):
     a = (left[:, :rank_] @ right[:rank_]) % 2
     res = rank_and_echelon(F2Matrix.from_dense(a.astype(np.uint8)))
     n, log = res._log
-    assert (n, res.rank) == (rows, rank_)
+    assert (n, res.dim) == (rows, rank_)
     assert log.shape == (rank_, (rows + 63) // 64)
     assert log.nbytes == rank_ * ((rows + 63) // 64) * 8
     assert log.base is None and log.flags.owndata
@@ -231,8 +236,8 @@ def test_echelon_matches_column_skipping_loop(rows, cols, density, runs, seed):
         res = rank_and_echelon(m)
         span = Subspace.from_vectors(m.cols, m)
         assert res.pivots == pivots
-        assert res.rank == len(pivots)
-        assert np.array_equal(res.echelon.words, echelon)
+        assert res.dim == len(pivots)
+        assert _is_echelon(res, echelon)
         if want_transform:
             assert np.array_equal(span.transform.words, transform)
         else:
@@ -310,8 +315,8 @@ def test_word_walk_matches_column_skipping_loop(name, dense):
     m = F2Matrix.from_dense(dense.astype(np.uint8))
     echelon, transform, pivots = _column_skipping_echelon(m, True)
     res = rank_and_echelon(m)
-    assert res.pivots == pivots and res.rank == len(pivots)
-    assert np.array_equal(res.echelon.words, echelon)
+    assert res.pivots == pivots and res.dim == len(pivots)
+    assert _is_echelon(res, echelon)
     span = Subspace.from_vectors(m.cols, m)
     assert np.array_equal(span.transform.words, transform)
 
@@ -327,7 +332,7 @@ def test_transform_rebuilt_from_the_log_matches_both_loops(rows, cols, density, 
     res = rank_and_echelon(m)
     span = Subspace.from_vectors(m.cols, m)
     n, log = span._log
-    assert n == m.rows and log.shape[0] == res.rank and log.size <= m.rows * log.shape[1]
+    assert n == m.rows and log.shape[0] == res.dim and log.size <= m.rows * log.shape[1]
     with mock.patch.object(gf2, "_UNPACK_BITS", 3 * max(n, 1)):
         blocked = gf2._replay(n, log, span.pivot_rows)
     assert not transform_built(span)
@@ -337,7 +342,7 @@ def test_transform_rebuilt_from_the_log_matches_both_loops(rows, cols, density, 
     assert (transform.rows, transform.cols) == (m.rows, m.rows)
     assert np.array_equal(transform.words, _column_by_column_echelon(m)[1])
     assert np.array_equal(transform.words, _column_skipping_echelon(m, True)[1])
-    assert _reduced_rows(span, m) == res.echelon
+    assert _is_echelon(res, _reduced_rows(span, m).words)
 
 
 @given(*_AWKWARD)
@@ -351,6 +356,18 @@ def test_transform_rows_are_the_relations_and_the_combiner(rows, cols, density, 
     ranks = [rank(F2Matrix.from_dense(dense[:j])) for j in range(m.rows + 1)]
     assert sorted(span.pivot_rows) == [j for j in range(m.rows) if ranks[j + 1] > ranks[j]]
     assert transform_rows_canonical(span)
+
+
+@given(*_AWKWARD)
+@settings(max_examples=60, deadline=None)
+def test_rank_and_echelon_is_the_span(rows, cols, density, runs, seed):
+    # one result per elimination: the span of the rows, with the pivots,
+    # pivot rows and log that Subspace.from_vectors holds; rank reads its dim
+    m = _awkward(rows, cols, density, runs, seed)
+    res, span = rank_and_echelon(m), Subspace.from_vectors(m.cols, m)
+    assert res == span and res.pivots == span.pivots and res.pivot_rows == span.pivot_rows
+    assert res.transform == span.transform
+    assert rank(m) == res.dim
 
 
 def test_relations_run_no_echelon():
@@ -384,7 +401,7 @@ def test_kernel_is_kernel():
         assert ker.rows == 31 - rank(m)
         # the per-free-column loop over the echelon form is the reference
         res = rank_and_echelon(m)
-        echelon = res.echelon.to_dense()
+        echelon = res.matrix.to_dense()
         free = [c for c in range(31) if c not in res.pivots]
         want = np.zeros((len(free), 31), dtype=np.uint8)
         for k, f in enumerate(free):
@@ -428,7 +445,7 @@ def test_solve_affine_roundtrip(rows, cols, seed):
     # reference: each pivot variable is its row's last entry in the echelon
     # form of [m | rhs], every free variable is 0
     res = rank_and_echelon(F2Matrix.from_dense(np.column_stack([a, rhs])))
-    echelon = res.echelon.to_dense()
+    echelon = res.matrix.to_dense()
     want = np.zeros(cols, dtype=np.uint8)
     for i, p in enumerate(res.pivots):
         want[p] = echelon[i, cols]
