@@ -2,29 +2,28 @@
 
 Rows are stored little-endian in uint64 words, so one elimination step is a
 vectorized XOR over a whole block of rows.  rank_and_echelon does one Python
-step per pivot.  It copies the word column of the current word once, as one
-contiguous strip of a word per row, and keeps that strip in step with the
-rows, so a step reads its pivot column from the strip.  It XORs only the
-words from the pivot's own word on, since the pivot row is zero left of it.
-It crosses columns that no free row has by one OR over the strip, and past
-the strip's word by ORs over windows of words that double in width.
-Coboundary matrices with thousands of rows reduce in a fraction of a second
-this way, and every result is exact.
+step per pivot.  On entering a word it copies that word of its live rows,
+the only rows nonzero there and so the only ones a step in it can hit or
+pivot on, into a strip kept in step with the rows.  It XORs only the words
+from the pivot's own word on, as the row is zero left of it.  It crosses
+columns that no free row has by one OR over the strip, and past the strip's
+word by ORs over windows of words that double in width.  Coboundary
+matrices with thousands of rows reduce in a fraction of a second, exactly.
 
 Vectors are plain numpy uint8 arrays of 0/1 entries.  Bit j of word w of a row
 holds column 64*w + j.
 
 The elimination carries no row transform.  It pivots on the leftmost
 available column and, in it, on the lowest-numbered vector that is not yet a
-pivot, and logs each step as that vector and one packed bit row of the
-vectors it is added to.  It returns the span as a Subspace, the pivot rows
-in step order its basis, which replays the log into its transform T the
-first time T is read.  T keeps one row per spanning vector, and under that
-pivot rule every row is canonical: a dependent vector's row is its relation,
-e_j plus its unique expression in the earlier independent vectors, and a
-pivot vector's row is its basis row's unique combination of independent
-vectors.  So one reduction of a matrix's columns gives its image, and its
-kernel and solutions as gathers of T's rows, with no second elimination.
+pivot, and logs each step as the indices of the vectors it is added to.  It
+returns the span as a Subspace, the pivot rows in step order its basis,
+which replays the log into its transform T (relations: only the additions
+to free vectors) the first time it is read.  T keeps one row per spanning
+vector, and under that pivot rule every row is canonical: a dependent
+vector's row is its relation, e_j plus its unique expression in the earlier
+independent vectors, and a pivot vector's row is its basis row's unique
+combination of independent vectors.  So one reduction of a matrix's columns
+gives its image, and its kernel and solutions as gathers of T's rows.
 
 Every matrix product here is xor_combine's grouped reduction: F2Matrix.matmul
 checks the shapes and runs it on the left factor's bits, a block of rows at
@@ -38,7 +37,7 @@ and the basis rows its pivot bits pick are XORed into the packed rows in
 place by one grouped reduction (as in xor_combine).  Against a zero subspace
 the packed rows are the residual and nothing is combined.  Membership and
 residuals read the basis alone; only spans asked for relations or
-combinations pay for T.
+combinations pay for a replay.
 """
 
 from __future__ import annotations
@@ -53,11 +52,9 @@ from .errors import ModelMismatchError
 _WORD = 64
 # bit j of a word, for j < _WORD
 _BIT = tuple(np.uint64(1) << np.uint64(j) for j in range(_WORD))
-# the pivot steps whose hits rank_and_echelon packs into its log at once
-_LOG_BLOCK = 64
 # the words in the first window of _next_column, over all rows
 _SCAN_WORDS = 1024
-# the most bits _replay and F2Matrix.matmul unpack at once
+# the most bits F2Matrix.matmul unpacks at once
 _UNPACK_BITS = 1 << 22
 
 
@@ -193,24 +190,27 @@ class F2Matrix:
         return out
 
 
-def _replay(n: int, log: np.ndarray, pivot_rows) -> F2Matrix:
-    """The row transform of an echelon run on n rows, from its log: from the
-    identity, step k adds row pivot_rows[k], as it then stands, to the rows
-    that log row k holds.  No row moves, so one step is one gather and one
-    XOR; the log rows are unpacked a block at a time."""
+def _replay(n: int, hits, ends, pivot_rows, free_only=False) -> np.ndarray:
+    """T's words for an echelon run on n rows, replayed from its log: from the
+    identity, step k adds row pivot_rows[k], as it then stands, to its hit
+    rows hits[ends[k]:ends[k + 1]], one gather and XOR.  free_only skips the
+    hits on rows that were already pivot rows (back-substitution): dependent
+    rows, and pivot rows up to their own steps, only ever receive pivot rows
+    as those stood at their own steps, so they come out the same."""
+    rows = hits.astype(np.intp)
+    if free_only:
+        r = len(pivot_rows)
+        steps = np.repeat(np.arange(r), np.diff(ends))
+        pivot_step = np.full(n, r)
+        pivot_step[list(pivot_rows)] = np.arange(r)
+        keep = pivot_step[rows] > steps
+        rows, ends = rows[keep], np.searchsorted(steps[keep], np.arange(r + 1))
     T = F2Matrix.identity(n).words
-    block = max(1, _UNPACK_BITS // max(n, 1))
-    for start in range(0, len(log), block):
-        bits = np.unpackbits(
-            log[start : start + block].view(np.uint8), axis=1, count=n, bitorder="little"
-        )
-        k, j = bits.nonzero()
-        bounds = np.searchsorted(k, np.arange(len(bits) + 1)).tolist()
-        for step, p in enumerate(pivot_rows[start : start + len(bits)]):
-            a, b = bounds[step], bounds[step + 1]
-            if b > a:
-                T[j[a:b]] ^= T[p]
-    return F2Matrix(n, n, T)
+    bounds = ends.tolist()
+    for p, a, b in zip(pivot_rows, bounds, bounds[1:]):
+        if b > a:
+            T[rows[a:b]] ^= T[p]
+    return T
 
 
 def rank_and_echelon(m: F2Matrix) -> Subspace:
@@ -226,71 +226,69 @@ def rank_and_echelon(m: F2Matrix) -> Subspace:
     holds its echelon row and every free row is zero.
 
     Free rows are zero left of column c, so one step reads only the word
-    column w of c.  That column is copied once per word into a contiguous
-    strip, and each step XORs the strip as it XORs the rows, so the strip
-    stays equal to the column.  The pivot row clears bit c from the other
-    rows by XOR on words w: (it is zero left of its word), and the step's log
-    row holds those rows.  An empty column is crossed by one OR of the strip
-    over the free rows: it jumps to the lowest bit set there.  When the free
-    rows are zero in the rest of the word, _next_column finds the leftmost
-    bit set in them in the later words, in windows of words that double in
-    width: a tall matrix crosses a short run one word at a time, and a run
-    of k words costs about log2(k) ORs.  The step's arrays are buffers
-    allocated once per call, and the log rows of _LOG_BLOCK steps are
-    packed at once.
+    column w of c, and only its live rows, those nonzero in word w when the
+    sweep enters it: a step adds the live pivot row only to rows with bit
+    c, so the rest stay zero there.  Their words w are copied into a strip,
+    XORed as the rows are, and each step's mask, candidates and hits run
+    over them alone.  The pivot row clears bit c from the other rows by XOR
+    on words w: (it is zero left of its word), and the step appends those
+    rows to the log (a buffer of the smallest unsigned type that holds a
+    row index, doubled when full and trimmed at the end) and its end offset.
+    An empty column is crossed by one OR of the strip over the free live
+    rows: it jumps to the lowest bit set there.  When they are zero in the
+    rest of the word, _next_column finds the leftmost bit set in the free
+    rows in the later words, in windows of words that double in width: a
+    tall matrix crosses a short run one word at a time, and a run of k words
+    costs log2(k) ORs.
     """
     R = m.words.copy()
     free = np.ones(m.rows, dtype=bool)
-    # one log row per pivot, and there are at most min(rows, cols) pivots
-    log = np.zeros((min(m.rows, m.cols), _nwords(m.rows)), dtype=np.uint64)
-    log_bytes = log.view(np.uint8)
-    nbytes = (m.rows + 7) // 8
-    # the word column of c, copied once per word and kept in step with R,
-    # and the step's buffers; the hits of step k are row k % _LOG_BLOCK of
-    # block, and a full block of steps is packed into the log at once
-    strip = np.empty(m.rows, dtype=np.uint64)
-    masked = np.empty(m.rows, dtype=np.uint64)
-    block = np.empty((_LOG_BLOCK, m.rows), dtype=bool)
-    candidates = np.empty(m.rows, dtype=bool)
+    hits_log = np.empty(m.rows, dtype=np.min_scalar_type(m.rows))
+    ends = np.zeros(min(m.rows, m.cols) + 1, dtype=np.intp)
     pivots, pivot_rows = [], []
-    c, w = 0, -1
+    c, w, used = 0, -1, 0
     while c < m.cols and len(pivots) < m.rows:
         if c >> 6 != w:
             w = c >> 6
-            np.copyto(strip, R[:, w])
-        hits = block[len(pivots) % _LOG_BLOCK]
+            live = R[:, w].nonzero()[0]
+            if not live.size:
+                c = _next_column(R, w + 1, free)
+                continue
+            # the live rows' word w and free flags, and the step's buffers
+            strip, live_free = R[live, w], free[live]
+            masked = np.empty(live.size, dtype=np.uint64)
+            hits, candidates = np.empty((2, live.size), dtype=bool)
         np.bitwise_and(strip, _BIT[c & 63], out=masked)
         np.not_equal(masked, 0, out=hits)
-        np.logical_and(hits, free, out=candidates)
-        p = int(np.argmax(candidates))
-        if not candidates[p]:
+        np.logical_and(hits, live_free, out=candidates)
+        i = int(candidates.argmax())
+        if not candidates[i]:
             # free rows are zero up to column c: the next bit set in them in
             # this word, or in the words after it
-            rest = int(np.bitwise_or.reduce(strip, where=free, initial=0))
+            rest = int(np.bitwise_or.reduce(strip, where=live_free, initial=0))
             c = _WORD * w + _lowest_bit(rest) if rest else _next_column(R, w + 1, free)
             continue
-        hits[p] = False
-        rows = np.flatnonzero(hits)
-        if rows.size:
+        p = int(live[i])
+        hits[i] = False
+        hit = hits.nonzero()[0]
+        if hit.size:
+            rows = live[hit]
             R[rows, w:] ^= R[p, w:]
-            strip[rows] ^= strip[p]
-        free[p] = False
+            strip[hit] ^= strip[i]
+            if used + hit.size > hits_log.size:
+                hits_log = np.resize(hits_log, 2 * (used + hit.size))
+            hits_log[used : used + hit.size] = rows
+            used += hit.size
+        free[p] = live_free[i] = False
         pivots.append(c)
         pivot_rows.append(p)
+        ends[len(pivots)] = used
         c += 1
-        r = len(pivots)
-        if r % _LOG_BLOCK == 0:
-            log_bytes[r - _LOG_BLOCK : r, :nbytes] = np.packbits(block, axis=1, bitorder="little")
     r = len(pivots)
-    done = r - r % _LOG_BLOCK
-    log_bytes[done:r, :nbytes] = np.packbits(block[: r - done], axis=1, bitorder="little")
-    # shrink the log to its r rows in place: a slice would keep the whole
-    # buffer alive for as long as a Subspace holds the log, and a copy would
-    # hold both at once.  log_bytes was the only view of the buffer.
-    del log_bytes
-    log.resize((r, log.shape[1]), refcheck=False)
     basis = F2Matrix(r, m.cols, R[pivot_rows])
-    return Subspace(m.cols, basis, tuple(pivots), tuple(pivot_rows), (m.rows, log))
+    del R  # so that trimming the log to its hits never holds R beside it
+    log = (m.rows, hits_log[:used].copy(), ends[: r + 1].copy())
+    return Subspace(m.cols, basis, tuple(pivots), tuple(pivot_rows), log)
 
 
 def rank(m: F2Matrix) -> int:
@@ -332,9 +330,9 @@ class Subspace:
 
     Basis row k was reduced from spanning vector pivot_rows[k]; these are
     the independent vectors, those outside the span of the earlier ones.
-    _log is (n, log): the n spanning vectors, and per pivot step k one
-    packed row of n bits, the vectors that pivot_rows[k] is added to, so
-    the log has at most as many words as T.
+    _log is (n, hits, ends): the n spanning vectors, and the vectors that
+    step k adds pivot_rows[k] to, hits[ends[k]:ends[k + 1]] (uint8 to
+    uint32, whichever holds the index n - 1).
 
     Row i of T says which spanning vectors sum to what vector i was reduced
     to: a dependent vector's relation, or for pivot_rows[k] basis row k's
@@ -380,9 +378,9 @@ class Subspace:
         """T, one row per spanning vector and invertible: by the pivot rule,
         row pivot_rows[k] combines independent vectors into basis row k and
         a dependent vector's row is its relation.  The log is then dropped."""
-        t = _replay(*self._log, self.pivot_rows)
+        n, hits, ends = self._log
         self._log = None
-        return t
+        return F2Matrix(n, n, _replay(n, hits, ends, self.pivot_rows))
 
     def _reduce(self, vectors) -> tuple[np.ndarray, np.ndarray]:
         """(basis coefficients, packed residual) of each row of a batch.
@@ -425,10 +423,12 @@ class Subspace:
         depends on vectors 0..j-1, in increasing j: e_j plus its unique
         expression in the earlier independent vectors, T's row of j.
         Spanning vectors taken as the columns of a matrix, these rows are a
-        basis of its kernel that is the identity on its free columns."""
-        n = self.transform.rows
-        dependent = np.delete(np.arange(n), self.pivot_rows)
-        return F2Matrix(len(dependent), n, self.transform.words[dependent])
+        basis of its kernel that is the identity on its free columns.  Before
+        T is built, a replay of the hits on free rows, which keeps the log."""
+        built = "transform" in vars(self)
+        T = self.transform.words if built else _replay(*self._log, self.pivot_rows, free_only=True)
+        dependent = np.delete(np.arange(len(T)), self.pivot_rows)
+        return F2Matrix(len(dependent), len(T), T[dependent])
 
     def combination(self, vectors) -> np.ndarray:
         """The coefficients over the spanning vectors that rebuild one vector,

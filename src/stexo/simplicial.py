@@ -619,10 +619,9 @@ def cup_i(u: Cochain, v: Cochain, i: int) -> Cochain:
     model = u.model
     n = u.degree + v.degree - i
     out_idx, u_idx, v_idx = model.cup_table(u.degree, v.degree, i)
-    acc = np.zeros(model.n_cells(n), dtype=np.uint8)
-    if out_idx.size:
-        np.bitwise_xor.at(acc, out_idx, u.values[u_idx] & v.values[v_idx])
-    return Cochain._computed(model, n, acc)
+    terms = u.values[u_idx] & v.values[v_idx]
+    count = np.bincount(out_idx[terms.view(bool)], minlength=model.n_cells(n))
+    return Cochain._computed(model, n, (count & 1).astype(np.uint8))
 
 
 def cup(u: Cochain, v: Cochain) -> Cochain:

@@ -228,17 +228,17 @@ def _unit_pivots(m: np.ndarray):
     while True:
         nz = m != 0
         per_row, per_col = nz.sum(1), nz.sum(0)
-        live_rows, live_cols = np.flatnonzero(per_row), np.flatnonzero(per_col)
+        live_rows, live_cols = per_row.nonzero()[0], per_col.nonzero()[0]
         if 2 * live_rows.size * live_cols.size <= m.size:
             m = m[np.ix_(live_rows, live_cols)]
             rows, cols = rows[live_rows], cols[live_cols]
             per_row, per_col = per_row[live_rows], per_col[live_cols]
-        cand = np.argwhere((m == 1) | (m == -1))
-        if not len(cand):
+        ci, cj = ((m == 1) | (m == -1)).nonzero()
+        if not ci.size:
             return count, m, rows, cols
-        cost = (per_row[cand[:, 0]] - 1) * (per_col[cand[:, 1]] - 1)
+        order = np.argsort((per_row[ci] - 1) * (per_col[cj] - 1), kind="stable")
         row_used, col_used = [False] * m.shape[0], [False] * m.shape[1]
-        for i, j in cand[np.argsort(cost, kind="stable")].tolist():
+        for i, j in zip(ci[order].tolist(), cj[order].tolist()):
             if row_used[i] or col_used[j]:
                 continue
             pivot = m.item(i, j)
@@ -250,7 +250,7 @@ def _unit_pivots(m: np.ndarray):
                 row = m[i]
                 cols_i = row.nonzero()[0]
                 f, x = column.take(rows_j) * pivot, row.take(cols_i)
-                bound = _room(bound, m, 1, int(abs(f).max()) * int(abs(x).max()))
+                bound = _room(bound, m, 1, max(map(abs, f.tolist())) * max(map(abs, x.tolist())))
                 if bound is None:
                     return count, m, rows, cols
                 m[rows_j[:, None], cols_i] -= f[:, None] * x

@@ -504,9 +504,9 @@ def test_only_relations_and_combination_build_a_span_transform(monkeypatch):
     builds = []
     replay = gf2._replay
 
-    def counted(n, log, pivot_rows):
+    def counted(n, *log, **free_only):
         builds.append(n)
-        return replay(n, log, pivot_rows)
+        return replay(n, *log, **free_only)
 
     monkeypatch.setattr(gf2, "_replay", counted)
     model = bar_b(klein_table(), 4, name="klein")

@@ -158,18 +158,41 @@ def test_echelon_matches_column_by_column_loop(rows, cols, density, empty, seed)
     "rows, cols, rank_", [(70, 200, 30), (200, 70, 40), (130, 130, 130), (40, 90, 0)]
 )
 def test_echelon_log_owns_only_its_rank_rows(rows, cols, rank_):
-    # the log holds rank rows in a buffer of its own, so a cached Subspace
-    # keeps no slots for pivot steps that never happened
+    # the log is every step's hit rows, in the smallest unsigned type that
+    # holds a row index, and rank + 1 step offsets, each in a buffer of its
+    # own: a cached Subspace keeps no offsets for pivot steps that never
+    # happened and no slack of the doubling hit buffer
     rng = np.random.default_rng(rows + cols)
     left = np.triu(rng.integers(0, 2, (rows, rows)), 1) + np.eye(rows, dtype=np.int64)
     right = np.triu(rng.integers(0, 2, (cols, cols)), 1) + np.eye(cols, dtype=np.int64)
     a = (left[:, :rank_] @ right[:rank_]) % 2
     res = rank_and_echelon(F2Matrix.from_dense(a.astype(np.uint8)))
-    n, log = res._log
+    n, hits, ends = res._log
     assert (n, res.dim) == (rows, rank_)
-    assert log.shape == (rank_, (rows + 63) // 64)
-    assert log.nbytes == rank_ * ((rows + 63) // 64) * 8
-    assert log.base is None and log.flags.owndata
+    assert hits.dtype == np.min_scalar_type(rows) and hits.size == ends[-1] <= rank_ * (rows - 1)
+    for owned in (hits, ends):
+        assert owned.base is None and owned.flags.owndata
+    assert ends.shape == (rank_ + 1,)
+
+
+def test_log_rows_past_uint16():
+    # 70,000 rows, the last 5,000 nonzero: the log holds row indices past
+    # 2**16 - 1 as uint32, and its row operations, replayed on the rows
+    # themselves, give the echelon rows of the column-skipping loop
+    rng = np.random.default_rng(35)
+    a = np.zeros((70_000, 70), dtype=np.uint8)
+    a[65_000:] = rng.integers(0, 2, (5_000, 70))
+    m = F2Matrix.from_dense(a)
+    res = rank_and_echelon(m)
+    n, hits, ends = res._log
+    assert n == m.rows and hits.dtype == np.uint32 and hits.max() > 2**16
+    R = m.words.copy()
+    for k, p in enumerate(res.pivot_rows):
+        R[hits[ends[k] : ends[k + 1]].astype(np.intp)] ^= R[p]
+    free = np.setdiff1d(np.arange(m.rows), res.pivot_rows)
+    echelon, _, pivots = _column_skipping_echelon(m, False)
+    assert res.pivots == pivots and _is_echelon(res, echelon)
+    assert _is_echelon(res, np.concatenate([R[list(res.pivot_rows)], R[free]]))
 
 
 def _column_skipping_echelon(m, want_transform):
@@ -287,12 +310,19 @@ def _word_walk_cases():
     basis = rng.integers(0, 2, (3, 200))
     yield "free-rows-all-zero", (rng.integers(0, 2, (12, 3)) @ basis) % 2
     yield "all-zero", np.zeros((7, 300), dtype=np.int64)
-    # the log is packed 64 steps at a time: ranks 64, 128 and 129
+    # the hit buffer starts at one slot per row and doubles: ranks 64, 128
+    # and 129 over 150 rows
     for rank_ in (64, 128, 129):
         left, right = rng.integers(0, 2, (150, rank_)), rng.integers(0, 2, (rank_, 200))
         yield f"rank-{rank_}", (left @ right) % 2
     for shape in ((0, 0), (0, 1), (0, 130), (1, 0), (9, 0)):
         yield f"empty-{shape[0]}x{shape[1]}", np.zeros(shape, dtype=np.int64)
+    # word 1's live rows, 0 and 1, are both pivot rows when the walk enters
+    # it; row 3 is dependent and zero there by then; row 2 pivots in word 2
+    a = np.zeros((4, 130), dtype=np.int64)
+    a[[0, 0, 1, 1, 2], [0, 64, 63, 65, 128]] = 1
+    a[3] = a[0] ^ a[1]
+    yield "live-rows-all-pivots", a
 
 
 def test_next_column_matches_leftmost_column():
@@ -319,30 +349,57 @@ def test_word_walk_matches_column_skipping_loop(name, dense):
     assert _is_echelon(res, echelon)
     span = Subspace.from_vectors(m.cols, m)
     assert np.array_equal(span.transform.words, transform)
+    _relations_match_every_transform(m)
 
 
 @given(*_AWKWARD)
 @settings(max_examples=120, deadline=None)
 def test_transform_rebuilt_from_the_log_matches_both_loops(rows, cols, density, runs, seed):
-    # the log has one row per pivot, no more words than T; the transform is
-    # built on its first read, bit for bit the T both reference loops carry
-    # (also when the log is unpacked three rows at a time), and the log is
-    # then dropped
+    # step k of the log hits only rows other than its pivot row, each at
+    # most once, so the log holds fewer indices than T has bits; the
+    # transform is built on its first read, bit for bit the T both
+    # reference loops carry, and the log is then dropped
     m = _awkward(rows, cols, density, runs, seed)
     res = rank_and_echelon(m)
     span = Subspace.from_vectors(m.cols, m)
-    n, log = span._log
-    assert n == m.rows and log.shape[0] == res.dim and log.size <= m.rows * log.shape[1]
-    with mock.patch.object(gf2, "_UNPACK_BITS", 3 * max(n, 1)):
-        blocked = gf2._replay(n, log, span.pivot_rows)
+    n, hits, ends = span._log
+    assert n == m.rows and ends.shape == (res.dim + 1,) and ends[0] == 0
+    assert hits.size == ends[-1] <= res.dim * max(n - 1, 0)
+    for k, p in enumerate(span.pivot_rows):
+        step = hits[ends[k] : ends[k + 1]]
+        assert np.unique(step).size == step.size and p not in step and np.all(step < n)
+    replayed = gf2._replay(n, hits, ends, span.pivot_rows)
     assert not transform_built(span)
     transform = span.transform
-    assert transform == blocked
+    assert np.array_equal(transform.words, replayed)
     assert transform_built(span) and span._log is None and span.transform is transform
     assert (transform.rows, transform.cols) == (m.rows, m.rows)
     assert np.array_equal(transform.words, _column_by_column_echelon(m)[1])
     assert np.array_equal(transform.words, _column_skipping_echelon(m, True)[1])
     assert _is_echelon(res, _reduced_rows(span, m).words)
+
+
+def _relations_match_every_transform(m: F2Matrix) -> None:
+    """relations read first replays only the hits on free rows: they equal
+    the dependent rows of the full T, of the relations read after T, and of
+    the T both reference loops carry; the log stays for T."""
+    span = Subspace.from_vectors(m.cols, m)
+    relations = span.relations
+    assert not transform_built(span) and span._log is not None
+    dependent = np.setdiff1d(np.arange(m.rows), span.pivot_rows)
+    assert (relations.rows, relations.cols) == (dependent.size, m.rows)
+    after = Subspace.from_vectors(m.cols, m)
+    T = after.transform.words
+    assert after.relations == relations
+    for words in (T, _column_by_column_echelon(m)[1], _column_skipping_echelon(m, True)[1]):
+        assert np.array_equal(relations.words, words[dependent])
+    assert np.array_equal(span.transform.words, T) and span.relations is relations
+
+
+@given(*_AWKWARD)
+@settings(max_examples=120, deadline=None)
+def test_relations_replay_only_free_rows(rows, cols, density, runs, seed):
+    _relations_match_every_transform(_awkward(rows, cols, density, runs, seed))
 
 
 @given(*_AWKWARD)

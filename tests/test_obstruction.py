@@ -549,9 +549,10 @@ def test_each_coboundary_operator_is_reduced_once(monkeypatch):
     # H^2, a degree-3 coboundary test and the Kreck solve on a fresh copy of
     # the z4-semidirect base: delta_1 and delta_2 are each reduced once, as
     # the spanning rows of B^2 and B^3, and never as the operators themselves;
-    # each span builds its transform once, and only when its relations
-    # (B^3, for the H^2 cocycles) or a combination (B^2, for the solve) is
-    # read, never for residues or a coboundary test
+    # each span replays its log once, and only when its relations (B^3, for
+    # the H^2 cocycles, from the hits on free rows, building no transform)
+    # or a combination (B^2, for the solve, building the transform) is read,
+    # never for residues or a coboundary test
     nt = z4_semidirect().nt
     old = nt.base
     base = SimplicialModel(old.max_degree, old.cells, old.face_word, old.face_cell, old.name)
@@ -566,15 +567,16 @@ def test_each_coboundary_operator_is_reduced_once(monkeypatch):
     builds = []
     replay = gf2._replay
 
-    def replayed(n, log, pivot_rows):
+    def replayed(n, *log, **free_only):
         builds.append(n)
-        return replay(n, log, pivot_rows)
+        return replay(n, *log, **free_only)
 
     monkeypatch.setattr(gf2, "rank_and_echelon", counted)
     monkeypatch.setattr(gf2, "_replay", replayed)
     copy = NormalOneType(base, Cochain(base, 1, nt.w1.values), Cochain(base, 2, nt.w2.values))
     cohomology_basis(base, 2)
-    assert transform_built(base.coboundary_span(3))
+    assert "relations" in vars(base.coboundary_span(3)) and builds == [261]
+    assert not transform_built(base.coboundary_span(3))
     assert not transform_built(base.coboundary_span(2))
     assert is_coboundary(primary_obstruction(copy))
     assert not transform_built(base.coboundary_span(2))
