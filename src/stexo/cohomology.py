@@ -30,8 +30,8 @@ the model (SimplicialModel.signed_faces) or of the cover pair
 (CoverPair.twisted_faces): snf checks each composite boundary_p @
 boundary_{p+1} = 0 on the two tables, and each boundary is reduced once
 per call (_chain_homologies).  integral_homology and twisted_homology ask
-for one degree, twisted_integral_homologies for a run of them.  No dense
-boundary is kept; a result densifies its tables only to build generators.
+for one degree, twisted_integral_homologies for a run of them.  A result
+keeps boundary p and what reducing p + 1 left, which generators finish.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import numpy as np
 from .errors import ModelMismatchError, TruncationError, ValidationError
 from .gf2 import F2Matrix, Subspace, xor_combine
 from .simplicial import Cochain, CoverPair, SimplicialMap, SimplicialModel, coboundary_values
-from .snf import AbelianGroupInvariants, FaceTable, HomologyResult, homology_from_factors
+from .snf import AbelianGroupInvariants, FaceTable, HomologyResult, homology_from_reductions
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,7 +203,7 @@ def _chain_homologies(model: SimplicialModel, degrees, faces, message: str) -> d
 
     def boundary(k: int):
         """The table of boundary k (zero at k = 0 and past the top) and its
-        invariant factors."""
+        reduction (FaceTable.reduce)."""
         if k not in reduced:
             if k == 0:
                 table = FaceTable.zero(0, model.cells[0])
@@ -211,7 +211,7 @@ def _chain_homologies(model: SimplicialModel, degrees, faces, message: str) -> d
                 table = FaceTable.zero(model.cells[top], 0)
             else:
                 table = faces(k)
-            reduced[k] = table, table.invariant_factors()
+            reduced[k] = table, table.reduce()
         return reduced[k]
 
     results = {}
@@ -221,8 +221,8 @@ def _chain_homologies(model: SimplicialModel, degrees, faces, message: str) -> d
             _require_chains(model, p)
             if truncated_at_top(model, p, "Z"):
                 raise TruncationError(text)
-            (bout, factors_out), (bin_, factors_in) = boundary(p), boundary(p + 1)
-            res = homology_from_factors(bout, bin_, factors_out, factors_in)
+            (bout, out), (bin_, in_) = boundary(p), boundary(p + 1)
+            res = homology_from_reductions(bout, bin_, out, in_)
             if p == top and res.invariants.free_rank:
                 raise TruncationError(text)
             results[p] = res

@@ -386,10 +386,10 @@ def d2_maps(
     Out of (p,1) the map to (p-2,2) is the transpose of the operator matrix
     H^{p-2} -> H^p.  Out of (p,0) it is that transpose composed with the
     mod-2 reduction of the twisted integral generators, which come from the
-    homology result the page entry (p,0) holds; cover is accepted for call
-    compatibility, since the page was computed on it.  Sources that the
-    truncation or the size caps cannot certify carry a caveat instead of a
-    matrix.
+    homology result the page entry (p,0) holds; cover is unused, and stays
+    only because perfbench/catalog_roundtrip.py:105 passes it.  Sources that
+    the truncation or the size caps cannot certify carry a caveat instead of
+    a matrix.
     """
     base = nt.base
     from_q1 = {}

@@ -11,19 +11,19 @@ table it is read off; FaceTable.from_dense turns a hand-written matrix into
 one.  The check boundary_out @ boundary_in = 0 reads the two tables alone:
 each face of a face is gathered from the lower table and the signed terms
 are summed per entry, exactly (_composite_entries).  Homology invariants
-come from invariant factors alone, and FaceTable.invariant_factors is where
-they are computed: the table is scattered into one dense int64 array, which
-the elimination reduces in place: +-1 pivots, each updating only the rows
-of its column at the nonzero columns of its row, on a live block that drops
-the zero rows and columns once that halves it, stopping before an update
-that could leave int64; the block that is left goes to the Smith loop
-(_smith), which runs on int64 until a bound runs out and on object arrays
-from then on, so it cannot overflow.  That loop builds no transform of its
-own and carries no U: it applies its operations to the three arrays its
-caller hands it on the U_inv, V and V_inv sides, zero-width from
-invariant_factors, and on the generator route (_transform_route), which
-runs only when cycle generators are asked for, just the products that route
-reads.
+come from invariant factors alone, and FaceTable.reduce is where they are
+computed: the table is scattered into one dense int64 array, which the
+elimination reduces in place: +-1 pivots, each updating only the rows of its
+column at the nonzero columns of its row, on a live block that drops the
+zero rows and columns once that halves it, stopping before an update that
+could leave int64; the block that is left goes to the Smith loop (_smith),
+which runs on int64 until a bound runs out and on object arrays from then
+on, so it cannot overflow.  That loop builds no transform of its own and
+carries no U: it applies its operations to the three arrays its caller
+hands it on the U_inv, V and V_inv sides: zero-width from reduce, which
+also keeps the rows no unit pivot used and the residual on them; on the
+generator route (_transform_route), which finishes that elimination when
+cycle generators are asked for, just the products that route reads.
 """
 
 from __future__ import annotations
@@ -198,9 +198,9 @@ def _grow(bounds: list, arrays: tuple, growth: tuple) -> tuple[list | None, tupl
 
 
 def _unit_pivots(m: np.ndarray):
-    """Split +-1 pivots off m; returns (count, block, rows, cols): how many
-    were split off, and the residual as its live block, which it equals at
-    np.ix_(rows, cols) and is zero elsewhere.  m is overwritten.
+    """Split +-1 pivots off m; returns (pivots, block, rows, cols): its pivot
+    rows in pivot order, and the residual as its live block, which it equals
+    at np.ix_(rows, cols) and is zero elsewhere.  m is overwritten.
 
     A pivot at (i, j) subtracts f_r times row i from each row r with a
     nonzero in column j, f_r = m[r, j] * pivot.  That clears column j, and,
@@ -223,7 +223,7 @@ def _unit_pivots(m: np.ndarray):
     update that could leave int64.
     """
     rows, cols = np.arange(m.shape[0]), np.arange(m.shape[1])
-    count = 0
+    pivots = []
     bound = _abs_max(m)
     while True:
         nz = m != 0
@@ -235,7 +235,7 @@ def _unit_pivots(m: np.ndarray):
             per_row, per_col = per_row[live_rows], per_col[live_cols]
         ci, cj = ((m == 1) | (m == -1)).nonzero()
         if not ci.size:
-            return count, m, rows, cols
+            return pivots, m, rows, cols
         order = np.argsort((per_row[ci] - 1) * (per_col[cj] - 1), kind="stable")
         row_used, col_used = [False] * m.shape[0], [False] * m.shape[1]
         for i, j in zip(ci[order].tolist(), cj[order].tolist()):
@@ -252,12 +252,12 @@ def _unit_pivots(m: np.ndarray):
                 f, x = column.take(rows_j) * pivot, row.take(cols_i)
                 bound = _room(bound, m, 1, max(map(abs, f.tolist())) * max(map(abs, x.tolist())))
                 if bound is None:
-                    return count, m, rows, cols
+                    return pivots, m, rows, cols
                 m[rows_j[:, None], cols_i] -= f[:, None] * x
             else:  # on row i alone the update only zeroes it
                 m[i] = 0
             row_used[i] = col_used[j] = True
-            count += 1
+            pivots.append(rows.item(i))
 
 
 @dataclass
@@ -325,43 +325,56 @@ class FaceTable:
         np.add.at(out, (self.faces, np.arange(self.faces.shape[1])), self.signs)
         return out[: self.rows]
 
-    def invariant_factors(self) -> list[int]:
-        """The nonzero invariant factors d_1 | d_2 | ... of the matrix.
+    def reduce(self) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """(factors, kept, residual): the nonzero invariant factors d_1 | d_2
+        | ... of the matrix, the rows that no unit pivot used, increasing,
+        and the residual on those rows at its nonzero columns.
 
         Unit pivots are eliminated on the dense array in place first, and
         the exact Smith form reduces only the nonzero block that is left,
         handed three zero-width arrays, so it carries no transform.
         """
-        m = self.dense()
-        if m.size == 0:
-            return []
-        units, block, _, _ = _unit_pivots(m)
-        core = block[np.ix_(block.any(axis=1), block.any(axis=0))]  # the nonzero block
+        pivots, block, rows, _ = _unit_pivots(self.dense())
+        kept = np.delete(np.arange(self.rows), pivots)
+        live = block.any(axis=1)
+        core = block[np.ix_(live, block.any(axis=0))]  # the nonzero block
+        residual = np.zeros((kept.size, core.shape[1]), dtype=np.int64)
+        residual[np.searchsorted(kept, rows[live])] = core
         no_u, no_v = (np.zeros((0, n), np.int64) for n in core.shape)
-        return [1] * units + _smith(core, no_u, no_v, no_v.T).diag
+        return [1] * len(pivots) + _smith(core, no_u, no_v, no_v.T).diag, kept, residual
 
 
 class HomologyResult:
-    """Invariants of ker(boundary_out) / im(boundary_in), generators on demand;
-    the boundaries are kept as face tables."""
+    """Invariants of ker(boundary_out) / im(boundary_in), generators on demand.
 
-    def __init__(self, invariants, boundary_out: FaceTable, boundary_in: FaceTable):
+    It keeps boundary_out's table, the p-cells K that no unit pivot of
+    boundary_in used and its residual R on them (FaceTable.reduce).  A pivot
+    changes only its row's column u_i of U^-1, so C_p = span(u_i) + Z^K with
+    each u_i a boundary, and the homology is ker(boundary_out[:, K]) / im R.
+    """
+
+    def __init__(self, invariants, boundary_out: FaceTable, kept, residual):
         self.invariants = invariants
-        self._boundaries = (boundary_out, boundary_in)
+        self._reduced = (boundary_out, kept, residual)
 
     def generator_chains(self) -> np.ndarray:
         """Cycle representatives as chains, one row per generator.
 
         Torsion generators come first, then free ones; with none the shape is
-        (0, cells).  Runs the transform route (_transform_route) on the dense
-        boundaries, which must find the same invariants.  The chains are
-        int64, or Python ints where the route left int64.
+        (0, cells).  Runs the transform route (_transform_route) on
+        boundary_out[:, K] and R, which must find the same invariants, and
+        puts the chains back on K.  The chains are int64, or Python ints
+        where the route left int64.
         """
-        inv, chains = _transform_route(*(b.dense() for b in self._boundaries))
+        table, kept, residual = self._reduced
+        out = FaceTable(table.faces[:, kept], table.signs[:, kept], table.rows)
+        inv, found = _transform_route(out.dense(), residual.copy())
         if inv != self.invariants:
             raise InternalInvariantError(
                 f"generator route finds {inv}, invariant factors give {self.invariants}"
             )
+        chains = np.zeros((len(found), table.shape[1]), dtype=found.dtype)
+        chains[:, kept] = found
         return chains
 
 
@@ -423,12 +436,11 @@ def _check_faces_of_faces(lower: FaceTable, upper: FaceTable) -> None:
         raise InternalInvariantError("boundary composite is nonzero")
 
 
-def homology_from_factors(
-    boundary_out: FaceTable, boundary_in: FaceTable, factors_out: list, factors_in: list
+def homology_from_reductions(
+    boundary_out: FaceTable, boundary_in: FaceTable, reduced_out: tuple, reduced_in: tuple
 ) -> HomologyResult:
-    """The homology of a chain pair of face tables, given the invariant
-    factors of both boundaries, so that a run of degrees reduces each
-    boundary once.
+    """The homology of a chain pair of face tables, given what reduce
+    returned for each, so that a run of degrees reduces each boundary once.
 
     Once boundary_out @ boundary_in = 0 is checked, the image lies in the
     kernel, a direct summand of Z^n, so the free rank is
@@ -436,9 +448,10 @@ def homology_from_factors(
     invariant factors of boundary_in above 1.
     """
     _check_faces_of_faces(boundary_out, boundary_in)
-    free = boundary_out.shape[1] - len(factors_out) - len(factors_in)
+    factors_in, kept, residual = reduced_in
+    free = boundary_out.shape[1] - len(reduced_out[0]) - len(factors_in)
     torsion = tuple(d for d in factors_in if d > 1)
-    return HomologyResult(AbelianGroupInvariants(free, torsion), boundary_out, boundary_in)
+    return HomologyResult(AbelianGroupInvariants(free, torsion), boundary_out, kept, residual)
 
 
 def _transform_route(boundary_out: np.ndarray, boundary_in: np.ndarray):

@@ -418,15 +418,16 @@ def transform_route(boundary_out: np.ndarray, boundary_in: np.ndarray):
 # Unit elimination by flatnonzero, fancy-index gathers and _abs_max bounds,
 # one update for every pivot: stexo.snf._unit_pivots must take the same
 # pivots in the same order under the same int64 bound, leaving the same
-# count and the same residual matrix (its live block, zero elsewhere).
-def eliminate_units(m: np.ndarray) -> int:
-    """Split +-1 pivots off m in place, in Markowitz order; returns how many."""
-    count = 0
+# pivot rows and the same residual matrix (its live block, zero elsewhere).
+def eliminate_units(m: np.ndarray) -> list[int]:
+    """Split +-1 pivots off m in place, in Markowitz order; returns the pivot
+    rows in pivot order."""
+    pivots = []
     bound = _abs_max(m)
     while True:
         cand = np.argwhere((m == 1) | (m == -1))
         if not len(cand):
-            return count
+            return pivots
         nz = m != 0
         cost = (nz.sum(1)[cand[:, 0]] - 1) * (nz.sum(0)[cand[:, 1]] - 1)
         for i, j in cand[np.argsort(cost, kind="stable")].tolist():
@@ -440,9 +441,9 @@ def eliminate_units(m: np.ndarray) -> int:
             if rows.size > 1:  # on row i alone the update only zeroes it
                 bound = _room(bound, m, 1, _abs_max(f) * _abs_max(x))
                 if bound is None:
-                    return count
+                    return pivots
             m[rows[:, None], cols] -= f[:, None] * x
-            count += 1
+            pivots.append(i)
 
 
 # The face readers of stexo.simplicial before its one face table per degree,

@@ -243,12 +243,12 @@ def test_criterion_5_twisted_homology(capsys):
 def test_criterion_6_james_report(capsys):
     fx = get_fixture("rp-w2-zero")
     page = e2_page(fx.nt, fx.cover)
-    diffs = d2_maps(fx.nt, page, fx.cover)
+    diffs = d2_maps(fx.nt, page)
     gone = page.entry(2, 3).known_zero and page.entry(5, 0).known_zero
     iso = diffs.from_q1[4].is_iso
     kx = get_fixture("rp-kreck")
     kpage = e2_page(kx.nt, kx.cover)
-    kdiffs = d2_maps(kx.nt, kpage, kx.cover)
+    kdiffs = d2_maps(kx.nt, kpage)
     killers = killers_report(kx.nt, kpage, kdiffs, decide(kx.nt))
     all_vanish = all(f.status == "zero" for f in killers.flags)
     ok = gone and iso and all_vanish

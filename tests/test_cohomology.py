@@ -49,7 +49,7 @@ from stexo.simplicial import (
     product,
     quotient_free_involution,
 )
-from stexo.snf import AbelianGroupInvariants, FaceTable, _transform_route, homology_from_factors
+from stexo.snf import AbelianGroupInvariants, FaceTable, _transform_route, homology_from_reductions
 
 from reference import compose, kernel_basis, transform_built, transform_rows_canonical
 
@@ -538,7 +538,7 @@ def test_cached_bases_hold_only_their_classes():
         v = decide(fx.nt, fx.cover, fx.section, fx.lift_data)
         assert replay_evidence(v, fx.nt, fx.cover, fx.section), name
         page = e2_page(fx.nt, fx.cover)
-        killers_report(fx.nt, page, d2_maps(fx.nt, page, fx.cover), v)
+        killers_report(fx.nt, page, d2_maps(fx.nt, page), v)
         base = fx.nt.base
         covers = [parts.cover for key, parts in base._cache.items() if key[0] == "cover"]
         models = [base] + covers
@@ -584,8 +584,7 @@ def test_eager_invariants_match_generator_route():
             n = base.cells[p]
             t_out = pair.twisted_faces(p) if p else FaceTable.zero(0, n)
             t_in = pair.twisted_faces(p + 1)
-            factors = t_out.invariant_factors(), t_in.invariant_factors()
-            eager = homology_from_factors(t_out, t_in, *factors).invariants
+            eager = homology_from_reductions(t_out, t_in, t_out.reduce(), t_in.reduce()).invariants
             assert eager == _route_invariants(t_out.dense(), t_in.dense()), (name, p)
             checked += 1
     assert checked == 26

@@ -39,7 +39,7 @@ def reports():
         fx = get_fixture(name)
         verdict = decide(fx.nt, fx.cover, fx.section)
         page = e2_page(fx.nt, fx.cover)
-        diffs = d2_maps(fx.nt, page, fx.cover)
+        diffs = d2_maps(fx.nt, page)
         killers = killers_report(fx.nt, page, diffs, verdict)
         out[name] = (fx, verdict, page, diffs, killers)
     return out
@@ -188,7 +188,7 @@ def test_report_json_bytes_stable(reports):
     blobs = []
     for _ in range(2):
         page = e2_page(fx.nt, fx.cover)
-        diffs = d2_maps(fx.nt, page, fx.cover)
+        diffs = d2_maps(fx.nt, page)
         killers = killers_report(fx.nt, page, diffs, verdict)
         blobs.append(report_json(page, diffs, killers).encode())
     assert blobs[0] == blobs[1]
@@ -218,7 +218,7 @@ def test_integer_cap_caveats_follow_the_module_constant(monkeypatch):
     fx = get_fixture("rp-w2-zero")
     monkeypatch.setattr(james, "DEFAULT_INT_SIZE_CAP", 0)
     page = e2_page(fx.nt, fx.cover)
-    diffs = d2_maps(fx.nt, page, fx.cover)
+    diffs = d2_maps(fx.nt, page)
     for p in range(2, 6):
         e = page.entry(p, 0)
         assert e.group is None
@@ -257,7 +257,7 @@ def test_d2_reads_twisted_generators_off_the_page(monkeypatch, reports):
         fx, _, _, want, _ = reports[name]
         page = e2_page(fx.nt, fx.cover)
         monkeypatch.setattr(snf, "_check_faces_of_faces", spy)
-        diffs = d2_maps(fx.nt, page, fx.cover)
+        diffs = d2_maps(fx.nt, page)
         monkeypatch.setattr(snf, "_check_faces_of_faces", real)
         assert calls == [], name
         assert any(d.known for d in diffs.from_q0.values()), name

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,13 +10,14 @@ from stexo.builders import bar_b, klein_table, z2_table, z4_table
 from stexo.catalog import get_fixture
 from stexo.cohomology import twisted_integral_homologies
 from stexo.errors import InternalInvariantError
+from stexo.james import _mod2_generators
 from stexo.obstruction import cover_data_from_w1
 from stexo.simplicial import Cochain, cover_from_cocycle
 from stexo.snf import (
     AbelianGroupInvariants,
     FaceTable,
     HomologyResult,
-    homology_from_factors,
+    homology_from_reductions,
 )
 
 import reference
@@ -33,7 +36,7 @@ def _homology(d_out, d_in, n: int) -> HomologyResult:
         b if isinstance(b, FaceTable) else FaceTable.from_dense(np.reshape(np.array(b, np.int64), s))
         for b, s in ((d_out, (-1, n)), (d_in, (n, -1)))
     )
-    return homology_from_factors(out, in_, out.invariant_factors(), in_.invariant_factors())
+    return homology_from_reductions(out, in_, out.reduce(), in_.reduce())
 
 
 def smith_form(a: list[list[int]]) -> snf.SNFResult:
@@ -145,7 +148,7 @@ def _int_matrices(draw):
 def test_invariant_factors_match_smith_form(a, scale):
     # scaled by 2 or 3 no entry is a unit, so the exact Smith form does it all
     a = a * scale
-    assert FaceTable.from_dense(a).invariant_factors() == smith_form(a.tolist()).diag
+    assert FaceTable.from_dense(a).reduce()[0] == smith_form(a.tolist()).diag
 
 
 def test_invariant_factors_hand_off_before_int64_overflow(monkeypatch):
@@ -162,7 +165,7 @@ def test_invariant_factors_hand_off_before_int64_overflow(monkeypatch):
         return smith(m, *carried)
 
     monkeypatch.setattr(snf, "_smith", spy)
-    assert FaceTable.from_dense(a).invariant_factors() == [1, 1, big * big]
+    assert FaceTable.from_dense(a).reduce()[0] == [1, 1, big * big]
     assert cores == [((2, 2), [(0, 2), (0, 2), (2, 0)])]
 
 
@@ -184,7 +187,7 @@ def _boundary_like(draw):
 @settings(max_examples=60, deadline=None)
 def test_invariant_factors_match_smith_form_on_boundary_like_matrices(a):
     want = reference.smith_normal_form(a.tolist()).diag
-    assert FaceTable.from_dense(a).invariant_factors() == want
+    assert FaceTable.from_dense(a).reduce()[0] == want
 
 
 def _as_ints(res) -> list:
@@ -246,20 +249,21 @@ def test_unit_elimination_bounds_the_whole_matrix():
     a = np.array([[1, 1, 0], [1, 2, 0], [0, 0, 1 << 62]], dtype=np.int64)
     want = reference.smith_normal_form(a.tolist()).diag
     assert want == [1, 1, 1 << 62]
-    assert FaceTable.from_dense(a).invariant_factors() == want
-    count, block, rows, cols = snf._unit_pivots(a.copy())
-    assert count == 0
+    assert FaceTable.from_dense(a).reduce()[0] == want
+    pivots, block, rows, cols = snf._unit_pivots(a.copy())
+    assert len(pivots) == 0
     m = np.zeros_like(a)
     m[np.ix_(rows, cols)] = block
     assert (m == a).all()
 
 
 def _same_elimination(a: np.ndarray) -> None:
-    """_unit_pivots and the reference loop leave the same count and matrix:
-    the live block at its row and column indices, zero elsewhere."""
+    """_unit_pivots and the reference loop take the same pivot rows and
+    leave the same matrix: the live block at its row and column indices,
+    zero elsewhere."""
     want = a.copy()
-    count, block, rows, cols = snf._unit_pivots(a.copy())
-    assert count == reference.eliminate_units(want)
+    pivots, block, rows, cols = snf._unit_pivots(a.copy())
+    assert pivots == reference.eliminate_units(want)
     m = np.zeros_like(a)
     m[np.ix_(rows, cols)] = block
     assert np.array_equal(m, want)
@@ -359,11 +363,8 @@ def test_homology_rejects_flipped_sign_in_wide_boundary():
 
 
 def test_generator_route_must_agree_with_invariants():
-    d_in = np.array([[2]], dtype=np.int64)
-    d_out = np.zeros((0, 1), dtype=np.int64)
-    wrong = HomologyResult(
-        AbelianGroupInvariants(1), FaceTable.from_dense(d_out), FaceTable.from_dense(d_in)
-    )
+    d_in = FaceTable.from_dense(np.array([[2]], dtype=np.int64))
+    wrong = HomologyResult(AbelianGroupInvariants(1), FaceTable.zero(0, 1), *d_in.reduce()[1:])
     with pytest.raises(InternalInvariantError, match="generator route"):
         wrong.generator_chains()
 
@@ -415,12 +416,25 @@ def _route_cases():
 _ROUTE_CASES = list(_route_cases())
 
 
+def _in_span(vectors: np.ndarray, span: np.ndarray) -> bool:
+    """Whether every row of vectors is an integer combination of the rows of
+    span, read off the object-array Smith form U A V = D of A = span^T:
+    A x = v has an integer solution iff the first entries of U v are
+    divisible by d_1, d_2, ... in turn and the rest are zero."""
+    s = reference.smith_normal_form(np.asarray(span, dtype=object).T.tolist())
+    w = s.U @ np.asarray(vectors, dtype=object).T
+    r = len(s.diag)
+    return not w[r:].any() and all(x % d == 0 for d, row in zip(s.diag, w) for x in row)
+
+
 @pytest.mark.parametrize(
     "t_out, t_in, fits", [c[1:] for c in _ROUTE_CASES], ids=[c[0] for c in _ROUTE_CASES]
 )
 def test_generator_route_equals_full_transform_oracle(t_out, t_in, fits, monkeypatch):
-    # the Smith loop carries only the products the route reads; the full
-    # transforms and exact products of the oracle give the same integers
+    # the route runs on boundary_out at the cells K that no unit pivot of
+    # boundary_in used and on its residual R, its Smith loop carrying only
+    # the products it reads; the oracle's full transforms and exact products
+    # on the same pair, put back on K, give the same integers
     handed = []
     smith = snf._smith
 
@@ -428,26 +442,39 @@ def test_generator_route_equals_full_transform_oracle(t_out, t_in, fits, monkeyp
         handed.append(arrays[1])  # the U_inv side
         return smith(*arrays)
 
-    res = homology_from_factors(t_out, t_in, t_out.invariant_factors(), t_in.invariant_factors())
+    reduced_in = t_in.reduce()
+    res = homology_from_reductions(t_out, t_in, t_out.reduce(), reduced_in)
     monkeypatch.setattr(snf, "_smith", spy)
     chains = res.generator_chains()
-    inv, want = reference.transform_route(t_out.dense(), t_in.dense())
+    _, kept, residual = reduced_in
+    inv, found = reference.transform_route(t_out.dense()[:, kept], residual)
+    want = np.zeros((len(found), t_out.shape[1]), dtype=object)
+    want[:, kept] = found
     assert res.invariants == inv
     assert chains.shape == want.shape and chains.tolist() == want.tolist()
     if fits is not None:
         kernel = handed[1]
         assert kernel.dtype == object and (snf._abs_max(kernel) <= snf._INT64_SAFE) == fits
+    # the oracle on the whole pair takes another route: the same invariants,
+    # and each set of chains lies in the span of the other and the image
+    d_in = t_in.dense()
+    inv, whole = reference.transform_route(t_out.dense(), d_in)
+    assert res.invariants == inv
+    assert _in_span(chains, np.vstack([whole, d_in.T]))
+    assert _in_span(whole, np.vstack([chains, d_in.T]))
 
 
 def test_generator_route_carries_no_square_array_in_the_upper_cells(monkeypatch):
-    # d4-reflection, twisted H_3: the first Smith form reduces boundary 3 and
-    # carries V and boundary 4; the second reduces the image coordinates and
-    # carries the kernel columns; neither is handed a transform of the
-    # 4-cells, and the first a U_inv of no rows
+    # d4-reflection, twisted H_3: the first Smith form reduces boundary 3 at
+    # the cells K that no unit pivot of boundary 4 used and carries V, of K
+    # alone, and the residual of boundary 4; the second reduces the image
+    # coordinates and carries the kernel columns; neither is handed a
+    # transform of the 4-cells, and the first a U_inv of no rows
     fx = get_fixture("d4-reflection")
     pair = fx.cover or cover_data_from_w1(fx.nt)
     res = twisted_integral_homologies(pair, [3])[3]
-    n_hi = pair.base.cells[4]
+    n_p, n_hi = pair.base.cells[3], pair.base.cells[4]
+    kept = n_p - len(snf._unit_pivots(pair.twisted_faces(4).dense())[0])
     shapes = []
     smith = snf._smith
 
@@ -458,10 +485,36 @@ def test_generator_route_carries_no_square_array_in_the_upper_cells(monkeypatch)
     monkeypatch.setattr(snf, "_smith", spy)
     res.generator_chains()
     assert len(shapes) == 2
-    (_, ui, _, _), (_, _, v2, vi2) = shapes
+    (_, ui, v, _), (_, _, v2, vi2) = shapes
     assert ui[0] == 0
+    assert v == (kept, kept) and kept < n_p
     assert v2[0] == vi2[1] == 0
     assert all(shape != (n_hi, n_hi) for call in shapes for shape in call)
+
+
+@pytest.mark.parametrize("name", ["z4-semidirect", "d4-reflection"])
+def test_uncapped_twisted_generators_on_the_big_bases(name, monkeypatch):
+    # twisted H_1 to H_4 of the two big bases, past the report's size cap:
+    # the route finds the eager invariants, every chain is an exact integer
+    # cycle and reduces to a mod-2 cycle, and only boundary p is scattered
+    fx = get_fixture(name)
+    pair = fx.cover or cover_data_from_w1(fx.nt)
+    base = pair.base
+    results = twisted_integral_homologies(pair, range(1, 5))
+    routes, scattered = [], []
+    route, dense = snf._transform_route, FaceTable.dense
+    monkeypatch.setattr(snf, "_transform_route", lambda *a: routes.append(route(*a)) or routes[-1])
+    monkeypatch.setattr(FaceTable, "dense", lambda t: scattered.append(t.shape) or dense(t))
+    for p, res in results.items():
+        scattered.clear()
+        chains = res.generator_chains()
+        assert routes[-1][0] == res.invariants, (name, p)
+        assert scattered and all(rows == base.cells[p - 1] for rows, _ in scattered)
+        d = dense(pair.twisted_faces(p))
+        assert snf._abs_max(chains) * int(np.abs(d).sum(axis=1).max()) < 1 << 63
+        assert not (d @ chains.T.astype(np.int64)).any(), (name, p)
+        just = SimpleNamespace(generator_chains=lambda: chains)
+        assert np.array_equal(_mod2_generators(base, p, just), chains & 1)
 
 
 @given(
