@@ -232,8 +232,8 @@ def rank_and_echelon(m: F2Matrix) -> Subspace:
     XORed as the rows are, and each step's mask, candidates and hits run
     over them alone.  The pivot row clears bit c from the other rows by XOR
     on words w: (it is zero left of its word), and the step appends those
-    rows to the log (a buffer of the smallest unsigned type that holds a
-    row index, doubled when full and trimmed at the end) and its end offset.
+    rows to the log (a buffer of the smallest unsigned type that holds the
+    row count, doubled when full and trimmed at the end) and its end offset.
     An empty column is crossed by one OR of the strip over the free live
     rows: it jumps to the lowest bit set there.  When they are zero in the
     rest of the word, _next_column finds the leftmost bit set in the free
@@ -331,8 +331,8 @@ class Subspace:
     Basis row k was reduced from spanning vector pivot_rows[k]; these are
     the independent vectors, those outside the span of the earlier ones.
     _log is (n, hits, ends): the n spanning vectors, and the vectors that
-    step k adds pivot_rows[k] to, hits[ends[k]:ends[k + 1]] (uint8 to
-    uint32, whichever holds the index n - 1).
+    step k adds pivot_rows[k] to, hits[ends[k]:ends[k + 1]] (in the smallest
+    unsigned type that holds the count n).
 
     Row i of T says which spanning vectors sum to what vector i was reduced
     to: a dependent vector's relation, or for pivot_rows[k] basis row k's

@@ -367,17 +367,6 @@ def _operator_transpose(nt: NormalOneType, p: int):
     return h_p, h_p.coords_matrix(images)
 
 
-def _mod2_generators(base, p: int, result: HomologyResult) -> np.ndarray:
-    """The twisted H_p generators reduced mod 2, one row each, checked to be
-    mod-2 cycles all at once."""
-    vecs = (result.generator_chains() & 1).astype(np.uint8)
-    if not F2Matrix.from_dense(vecs).matmul(base.coboundary_matrix(p - 1)).is_zero():
-        raise InternalInvariantError(
-            "a twisted homology generator failed to reduce to a mod-2 cycle"
-        )
-    return vecs
-
-
 def d2_maps(
     nt: NormalOneType, page: E2Page, cover: CoverPair | None = None
 ) -> DifferentialReport:
@@ -386,10 +375,12 @@ def d2_maps(
     Out of (p,1) the map to (p-2,2) is the transpose of the operator matrix
     H^{p-2} -> H^p.  Out of (p,0) it is that transpose composed with the
     mod-2 reduction of the twisted integral generators, which come from the
-    homology result the page entry (p,0) holds; cover is unused, and stays
-    only because perfbench/catalog_roundtrip.py:105 passes it.  Sources that
-    the truncation or the size caps cannot certify carry a caveat instead of
-    a matrix.
+    homology result the page entry (p,0) holds: exact integer cycles
+    (generator_chains checks them), so mod-2 cycles, as the twisted signs
+    agree with the plain ones mod 2.  cover is unused, and stays only
+    because perfbench/catalog_roundtrip.py:105 passes it.  Sources that the
+    truncation or the size caps cannot certify carry a caveat instead of a
+    matrix.
     """
     base = nt.base
     from_q1 = {}
@@ -421,7 +412,7 @@ def d2_maps(
                 f"{base.name}: twisted boundary around degree {p} exceeds the size cap",
             )
             continue
-        vecs = _mod2_generators(base, p, entry.result)
+        vecs = (entry.result.generator_chains() & 1).astype(np.uint8)
         # column g pairs the H^p representatives with generator g mod 2
         red = F2Matrix.from_dense(xor_combine(h_p.reduction.reps, vecs.T))
         mat = mt.matmul(red)

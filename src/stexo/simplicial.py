@@ -433,21 +433,6 @@ class SimplicialModel:
             self._cache[key] = _frozen(table.T, dtype)
         return self._cache[key]
 
-    def plain_faces(self, n: int):
-        """The plain faces of the n-cells, as arrays (cells, positions,
-        faces): d_i of the n-cell c is the (n-1)-cell f, entry by entry."""
-        table = self.face_index(n)
-        positions, cells = np.nonzero(table != self.cells[n - 1])
-        return cells, positions, table[positions, cells]
-
-    def coboundary_matrix(self, k: int) -> F2Matrix:
-        """delta: C^k -> C^{k+1} over GF(2); rows are (k+1)-cells."""
-        key = ("cob", k)
-        if key not in self._cache:
-            c, _, f = self.plain_faces(k + 1)
-            self._cache[key] = F2Matrix.from_entries(self.cells[k + 1], self.cells[k], c, f)
-        return self._cache[key]
-
     def coboundary_span(self, k: int) -> Subspace:
         """The k-coboundaries delta(C^{k-1}) as a reduced basis in C^k (zero
         in degree 0): the one reduction of delta_{k-1}.  Its spanning rows are
@@ -460,8 +445,9 @@ class SimplicialModel:
             if k == 0:
                 rows = F2Matrix(0, n)
             else:
-                c, _, f = self.plain_faces(k)
-                rows = F2Matrix.from_entries(self.cells[k - 1], n, f, c)
+                table = self.face_index(k)
+                plain = table != self.cells[k - 1]
+                rows = F2Matrix.from_entries(self.cells[k - 1], n, table[plain], plain.nonzero()[1])
             self._cache[key] = Subspace.from_vectors(n, rows)
         return self._cache[key]
 

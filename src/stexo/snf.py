@@ -23,7 +23,8 @@ carries no U: it applies its operations to the three arrays its caller
 hands it on the U_inv, V and V_inv sides: zero-width from reduce, which
 also keeps the rows no unit pivot used and the residual on them; on the
 generator route (_transform_route), which finishes that elimination when
-cycle generators are asked for, just the products that route reads.
+cycle generators are asked for, just the products that route reads; its
+chains are checked to be exact integer cycles by the same composite check.
 """
 
 from __future__ import annotations
@@ -291,7 +292,7 @@ class FaceTable:
     """
 
     faces: np.ndarray  # (slots, columns): a row index, or rows on an empty slot
-    signs: np.ndarray  # (slots, columns), int64: the entry, or 0 on an empty slot
+    signs: np.ndarray  # (slots, columns), int64 or Python ints: the entry, or 0 on an empty slot
     rows: int
 
     @property
@@ -306,15 +307,15 @@ class FaceTable:
 
     @classmethod
     def from_dense(cls, m: np.ndarray) -> FaceTable:
-        """The table of a 2-D int64 array: as many slots as the fullest column
-        has nonzeros, filled from the top in row order."""
+        """The table of a 2-D integer array, signs in its dtype (exact on Python
+        ints): as many slots as the fullest column has nonzeros, in row order."""
         rows, cols = m.shape
         c, r = np.nonzero(m.T)  # by column, then row
         counts = np.bincount(c, minlength=cols)
         slot = np.arange(c.size) - (np.cumsum(counts) - counts)[c]
         height = int(counts.max()) if cols else 0
         faces = np.full((height, cols), rows, dtype=np.int64)
-        signs = np.zeros((height, cols), dtype=np.int64)
+        signs = np.zeros((height, cols), dtype=m.dtype)
         faces[slot, c], signs[slot, c] = r, m[r, c]
         return cls(faces, signs, rows)
 
@@ -364,7 +365,8 @@ class HomologyResult:
         (0, cells).  Runs the transform route (_transform_route) on
         boundary_out[:, K] and R, which must find the same invariants, and
         puts the chains back on K.  The chains are int64, or Python ints
-        where the route left int64.
+        where the route left int64, and boundary_out @ chains.T = 0 is
+        checked exactly on the two tables (_check_faces_of_faces).
         """
         table, kept, residual = self._reduced
         out = FaceTable(table.faces[:, kept], table.signs[:, kept], table.rows)
@@ -375,6 +377,7 @@ class HomologyResult:
             )
         chains = np.zeros((len(found), table.shape[1]), dtype=found.dtype)
         chains[:, kept] = found
+        _check_faces_of_faces(table, FaceTable.from_dense(chains.T))
         return chains
 
 

@@ -447,9 +447,10 @@ def eliminate_units(m: np.ndarray) -> list[int]:
 
 
 # The face readers of stexo.simplicial before its one face table per degree,
-# each reading the face arrays on its own: face_index, coboundary_matrix, the
-# coboundary_span rows, and signed_faces and CoverPair.twisted_faces scattered
-# dense must give the same arrays.  Each takes degrees in range only.
+# each reading the face arrays on its own: face_index, the coboundary_span
+# rows, and signed_faces and CoverPair.twisted_faces scattered dense must give
+# the same arrays.  coboundary_matrix, delta_k over GF(2), is the tests' own
+# oracle.  Each takes degrees in range only.
 def cofaces(model: SimplicialModel, k: int):
     """The entries of delta_k as a mask of the plain (nondegenerate) faces of
     the (k+1)-cells and the face-cell array it selects from."""

@@ -25,7 +25,7 @@ from stexo.errors import ValidationError
 from stexo.gf2 import rank
 from stexo.simplicial import Cochain, SimplicialModel, coboundary, cup, sq
 
-from reference import apply_map, solve_affine
+from reference import apply_map, coboundary_matrix, solve_affine
 
 
 def test_point_and_circle():
@@ -114,7 +114,7 @@ def test_two_sheet_model_is_acyclic():
     assert em.validate() == []
     assert flip.validate() == []
     # mod-2 betti: connected and no cohomology below the truncation edge
-    ranks = [rank(em.coboundary_matrix(k)) for k in range(6)]
+    ranks = [rank(coboundary_matrix(em, k)) for k in range(6)]
     assert em.cells[0] - ranks[0] == 1
     for k in range(1, 6):
         assert em.cells[k] - ranks[k] - ranks[k - 1] == 0
@@ -176,11 +176,11 @@ def test_first_square_of_fundamental_class():
     s1 = sq(iota, 1)
     assert s1.values.tolist() == [1, 0, 1, 0]
     assert coboundary(s1).is_zero()
-    assert solve_affine(k.coboundary_matrix(2), s1.values) is None
+    assert solve_affine(coboundary_matrix(k, 2), s1.values) is None
 
 
 def test_square_of_fundamental_class_is_cup_square():
     k = k_z2_2(4)
     iota = fundamental_class_cochain(k)
     assert sq(iota, 2) == cup(iota, iota)
-    assert solve_affine(k.coboundary_matrix(3), cup(iota, iota).values) is None
+    assert solve_affine(coboundary_matrix(k, 3), cup(iota, iota).values) is None

@@ -51,7 +51,13 @@ from stexo.simplicial import (
 )
 from stexo.snf import AbelianGroupInvariants, FaceTable, _transform_route, homology_from_reductions
 
-from reference import compose, kernel_basis, transform_built, transform_rows_canonical
+from reference import (
+    coboundary_matrix,
+    compose,
+    kernel_basis,
+    transform_built,
+    transform_rows_canonical,
+)
 
 
 @pytest.fixture(scope="module")
@@ -301,8 +307,8 @@ def _greedy_reps(model, k):
     few rank computations.
     """
     n = model.n_cells(k)
-    delta = model.coboundary_matrix(k - 1).to_dense().T if k else np.zeros((0, n), np.uint8)
-    closed = kernel_basis(model.coboundary_matrix(k)).to_dense()
+    delta = coboundary_matrix(model, k - 1).to_dense().T if k else np.zeros((0, n), np.uint8)
+    closed = kernel_basis(coboundary_matrix(model, k)).to_dense()
 
     def prefix_rank(i):
         return rank(F2Matrix.from_dense(np.vstack([delta, closed[:i]])))
@@ -392,10 +398,10 @@ def _stacked_reduction(model, degree, certified):
     representatives and the span."""
     n = model.n_cells(degree)
     if certified:
-        closed = kernel_basis(model.coboundary_matrix(degree)).to_dense()
+        closed = kernel_basis(coboundary_matrix(model, degree)).to_dense()
     else:
         closed = np.eye(n, dtype=np.uint8)
-    cob = model.coboundary_matrix(degree - 1) if degree > 0 else F2Matrix(n, 0)
+    cob = coboundary_matrix(model, degree - 1) if degree > 0 else F2Matrix(n, 0)
     start = cob.words.shape[1] * 64
     words = np.hstack([cob.words, F2Matrix.from_dense(closed.T).words])
     stacked = F2Matrix(n, start + len(closed), words)
@@ -490,7 +496,7 @@ def test_representatives_are_the_pivot_vectors_of_one_residue_reduction():
         if truncated:
             closed = np.eye(n, dtype=np.uint8)
         else:
-            closed = kernel_basis(model.coboundary_matrix(k)).to_dense()
+            closed = kernel_basis(coboundary_matrix(model, k)).to_dense()
         residues = cohomology._residues(model, k, closed)
         kept = sorted(Subspace.from_vectors(n, residues).pivot_rows)
         assert np.array_equal(reduction.reps, closed[kept]), (model.name, k)

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from stexo import james, snf
+from stexo import james
 from stexo.catalog import get_fixture
 from stexo.cohomology import cohomology_basis
 from stexo.errors import InternalInvariantError, ValidationError
@@ -20,7 +20,7 @@ from stexo.james import (
 )
 from stexo.obstruction import decide, primary_vanishes
 from stexo.simplicial import cup
-from stexo.snf import AbelianGroupInvariants
+from stexo.snf import AbelianGroupInvariants, FaceTable
 
 NT_FIXTURES = (
     "rp-w2-zero",
@@ -246,19 +246,21 @@ def test_d2_out_of_row_zero_is_pinned(reports):
 
 
 def test_d2_reads_twisted_generators_off_the_page(monkeypatch, reports):
+    # the page's homology results carry their reductions: d2_maps reduces
+    # no boundary again
     calls = []
-    real = snf._check_faces_of_faces
+    real = FaceTable.reduce
 
-    def spy(bout, bin_):
-        calls.append((bout.shape, bin_.shape))
-        real(bout, bin_)
+    def spy(table):
+        calls.append(table.shape)
+        return real(table)
 
     for name in ("rp-w2-zero", "d4-reflection"):
         fx, _, _, want, _ = reports[name]
         page = e2_page(fx.nt, fx.cover)
-        monkeypatch.setattr(snf, "_check_faces_of_faces", spy)
+        monkeypatch.setattr(FaceTable, "reduce", spy)
         diffs = d2_maps(fx.nt, page)
-        monkeypatch.setattr(snf, "_check_faces_of_faces", real)
+        monkeypatch.setattr(FaceTable, "reduce", real)
         assert calls == [], name
         assert any(d.known for d in diffs.from_q0.values()), name
         assert diffs.to_json_dict() == want.to_json_dict(), name

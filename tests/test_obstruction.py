@@ -76,7 +76,7 @@ from stexo.simplicial import (
     sq,
 )
 
-from reference import mul_vec, parsed_cover, solve_affine, transform_built
+from reference import coboundary_matrix, mul_vec, parsed_cover, solve_affine, transform_built
 
 
 # -- clause-by-clause verdicts ---------------------------------------------------
@@ -537,7 +537,7 @@ def test_cached_kreck_solve_matches_solve_affine(k, consistent, seed):
         rhs = coboundary(Cochain(base, 1, rng.integers(0, 2, base.n_cells(1), dtype=np.uint8)))
     else:
         rhs = Cochain(base, 2, rng.integers(0, 2, base.n_cells(2), dtype=np.uint8))
-    want = solve_affine(base.coboundary_matrix(1), rhs.values)
+    want = solve_affine(coboundary_matrix(base, 1), rhs.values)
     g = kreck_witness(NormalOneType(base, Cochain.zero(base, 1), rhs))
     assert (g is None) == (want is None)
     if want is not None:
@@ -778,7 +778,7 @@ def _stacked_span(nt, cover):
         cover.projection.pullback(sq(x, 2) + cup(nt.w1, sq(x, 1)) + cup(nt.w2, x))
         for x in cohomology_basis(nt.base, 2).reps
     ]
-    rows = [cover.cover.coboundary_matrix(3).to_dense().T]
+    rows = [coboundary_matrix(cover.cover, 3).to_dense().T]
     rows += [img.values[None] for img in images]
     return Subspace.from_vectors(cover.cover.n_cells(4), np.vstack(rows)), images
 
@@ -820,7 +820,7 @@ def test_restricted_image_predicate_matches_stacked_span():
         span, images = _stacked_span(nt, cover)
         data = _every_datum(lift_data_solutions(nt, cover))
         assert data
-        delta3 = cover.cover.coboundary_matrix(3)
+        delta3 = coboundary_matrix(cover.cover, 3)
         for d in data:
             A = secondary_witness(cover, d.a)
             # a coboundary plus a random sum of images lies in the restricted image

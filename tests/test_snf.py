@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +8,6 @@ from stexo.builders import bar_b, klein_table, z2_table, z4_table
 from stexo.catalog import get_fixture
 from stexo.cohomology import twisted_integral_homologies
 from stexo.errors import InternalInvariantError
-from stexo.james import _mod2_generators
 from stexo.obstruction import cover_data_from_w1
 from stexo.simplicial import Cochain, cover_from_cocycle
 from stexo.snf import (
@@ -369,6 +366,48 @@ def test_generator_route_must_agree_with_invariants():
         wrong.generator_chains()
 
 
+@pytest.mark.parametrize(
+    "chain, cycle",
+    [
+        ([1, 0], False),
+        ([1 << 64, 1 << 64], True),
+        ([(1 << 64) + 1, 1], False),
+    ],
+)
+def test_generator_chains_are_checked_to_be_cycles(monkeypatch, chain, cycle):
+    # boundary 1 is [1, -1], so H_1 = Z is generated by (1, 1); a route that
+    # returns the right invariants with a chain that is not a cycle is
+    # refused, exactly also on Python ints, where (2**64 + 1, 1) would pass
+    # mod 2**64
+    d_out, d_in = FaceTable.from_dense(np.array([[1, -1]])), FaceTable.zero(2, 0)
+    res = homology_from_reductions(d_out, d_in, d_out.reduce(), d_in.reduce())
+    assert res.invariants == AbelianGroupInvariants(1)
+    assert np.abs(res.generator_chains()).tolist() == [[1, 1]]
+    found = np.array([chain], dtype=object)
+    monkeypatch.setattr(snf, "_transform_route", lambda *a: (res.invariants, found))
+    if cycle:
+        assert res.generator_chains().tolist() == [chain]
+    else:
+        with pytest.raises(InternalInvariantError, match="boundary composite is nonzero"):
+            res.generator_chains()
+
+
+def test_face_table_keeps_python_ints_past_int64():
+    # from_dense keeps an object array's entries exactly; the composite of
+    # (big + 1, -(big + 1)) with (big, big) cancels, with (big, 0) it is
+    # (big + 1) big, which is 0 mod 2**64
+    big = 1 << 64
+    lower = FaceTable.from_dense(np.array([[big + 1, -(big + 1)]], dtype=object))
+    assert lower.signs.tolist() == [[big + 1, -(big + 1)]]
+    cancelling = FaceTable.from_dense(np.array([[big], [big]], dtype=object))
+    other = FaceTable.from_dense(np.array([[big], [0]], dtype=object))
+    assert other.signs.tolist() == [[big]]
+    snf._check_faces_of_faces(lower, cancelling)
+    with pytest.raises(InternalInvariantError, match="boundary composite is nonzero"):
+        snf._check_faces_of_faces(lower, other)
+    assert snf._composite_entries(lower, other)[2].tolist() == [(big + 1) * big]
+
+
 def test_homology_rejects_noncycle_image():
     # d_in column outside ker(d_out)
     with pytest.raises(InternalInvariantError):
@@ -496,7 +535,7 @@ def test_generator_route_carries_no_square_array_in_the_upper_cells(monkeypatch)
 def test_uncapped_twisted_generators_on_the_big_bases(name, monkeypatch):
     # twisted H_1 to H_4 of the two big bases, past the report's size cap:
     # the route finds the eager invariants, every chain is an exact integer
-    # cycle and reduces to a mod-2 cycle, and only boundary p is scattered
+    # cycle, and only boundary p is scattered
     fx = get_fixture(name)
     pair = fx.cover or cover_data_from_w1(fx.nt)
     base = pair.base
@@ -513,8 +552,6 @@ def test_uncapped_twisted_generators_on_the_big_bases(name, monkeypatch):
         d = dense(pair.twisted_faces(p))
         assert snf._abs_max(chains) * int(np.abs(d).sum(axis=1).max()) < 1 << 63
         assert not (d @ chains.T.astype(np.int64)).any(), (name, p)
-        just = SimpleNamespace(generator_chains=lambda: chains)
-        assert np.array_equal(_mod2_generators(base, p, just), chains & 1)
 
 
 @given(
