@@ -16,8 +16,9 @@ interpreter, and records:
   stages             the median seconds per pass of each stage, keyed as
                      run.py prints them ("export_s", "parse_s", ...);
 
-and, once, stexo.loc (the lines of src/stexo/*.py) and the interpreter,
-numpy, platform and CPU count it ran on.  The file is written to
+and, once, stexo.loc (the lines of src/stexo/*.py), stexo.loc.modules (the
+same count per module, by module name) and the interpreter, numpy, platform
+and CPU count it ran on.  The file is written to
 BENCH_<number>.json at the root of the checkout unless --out says otherwise;
 the number names the change measured.
 
@@ -47,11 +48,12 @@ UNCERTIFIED = re.compile(r"^\s+uncertified\[(\S+)\]\s+(\d+) E2, (\d+) d2$")
 STAGE = re.compile(r"^\s+(\w+_s)\s+([0-9.]+) s per pass$")
 
 
-def stexo_loc() -> int:
-    return sum(
-        len(path.read_text(encoding="utf-8").splitlines())
-        for path in (ROOT / "src" / "stexo").glob("*.py")
-    )
+def module_loc() -> dict:
+    """The lines of each module of src/stexo, by module name."""
+    return {
+        path.stem: len(path.read_text(encoding="utf-8").splitlines())
+        for path in sorted((ROOT / "src" / "stexo").glob("*.py"))
+    }
 
 
 def run_workload(name: str, seed: int, seconds: float) -> dict:
@@ -84,6 +86,7 @@ def main() -> int:
     ap.add_argument("--workload", action="append", choices=sorted(WORKLOADS))
     ap.add_argument("--out", type=Path)
     args = ap.parse_args()
+    loc = module_loc()
     bench = {
         "number": args.number,
         "seed": args.seed,
@@ -94,7 +97,8 @@ def main() -> int:
             "platform": platform.platform(),
             "cpus": os.cpu_count(),
         },
-        "stexo.loc": stexo_loc(),
+        "stexo.loc": sum(loc.values()),
+        "stexo.loc.modules": loc,
         "workloads": {
             name: run_workload(name, args.seed, args.seconds)
             for name in args.workload or WORKLOADS

@@ -17,6 +17,7 @@ from .simplicial import (
     Involution,
     SimplicialMap,
     SimplicialModel,
+    _degenerate,
 )
 
 
@@ -287,9 +288,7 @@ def k_z2_2(up_to: int) -> SimplicialModel:
         # a degenerate cocycle is s_j of d_j of itself, j its last repeat
         last = m - 1 - np.argmax(repeat[::-1], axis=0)
         pos = np.searchsorted(all_masks[m - 1], dj_masks[last, np.arange(masks.size)])
-        lower = canon_word[m - 1][pos]
-        # the word of s_j: letters >= j move up by one, then j is added
-        word = (lower >> last << (last + 1)) | (lower & ((1 << last) - 1)) | (1 << last)
+        word = _degenerate(canon_word[m - 1][pos], last)
         word[keep] = 0
         cell = canon_cell[m - 1][pos]
         cell[keep] = np.arange(np.count_nonzero(keep))

@@ -12,9 +12,9 @@ the bitmask of its letters.  A batch of targets is likewise a pair of arrays
 (word masks, cells), and SimplicialModel.face_batch takes one face of a whole
 batch at once; every face walk of this module goes through it or indexes the
 arrays directly.  Maps store the target of every source cell in the same form,
-and SimplicialMap.push sends a batch of targets through a map.  Outside input
-is checked in batches too, by check_targets, before a model or a map is made
-from it; the one constructor of each class takes arrays.
+and SimplicialMap.push sends a batch of targets through a map.  Models and
+maps check their own targets in batches, with check_targets, which the
+model-file parser calls too; the one constructor of each class takes arrays.
 
 SimplicialModel.validate checks the identities d_i d_j = d_{j-1} d_i on
 target codes: a dimension-n target is coded by its place in
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, repeat
 
 import numpy as np
 
@@ -47,31 +47,6 @@ from .errors import (
 )
 from .gf2 import F2Matrix, Subspace
 from .snf import FaceTable
-
-Target = tuple  # (word: tuple[int, ...], cell: int)
-
-
-def insert_degeneracy(word: tuple, a: int) -> tuple:
-    """Canonical word of s_a applied to a simplex whose word is given.
-
-    Operationally: letters >= a shift up by one and a is inserted in the
-    unique position keeping the word strictly decreasing.
-    """
-    res = []
-    for idx, w in enumerate(word):
-        if a > w:
-            return tuple(res) + (a,) + word[idx:]
-        res.append(w + 1)
-    return tuple(res) + (a,)
-
-
-def compose_words(outer, inner: tuple, cell: int) -> Target:
-    """Apply an iterable of degeneracy letters (outermost first) to a target."""
-    word = inner
-    for a in reversed(tuple(outer)):
-        word = insert_degeneracy(word, a)
-    return (word, cell)
-
 
 # -- word masks ----------------------------------------------------------------
 
@@ -92,13 +67,20 @@ def _canonical_masks(dim: int) -> dict:
     return {_word(m): m for m in range(1 << dim)}
 
 
+def _degenerate(mask, a):
+    """The word mask of s_a applied to a target whose word mask is given:
+    letters >= a move up by one, and a is added.  mask and a may be int64
+    arrays as well as ints."""
+    return (mask >> a << (a + 1)) | (mask & ((1 << a) - 1)) | (1 << a)
+
+
 @lru_cache(maxsize=None)
 def _compose_table(outer: int, dim: int) -> np.ndarray:
-    """Mask of compose_words(word(outer), word(m)) for each dimension-dim mask m."""
-    table = np.array(
-        [_mask(compose_words(_word(outer), _word(m), 0)[0]) for m in range(1 << dim)],
-        dtype=np.int64,
-    )
+    """The word mask of s_{outer} applied to each dimension-dim mask m: the
+    letters of outer applied by _degenerate, the lowest (innermost) first."""
+    table = np.arange(1 << dim, dtype=np.int64)
+    for a in reversed(_word(outer)):
+        table = _degenerate(table, a)
     table.setflags(write=False)
     return table
 
@@ -117,7 +99,8 @@ def _face_plan(n: int, mask: int, i: int):
     k = i
     for pos, w in enumerate(word):
         if k == w or k == w + 1:
-            return _mask(compose_words(out, word[pos + 1 :], 0)[0]), None, None
+            inner = mask & ((1 << w) - 1)
+            return int(_compose_table(_mask(out), n - 1 - pos)[inner]), None, None
         if k < w:
             out.append(w - 1)
         else:
@@ -194,35 +177,42 @@ def int64_array(values) -> np.ndarray:
 
 
 def _target_problem(target, dim: int) -> str:
-    """Why a dimension-dim target that check_targets refused has no place."""
+    """Why a dimension-dim target that check_targets refused has no place;
+    target is (word, cell), its word a mask or, as given, a tuple."""
     word, cell = target
+    if isinstance(word, int):
+        if word < 0:
+            return f"degeneracy word mask {word} out of range for dimension {dim}"
+        word = _word(word)
     if any(word[k] <= word[k + 1] for k in range(len(word) - 1)):
         return f"degeneracy word {word} is not strictly decreasing"
     if word and (word[0] > dim - 1 or word[-1] < 0):
         return f"degeneracy word {word} out of range for dimension {dim}"
-    return f"target {target} has no core cell in degree {dim - len(word)}"
+    return f"target {(word, cell)} has no core cell in degree {dim - len(word)}"
 
 
 def check_targets(counts, dim: int, masks, ids, rejects):
-    """Dimension-dim targets read from outside, checked against a model with
-    the given cell counts.
+    """Dimension-dim targets checked against a model with the given cell
+    counts: the one target check of model faces, map images and the parser.
 
-    masks and ids are int64 arrays of word masks and cells; rejects holds the
-    targets that are wrong on every model, by position, as (word tuple, cell)
-    as given: a word that is not canonical for dim, or a negative cell.  A
-    reject is stored as (0, -1).
+    masks and ids are int64 arrays of word masks and cells.  Read as
+    unsigned, a negative value is past every bound: a mask must be below
+    2**dim (a canonical word), a cell below the count of its core degree.
+    rejects holds the targets the parser found wrong on every model, by
+    position, as (word tuple, cell) as given; a reject is stored as (0, -1).
 
     Returns (masks, cells, bad): int64 arrays where a target that has no place
-    on the model (a reject, or a cell past the count of its core degree) is
-    stored as (0, 0), and (position, message) for each such target, in order.
+    on the model is stored as (0, 0), and (position, message) for each such
+    target, in order.
     """
-    core = dim - np.bitwise_count(masks).astype(np.int64)
-    limit = np.zeros(dim + 1, dtype=np.int64)
+    wide = masks.view(np.uint64) >= 1 << dim
+    core = dim - np.bitwise_count(np.where(wide, 0, masks)).astype(np.int64)
+    limit = np.zeros(dim + 1, dtype=np.uint64)
     k = min(len(counts), dim + 1)
     limit[:k] = counts[:k]
-    wrong = (ids < 0) | (ids >= limit[core])
+    wrong = wide | (ids.view(np.uint64) >= limit[core])
     bad = [
-        (p, _target_problem(rejects.get(p) or (_word(int(masks[p])), int(ids[p])), dim))
+        (p, _target_problem(rejects.get(p) or (int(masks[p]), int(ids[p])), dim))
         for p in np.flatnonzero(wrong).tolist()
     ]
     if bad:
@@ -237,14 +227,15 @@ def checked_images(source, target, blocks):
     them: (image_word, image_cell, bad).
 
     bad lists "degree n cell c: message" for each target refused on target.
-    Checking stops at the first degree whose size is wrong; from there on the
+    Checking stops at the first degree that is missing or whose word or
+    cell array does not hold one entry per source cell; from there on the
     arrays are zeros.
     """
     words, cells, bad = [], [], []
     none = np.zeros(0, dtype=np.int64)
     for n in range(source.max_degree + 1):
         masks, ids, rejects = blocks[n] if n < len(blocks) else (none, none, {})
-        if ids.size != source.cells[n]:
+        if masks.shape != (source.cells[n],) or ids.shape != masks.shape:
             bad.append(f"degree {n}: assignment size mismatch")
             break
         ws, cs, errs = check_targets(target.cells, n, masks, ids, rejects)
@@ -339,30 +330,20 @@ class SimplicialModel:
         A dimension-n target is coded by its position in _target_table(n).
         A face cell past the count of its core degree would take the code of
         another target, so every face is checked against the counts first."""
-        runs = [_target_runs(self.cells, dim) for dim in range(self.max_degree)]
-        bad = [
-            msg for n in range(1, self.max_degree + 1) for msg in self._stray_faces(n, *runs[n - 1])
-        ]
+        bad = [msg for n in range(1, self.max_degree + 1) for msg in self._stray_faces(n)]
         if bad:
             return bad
+        runs = [_target_runs(self.cells, dim) for dim in range(self.max_degree)]
         for n in range(2, self.max_degree + 1):
             bad.extend(self._identity_violations(n, *runs[n - 1], runs[n - 2][0]))
         return bad
 
-    def _stray_faces(self, n: int, first, count) -> list[str]:
-        """The faces of the n-cells whose word is not canonical or whose cell
-        is past the count of its core degree, given the runs of
-        _target_runs(cells, n - 1).  Read as unsigned, a negative mask or
-        cell is past every bound."""
-        fw, fc = self.face_word[n], self.face_cell[n]
-        wide = fw.view(np.uint64) >= first.size
-        limit = count.view(np.uint64)[np.where(wide, 0, fw) if wide.any() else fw]
-        wrong = fc.view(np.uint64) >= limit
-        wrong |= wide
+    def _stray_faces(self, n: int) -> list[str]:
+        """The faces of the n-cells that check_targets refuses."""
+        fw, fc = self.face_word[n].ravel(), self.face_cell[n].ravel()
         return [
-            f"degree {n} cell {c} face {i}: "
-            + _target_problem((_word(int(fw[c, i])), int(fc[c, i])), n - 1)
-            for c, i in np.argwhere(wrong).tolist()
+            f"degree {n} cell {p // (n + 1)} face {p % (n + 1)}: {msg}"
+            for p, msg in check_targets(self.cells, n - 1, fw, fc, {})[2]
         ]
 
     def _identity_violations(self, n: int, first, count, below) -> list[str]:
@@ -634,7 +615,8 @@ class SimplicialMap:
     image_word[n][c] and image_cell[n][c] are the target of the source n-cell
     c on the target model, as a word mask and a cell, laid out like the face
     tables of a model and just as read-only.  Neither they nor the endpoints
-    change, so validate checks the faces once per map and keeps the answer.
+    change, so validate checks them once per map and keeps the answer:
+    checked_images first, with the parser's messages, then the faces.
     """
 
     def __init__(
@@ -668,9 +650,13 @@ class SimplicialMap:
         return _checked_once(self)
 
     def _violations_found(self) -> list[str]:
-        """The images of each degree are grouped by word once, and every face
-        taken of them reuses that grouping."""
-        bad = []
+        """What checked_images refuses, or else the faces that do not
+        commute: the images of each degree are grouped by word once, and
+        every face taken of them reuses that grouping."""
+        blocks = list(zip(self.image_word, self.image_cell, repeat({})))
+        bad = checked_images(self.source, self.target, blocks)[2]
+        if bad:
+            return bad
         src = self.source
         for n in range(1, src.max_degree + 1):
             wrong = np.zeros((src.cells[n], n + 1), dtype=bool)

@@ -3,10 +3,14 @@
 The tests use them as oracles or to build inputs; each works on the public
 arrays of the package objects, except transform_built, which tells whether
 a span has built its transform yet.
+
+The tuple word algebra here (Target, insert_degeneracy, compose_words,
+word_of) is the oracle for the package's word masks: a degeneracy word is a
+tuple of letters, strictly decreasing, and nothing here reads a word
+function of stexo.simplicial.
 """
 
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -19,14 +23,66 @@ from stexo.simplicial import (
     CoverPair,
     SimplicialMap,
     SimplicialModel,
-    Target,
-    _canonical_masks,
     _index_groups,
-    _word,
-    compose_words,
     int64_array,
 )
 from stexo.snf import AbelianGroupInvariants, _abs_max, _room
+
+Target = tuple  # (word: tuple[int, ...], cell: int)
+
+
+def insert_degeneracy(word: tuple, a: int) -> tuple:
+    """Canonical word of s_a applied to a simplex whose word is given.
+
+    Operationally: letters >= a shift up by one and a is inserted in the
+    unique position keeping the word strictly decreasing.
+    """
+    res = []
+    for idx, w in enumerate(word):
+        if a > w:
+            return tuple(res) + (a,) + word[idx:]
+        res.append(w + 1)
+    return tuple(res) + (a,)
+
+
+def compose_words(outer, inner: tuple, cell: int) -> Target:
+    """Apply an iterable of degeneracy letters (outermost first) to a target."""
+    word = inner
+    for a in reversed(tuple(outer)):
+        word = insert_degeneracy(word, a)
+    return (word, cell)
+
+
+def word_of(mask: int) -> tuple:
+    """The word whose letters are the set bits of a nonnegative mask."""
+    return tuple(a for a in range(mask.bit_length() - 1, -1, -1) if mask >> a & 1)
+
+
+def mask_of(word) -> int:
+    return sum(1 << a for a in word)
+
+
+def canonical(word: tuple, dim: int) -> bool:
+    """Whether word is canonical for a dimension-dim target: strictly
+    decreasing letters in 0 .. dim - 1."""
+    return all(a > b for a, b in zip(word, word[1:])) and all(0 <= a < dim for a in word)
+
+
+def passage(word: tuple, i: int):
+    """How d_i passes through a canonical word, letter by letter: (word, None)
+    with the face's word when d_i cancels against a letter, else (out, k),
+    the surviving letters and the face d_k of the core they apply to."""
+    out = []
+    k = i
+    for pos, w in enumerate(word):
+        if k == w or k == w + 1:
+            return compose_words(out, word[pos + 1 :], 0)[0], None
+        if k < w:
+            out.append(w - 1)
+        else:
+            out.append(w)
+            k -= 1
+    return tuple(out), k
 
 
 def euler_characteristic(model: SimplicialModel) -> int:
@@ -39,19 +95,12 @@ def face(model: SimplicialModel, n: int, target: Target, i: int) -> Target:
     The one-target reference for SimplicialModel.face_batch.
     """
     word, cell = target
-    out = []
-    k = i
-    for pos, w in enumerate(word):
-        if k == w or k == w + 1:
-            return compose_words(out, word[pos + 1 :], cell)
-        if k < w:
-            out.append(w - 1)
-        else:
-            out.append(w)
-            k -= 1
+    out, k = passage(word, i)
+    if k is None:
+        return out, cell
     b = n - len(word)
     fw = int(model.face_word[b][cell, k])
-    return compose_words(out, _word(fw), int(model.face_cell[b][cell, k]))
+    return compose_words(out, word_of(fw), int(model.face_cell[b][cell, k]))
 
 
 def simplicial_violations(model: SimplicialModel) -> list[str]:
@@ -71,8 +120,8 @@ def simplicial_violations(model: SimplicialModel) -> list[str]:
                 lw, lc = model._grouped_faces(n - 1, *columns[j], i)
                 rw, rc = model._grouped_faces(n - 1, *columns[i], j - 1)
                 for c in np.flatnonzero((lw != rw) | (lc != rc)).tolist():
-                    lhs = (_word(int(lw[c])), int(lc[c]))
-                    rhs = (_word(int(rw[c])), int(rc[c]))
+                    lhs = (word_of(int(lw[c])), int(lc[c]))
+                    rhs = (word_of(int(rw[c])), int(rc[c]))
                     found.append((c, j, i, lhs, rhs))
         found.sort(key=lambda f: f[:3])
         bad.extend(
@@ -91,6 +140,44 @@ def compose(outer: SimplicialMap, inner: SimplicialMap) -> SimplicialMap:
     )
     name = f"{outer.name}*{inner.name}"
     return SimplicialMap(inner.source, outer.target, words, cells, name)
+
+
+# what broken_images does to a map's image arrays, and what validate then
+# says, for a map whose source stores degrees 0..6 with one 4-cell and
+# whose target has one 3-cell and one 4-cell
+MAP_FAULTS = {
+    "negative cell": "degree 4 cell 0: target ((), -1) has no core cell in degree 4",
+    "past core count": "degree 4 cell 0: target ((0,), 1) has no core cell in degree 3",
+    "wide word": "degree 2 cell 0: degeneracy word (2,) out of range for dimension 2",
+    "negative word": "degree 2 cell 0: degeneracy word mask -1 out of range for dimension 2",
+    "missing degree": "degree 6: assignment size mismatch",
+    "short words": "degree 3: assignment size mismatch",
+    "short cells": "degree 3: assignment size mismatch",
+}
+
+
+def broken_images(m: SimplicialMap, fault: str) -> SimplicialMap:
+    """m made again from copies of its image arrays, with one fault of
+    MAP_FAULTS put in: the first source cell of a degree sent to a target
+    with no place on m.target, or a degree whose arrays are missing or one
+    entry short."""
+    words = [w.copy() for w in m.image_word]
+    cells = [c.copy() for c in m.image_cell]
+    if fault == "negative cell":
+        cells[4][0] = -1
+    elif fault == "past core count":
+        words[4][0], cells[4][0] = 0b1, m.target.cells[3]
+    elif fault == "wide word":
+        words[2][0] = 1 << 2
+    elif fault == "negative word":
+        words[2][0] = -1
+    elif fault == "missing degree":
+        words, cells = words[:6], cells[:6]
+    elif fault == "short words":
+        words[3] = words[3][1:]
+    else:
+        cells[3] = cells[3][1:]
+    return SimplicialMap(m.source, m.target, words, cells, m.name)
 
 
 def mod2_rank(group: AbelianGroupInvariants) -> int:
@@ -230,9 +317,7 @@ def encode_targets(dim: int, words, cells):
     (word tuple, cell) as given.
     """
     words = list(map(tuple, words))
-    masks = np.fromiter(
-        map(_canonical_masks(dim).get, words, repeat(-1)), dtype=np.int64, count=len(words)
-    )
+    masks = np.array([mask_of(w) if canonical(w, dim) else -1 for w in words], dtype=np.int64)
     ids = int64_array(cells)
     out = np.flatnonzero((masks < 0) | (ids < 0))
     rejects = {p: (words[p], cells[p]) for p in out.tolist()}
@@ -259,7 +344,7 @@ def v1_document(doc: dict) -> dict:
 
     def targets(block: dict) -> list:
         return [
-            {"cell": c, "degen": list(_word(w))} if w else {"cell": c}
+            {"cell": c, "degen": list(word_of(w))} if w else {"cell": c}
             for c, w in zip(block["cell"], block["word"])
         ]
 

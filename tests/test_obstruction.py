@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -76,6 +77,7 @@ from stexo.simplicial import (
     sq,
 )
 
+import reference
 from reference import coboundary_matrix, mul_vec, parsed_cover, solve_affine, transform_built
 
 
@@ -973,6 +975,26 @@ def test_cover_parts_refuse_an_involution_on_another_model():
     refused = "^the involution does not act on the cover model$"
     with pytest.raises(ModelMismatchError, match=refused):
         cover_data_from_parts(fx.nt, cover, twin, pair.projection)
+
+
+@pytest.mark.parametrize("fault", reference.MAP_FAULTS)
+def test_a_section_with_a_stray_image_is_invalid_input(fault):
+    fx = rp_kreck()
+    section = SectionDatum(reference.broken_images(fx.section.s, fault))
+    v = decide(fx.nt, cover=fx.cover, section=section)
+    assert v.outcome == "InvalidInput"
+    assert v.evidence["reasons"] == [f"section map: {reference.MAP_FAULTS[fault]}"]
+    assert replay_evidence(v, fx.nt, fx.cover, section)
+
+
+@pytest.mark.parametrize("fault", reference.MAP_FAULTS)
+def test_cover_parts_refuse_a_projection_with_a_stray_image(fault):
+    fx = rp_w2_zero()
+    pair = fx.cover
+    proj = reference.broken_images(pair.projection, fault)
+    refused = f"^map projection: {re.escape(reference.MAP_FAULTS[fault])}$"
+    with pytest.raises(ValidationError, match=refused):
+        cover_data_from_parts(fx.nt, pair.cover, pair.involution, proj)
 
 
 def _lift_arrays(pair):

@@ -67,6 +67,9 @@ def test_bench_file_script(tmp_path):
     assert proc.returncode == 0, proc.stderr
     bench = json.loads(out.read_text())
     assert bench["number"] == 0 and bench["stexo.loc"] > 0
+    modules = bench["stexo.loc.modules"]
+    assert {"simplicial", "builders"} <= set(modules)
+    assert sum(modules.values()) == bench["stexo.loc"]
     assert list(bench["workloads"]) == ["group-homology"]
     entry = bench["workloads"]["group-homology"]
     assert entry["correct"] and entry["failed"] == 0 and entry["attempted"] > 0

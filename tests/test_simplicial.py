@@ -43,11 +43,9 @@ from stexo.simplicial import (
     _groups,
     checked_images,
     coboundary,
-    compose_words,
     cover_from_cocycle,
     cup,
     cup_i,
-    insert_degeneracy,
     is_coboundary,
     product,
     product_involution,
@@ -60,14 +58,19 @@ from stexo.simplicial import (
 import reference
 from reference import (
     compose,
+    compose_words,
     encode_targets,
     euler_characteristic,
     face,
+    insert_degeneracy,
     kernel_basis,
+    mask_of,
     mul_vec,
+    passage,
     simplicial_violations,
     solve_affine,
     v1_document,
+    word_of,
 )
 
 
@@ -92,8 +95,7 @@ def triangle(face_word=None, face_cell=None):
 def _decode(words, cells):
     """(word, cell) tuples of a batch of targets given as word masks and cells."""
     return [
-        (tuple(a for a in range(w.bit_length() - 1, -1, -1) if w >> a & 1), c)
-        for w, c in zip(np.asarray(words).tolist(), np.asarray(cells).tolist())
+        (word_of(w), c) for w, c in zip(np.asarray(words).tolist(), np.asarray(cells).tolist())
     ]
 
 
@@ -114,6 +116,38 @@ def test_insert_degeneracy_canonical_words():
     assert insert_degeneracy((1, 0), 1) == (2, 1, 0)
     assert insert_degeneracy((3, 1), 2) == (4, 2, 1)
     assert insert_degeneracy((3, 1), 0) == (4, 2, 0)
+    # the same five on word masks
+    assert simplicial._degenerate(0b0, 0) == 0b1
+    assert simplicial._degenerate(0b1, 1) == 0b11
+    assert simplicial._degenerate(0b11, 1) == 0b111
+    assert simplicial._degenerate(0b1010, 2) == 0b10110
+    assert simplicial._degenerate(0b1010, 0) == 0b10101
+
+
+def test_word_masks_equal_the_tuple_oracle():
+    # every mask of every dimension up to 7, against the tuple word algebra
+    for dim in range(8):
+        masks = np.arange(1 << dim)
+        words = list(map(word_of, range(1 << dim)))
+        for a in range(dim + 1):
+            want = [mask_of(insert_degeneracy(w, a)) for w in words]
+            assert simplicial._degenerate(masks, a).tolist() == want, (dim, a)
+            assert [simplicial._degenerate(m, a) for m in range(1 << dim)] == want
+        for outer in range(1 << 7 - dim):
+            table = simplicial._compose_table(outer, dim)
+            want = [mask_of(compose_words(word_of(outer), w, 0)[0]) for w in words]
+            assert table.tolist() == want, (outer, dim)
+        faces = range(dim + 1) if dim else ()  # a vertex has none
+        for mask, word in enumerate(words):
+            for i in faces:
+                out, k = passage(word, i)
+                plan = simplicial._face_plan(dim, mask, i)
+                if k is None:
+                    assert plan == (mask_of(out), None, None), (dim, mask, i)
+                else:
+                    b = dim - len(word)
+                    assert plan[:2] == (k, b), (dim, mask, i)
+                    assert plan[2] is simplicial._compose_table(mask_of(out), b - 1)
 
 
 def test_triangle_validates_and_subfaces():
@@ -389,6 +423,23 @@ def test_map_validate_reports_malformed_targets(edit, want):
     assert checked_images(base, base, data.images)[2] == want
     with pytest.raises(ValidationError, match="^map broken: " + re.escape(want[0]) + "$"):
         data.into_parent(base)
+    if not any(rejects for _, _, rejects in data.images):
+        # every target is a word mask and a cell: a map built from them
+        # directly is refused with the same messages
+        words, cells, _ = zip(*data.images)
+        assert SimplicialMap(base, base, words, cells, "broken").validate() == want
+
+
+@pytest.mark.parametrize("fault", reference.MAP_FAULTS)
+def test_a_map_built_directly_checks_its_own_targets(fault):
+    base = bar_b(z2_table(), 6)
+    m = reference.broken_images(SimplicialMap.identity(base), fault)
+    blocks = list(zip(m.image_word, m.image_cell, [{}] * len(m.image_word)))
+    want = [reference.MAP_FAULTS[fault]]
+    assert checked_images(base, base, blocks)[2] == want
+    assert m.validate() == want
+    with pytest.raises(ValidationError, match=f"^map id: {re.escape(want[0])}$"):
+        m.require_valid()
 
 
 def test_map_validate_reports_non_commuting_faces():
@@ -817,16 +868,9 @@ def _reference_validate(max_degree, cells, faces):
 
     def face(n, target, i):
         word, cell = target
-        out = []
-        k = i
-        for pos, w in enumerate(word):
-            if k == w or k == w + 1:
-                return compose_words(out, word[pos + 1 :], cell)
-            if k < w:
-                out.append(w - 1)
-            else:
-                out.append(w)
-                k -= 1
+        out, k = passage(word, i)
+        if k is None:
+            return out, cell
         fw, fc = faces[n - len(word)][cell][k]
         return compose_words(out, fw, fc)
 
@@ -1031,6 +1075,22 @@ def test_validate_refuses_a_word_that_is_not_canonical():
 
     want = ["degree 5 cell 0 face 1: degeneracy word (4,) out of range for dimension 4"]
     assert _edited(d8, 5, wide).validate() == want
+
+
+def test_a_negative_word_mask_is_named_as_a_mask():
+    # read as a word, -1 would be (0,), which it does not hold
+    d8 = bar_b(dihedral8_table(), 5, name="bar-d8")
+
+    def negative(fw, fc):
+        fw[0, 1] = -1
+
+    want = ["degree 3 cell 0 face 1: degeneracy word mask -1 out of range for dimension 2"]
+    assert _edited(d8, 3, negative).validate() == want
+    masks, ids = np.array([0, -1, 1 << 2]), np.zeros(3, dtype=np.int64)
+    assert simplicial.check_targets(d8.cells, 2, masks, ids, {})[2] == [
+        (1, "degeneracy word mask -1 out of range for dimension 2"),
+        (2, "degeneracy word (2,) out of range for dimension 2"),
+    ]
 
 
 # -- the coboundary test against the affine solver -----------------------------
